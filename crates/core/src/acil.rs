@@ -216,13 +216,6 @@ impl ClientRequest {
         self
     }
 
-    /// Builder: query several sources (consolidated, §3.1.1).
-    #[deprecated(since = "0.4.0", note = "use ClientRequest::builder(...).sources(...)")]
-    pub fn with_sources(mut self, sources: &[&str]) -> ClientRequest {
-        self.sources = sources.iter().map(|s| (*s).to_owned()).collect();
-        self
-    }
-
     /// Builder: run under an existing trace context, making the
     /// gateway's request span a child instead of a new root.
     pub fn with_trace(mut self, trace: TraceContext) -> ClientRequest {
@@ -512,17 +505,6 @@ mod tests {
         assert_eq!(h.mode, QueryMode::Historical);
         assert_eq!(h.policy, ResultPolicy::BestEffort);
         assert_eq!(h.deadline_ms, None);
-    }
-
-    #[test]
-    fn builder_replaces_the_with_sources_shim() {
-        // The old `.with_sources(&[..])` call sites migrate to the
-        // builder's `sources` knob (the deprecated shim survives one
-        // more release for out-of-tree callers).
-        let r = ClientRequest::builder("SELECT 1 FROM t")
-            .sources(&["a", "b"])
-            .build();
-        assert_eq!(r.sources, vec!["a", "b"]);
     }
 
     #[test]

@@ -7,13 +7,10 @@ use crate::acil::{ClientRequest, ClientResponse, QueryExecutor};
 use crate::cache::CacheController;
 use crate::driver_manager::{FailurePolicy, GridRMDriverManager};
 use crate::health::{HealthMonitor, SourceHealthSnapshot};
-use crate::stream::{StreamManager, SubscriptionSnapshot};
+use crate::stream::StreamManager;
 use gridrm_dbc::{DbcResult, JdbcUrl, SqlError};
 use gridrm_simnet::Network;
-use gridrm_telemetry::{
-    GatewayTelemetry, HistoryRow, IntrusionRow, JournalEntry, MetricSnapshot, QueryCostEntry,
-    SloStatus, TraceRecord,
-};
+use gridrm_telemetry::{GatewayTelemetry, MetricSnapshot, TraceRecord};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -165,60 +162,47 @@ impl AdminInterface {
         *self.telemetry.write() = Some(telemetry);
     }
 
+    /// Read from the attached telemetry hub; the type's empty value
+    /// without one.
+    fn telemetry<T: Default>(&self, read: impl FnOnce(&GatewayTelemetry) -> T) -> T {
+        self.telemetry.read().as_ref().map(read).unwrap_or_default()
+    }
+
     /// Prometheus text exposition of every gateway metric (the admin
     /// scrape endpoint). Empty without attached telemetry.
     pub fn metrics_prometheus(&self) -> String {
-        self.telemetry
-            .read()
-            .as_ref()
-            .map(|t| t.registry().render_prometheus())
-            .unwrap_or_default()
+        self.telemetry(|t| t.registry().render_prometheus())
     }
 
     /// Structured snapshot of every metric family (JSON exposition).
     pub fn metrics_snapshot(&self) -> Vec<MetricSnapshot> {
-        self.telemetry
-            .read()
-            .as_ref()
-            .map(|t| t.registry().snapshot())
-            .unwrap_or_default()
+        self.telemetry(|t| t.registry().snapshot())
     }
 
     /// JSON text of [`AdminInterface::metrics_snapshot`].
     pub fn metrics_json(&self) -> String {
-        serde_json::to_string_pretty(&self.metrics_snapshot()).expect("metrics are serialisable")
+        pretty_json(&self.metrics_snapshot())
     }
 
     /// Recent query traces, oldest first.
     pub fn traces(&self) -> Vec<TraceRecord> {
-        self.telemetry
-            .read()
-            .as_ref()
-            .map(|t| t.traces().recent())
-            .unwrap_or_default()
+        self.telemetry(|t| t.traces().recent())
     }
 
     /// The slowest retained trace by virtual duration.
     pub fn slowest_trace(&self) -> Option<TraceRecord> {
-        self.telemetry
-            .read()
-            .as_ref()
-            .and_then(|t| t.traces().slowest())
+        self.telemetry(|t| t.traces().slowest())
     }
 
     /// Every retained span of one trace tree, oldest first.
     pub fn trace_spans(&self, trace_id: &str) -> Vec<TraceRecord> {
-        self.telemetry
-            .read()
-            .as_ref()
-            .map(|t| t.traces().for_trace(trace_id))
-            .unwrap_or_default()
+        self.telemetry(|t| t.traces().for_trace(trace_id))
     }
 
     /// JSON text of [`AdminInterface::trace_spans`] (the span tree of
     /// one trace, with full span-identity fields).
     pub fn trace_spans_json(&self, trace_id: &str) -> String {
-        serde_json::to_string_pretty(&self.trace_spans(trace_id)).expect("traces are serialisable")
+        pretty_json(&self.trace_spans(trace_id))
     }
 
     /// Attach the health monitor; enables the health exposition below
@@ -248,50 +232,23 @@ impl AdminInterface {
 
     /// JSON text of [`AdminInterface::health_snapshot`].
     pub fn health_json(&self) -> String {
-        serde_json::to_string_pretty(&self.health_snapshot()).expect("health is serialisable")
-    }
-
-    /// Retained structured-journal entries, oldest first.
-    pub fn journal_entries(&self) -> Vec<JournalEntry> {
-        self.telemetry
-            .read()
-            .as_ref()
-            .map(|t| t.journal().recent())
-            .unwrap_or_default()
-    }
-
-    /// JSON text of [`AdminInterface::journal_entries`].
-    pub fn journal_json(&self) -> String {
-        serde_json::to_string_pretty(&self.journal_entries()).expect("journal is serialisable")
+        pretty_json(&self.health_snapshot())
     }
 
     /// The slow-query log, slowest first (full per-stage breakdown).
     pub fn slow_queries(&self) -> Vec<TraceRecord> {
-        self.telemetry
-            .read()
-            .as_ref()
-            .map(|t| t.slow_queries().top())
-            .unwrap_or_default()
+        self.telemetry(|t| t.slow_queries().top())
     }
 
     /// JSON text of [`AdminInterface::slow_queries`].
     pub fn slow_queries_json(&self) -> String {
-        serde_json::to_string_pretty(&self.slow_queries()).expect("traces are serialisable")
+        pretty_json(&self.slow_queries())
     }
 
-    /// Point-in-time SLO statuses: burn rates, remaining error budget,
-    /// and firing state per declared SLO, sorted by name.
-    pub fn slo_snapshot(&self) -> Vec<SloStatus> {
-        self.telemetry
-            .read()
-            .as_ref()
-            .map(|t| t.slo().snapshot())
-            .unwrap_or_default()
-    }
-
-    /// JSON text of [`AdminInterface::slo_snapshot`].
+    /// Point-in-time SLO statuses as JSON: burn rates, remaining error
+    /// budget, and firing state per declared SLO, sorted by name.
     pub fn slo_json(&self) -> String {
-        serde_json::to_string_pretty(&self.slo_snapshot()).expect("SLO status is serialisable")
+        pretty_json(&self.telemetry(|t| t.slo().snapshot()))
     }
 
     /// Attach the stream manager; enables the subscription exposition
@@ -300,69 +257,11 @@ impl AdminInterface {
         *self.streams.write() = Some(streams);
     }
 
-    /// Live continuous-query subscriptions, ordered by id (JSON
-    /// exposition source of truth — the `gridrm_subscriptions` SQL
-    /// table serves the same rows).
-    pub fn subscriptions_snapshot(&self) -> Vec<SubscriptionSnapshot> {
-        self.streams
-            .read()
-            .as_ref()
-            .map(|s| s.snapshot())
-            .unwrap_or_default()
-    }
-
-    /// JSON text of [`AdminInterface::subscriptions_snapshot`].
+    /// Live continuous-query subscriptions as JSON, ordered by id (the
+    /// `gridrm_subscriptions` SQL table serves the same rows).
     pub fn subscriptions_json(&self) -> String {
-        serde_json::to_string_pretty(&self.subscriptions_snapshot())
-            .expect("subscriptions are serialisable")
-    }
-
-    /// Recent per-query inclusive cost entries (oldest first): wire
-    /// bytes/messages, rows scanned/returned, fetch units, and whether
-    /// the query breached the configured cost budget.
-    pub fn costs_snapshot(&self) -> Vec<QueryCostEntry> {
-        self.telemetry
-            .read()
-            .as_ref()
-            .map(|t| t.costs().entries())
-            .unwrap_or_default()
-    }
-
-    /// JSON text of [`AdminInterface::costs_snapshot`].
-    pub fn costs_json(&self) -> String {
-        serde_json::to_string_pretty(&self.costs_snapshot()).expect("costs are serialisable")
-    }
-
-    /// Per-(site, cause) intrusion buckets: wire traffic this gateway
-    /// imposed on (or endured at, for its own site) each grid site,
-    /// with rates per virtual second.
-    pub fn intrusion_snapshot(&self) -> Vec<IntrusionRow> {
-        self.telemetry
-            .read()
-            .as_ref()
-            .map(|t| t.costs().intrusion_snapshot())
-            .unwrap_or_default()
-    }
-
-    /// JSON text of [`AdminInterface::intrusion_snapshot`].
-    pub fn intrusion_json(&self) -> String {
-        serde_json::to_string_pretty(&self.intrusion_snapshot())
-            .expect("intrusion rows are serialisable")
-    }
-
-    /// Recorded metric time-series rows, ordered by series then time.
-    pub fn timeseries_history(&self) -> Vec<HistoryRow> {
-        self.telemetry
-            .read()
-            .as_ref()
-            .map(|t| t.timeseries().history())
-            .unwrap_or_default()
-    }
-
-    /// JSON text of [`AdminInterface::timeseries_history`].
-    pub fn timeseries_history_json(&self) -> String {
-        serde_json::to_string_pretty(&self.timeseries_history())
-            .expect("history rows are serialisable")
+        let subs = self.streams.read().as_ref().map(|s| s.snapshot());
+        pretty_json(&subs.unwrap_or_default())
     }
 
     /// Add (or modify) a data source; applies its driver preferences and
@@ -591,61 +490,108 @@ impl AdminInterface {
         self.from_json(&json)
     }
 
-    /// The versioned admin dispatch: one entry point behind which every
-    /// ad-hoc `*_json` accessor now lives, so transports expose a single
-    /// surface instead of growing a method per exposition. Paths are
-    /// `/v1/<endpoint>`; unknown paths answer `NotFound` with the
-    /// endpoint index as the body, and `/` or `/v1` serve the index
-    /// directly. Trailing slashes are tolerated.
+    /// The versioned admin dispatch: one entry point for every
+    /// exposition, so transports expose a single surface instead of
+    /// growing a method per endpoint. Paths are the [`ROUTES`];
+    /// unknown paths answer `NotFound` with the endpoint index as the
+    /// body, and `/` or `/v1` serve the index directly. Trailing
+    /// slashes are tolerated.
     pub fn handle(&self, path: &str) -> AdminResponse {
         let trimmed = path.trim().trim_end_matches('/');
-        match trimmed {
-            "" | "/" | "/v1" => AdminResponse::ok_text(self.index_text()),
-            "/v1/metrics" => AdminResponse::ok_text(self.metrics_prometheus()),
-            "/v1/metrics.json" => AdminResponse::ok_json(self.metrics_json()),
-            "/v1/health" => AdminResponse::ok_json(self.health_json()),
-            "/v1/journal" => AdminResponse::ok_json(self.journal_json()),
-            "/v1/slow-queries" => AdminResponse::ok_json(self.slow_queries_json()),
-            "/v1/slo" => AdminResponse::ok_json(self.slo_json()),
-            "/v1/subscriptions" => AdminResponse::ok_json(self.subscriptions_json()),
-            "/v1/costs" => AdminResponse::ok_json(self.costs_json()),
-            "/v1/intrusion" => AdminResponse::ok_json(self.intrusion_json()),
-            "/v1/timeseries" => AdminResponse::ok_json(self.timeseries_history_json()),
-            "/v1/traces" => AdminResponse::ok_json(
-                serde_json::to_string_pretty(&self.traces()).expect("traces are serialisable"),
-            ),
-            "/v1/sources" => AdminResponse::ok_json(self.to_json()),
-            _ => match trimmed.strip_prefix("/v1/traces/") {
-                Some(trace_id) if !trace_id.is_empty() => {
-                    AdminResponse::ok_json(self.trace_spans_json(trace_id))
-                }
-                _ => AdminResponse {
-                    status: AdminStatus::NotFound,
-                    content_type: "text/plain",
-                    body: self.index_text(),
-                },
-            },
+        if matches!(trimmed, "" | "/" | "/v1") {
+            return AdminResponse::ok_text(index_text());
+        }
+        for (pattern, _, render) in ROUTES {
+            let arg = match pattern.strip_suffix("<id>") {
+                Some(prefix) => trimmed.strip_prefix(prefix).filter(|id| !id.is_empty()),
+                None => (trimmed == *pattern).then_some(""),
+            };
+            if let Some(arg) = arg {
+                return render(self, arg);
+            }
+        }
+        AdminResponse {
+            status: AdminStatus::NotFound,
+            content_type: "text/plain",
+            body: index_text(),
         }
     }
+}
 
-    /// The endpoint index `/` and `/v1` serve (and `NotFound` bodies).
-    fn index_text(&self) -> String {
-        "gridrm admin v1\n\
-         /v1/metrics        Prometheus text exposition\n\
-         /v1/metrics.json   metric families as JSON\n\
-         /v1/health         per-source health snapshot\n\
-         /v1/journal        structured journal entries\n\
-         /v1/slow-queries   slow-query log, slowest first\n\
-         /v1/slo            SLO burn rates and error budgets\n\
-         /v1/subscriptions  live continuous-query subscriptions\n\
-         /v1/costs          per-query inclusive cost entries\n\
-         /v1/intrusion      per-(site, cause) intrusion buckets\n\
-         /v1/timeseries     recorded metric time-series rows\n\
-         /v1/traces         recent query traces\n\
-         /v1/traces/<id>    span tree of one trace\n\
-         /v1/sources        configured data sources\n"
-            .to_owned()
+fn pretty_json<T: Serialize>(value: &T) -> String {
+    serde_json::to_string_pretty(value).expect("admin snapshots are serialisable")
+}
+
+/// Renders one endpoint; the argument is what matched `<id>` in the
+/// route's path (empty for fixed paths).
+type Render = fn(&AdminInterface, &str) -> AdminResponse;
+
+/// Every `/v1` endpoint: path, index description, renderer. Both
+/// [`AdminInterface::handle`] and the index it serves are driven from
+/// this table.
+pub const ROUTES: &[(&str, &str, Render)] = &[
+    ("/v1/metrics", "Prometheus text exposition", |a, _| {
+        AdminResponse::ok_text(a.metrics_prometheus())
+    }),
+    ("/v1/metrics.json", "metric families as JSON", |a, _| {
+        AdminResponse::ok_json(a.metrics_json())
+    }),
+    ("/v1/health", "per-source health snapshot", |a, _| {
+        AdminResponse::ok_json(a.health_json())
+    }),
+    ("/v1/journal", "structured journal entries", |a, _| {
+        AdminResponse::ok_json(pretty_json(&a.telemetry(|t| t.journal().recent())))
+    }),
+    (
+        "/v1/slow-queries",
+        "slow-query log, slowest first",
+        |a, _| AdminResponse::ok_json(a.slow_queries_json()),
+    ),
+    ("/v1/slo", "SLO burn rates and error budgets", |a, _| {
+        AdminResponse::ok_json(a.slo_json())
+    }),
+    (
+        "/v1/subscriptions",
+        "live continuous-query subscriptions",
+        |a, _| AdminResponse::ok_json(a.subscriptions_json()),
+    ),
+    ("/v1/costs", "per-query inclusive cost entries", |a, _| {
+        AdminResponse::ok_json(pretty_json(&a.telemetry(|t| t.costs().entries())))
+    }),
+    (
+        "/v1/intrusion",
+        "per-(site, cause) intrusion buckets",
+        |a, _| {
+            AdminResponse::ok_json(pretty_json(
+                &a.telemetry(|t| t.costs().intrusion_snapshot()),
+            ))
+        },
+    ),
+    (
+        "/v1/timeseries",
+        "recorded metric time-series rows",
+        |a, _| AdminResponse::ok_json(pretty_json(&a.telemetry(|t| t.timeseries().history()))),
+    ),
+    ("/v1/traces", "recent query traces", |a, _| {
+        AdminResponse::ok_json(pretty_json(&a.traces()))
+    }),
+    (
+        "/v1/traces/<id>",
+        "span tree of one trace",
+        |a, trace_id| AdminResponse::ok_json(a.trace_spans_json(trace_id)),
+    ),
+    ("/v1/sources", "configured data sources", |a, _| {
+        AdminResponse::ok_json(a.to_json())
+    }),
+];
+
+/// The endpoint index `/` and `/v1` serve (and `NotFound` bodies).
+fn index_text() -> String {
+    let mut out = "gridrm admin v1\n".to_owned();
+    for (path, description, _) in ROUTES {
+        out.push_str(&format!("{path:<19}{description}\n"));
     }
+    out
 }
 
 #[cfg(test)]
@@ -824,7 +770,7 @@ mod tests {
         }
         // The consolidated dispatch answers exactly what the accessors do.
         assert_eq!(a.handle("/v1/sources").body, a.to_json());
-        assert_eq!(a.handle("/v1/costs").body, a.costs_json());
+        assert_eq!(a.handle("/v1/slo").body, a.slo_json());
         assert_eq!(a.handle("/v1/metrics").body, a.metrics_prometheus());
         // Index + tolerated trailing slash.
         for path in ["/", "/v1", "/v1/", ""] {

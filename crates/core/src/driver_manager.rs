@@ -11,6 +11,7 @@ use gridrm_telemetry::{Counter, Labels, Registry, SpanBuilder};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// What to do when the selected driver fails a request (§4).
@@ -254,6 +255,9 @@ impl GridRMDriverManager {
             // Untraced fast path through the base registry's own scan.
             return self.base.locate(url);
         }
+        // The traced scan below counts like `DriverManager::locate` does.
+        let scan = self.base.stats();
+        scan.scans.fetch_add(1, Ordering::Relaxed);
         let drivers = self.base.drivers();
         for d in drivers {
             let name = d.name();
@@ -261,6 +265,7 @@ impl GridRMDriverManager {
                 note("resolve_candidate", &format!("{name} accepts_url excluded"));
                 continue;
             }
+            scan.probes.fetch_add(1, Ordering::Relaxed);
             if d.accepts_url(url) {
                 note("resolve_candidate", &format!("{name} accepts_url accepted"));
                 note("resolve_chosen", &format!("{name} via accepts_url scan"));

@@ -1,11 +1,22 @@
 //! The GridRM driver development kit (§3.2.1's "supplied as part of a
-//! GridRM driver development API"): the shared environment handle, SQL
-//! parsing helpers, GLUE result assembly and per-driver statistics.
+//! GridRM driver development API"). The kit carries the whole JDBC
+//! surface — one [`Driver`]/[`Connection`]/[`Statement`] triple,
+//! written here and nowhere else — over a small [`Source`] trait, so a
+//! driver is metadata plus two hooks: a one-request `probe` and a
+//! `fetch` that returns native rows. Everything around the fetch (SQL
+//! parsing, Fig 5's schema consistency check, group and mapping
+//! lookup, GLUE translation, `WHERE`/projection/`ORDER BY`, unit
+//! metadata) is the kit's; the remaining hooks have defaults a minimal
+//! driver inherits, exactly as the paper's base classes stub the
+//! optional JDBC methods.
 
-use gridrm_dbc::{ColumnMeta, DbcResult, ResultSetMetaData, RowSet, SqlError};
-use gridrm_glue::{GroupDef, NativeRow, SchemaManager, Translator};
+use gridrm_dbc::{
+    ColumnMeta, Connection, ConnectionMetadata, DbcResult, Driver, DriverMetaData, JdbcUrl,
+    Properties, ResultSet, ResultSetMetaData, RowSet, SqlError, Statement,
+};
+use gridrm_glue::{DriverMapping, GroupDef, NativeRow, SchemaHandle, SchemaManager, Translator};
 use gridrm_simnet::{Network, SimClock};
-use gridrm_sqlparse::ast::{ColumnDef, SelectStatement, Statement};
+use gridrm_sqlparse::ast::{self, BinaryOp, ColumnDef, Expr, SelectStatement};
 use gridrm_sqlparse::SqlValue;
 use gridrm_store::{Store, Table};
 use parking_lot::RwLock;
@@ -103,14 +114,328 @@ impl DriverEnv {
     }
 }
 
-/// Parse SQL and require a `SELECT` (agent data sources are read-only).
-pub fn parse_select(sql: &str) -> DbcResult<SelectStatement> {
-    match gridrm_sqlparse::parse(sql)? {
-        Statement::Select(sel) => Ok(sel),
+/// What every [`Source`] hook is handed: the gateway environment, the
+/// driver's counters and registered name, and the URL of the data
+/// source being addressed.
+pub struct Target<'a> {
+    /// The hosting gateway's environment.
+    pub env: &'a DriverEnv,
+    /// The driver's activity counters.
+    pub stats: &'a DriverStats,
+    /// The driver's registered name (`jdbc-snmp`, …).
+    pub driver: &'a str,
+    /// The data source.
+    pub url: &'a JdbcUrl,
+}
+
+impl Target<'_> {
+    /// Send one native request to `"{url.host}:{proto}"`, counted in
+    /// [`DriverStats::native_requests`].
+    pub fn request(&self, proto: &str, payload: &[u8]) -> DbcResult<Vec<u8>> {
+        self.stats.native();
+        self.env.native_request(&self.url.host, proto, payload)
+    }
+}
+
+/// A data source, as the kit sees it. A GLUE driver writes [`meta`],
+/// [`probe`] and [`fetch`] and inherits the rest; a driver that
+/// publishes tables of its own (the local store, the telemetry tables)
+/// writes [`query`] instead of `fetch`.
+///
+/// [`meta`]: Source::meta
+/// [`probe`]: Source::probe
+/// [`fetch`]: Source::fetch
+/// [`query`]: Source::query
+pub trait Source: Send + Sync + 'static {
+    /// Name, URL sub-protocol, version and description.
+    fn meta(&self) -> DriverMetaData;
+
+    /// One cheap native request that succeeds iff the data source is
+    /// there and speaks this driver's protocol. Decides wildcard
+    /// `jdbc:://…` URLs (Table 2's "supports the URL AND can connect"),
+    /// and by default verifies connectivity at connect time and
+    /// validates pooled connections.
+    fn probe(&self, at: &Target<'_>) -> DbcResult<()>;
+
+    /// Connect-time verification. Override to prime a driver-level
+    /// cache with the same request.
+    fn open(&self, at: &Target<'_>) -> DbcResult<()> {
+        self.probe(at)
+    }
+
+    /// Validate an open connection before the pool hands it out again.
+    fn ping(&self, at: &Target<'_>) -> DbcResult<()> {
+        self.probe(at)
+    }
+
+    /// Native rows for `group`, keyed by the native names `mapping`
+    /// translates from. `sel` is there for push-down (fetch only the
+    /// needed keys, turn an equality into a narrower native request);
+    /// the kit re-applies the whole statement afterwards, so a fetch
+    /// may always return more than was asked for.
+    fn fetch(
+        &self,
+        _at: &Target<'_>,
+        _group: &GroupDef,
+        _mapping: &DriverMapping,
+        _sel: &SelectStatement,
+    ) -> DbcResult<Vec<NativeRow>> {
+        Err(SqlError::NotImplemented("fetch"))
+    }
+
+    /// Answer a `SELECT`. The default is the GLUE path: re-validate the
+    /// connection's cached schema (Fig 5: "Statement checks cache
+    /// consistency before using schema instance"), resolve the group
+    /// and this driver's mapping for it, [`fetch`](Source::fetch),
+    /// normalise through [`glue_translate`] and apply the statement
+    /// with [`finish_select`].
+    fn query(
+        &self,
+        at: &Target<'_>,
+        schema: &mut SchemaHandle,
+        sel: &SelectStatement,
+    ) -> DbcResult<RowSet> {
+        at.env.schema.ensure_current(schema, at.driver);
+        let group = schema
+            .group(&sel.table)
+            .ok_or_else(|| SqlError::Unsupported(format!("unknown GLUE group '{}'", sel.table)))?;
+        let mapping = schema
+            .mapping
+            .as_deref()
+            .filter(|m| m.supports_group(&group.name))
+            .ok_or_else(|| {
+                // A single-group driver names the one group it serves.
+                let mapped: Vec<&String> = schema
+                    .mapping
+                    .iter()
+                    .flat_map(|m| m.groups.keys())
+                    .collect();
+                SqlError::Unsupported(match mapped.as_slice() {
+                    [only] => format!("{} only implements {only}, not '{}'", at.driver, group.name),
+                    _ => format!("{} does not implement group '{}'", at.driver, group.name),
+                })
+            })?;
+        let native_rows = self.fetch(at, group, mapping, sel)?;
+        let rows = glue_translate(&Translator::new(schema), &group.name, &native_rows)?;
+        finish_select(group, rows, sel, at.env.clock.now_ts())
+    }
+
+    /// Execute DDL/DML. Agent data sources are read-only.
+    fn update(&self, _at: &Target<'_>, _stmt: &ast::Statement) -> DbcResult<usize> {
+        Err(SqlError::NotImplemented("execute_update"))
+    }
+}
+
+struct Shared<S> {
+    source: S,
+    meta: DriverMetaData,
+    env: Arc<DriverEnv>,
+    stats: DriverStats,
+}
+
+impl<S> Shared<S> {
+    fn at<'a>(&'a self, url: &'a JdbcUrl) -> Target<'a> {
+        Target {
+            env: &self.env,
+            stats: &self.stats,
+            driver: &self.meta.name,
+            url,
+        }
+    }
+}
+
+/// The kit's [`Driver`] over a [`Source`]; its connections and
+/// statements share the source, so driver-level caches need no
+/// self-reference.
+pub struct KitDriver<S> {
+    shared: Arc<Shared<S>>,
+}
+
+impl<S: Source> KitDriver<S> {
+    /// Create the driver for `source` over a gateway environment.
+    pub fn with_source(env: Arc<DriverEnv>, source: S) -> Arc<KitDriver<S>> {
+        let shared = Arc::new(Shared {
+            meta: source.meta(),
+            source,
+            env,
+            stats: DriverStats::default(),
+        });
+        Arc::new(KitDriver { shared })
+    }
+
+    /// Activity counters.
+    pub fn stats(&self) -> &DriverStats {
+        &self.shared.stats
+    }
+}
+
+impl<S: Source + Default> KitDriver<S> {
+    /// Create the driver over a gateway environment.
+    pub fn new(env: Arc<DriverEnv>) -> Arc<KitDriver<S>> {
+        KitDriver::with_source(env, S::default())
+    }
+}
+
+impl<S: Source> Driver for KitDriver<S> {
+    fn meta(&self) -> DriverMetaData {
+        self.shared.meta.clone()
+    }
+
+    fn accepts_url(&self, url: &JdbcUrl) -> bool {
+        let s = &self.shared;
+        url.subprotocol == s.meta.subprotocol
+            || (url.is_wildcard() && s.source.probe(&s.at(url)).is_ok())
+    }
+
+    fn connect(&self, url: &JdbcUrl, _props: &Properties) -> DbcResult<Box<dyn Connection>> {
+        let s = &self.shared;
+        s.source.open(&s.at(url))?;
+        // "Schema is cached when the connection is created" (Fig 5).
+        let schema = s.env.schema.handle_for(&s.meta.name);
+        Ok(Box::new(KitConnection {
+            shared: s.clone(),
+            url: url.clone(),
+            schema,
+            closed: false,
+        }))
+    }
+}
+
+struct KitConnection<S> {
+    shared: Arc<Shared<S>>,
+    url: JdbcUrl,
+    schema: SchemaHandle,
+    closed: bool,
+}
+
+impl<S: Source> Connection for KitConnection<S> {
+    fn create_statement(&mut self) -> DbcResult<Box<dyn Statement>> {
+        if self.closed {
+            return Err(SqlError::Closed);
+        }
+        Ok(Box::new(KitStatement {
+            shared: self.shared.clone(),
+            url: self.url.clone(),
+            schema: self.schema.clone(),
+        }))
+    }
+
+    fn url(&self) -> &JdbcUrl {
+        &self.url
+    }
+
+    fn is_closed(&self) -> bool {
+        self.closed
+    }
+
+    fn close(&mut self) -> DbcResult<()> {
+        self.closed = true;
+        Ok(())
+    }
+
+    fn ping(&mut self) -> DbcResult<()> {
+        if self.closed {
+            return Err(SqlError::Closed);
+        }
+        self.shared.source.ping(&self.shared.at(&self.url))
+    }
+
+    fn metadata(&self) -> ConnectionMetadata {
+        ConnectionMetadata {
+            driver_name: self.shared.meta.name.clone(),
+            driver_version: self.shared.meta.version,
+            url: self.url.to_string(),
+            agent_description: None,
+        }
+    }
+}
+
+struct KitStatement<S> {
+    shared: Arc<Shared<S>>,
+    url: JdbcUrl,
+    schema: SchemaHandle,
+}
+
+impl<S: Source> Statement for KitStatement<S> {
+    fn execute_query(&mut self, sql: &str) -> DbcResult<Box<dyn ResultSet>> {
+        let s = &self.shared;
+        s.stats.query();
+        let sel = parse_select(sql)?;
+        let rs = s.source.query(&s.at(&self.url), &mut self.schema, &sel)?;
+        Ok(Box::new(rs))
+    }
+
+    fn execute_update(&mut self, sql: &str) -> DbcResult<usize> {
+        let s = &self.shared;
+        s.stats.query();
+        s.source.update(&s.at(&self.url), &parse(sql)?)
+    }
+}
+
+/// The one place SQL text becomes a statement.
+fn parse(sql: &str) -> DbcResult<ast::Statement> {
+    Ok(gridrm_sqlparse::parse(sql)?)
+}
+
+/// Parse SQL and require a `SELECT` (`execute_query` is read-only).
+fn parse_select(sql: &str) -> DbcResult<SelectStatement> {
+    match parse(sql)? {
+        ast::Statement::Select(sel) => Ok(sel),
         other => Err(SqlError::Unsupported(format!(
             "data-source drivers only accept SELECT, got: {other}"
         ))),
     }
+}
+
+/// The native keys behind the GLUE attributes `sel` references — what a
+/// fine-grained driver actually has to fetch.
+pub fn needed_keys(
+    group: &GroupDef,
+    mapping: &DriverMapping,
+    sel: &SelectStatement,
+) -> Vec<String> {
+    let needed: Vec<&str> = match sel.required_columns() {
+        Some(cols) => group
+            .attributes
+            .iter()
+            .filter(|a| cols.iter().any(|c| c.eq_ignore_ascii_case(&a.name)))
+            .map(|a| a.name.as_str())
+            .collect(),
+        None => group.attributes.iter().map(|a| a.name.as_str()).collect(),
+    };
+    mapping.native_keys_for(&group.name, &needed)
+}
+
+/// Find an equality constraint `column = 'literal'` anywhere in the
+/// top-level AND-chain of a predicate — the push-down opportunity.
+fn find_eq_literal<'e>(expr: &'e Expr, column: &str) -> Option<&'e SqlValue> {
+    match expr {
+        Expr::Binary {
+            left,
+            op: BinaryOp::Eq,
+            right,
+        } => match (left.as_ref(), right.as_ref()) {
+            (Expr::Column { name, .. }, Expr::Literal(v))
+            | (Expr::Literal(v), Expr::Column { name, .. })
+                if name.eq_ignore_ascii_case(column) =>
+            {
+                Some(v)
+            }
+            _ => None,
+        },
+        Expr::Binary {
+            left,
+            op: BinaryOp::And,
+            right,
+        } => find_eq_literal(left, column).or_else(|| find_eq_literal(right, column)),
+        _ => None,
+    }
+}
+
+/// The string literal a top-level `column = '…'` conjunct of the WHERE
+/// clause pins `column` to, if any.
+pub fn pushed_down<'s>(sel: &'s SelectStatement, column: &str) -> Option<&'s str> {
+    find_eq_literal(sel.where_clause.as_ref()?, column)?.as_str()
 }
 
 /// GLUE-translate a batch of native rows for `group`, reporting the
@@ -268,6 +593,22 @@ mod tests {
         let rs = finish_select(group, Vec::new(), &sel, 0).unwrap();
         assert_eq!(rs.meta().column(0).unwrap().unit.as_deref(), Some("MB"));
         assert_eq!(rs.meta().column_type(0).unwrap(), SqlType::Int);
+    }
+
+    #[test]
+    fn eq_literal_finder() {
+        let w = gridrm_sqlparse::parse_expr("Category = 'cpu.load' AND Value > 1").unwrap();
+        assert_eq!(
+            find_eq_literal(&w, "Category"),
+            Some(&SqlValue::Str("cpu.load".into()))
+        );
+        assert_eq!(find_eq_literal(&w, "Hostname"), None);
+        // OR-chains must NOT push down (the other branch could match more).
+        let w = gridrm_sqlparse::parse_expr("Category = 'a' OR Hostname = 'b'").unwrap();
+        assert_eq!(find_eq_literal(&w, "Category"), None);
+        // Reversed operand order still found.
+        let w = gridrm_sqlparse::parse_expr("'x' = Category").unwrap();
+        assert!(find_eq_literal(&w, "Category").is_some());
     }
 
     #[test]

@@ -15,15 +15,11 @@
 //!
 //! URL form: `jdbc:ganglia://<head-host>/<cluster>[?ttl=ms&parse=mode]`.
 
-use crate::base::{
-    finish_select, glue_translate, guess_value, parse_select, DriverEnv, DriverStats,
-};
+use crate::base::{guess_value, needed_keys, KitDriver, Source, Target};
 use crate::xml::{attr, scan, XmlEvent};
-use gridrm_dbc::{
-    Connection, DbcResult, Driver, DriverMetaData, JdbcUrl, Properties, ResultSet, SqlError,
-    Statement,
-};
-use gridrm_glue::{NativeRow, SchemaHandle, Translator};
+use gridrm_dbc::{DbcResult, DriverMetaData, SqlError};
+use gridrm_glue::{DriverMapping, GroupDef, NativeRow};
+use gridrm_sqlparse::ast::SelectStatement;
 use gridrm_sqlparse::SqlValue;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -32,81 +28,47 @@ use std::sync::Arc;
 /// Driver name as registered with the gateway.
 pub const DRIVER_NAME: &str = "jdbc-ganglia";
 
-/// Parse strategy for the XML dump.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParseMode {
-    /// Full scan once, typed rows cached.
-    Eager,
-    /// Per-query string scan extracting only needed metrics.
-    Lazy,
-}
-
 struct CacheEntry {
     fetched_ms: u64,
     raw: Arc<String>,
     parsed: Option<Arc<Vec<NativeRow>>>,
 }
 
-/// The JDBC-Ganglia [`Driver`].
-pub struct GangliaDriver {
-    env: Arc<DriverEnv>,
-    stats: Arc<DriverStats>,
+/// The JDBC-Ganglia driver.
+pub type GangliaDriver = KitDriver<Ganglia>;
+
+/// The Ganglia [`Source`]: a per-head-node TTL cache of the gmond dump.
+#[derive(Default)]
+pub struct Ganglia {
     cache: Mutex<HashMap<String, CacheEntry>>,
-    /// Self-reference so `connect(&self)` can hand statements a shared
-    /// handle to the driver-level TTL cache.
-    this: std::sync::Weak<GangliaDriver>,
 }
 
-impl GangliaDriver {
-    /// Create the driver over a gateway environment.
-    pub fn new(env: Arc<DriverEnv>) -> Arc<GangliaDriver> {
-        Arc::new_cyclic(|this| GangliaDriver {
-            env,
-            stats: Arc::new(DriverStats::default()),
-            cache: Mutex::new(HashMap::new()),
-            this: this.clone(),
-        })
-    }
-
-    /// Activity counters.
-    pub fn stats(&self) -> Arc<DriverStats> {
-        self.stats.clone()
-    }
-
-    fn ttl_of(url: &JdbcUrl) -> u64 {
-        url.param("ttl")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(5000)
-    }
-
-    fn mode_of(url: &JdbcUrl) -> ParseMode {
-        match url.param("parse") {
-            Some("lazy") => ParseMode::Lazy,
-            _ => ParseMode::Eager,
-        }
-    }
-
+impl Ganglia {
     /// Fetch the raw dump, honouring the TTL cache.
-    fn fetch_raw(&self, url: &JdbcUrl) -> DbcResult<Arc<String>> {
-        let now = self.env.clock.now_millis();
-        let ttl = Self::ttl_of(url);
+    fn fetch_raw(&self, at: &Target<'_>) -> DbcResult<Arc<String>> {
+        let host = &at.url.host;
+        let now = at.env.clock.now_millis();
+        let ttl: u64 = at
+            .url
+            .param("ttl")
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(5000);
         {
             let cache = self.cache.lock();
-            if let Some(entry) = cache.get(&url.host) {
+            if let Some(entry) = cache.get(host) {
                 if ttl > 0 && now.saturating_sub(entry.fetched_ms) < ttl {
-                    self.stats.hit();
+                    at.stats.hit();
                     return Ok(entry.raw.clone());
                 }
             }
         }
-        self.stats.native();
-        let bytes = self.env.native_request(&url.host, "ganglia", b"")?;
+        let bytes = at.request("ganglia", b"")?;
         let raw = Arc::new(
             String::from_utf8(bytes)
                 .map_err(|_| SqlError::Driver("gmond returned non-UTF-8 XML".into()))?,
         );
         self.cache.lock().insert(
-            url.host.clone(),
+            host.clone(),
             CacheEntry {
                 fetched_ms: now,
                 raw: raw.clone(),
@@ -117,11 +79,11 @@ impl GangliaDriver {
     }
 
     /// Eager path: parsed rows, cached alongside the raw text.
-    fn fetch_parsed(&self, url: &JdbcUrl) -> DbcResult<Arc<Vec<NativeRow>>> {
-        let raw = self.fetch_raw(url)?;
+    fn fetch_parsed(&self, at: &Target<'_>) -> DbcResult<Arc<Vec<NativeRow>>> {
+        let raw = self.fetch_raw(at)?;
         {
             let cache = self.cache.lock();
-            if let Some(entry) = cache.get(&url.host) {
+            if let Some(entry) = cache.get(&at.url.host) {
                 if Arc::ptr_eq(&entry.raw, &raw) {
                     if let Some(parsed) = &entry.parsed {
                         return Ok(parsed.clone());
@@ -129,10 +91,10 @@ impl GangliaDriver {
                 }
             }
         }
-        self.stats.parsed(raw.len());
+        at.stats.parsed(raw.len());
         let rows = Arc::new(parse_dump_eager(&raw)?);
         let mut cache = self.cache.lock();
-        if let Some(entry) = cache.get_mut(&url.host) {
+        if let Some(entry) = cache.get_mut(&at.url.host) {
             if Arc::ptr_eq(&entry.raw, &raw) {
                 entry.parsed = Some(rows.clone());
             }
@@ -247,7 +209,7 @@ fn extract_attr(tag_rest: &str, key: &str) -> Option<String> {
     Some(rest[..end].to_owned())
 }
 
-impl Driver for GangliaDriver {
+impl Source for Ganglia {
     fn meta(&self) -> DriverMetaData {
         DriverMetaData {
             name: DRIVER_NAME.to_owned(),
@@ -257,158 +219,51 @@ impl Driver for GangliaDriver {
         }
     }
 
-    fn accepts_url(&self, url: &JdbcUrl) -> bool {
-        if url.subprotocol == "ganglia" {
-            return true;
+    /// A gmond answers any payload with an XML dump.
+    fn probe(&self, at: &Target<'_>) -> DbcResult<()> {
+        let bytes = at.env.native_request(&at.url.host, "ganglia", b"")?;
+        if bytes.starts_with(b"<?xml") {
+            Ok(())
+        } else {
+            Err(SqlError::Connection(format!(
+                "{} did not answer with a gmond XML dump",
+                at.url.host
+            )))
         }
-        if !url.is_wildcard() {
-            return false;
+    }
+
+    /// Prime the cache (and verify connectivity).
+    fn open(&self, at: &Target<'_>) -> DbcResult<()> {
+        self.fetch_raw(at).map(|_| ())
+    }
+
+    fn fetch(
+        &self,
+        at: &Target<'_>,
+        group: &GroupDef,
+        mapping: &DriverMapping,
+        sel: &SelectStatement,
+    ) -> DbcResult<Vec<NativeRow>> {
+        if at.url.param("parse") == Some("lazy") {
+            let raw = self.fetch_raw(at)?;
+            at.stats.parsed(raw.len());
+            Ok(parse_dump_lazy(&raw, &needed_keys(group, mapping, sel)))
+        } else {
+            Ok((*self.fetch_parsed(at)?).clone())
         }
-        // Probe: a gmond answers any payload with an XML dump.
-        matches!(
-            self.env.native_request(&url.host, "ganglia", b""),
-            Ok(bytes) if bytes.starts_with(b"<?xml")
-        )
-    }
-
-    fn connect(&self, url: &JdbcUrl, _props: &Properties) -> DbcResult<Box<dyn Connection>> {
-        // Prime the cache (and verify connectivity).
-        self.fetch_raw(url)?;
-        let handle = self.env.schema.handle_for(DRIVER_NAME);
-        Ok(Box::new(GangliaConnection {
-            driver_env: self.env.clone(),
-            stats: self.stats.clone(),
-            this: self.this.upgrade(),
-            url: url.clone(),
-            handle,
-            closed: false,
-        }))
-    }
-}
-
-struct GangliaConnection {
-    driver_env: Arc<DriverEnv>,
-    stats: Arc<DriverStats>,
-    /// The owning driver (shares the TTL cache). `None` only if the driver
-    /// was dropped while connections were still alive.
-    this: Option<Arc<GangliaDriver>>,
-    url: JdbcUrl,
-    handle: SchemaHandle,
-    closed: bool,
-}
-
-impl Connection for GangliaConnection {
-    fn create_statement(&mut self) -> DbcResult<Box<dyn Statement>> {
-        if self.closed {
-            return Err(SqlError::Closed);
-        }
-        Ok(Box::new(GangliaStatement {
-            env: self.driver_env.clone(),
-            stats: self.stats.clone(),
-            driver: self.this.clone(),
-            url: self.url.clone(),
-            handle: self.handle.clone(),
-        }))
-    }
-
-    fn url(&self) -> &JdbcUrl {
-        &self.url
-    }
-
-    fn is_closed(&self) -> bool {
-        self.closed
-    }
-
-    fn close(&mut self) -> DbcResult<()> {
-        self.closed = true;
-        Ok(())
-    }
-
-    fn ping(&mut self) -> DbcResult<()> {
-        if self.closed {
-            return Err(SqlError::Closed);
-        }
-        self.driver_env
-            .native_request(&self.url.host, "ganglia", b"")
-            .map(|_| ())
-    }
-}
-
-struct GangliaStatement {
-    env: Arc<DriverEnv>,
-    stats: Arc<DriverStats>,
-    driver: Option<Arc<GangliaDriver>>,
-    url: JdbcUrl,
-    handle: SchemaHandle,
-}
-
-impl Statement for GangliaStatement {
-    fn execute_query(&mut self, sql: &str) -> DbcResult<Box<dyn ResultSet>> {
-        self.stats.query();
-        let sel = parse_select(sql)?;
-        self.env
-            .schema
-            .ensure_current(&mut self.handle, DRIVER_NAME);
-        let group = self
-            .handle
-            .group(&sel.table)
-            .ok_or_else(|| SqlError::Unsupported(format!("unknown GLUE group '{}'", sel.table)))?
-            .clone();
-        let mapping = self
-            .handle
-            .mapping
-            .clone()
-            .filter(|m| m.supports_group(&group.name))
-            .ok_or_else(|| {
-                SqlError::Unsupported(format!(
-                    "{DRIVER_NAME} does not implement group '{}'",
-                    group.name
-                ))
-            })?;
-
-        let mode = GangliaDriver::mode_of(&self.url);
-        let native_rows: Vec<NativeRow> = match (&self.driver, mode) {
-            (Some(driver), ParseMode::Eager) => (*driver.fetch_parsed(&self.url)?).clone(),
-            (Some(driver), ParseMode::Lazy) => {
-                let raw = driver.fetch_raw(&self.url)?;
-                let needed: Vec<&str> = match sel.required_columns() {
-                    Some(cols) => group
-                        .attributes
-                        .iter()
-                        .filter(|a| cols.iter().any(|c| c.eq_ignore_ascii_case(&a.name)))
-                        .map(|a| a.name.as_str())
-                        .collect(),
-                    None => group.attributes.iter().map(|a| a.name.as_str()).collect(),
-                };
-                let keys = mapping.native_keys_for(&group.name, &needed);
-                self.stats.parsed(raw.len());
-                parse_dump_lazy(&raw, &keys)
-            }
-            // No driver Arc (plain trait-object connect): fetch directly.
-            (None, _) => {
-                self.stats.native();
-                let bytes = self.env.native_request(&self.url.host, "ganglia", b"")?;
-                let xml = String::from_utf8(bytes)
-                    .map_err(|_| SqlError::Driver("non-UTF-8 XML".into()))?;
-                self.stats.parsed(xml.len());
-                parse_dump_eager(&xml)?
-            }
-        };
-
-        let translator = Translator::new(&self.handle);
-        let rows = glue_translate(&translator, &group.name, &native_rows)?;
-        let rs = finish_select(&group, rows, &sel, self.env.clock.now_ts())?;
-        Ok(Box::new(rs))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::DriverEnv;
     use gridrm_agents::deploy_site;
+    use gridrm_dbc::{Driver, JdbcUrl, Properties};
     use gridrm_glue::SchemaManager;
     use gridrm_resmodel::{SiteModel, SiteSpec};
     use gridrm_simnet::{Network, SimClock};
+    use std::sync::Arc;
 
     fn setup(hosts: usize) -> (Arc<DriverEnv>, Arc<GangliaDriver>) {
         let net = Network::new(SimClock::new(), 7);

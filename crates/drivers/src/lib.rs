@@ -8,21 +8,27 @@
 //! set — JDBC-SNMP, JDBC-Ganglia, JDBC-NWS, JDBC-NetLogger, JDBC-SCMS —
 //! plus a JDBC-GridRM driver over the embedded historical store.
 //!
-//! Every driver follows the paper's minimal-driver recipe (§3.2.1):
+//! Every driver follows the paper's minimal-driver recipe (§3.2.1): the
+//! base classes carry the whole JDBC surface and a driver overrides a
+//! handful of things. Here that base is [`base`], the driver development
+//! kit, which holds the one [`gridrm_dbc::Driver`] / `Connection` /
+//! `Statement` implementation, generic over [`base::Source`]:
 //!
-//! 1. a [`gridrm_dbc::Driver`] that decides URL compatibility (and, for
-//!    wildcard `jdbc:://…` URLs, *probes* the data source — Table 2's
-//!    "supports the URL AND can connect" check),
-//! 2. a `Connection` that "creates a session with the data source and
+//! 1. the kit's `Driver` matches the URL sub-protocol and, for wildcard
+//!    `jdbc:://…` URLs, runs the source's one-request `probe` — Table 2's
+//!    "supports the URL AND can connect" check;
+//! 2. its `Connection` "creates a session with the data source and
 //!    initialises schema settings for the session" (the GLUE
-//!    [`gridrm_glue::SchemaHandle`] is cached at connect time, Fig 5),
-//! 3. a `Statement` that re-validates the cached schema, translates SQL to
-//!    the native protocol, fetches, normalises via the GLUE mapping, and
+//!    [`gridrm_glue::SchemaHandle`] is cached at connect time, Fig 5);
+//! 3. its `Statement` parses the SQL, re-validates the cached schema,
+//!    asks the source to `fetch` native rows, normalises them via the
+//!    GLUE mapping, and
 //! 4. returns a populated `ResultSet`.
 //!
-//! The shared plumbing (SQL parsing, GLUE translation, WHERE/projection
-//! execution) lives in [`base`], the per-protocol logic in one module per
-//! driver, and the paper's per-driver GLUE mappings in [`mappings`].
+//! So each driver module is a [`base::Source`] — metadata, `probe`,
+//! `fetch` and whatever caching suits its protocol — and a type alias
+//! (`SnmpDriver = KitDriver<Snmp>`, …). The paper's per-driver GLUE
+//! mappings live in [`mappings`].
 
 pub mod base;
 pub mod formatters;
@@ -37,7 +43,7 @@ pub mod sqlstore;
 pub mod telemetry;
 pub mod xml;
 
-pub use base::{DriverEnv, DriverStats};
+pub use base::{DriverEnv, DriverStats, KitDriver, Source, Target};
 pub use formatters::{NetLoggerLineFormatter, SnmpTrapFormatter, UlmLineTransmitter};
 pub use ganglia::GangliaDriver;
 pub use netlogger::NetLoggerDriver;

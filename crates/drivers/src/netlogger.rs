@@ -5,68 +5,24 @@
 //!
 //! URL form: `jdbc:netlogger://<head-host>/<log>[?limit=n]`.
 
-use crate::base::{finish_select, glue_translate, parse_select, DriverEnv, DriverStats};
+use crate::base::{pushed_down, KitDriver, Source, Target};
 use gridrm_agents::netlogger::UlmEvent;
-use gridrm_dbc::{
-    Connection, DbcResult, Driver, DriverMetaData, JdbcUrl, Properties, ResultSet, SqlError,
-    Statement,
-};
-use gridrm_glue::{NativeRow, SchemaHandle, Translator};
-use gridrm_sqlparse::ast::{BinaryOp, Expr};
+use gridrm_dbc::{DbcResult, DriverMetaData, SqlError};
+use gridrm_glue::{DriverMapping, GroupDef, NativeRow};
+use gridrm_sqlparse::ast::SelectStatement;
 use gridrm_sqlparse::SqlValue;
-use std::sync::Arc;
 
 /// Driver name as registered with the gateway.
 pub const DRIVER_NAME: &str = "jdbc-netlogger";
 
-/// The JDBC-NetLogger [`Driver`].
-pub struct NetLoggerDriver {
-    env: Arc<DriverEnv>,
-    stats: Arc<DriverStats>,
-}
+/// The JDBC-NetLogger driver.
+pub type NetLoggerDriver = KitDriver<NetLogger>;
 
-impl NetLoggerDriver {
-    /// Create the driver over a gateway environment.
-    pub fn new(env: Arc<DriverEnv>) -> Arc<NetLoggerDriver> {
-        Arc::new(NetLoggerDriver {
-            env,
-            stats: Arc::new(DriverStats::default()),
-        })
-    }
+/// The NetLogger [`Source`].
+#[derive(Default)]
+pub struct NetLogger;
 
-    /// Activity counters.
-    pub fn stats(&self) -> Arc<DriverStats> {
-        self.stats.clone()
-    }
-}
-
-/// Find an equality constraint `column = 'literal'` anywhere in the
-/// top-level AND-chain of a predicate — the push-down opportunity.
-pub fn find_eq_literal<'e>(expr: &'e Expr, column: &str) -> Option<&'e SqlValue> {
-    match expr {
-        Expr::Binary {
-            left,
-            op: BinaryOp::Eq,
-            right,
-        } => match (left.as_ref(), right.as_ref()) {
-            (Expr::Column { name, .. }, Expr::Literal(v))
-            | (Expr::Literal(v), Expr::Column { name, .. })
-                if name.eq_ignore_ascii_case(column) =>
-            {
-                Some(v)
-            }
-            _ => None,
-        },
-        Expr::Binary {
-            left,
-            op: BinaryOp::And,
-            right,
-        } => find_eq_literal(left, column).or_else(|| find_eq_literal(right, column)),
-        _ => None,
-    }
-}
-
-impl Driver for NetLoggerDriver {
+impl Source for NetLogger {
     fn meta(&self) -> DriverMetaData {
         DriverMetaData {
             name: DRIVER_NAME.to_owned(),
@@ -76,100 +32,29 @@ impl Driver for NetLoggerDriver {
         }
     }
 
-    fn accepts_url(&self, url: &JdbcUrl) -> bool {
-        if url.subprotocol == "netlogger" {
-            return true;
-        }
-        if !url.is_wildcard() {
-            return false;
-        }
-        matches!(
-            self.env.native_request(&url.host, "netlogger", b"TAIL 1"),
-            Ok(bytes) if !bytes.starts_with(b"ERROR")
-        )
-    }
-
-    fn connect(&self, url: &JdbcUrl, _props: &Properties) -> DbcResult<Box<dyn Connection>> {
-        self.stats.native();
-        let probe = self.env.native_request(&url.host, "netlogger", b"TAIL 1")?;
-        if probe.starts_with(b"ERROR") {
+    fn probe(&self, at: &Target<'_>) -> DbcResult<()> {
+        if at.request("netlogger", b"TAIL 1")?.starts_with(b"ERROR") {
             return Err(SqlError::Connection(
                 "NetLogger agent rejected probe".into(),
             ));
         }
-        let handle = self.env.schema.handle_for(DRIVER_NAME);
-        Ok(Box::new(NetLoggerConnection {
-            env: self.env.clone(),
-            stats: self.stats.clone(),
-            url: url.clone(),
-            handle,
-            closed: false,
-        }))
-    }
-}
-
-struct NetLoggerConnection {
-    env: Arc<DriverEnv>,
-    stats: Arc<DriverStats>,
-    url: JdbcUrl,
-    handle: SchemaHandle,
-    closed: bool,
-}
-
-impl Connection for NetLoggerConnection {
-    fn create_statement(&mut self) -> DbcResult<Box<dyn Statement>> {
-        if self.closed {
-            return Err(SqlError::Closed);
-        }
-        Ok(Box::new(NetLoggerStatement {
-            env: self.env.clone(),
-            stats: self.stats.clone(),
-            url: self.url.clone(),
-            handle: self.handle.clone(),
-        }))
-    }
-
-    fn url(&self) -> &JdbcUrl {
-        &self.url
-    }
-
-    fn is_closed(&self) -> bool {
-        self.closed
-    }
-
-    fn close(&mut self) -> DbcResult<()> {
-        self.closed = true;
         Ok(())
     }
-}
 
-struct NetLoggerStatement {
-    env: Arc<DriverEnv>,
-    stats: Arc<DriverStats>,
-    url: JdbcUrl,
-    handle: SchemaHandle,
-}
+    /// The log agent has no request cheaper than a `TAIL`; pooled
+    /// connections are handed out unvalidated.
+    fn ping(&self, _at: &Target<'_>) -> DbcResult<()> {
+        Ok(())
+    }
 
-impl Statement for NetLoggerStatement {
-    fn execute_query(&mut self, sql: &str) -> DbcResult<Box<dyn ResultSet>> {
-        self.stats.query();
-        let sel = parse_select(sql)?;
-        self.env
-            .schema
-            .ensure_current(&mut self.handle, DRIVER_NAME);
-        let group = self
-            .handle
-            .group(&sel.table)
-            .ok_or_else(|| SqlError::Unsupported(format!("unknown GLUE group '{}'", sel.table)))?
-            .clone();
-        if !group.name.eq_ignore_ascii_case("Event") {
-            return Err(SqlError::Unsupported(format!(
-                "{DRIVER_NAME} only implements Event, not '{}'",
-                group.name
-            )));
-        }
-
-        let limit: usize = self
+    fn fetch(
+        &self,
+        at: &Target<'_>,
+        _group: &GroupDef,
+        _mapping: &DriverMapping,
+        sel: &SelectStatement,
+    ) -> DbcResult<Vec<NativeRow>> {
+        let limit: usize = at
             .url
             .param("limit")
             .and_then(|s| s.parse().ok())
@@ -177,36 +62,23 @@ impl Statement for NetLoggerStatement {
 
         // Predicate push-down: Category = 'x' → native QUERY; otherwise a
         // HOSTQ for Hostname = 'x'; otherwise a plain TAIL.
-        let cmd = if let Some(category) = sel
-            .where_clause
-            .as_ref()
-            .and_then(|w| find_eq_literal(w, "Category"))
-            .and_then(|v| v.as_str().map(str::to_owned))
-        {
+        let cmd = if let Some(category) = pushed_down(sel, "Category") {
             format!("QUERY {category} {limit}")
-        } else if let Some(host) = sel
-            .where_clause
-            .as_ref()
-            .and_then(|w| find_eq_literal(w, "Hostname"))
-            .and_then(|v| v.as_str().map(str::to_owned))
-        {
+        } else if let Some(host) = pushed_down(sel, "Hostname") {
             format!("HOSTQ {host} {limit}")
         } else {
             format!("TAIL {limit}")
         };
 
-        self.stats.native();
-        let bytes = self
-            .env
-            .native_request(&self.url.host, "netlogger", cmd.as_bytes())?;
-        self.stats.parsed(bytes.len());
+        let bytes = at.request("netlogger", cmd.as_bytes())?;
+        at.stats.parsed(bytes.len());
         let text = String::from_utf8_lossy(&bytes);
         if text.starts_with("ERROR") {
             return Err(SqlError::Driver(format!("NetLogger: {}", text.trim())));
         }
 
-        let source_url = self.url.to_string();
-        let native_rows: Vec<NativeRow> = text
+        let source_url = at.url.to_string();
+        Ok(text
             .lines()
             .filter_map(UlmEvent::parse)
             .map(|e| {
@@ -220,22 +92,20 @@ impl Statement for NetLoggerStatement {
                 row.insert("value".into(), SqlValue::from(e.value));
                 row
             })
-            .collect();
-
-        let translator = Translator::new(&self.handle);
-        let rows = glue_translate(&translator, &group.name, &native_rows)?;
-        let rs = finish_select(&group, rows, &sel, self.env.clock.now_ts())?;
-        Ok(Box::new(rs))
+            .collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::DriverEnv;
     use gridrm_agents::deploy_site;
+    use gridrm_dbc::{Driver, JdbcUrl, Properties};
     use gridrm_glue::SchemaManager;
     use gridrm_resmodel::{SiteModel, SiteSpec};
     use gridrm_simnet::{Network, SimClock};
+    use std::sync::Arc;
 
     fn setup() -> (Arc<DriverEnv>, Arc<NetLoggerDriver>) {
         let net = Network::new(SimClock::new(), 6);
@@ -296,22 +166,6 @@ mod tests {
             .rows()
             .iter()
             .all(|r| r[0] == SqlValue::Str("node01.l".into())));
-    }
-
-    #[test]
-    fn eq_literal_finder() {
-        let w = gridrm_sqlparse::parse_expr("Category = 'cpu.load' AND Value > 1").unwrap();
-        assert_eq!(
-            find_eq_literal(&w, "Category"),
-            Some(&SqlValue::Str("cpu.load".into()))
-        );
-        assert_eq!(find_eq_literal(&w, "Hostname"), None);
-        // OR-chains must NOT push down (the other branch could match more).
-        let w = gridrm_sqlparse::parse_expr("Category = 'a' OR Hostname = 'b'").unwrap();
-        assert_eq!(find_eq_literal(&w, "Category"), None);
-        // Reversed operand order still found.
-        let w = gridrm_sqlparse::parse_expr("'x' = Category").unwrap();
-        assert!(find_eq_literal(&w, "Category").is_some());
     }
 
     #[test]

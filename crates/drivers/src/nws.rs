@@ -10,174 +10,34 @@
 //! URL form: `jdbc:nws://<head-host>/<path>[?ttl=ms]` (the path is
 //! ignored, as with a real NWS nameserver registration namespace).
 
-use crate::base::{
-    finish_select, glue_translate, guess_value, parse_select, DriverEnv, DriverStats,
-};
-use gridrm_dbc::{
-    Connection, DbcResult, Driver, DriverMetaData, JdbcUrl, Properties, ResultSet, SqlError,
-    Statement,
-};
-use gridrm_glue::{NativeRow, SchemaHandle, Translator};
+use crate::base::{guess_value, KitDriver, Source, Target};
+use gridrm_dbc::{DbcResult, DriverMetaData, SqlError};
+use gridrm_glue::{DriverMapping, GroupDef, NativeRow};
+use gridrm_sqlparse::ast::SelectStatement;
 use gridrm_sqlparse::SqlValue;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::{Arc, Weak};
 
 /// Driver name as registered with the gateway.
 pub const DRIVER_NAME: &str = "jdbc-nws";
 
 /// Cache key: `(host, with_forecast)`; value: `(fetched_ms, rows)`.
-type PairCache = HashMap<(String, bool), (u64, Arc<Vec<NativeRow>>)>;
+type PairCache = HashMap<(String, bool), (u64, Vec<NativeRow>)>;
 
-/// The JDBC-NWS [`Driver`].
-pub struct NwsDriver {
-    env: Arc<DriverEnv>,
-    stats: Arc<DriverStats>,
+/// The JDBC-NWS driver.
+pub type NwsDriver = KitDriver<Nws>;
+
+/// The NWS [`Source`]: a TTL cache of fetched pair rows.
+#[derive(Default)]
+pub struct Nws {
     cache: Mutex<PairCache>,
-    this: Weak<NwsDriver>,
 }
 
-impl NwsDriver {
-    /// Create the driver over a gateway environment.
-    pub fn new(env: Arc<DriverEnv>) -> Arc<NwsDriver> {
-        Arc::new_cyclic(|this| NwsDriver {
-            env,
-            stats: Arc::new(DriverStats::default()),
-            cache: Mutex::new(HashMap::new()),
-            this: this.clone(),
-        })
-    }
-
-    fn ttl_of(url: &JdbcUrl) -> u64 {
-        url.param("ttl").and_then(|s| s.parse().ok()).unwrap_or(0)
-    }
-
-    fn cache_lookup(&self, url: &JdbcUrl, forecast: bool, now: u64) -> Option<Arc<Vec<NativeRow>>> {
-        let ttl = Self::ttl_of(url);
-        if ttl == 0 {
-            return None;
-        }
-        let cache = self.cache.lock();
-        let (at, rows) = cache.get(&(url.host.clone(), forecast))?;
-        if now.saturating_sub(*at) < ttl {
-            self.stats.hit();
-            Some(rows.clone())
-        } else {
-            None
-        }
-    }
-
-    fn cache_store(&self, url: &JdbcUrl, forecast: bool, now: u64, rows: Arc<Vec<NativeRow>>) {
-        if Self::ttl_of(url) == 0 {
-            return;
-        }
-        self.cache
-            .lock()
-            .insert((url.host.clone(), forecast), (now, rows));
-    }
-
-    /// Activity counters.
-    pub fn stats(&self) -> Arc<DriverStats> {
-        self.stats.clone()
-    }
-
-    fn text_request(&self, host: &str, cmd: &str) -> DbcResult<String> {
-        self.stats.native();
-        let bytes = self.env.native_request(host, "nws", cmd.as_bytes())?;
-        self.stats.parsed(bytes.len());
-        let text = String::from_utf8(bytes)
-            .map_err(|_| SqlError::Driver("NWS returned non-UTF-8 text".into()))?;
-        if text.starts_with("ERROR") {
-            return Err(SqlError::Driver(format!("NWS: {}", text.trim())));
-        }
-        Ok(text)
-    }
-}
-
-impl Driver for NwsDriver {
-    fn meta(&self) -> DriverMetaData {
-        DriverMetaData {
-            name: DRIVER_NAME.to_owned(),
-            subprotocol: "nws".to_owned(),
-            version: (1, 0),
-            description: "GridRM driver for the Network Weather Service".to_owned(),
-        }
-    }
-
-    fn accepts_url(&self, url: &JdbcUrl) -> bool {
-        if url.subprotocol == "nws" {
-            return true;
-        }
-        url.is_wildcard() && self.text_request(&url.host, "SERIES").is_ok()
-    }
-
-    fn connect(&self, url: &JdbcUrl, _props: &Properties) -> DbcResult<Box<dyn Connection>> {
-        // Verify the sensor answers.
-        self.text_request(&url.host, "SERIES")?;
-        let handle = self.env.schema.handle_for(DRIVER_NAME);
-        Ok(Box::new(NwsConnection {
-            env: self.env.clone(),
-            stats: self.stats.clone(),
-            driver: self.this.upgrade(),
-            url: url.clone(),
-            handle,
-            closed: false,
-        }))
-    }
-}
-
-struct NwsConnection {
-    env: Arc<DriverEnv>,
-    stats: Arc<DriverStats>,
-    driver: Option<Arc<NwsDriver>>,
-    url: JdbcUrl,
-    handle: SchemaHandle,
-    closed: bool,
-}
-
-impl Connection for NwsConnection {
-    fn create_statement(&mut self) -> DbcResult<Box<dyn Statement>> {
-        if self.closed {
-            return Err(SqlError::Closed);
-        }
-        Ok(Box::new(NwsStatement {
-            env: self.env.clone(),
-            stats: self.stats.clone(),
-            driver: self.driver.clone(),
-            url: self.url.clone(),
-            handle: self.handle.clone(),
-        }))
-    }
-
-    fn url(&self) -> &JdbcUrl {
-        &self.url
-    }
-
-    fn is_closed(&self) -> bool {
-        self.closed
-    }
-
-    fn close(&mut self) -> DbcResult<()> {
-        self.closed = true;
-        Ok(())
-    }
-
-    fn ping(&mut self) -> DbcResult<()> {
-        if self.closed {
-            return Err(SqlError::Closed);
-        }
-        self.env
-            .native_request(&self.url.host, "nws", b"SERIES")
-            .map(|_| ())
-    }
-}
-
-struct NwsStatement {
-    env: Arc<DriverEnv>,
-    stats: Arc<DriverStats>,
-    driver: Option<Arc<NwsDriver>>,
-    url: JdbcUrl,
-    handle: SchemaHandle,
+/// Send one NWS command; the reply text (which may be an `ERROR` line).
+fn text_request(at: &Target<'_>, cmd: &str) -> DbcResult<String> {
+    let bytes = at.request("nws", cmd.as_bytes())?;
+    at.stats.parsed(bytes.len());
+    String::from_utf8(bytes).map_err(|_| SqlError::Driver("NWS returned non-UTF-8 text".into()))
 }
 
 /// Parse `key value [key value ...]`-style NWS lines into a map.
@@ -199,25 +59,31 @@ fn parse_kv_lines(text: &str) -> NativeRow {
     row
 }
 
-impl Statement for NwsStatement {
-    fn execute_query(&mut self, sql: &str) -> DbcResult<Box<dyn ResultSet>> {
-        self.stats.query();
-        let sel = parse_select(sql)?;
-        self.env
-            .schema
-            .ensure_current(&mut self.handle, DRIVER_NAME);
-        let group = self
-            .handle
-            .group(&sel.table)
-            .ok_or_else(|| SqlError::Unsupported(format!("unknown GLUE group '{}'", sel.table)))?
-            .clone();
-        if !group.name.eq_ignore_ascii_case("NetworkElement") {
-            return Err(SqlError::Unsupported(format!(
-                "{DRIVER_NAME} only implements NetworkElement, not '{}'",
-                group.name
-            )));
+impl Source for Nws {
+    fn meta(&self) -> DriverMetaData {
+        DriverMetaData {
+            name: DRIVER_NAME.to_owned(),
+            subprotocol: "nws".to_owned(),
+            version: (1, 0),
+            description: "GridRM driver for the Network Weather Service".to_owned(),
         }
+    }
 
+    fn probe(&self, at: &Target<'_>) -> DbcResult<()> {
+        let text = text_request(at, "SERIES")?;
+        if text.starts_with("ERROR") {
+            return Err(SqlError::Driver(format!("NWS: {}", text.trim())));
+        }
+        Ok(())
+    }
+
+    fn fetch(
+        &self,
+        at: &Target<'_>,
+        _group: &GroupDef,
+        _mapping: &DriverMapping,
+        sel: &SelectStatement,
+    ) -> DbcResult<Vec<NativeRow>> {
         // Does the query need forecasts at all? (Avoid the expensive
         // FORECAST call when only raw measurements are selected.)
         let needs_forecast = match sel.required_columns() {
@@ -229,96 +95,79 @@ impl Statement for NwsStatement {
 
         // Driver-level TTL cache (§3.2.4): serve cached pair rows without
         // touching the sensor at all when fresh enough.
-        let now_ms = self.env.clock.now_millis();
-        if let Some(driver) = &self.driver {
-            if let Some(cached) = driver.cache_lookup(&self.url, needs_forecast, now_ms) {
-                let translator = Translator::new(&self.handle);
-                let rows = glue_translate(&translator, &group.name, &cached)?;
-                let rs = finish_select(&group, rows, &sel, self.env.clock.now_ts())?;
-                return Ok(Box::new(rs));
+        let ttl: u64 = at
+            .url
+            .param("ttl")
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0);
+        let key = (at.url.host.clone(), needs_forecast);
+        let now_ms = at.env.clock.now_millis();
+        if ttl > 0 {
+            if let Some((fetched_ms, rows)) = self.cache.lock().get(&key) {
+                if now_ms.saturating_sub(*fetched_ms) < ttl {
+                    at.stats.hit();
+                    return Ok(rows.clone());
+                }
             }
         }
 
         // 1. Which pairs exist?
-        let series = {
-            self.stats.native();
-            let bytes = self.env.native_request(&self.url.host, "nws", b"SERIES")?;
-            self.stats.parsed(bytes.len());
-            String::from_utf8(bytes)
-                .map_err(|_| SqlError::Driver("NWS returned non-UTF-8 text".into()))?
-        };
-        let mut pairs: Vec<(String, String)> = Vec::new();
+        let series = text_request(at, "SERIES")?;
+        let mut pairs: Vec<(&str, &str)> = Vec::new();
         for line in series.lines() {
             let mut parts = line.split_whitespace();
             if parts.next() == Some("bandwidthMbps") {
                 if let (Some(s), Some(d)) = (parts.next(), parts.next()) {
-                    pairs.push((s.to_owned(), d.to_owned()));
+                    pairs.push((s, d));
                 }
             }
         }
 
         // 2. One MEASURE (and maybe FORECAST) per pair — coarse-grained.
         let mut native_rows = Vec::with_capacity(pairs.len());
-        for (src, dst) in &pairs {
-            let measure = {
-                self.stats.native();
-                let bytes = self.env.native_request(
-                    &self.url.host,
-                    "nws",
-                    format!("MEASURE {src} {dst}").as_bytes(),
-                )?;
-                self.stats.parsed(bytes.len());
-                String::from_utf8_lossy(&bytes).into_owned()
-            };
+        for (src, dst) in pairs {
+            let measure = text_request(at, &format!("MEASURE {src} {dst}"))?;
             if measure.starts_with("ERROR") {
                 continue;
             }
             let mut row = parse_kv_lines(&measure);
-            row.insert("src".into(), SqlValue::Str(src.clone()));
-            row.insert("dst".into(), SqlValue::Str(dst.clone()));
+            row.insert("src".into(), SqlValue::Str(src.to_owned()));
+            row.insert("dst".into(), SqlValue::Str(dst.to_owned()));
             if needs_forecast {
-                self.stats.native();
-                let bytes = self.env.native_request(
-                    &self.url.host,
-                    "nws",
-                    format!("FORECAST {src} {dst}").as_bytes(),
-                )?;
-                self.stats.parsed(bytes.len());
-                let text = String::from_utf8_lossy(&bytes).into_owned();
+                let text = text_request(at, &format!("FORECAST {src} {dst}"))?;
                 if !text.starts_with("ERROR") {
                     let f = parse_kv_lines(&text);
-                    if let Some(v) = f.get("bandwidthMbps_forecast") {
-                        row.insert("forecastBandwidthMbps".into(), v.clone());
-                    }
-                    if let Some(v) = f.get("latencyMs_forecast") {
-                        row.insert("forecastLatencyMs".into(), v.clone());
-                    }
-                    if let Some(v) = f.get("bandwidthMbps_forecast.method") {
-                        row.insert("forecastMethod".into(), v.clone());
+                    for (from, to) in [
+                        ("bandwidthMbps_forecast", "forecastBandwidthMbps"),
+                        ("latencyMs_forecast", "forecastLatencyMs"),
+                        ("bandwidthMbps_forecast.method", "forecastMethod"),
+                    ] {
+                        if let Some(v) = f.get(from) {
+                            row.insert(to.into(), v.clone());
+                        }
                     }
                 }
             }
             native_rows.push(row);
         }
 
-        let native_rows = Arc::new(native_rows);
-        if let Some(driver) = &self.driver {
-            driver.cache_store(&self.url, needs_forecast, now_ms, native_rows.clone());
+        if ttl > 0 {
+            self.cache.lock().insert(key, (now_ms, native_rows.clone()));
         }
-        let translator = Translator::new(&self.handle);
-        let rows = glue_translate(&translator, &group.name, &native_rows)?;
-        let rs = finish_select(&group, rows, &sel, self.env.clock.now_ts())?;
-        Ok(Box::new(rs))
+        Ok(native_rows)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::DriverEnv;
     use gridrm_agents::deploy_site;
+    use gridrm_dbc::{Driver, JdbcUrl, Properties};
     use gridrm_glue::SchemaManager;
     use gridrm_resmodel::{SiteModel, SiteSpec};
     use gridrm_simnet::{Network, SimClock};
+    use std::sync::Arc;
 
     fn setup() -> (Arc<DriverEnv>, Arc<NwsDriver>) {
         let net = Network::new(SimClock::new(), 4);
@@ -389,18 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn other_groups_unsupported() {
-        let (_env, driver) = setup();
-        let url = JdbcUrl::parse("jdbc:nws://node00.n/x").unwrap();
-        let mut conn = driver.connect(&url, &Properties::new()).unwrap();
-        let mut stmt = conn.create_statement().unwrap();
-        assert!(matches!(
-            stmt.execute_query("SELECT * FROM Processor").err().unwrap(),
-            SqlError::Unsupported(_)
-        ));
-    }
-
-    #[test]
     fn wildcard_probe() {
         let (_env, driver) = setup();
         assert!(driver.accepts_url(&JdbcUrl::parse("jdbc:://node00.n/x").unwrap()));
@@ -424,10 +261,13 @@ mod tests {
 #[cfg(test)]
 mod cache_tests {
     use super::*;
+    use crate::base::DriverEnv;
     use gridrm_agents::deploy_site;
+    use gridrm_dbc::{Driver, JdbcUrl, Properties};
     use gridrm_glue::SchemaManager;
     use gridrm_resmodel::{SiteModel, SiteSpec};
     use gridrm_simnet::{Network, SimClock};
+    use std::sync::Arc;
 
     #[test]
     fn ttl_cache_avoids_sensor_traffic() {

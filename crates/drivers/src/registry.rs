@@ -50,14 +50,12 @@ pub fn install_into_gateway(gateway: &gridrm_core::Gateway) -> Arc<DriverEnv> {
     );
     env.mount_store("history", gateway.history().store().clone());
     register_standard_drivers(gateway.driver_manager().base(), &env);
-    // The gateway's own metrics, health, journal, slow-query log and
-    // live subscriptions, queryable as the `gridrm_telemetry`/
-    // `gridrm_health`/`gridrm_journal`/`gridrm_slow_queries`/
-    // `gridrm_subscriptions` virtual tables via
-    // `jdbc:telemetry://local/metrics`.
+    // The gateway's own state as the `gridrm_*` virtual tables
+    // (`telemetry::TABLES`), via `jdbc:telemetry://local/metrics`.
     gateway
         .driver_manager()
-        .register(crate::TelemetryDriver::with_streams(
+        .register(crate::TelemetryDriver::new(
+            env.clone(),
             gateway.telemetry().clone(),
             Some(gateway.health().clone()),
             Some(gateway.streams().clone()),
@@ -174,5 +172,117 @@ mod tests {
             .locate(&JdbcUrl::parse("jdbc:://node00.r/x").unwrap())
             .unwrap();
         assert_eq!(d.name(), "jdbc-ganglia");
+    }
+
+    /// What every kit driver inherits, checked once over the whole set:
+    /// the six standard drivers plus jdbc-telemetry.
+    #[test]
+    fn kit_conformance_across_every_driver() {
+        use crate::telemetry::TelemetryDriver;
+        use gridrm_dbc::SqlError;
+        use gridrm_glue::{AttributeDef, GroupDef};
+        use gridrm_sqlparse::SqlType;
+        use gridrm_telemetry::GatewayTelemetry;
+
+        let (env, dm) = setup();
+        env.store("history")
+            .unwrap()
+            .execute_sql("CREATE TABLE t (a INTEGER)", 0)
+            .unwrap();
+        dm.register(TelemetryDriver::new(
+            env.clone(),
+            GatewayTelemetry::new(env.clock.clone()),
+            None,
+            None,
+        ));
+        // (url, a SELECT the driver answers, a table of its own it can lose)
+        let cases = [
+            ("jdbc:snmp://node01.r/public", "SELECT Load1 FROM Processor"),
+            ("jdbc:ganglia://node00.r/r", "SELECT Load1 FROM Processor"),
+            (
+                "jdbc:nws://node00.r/perf",
+                "SELECT SourceHost FROM NetworkElement",
+            ),
+            (
+                "jdbc:netlogger://node00.r/log",
+                "SELECT Category FROM Event",
+            ),
+            ("jdbc:scms://node00.r/", "SELECT Load1 FROM Processor"),
+            ("jdbc:gridrm://local/history", "SELECT a FROM t"),
+            (
+                "jdbc:telemetry://local/metrics",
+                "SELECT name FROM gridrm_telemetry",
+            ),
+        ];
+        assert_eq!(cases.len(), dm.len());
+        for (url, sql) in cases {
+            let url = JdbcUrl::parse(url).unwrap();
+            let driver = dm.locate(&url).unwrap();
+            let name = driver.name();
+            let mut conn = driver.connect(&url, &Properties::new()).unwrap();
+            assert_eq!(conn.metadata().driver_name, name);
+            let mut stmt = conn.create_statement().unwrap();
+            assert!(stmt.execute_query(sql).is_ok(), "{name}: {sql}");
+
+            // Read-only surface: non-SELECT and unknown tables/groups.
+            for bad in ["DELETE FROM Processor", "SELECT * FROM NoSuchGroup"] {
+                assert!(
+                    matches!(stmt.execute_query(bad), Err(SqlError::Unsupported(_))),
+                    "{name}: {bad}"
+                );
+            }
+            // A GLUE group that exists but this driver does not map.
+            let unmapped = match name.as_str() {
+                "jdbc-nws" | "jdbc-netlogger" => "Processor",
+                _ => "NetworkElement",
+            };
+            if name != "jdbc-gridrm" {
+                assert!(
+                    matches!(
+                        stmt.execute_query(&format!("SELECT * FROM {unmapped}")),
+                        Err(SqlError::Unsupported(_))
+                    ),
+                    "{name}: {unmapped}"
+                );
+            }
+            // The paper's stub: only the local store is writable.
+            let update = stmt.execute_update("INSERT INTO t VALUES (1)");
+            if name == "jdbc-gridrm" {
+                assert_eq!(update, Ok(1));
+            } else {
+                assert_eq!(
+                    update,
+                    Err(SqlError::NotImplemented("execute_update")),
+                    "{name}"
+                );
+            }
+
+            // Fig 5: a schema bump between two statements on one
+            // connection is picked up without reconnecting.
+            if let Some(mapping) = env.schema.mapping_for(&name) {
+                env.schema.unregister_mapping(&name);
+                assert!(
+                    matches!(stmt.execute_query(sql), Err(SqlError::Unsupported(_))),
+                    "{name}: stale mapping served"
+                );
+                env.schema.register_mapping((*mapping).clone());
+                assert!(
+                    stmt.execute_query(sql).is_ok(),
+                    "{name}: mapping not re-read"
+                );
+            } else {
+                env.schema.upsert_group(GroupDef {
+                    name: "Bumped".into(),
+                    description: "forces a schema version bump".into(),
+                    attributes: vec![AttributeDef::new("X", SqlType::Int, None, "x")],
+                });
+                assert!(stmt.execute_query(sql).is_ok(), "{name}: after schema bump");
+            }
+
+            conn.close().unwrap();
+            assert!(conn.is_closed());
+            assert!(matches!(conn.create_statement(), Err(SqlError::Closed)));
+            assert!(matches!(conn.ping(), Err(SqlError::Closed)), "{name}");
+        }
     }
 }

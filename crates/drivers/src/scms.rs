@@ -3,55 +3,34 @@
 //!
 //! URL form: `jdbc:scms://<head-host>/<anything>`.
 
-use crate::base::{
-    finish_select, glue_translate, guess_value, parse_select, DriverEnv, DriverStats,
-};
-use crate::netlogger::find_eq_literal;
+use crate::base::{guess_value, pushed_down, KitDriver, Source, Target};
 use gridrm_agents::scms::parse_blocks;
-use gridrm_dbc::{
-    Connection, DbcResult, Driver, DriverMetaData, JdbcUrl, Properties, ResultSet, SqlError,
-    Statement,
-};
-use gridrm_glue::{NativeRow, SchemaHandle, Translator};
+use gridrm_dbc::{DbcResult, DriverMetaData, SqlError};
+use gridrm_glue::{DriverMapping, GroupDef, NativeRow};
+use gridrm_sqlparse::ast::SelectStatement;
 use gridrm_sqlparse::SqlValue;
-use std::sync::Arc;
 
 /// Driver name as registered with the gateway.
 pub const DRIVER_NAME: &str = "jdbc-scms";
 
-/// The JDBC-SCMS [`Driver`].
-pub struct ScmsDriver {
-    env: Arc<DriverEnv>,
-    stats: Arc<DriverStats>,
+/// The JDBC-SCMS driver.
+pub type ScmsDriver = KitDriver<Scms>;
+
+/// The SCMS [`Source`].
+#[derive(Default)]
+pub struct Scms;
+
+fn text_request(at: &Target<'_>, cmd: &str) -> DbcResult<String> {
+    let bytes = at.request("scms", cmd.as_bytes())?;
+    at.stats.parsed(bytes.len());
+    let text = String::from_utf8_lossy(&bytes).into_owned();
+    if text.starts_with("ERROR") {
+        return Err(SqlError::Driver(format!("SCMS: {}", text.trim())));
+    }
+    Ok(text)
 }
 
-impl ScmsDriver {
-    /// Create the driver over a gateway environment.
-    pub fn new(env: Arc<DriverEnv>) -> Arc<ScmsDriver> {
-        Arc::new(ScmsDriver {
-            env,
-            stats: Arc::new(DriverStats::default()),
-        })
-    }
-
-    /// Activity counters.
-    pub fn stats(&self) -> Arc<DriverStats> {
-        self.stats.clone()
-    }
-
-    fn text_request(&self, host: &str, cmd: &str) -> DbcResult<String> {
-        self.stats.native();
-        let bytes = self.env.native_request(host, "scms", cmd.as_bytes())?;
-        self.stats.parsed(bytes.len());
-        let text = String::from_utf8_lossy(&bytes).into_owned();
-        if text.starts_with("ERROR") {
-            return Err(SqlError::Driver(format!("SCMS: {}", text.trim())));
-        }
-        Ok(text)
-    }
-}
-
-impl Driver for ScmsDriver {
+impl Source for Scms {
     fn meta(&self) -> DriverMetaData {
         DriverMetaData {
             name: DRIVER_NAME.to_owned(),
@@ -61,111 +40,26 @@ impl Driver for ScmsDriver {
         }
     }
 
-    fn accepts_url(&self, url: &JdbcUrl) -> bool {
-        if url.subprotocol == "scms" {
-            return true;
-        }
-        url.is_wildcard() && self.text_request(&url.host, "SUMMARY").is_ok()
+    fn probe(&self, at: &Target<'_>) -> DbcResult<()> {
+        text_request(at, "SUMMARY").map(|_| ())
     }
 
-    fn connect(&self, url: &JdbcUrl, _props: &Properties) -> DbcResult<Box<dyn Connection>> {
-        self.text_request(&url.host, "SUMMARY")?;
-        let handle = self.env.schema.handle_for(DRIVER_NAME);
-        Ok(Box::new(ScmsConnection {
-            env: self.env.clone(),
-            stats: self.stats.clone(),
-            url: url.clone(),
-            handle,
-            closed: false,
-        }))
-    }
-}
-
-struct ScmsConnection {
-    env: Arc<DriverEnv>,
-    stats: Arc<DriverStats>,
-    url: JdbcUrl,
-    handle: SchemaHandle,
-    closed: bool,
-}
-
-impl Connection for ScmsConnection {
-    fn create_statement(&mut self) -> DbcResult<Box<dyn Statement>> {
-        if self.closed {
-            return Err(SqlError::Closed);
-        }
-        Ok(Box::new(ScmsStatement {
-            env: self.env.clone(),
-            stats: self.stats.clone(),
-            url: self.url.clone(),
-            handle: self.handle.clone(),
-        }))
-    }
-
-    fn url(&self) -> &JdbcUrl {
-        &self.url
-    }
-
-    fn is_closed(&self) -> bool {
-        self.closed
-    }
-
-    fn close(&mut self) -> DbcResult<()> {
-        self.closed = true;
+    /// SCMS has no request cheaper than the `SUMMARY` itself; pooled
+    /// connections are handed out unvalidated.
+    fn ping(&self, _at: &Target<'_>) -> DbcResult<()> {
         Ok(())
     }
-}
 
-struct ScmsStatement {
-    env: Arc<DriverEnv>,
-    stats: Arc<DriverStats>,
-    url: JdbcUrl,
-    handle: SchemaHandle,
-}
-
-impl ScmsStatement {
-    fn text_request(&self, cmd: &str) -> DbcResult<String> {
-        self.stats.native();
-        let bytes = self
-            .env
-            .native_request(&self.url.host, "scms", cmd.as_bytes())?;
-        self.stats.parsed(bytes.len());
-        let text = String::from_utf8_lossy(&bytes).into_owned();
-        if text.starts_with("ERROR") {
-            return Err(SqlError::Driver(format!("SCMS: {}", text.trim())));
-        }
-        Ok(text)
-    }
-}
-
-impl Statement for ScmsStatement {
-    fn execute_query(&mut self, sql: &str) -> DbcResult<Box<dyn ResultSet>> {
-        self.stats.query();
-        let sel = parse_select(sql)?;
-        self.env
-            .schema
-            .ensure_current(&mut self.handle, DRIVER_NAME);
-        let group = self
-            .handle
-            .group(&sel.table)
-            .ok_or_else(|| SqlError::Unsupported(format!("unknown GLUE group '{}'", sel.table)))?
-            .clone();
-        let mapping = self
-            .handle
-            .mapping
-            .clone()
-            .filter(|m| m.supports_group(&group.name))
-            .ok_or_else(|| {
-                SqlError::Unsupported(format!(
-                    "{DRIVER_NAME} does not implement group '{}'",
-                    group.name
-                ))
-            })?;
-        let _ = mapping;
-
-        let native_rows: Vec<NativeRow> = if group.name.eq_ignore_ascii_case("ComputeElement") {
+    fn fetch(
+        &self,
+        at: &Target<'_>,
+        group: &GroupDef,
+        _mapping: &DriverMapping,
+        sel: &SelectStatement,
+    ) -> DbcResult<Vec<NativeRow>> {
+        if group.name.eq_ignore_ascii_case("ComputeElement") {
             // Site summary: one row.
-            let text = self.text_request("SUMMARY")?;
+            let text = text_request(at, "SUMMARY")?;
             let mut row = NativeRow::new();
             for line in text.lines() {
                 if let Some((k, v)) = line.split_once(':') {
@@ -176,47 +70,41 @@ impl Statement for ScmsStatement {
                 row.insert("ce_id".into(), site);
             }
             row.insert("status".into(), SqlValue::Str("production".into()));
-            vec![row]
-        } else {
-            // Host-level groups: push a `Hostname = 'x'` equality down to
-            // a native STATUS request, otherwise dump everything.
-            let cmd = sel
-                .where_clause
-                .as_ref()
-                .and_then(|w| find_eq_literal(w, "Hostname"))
-                .and_then(|v| v.as_str().map(|h| format!("STATUS {h}")))
-                .unwrap_or_else(|| "ALL".to_owned());
-            let text = match self.text_request(&cmd) {
-                Ok(t) => t,
-                // STATUS for an unknown host: no rows, not an error.
-                Err(SqlError::Driver(msg)) if msg.contains("no such host") => String::new(),
-                Err(e) => return Err(e),
-            };
-            parse_blocks(&text)
-                .into_iter()
-                .map(|block| {
-                    block
-                        .into_iter()
-                        .map(|(k, v)| (k, guess_value(&v)))
-                        .collect()
-                })
-                .collect()
+            return Ok(vec![row]);
+        }
+        // Host-level groups: push a `Hostname = 'x'` equality down to
+        // a native STATUS request, otherwise dump everything.
+        let cmd = pushed_down(sel, "Hostname")
+            .map(|h| format!("STATUS {h}"))
+            .unwrap_or_else(|| "ALL".to_owned());
+        let text = match text_request(at, &cmd) {
+            Ok(t) => t,
+            // STATUS for an unknown host: no rows, not an error.
+            Err(SqlError::Driver(msg)) if msg.contains("no such host") => String::new(),
+            Err(e) => return Err(e),
         };
-
-        let translator = Translator::new(&self.handle);
-        let rows = glue_translate(&translator, &group.name, &native_rows)?;
-        let rs = finish_select(&group, rows, &sel, self.env.clock.now_ts())?;
-        Ok(Box::new(rs))
+        Ok(parse_blocks(&text)
+            .into_iter()
+            .map(|block| {
+                block
+                    .into_iter()
+                    .map(|(k, v)| (k, guess_value(&v)))
+                    .collect()
+            })
+            .collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::DriverEnv;
     use gridrm_agents::deploy_site;
+    use gridrm_dbc::{Driver, JdbcUrl, Properties};
     use gridrm_glue::SchemaManager;
     use gridrm_resmodel::{SiteModel, SiteSpec};
     use gridrm_simnet::{Network, SimClock};
+    use std::sync::Arc;
 
     fn setup() -> (Arc<DriverEnv>, Arc<ScmsDriver>) {
         let net = Network::new(SimClock::new(), 9);

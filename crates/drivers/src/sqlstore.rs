@@ -4,39 +4,30 @@
 //!
 //! URL form: `jdbc:gridrm://local/<store-name>`.
 
-use crate::base::{DriverEnv, DriverStats};
-use gridrm_dbc::{
-    Connection, DbcResult, Driver, DriverMetaData, JdbcUrl, Properties, ResultSet, SqlError,
-    Statement,
-};
-use gridrm_store::{ExecOutcome, Store};
-use std::sync::Arc;
+use crate::base::{KitDriver, Source, Target};
+use gridrm_dbc::{DbcResult, DriverMetaData, RowSet, SqlError};
+use gridrm_glue::SchemaHandle;
+use gridrm_sqlparse::ast::{SelectStatement, Statement};
+use gridrm_store::{ExecOutcome, Store, StoreError};
 
 /// Driver name as registered with the gateway.
 pub const DRIVER_NAME: &str = "jdbc-gridrm";
 
-/// The JDBC-GridRM [`Driver`].
-pub struct SqlStoreDriver {
-    env: Arc<DriverEnv>,
-    stats: Arc<DriverStats>,
+/// The JDBC-GridRM driver.
+pub type SqlStoreDriver = KitDriver<SqlStore>;
+
+/// The mounted-store [`Source`]: its tables are the store's own, so it
+/// answers `query` directly instead of fetching GLUE rows.
+#[derive(Default)]
+pub struct SqlStore;
+
+fn store_of(at: &Target<'_>) -> DbcResult<Store> {
+    at.env
+        .store(&at.url.path)
+        .ok_or_else(|| SqlError::Connection(format!("no store mounted at '{}'", at.url.path)))
 }
 
-impl SqlStoreDriver {
-    /// Create the driver over a gateway environment.
-    pub fn new(env: Arc<DriverEnv>) -> Arc<SqlStoreDriver> {
-        Arc::new(SqlStoreDriver {
-            env,
-            stats: Arc::new(DriverStats::default()),
-        })
-    }
-
-    /// Activity counters.
-    pub fn stats(&self) -> Arc<DriverStats> {
-        self.stats.clone()
-    }
-}
-
-impl Driver for SqlStoreDriver {
+impl Source for SqlStore {
     fn meta(&self) -> DriverMetaData {
         DriverMetaData {
             name: DRIVER_NAME.to_owned(),
@@ -46,87 +37,38 @@ impl Driver for SqlStoreDriver {
         }
     }
 
-    fn accepts_url(&self, url: &JdbcUrl) -> bool {
-        if url.subprotocol == "gridrm" {
-            return true;
+    /// No request to send: the store is mounted or it is not. A
+    /// wildcard URL names one only as `jdbc:://local/<store>`.
+    fn probe(&self, at: &Target<'_>) -> DbcResult<()> {
+        if at.url.is_wildcard() && at.url.host != "local" {
+            return Err(SqlError::Connection(format!(
+                "'{}' is not the local store host",
+                at.url.host
+            )));
         }
-        url.is_wildcard() && url.host == "local" && self.env.store(&url.path).is_some()
+        store_of(at).map(|_| ())
     }
 
-    fn connect(&self, url: &JdbcUrl, _props: &Properties) -> DbcResult<Box<dyn Connection>> {
-        let store = self
-            .env
-            .store(&url.path)
-            .ok_or_else(|| SqlError::Connection(format!("no store mounted at '{}'", url.path)))?;
-        Ok(Box::new(SqlStoreConnection {
-            env: self.env.clone(),
-            stats: self.stats.clone(),
-            url: url.clone(),
-            store,
-            closed: false,
-        }))
-    }
-}
-
-struct SqlStoreConnection {
-    env: Arc<DriverEnv>,
-    stats: Arc<DriverStats>,
-    url: JdbcUrl,
-    store: Store,
-    closed: bool,
-}
-
-impl Connection for SqlStoreConnection {
-    fn create_statement(&mut self) -> DbcResult<Box<dyn Statement>> {
-        if self.closed {
-            return Err(SqlError::Closed);
-        }
-        Ok(Box::new(SqlStoreStatement {
-            env: self.env.clone(),
-            stats: self.stats.clone(),
-            store: self.store.clone(),
-        }))
-    }
-
-    fn url(&self) -> &JdbcUrl {
-        &self.url
-    }
-
-    fn is_closed(&self) -> bool {
-        self.closed
-    }
-
-    fn close(&mut self) -> DbcResult<()> {
-        self.closed = true;
-        Ok(())
-    }
-}
-
-struct SqlStoreStatement {
-    env: Arc<DriverEnv>,
-    stats: Arc<DriverStats>,
-    store: Store,
-}
-
-impl Statement for SqlStoreStatement {
-    fn execute_query(&mut self, sql: &str) -> DbcResult<Box<dyn ResultSet>> {
-        self.stats.query();
-        let now = self.env.clock.now_ts();
-        match self.store.execute_sql(sql, now) {
-            Ok(ExecOutcome::Rows(rs)) => Ok(Box::new(rs)),
-            Ok(_) => Err(SqlError::Unsupported(
-                "statement did not produce rows; use execute_update".into(),
-            )),
-            Err(e) => Err(SqlError::Driver(e.to_string())),
-        }
+    fn query(
+        &self,
+        at: &Target<'_>,
+        _schema: &mut SchemaHandle,
+        sel: &SelectStatement,
+    ) -> DbcResult<RowSet> {
+        let now = at.env.clock.now_ts();
+        store_of(at)?
+            .with(|db| gridrm_store::select_in_memory(db.table(&sel.table)?, sel, now))
+            .map_err(|e| match e {
+                StoreError::NoSuchTable(_) => SqlError::Unsupported(e.to_string()),
+                _ => SqlError::Driver(e.to_string()),
+            })
     }
 
     /// Unlike agent drivers, the local store is writable: this is the
     /// optional capability a "fully implemented" driver provides.
-    fn execute_update(&mut self, sql: &str) -> DbcResult<usize> {
-        self.stats.query();
-        let now = self.env.clock.now_ts();
-        match self.store.execute_sql(sql, now) {
+    fn update(&self, at: &Target<'_>, stmt: &Statement) -> DbcResult<usize> {
+        let now = at.env.clock.now_ts();
+        match store_of(at)?.with(|db| db.execute(stmt, now)) {
             Ok(ExecOutcome::Affected(n)) => Ok(n),
             Ok(ExecOutcome::Done) => Ok(0),
             Ok(ExecOutcome::Rows(_)) => Err(SqlError::Unsupported(
@@ -140,8 +82,11 @@ impl Statement for SqlStoreStatement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::DriverEnv;
+    use gridrm_dbc::{Driver, JdbcUrl, Properties};
     use gridrm_glue::SchemaManager;
     use gridrm_simnet::{Network, SimClock};
+    use std::sync::Arc;
 
     fn setup() -> (Arc<DriverEnv>, Arc<SqlStoreDriver>) {
         let net = Network::new(SimClock::new(), 1);

@@ -2,89 +2,29 @@
 //! exposed as virtual SQL tables, queryable through the normal driver
 //! path — the "monitor the monitor" loop.
 //!
-//! `gridrm_telemetry` — one row per flattened registry sample:
+//! Every table is one entry of [`TABLES`]: its name, its typed columns
+//! and the expression each cell is computed from, side by side. The
+//! dispatch, the error naming the served tables and the driver
+//! description are derived from that list; `docs/observability.md`
+//! documents each table for operators and `tests/docs_drift.rs` keeps
+//! the two in step.
 //!
-//! | column | type  | meaning                                        |
-//! |--------|-------|------------------------------------------------|
-//! | name   | TEXT  | sample name (`gridrm_requests_total`, `…_sum`) |
-//! | kind   | TEXT  | family kind: counter, gauge or histogram       |
-//! | labels | TEXT  | rendered labels (`driver="jdbc-snmp",le="10"`) |
-//! | value  | REAL  | sample value                                   |
-//!
-//! `gridrm_health` — one row per tracked data source (see
-//! `gridrm_core::health`): source, state, consecutive failure/success
-//! streaks, last-ok/last-probe/last-transition times, last error, last
-//! failed driver and total transition count.
-//!
-//! `gridrm_journal` — one row per structured journal entry: seq, at_ms,
-//! severity, kind, source, driver, stage, message and the trace id of
-//! the query that produced the entry (NULL for untraced events).
-//!
-//! `gridrm_slow_queries` — one row per slow-query log entry: trace id,
-//! request summary, source, started/finished/duration, outcome and a
-//! rendered per-stage breakdown.
-//!
-//! `gridrm_spans` — one row per span in the trace ring buffer, oldest
-//! first: trace/span/parent identifiers, originating site, request,
-//! timings, outcome and the rendered stage breakdown. Joining rows on
-//! `trace_id` reconstructs the same tree `EXPLAIN ANALYZE` renders.
-//!
-//! `gridrm_metrics_history` — one row per recorded time-series sample
-//! (see `gridrm_telemetry::timeseries`), ordered by series then time:
-//!
-//! | column     | type      | meaning                                  |
-//! |------------|-----------|------------------------------------------|
-//! | ts_ms      | TIMESTAMP | virtual sample time                      |
-//! | name       | TEXT      | series name (histograms expand to        |
-//! |            |           | `_count`/`_sum`/`_p50`/`_p95`/`_p99`)    |
-//! | labels     | TEXT      | rendered labels                          |
-//! | kind       | TEXT      | `counter` or `gauge`                     |
-//! | value      | REAL      | sampled value                            |
-//! | delta      | REAL      | counter increase since the previous      |
-//! |            |           | sample (NULL for gauges/first sample)    |
-//! | rate_per_s | REAL      | counter rate over the sample gap (NULL   |
-//! |            |           | for gauges/first sample)                 |
-//!
-//! Equality filters on `name`/`labels` are pushed down to the recorder
-//! so a single series is extracted without materialising every ring.
-//! The canonical rollup is `TIME_BUCKET` + `GROUP BY`:
+//! On `gridrm_metrics_history`, equality filters on `name`/`labels` are
+//! pushed down to the recorder so a single series is extracted without
+//! materialising every ring. The canonical rollup is `TIME_BUCKET` +
+//! `GROUP BY`:
 //! `SELECT TIME_BUCKET(60000, ts_ms) AS bucket, AVG(value) FROM
 //! gridrm_metrics_history WHERE name = '…' GROUP BY
 //! TIME_BUCKET(60000, ts_ms) ORDER BY bucket`.
 //!
-//! `gridrm_slo` — one row per declared SLO (see
-//! `gridrm_telemetry::slo`): name, objective description, target,
-//! last-observed good/total, fast/slow burn rates, remaining error
-//! budget, firing flag, last transition time and transition count.
-//!
-//! `gridrm_subscriptions` — one row per live continuous-query
-//! subscription (see `gridrm_core::stream`): id, origin, sql, watched
-//! source count, cadence, backpressure policy, buffer capacity,
-//! pending/emitted/delivered/dropped counts and emit/registration
-//! times. Served empty when no stream manager is attached.
-//!
-//! `gridrm_query_costs` — one row per recently finished root query,
-//! oldest first, from the cost ledger (see `gridrm_telemetry::cost`):
-//! trace id, site, request, start/finish/duration, wire messages and
-//! bytes in both directions, rows scanned/returned, driver fetch units
-//! and whether the inclusive cost breached the configured budget.
-//!
-//! `gridrm_intrusion` — one row per (site, cause) intrusion bucket:
-//! how much wire traffic this gateway imposed on each grid site
-//! (endured, for its own site), split by cause (`query`, `probe`,
-//! `subscription`, `gossip`), with per-virtual-second rates over the
-//! bucket's observation window.
-//!
 //! URL form: `jdbc:telemetry://local/metrics`.
 
-use crate::base::{parse_select, DriverStats};
+use crate::base::{pushed_down, DriverEnv, KitDriver, Source, Target};
 use gridrm_core::health::HealthMonitor;
 use gridrm_core::stream::StreamManager;
-use gridrm_dbc::{
-    Connection, DbcResult, Driver, DriverMetaData, JdbcUrl, Properties, ResultSet, SqlError,
-    Statement,
-};
-use gridrm_sqlparse::ast::{BinaryOp, ColumnDef, Expr, SelectStatement};
+use gridrm_dbc::{DbcResult, DriverMetaData, RowSet, SqlError};
+use gridrm_glue::SchemaHandle;
+use gridrm_sqlparse::ast::{ColumnDef, SelectStatement};
 use gridrm_sqlparse::{SqlType, SqlValue};
 use gridrm_store::Table;
 use gridrm_telemetry::GatewayTelemetry;
@@ -93,218 +33,68 @@ use std::sync::Arc;
 /// Driver name as registered with the gateway.
 pub const DRIVER_NAME: &str = "jdbc-telemetry";
 
-/// The metrics virtual table name.
-pub const TABLE_NAME: &str = "gridrm_telemetry";
+/// The JDBC-Telemetry driver.
+pub type TelemetryDriver = KitDriver<Telemetry>;
 
-/// The per-source health virtual table name.
-pub const HEALTH_TABLE: &str = "gridrm_health";
-
-/// The structured event-journal virtual table name.
-pub const JOURNAL_TABLE: &str = "gridrm_journal";
-
-/// The slow-query log virtual table name.
-pub const SLOW_TABLE: &str = "gridrm_slow_queries";
-
-/// The hierarchical-span virtual table name.
-pub const SPANS_TABLE: &str = "gridrm_spans";
-
-/// The metrics time-series virtual table name.
-pub const HISTORY_TABLE: &str = "gridrm_metrics_history";
-
-/// The SLO status virtual table name.
-pub const SLO_TABLE: &str = "gridrm_slo";
-
-/// The live-subscription virtual table name.
-pub const SUBSCRIPTIONS_TABLE: &str = "gridrm_subscriptions";
-
-/// The per-query cost-ledger virtual table name.
-pub const COSTS_TABLE: &str = "gridrm_query_costs";
-
-/// The per-site intrusion-profile virtual table name.
-pub const INTRUSION_TABLE: &str = "gridrm_intrusion";
-
-/// The JDBC-Telemetry [`Driver`].
-pub struct TelemetryDriver {
+/// The telemetry [`Source`]: the gateway subsystems the tables read.
+pub struct Telemetry {
     telemetry: GatewayTelemetry,
     health: Option<Arc<HealthMonitor>>,
     streams: Option<Arc<StreamManager>>,
-    stats: Arc<DriverStats>,
 }
 
 impl TelemetryDriver {
     /// Create the driver over a gateway's telemetry hub. Without a
-    /// health monitor the `gridrm_health` table is served empty.
-    pub fn new(telemetry: GatewayTelemetry) -> Arc<TelemetryDriver> {
-        TelemetryDriver::with_health(telemetry, None)
-    }
-
-    /// Create the driver over a gateway's telemetry hub and health
-    /// monitor, enabling the `gridrm_health` table.
-    pub fn with_health(
-        telemetry: GatewayTelemetry,
-        health: Option<Arc<HealthMonitor>>,
-    ) -> Arc<TelemetryDriver> {
-        TelemetryDriver::with_streams(telemetry, health, None)
-    }
-
-    /// Create the driver over a gateway's telemetry hub, health monitor
-    /// and stream manager, enabling every virtual table.
-    pub fn with_streams(
+    /// health monitor `gridrm_health` is served empty, without a stream
+    /// manager `gridrm_subscriptions` is.
+    pub fn new(
+        env: Arc<DriverEnv>,
         telemetry: GatewayTelemetry,
         health: Option<Arc<HealthMonitor>>,
         streams: Option<Arc<StreamManager>>,
     ) -> Arc<TelemetryDriver> {
-        Arc::new(TelemetryDriver {
-            telemetry,
-            health,
-            streams,
-            stats: Arc::new(DriverStats::default()),
-        })
-    }
-
-    /// Activity counters.
-    pub fn stats(&self) -> Arc<DriverStats> {
-        self.stats.clone()
+        KitDriver::with_source(
+            env,
+            Telemetry {
+                telemetry,
+                health,
+                streams,
+            },
+        )
     }
 }
 
-impl Driver for TelemetryDriver {
-    fn meta(&self) -> DriverMetaData {
-        DriverMetaData {
-            name: DRIVER_NAME.to_owned(),
-            subprotocol: "telemetry".to_owned(),
-            version: (1, 0),
-            description: "Virtual SQL tables over the gateway's metrics, \
-                          health, journal and slow-query log"
-                .to_owned(),
+/// One virtual table of the telemetry driver.
+pub struct VirtualTable {
+    /// Table name (`gridrm_*`).
+    pub name: &'static str,
+    /// Column names and types, in `SELECT *` order.
+    pub columns: &'static [(&'static str, SqlType)],
+    rows: fn(&Telemetry, &SelectStatement) -> Vec<Vec<SqlValue>>,
+}
+
+/// Declare a [`VirtualTable`]: the items one row is made from, then
+/// `column: Type = cell` for each column, the cell being anything
+/// `Into<SqlValue>` (an `Option` becomes NULL when empty).
+macro_rules! virtual_table {
+    ($name:literal, |$src:pat_param, $sel:pat_param| $items:expr, |$item:pat_param| {
+        $($col:ident: $ty:ident = $cell:expr),* $(,)?
+    }) => {
+        VirtualTable {
+            name: $name,
+            columns: &[$((stringify!($col), SqlType::$ty)),*],
+            rows: |$src, $sel| {
+                $items
+                    .into_iter()
+                    .map(|$item| vec![$(SqlValue::from($cell)),*])
+                    .collect()
+            },
         }
-    }
-
-    fn accepts_url(&self, url: &JdbcUrl) -> bool {
-        url.subprotocol == "telemetry"
-    }
-
-    fn connect(&self, url: &JdbcUrl, _props: &Properties) -> DbcResult<Box<dyn Connection>> {
-        Ok(Box::new(TelemetryConnection {
-            telemetry: self.telemetry.clone(),
-            health: self.health.clone(),
-            streams: self.streams.clone(),
-            stats: self.stats.clone(),
-            url: url.clone(),
-            closed: false,
-        }))
-    }
-}
-
-struct TelemetryConnection {
-    telemetry: GatewayTelemetry,
-    health: Option<Arc<HealthMonitor>>,
-    streams: Option<Arc<StreamManager>>,
-    stats: Arc<DriverStats>,
-    url: JdbcUrl,
-    closed: bool,
-}
-
-impl Connection for TelemetryConnection {
-    fn create_statement(&mut self) -> DbcResult<Box<dyn Statement>> {
-        if self.closed {
-            return Err(SqlError::Closed);
-        }
-        Ok(Box::new(TelemetryStatement {
-            telemetry: self.telemetry.clone(),
-            health: self.health.clone(),
-            streams: self.streams.clone(),
-            stats: self.stats.clone(),
-        }))
-    }
-
-    fn url(&self) -> &JdbcUrl {
-        &self.url
-    }
-
-    fn is_closed(&self) -> bool {
-        self.closed
-    }
-
-    fn close(&mut self) -> DbcResult<()> {
-        self.closed = true;
-        Ok(())
-    }
-}
-
-struct TelemetryStatement {
-    telemetry: GatewayTelemetry,
-    health: Option<Arc<HealthMonitor>>,
-    streams: Option<Arc<StreamManager>>,
-    stats: Arc<DriverStats>,
-}
-
-fn columns(spec: &[(&str, SqlType)]) -> Vec<ColumnDef> {
-    spec.iter()
-        .map(|(name, ty)| ColumnDef {
-            name: (*name).to_owned(),
-            ty: *ty,
-            primary_key: false,
-        })
-        .collect()
-}
-
-fn opt_str(v: &Option<String>) -> SqlValue {
-    match v {
-        Some(s) => SqlValue::Str(s.clone()),
-        None => SqlValue::Null,
-    }
-}
-
-fn opt_ms(v: Option<u64>) -> SqlValue {
-    match v {
-        Some(ms) => SqlValue::Int(ms as i64),
-        None => SqlValue::Null,
-    }
-}
-
-fn opt_f64(v: Option<f64>) -> SqlValue {
-    match v {
-        Some(f) => SqlValue::Float(f),
-        None => SqlValue::Null,
-    }
-}
-
-/// Extract `column = 'literal'` string-equality conjuncts from a WHERE
-/// clause, recursing only through `AND` — an equality under `OR`/`NOT`
-/// is not a guaranteed filter and must not be pushed down. The full
-/// WHERE is still re-applied by the in-memory executor, so pushdown is
-/// purely a pre-filter and can afford to be conservative.
-fn equality_pushdown(expr: &Expr, column: &str) -> Option<String> {
-    match expr {
-        Expr::Binary {
-            left,
-            op: BinaryOp::And,
-            right,
-        } => equality_pushdown(left, column).or_else(|| equality_pushdown(right, column)),
-        Expr::Binary {
-            left,
-            op: BinaryOp::Eq,
-            right,
-        } => {
-            let pair = |a: &Expr, b: &Expr| match (a, b) {
-                (
-                    Expr::Column {
-                        qualifier: None,
-                        name,
-                    },
-                    Expr::Literal(SqlValue::Str(s)),
-                ) if name.eq_ignore_ascii_case(column) => Some(s.clone()),
-                _ => None,
-            };
-            pair(left, right).or_else(|| pair(right, left))
-        }
-        _ => None,
-    }
+    };
 }
 
 /// Render a span's stage marks as `stage@offset_ms[=detail]` segments
-/// joined with `;` — the same encoding the slow-query table uses.
+/// joined with `;`.
 fn render_stages(r: &gridrm_telemetry::TraceRecord) -> String {
     r.stages
         .iter()
@@ -319,456 +109,290 @@ fn render_stages(r: &gridrm_telemetry::TraceRecord) -> String {
         .join(";")
 }
 
-/// Materialise the registry into the metrics virtual table: one row per
-/// flattened sample, histogram buckets included.
-fn metrics_table(telemetry: &GatewayTelemetry) -> Table {
-    let rows = telemetry
-        .registry()
-        .snapshot()
-        .into_iter()
-        .flat_map(|family| {
-            family.samples.into_iter().map(move |sample| {
-                vec![
-                    SqlValue::Str(sample.name),
-                    SqlValue::Str(family.kind.clone()),
-                    SqlValue::Str(sample.labels),
-                    SqlValue::Float(sample.value),
-                ]
-            })
-        })
-        .collect();
-    Table {
-        name: TABLE_NAME.to_owned(),
-        columns: columns(&[
-            ("name", SqlType::Str),
-            ("kind", SqlType::Str),
-            ("labels", SqlType::Str),
-            ("value", SqlType::Float),
-        ]),
-        rows,
+fn with_stages(r: gridrm_telemetry::TraceRecord) -> (gridrm_telemetry::TraceRecord, String) {
+    let stages = render_stages(&r);
+    (r, stages)
+}
+
+/// Every table the driver serves.
+pub static TABLES: &[VirtualTable] = &[
+    // One row per flattened registry sample, histogram buckets included.
+    virtual_table!(
+        "gridrm_telemetry",
+        |t, _| t.telemetry.registry().snapshot().into_iter().flat_map(|family| {
+            let kind = family.kind;
+            family.samples.into_iter().map(move |s| (kind.clone(), s))
+        }),
+        |(kind, s)| {
+            name: Str = s.name,
+            kind: Str = kind,
+            labels: Str = s.labels,
+            value: Float = s.value,
+        }
+    ),
+    // One row per tracked data source, straight from the health monitor's
+    // state machine. Served empty when no monitor is attached.
+    virtual_table!(
+        "gridrm_health",
+        |t, _| t.health.as_ref().map(|h| h.snapshot()).unwrap_or_default(),
+        |s| {
+            source: Str = s.source,
+            state: Str = s.state.name(),
+            consecutive_failures: Int = s.consecutive_failures as u64,
+            consecutive_successes: Int = s.consecutive_successes as u64,
+            last_ok_ms: Int = s.last_ok_ms,
+            last_error: Str = s.last_error,
+            last_probe_ms: Int = s.last_probe_ms,
+            last_failed_driver: Str = s.last_failed_driver,
+            transitions: Int = s.transitions,
+            last_transition_ms: Int = s.last_transition_ms,
+        }
+    ),
+    // One row per structured journal entry, oldest first; `trace_id` is
+    // NULL for untraced events.
+    virtual_table!(
+        "gridrm_journal",
+        |t, _| t.telemetry.journal().recent(),
+        |e| {
+            seq: Int = e.seq,
+            at_ms: Int = e.at_ms,
+            severity: Str = e.severity.name(),
+            kind: Str = e.kind,
+            source: Str = e.source,
+            driver: Str = e.driver,
+            stage: Str = e.stage,
+            message: Str = e.message,
+            trace_id: Str = e.trace_id,
+        }
+    ),
+    // One row per slow-query log entry, slowest first, with the
+    // per-stage breakdown rendered by `render_stages`.
+    virtual_table!(
+        "gridrm_slow_queries",
+        |t, _| t.telemetry.slow_queries().top().into_iter().map(with_stages),
+        |(r, stages)| {
+            id: Int = r.id,
+            trace_id: Str = r.trace_id,
+            request: Str = r.request,
+            source: Str = r.source,
+            started_ms: Int = r.started_ms,
+            finished_ms: Int = r.finished_ms,
+            duration_ms: Int = r.finished_ms.saturating_sub(r.started_ms),
+            outcome: Str = r.outcome,
+            stages: Str = stages,
+        }
+    ),
+    // One row per span in the trace ring buffer, oldest first. Rows for
+    // one `trace_id` reconstruct the tree `EXPLAIN ANALYZE` renders:
+    // every non-NULL `parent_span_id` names another `span_id` in the
+    // trace.
+    virtual_table!(
+        "gridrm_spans",
+        |t, _| t.telemetry.traces().recent().into_iter().map(with_stages),
+        |(r, stages)| {
+            trace_id: Str = r.trace_id,
+            span_id: Str = r.span_id,
+            parent_span_id: Str = r.parent_span_id,
+            site: Str = r.site,
+            id: Int = r.id,
+            request: Str = r.request,
+            source: Str = r.source,
+            started_ms: Int = r.started_ms,
+            finished_ms: Int = r.finished_ms,
+            duration_ms: Int = r.finished_ms.saturating_sub(r.started_ms),
+            outcome: Str = r.outcome,
+            stages: Str = stages,
+        }
+    ),
+    // One row per recorded time-series sample, ordered by series then
+    // time; histograms expand to `_count`/`_sum`/`_p50`/`_p95`/`_p99`
+    // series, `delta`/`rate_per_s` are NULL for gauges and first samples.
+    virtual_table!(
+        "gridrm_metrics_history",
+        |t, sel| t
+            .telemetry
+            .timeseries()
+            .history_for(pushed_down(sel, "name"), pushed_down(sel, "labels")),
+        |r| {
+            ts_ms: Timestamp = SqlValue::Timestamp(r.ts_ms as i64),
+            name: Str = r.name,
+            labels: Str = r.labels,
+            kind: Str = r.kind,
+            value: Float = r.value,
+            delta: Float = r.delta,
+            rate_per_s: Float = r.rate_per_s,
+        }
+    ),
+    // One row per declared SLO, straight from the burn-rate engine.
+    virtual_table!(
+        "gridrm_slo",
+        |t, _| t.telemetry.slo().snapshot(),
+        |s| {
+            name: Str = s.name,
+            objective: Str = s.objective,
+            target: Float = s.target,
+            good: Float = s.good,
+            total: Float = s.total,
+            burn_fast: Float = s.burn_fast,
+            burn_slow: Float = s.burn_slow,
+            error_budget: Float = s.error_budget_remaining,
+            firing: Bool = s.firing,
+            since_ms: Int = s.since_ms,
+            transitions: Int = s.transitions,
+        }
+    ),
+    // One row per live continuous-query subscription, ordered by id.
+    // Served empty when no stream manager is attached.
+    virtual_table!(
+        "gridrm_subscriptions",
+        |t, _| t.streams.as_ref().map(|s| s.snapshot()).unwrap_or_default(),
+        |s| {
+            id: Int = s.id,
+            origin: Str = s.origin,
+            sql: Str = s.sql,
+            sources: Int = s.sources as u64,
+            every_ms: Int = s.every_ms,
+            policy: Str = s.policy,
+            buffer_capacity: Int = s.buffer_capacity as u64,
+            pending: Int = s.pending as u64,
+            emitted: Int = s.emitted,
+            delivered: Int = s.delivered,
+            dropped: Int = s.dropped,
+            last_emit_ms: Int = s.last_emit_ms,
+            created_ms: Int = s.created_ms,
+        }
+    ),
+    // One row per recently finished root query, oldest first, straight
+    // from the cost ledger's entry ring.
+    virtual_table!(
+        "gridrm_query_costs",
+        |t, _| t.telemetry.costs().entries(),
+        |e| {
+            trace_id: Str = e.trace_id,
+            site: Str = e.site,
+            request: Str = e.request,
+            started_ms: Int = e.started_ms,
+            finished_ms: Int = e.finished_ms,
+            duration_ms: Int = e.finished_ms.saturating_sub(e.started_ms),
+            msgs_out: Int = e.cost.msgs_out,
+            msgs_in: Int = e.cost.msgs_in,
+            bytes_out: Int = e.cost.bytes_out,
+            bytes_in: Int = e.cost.bytes_in,
+            rows_scanned: Int = e.cost.rows_scanned,
+            rows_returned: Int = e.cost.rows_returned,
+            fetch_units: Int = e.cost.fetch_units,
+            over_budget: Bool = e.over_budget,
+        }
+    ),
+    // One row per (site, cause) intrusion bucket, ordered by site then
+    // cause, with rates over each bucket's virtual observation window.
+    virtual_table!(
+        "gridrm_intrusion",
+        |t, _| t.telemetry.costs().intrusion_snapshot(),
+        |r| {
+            site: Str = r.site,
+            cause: Str = r.cause,
+            msgs: Int = r.bucket.msgs,
+            bytes: Int = r.bucket.bytes,
+            window_ms: Int = r.bucket.window_ms(),
+            msgs_per_vsec: Float = r.bucket.msgs_per_vsec(),
+            bytes_per_vsec: Float = r.bucket.bytes_per_vsec(),
+        }
+    ),
+];
+
+/// The served table names as prose: `a, b, … and z`.
+fn served_tables() -> String {
+    let names: Vec<&str> = TABLES.iter().map(|t| t.name).collect();
+    match names.split_last() {
+        Some((last, rest)) if !rest.is_empty() => format!("{} and {last}", rest.join(", ")),
+        _ => names.concat(),
     }
 }
 
-/// One row per tracked data source, straight from the health monitor's
-/// state machine. Served empty when no monitor is attached.
-fn health_table(health: Option<&Arc<HealthMonitor>>) -> Table {
-    let rows = health
-        .map(|h| h.snapshot())
-        .unwrap_or_default()
-        .into_iter()
-        .map(|s| {
-            vec![
-                SqlValue::Str(s.source),
-                SqlValue::Str(s.state.name().to_owned()),
-                SqlValue::Int(s.consecutive_failures as i64),
-                SqlValue::Int(s.consecutive_successes as i64),
-                opt_ms(s.last_ok_ms),
-                opt_str(&s.last_error),
-                opt_ms(s.last_probe_ms),
-                opt_str(&s.last_failed_driver),
-                SqlValue::Int(s.transitions as i64),
-                opt_ms(s.last_transition_ms),
-            ]
-        })
-        .collect();
-    Table {
-        name: HEALTH_TABLE.to_owned(),
-        columns: columns(&[
-            ("source", SqlType::Str),
-            ("state", SqlType::Str),
-            ("consecutive_failures", SqlType::Int),
-            ("consecutive_successes", SqlType::Int),
-            ("last_ok_ms", SqlType::Int),
-            ("last_error", SqlType::Str),
-            ("last_probe_ms", SqlType::Int),
-            ("last_failed_driver", SqlType::Str),
-            ("transitions", SqlType::Int),
-            ("last_transition_ms", SqlType::Int),
-        ]),
-        rows,
+impl Source for Telemetry {
+    fn meta(&self) -> DriverMetaData {
+        DriverMetaData {
+            name: DRIVER_NAME.to_owned(),
+            subprotocol: "telemetry".to_owned(),
+            version: (1, 0),
+            description: format!(
+                "Virtual SQL tables over the gateway's own state: {}",
+                served_tables()
+            ),
+        }
     }
-}
 
-/// One row per structured journal entry, oldest first.
-fn journal_table(telemetry: &GatewayTelemetry) -> Table {
-    let rows = telemetry
-        .journal()
-        .recent()
-        .into_iter()
-        .map(|e| {
-            vec![
-                SqlValue::Int(e.seq as i64),
-                SqlValue::Int(e.at_ms as i64),
-                SqlValue::Str(e.severity.name().to_owned()),
-                SqlValue::Str(e.kind),
-                SqlValue::Str(e.source),
-                opt_str(&e.driver),
-                opt_str(&e.stage),
-                SqlValue::Str(e.message),
-                opt_str(&e.trace_id),
-            ]
-        })
-        .collect();
-    Table {
-        name: JOURNAL_TABLE.to_owned(),
-        columns: columns(&[
-            ("seq", SqlType::Int),
-            ("at_ms", SqlType::Int),
-            ("severity", SqlType::Str),
-            ("kind", SqlType::Str),
-            ("source", SqlType::Str),
-            ("driver", SqlType::Str),
-            ("stage", SqlType::Str),
-            ("message", SqlType::Str),
-            ("trace_id", SqlType::Str),
-        ]),
-        rows,
+    /// Nothing to reach: the tables live in this process. They are
+    /// addressed by their own URL only, never by a wildcard scan.
+    fn probe(&self, at: &Target<'_>) -> DbcResult<()> {
+        if at.url.is_wildcard() {
+            return Err(SqlError::Unsupported(
+                "the telemetry tables are not a wildcard target".into(),
+            ));
+        }
+        Ok(())
     }
-}
 
-/// One row per slow-query log entry, slowest first, with the per-stage
-/// breakdown rendered as `stage@offset_ms[=detail]` segments.
-fn slow_table(telemetry: &GatewayTelemetry) -> Table {
-    let rows = telemetry
-        .slow_queries()
-        .top()
-        .into_iter()
-        .map(|r| {
-            let stages = render_stages(&r);
-            vec![
-                SqlValue::Int(r.id as i64),
-                SqlValue::Str(r.trace_id.clone()),
-                SqlValue::Str(r.request.clone()),
-                opt_str(&r.source),
-                SqlValue::Int(r.started_ms as i64),
-                SqlValue::Int(r.finished_ms as i64),
-                SqlValue::Int(r.duration_ms() as i64),
-                SqlValue::Str(r.outcome.clone()),
-                SqlValue::Str(stages),
-            ]
-        })
-        .collect();
-    Table {
-        name: SLOW_TABLE.to_owned(),
-        columns: columns(&[
-            ("id", SqlType::Int),
-            ("trace_id", SqlType::Str),
-            ("request", SqlType::Str),
-            ("source", SqlType::Str),
-            ("started_ms", SqlType::Int),
-            ("finished_ms", SqlType::Int),
-            ("duration_ms", SqlType::Int),
-            ("outcome", SqlType::Str),
-            ("stages", SqlType::Str),
-        ]),
-        rows,
-    }
-}
-
-/// One row per span in the trace ring buffer, oldest first. Rows for one
-/// `trace_id` reconstruct the same tree `EXPLAIN ANALYZE` renders: every
-/// non-NULL `parent_span_id` names another `span_id` in the trace.
-fn spans_table(telemetry: &GatewayTelemetry) -> Table {
-    let rows = telemetry
-        .traces()
-        .recent()
-        .into_iter()
-        .map(|r| {
-            let stages = render_stages(&r);
-            vec![
-                SqlValue::Str(r.trace_id.clone()),
-                SqlValue::Str(r.span_id.clone()),
-                opt_str(&r.parent_span_id),
-                SqlValue::Str(r.site.clone()),
-                SqlValue::Int(r.id as i64),
-                SqlValue::Str(r.request.clone()),
-                opt_str(&r.source),
-                SqlValue::Int(r.started_ms as i64),
-                SqlValue::Int(r.finished_ms as i64),
-                SqlValue::Int(r.duration_ms() as i64),
-                SqlValue::Str(r.outcome.clone()),
-                SqlValue::Str(stages),
-            ]
-        })
-        .collect();
-    Table {
-        name: SPANS_TABLE.to_owned(),
-        columns: columns(&[
-            ("trace_id", SqlType::Str),
-            ("span_id", SqlType::Str),
-            ("parent_span_id", SqlType::Str),
-            ("site", SqlType::Str),
-            ("id", SqlType::Int),
-            ("request", SqlType::Str),
-            ("source", SqlType::Str),
-            ("started_ms", SqlType::Int),
-            ("finished_ms", SqlType::Int),
-            ("duration_ms", SqlType::Int),
-            ("outcome", SqlType::Str),
-            ("stages", SqlType::Str),
-        ]),
-        rows,
-    }
-}
-
-/// One row per recorded time-series sample, ordered by series then time.
-/// Equality filters on `name`/`labels` are pushed down to the recorder so
-/// querying one series does not materialise every ring.
-fn history_table(telemetry: &GatewayTelemetry, sel: &SelectStatement) -> Table {
-    let (name, labels) = match &sel.where_clause {
-        Some(w) => (equality_pushdown(w, "name"), equality_pushdown(w, "labels")),
-        None => (None, None),
-    };
-    let rows = telemetry
-        .timeseries()
-        .history_for(name.as_deref(), labels.as_deref())
-        .into_iter()
-        .map(|r| {
-            vec![
-                SqlValue::Timestamp(r.ts_ms as i64),
-                SqlValue::Str(r.name),
-                SqlValue::Str(r.labels),
-                SqlValue::Str(r.kind),
-                SqlValue::Float(r.value),
-                opt_f64(r.delta),
-                opt_f64(r.rate_per_s),
-            ]
-        })
-        .collect();
-    Table {
-        name: HISTORY_TABLE.to_owned(),
-        columns: columns(&[
-            ("ts_ms", SqlType::Timestamp),
-            ("name", SqlType::Str),
-            ("labels", SqlType::Str),
-            ("kind", SqlType::Str),
-            ("value", SqlType::Float),
-            ("delta", SqlType::Float),
-            ("rate_per_s", SqlType::Float),
-        ]),
-        rows,
-    }
-}
-
-/// One row per declared SLO, straight from the burn-rate engine.
-fn slo_table(telemetry: &GatewayTelemetry) -> Table {
-    let rows = telemetry
-        .slo()
-        .snapshot()
-        .into_iter()
-        .map(|s| {
-            vec![
-                SqlValue::Str(s.name),
-                SqlValue::Str(s.objective),
-                SqlValue::Float(s.target),
-                SqlValue::Float(s.good),
-                SqlValue::Float(s.total),
-                SqlValue::Float(s.burn_fast),
-                SqlValue::Float(s.burn_slow),
-                SqlValue::Float(s.error_budget_remaining),
-                SqlValue::Bool(s.firing),
-                SqlValue::Int(s.since_ms as i64),
-                SqlValue::Int(s.transitions as i64),
-            ]
-        })
-        .collect();
-    Table {
-        name: SLO_TABLE.to_owned(),
-        columns: columns(&[
-            ("name", SqlType::Str),
-            ("objective", SqlType::Str),
-            ("target", SqlType::Float),
-            ("good", SqlType::Float),
-            ("total", SqlType::Float),
-            ("burn_fast", SqlType::Float),
-            ("burn_slow", SqlType::Float),
-            ("error_budget", SqlType::Float),
-            ("firing", SqlType::Bool),
-            ("since_ms", SqlType::Int),
-            ("transitions", SqlType::Int),
-        ]),
-        rows,
-    }
-}
-
-/// One row per live continuous-query subscription, ordered by id.
-/// Served empty when no stream manager is attached.
-fn subscriptions_table(streams: Option<&Arc<StreamManager>>) -> Table {
-    let rows = streams
-        .map(|s| s.snapshot())
-        .unwrap_or_default()
-        .into_iter()
-        .map(|s| {
-            vec![
-                SqlValue::Int(s.id as i64),
-                SqlValue::Str(s.origin),
-                SqlValue::Str(s.sql),
-                SqlValue::Int(s.sources as i64),
-                SqlValue::Int(s.every_ms as i64),
-                SqlValue::Str(s.policy),
-                SqlValue::Int(s.buffer_capacity as i64),
-                SqlValue::Int(s.pending as i64),
-                SqlValue::Int(s.emitted as i64),
-                SqlValue::Int(s.delivered as i64),
-                SqlValue::Int(s.dropped as i64),
-                opt_ms(s.last_emit_ms),
-                SqlValue::Int(s.created_ms as i64),
-            ]
-        })
-        .collect();
-    Table {
-        name: SUBSCRIPTIONS_TABLE.to_owned(),
-        columns: columns(&[
-            ("id", SqlType::Int),
-            ("origin", SqlType::Str),
-            ("sql", SqlType::Str),
-            ("sources", SqlType::Int),
-            ("every_ms", SqlType::Int),
-            ("policy", SqlType::Str),
-            ("buffer_capacity", SqlType::Int),
-            ("pending", SqlType::Int),
-            ("emitted", SqlType::Int),
-            ("delivered", SqlType::Int),
-            ("dropped", SqlType::Int),
-            ("last_emit_ms", SqlType::Int),
-            ("created_ms", SqlType::Int),
-        ]),
-        rows,
-    }
-}
-
-/// One row per recently finished root query, oldest first, straight
-/// from the cost ledger's entry ring.
-fn costs_table(telemetry: &GatewayTelemetry) -> Table {
-    let rows = telemetry
-        .costs()
-        .entries()
-        .into_iter()
-        .map(|e| {
-            vec![
-                SqlValue::Str(e.trace_id),
-                SqlValue::Str(e.site),
-                SqlValue::Str(e.request),
-                SqlValue::Int(e.started_ms as i64),
-                SqlValue::Int(e.finished_ms as i64),
-                SqlValue::Int(e.finished_ms.saturating_sub(e.started_ms) as i64),
-                SqlValue::Int(e.cost.msgs_out as i64),
-                SqlValue::Int(e.cost.msgs_in as i64),
-                SqlValue::Int(e.cost.bytes_out as i64),
-                SqlValue::Int(e.cost.bytes_in as i64),
-                SqlValue::Int(e.cost.rows_scanned as i64),
-                SqlValue::Int(e.cost.rows_returned as i64),
-                SqlValue::Int(e.cost.fetch_units as i64),
-                SqlValue::Bool(e.over_budget),
-            ]
-        })
-        .collect();
-    Table {
-        name: COSTS_TABLE.to_owned(),
-        columns: columns(&[
-            ("trace_id", SqlType::Str),
-            ("site", SqlType::Str),
-            ("request", SqlType::Str),
-            ("started_ms", SqlType::Int),
-            ("finished_ms", SqlType::Int),
-            ("duration_ms", SqlType::Int),
-            ("msgs_out", SqlType::Int),
-            ("msgs_in", SqlType::Int),
-            ("bytes_out", SqlType::Int),
-            ("bytes_in", SqlType::Int),
-            ("rows_scanned", SqlType::Int),
-            ("rows_returned", SqlType::Int),
-            ("fetch_units", SqlType::Int),
-            ("over_budget", SqlType::Bool),
-        ]),
-        rows,
-    }
-}
-
-/// One row per (site, cause) intrusion bucket, ordered by site then
-/// cause, with rates over each bucket's virtual observation window.
-fn intrusion_table(telemetry: &GatewayTelemetry) -> Table {
-    let rows = telemetry
-        .costs()
-        .intrusion_snapshot()
-        .into_iter()
-        .map(|r| {
-            vec![
-                SqlValue::Str(r.site),
-                SqlValue::Str(r.cause),
-                SqlValue::Int(r.bucket.msgs as i64),
-                SqlValue::Int(r.bucket.bytes as i64),
-                SqlValue::Int(r.bucket.window_ms() as i64),
-                SqlValue::Float(r.bucket.msgs_per_vsec()),
-                SqlValue::Float(r.bucket.bytes_per_vsec()),
-            ]
-        })
-        .collect();
-    Table {
-        name: INTRUSION_TABLE.to_owned(),
-        columns: columns(&[
-            ("site", SqlType::Str),
-            ("cause", SqlType::Str),
-            ("msgs", SqlType::Int),
-            ("bytes", SqlType::Int),
-            ("window_ms", SqlType::Int),
-            ("msgs_per_vsec", SqlType::Float),
-            ("bytes_per_vsec", SqlType::Float),
-        ]),
-        rows,
-    }
-}
-
-impl Statement for TelemetryStatement {
-    fn execute_query(&mut self, sql: &str) -> DbcResult<Box<dyn ResultSet>> {
-        self.stats.query();
-        let sel = parse_select(sql)?;
-        let table = if sel.table.eq_ignore_ascii_case(TABLE_NAME) {
-            metrics_table(&self.telemetry)
-        } else if sel.table.eq_ignore_ascii_case(HEALTH_TABLE) {
-            health_table(self.health.as_ref())
-        } else if sel.table.eq_ignore_ascii_case(JOURNAL_TABLE) {
-            journal_table(&self.telemetry)
-        } else if sel.table.eq_ignore_ascii_case(SLOW_TABLE) {
-            slow_table(&self.telemetry)
-        } else if sel.table.eq_ignore_ascii_case(SPANS_TABLE) {
-            spans_table(&self.telemetry)
-        } else if sel.table.eq_ignore_ascii_case(HISTORY_TABLE) {
-            history_table(&self.telemetry, &sel)
-        } else if sel.table.eq_ignore_ascii_case(SLO_TABLE) {
-            slo_table(&self.telemetry)
-        } else if sel.table.eq_ignore_ascii_case(SUBSCRIPTIONS_TABLE) {
-            subscriptions_table(self.streams.as_ref())
-        } else if sel.table.eq_ignore_ascii_case(COSTS_TABLE) {
-            costs_table(&self.telemetry)
-        } else if sel.table.eq_ignore_ascii_case(INTRUSION_TABLE) {
-            intrusion_table(&self.telemetry)
-        } else {
-            return Err(SqlError::Unsupported(format!(
-                "the telemetry driver serves {TABLE_NAME}, {HEALTH_TABLE}, \
-                 {JOURNAL_TABLE}, {SLOW_TABLE}, {SPANS_TABLE}, \
-                 {HISTORY_TABLE}, {SLO_TABLE}, {SUBSCRIPTIONS_TABLE}, \
-                 {COSTS_TABLE} and {INTRUSION_TABLE}, got '{}'",
-                sel.table
-            )));
+    fn query(
+        &self,
+        _at: &Target<'_>,
+        _schema: &mut SchemaHandle,
+        sel: &SelectStatement,
+    ) -> DbcResult<RowSet> {
+        let decl = TABLES
+            .iter()
+            .find(|t| sel.table.eq_ignore_ascii_case(t.name))
+            .ok_or_else(|| {
+                SqlError::Unsupported(format!(
+                    "the telemetry driver serves {}, got '{}'",
+                    served_tables(),
+                    sel.table
+                ))
+            })?;
+        let table = Table {
+            name: decl.name.to_owned(),
+            columns: decl
+                .columns
+                .iter()
+                .map(|(name, ty)| ColumnDef {
+                    name: (*name).to_owned(),
+                    ty: *ty,
+                    primary_key: false,
+                })
+                .collect(),
+            rows: (decl.rows)(self, sel),
         };
         let now = self.telemetry.clock().now_ts();
-        let rs = gridrm_store::select_in_memory(&table, &sel, now)
-            .map_err(|e| SqlError::Driver(e.to_string()))?;
-        Ok(Box::new(rs))
+        gridrm_store::select_in_memory(&table, sel, now)
+            .map_err(|e| SqlError::Driver(e.to_string()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::DriverEnv;
     use gridrm_dbc::RowSet;
+    use gridrm_dbc::{Driver, JdbcUrl, Properties};
     use gridrm_simnet::SimClock;
     use gridrm_telemetry::Labels;
+    use std::sync::Arc;
+
+    fn driver_over(
+        telemetry: GatewayTelemetry,
+        health: Option<Arc<HealthMonitor>>,
+        streams: Option<Arc<StreamManager>>,
+    ) -> Arc<TelemetryDriver> {
+        let net = gridrm_simnet::Network::new(telemetry.clock().clone(), 1);
+        let schema = Arc::new(gridrm_glue::SchemaManager::new());
+        let env = DriverEnv::new(net, schema, "gw");
+        TelemetryDriver::new(env, telemetry, health, streams)
+    }
 
     fn driver() -> (GatewayTelemetry, Arc<TelemetryDriver>) {
         let telemetry = GatewayTelemetry::new(SimClock::new());
-        let d = TelemetryDriver::new(telemetry.clone());
+        let d = driver_over(telemetry.clone(), None, None);
         (telemetry, d)
     }
 
@@ -839,24 +463,15 @@ mod tests {
     }
 
     #[test]
-    fn other_tables_rejected() {
-        let (_t, d) = driver();
-        assert!(matches!(
-            query(&d, "SELECT * FROM Processor"),
-            Err(SqlError::Unsupported(_))
-        ));
-    }
-
-    #[test]
     fn health_table_reflects_monitor_state() {
-        use gridrm_core::health::{HealthConfig, HealthMonitor};
+        use gridrm_core::health::HealthConfig;
         let telemetry = GatewayTelemetry::new(SimClock::new());
         let monitor = Arc::new(HealthMonitor::new(
             HealthConfig::default(),
             telemetry.journal().clone(),
         ));
         monitor.record_failure("jdbc:snmp://n/p", Some("jdbc-snmp"), "timed out", 5);
-        let d = TelemetryDriver::with_health(telemetry, Some(monitor));
+        let d = driver_over(telemetry, Some(monitor), None);
         let rs = query(
             &d,
             "SELECT source, state, consecutive_failures, last_failed_driver \
@@ -915,7 +530,7 @@ mod tests {
         clock.advance(40);
         span.stage_with("driver_execute", "jdbc-snmp");
         span.finish("ok");
-        let d = TelemetryDriver::new(telemetry);
+        let d = driver_over(telemetry, None, None);
         let rs = query(
             &d,
             "SELECT duration_ms, outcome, stages FROM gridrm_slow_queries",
@@ -1095,7 +710,7 @@ mod tests {
                 vec![vec![SqlValue::Float(0.5)]],
             )
         });
-        let d = TelemetryDriver::with_streams(telemetry, None, Some(streams));
+        let d = driver_over(telemetry, None, Some(streams));
         let rs = query(
             &d,
             "SELECT id, sql, every_ms, policy, pending, emitted FROM gridrm_subscriptions",

@@ -275,7 +275,7 @@ pub enum GlobalResponse {
 /// counts the cost ledger attributes to queries, subscriptions, probes
 /// and gossip. Both directions agree by construction: the sender
 /// charges `frame.len()`, the receiver charges the slice length that
-/// [`decode_framed`] reports, and they are the same bytes.
+/// [`WireFrame::decode`] reports, and they are the same bytes.
 #[derive(Debug, Clone)]
 pub struct WireFrame {
     bytes: Vec<u8>,
@@ -287,14 +287,18 @@ impl WireFrame {
     /// transport carries passes through here, so the cost ledger sees
     /// every byte.
     pub fn encode<T: Serialize>(msg: &T) -> WireFrame {
-        encode_framed(msg)
+        WireFrame {
+            bytes: serde_json::to_vec(msg).expect("wire messages are serialisable"),
+        }
     }
 
     /// Decode a message from the wire, reporting the frame size the
     /// ledger should charge inbound. The supported counterpart of
     /// [`WireFrame::encode`].
     pub fn decode<T: for<'de> Deserialize<'de>>(bytes: &[u8]) -> DbcResult<(T, u64)> {
-        decode_framed(bytes)
+        let msg = serde_json::from_slice(bytes)
+            .map_err(|e| SqlError::Driver(format!("bad global-layer message: {e}")))?;
+        Ok((msg, bytes.len() as u64))
     }
 
     /// Wrap already-encoded payload bytes (a frame received from a
@@ -309,7 +313,7 @@ impl WireFrame {
         self.bytes.len() as u64
     }
 
-    /// True for a zero-length frame (never produced by [`encode_framed`]).
+    /// True for a zero-length frame (never produced by [`WireFrame::encode`]).
     pub fn is_empty(&self) -> bool {
         self.bytes.is_empty()
     }
@@ -323,40 +327,6 @@ impl WireFrame {
     pub fn into_bytes(self) -> Vec<u8> {
         self.bytes
     }
-}
-
-/// Encode a message for the wire, measuring its size.
-pub fn encode_framed<T: Serialize>(msg: &T) -> WireFrame {
-    WireFrame {
-        bytes: serde_json::to_vec(msg).expect("wire messages are serialisable"),
-    }
-}
-
-/// Decode a message from the wire, reporting the frame size the ledger
-/// should charge for the inbound direction.
-pub fn decode_framed<T: for<'de> Deserialize<'de>>(bytes: &[u8]) -> DbcResult<(T, u64)> {
-    let msg = serde_json::from_slice(bytes)
-        .map_err(|e| SqlError::Driver(format!("bad global-layer message: {e}")))?;
-    Ok((msg, bytes.len() as u64))
-}
-
-/// Encode a message for the wire, discarding the size.
-///
-/// Deprecated for external use: the size-less helpers made it easy to
-/// put bytes on the wire that the cost ledger never saw. Use
-/// [`WireFrame::encode`] and charge `frame.len()`.
-#[deprecated(note = "use WireFrame::encode so wire bytes stay priced")]
-pub fn encode<T: Serialize>(msg: &T) -> Vec<u8> {
-    encode_framed(msg).into_bytes()
-}
-
-/// Decode a message from the wire, discarding the size.
-///
-/// Deprecated for external use for the same reason as [`encode`]: use
-/// [`WireFrame::decode`] and charge the reported inbound size.
-#[deprecated(note = "use WireFrame::decode so wire bytes stay priced")]
-pub fn decode<T: for<'de> Deserialize<'de>>(bytes: &[u8]) -> DbcResult<T> {
-    decode_framed(bytes).map(|(msg, _)| msg)
 }
 
 #[cfg(test)]
@@ -539,15 +509,11 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the deprecated helpers must keep working
     fn decode_garbage_errors() {
-        assert!(decode::<GlobalRequest>(b"not json").is_err());
-        assert!(decode_framed::<GlobalRequest>(b"not json").is_err());
         assert!(WireFrame::decode::<GlobalRequest>(b"not json").is_err());
     }
 
     #[test]
-    #[allow(deprecated)] // pins the deprecated helpers to WireFrame's bytes
     fn framed_sizes_agree_in_both_directions() {
         let frame = WireFrame::encode(&GlobalRequest::Ping);
         assert!(!frame.is_empty());
@@ -559,10 +525,6 @@ mod tests {
         // Re-wrapping received bytes is lossless.
         let rewrapped = WireFrame::from_bytes(frame.bytes().to_vec());
         assert_eq!(rewrapped.len(), frame.len());
-        // And the free helpers — framed and deprecated size-less alike —
-        // produce identical payloads.
-        assert_eq!(encode_framed(&GlobalRequest::Ping).bytes(), frame.bytes());
-        assert_eq!(encode(&GlobalRequest::Ping), frame.into_bytes());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! `gridrm-lint` — AST-level house-rule analyzer for the GridRM
 //! workspace.
 //!
-//! Replaces the old grep-based `tools/lint_metrics.sh` with real parsing
-//! (via the vendored `proc-macro2`/`syn` stand-ins): rules resolve call
+//! Real parsing (via the vendored `proc-macro2`/`syn` stand-ins)
+//! instead of grep: rules resolve call
 //! expressions, span literals, impl blocks and function bodies instead
 //! of relying on rustfmt line-wrapping luck. See
 //! `docs/static-analysis.md` for the rule catalog, the waiver syntax and
@@ -68,8 +68,9 @@ pub struct Waiver {
 pub struct Config {
     /// Files audited for panic-freedom in full (repo-relative suffixes).
     pub hot_path_files: Vec<String>,
-    /// (path prefix, fn names) pairs audited per-function — the drivers'
-    /// `execute_query`/`execute_update` entry points.
+    /// (path prefix, fn names) pairs audited per-function — the driver
+    /// kit's `execute_query`/`execute_update` and the `Source` hooks
+    /// every driver's native-protocol code lives in.
     pub hot_path_fns: Vec<(String, Vec<String>)>,
     /// Label keys that are client-controlled open sets.
     pub forbidden_label_keys: Vec<String>,
@@ -88,10 +89,6 @@ pub struct Config {
     /// the `determinism` rule. Wall-clock crates (serve, bench,
     /// resmodel) are simply not listed.
     pub deterministic_dirs: Vec<String>,
-    /// The one file allowed to touch the raw codec helpers
-    /// (`protocol.rs` itself) — everything else goes through
-    /// `WireFrame::encode`/`decode` (`deprecated-codec`).
-    pub codec_home: String,
     /// Scheduling-boundary method names for the `lock-order` pass
     /// (holding a guard across these is flagged even without a cycle).
     pub boundary_methods: BTreeSet<String>,
@@ -139,7 +136,19 @@ impl Config {
             .collect(),
             hot_path_fns: vec![(
                 "crates/drivers/src/".to_owned(),
-                vec!["execute_query".to_owned(), "execute_update".to_owned()],
+                [
+                    "execute_query",
+                    "execute_update",
+                    "probe",
+                    "open",
+                    "ping",
+                    "fetch",
+                    "query",
+                    "update",
+                ]
+                .into_iter()
+                .map(str::to_owned)
+                .collect(),
             )],
             forbidden_label_keys: [
                 "source", "url", "hostname", "host", "sql", "query", "address",
@@ -184,7 +193,6 @@ impl Config {
             .into_iter()
             .map(str::to_owned)
             .collect(),
-            codec_home: "crates/global/src/protocol.rs".to_owned(),
             boundary_methods: ["pump"].into_iter().map(str::to_owned).collect(),
             wire_roots: vec!["GlobalRequest".to_owned(), "GlobalResponse".to_owned()],
         })
@@ -548,7 +556,6 @@ pub fn check_file(sf: &SourceFile, config: &Config) -> Vec<Finding> {
     raw.extend(rules::locks::check(sf, config));
     raw.extend(rules::drivers::check(sf, config));
     raw.extend(rules::determinism::check(sf, config));
-    raw.extend(rules::codec::check(sf, config));
     let mut out: Vec<Finding> = raw.into_iter().filter(|f| !sf.waived(f)).collect();
     out.sort();
     out

@@ -1,11 +1,10 @@
 //! `driver-conformance` — every driver in `crates/drivers` keeps the
-//! homogeneous surface the paper's gateway promises:
-//!
-//! * every `impl Driver for ...` block defines `accepts_url` (dynamic
-//!   driver-to-resource allocation depends on it, §3.1.3);
-//! * GLUE translation is routed through `base::glue_translate` — never
-//!   a direct `Translator::translate_all` call — so drop/NULL
-//!   accounting and the `glue_translate` trace stage stay uniform.
+//! homogeneous surface the paper's gateway promises: GLUE translation
+//! is routed through `base::glue_translate` — never a direct
+//! `Translator::translate_all` call — so drop/NULL accounting and the
+//! `glue_translate` trace stage stay uniform. (That every driver
+//! decides URL compatibility needs no lint: `accepts_url` is a
+//! required `Driver` method, and the kit implements it once.)
 
 use crate::tokens::{contains_call, contains_path};
 use crate::{Config, Finding, SourceFile};
@@ -15,35 +14,10 @@ pub fn check(sf: &SourceFile, config: &Config) -> Vec<Finding> {
     if !sf.rel_path.starts_with(&config.driver_dir) {
         return Vec::new();
     }
-    let exempt = config.driver_exempt.contains(&sf.rel_path);
+    if config.driver_exempt.contains(&sf.rel_path) {
+        return Vec::new();
+    }
     let mut out = Vec::new();
-
-    // accepts_url present on every Driver impl (exempt files too: the
-    // DDK does not implement Driver, so this is a no-op there).
-    for item in &sf.ast.items {
-        let syn::Item::Impl(im) = item else { continue };
-        if im.trait_name() != Some("Driver") {
-            continue;
-        }
-        if !im.fns.iter().any(|f| f.sig.ident == "accepts_url") {
-            let at = im.span.start();
-            out.push(Finding {
-                rule: "driver-conformance".to_owned(),
-                file: sf.rel_path.clone(),
-                line: at.line,
-                column: at.column + 1,
-                message: format!(
-                    "`impl Driver for {}` does not define `accepts_url` — dynamic \
-                     driver-to-resource allocation needs it",
-                    im.self_ty
-                ),
-            });
-        }
-    }
-
-    if exempt {
-        return out;
-    }
 
     // A driver that builds a GLUE Translator must route rows through
     // base::glue_translate.

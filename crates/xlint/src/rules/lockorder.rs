@@ -26,7 +26,7 @@
 //!
 //! Name-based call resolution is deliberately coarse; ubiquitous method
 //! names that collide with `std` collections (`get`, `insert`, `len`,
-//! ...) are excluded from propagation via [`NO_PROPAGATE`], and dispatch
+//! ...) are excluded from propagation via `NO_PROPAGATE`, and dispatch
 //! methods are excluded because holding a lock across them is already
 //! its own rule.
 

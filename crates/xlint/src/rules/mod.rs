@@ -2,7 +2,6 @@
 //! `check(&SourceFile, &Config) -> Vec<Finding>`; waiver filtering
 //! happens in [`crate::check_file`].
 
-pub mod codec;
 pub mod determinism;
 pub mod drivers;
 pub mod lockorder;
@@ -21,7 +20,6 @@ pub const RULES: &[&str] = &[
     "lock-across-dispatch",
     "lock-order",
     "determinism",
-    "deprecated-codec",
     "wire-schema",
     "driver-conformance",
     "waiver-syntax",

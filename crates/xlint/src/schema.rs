@@ -5,7 +5,7 @@
 //! stand-in drops attributes on non-fn items, so the raw tokens are the
 //! source of truth), restricts to the closure reachable from the wire
 //! roots (`GlobalRequest` / `GlobalResponse` — everything a
-//! [`WireFrame`] can carry), and renders a canonical fingerprint that is
+//! `WireFrame` can carry), and renders a canonical fingerprint that is
 //! committed as `xlint-wire-schema.json`.
 //!
 //! [`diff_schema`] compares the committed fingerprint against a fresh

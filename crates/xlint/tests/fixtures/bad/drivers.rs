@@ -1,10 +1,10 @@
-//! Fixture: a driver that breaks every conformance promise — no
-//! `accepts_url`, GLUE translation bypassing the DDK.
+//! Fixture: a driver source that bypasses the DDK — it translates its
+//! own native rows instead of returning them to the kit.
 
-impl Driver for BadDriver {
-    fn execute_query(&self, sql: &str) -> DbcResult<RowSet> {
-        let translator = Translator::new(self.schema());
-        let rows = translator.translate_all(self.native_rows(sql));
-        Ok(rows)
+impl Source for BadSource {
+    fn query(&self, at: &Target<'_>, schema: &mut SchemaHandle, sel: &SelectStatement) -> DbcResult<RowSet> {
+        let translator = Translator::new(schema);
+        let rows = translator.translate_all(&sel.table, &self.native_rows(at));
+        finish(rows)
     }
 }

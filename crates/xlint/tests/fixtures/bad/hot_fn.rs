@@ -1,17 +1,25 @@
 //! Fixture: panic-audit scope for drivers is per-function — only the
-//! `execute_query`/`execute_update` entry points are audited.
+//! kit's `execute_query`/`execute_update` and the `Source` hooks are
+//! audited, not the helpers beside them.
 
 pub fn helper() {
     helper_value().unwrap();
 }
 
-impl Driver for HotDriver {
-    fn accepts_url(&self, url: &str) -> bool {
-        url.starts_with("gridrm:hot:")
+impl Source for HotSource {
+    fn probe(&self, at: &Target<'_>) -> DbcResult<()> {
+        at.request("hot", b"PING").map(|_| ())
     }
 
-    fn execute_query(&self, sql: &str) -> DbcResult<RowSet> {
-        let rows = fetch(sql).unwrap();
+    fn fetch(&self, at: &Target<'_>) -> DbcResult<Vec<NativeRow>> {
+        let rows = parse(at.request("hot", b"ROWS")?).unwrap();
         Ok(rows)
+    }
+}
+
+impl Statement for HotStatement {
+    fn execute_query(&mut self, sql: &str) -> DbcResult<Box<dyn ResultSet>> {
+        let sel = parse_select(sql).unwrap();
+        self.run(sel)
     }
 }

@@ -1,13 +1,10 @@
-//! Fixture: a conforming driver — `accepts_url` present, GLUE rows
-//! routed through the DDK.
+//! Fixture: a conforming driver source — GLUE rows routed through the
+//! DDK.
 
-impl Driver for GoodDriver {
-    fn accepts_url(&self, url: &str) -> bool {
-        url.starts_with("gridrm:good:")
-    }
-
-    fn execute_query(&self, sql: &str) -> DbcResult<RowSet> {
-        let translator = Translator::new(self.schema());
-        base::glue_translate(&translator, self.native_rows(sql))
+impl Source for GoodSource {
+    fn query(&self, at: &Target<'_>, schema: &mut SchemaHandle, sel: &SelectStatement) -> DbcResult<RowSet> {
+        let translator = Translator::new(schema);
+        let rows = base::glue_translate(&translator, &sel.table, &self.native_rows(at))?;
+        finish(rows)
     }
 }

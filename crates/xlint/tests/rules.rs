@@ -17,7 +17,11 @@ fn test_config() -> Config {
         hot_path_files: vec!["hot/panics.rs".to_owned(), "hot/waivers.rs".to_owned()],
         hot_path_fns: vec![(
             "crates/drivers/src/".to_owned(),
-            vec!["execute_query".to_owned(), "execute_update".to_owned()],
+            vec![
+                "execute_query".to_owned(),
+                "execute_update".to_owned(),
+                "fetch".to_owned(),
+            ],
         )],
         forbidden_label_keys: [
             "source", "url", "hostname", "host", "sql", "query", "address",
@@ -52,7 +56,6 @@ fn test_config() -> Config {
             "crates/telemetry/src/".to_owned(),
             "crates/drivers/src/".to_owned(),
         ],
-        codec_home: "crates/global/src/protocol.rs".to_owned(),
         boundary_methods: ["pump"].into_iter().map(str::to_owned).collect(),
         wire_roots: vec!["GlobalRequest".to_owned(), "GlobalResponse".to_owned()],
     }
@@ -117,9 +120,11 @@ fn panic_audit_skips_files_outside_the_hot_path() {
 #[test]
 fn panic_audit_in_drivers_covers_only_entry_points() {
     let f = scan("bad/hot_fn.rs", "crates/drivers/src/hot_fixture.rs");
-    // helper()'s unwrap is out of scope; execute_query's is in scope.
-    assert_eq!(count(&f, "hot-path-panic"), 1, "{f:#?}");
-    assert!(f[0].message.contains("execute_query"), "{f:#?}");
+    // helper()'s unwrap is out of scope; the kit's execute_query and
+    // the source's fetch hook are in scope.
+    assert_eq!(count(&f, "hot-path-panic"), 2, "{f:#?}");
+    assert!(f[0].message.contains("fetch"), "{f:#?}");
+    assert!(f[1].message.contains("execute_query"), "{f:#?}");
 }
 
 #[test]
@@ -137,9 +142,8 @@ fn lock_rule_passes_drop_before_dispatch_and_temporaries() {
 #[test]
 fn driver_conformance_fires_on_bad_driver() {
     let f = scan("bad/drivers.rs", "crates/drivers/src/bad_fixture.rs");
-    // missing accepts_url + Translator without glue_translate +
-    // direct translate_all.
-    assert_eq!(count(&f, "driver-conformance"), 3, "{f:#?}");
+    // Translator without glue_translate + direct translate_all.
+    assert_eq!(count(&f, "driver-conformance"), 2, "{f:#?}");
 }
 
 #[test]
@@ -205,26 +209,6 @@ fn determinism_ignores_wall_clock_crates() {
         "crates/serve/src/determinism_fixture.rs",
     );
     assert_eq!(count(&f, "determinism"), 0, "{f:#?}");
-}
-
-#[test]
-fn deprecated_codec_fires_on_raw_codec_calls() {
-    let f = scan("bad/codec.rs", "crates/core/src/codec_fixture.rs");
-    // protocol::encode + encode_framed + decode_framed::<..> +
-    // protocol::decode::<..>.
-    assert_eq!(count(&f, "deprecated-codec"), 4, "{f:#?}");
-}
-
-#[test]
-fn deprecated_codec_passes_wireframe_imports_and_definitions() {
-    let f = scan("ok/codec.rs", "crates/core/src/codec_fixture.rs");
-    assert!(f.is_empty(), "{f:#?}");
-}
-
-#[test]
-fn deprecated_codec_exempts_the_codec_home() {
-    let f = scan("bad/codec.rs", "crates/global/src/protocol.rs");
-    assert_eq!(count(&f, "deprecated-codec"), 0, "{f:#?}");
 }
 
 #[test]

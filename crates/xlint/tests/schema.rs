@@ -25,7 +25,6 @@ fn fixture_config() -> Config {
         driver_dir: "crates/drivers/src/".to_owned(),
         driver_exempt: Vec::new(),
         deterministic_dirs: Vec::new(),
-        codec_home: "crates/global/src/protocol.rs".to_owned(),
         boundary_methods: BTreeSet::new(),
         wire_roots: vec!["Req".to_owned()],
     }

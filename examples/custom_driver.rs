@@ -7,14 +7,12 @@
 //! Run with: `cargo run --example custom_driver`
 
 use gridrm::core::events::ListenerFilter;
-use gridrm::dbc::{
-    Connection, DbcResult, Driver, DriverMetaData, JdbcUrl, Properties, ResultSet, SqlError,
-    Statement,
-};
-use gridrm::drivers::base::{finish_select, parse_select};
-use gridrm::glue::{AttributeDef, DriverMapping, FieldMapping, GroupDef, NativeRow, Translator};
+use gridrm::dbc::{DbcResult, DriverMetaData, SqlError};
+use gridrm::drivers::base::{KitDriver, Source, Target};
+use gridrm::glue::{AttributeDef, DriverMapping, FieldMapping, GroupDef, NativeRow};
 use gridrm::prelude::*;
 use gridrm::simnet::Service;
+use gridrm::sqlparse::ast::SelectStatement;
 use gridrm::sqlparse::SqlType;
 use std::sync::Arc;
 
@@ -42,18 +40,26 @@ impl Service for SensorHub {
 }
 
 // ---------------------------------------------------------------------
-// 2. The minimal driver (§3.2.1): Driver + Connection + Statement, with
-//    ResultSet/metadata provided by finish_select. The SQL parsing helper
-//    and schema interaction come from the driver development kit.
+// 2. The minimal driver (§3.2.1): metadata, a one-request probe and a
+//    fetch that returns native rows. The JDBC Driver/Connection/
+//    Statement triple, SQL parsing, schema caching, GLUE translation
+//    and the ResultSet all come from the driver development kit.
 // ---------------------------------------------------------------------
 
 const DRIVER_NAME: &str = "jdbc-enviro";
 
-struct EnviroDriver {
-    gateway: Arc<Gateway>,
+struct Enviro;
+
+fn readings(at: &Target<'_>) -> DbcResult<String> {
+    let bytes = at.request("enviro", b"READINGS")?;
+    let text = String::from_utf8_lossy(&bytes).into_owned();
+    if text.starts_with("ERROR") {
+        return Err(SqlError::Driver(format!("sensor hub: {}", text.trim())));
+    }
+    Ok(text)
 }
 
-impl Driver for EnviroDriver {
+impl Source for Enviro {
     fn meta(&self) -> DriverMetaData {
         DriverMetaData {
             name: DRIVER_NAME.to_owned(),
@@ -63,82 +69,18 @@ impl Driver for EnviroDriver {
         }
     }
 
-    fn accepts_url(&self, url: &JdbcUrl) -> bool {
-        url.subprotocol == "enviro"
+    fn probe(&self, at: &Target<'_>) -> DbcResult<()> {
+        readings(at).map(|_| ())
     }
 
-    fn connect(&self, url: &JdbcUrl, _props: &Properties) -> DbcResult<Box<dyn Connection>> {
-        // Verify connectivity, then cache the schema (Fig 5).
-        self.gateway
-            .network()
-            .request(
-                &self.gateway.config().address,
-                &format!("{}:enviro", url.host),
-                b"READINGS",
-            )
-            .map_err(|e| SqlError::Connection(e.to_string()))?;
-        Ok(Box::new(EnviroConnection {
-            gateway: self.gateway.clone(),
-            url: url.clone(),
-            closed: false,
-        }))
-    }
-}
-
-struct EnviroConnection {
-    gateway: Arc<Gateway>,
-    url: JdbcUrl,
-    closed: bool,
-}
-
-impl Connection for EnviroConnection {
-    fn create_statement(&mut self) -> DbcResult<Box<dyn Statement>> {
-        if self.closed {
-            return Err(SqlError::Closed);
-        }
-        Ok(Box::new(EnviroStatement {
-            gateway: self.gateway.clone(),
-            url: self.url.clone(),
-        }))
-    }
-    fn url(&self) -> &JdbcUrl {
-        &self.url
-    }
-    fn is_closed(&self) -> bool {
-        self.closed
-    }
-    fn close(&mut self) -> DbcResult<()> {
-        self.closed = true;
-        Ok(())
-    }
-}
-
-struct EnviroStatement {
-    gateway: Arc<Gateway>,
-    url: JdbcUrl,
-}
-
-impl Statement for EnviroStatement {
-    fn execute_query(&mut self, sql: &str) -> DbcResult<Box<dyn ResultSet>> {
-        let sel = parse_select(sql)?;
-        let handle = self.gateway.schema().handle_for(DRIVER_NAME);
-        let group = handle
-            .group(&sel.table)
-            .ok_or_else(|| SqlError::Unsupported(format!("unknown group '{}'", sel.table)))?
-            .clone();
-
-        // Native fetch + parse.
-        let bytes = self
-            .gateway
-            .network()
-            .request(
-                &self.gateway.config().address,
-                &format!("{}:enviro", self.url.host),
-                b"READINGS",
-            )
-            .map_err(|e| SqlError::Connection(e.to_string()))?;
-        let text = String::from_utf8_lossy(&bytes);
-        let native_rows: Vec<NativeRow> = text
+    fn fetch(
+        &self,
+        at: &Target<'_>,
+        _group: &GroupDef,
+        _mapping: &DriverMapping,
+        _sel: &SelectStatement,
+    ) -> DbcResult<Vec<NativeRow>> {
+        Ok(readings(at)?
             .lines()
             .filter_map(|line| {
                 let mut parts = line.split_whitespace();
@@ -151,15 +93,7 @@ impl Statement for EnviroStatement {
                 row.insert("sensor.humidity".into(), SqlValue::Float(hum));
                 Some(row)
             })
-            .collect();
-
-        // Normalise through the SchemaManager's mapping, like any driver.
-        let translator = Translator::new(&handle);
-        let (rows, _) = translator
-            .translate_all(&group.name, &native_rows)
-            .ok_or_else(|| SqlError::Driver("group missing".into()))?;
-        let rs = finish_select(&group, rows, &sel, self.gateway.clock().now_ts())?;
-        Ok(Box::new(rs))
+            .collect())
     }
 }
 
@@ -173,7 +107,7 @@ fn main() {
     site.advance_to(60_000);
     deploy_site(&net, site);
     let gateway = Gateway::new(GatewayConfig::new("gw-lab", "lab"), net.clone());
-    install_into_gateway(&gateway);
+    let env = install_into_gateway(&gateway);
 
     // A sensor hub appears on the network, speaking a protocol GridRM has
     // never seen.
@@ -216,9 +150,9 @@ fn main() {
                 ("HumidityPct", FieldMapping::direct("sensor.humidity")),
             ],
         ));
-    gateway.driver_manager().register(Arc::new(EnviroDriver {
-        gateway: gateway.clone(),
-    }));
+    gateway
+        .driver_manager()
+        .register(KitDriver::with_source(env, Enviro));
 
     // Alerting works immediately — the Event Manager has no idea a new
     // kind of source exists, and doesn't need to.
