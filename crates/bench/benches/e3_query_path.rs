@@ -59,7 +59,8 @@ fn bench(c: &mut Criterion) {
                 Ok(r) => black_box(r),
                 Err(e) => panic!(
                     "case failed: sql={:?} src={:?} err={e}",
-                    req.sql, req.sources
+                    req.sql(),
+                    req.sources
                 ),
             });
         });

@@ -8,9 +8,10 @@
 use crate::security::Identity;
 use crate::session::SessionToken;
 use gridrm_dbc::{DbcResult, RowSet};
-use gridrm_sqlparse::SqlValue;
-use gridrm_telemetry::TraceContext;
+use gridrm_sqlparse::{SqlValue, Statement};
+use gridrm_telemetry::{GatewayTelemetry, SpanBuilder, TraceContext};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// How a query should be satisfied (§3.1.1, §4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,7 +149,55 @@ impl SourceOutcome {
     }
 }
 
+/// SQL text and what it parses to, as one immutable value: whoever
+/// holds the text holds the statement, so the two cannot disagree.
+#[derive(Debug)]
+struct Query {
+    text: String,
+    statement: DbcResult<Statement>,
+}
+
+/// What a request asks for, read off its parsed statement. Every entry
+/// point (`Gateway::query`, `GlobalLayer::query`, the wire service)
+/// dispatches on this one classification.
+#[derive(Debug)]
+pub enum RequestKind<'a> {
+    /// Answer once. Also the lane for text that does not parse and for
+    /// non-`SELECT` statements: the Request Manager rejects those from
+    /// its usual place in the path (after span open, request count and
+    /// identity resolution).
+    OneShot,
+    /// `SELECT … EVERY n`: register a standing query.
+    Subscribe,
+    /// `EXPLAIN [ANALYZE] <statement>`: answer with the span tree.
+    Explain {
+        /// Whether `ANALYZE` was given.
+        analyze: bool,
+        /// The statement being explained.
+        inner: &'a Statement,
+    },
+    /// `EXPLAIN [ANALYZE] SELECT … EVERY n`: trace one temporary
+    /// subscription's lifecycle.
+    ExplainSubscribe {
+        /// Whether `ANALYZE` was given.
+        analyze: bool,
+        /// The continuous `SELECT` being explained.
+        inner: &'a Statement,
+    },
+}
+
+fn is_continuous(statement: &Statement) -> bool {
+    matches!(statement, Statement::Select(sel) if sel.every_ms.is_some())
+}
+
 /// A client request as it crosses the ACIL.
+///
+/// The SQL text is parsed once, when the request is built, and text and
+/// statement travel together as one cheaply-cloned immutable value —
+/// every layer above the drivers reads [`ClientRequest::statement`]
+/// instead of parsing again. A syntax error does not fail construction:
+/// it is kept and reported by the request path, exactly where a parse
+/// there would have reported it.
 #[derive(Debug, Clone)]
 pub struct ClientRequest {
     /// Session token from a previous authentication, if any.
@@ -159,8 +208,7 @@ pub struct ClientRequest {
     /// network address of the data source and the query", §3.2.2).
     /// Historical queries leave this empty.
     pub sources: Vec<String>,
-    /// The SQL text.
-    pub sql: String,
+    query: Arc<Query>,
     /// Freshness mode.
     pub mode: QueryMode,
     /// Trace context this request runs under, when it is one leg of a
@@ -204,6 +252,57 @@ impl ClientRequest {
             .build()
     }
 
+    /// The SQL text, as submitted.
+    pub fn sql(&self) -> &str {
+        &self.query.text
+    }
+
+    /// The parsed statement, or the syntax error the text produced.
+    pub fn statement(&self) -> DbcResult<&Statement> {
+        self.query.statement.as_ref().map_err(Clone::clone)
+    }
+
+    /// Classify the request by statement kind.
+    pub fn kind(&self) -> RequestKind<'_> {
+        match &self.query.statement {
+            Ok(statement) if is_continuous(statement) => RequestKind::Subscribe,
+            Ok(Statement::Explain { analyze, inner }) if is_continuous(inner) => {
+                RequestKind::ExplainSubscribe {
+                    analyze: *analyze,
+                    inner,
+                }
+            }
+            Ok(Statement::Explain { analyze, inner }) => RequestKind::Explain {
+                analyze: *analyze,
+                inner,
+            },
+            _ => RequestKind::OneShot,
+        }
+    }
+
+    /// The same request asking `statement` instead (an `EXPLAIN`'s inner
+    /// statement, a standing query's `EVERY`-stripped `SELECT`). The
+    /// text is the statement's printed form; nothing parses it again
+    /// above the JDBC boundary.
+    pub(crate) fn with_statement(&self, statement: Statement) -> ClientRequest {
+        ClientRequest {
+            query: Arc::new(Query {
+                text: statement.to_string(),
+                statement: Ok(statement),
+            }),
+            ..self.clone()
+        }
+    }
+
+    /// Open this request's span, named after its SQL: a child when the
+    /// request carries a trace context, a fresh root otherwise.
+    pub fn open_span(&self, telemetry: &GatewayTelemetry) -> SpanBuilder {
+        match &self.trace {
+            Some(ctx) => telemetry.span_in(ctx, self.sql()),
+            None => telemetry.span(self.sql()),
+        }
+    }
+
     /// Builder: attach an identity.
     pub fn with_identity(mut self, identity: Identity) -> ClientRequest {
         self.identity = Some(identity);
@@ -226,7 +325,9 @@ impl ClientRequest {
 
 /// Fluent constructor for [`ClientRequest`] — the one way to express
 /// every request knob (sources, freshness mode, identity, deadline,
-/// partial-results policy) without reaching for struct literals.
+/// partial-results policy), and the one place SQL text becomes a
+/// statement. [`QueryBuilder::build`] never fails: a syntax error rides
+/// along inside the request and surfaces when it is submitted.
 ///
 /// ```
 /// use gridrm_core::acil::{ClientRequest, QueryMode, ResultPolicy};
@@ -252,7 +353,10 @@ impl QueryBuilder {
                 token: None,
                 identity: None,
                 sources: Vec::new(),
-                sql: sql.to_owned(),
+                query: Arc::new(Query {
+                    text: sql.to_owned(),
+                    statement: gridrm_sqlparse::parse(sql).map_err(Into::into),
+                }),
                 mode: QueryMode::RealTime,
                 trace: None,
                 deadline_ms: None,
@@ -320,12 +424,7 @@ impl QueryBuilder {
     /// backpressure fall back to the gateway defaults. Register the
     /// spec with `Gateway::subscribe`.
     pub fn subscribe(self) -> crate::stream::SubscribeSpec {
-        crate::stream::SubscribeSpec {
-            request: self.request,
-            every_ms: None,
-            buffer: None,
-            backpressure: None,
-        }
+        crate::stream::SubscribeSpec::new(self.request)
     }
 
     /// Finish building as a subscription with an explicit cadence

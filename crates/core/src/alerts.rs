@@ -2,13 +2,14 @@
 //! exceeded → Event transmitted"): declarative threshold rules evaluated
 //! over harvested result sets, producing normalised [`GridRMEvent`]s.
 //!
-//! A rule *is* a query: [`AlertRule::to_select`] materialises it as
-//! `SELECT * FROM <group> WHERE <attr> <cmp> <threshold>`, and
-//! [`AlertEngine::scan`] evaluates that statement with the store's SQL
-//! engine over the harvested rows — the same evaluator continuous
-//! queries use. [`AlertRule::to_continuous_sql`] appends `EVERY <n>`,
-//! turning the rule into a standing subscription whose deltas are the
-//! alert firings (see `docs/streaming.md`).
+//! A rule *is* a query: [`AlertEngine::add_rule`] materialises it once
+//! as `SELECT * FROM <group> WHERE <attr> <cmp> <threshold>`
+//! ([`AlertRule::to_sql`]), and [`AlertEngine::scan`] evaluates that
+//! statement with the store's SQL engine over the harvested rows — the
+//! same evaluator continuous queries use.
+//! [`AlertRule::to_continuous_sql`] appends `EVERY <n>`, turning the
+//! rule into a standing subscription whose deltas are the alert firings
+//! (see `docs/streaming.md`).
 
 use crate::events::{GridRMEvent, Severity};
 use crate::health::{HealthState, HealthTransition};
@@ -86,15 +87,6 @@ impl AlertRule {
         )
     }
 
-    /// The rule materialised as a parsed `SELECT` statement, ready for
-    /// the store's SQL evaluator.
-    pub fn to_select(&self) -> Option<SelectStatement> {
-        match gridrm_sqlparse::parse(&self.to_sql()) {
-            Ok(Statement::Select(sel)) => Some(sel),
-            _ => None, // a group/attr that is not a lexable identifier
-        }
-    }
-
     /// The rule as a standing continuous query: its deltas are the
     /// alert firings.
     pub fn to_continuous_sql(&self, every_ms: u64) -> String {
@@ -112,10 +104,12 @@ fn fmt_threshold(v: f64) -> String {
     }
 }
 
-/// The alert engine: a rule set scanned over query results.
+/// The alert engine: a rule set scanned over query results. Each rule
+/// is kept beside its materialised `SELECT`; `None` when the rule's
+/// group/attr is not a lexable identifier — such a rule never fires.
 #[derive(Default)]
 pub struct AlertEngine {
-    rules: RwLock<Vec<AlertRule>>,
+    rules: RwLock<Vec<(AlertRule, Option<SelectStatement>)>>,
 }
 
 impl AlertEngine {
@@ -124,39 +118,44 @@ impl AlertEngine {
         AlertEngine::default()
     }
 
-    /// Install a rule (replacing any same-named one).
+    /// Install a rule (replacing any same-named one), parsing its SQL
+    /// form here so no scan ever has to.
     pub fn add_rule(&self, rule: AlertRule) {
+        let select = match gridrm_sqlparse::parse(&rule.to_sql()) {
+            Ok(Statement::Select(sel)) => Some(sel),
+            _ => None,
+        };
         let mut rules = self.rules.write();
-        rules.retain(|r| r.name != rule.name);
-        rules.push(rule);
+        rules.retain(|(r, _)| r.name != rule.name);
+        rules.push((rule, select));
     }
 
     /// Remove a rule by name.
     pub fn remove_rule(&self, name: &str) -> bool {
         let mut rules = self.rules.write();
         let before = rules.len();
-        rules.retain(|r| r.name != name);
+        rules.retain(|(r, _)| r.name != name);
         rules.len() != before
     }
 
     /// Current rules.
     pub fn rules(&self) -> Vec<AlertRule> {
-        self.rules.read().clone()
+        self.rules.read().iter().map(|(r, _)| r.clone()).collect()
     }
 
     /// Scan a result set harvested from `source` for group `group`;
     /// returns one event per (rule, matching row).
     ///
-    /// Each applicable rule is materialised as its `SELECT` statement
-    /// ([`AlertRule::to_select`]) and evaluated by the store's SQL
-    /// engine over the harvested rows — the rows that survive the
-    /// `WHERE` clause are the firings. SQL three-valued logic gives the
+    /// Each applicable rule's `SELECT` statement (materialised at
+    /// install) is evaluated by the store's SQL engine over the
+    /// harvested rows — the rows that survive the `WHERE` clause are
+    /// the firings. SQL three-valued logic gives the
     /// NULL handling (a NULL attribute never matches) for free.
     pub fn scan(&self, source: &str, group: &str, rows: &RowSet, now_ms: i64) -> Vec<GridRMEvent> {
         let rules = self.rules.read();
-        let applicable: Vec<&AlertRule> = rules
+        let applicable: Vec<&(AlertRule, Option<SelectStatement>)> = rules
             .iter()
-            .filter(|r| r.group.eq_ignore_ascii_case(group))
+            .filter(|(r, _)| r.group.eq_ignore_ascii_case(group))
             .collect();
         if applicable.is_empty() {
             return Vec::new();
@@ -176,14 +175,14 @@ impl AlertEngine {
         let mut table = Table::new(group, columns);
         table.rows = rows.rows().to_vec();
         let mut events = Vec::new();
-        for rule in applicable {
+        for (rule, select) in applicable {
             if meta.column_index(&rule.attr).is_err() {
                 continue; // attribute not in this projection
             }
-            let Some(sel) = rule.to_select() else {
+            let Some(sel) = select else {
                 continue;
             };
-            let Ok(matched) = select_in_memory(&table, &sel, now_ms) else {
+            let Ok(matched) = select_in_memory(&table, sel, now_ms) else {
                 continue;
             };
             let matched_meta = matched.meta();
@@ -395,13 +394,29 @@ mod tests {
     fn rule_materialises_as_a_select_statement() {
         let rule = load_rule(1.0);
         assert_eq!(rule.to_sql(), "SELECT * FROM Processor WHERE Load1 > 1.0");
-        let sel = rule.to_select().unwrap();
+        let e = AlertEngine::new();
+        e.add_rule(rule);
+        let installed = e.rules.read();
+        let sel = installed[0].1.as_ref().unwrap();
         assert_eq!(sel.table, "Processor");
         assert!(sel.where_clause.is_some());
         assert_eq!(sel.every_ms, None);
+        drop(installed);
         // Fractional and negative thresholds survive the round-trip.
-        assert!(load_rule(0.75).to_select().is_some());
-        assert!(load_rule(-100.0).to_select().is_some());
+        for threshold in [0.75, -100.0] {
+            e.add_rule(load_rule(threshold));
+            assert!(e.rules.read()[0].1.is_some());
+        }
+    }
+
+    #[test]
+    fn unlexable_rule_is_accepted_and_never_fires() {
+        let e = AlertEngine::new();
+        let mut rule = load_rule(-100.0);
+        rule.group = "select".into(); // a keyword: the rule's SQL does not parse
+        e.add_rule(rule);
+        assert_eq!(e.rules().len(), 1);
+        assert!(e.scan("s", "select", &rows(), 0).is_empty());
     }
 
     #[test]

@@ -7,9 +7,82 @@
 //! all present for joining against `gridrm_spans`, `gridrm_journal`
 //! and `gridrm_slow_queries`.
 
+use crate::acil::{ClientRequest, ClientResponse};
+use crate::stream::SubscribeSpec;
 use gridrm_dbc::{ColumnMeta, DbcResult, ResultSetMetaData, RowSet};
-use gridrm_sqlparse::{SqlType, SqlValue};
-use gridrm_telemetry::TraceRecord;
+use gridrm_sqlparse::{SqlType, SqlValue, Statement};
+use gridrm_telemetry::{GatewayTelemetry, SpanBuilder, TraceRecord};
+
+/// `EXPLAIN [ANALYZE] <inner>`, for every layer that answers it: run
+/// `inner` through `run` as a child of an `explain` span, then answer
+/// with every span of the resulting trace instead of the rows. `run`
+/// gets the inner request (already carrying the explain span's trace
+/// context) and the explain span itself, for hanging further children
+/// off it. An inner failure still yields the (partial) span tree, with
+/// a warning — exactly when a query misbehaves is when its plan matters
+/// most.
+pub fn explain(
+    telemetry: &GatewayTelemetry,
+    request: &ClientRequest,
+    analyze: bool,
+    inner: &Statement,
+    run: impl FnOnce(&ClientRequest, &SpanBuilder) -> DbcResult<ClientResponse>,
+) -> DbcResult<ClientResponse> {
+    let mut span = request.open_span(telemetry);
+    span.stage_with("explain", if analyze { "analyze" } else { "plan" });
+    let trace_id = span.trace_id().to_owned();
+    let inner_request = request
+        .with_statement(inner.clone())
+        .with_trace(span.context());
+    let (warnings, sources_ok, outcomes) = match run(&inner_request, &span) {
+        Ok(resp) => {
+            span.finish("ok");
+            (resp.warnings, resp.sources_ok, resp.outcomes)
+        }
+        Err(e) => {
+            span.finish("error");
+            let warning = format!("explain: inner query failed: {e}");
+            (vec![warning], 0, Vec::new())
+        }
+    };
+    let spans = telemetry.traces().for_trace(&trace_id);
+    Ok(ClientResponse {
+        rows: explain_rowset(&spans, analyze)?,
+        warnings,
+        served_from_cache: 0,
+        sources_ok,
+        outcomes,
+    })
+}
+
+/// `EXPLAIN [ANALYZE] SELECT … EVERY n`: run one subscription's whole
+/// lifecycle under a single trace — `subscribe` registers it (tracing
+/// the `subscribe` and initial `delta` stages), `deliver_and_cancel`
+/// drains what was emitted, releases everything `subscribe` registered
+/// and reports how many deltas it drained — so the answer shows the
+/// `subscribe`/`delta`/`deliver` stages and nothing stays registered.
+pub fn explain_subscription<S>(
+    telemetry: &GatewayTelemetry,
+    request: &ClientRequest,
+    analyze: bool,
+    inner: &Statement,
+    subscribe: impl FnOnce(&SubscribeSpec) -> DbcResult<S>,
+    deliver_and_cancel: impl FnOnce(S) -> usize,
+) -> DbcResult<ClientResponse> {
+    explain(telemetry, request, analyze, inner, |traced, span| {
+        let subscription = subscribe(&SubscribeSpec::new(traced.clone()))?;
+        let mut deliver = span.child("deliver");
+        let delivered = deliver_and_cancel(subscription);
+        deliver.stage_with("deliver", &format!("{delivered} deltas"));
+        deliver.finish("ok");
+        let no_rows = RowSet::empty(ResultSetMetaData::new(Vec::new()));
+        Ok(ClientResponse::from_outcomes(
+            no_rows,
+            Vec::new(),
+            Vec::new(),
+        ))
+    })
+}
 
 fn opt_str(v: &Option<String>) -> SqlValue {
     match v {

@@ -1,7 +1,7 @@
 //! The Gateway facade: wires every Local-layer component together
 //! (Fig 2/Fig 3) and exposes the ACIL entry point.
 
-use crate::acil::{ClientRequest, ClientResponse, QueryExecutor};
+use crate::acil::{ClientRequest, ClientResponse, QueryExecutor, RequestKind};
 use crate::admin::AdminInterface;
 use crate::alerts::AlertEngine;
 use crate::cache::CacheController;
@@ -9,6 +9,7 @@ use crate::config::GatewayConfig;
 use crate::connection::ConnectionManager;
 use crate::driver_manager::GridRMDriverManager;
 use crate::events::EventManager;
+use crate::explain::{explain, explain_subscription};
 use crate::health::{HealthConfig, HealthMonitor, HealthState};
 use crate::history::HistoryManager;
 use crate::request::RequestManager;
@@ -19,7 +20,7 @@ use crossbeam::channel::Receiver;
 use gridrm_dbc::{ColumnMeta, DbcResult, JdbcUrl, ResultSetMetaData, RowSet};
 use gridrm_glue::SchemaManager;
 use gridrm_simnet::{Network, Push, SimClock};
-use gridrm_sqlparse::{SqlType, SqlValue, Statement};
+use gridrm_sqlparse::{SqlType, SqlValue};
 use gridrm_store::Store;
 use gridrm_telemetry::{
     CostVector, GatewayTelemetry, IntrusionCause, Labels, TelemetryCapacities,
@@ -287,10 +288,7 @@ impl Gateway {
     /// stages.
     pub fn subscribe(&self, spec: &SubscribeSpec) -> DbcResult<SubscriptionId> {
         let now = self.clock.now_millis();
-        let mut span = match &spec.request.trace {
-            Some(ctx) => self.telemetry.span_in(ctx, &spec.request.sql),
-            None => self.telemetry.span(&spec.request.sql),
-        };
+        let mut span = spec.request.open_span(&self.telemetry);
         span.stage("subscribe");
         match self.streams.subscribe(spec, now) {
             Ok(id) => {
@@ -302,10 +300,7 @@ impl Gateway {
                     let ctx = span.context();
                     span.stage("delta");
                     self.streams.evaluate_for(id, now, |req| {
-                        let traced = ClientRequest {
-                            trace: Some(ctx.clone()),
-                            ..req.clone()
-                        };
+                        let traced = req.clone().with_trace(ctx.clone());
                         self.request.handle(&traced).map(|r| r.rows)
                     });
                 }
@@ -364,88 +359,44 @@ impl Gateway {
         })
     }
 
-    /// `EXPLAIN [ANALYZE] SELECT … EVERY n`: run the full subscription
-    /// lifecycle — register, initial delta evaluation, one delivery —
-    /// under a single trace, cancel the temporary subscription, and
-    /// answer with the span tree so the `subscribe`/`delta`/`deliver`
-    /// stages are visible.
-    fn explain_subscription(
-        &self,
-        request: &ClientRequest,
-        analyze: bool,
-        inner_sql: &str,
-    ) -> DbcResult<ClientResponse> {
-        let mut span = match &request.trace {
-            Some(ctx) => self.telemetry.span_in(ctx, &request.sql),
-            None => self.telemetry.span(&request.sql),
-        };
-        span.stage_with("explain", if analyze { "analyze" } else { "plan" });
-        let trace_id = span.trace_id().to_owned();
-        let ctx = span.context();
-        let spec = SubscribeSpec {
-            request: ClientRequest {
-                sql: inner_sql.to_owned(),
-                trace: Some(ctx.clone()),
-                ..request.clone()
-            },
-            every_ms: None,
-            buffer: None,
-            backpressure: None,
-        };
-        match self.subscribe(&spec) {
-            Ok(id) => {
-                let now = self.clock.now_millis();
-                let mut deliver = self.telemetry.span_in(&ctx, "deliver");
-                let delivered = self.streams.poll(id, 0, now).map(|d| d.len()).unwrap_or(0);
-                deliver.stage_with("deliver", &format!("{delivered} deltas"));
-                deliver.finish("ok");
-                self.streams.cancel(id, now);
-                span.finish("ok");
-            }
-            Err(e) => {
-                span.finish("error");
-                return Err(e);
-            }
-        }
-        let spans = self.telemetry.traces().for_trace(&trace_id);
-        Ok(ClientResponse {
-            rows: crate::explain::explain_rowset(&spans, analyze)?,
-            warnings: Vec::new(),
-            served_from_cache: 0,
-            sources_ok: 0,
-            outcomes: Vec::new(),
-        })
-    }
-
-    /// Submit a client request (ACIL shortcut).
+    /// Submit a client request (ACIL shortcut), dispatching on what its
+    /// statement asks for.
     ///
     /// A `SELECT … EVERY n` registers a subscription instead of
     /// answering rows: the response is a one-row acknowledgement
     /// carrying the subscription id (poll it with
-    /// [`Gateway::poll_deltas`]). `EXPLAIN [ANALYZE]` over such a query
-    /// traces the subscription lifecycle.
+    /// [`Gateway::poll_deltas`]). `EXPLAIN [ANALYZE]` answers with the
+    /// span tree of running its inner statement; over a `SELECT … EVERY
+    /// n` that is one temporary subscription's register / initial delta
+    /// / delivery lifecycle, cancelled afterwards.
     pub fn query(&self, request: &ClientRequest) -> DbcResult<ClientResponse> {
-        match gridrm_sqlparse::parse(&request.sql) {
-            Ok(Statement::Select(sel)) if sel.every_ms.is_some() => {
-                let spec = SubscribeSpec {
-                    request: request.clone(),
-                    every_ms: None,
-                    buffer: None,
-                    backpressure: None,
-                };
-                let id = self.subscribe(&spec)?;
+        let result = match request.kind() {
+            RequestKind::Subscribe => {
+                let id = self.subscribe(&SubscribeSpec::new(request.clone()))?;
                 return self.subscription_ack(id);
             }
-            Ok(Statement::Explain { analyze, inner }) => {
-                if let Statement::Select(sel) = inner.as_ref() {
-                    if sel.every_ms.is_some() {
-                        return self.explain_subscription(request, analyze, &sel.to_string());
-                    }
-                }
+            RequestKind::ExplainSubscribe { analyze, inner } => {
+                return explain_subscription(
+                    &self.telemetry,
+                    request,
+                    analyze,
+                    inner,
+                    |spec| self.subscribe(spec),
+                    |id| {
+                        let now = self.clock.now_millis();
+                        let delivered = self.streams.poll(id, 0, now).map_or(0, |d| d.len());
+                        self.streams.cancel(id, now);
+                        delivered
+                    },
+                );
             }
-            _ => {}
-        }
-        let result = self.request.handle(request);
+            RequestKind::Explain { analyze, inner } => {
+                explain(&self.telemetry, request, analyze, inner, |traced, _| {
+                    self.request.handle(traced)
+                })
+            }
+            RequestKind::OneShot => self.request.handle(request),
+        };
         // Feed the admin tree-view health model (Fig 9 icons) from the
         // structured per-source outcomes.
         let now = self.clock.now_millis();

@@ -8,8 +8,8 @@
 use crate::events::GridRMEvent;
 use gridrm_dbc::{DbcResult, ResultSet, RowSet, SqlError};
 use gridrm_sqlparse::ast::ColumnDef;
-use gridrm_sqlparse::{SqlType, SqlValue};
-use gridrm_store::{Store, StoreError, Table};
+use gridrm_sqlparse::{SqlType, SqlValue, Statement};
+use gridrm_store::{ExecOutcome, Store, StoreError, Table};
 
 /// Table holding harvested metric samples.
 pub const HISTORY_TABLE: &str = "history";
@@ -147,11 +147,14 @@ impl HistoryManager {
         })
     }
 
-    /// Run a historical SQL query (the §3.1.1 path).
-    pub fn query(&self, sql: &str, now_ms: i64) -> DbcResult<RowSet> {
-        self.store
-            .query(sql, now_ms)
-            .map_err(|e| SqlError::Driver(e.to_string()))
+    /// Run a historical query (the §3.1.1 path) from the statement the
+    /// request already carries.
+    pub fn query(&self, statement: &Statement, now_ms: i64) -> DbcResult<RowSet> {
+        match self.store.with(|db| db.execute(statement, now_ms)) {
+            Ok(ExecOutcome::Rows(rows)) => Ok(rows),
+            Ok(_) => Err(SqlError::Driver("statement did not produce rows".into())),
+            Err(e) => Err(SqlError::Driver(e.to_string())),
+        }
     }
 
     /// Apply retention: drop samples and events older than `cutoff_ms`.
@@ -180,7 +183,10 @@ impl HistoryManager {
             hostname.replace('\'', "''"),
             attr.replace('\'', "''"),
         );
-        let mut rs = self.query(&sql, 0)?;
+        let mut rs = self
+            .store
+            .query(&sql, 0)
+            .map_err(|e| SqlError::Driver(e.to_string()))?;
         let mut out = Vec::with_capacity(rs.len());
         while rs.advance()? {
             out.push((rs.get_timestamp(0)?, rs.get_f64(1)?));
@@ -239,6 +245,7 @@ mod tests {
         // 3 non-null values per row × 2 rows.
         assert_eq!(n, 6);
         let rs = h
+            .store()
             .query(
                 "SELECT COUNT(*) FROM history WHERE attr = 'Load1' AND num > 1.0",
                 0,
@@ -279,6 +286,7 @@ mod tests {
         })
         .unwrap();
         let rs = h
+            .store()
             .query(
                 "SELECT severity, value FROM events WHERE category = 'cpu.load'",
                 0,
@@ -296,7 +304,7 @@ mod tests {
         }
         let (dropped, _) = h.retain_since(10_000).unwrap();
         assert_eq!(dropped, 6);
-        let rs = h.query("SELECT COUNT(*) FROM history", 0).unwrap();
+        let rs = h.store().query("SELECT COUNT(*) FROM history", 0).unwrap();
         assert_eq!(rs.rows()[0][0], SqlValue::Int(12));
     }
 
@@ -305,6 +313,7 @@ mod tests {
         let h = history();
         h.record_rows("s", "Processor", &sample_rows(), 0).unwrap();
         let rs = h
+            .store()
             .query("SELECT text FROM history WHERE attr = 'Model' LIMIT 1", 0)
             .unwrap();
         assert_eq!(rs.rows()[0][0], SqlValue::Str("Xeon".into()));

@@ -212,16 +212,8 @@ impl RequestManager {
     /// recorded. A request carrying a [`gridrm_telemetry::TraceContext`]
     /// joins that trace as a child span instead of starting a new root.
     pub fn handle(&self, request: &ClientRequest) -> DbcResult<ClientResponse> {
-        // The EXPLAIN verb runs the normal pipeline under its own span
-        // and answers with the resulting span tree instead of the rows.
-        if let Ok(Statement::Explain { analyze, inner }) = gridrm_sqlparse::parse(&request.sql) {
-            return self.handle_explain(request, analyze, &inner);
-        }
         let mut span = self.telemetry.as_ref().map(|t| {
-            let mut s = match &request.trace {
-                Some(ctx) => t.span_in(ctx, &request.sql),
-                None => t.span(&request.sql),
-            };
+            let mut s = request.open_span(t);
             s.stage("acil");
             s
         });
@@ -258,62 +250,6 @@ impl RequestManager {
         result
     }
 
-    /// `EXPLAIN [ANALYZE]`: execute the inner statement through the
-    /// ordinary pipeline as a child of an `explain` span, then render
-    /// every span of the resulting trace as the result set. An inner
-    /// failure still yields the (partial) span tree, with a warning —
-    /// exactly when a query misbehaves is when its plan matters most.
-    fn handle_explain(
-        &self,
-        request: &ClientRequest,
-        analyze: bool,
-        inner: &Statement,
-    ) -> DbcResult<ClientResponse> {
-        let Some(t) = &self.telemetry else {
-            return Err(SqlError::Unsupported(
-                "EXPLAIN needs gateway telemetry attached".into(),
-            ));
-        };
-        let mut span = match &request.trace {
-            Some(ctx) => t.span_in(ctx, &request.sql),
-            None => t.span(&request.sql),
-        };
-        span.stage_with("explain", if analyze { "analyze" } else { "plan" });
-        let trace_id = span.trace_id().to_owned();
-
-        let inner_request = ClientRequest {
-            sql: inner.to_string(),
-            trace: Some(span.context()),
-            ..request.clone()
-        };
-        let result = self.handle(&inner_request);
-
-        let mut warnings = Vec::new();
-        let mut sources_ok = 0;
-        let mut outcomes = Vec::new();
-        match &result {
-            Ok(resp) => {
-                warnings.clone_from(&resp.warnings);
-                sources_ok = resp.sources_ok;
-                outcomes.clone_from(&resp.outcomes);
-                span.finish("ok");
-            }
-            Err(e) => {
-                warnings.push(format!("explain: inner query failed: {e}"));
-                span.finish("error");
-            }
-        }
-
-        let spans = t.traces().for_trace(&trace_id);
-        Ok(ClientResponse {
-            rows: crate::explain::explain_rowset(&spans, analyze)?,
-            warnings,
-            served_from_cache: 0,
-            sources_ok,
-            outcomes,
-        })
-    }
-
     fn handle_inner(
         &self,
         request: &ClientRequest,
@@ -327,12 +263,13 @@ impl RequestManager {
 
         // Clients may only SELECT; writes to the historical store go
         // through the admin/driver path.
-        let parsed = gridrm_sqlparse::parse(&request.sql)?;
-        let Statement::Select(sel) = parsed else {
+        let statement = request.statement()?;
+        let Statement::Select(sel) = statement else {
             return Err(SqlError::Unsupported(
                 "clients may only submit SELECT statements".into(),
             ));
         };
+        let sql = request.sql();
 
         let now = self.clock.now_millis();
         let policy = self.security.read().clone();
@@ -345,7 +282,7 @@ impl RequestManager {
                 return Err(SqlError::Security(reason));
             }
             self.stats.historical.inc();
-            let rows = self.history.query(&request.sql, now as i64)?;
+            let rows = self.history.query(statement, now as i64)?;
             let outcomes = if rows.is_empty() {
                 Vec::new()
             } else {
@@ -375,215 +312,160 @@ impl RequestManager {
                 d => Some(d),
             }
         });
-        let group = sel.table.clone();
+        let group = sel.table.as_str();
         let mut consolidated: Option<RowSet> = None;
-        let mut outcomes: Vec<SourceOutcome> = Vec::new();
         let mut extra_warnings = Vec::new();
-        let mut first_err: Option<SqlError> = None;
 
-        for (idx, source) in request.sources.iter().enumerate() {
-            let src_started = self.clock.now_millis();
-            let elapsed_total = src_started.saturating_sub(now);
-            // Deadline budget: sources we no longer have time for are
-            // reported as timeouts, not silently dropped.
-            if deadline.is_some_and(|d| elapsed_total >= d) {
-                self.stats.deadline_exceeded.inc();
-                outcomes.push(SourceOutcome::failure(
-                    source,
-                    OutcomeStatus::Timeout,
-                    0,
-                    "deadline budget exhausted",
-                ));
-                first_err.get_or_insert(SqlError::Timeout(format!(
-                    "{source}: deadline budget exhausted"
-                )));
-                if request.policy == ResultPolicy::FailFast {
-                    fail_fast_remaining(
-                        &mut outcomes,
-                        request.sources.get(idx + 1..).unwrap_or_default(),
-                    );
-                    return Err(take_first_err(&mut first_err));
+        // One source, start to finish: `Ok` is its success outcome (its
+        // rows already consolidated), `Err` its failure outcome plus the
+        // error the request surfaces if this failure decides it.
+        let mut query_source =
+            |source: &String| -> Result<SourceOutcome, (SourceOutcome, SqlError)> {
+                let failure = |status, elapsed, detail: &str, error| {
+                    Err((
+                        SourceOutcome::failure(source, status, elapsed, detail),
+                        error,
+                    ))
+                };
+                let src_started = self.clock.now_millis();
+                // Deadline budget: sources we no longer have time for are
+                // reported as timeouts, not silently dropped.
+                if deadline.is_some_and(|d| src_started.saturating_sub(now) >= d) {
+                    self.stats.deadline_exceeded.inc();
+                    let detail = "deadline budget exhausted";
+                    let error = SqlError::Timeout(format!("{source}: {detail}"));
+                    return failure(OutcomeStatus::Timeout, 0, detail, error);
                 }
-                continue;
-            }
 
-            // Fine Grained Security Layer, per resource (§2).
-            match policy.check_fine(&identity, source, &group) {
-                Decision::Allow => {}
-                Decision::Deny(reason) => {
-                    self.stats.denied.inc();
-                    outcomes.push(SourceOutcome::failure(
-                        source,
-                        OutcomeStatus::Denied,
-                        0,
-                        &reason,
-                    ));
-                    first_err.get_or_insert(SqlError::Security(reason));
-                    if request.policy == ResultPolicy::FailFast {
-                        fail_fast_remaining(
-                            &mut outcomes,
-                            request.sources.get(idx + 1..).unwrap_or_default(),
-                        );
-                        return Err(take_first_err(&mut first_err));
+                // Fine Grained Security Layer, per resource (§2).
+                match policy.check_fine(&identity, source, group) {
+                    Decision::Allow => {}
+                    Decision::Deny(reason) => {
+                        self.stats.denied.inc();
+                        let error = SqlError::Security(reason.clone());
+                        return failure(OutcomeStatus::Denied, 0, &reason, error);
                     }
-                    continue;
-                }
-                Decision::Defer => {
-                    outcomes.push(SourceOutcome::failure(
-                        source,
-                        OutcomeStatus::Deferred,
-                        0,
-                        "not authoritative here; route via the Global layer",
-                    ));
-                    if request.policy == ResultPolicy::FailFast {
-                        fail_fast_remaining(
-                            &mut outcomes,
-                            request.sources.get(idx + 1..).unwrap_or_default(),
-                        );
-                        return Err(first_err.unwrap_or_else(|| {
-                            SqlError::Unsupported(format!(
-                                "{source}: not authoritative here; route via the Global layer"
-                            ))
-                        }));
+                    Decision::Defer => {
+                        let detail = "not authoritative here; route via the Global layer";
+                        let error = SqlError::Unsupported(format!("{source}: {detail}"));
+                        return failure(OutcomeStatus::Deferred, 0, detail, error);
                     }
-                    continue;
                 }
-            }
 
-            // Cache path (§4).
-            if let QueryMode::Cached { max_age_ms } = request.mode {
-                let hit = self.cache.lookup(source, &request.sql, now, max_age_ms);
-                if let Some(s) = span.as_mut() {
-                    s.stage_with("cache_lookup", if hit.is_some() { "hit" } else { "miss" });
-                }
-                if let Some(hit) = hit {
-                    self.stats.cache_served.inc();
-                    // The cache serving a last-known-state result is an
-                    // operational fact worth journalling (§4): the client
-                    // got an answer without the source being consulted.
-                    if let Some(t) = &self.telemetry {
-                        t.journal().record_traced(
-                            now,
-                            JournalSeverity::Info,
-                            KIND_CACHE_SERVE,
+                // Cache path (§4).
+                if let QueryMode::Cached { max_age_ms } = request.mode {
+                    let hit = self.cache.lookup(source, sql, now, max_age_ms);
+                    if let Some(s) = span.as_mut() {
+                        s.stage_with("cache_lookup", if hit.is_some() { "hit" } else { "miss" });
+                    }
+                    if let Some(hit) = hit {
+                        self.stats.cache_served.inc();
+                        // The cache serving a last-known-state result is an
+                        // operational fact worth journalling (§4): the client
+                        // got an answer without the source being consulted.
+                        if let Some(t) = &self.telemetry {
+                            t.journal().record_traced(
+                                now,
+                                JournalSeverity::Info,
+                                KIND_CACHE_SERVE,
+                                source,
+                                None,
+                                Some("cache_lookup"),
+                                "served last known state from cache",
+                                span.as_ref().map(|s| s.trace_id()),
+                            );
+                        }
+                        let elapsed = self.clock.now_millis().saturating_sub(src_started);
+                        append(
+                            &mut consolidated,
+                            (*hit.rows).clone(),
+                            &mut extra_warnings,
                             source,
-                            None,
-                            Some("cache_lookup"),
-                            "served last known state from cache",
-                            span.as_ref().map(|s| s.trace_id()),
                         );
-                    }
-                    outcomes.push(SourceOutcome::success(
-                        source,
-                        OutcomeStatus::Cached,
-                        self.clock.now_millis().saturating_sub(src_started),
-                    ));
-                    append(
-                        &mut consolidated,
-                        (*hit.rows).clone(),
-                        &mut extra_warnings,
-                        source,
-                    );
-                    continue;
-                }
-            }
-
-            // Real-time path through the ConnectionManager (Fig 3).
-            let url = match JdbcUrl::parse(source) {
-                Ok(u) => u,
-                Err(e) => {
-                    outcomes.push(SourceOutcome::failure(
-                        source,
-                        OutcomeStatus::Error,
-                        0,
-                        &e.to_string(),
-                    ));
-                    first_err.get_or_insert(e);
-                    if request.policy == ResultPolicy::FailFast {
-                        fail_fast_remaining(
-                            &mut outcomes,
-                            request.sources.get(idx + 1..).unwrap_or_default(),
-                        );
-                        return Err(take_first_err(&mut first_err));
-                    }
-                    continue;
-                }
-            };
-            if let Some(s) = span.as_mut() {
-                s.source(source);
-            }
-            // Single-flight: identical concurrent fetches share one
-            // driver execution and one cache fill. The first caller in
-            // (the leader) runs the closure; overlapping identical
-            // callers block and share its result.
-            let key = (source.clone(), request.sql.clone());
-            let coalesce = self.coalesce_identical.load(Ordering::Relaxed);
-            let (result, coalesced) = if coalesce {
-                self.singleflight.execute(key, || {
-                    self.stats.realtime_fetches.inc();
-                    self.connections
-                        .execute_traced(&url, &request.sql, span.as_mut())
-                })
-            } else {
-                self.stats.realtime_fetches.inc();
-                (
-                    self.connections
-                        .execute_traced(&url, &request.sql, span.as_mut()),
-                    false,
-                )
-            };
-            if coalesced {
-                self.stats.coalesced_hits.inc();
-                if let Some(s) = span.as_mut() {
-                    s.stage_with("coalesce", "shared");
-                }
-            }
-            let elapsed = self.clock.now_millis().saturating_sub(src_started);
-            match result {
-                Ok(rows) => {
-                    if coalesced {
-                        // The leader already filled the cache, recorded
-                        // history and scanned alerts for this result —
-                        // repeating any of it would double-count one
-                        // physical fetch.
-                        outcomes.push(SourceOutcome::success(
+                        return Ok(SourceOutcome::success(
                             source,
-                            OutcomeStatus::Coalesced,
+                            OutcomeStatus::Cached,
                             elapsed,
                         ));
-                        append(&mut consolidated, rows, &mut extra_warnings, source);
-                        continue;
                     }
-                    outcomes.push(SourceOutcome::success(source, OutcomeStatus::Ok, elapsed));
-                    let shared = Arc::new(rows.clone());
-                    self.cache.store(source, &request.sql, shared, now);
+                }
+
+                // Real-time path through the ConnectionManager (Fig 3).
+                let url = match JdbcUrl::parse(source) {
+                    Ok(u) => u,
+                    Err(e) => return failure(OutcomeStatus::Error, 0, &e.to_string(), e),
+                };
+                if let Some(s) = span.as_mut() {
+                    s.source(source);
+                }
+                // Single-flight: identical concurrent fetches share one
+                // driver execution and one cache fill. The first caller in
+                // (the leader) runs the closure; overlapping identical
+                // callers block and share its result.
+                let (result, coalesced) = if self.coalesce_identical.load(Ordering::Relaxed) {
+                    self.singleflight
+                        .execute((source.clone(), sql.to_owned()), || {
+                            self.stats.realtime_fetches.inc();
+                            self.connections.execute_traced(&url, sql, span.as_mut())
+                        })
+                } else {
+                    self.stats.realtime_fetches.inc();
+                    let fetched = self.connections.execute_traced(&url, sql, span.as_mut());
+                    (fetched, false)
+                };
+                if coalesced {
+                    self.stats.coalesced_hits.inc();
+                    if let Some(s) = span.as_mut() {
+                        s.stage_with("coalesce", "shared");
+                    }
+                }
+                let elapsed = self.clock.now_millis().saturating_sub(src_started);
+                let rows = match result {
+                    Ok(rows) => rows,
+                    Err(e) => return failure(OutcomeStatus::Error, elapsed, &e.to_string(), e),
+                };
+                // A coalesced follower skips this: the leader already filled
+                // the cache, recorded history and scanned alerts for this
+                // result — repeating any of it would double-count one
+                // physical fetch.
+                if !coalesced {
+                    self.cache.store(source, sql, Arc::new(rows.clone()), now);
                     if self.record_history.load(Ordering::Relaxed) {
-                        if let Err(e) = self.history.record_rows(source, &group, &rows, now as i64)
-                        {
+                        if let Err(e) = self.history.record_rows(source, group, &rows, now as i64) {
                             extra_warnings.push(format!("{source}: history write failed: {e}"));
                         }
                     }
                     // Threshold alerts over fresh data (Fig 9).
-                    for event in self.alerts.scan(source, &group, &rows, now as i64) {
+                    for event in self.alerts.scan(source, group, &rows, now as i64) {
                         self.events.ingest(event);
                     }
-                    append(&mut consolidated, rows, &mut extra_warnings, source);
                 }
-                Err(e) => {
-                    outcomes.push(SourceOutcome::failure(
-                        source,
-                        OutcomeStatus::Error,
-                        elapsed,
-                        &e.to_string(),
-                    ));
-                    first_err.get_or_insert(e);
+                append(&mut consolidated, rows, &mut extra_warnings, source);
+                let status = if coalesced {
+                    OutcomeStatus::Coalesced
+                } else {
+                    OutcomeStatus::Ok
+                };
+                Ok(SourceOutcome::success(source, status, elapsed))
+            };
+
+        let mut outcomes: Vec<SourceOutcome> = Vec::new();
+        let mut first_err: Option<SqlError> = None;
+        for source in &request.sources {
+            match query_source(source) {
+                Ok(outcome) => outcomes.push(outcome),
+                // Under fail-fast the first failure is the request's
+                // answer. Otherwise it is remembered in case nothing
+                // succeeds — except a deferral, which is a routing hint
+                // rather than a fault.
+                Err((outcome, error)) => {
                     if request.policy == ResultPolicy::FailFast {
-                        fail_fast_remaining(
-                            &mut outcomes,
-                            request.sources.get(idx + 1..).unwrap_or_default(),
-                        );
-                        return Err(take_first_err(&mut first_err));
+                        return Err(error);
                     }
+                    if outcome.status != OutcomeStatus::Deferred {
+                        first_err.get_or_insert(error);
+                    }
+                    outcomes.push(outcome);
                 }
             }
         }
@@ -613,30 +495,6 @@ impl RequestManager {
     /// Counters.
     pub fn stats(&self) -> &RequestStats {
         &self.stats
-    }
-}
-
-/// Under [`ResultPolicy::FailFast`] the first failure aborts the whole
-/// request; sources never dispatched are still accounted for so the
-/// outcome list covers every requested source.
-/// The error a fail-fast return surfaces: the first recorded failure.
-/// Every call site records one just before bailing, so the `Internal`
-/// fallback is defensive — it degrades a would-be panic into an error
-/// response instead (see docs/static-analysis.md, rule hot-path-panic).
-fn take_first_err(first_err: &mut Option<SqlError>) -> SqlError {
-    first_err.take().unwrap_or_else(|| {
-        SqlError::Internal("fail-fast tripped with no recorded failure".to_owned())
-    })
-}
-
-fn fail_fast_remaining(outcomes: &mut Vec<SourceOutcome>, remaining: &[String]) {
-    for source in remaining {
-        outcomes.push(SourceOutcome::failure(
-            source,
-            OutcomeStatus::Error,
-            0,
-            "skipped: fail-fast after earlier failure",
-        ));
     }
 }
 

@@ -76,6 +76,17 @@ pub struct SubscribeSpec {
 }
 
 impl SubscribeSpec {
+    /// Subscribe `request` with the gateway's default delivery knobs
+    /// and the cadence of its SQL's `EVERY` clause.
+    pub fn new(request: ClientRequest) -> SubscribeSpec {
+        SubscribeSpec {
+            request,
+            every_ms: None,
+            buffer: None,
+            backpressure: None,
+        }
+    }
+
     /// Override the per-subscriber buffer capacity.
     pub fn buffer(mut self, capacity: usize) -> SubscribeSpec {
         self.buffer = Some(capacity);
@@ -331,8 +342,7 @@ impl StreamManager {
     /// next pump; identical (sources, SQL, cadence, identity) queries
     /// share one evaluation.
     pub fn subscribe(&self, spec: &SubscribeSpec, now: u64) -> DbcResult<SubscriptionId> {
-        let parsed = gridrm_sqlparse::parse(&spec.request.sql)?;
-        let Statement::Select(sel) = parsed else {
+        let Statement::Select(sel) = spec.request.statement()? else {
             return Err(SqlError::Unsupported(
                 "subscriptions take SELECT statements".into(),
             ));
@@ -350,7 +360,13 @@ impl StreamManager {
                 "a subscription needs at least one data source".into(),
             ));
         }
-        let exec_sql = sel.without_every().to_string();
+        // The standing request the pump evaluates carries its own
+        // statement, so no tick parses anything.
+        let mut standing = spec
+            .request
+            .with_statement(Statement::Select(sel.without_every()));
+        standing.trace = None;
+        let exec_sql = standing.sql().to_owned();
         let who = spec
             .request
             .identity
@@ -381,11 +397,7 @@ impl StreamManager {
                 .queries
                 .entry(key.clone())
                 .or_insert_with(|| StandingQuery {
-                    request: ClientRequest {
-                        sql: exec_sql.clone(),
-                        trace: None,
-                        ..spec.request.clone()
-                    },
+                    request: standing,
                     every_ms: every,
                     next_eval_ms: now,
                     dirty: false,
@@ -737,12 +749,7 @@ mod tests {
     }
 
     fn spec(sql: &str) -> SubscribeSpec {
-        SubscribeSpec {
-            request: ClientRequest::realtime("jdbc:mem://n/t", sql),
-            every_ms: None,
-            buffer: None,
-            backpressure: None,
-        }
+        SubscribeSpec::new(ClientRequest::realtime("jdbc:mem://n/t", sql))
     }
 
     fn rows(pairs: &[(&str, i64)]) -> RowSet {

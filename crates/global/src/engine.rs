@@ -129,7 +129,7 @@ impl GlobalLayer {
             segments.push(SegmentPlan::Remote { entry, sources });
         }
 
-        let mut span = self.open_span(request);
+        let mut span = request.open_span(&telemetry);
         span.stage_with(
             "global_query",
             &format!(
@@ -269,7 +269,7 @@ impl GlobalLayer {
                         from_gateway: my_name.clone(),
                         identity: WireIdentity::from(&identity),
                         sources: sources.clone(),
-                        sql: request.sql.clone(),
+                        sql: request.sql().to_owned(),
                         max_cache_age_ms,
                         trace: Some(seg_span.context()),
                         deadline_ms: budget,

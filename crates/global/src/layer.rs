@@ -4,15 +4,15 @@
 use crate::gma::{GmaDirectory, ProducerEntry};
 use crate::protocol::{GlobalRequest, GlobalResponse, WireDelta, WireFrame, WireRows};
 use crate::transport::{FrameService, Transport};
-use gridrm_core::acil::{ClientRequest, ClientResponse, QueryExecutor, QueryMode};
+use gridrm_core::acil::{ClientRequest, ClientResponse, QueryExecutor, QueryMode, RequestKind};
 use gridrm_core::events::{EventTransmitter, GridRMEvent, Severity};
+use gridrm_core::explain::{explain, explain_subscription};
 use gridrm_core::health::HealthState;
 use gridrm_core::stream::SubscribeSpec;
 use gridrm_core::Gateway;
 use gridrm_dbc::DbcResult;
-use gridrm_sqlparse::ast::Statement as SqlStatement;
 use gridrm_telemetry::{
-    CostVector, Counter, IntrusionCause, Labels, Registry, SpanBuilder, DEFAULT_LATENCY_BUCKETS_MS,
+    CostVector, Counter, IntrusionCause, Labels, Registry, DEFAULT_LATENCY_BUCKETS_MS,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -496,21 +496,34 @@ impl GlobalLayer {
     /// The whole fan-out runs under one span: the local segment and every
     /// remote segment become children sharing a single `trace_id`, and
     /// `EXPLAIN [ANALYZE] <query>` renders that tree as a result set
-    /// instead of the query's rows.
+    /// instead of the query's rows. `EXPLAIN [ANALYZE] SELECT … EVERY n`
+    /// traces one temporary grid subscription instead (the local share's
+    /// `subscribe`/`delta` stages plus the grid-wide `deliver`; the wire
+    /// `Subscribe` carries no trace context, so remote shares register
+    /// untraced) and cancels every share it registered.
     pub fn query(&self, request: &ClientRequest) -> DbcResult<ClientResponse> {
-        if let Ok(SqlStatement::Explain { analyze, inner }) = gridrm_sqlparse::parse(&request.sql) {
-            return self.query_explain(request, analyze, &inner.to_string());
-        }
-        self.fan_out(request)
-    }
-
-    /// Open the Global-layer span for `request`: a child when the caller
-    /// already carries a trace context, a fresh root otherwise.
-    pub(crate) fn open_span(&self, request: &ClientRequest) -> SpanBuilder {
         let telemetry = self.gateway.telemetry();
-        match &request.trace {
-            Some(ctx) => telemetry.span_in(ctx, &request.sql),
-            None => telemetry.span(&request.sql),
+        match request.kind() {
+            RequestKind::Explain { analyze, inner } => {
+                explain(telemetry, request, analyze, inner, |traced, _| {
+                    self.fan_out(traced)
+                })
+            }
+            RequestKind::ExplainSubscribe { analyze, inner } => explain_subscription(
+                telemetry,
+                request,
+                analyze,
+                inner,
+                |spec| self.subscribe(spec),
+                |sub| {
+                    let delivered = self.poll_deltas(&sub, 0).map_or(0, |d| d.len());
+                    self.unsubscribe(&sub);
+                    delivered
+                },
+            ),
+            // A plain `SELECT … EVERY n` fans out like any query: each
+            // owning gateway registers its share and acknowledges it.
+            RequestKind::OneShot | RequestKind::Subscribe => self.fan_out(request),
         }
     }
 
@@ -527,52 +540,6 @@ impl GlobalLayer {
                 DEFAULT_LATENCY_BUCKETS_MS,
             )
             .observe(elapsed_ms as f64);
-    }
-
-    /// `EXPLAIN [ANALYZE]` at the Global layer: run the inner query
-    /// through the normal fan-out under a fresh explain span, then
-    /// answer with the collected span tree instead of the query's rows.
-    fn query_explain(
-        &self,
-        request: &ClientRequest,
-        analyze: bool,
-        inner_sql: &str,
-    ) -> DbcResult<ClientResponse> {
-        let telemetry = self.gateway.telemetry();
-        let mut span = self.open_span(request);
-        span.stage_with("explain", if analyze { "analyze" } else { "plan" });
-        let trace_id = span.trace_id().to_owned();
-        let inner_request = ClientRequest {
-            sql: inner_sql.to_owned(),
-            trace: Some(span.context()),
-            ..request.clone()
-        };
-        let mut warnings = Vec::new();
-        let mut sources_ok = 0;
-        let mut outcomes = Vec::new();
-        match self.fan_out(&inner_request) {
-            Ok(resp) => {
-                warnings = resp.warnings;
-                sources_ok = resp.sources_ok;
-                outcomes = resp.outcomes;
-                span.finish("ok");
-            }
-            Err(e) => {
-                // The failed attempt still produced a span tree worth
-                // explaining; report the failure as a warning.
-                warnings.push(format!("explain: inner query failed: {e}"));
-                span.finish("error");
-            }
-        }
-        let spans = telemetry.traces().for_trace(&trace_id);
-        let rows = gridrm_core::explain::explain_rowset(&spans, analyze)?;
-        Ok(ClientResponse {
-            rows,
-            warnings,
-            served_from_cache: 0,
-            sources_ok,
-            outcomes,
-        })
     }
 
     /// Forward one event to every *other* registered gateway. Returns how

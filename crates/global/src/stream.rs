@@ -18,7 +18,6 @@
 use crate::gma::ProducerEntry;
 use crate::layer::GlobalLayer;
 use crate::protocol::{GlobalRequest, GlobalResponse, WireFrame, WireIdentity};
-use gridrm_core::acil::ClientRequest;
 use gridrm_core::security::Identity;
 use gridrm_core::stream::{StreamDelta, SubscribeSpec, SubscriptionId};
 use gridrm_dbc::{DbcResult, JdbcUrl, SqlError};
@@ -96,15 +95,8 @@ impl GlobalLayer {
             remotes: Vec::new(),
         };
         if !local.is_empty() {
-            let local_spec = SubscribeSpec {
-                request: ClientRequest {
-                    sources: local,
-                    ..spec.request.clone()
-                },
-                every_ms: spec.every_ms,
-                buffer: spec.buffer,
-                backpressure: spec.backpressure,
-            };
+            let mut local_spec = spec.clone();
+            local_spec.request.sources = local;
             grid.local = Some(self.gateway.subscribe(&local_spec)?);
         }
         for (name, (entry, sources)) in remote {
@@ -112,7 +104,7 @@ impl GlobalLayer {
                 from_gateway: my_name.clone(),
                 identity: WireIdentity::from(&identity),
                 sources,
-                sql: spec.request.sql.clone(),
+                sql: spec.request.sql().to_owned(),
                 every_ms: spec.every_ms,
                 buffer: spec.buffer,
                 backpressure: spec.backpressure,

@@ -5,8 +5,11 @@
 use gridrm_agents::{deploy_site, SiteAgents};
 use gridrm_core::events::ListenerFilter;
 use gridrm_core::{ClientRequest, Gateway, GatewayConfig, Identity, Severity};
+use gridrm_dbc::{RowSet, SqlError};
 use gridrm_drivers::install_into_gateway;
-use gridrm_global::{GlobalLayer, GmaDirectory};
+use gridrm_global::{
+    GlobalLayer, GlobalRequest, GlobalResponse, GmaDirectory, WireFrame, WireIdentity,
+};
 use gridrm_resmodel::{SiteModel, SiteSpec};
 use gridrm_simnet::{Latency, Network, SimClock};
 use gridrm_sqlparse::SqlValue;
@@ -281,4 +284,139 @@ fn wan_latency_accrues_on_remote_queries() {
     let link = g.net.stats_for("gw.alpha:gma", "gw.beta:gma").snapshot();
     assert_eq!(link.requests, 1);
     assert_eq!(link.latency_us, 80_000); // 40 ms each way
+}
+
+/// A request is classified once, from the statement it carries, so the
+/// three ways in — `Gateway::query`, `GlobalLayer::query` and the wire
+/// service — must treat every statement kind alike.
+#[test]
+fn every_entry_point_classifies_every_statement_kind_the_same_way() {
+    const SOURCE: &str = "jdbc:snmp://node00.alpha/public";
+    const SELECT: &str = "SELECT Hostname, NCpu FROM Processor";
+    let g = grid(&["alpha"]);
+    let (gateway, layer) = (&g.sites[0].gateway, &g.sites[0].layer);
+    let wire = layer.wire_service();
+    let over_wire = |sql: &str| -> Result<RowSet, String> {
+        let frame = WireFrame::encode(&GlobalRequest::Query {
+            from_gateway: "client".into(),
+            identity: WireIdentity::from(&Identity::anonymous()),
+            sources: vec![SOURCE.into()],
+            sql: sql.into(),
+            max_cache_age_ms: None,
+            trace: None,
+            deadline_ms: None,
+        });
+        let answer = wire.handle_frame("test", frame.bytes());
+        match WireFrame::decode::<GlobalResponse>(&answer).unwrap().0 {
+            GlobalResponse::Rows { rows, .. } => Ok(rows.to_rowset().unwrap()),
+            GlobalResponse::Error { message } => Err(message),
+            other => panic!("unexpected wire answer {other:?}"),
+        }
+    };
+    // [Gateway::query, GlobalLayer::query, wire]; the wire carries an
+    // error as its message only.
+    let rows_from_each = |sql: &str| -> [RowSet; 3] {
+        let request = ClientRequest::realtime(SOURCE, sql);
+        [
+            gateway.query(&request).expect("gateway").rows,
+            layer.query(&request).expect("global layer").rows,
+            over_wire(sql).expect("wire"),
+        ]
+    };
+    let error_from_each = |request: &ClientRequest, wired: bool| -> SqlError {
+        let local = gateway.query(request).expect_err("gateway");
+        assert_eq!(layer.query(request).expect_err("global layer"), local);
+        if wired {
+            assert_eq!(
+                over_wire(request.sql()).expect_err("wire"),
+                local.to_string()
+            );
+        }
+        local
+    };
+    let streams = gateway.streams();
+    let requests = || gateway.request_manager().stats().requests.get();
+    let column = |rows: &RowSet, name: &str| rows.meta().column_index(name).unwrap();
+
+    // Plain SELECT: the same rows (the wire drops column provenance,
+    // so compare cells).
+    let [a, b, c] = rows_from_each(SELECT);
+    assert_eq!(a.len(), 1);
+    assert_eq!(a, b);
+    assert_eq!(a.rows(), c.rows());
+
+    // SELECT … EVERY: each entry registers one subscription and answers
+    // with its acknowledgement (ids differ, delivery knobs do not).
+    let acks = rows_from_each(&format!("{SELECT} EVERY 250"));
+    assert_eq!(streams.subscriber_count(), 3);
+    for ack in &acks {
+        assert_eq!(ack.rows()[0][1..], acks[0].rows()[0][1..]);
+        let SqlValue::Int(id) = ack.rows()[0][column(ack, "Subscription")] else {
+            panic!("ack without a subscription id: {ack:?}");
+        };
+        assert!(gateway.cancel_subscription(id as u64));
+    }
+
+    // EXPLAIN: a span tree rooted at the explain span, with the inner
+    // SELECT's request span below it.
+    let sql = format!("EXPLAIN {SELECT}");
+    for tree in rows_from_each(&sql) {
+        let (request, stages) = (column(&tree, "request"), column(&tree, "stages"));
+        assert_eq!(tree.rows()[0][request], SqlValue::Str(sql.clone()));
+        assert_eq!(tree.rows()[0][stages], SqlValue::Str("explain=plan".into()));
+        assert!(tree.rows().iter().any(|row| {
+            row[request] == SqlValue::Str(SELECT.into())
+                && row[stages].to_string().contains("handle")
+        }));
+    }
+
+    // EXPLAIN ANALYZE … EVERY: one traced temporary subscription.
+    for tree in rows_from_each(&format!("EXPLAIN ANALYZE {SELECT} EVERY 250")) {
+        let rendered = format!("{:?}", tree.rows());
+        for stage in ["explain@0=analyze", "subscribe", "delta", "deliver"] {
+            assert!(rendered.contains(stage), "missing {stage}: {rendered}");
+        }
+    }
+    assert_eq!(streams.subscriber_count(), 0);
+    assert_eq!(streams.standing_query_count(), 0);
+
+    // DELETE: refused, in the same words.
+    assert_eq!(
+        error_from_each(
+            &ClientRequest::realtime(SOURCE, "DELETE FROM Processor"),
+            true
+        ),
+        SqlError::Unsupported("clients may only submit SELECT statements".into())
+    );
+
+    // Unparseable text: a syntax error from the request path — counted
+    // as a request and traced to an `error` outcome at every entry.
+    let garbage = ClientRequest::realtime(SOURCE, "SELEKT nonsense");
+    let before = requests();
+    assert!(matches!(
+        error_from_each(&garbage, true),
+        SqlError::Syntax(_)
+    ));
+    assert_eq!(requests(), before + 3);
+    let spans: Vec<_> = gateway
+        .telemetry()
+        .traces()
+        .recent()
+        .into_iter()
+        .filter(|span| span.request == garbage.sql())
+        .collect();
+    assert!(spans.len() >= 3);
+    assert!(
+        spans.iter().all(|span| span.outcome == "error"),
+        "{spans:?}"
+    );
+
+    // …and an invalid session is reported ahead of the syntax error.
+    let token = gateway.login(Identity::anonymous());
+    assert!(gateway.sessions().close(token));
+    assert_eq!(
+        error_from_each(&garbage.with_token(token), false),
+        SqlError::Security("invalid or expired session".into())
+    );
+    assert_eq!(requests(), before + 5);
 }

@@ -188,6 +188,36 @@ fn sql_every_clause_registers_a_subscription_and_explain_shows_stages() {
     assert_eq!(g.gateways[0].streams().subscriber_count(), 1);
 }
 
+#[test]
+fn explain_of_a_continuous_query_through_the_global_layer_leaves_nothing_registered() {
+    let g = grid();
+    let registered = |g: &Grid| -> Vec<(usize, usize)> {
+        g.gateways
+            .iter()
+            .map(|gw| {
+                (
+                    gw.streams().subscriber_count(),
+                    gw.streams().standing_query_count(),
+                )
+            })
+            .collect()
+    };
+    let before = registered(&g);
+    let resp = g.layers[0]
+        .query(
+            &ClientRequest::builder(&format!("EXPLAIN ANALYZE {SQL}"))
+                .sources(&[ALPHA_URL, BETA_URL])
+                .build(),
+        )
+        .expect("explain analyze across the grid");
+    let rendered = format!("{:?}", resp.rows.rows());
+    for stage in ["subscribe", "delta", "deliver"] {
+        assert!(rendered.contains(stage), "missing {stage}: {rendered}");
+    }
+    // Both the local and the remote share were temporary.
+    assert_eq!(registered(&g), before);
+}
+
 // ---------------------------------------------------------------------
 // A driver whose single row the test controls exactly, so emissions are
 // forced (or suppressed) on demand.
