@@ -1,12 +1,13 @@
 //! E8 (§3.2.4): fine-grained vs coarse-grained data sources. SNMP answers
 //! a one-attribute question with a few dozen binary bytes; Ganglia ships
 //! the whole cluster as XML whose parse cost grows with cluster size —
-//! unless the driver's lazy mode or TTL cache compensates.
+//! unless a narrow projection or the driver's TTL cache compensates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gridrm_bench::{single_site_world, SEED};
 use gridrm_core::ClientRequest;
-use gridrm_drivers::ganglia::{parse_dump_eager, parse_dump_lazy};
+use gridrm_drivers::ganglia::parse_dump;
+use gridrm_drivers::mappings::ganglia_mapping;
 use gridrm_resmodel::{SiteModel, SiteSpec};
 use std::hint::black_box;
 use std::time::Duration;
@@ -40,24 +41,26 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(world.gateway.query(&coarse_cached).unwrap()));
     });
 
-    // -- raw parse cost scaling with cluster size -------------------------
+    // -- raw parse cost scaling with cluster size: the one parser, keeping
+    // every mapped key (wide) or two (narrow) ---------------------------
+    let mut wide: Vec<String> = ganglia_mapping()
+        .groups
+        .values()
+        .flat_map(|fields| fields.values().map(|fm| fm.native_key.clone()))
+        .collect();
+    wide.sort();
+    wide.dedup();
+    let narrow = vec!["load_one".to_owned(), "host.name".to_owned()];
     for hosts in [4usize, 32, 128] {
         let xml = cluster_xml(hosts);
-        group.bench_with_input(
-            BenchmarkId::new("xml_parse_eager", hosts),
-            &hosts,
-            |b, _| {
-                b.iter(|| black_box(parse_dump_eager(&xml).unwrap().len()));
-            },
-        );
-        let needed = vec!["load_one".to_owned(), "host.name".to_owned()];
-        group.bench_with_input(
-            BenchmarkId::new("xml_parse_lazy_2_metrics", hosts),
-            &hosts,
-            |b, _| {
-                b.iter(|| black_box(parse_dump_lazy(&xml, &needed).len()));
-            },
-        );
+        for (name, keep) in [
+            ("xml_parse_wide", &wide),
+            ("xml_parse_narrow_2_keys", &narrow),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, hosts), &hosts, |b, _| {
+                b.iter(|| black_box(parse_dump(&xml, Some(keep)).unwrap().len()));
+            });
+        }
     }
     group.finish();
 }

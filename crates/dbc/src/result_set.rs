@@ -279,6 +279,13 @@ impl RowSet {
         })
     }
 
+    /// The same rows under new column metadata (a driver decorating an
+    /// engine's answer with units), without copying them. `meta` must
+    /// describe as many columns as the rows have.
+    pub fn with_meta(self, meta: ResultSetMetaData) -> DbcResult<RowSet> {
+        RowSet::new(meta, self.rows)
+    }
+
     /// Empty result with the given columns.
     pub fn empty(meta: ResultSetMetaData) -> RowSet {
         RowSet {
@@ -502,6 +509,17 @@ mod tests {
             vec![vec![SqlValue::Int(1), SqlValue::Int(2)]],
         );
         assert!(bad.is_err());
+        // ... and when rows move under new metadata.
+        let narrower = ResultSetMetaData::from_pairs(&[("a", SqlType::Int)]);
+        assert!(sample().with_meta(narrower).is_err());
+        let renamed = ResultSetMetaData::from_pairs(&[
+            ("h", SqlType::Str),
+            ("l", SqlType::Float),
+            ("n", SqlType::Int),
+        ]);
+        let moved = sample().with_meta(renamed).unwrap();
+        assert_eq!(moved.rows(), sample().rows());
+        assert_eq!(moved.meta().column_name(0), Ok("h"));
     }
 
     #[test]

@@ -19,8 +19,9 @@ use gridrm_simnet::{Network, SimClock};
 use gridrm_sqlparse::ast::{self, BinaryOp, ColumnDef, Expr, SelectStatement};
 use gridrm_sqlparse::SqlValue;
 use gridrm_store::{Store, Table};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -134,6 +135,59 @@ impl Target<'_> {
     pub fn request(&self, proto: &str, payload: &[u8]) -> DbcResult<Vec<u8>> {
         self.stats.native();
         self.env.native_request(&self.url.host, proto, payload)
+    }
+
+    /// The URL's `?ttl=<ms>` — how long a [`TtlCache`] may go on serving
+    /// one native response — or `default_ms` when the URL has none.
+    pub fn ttl_ms(&self, default_ms: u64) -> DbcResult<u64> {
+        let Some(text) = self.url.param("ttl") else {
+            return Ok(default_ms);
+        };
+        text.parse()
+            .map_err(|_| SqlError::Connection(format!("bad ?ttl= '{text}': want milliseconds")))
+    }
+}
+
+/// The caching "within the plug-in" §3.2.4 asks of drivers for
+/// coarse-grained sources: native responses by key, each served again
+/// while it is younger (on the virtual clock) than the TTL.
+pub struct TtlCache<K, V> {
+    entries: Mutex<HashMap<K, (u64, V)>>,
+}
+
+impl<K, V> Default for TtlCache<K, V> {
+    fn default() -> Self {
+        TtlCache {
+            entries: Mutex::default(),
+        }
+    }
+}
+
+impl<K: Hash + Eq, V: Clone> TtlCache<K, V> {
+    /// The response under `key` if one younger than `ttl_ms` is held
+    /// (counted in [`DriverStats::cache_hits`]), else `fetch()`, kept for
+    /// next time. With a TTL of 0 nothing can be served twice, so
+    /// nothing is looked up or kept.
+    pub fn get_or_fetch(
+        &self,
+        at: &Target<'_>,
+        ttl_ms: u64,
+        key: K,
+        fetch: impl FnOnce() -> DbcResult<V>,
+    ) -> DbcResult<V> {
+        if ttl_ms == 0 {
+            return fetch();
+        }
+        let now = at.env.clock.now_millis();
+        if let Some((fetched_ms, value)) = self.entries.lock().get(&key) {
+            if now.saturating_sub(*fetched_ms) < ttl_ms {
+                at.stats.hit();
+                return Ok(value.clone());
+            }
+        }
+        let value = fetch()?;
+        self.entries.lock().insert(key, (now, value.clone()));
+        Ok(value)
     }
 }
 
@@ -520,7 +574,7 @@ pub fn finish_select(
             })
             .collect(),
     );
-    RowSet::new(meta, rs.rows().to_vec())
+    rs.with_meta(meta)
 }
 
 /// Convert an SNMP-style text number into an [`SqlValue`] guess (used by

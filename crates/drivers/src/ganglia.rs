@@ -4,34 +4,37 @@
 //!
 //! Per the paper's guidance that "implementations should address these
 //! issues by using caching policies within the plug-in, as appropriate for
-//! the characteristics of a particular type of data source", this driver
-//! supports:
+//! the characteristics of a particular type of data source", the driver
+//! keeps each head node's dump in the kit's [`TtlCache`] (`?ttl=<ms>`,
+//! default 5000 virtual ms), so one gmond fetch serves many queries.
 //!
-//! * a TTL cache of the raw dump (`?ttl=<ms>`, default 5000 virtual ms) —
-//!   one gmond fetch serves many queries;
-//! * eager (`?parse=eager`, default) vs lazy (`?parse=lazy`) parsing —
-//!   eager runs the full XML scanner once and caches typed rows; lazy
-//!   string-scans only the metrics a query actually needs.
+//! There is one parser, [`parse_dump`]. It checks every tag of the dump
+//! and builds only the native keys it is asked to keep. A dump that will
+//! be served again is parsed once for every key, the rows kept beside the
+//! text, and each query copies out the keys it names; a dump that cannot
+//! be (`ttl=0`) is parsed for the query's keys alone and dropped.
 //!
-//! URL form: `jdbc:ganglia://<head-host>/<cluster>[?ttl=ms&parse=mode]`.
+//! URL form: `jdbc:ganglia://<head-host>/<cluster>[?ttl=ms]`.
 
-use crate::base::{guess_value, needed_keys, KitDriver, Source, Target};
-use crate::xml::{attr, scan, XmlEvent};
+use crate::base::{guess_value, needed_keys, KitDriver, Source, Target, TtlCache};
+use crate::xml::{Tag, Tags, XmlError};
 use gridrm_dbc::{DbcResult, DriverMetaData, SqlError};
 use gridrm_glue::{DriverMapping, GroupDef, NativeRow};
 use gridrm_sqlparse::ast::SelectStatement;
 use gridrm_sqlparse::SqlValue;
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Driver name as registered with the gateway.
 pub const DRIVER_NAME: &str = "jdbc-ganglia";
 
-struct CacheEntry {
-    fetched_ms: u64,
-    raw: Arc<String>,
-    parsed: Option<Arc<Vec<NativeRow>>>,
+/// `?ttl=` when the URL has none: gmond's own metrics are seconds old.
+const DEFAULT_TTL_MS: u64 = 5000;
+
+/// One fetched dump and, from the first query that is answered from it,
+/// the outcome of parsing it in full.
+struct Dump {
+    raw: String,
+    rows: OnceLock<DbcResult<Vec<NativeRow>>>,
 }
 
 /// The JDBC-Ganglia driver.
@@ -40,173 +43,92 @@ pub type GangliaDriver = KitDriver<Ganglia>;
 /// The Ganglia [`Source`]: a per-head-node TTL cache of the gmond dump.
 #[derive(Default)]
 pub struct Ganglia {
-    cache: Mutex<HashMap<String, CacheEntry>>,
+    cache: TtlCache<String, Arc<Dump>>,
 }
 
 impl Ganglia {
-    /// Fetch the raw dump, honouring the TTL cache.
-    fn fetch_raw(&self, at: &Target<'_>) -> DbcResult<Arc<String>> {
-        let host = &at.url.host;
-        let now = at.env.clock.now_millis();
-        let ttl: u64 = at
-            .url
-            .param("ttl")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(5000);
-        {
-            let cache = self.cache.lock();
-            if let Some(entry) = cache.get(host) {
-                if ttl > 0 && now.saturating_sub(entry.fetched_ms) < ttl {
-                    at.stats.hit();
-                    return Ok(entry.raw.clone());
-                }
-            }
-        }
-        let bytes = at.request("ganglia", b"")?;
-        let raw = Arc::new(
-            String::from_utf8(bytes)
-                .map_err(|_| SqlError::Driver("gmond returned non-UTF-8 XML".into()))?,
-        );
-        self.cache.lock().insert(
-            host.clone(),
-            CacheEntry {
-                fetched_ms: now,
-                raw: raw.clone(),
-                parsed: None,
-            },
-        );
-        Ok(raw)
-    }
-
-    /// Eager path: parsed rows, cached alongside the raw text.
-    fn fetch_parsed(&self, at: &Target<'_>) -> DbcResult<Arc<Vec<NativeRow>>> {
-        let raw = self.fetch_raw(at)?;
-        {
-            let cache = self.cache.lock();
-            if let Some(entry) = cache.get(&at.url.host) {
-                if Arc::ptr_eq(&entry.raw, &raw) {
-                    if let Some(parsed) = &entry.parsed {
-                        return Ok(parsed.clone());
-                    }
-                }
-            }
-        }
-        at.stats.parsed(raw.len());
-        let rows = Arc::new(parse_dump_eager(&raw)?);
-        let mut cache = self.cache.lock();
-        if let Some(entry) = cache.get_mut(&at.url.host) {
-            if Arc::ptr_eq(&entry.raw, &raw) {
-                entry.parsed = Some(rows.clone());
-            }
-        }
-        Ok(rows)
+    /// The head node's dump, honouring the TTL cache.
+    fn dump(&self, at: &Target<'_>, ttl_ms: u64) -> DbcResult<Arc<Dump>> {
+        self.cache
+            .get_or_fetch(at, ttl_ms, at.url.host.clone(), || {
+                let raw = String::from_utf8(at.request("ganglia", b"")?)
+                    .map_err(|_| SqlError::Driver("gmond returned non-UTF-8 XML".into()))?;
+                let rows = OnceLock::new();
+                Ok(Arc::new(Dump { raw, rows }))
+            })
     }
 }
 
-/// Full XML scan into one native row per host.
-pub fn parse_dump_eager(xml: &str) -> DbcResult<Vec<NativeRow>> {
-    let events = scan(xml).map_err(|e| SqlError::Driver(format!("bad gmond XML: {e}")))?;
+/// The one gmond parser: one native row per `<HOST>`, holding those of
+/// its attributes (`host.*`), metrics and `derived.uptime_sec` that
+/// `keep` names — all of them when `keep` is `None`. Every tag and
+/// attribute of the dump is checked whatever `keep` says, so damage
+/// inside a metric nobody asked for is still an error.
+pub fn parse_dump(xml: &str, keep: Option<&[String]>) -> DbcResult<Vec<NativeRow>> {
+    let bad = |e: XmlError| SqlError::Driver(format!("bad gmond XML: {e}"));
+    let want = |key: &str| keep.is_none_or(|keep| keep.iter().any(|k| k == key));
     let mut rows = Vec::new();
-    let mut current: Option<NativeRow> = None;
-    for ev in events {
-        match ev {
-            XmlEvent::Open { name, attrs } if name == "HOST" => {
-                let mut row = NativeRow::new();
-                if let Some(h) = attr(&attrs, "NAME") {
-                    row.insert("host.name".into(), SqlValue::Str(h.to_owned()));
+    // The open <HOST>: its row so far, then REPORTED and boottime, which
+    // derived.uptime_sec is made of whether or not they are kept.
+    let mut host: Option<(NativeRow, Option<i64>, Option<i64>)> = None;
+    for tag in Tags::new(xml) {
+        match tag.map_err(bad)? {
+            Tag::Open("HOST", attrs) => {
+                let (mut row, mut reported) = (NativeRow::new(), None);
+                for attr in attrs {
+                    let (key, val) = match attr.map_err(bad)? {
+                        ("NAME", v) => ("host.name", SqlValue::Str(v.into_owned())),
+                        ("IP", v) => ("host.ip", SqlValue::Str(v.into_owned())),
+                        ("REPORTED", v) => {
+                            let val = guess_value(&v);
+                            reported = val.as_i64();
+                            ("host.reported", val)
+                        }
+                        _ => continue,
+                    };
+                    if want(key) {
+                        row.insert(key.to_owned(), val);
+                    }
                 }
-                if let Some(ip) = attr(&attrs, "IP") {
-                    row.insert("host.ip".into(), SqlValue::Str(ip.to_owned()));
-                }
-                if let Some(rep) = attr(&attrs, "REPORTED") {
-                    row.insert("host.reported".into(), guess_value(rep));
-                }
-                current = Some(row);
+                host = Some((row, reported, None));
             }
-            XmlEvent::SelfClose { name, attrs } if name == "METRIC" => {
-                if let Some(row) = current.as_mut() {
-                    if let (Some(metric), Some(val)) = (attr(&attrs, "NAME"), attr(&attrs, "VAL")) {
-                        row.insert(metric.to_owned(), guess_value(val));
+            Tag::SelfClose("METRIC", attrs) => {
+                let (mut name, mut val) = (None, None);
+                for attr in attrs {
+                    match attr.map_err(bad)? {
+                        ("NAME", v) => name = Some(v),
+                        ("VAL", v) => val = Some(v),
+                        _ => {}
+                    }
+                }
+                if let (Some((row, _, boot)), Some(name), Some(val)) = (host.as_mut(), name, val) {
+                    if name == "boottime" {
+                        *boot = guess_value(&val).as_i64();
+                    }
+                    if want(&name) {
+                        row.insert(name.into_owned(), guess_value(&val));
                     }
                 }
             }
-            XmlEvent::Close { name } if name == "HOST" => {
-                if let Some(mut row) = current.take() {
-                    // derived.uptime_sec = REPORTED - boottime.
-                    let reported = row.get("host.reported").and_then(SqlValue::as_i64);
-                    let boot = row.get("boottime").and_then(SqlValue::as_i64);
-                    if let (Some(r), Some(b)) = (reported, boot) {
-                        row.insert("derived.uptime_sec".into(), SqlValue::Int(r - b));
-                    }
-                    rows.push(row);
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(rows)
-}
-
-/// Lazy path: extract only `needed` metric names (plus host attributes)
-/// with a line scan instead of a full XML parse.
-pub fn parse_dump_lazy(xml: &str, needed: &[String]) -> Vec<NativeRow> {
-    let mut rows = Vec::new();
-    let mut current: Option<NativeRow> = None;
-    for line in xml.lines() {
-        let line = line.trim_start();
-        if let Some(rest) = line.strip_prefix("<HOST ") {
-            let mut row = NativeRow::new();
-            if let Some(name) = extract_attr(rest, "NAME") {
-                row.insert(
-                    "host.name".into(),
-                    SqlValue::Str(crate::xml::unescape(&name)),
-                );
-            }
-            if let Some(ip) = extract_attr(rest, "IP") {
-                row.insert("host.ip".into(), SqlValue::Str(ip));
-            }
-            if let Some(rep) = extract_attr(rest, "REPORTED") {
-                row.insert("host.reported".into(), guess_value(&rep));
-            }
-            current = Some(row);
-        } else if line.starts_with("</HOST>") {
-            if let Some(mut row) = current.take() {
-                if needed.iter().any(|n| n == "derived.uptime_sec") {
-                    let reported = row.get("host.reported").and_then(SqlValue::as_i64);
-                    let boot = row.get("boottime").and_then(SqlValue::as_i64);
-                    if let (Some(r), Some(b)) = (reported, boot) {
-                        row.insert("derived.uptime_sec".into(), SqlValue::Int(r - b));
-                    }
+            Tag::Close("HOST") => {
+                let Some((mut row, reported, boot)) = host.take() else {
+                    continue;
+                };
+                let uptime = reported.zip(boot).and_then(|(r, b)| r.checked_sub(b));
+                if let Some(up) = uptime.filter(|_| want("derived.uptime_sec")) {
+                    row.insert("derived.uptime_sec".into(), SqlValue::Int(up));
                 }
                 rows.push(row);
             }
-        } else if let Some(rest) = line.strip_prefix("<METRIC ") {
-            let Some(row) = current.as_mut() else {
-                continue;
-            };
-            let Some(name) = extract_attr(rest, "NAME") else {
-                continue;
-            };
-            // `boottime` feeds the derived uptime, so treat it as needed
-            // whenever uptime is.
-            let wanted = needed.contains(&name)
-                || (name == "boottime" && needed.iter().any(|n| n == "derived.uptime_sec"));
-            if wanted {
-                if let Some(val) = extract_attr(rest, "VAL") {
-                    row.insert(name, guess_value(&val));
+            Tag::Open(_, attrs) | Tag::SelfClose(_, attrs) => {
+                for attr in attrs {
+                    attr.map_err(bad)?;
                 }
             }
+            Tag::Close(_) => {}
         }
     }
-    rows
-}
-
-fn extract_attr(tag_rest: &str, key: &str) -> Option<String> {
-    let pat = format!("{key}=\"");
-    let idx = tag_rest.find(&pat)?;
-    let rest = &tag_rest[idx + pat.len()..];
-    let end = rest.find('"')?;
-    Some(rest[..end].to_owned())
+    Ok(rows)
 }
 
 impl Source for Ganglia {
@@ -234,7 +156,7 @@ impl Source for Ganglia {
 
     /// Prime the cache (and verify connectivity).
     fn open(&self, at: &Target<'_>) -> DbcResult<()> {
-        self.fetch_raw(at).map(|_| ())
+        self.dump(at, at.ttl_ms(DEFAULT_TTL_MS)?).map(|_| ())
     }
 
     fn fetch(
@@ -244,13 +166,24 @@ impl Source for Ganglia {
         mapping: &DriverMapping,
         sel: &SelectStatement,
     ) -> DbcResult<Vec<NativeRow>> {
-        if at.url.param("parse") == Some("lazy") {
-            let raw = self.fetch_raw(at)?;
-            at.stats.parsed(raw.len());
-            Ok(parse_dump_lazy(&raw, &needed_keys(group, mapping, sel)))
-        } else {
-            Ok((*self.fetch_parsed(at)?).clone())
+        let keep = needed_keys(group, mapping, sel);
+        let ttl_ms = at.ttl_ms(DEFAULT_TTL_MS)?;
+        let dump = self.dump(at, ttl_ms)?;
+        if ttl_ms == 0 {
+            // Never served again: build what this query names, no more.
+            at.stats.parsed(dump.raw.len());
+            return parse_dump(&dump.raw, Some(&keep));
         }
+        let parsed = dump.rows.get_or_init(|| {
+            at.stats.parsed(dump.raw.len());
+            parse_dump(&dump.raw, None)
+        });
+        let rows = parsed.as_ref().map_err(Clone::clone)?;
+        let pick = |row: &NativeRow| {
+            let kept = keep.iter().filter_map(|k| row.get_key_value(k));
+            kept.map(|(k, v)| (k.clone(), v.clone())).collect()
+        };
+        Ok(rows.iter().map(pick).collect())
     }
 }
 
@@ -270,6 +203,10 @@ mod tests {
         let site = SiteModel::generate(13, &SiteSpec::new("g", hosts, 2));
         site.advance_to(300_000);
         deploy_site(&net, site);
+        driver_on(net)
+    }
+
+    fn driver_on(net: Arc<Network>) -> (Arc<DriverEnv>, Arc<GangliaDriver>) {
         let schema = Arc::new(SchemaManager::new());
         schema.register_mapping(crate::mappings::ganglia_mapping());
         let env = DriverEnv::new(net, schema, "gw");
@@ -362,15 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn lazy_and_eager_agree() {
-        let (_env, driver) = setup(3);
-        let sql = "SELECT Hostname, Load1, CpuIdle FROM Processor ORDER BY Hostname";
-        let eager = query(&driver, "jdbc:ganglia://node00.g/g?parse=eager", sql);
-        let lazy = query(&driver, "jdbc:ganglia://node00.g/g?parse=lazy", sql);
-        assert_eq!(eager.rows(), lazy.rows());
-    }
-
-    #[test]
     fn os_group_via_strings() {
         let (_env, driver) = setup(1);
         let rs = query(
@@ -393,12 +321,13 @@ mod tests {
             "SELECT UpTimeSec FROM Host",
         );
         assert_eq!(rs.rows()[0][0].as_i64().unwrap(), 300);
-        let lazy = query(
+        // Parsed for UpTimeSec alone: boottime is read but not kept.
+        let fresh = query(
             &driver,
-            "jdbc:ganglia://node00.g/g?parse=lazy",
+            "jdbc:ganglia://node00.g/g?ttl=0",
             "SELECT UpTimeSec FROM Host",
         );
-        assert_eq!(lazy.rows()[0][0].as_i64().unwrap(), 300);
+        assert_eq!(fresh.rows()[0][0].as_i64().unwrap(), 300);
     }
 
     #[test]
@@ -413,5 +342,247 @@ mod tests {
         let (_env, driver) = setup(1);
         let url = JdbcUrl::parse("jdbc:ganglia://ghost/g").unwrap();
         assert!(driver.connect(&url, &Properties::new()).is_err());
+    }
+
+    /// A driver whose head node `head` answers every request with `body`.
+    fn fixed_gmond(body: &[u8]) -> Arc<GangliaDriver> {
+        let net = Network::new(SimClock::new(), 7);
+        let body = body.to_vec();
+        net.register(
+            "head:ganglia",
+            Arc::new(move |_: &str, _: &[u8]| body.clone()),
+        );
+        driver_on(net).1
+    }
+
+    #[test]
+    fn damage_in_an_unread_metric_is_rejected_on_both_ttl_sides() {
+        let dump = r#"<?xml version="1.0"?>
+<GANGLIA_XML VERSION="2.5.7" SOURCE="gmond">
+<CLUSTER NAME="c" LOCALTIME="120">
+<HOST NAME="head" IP="10.0.0.1" REPORTED="120">
+<METRIC NAME="load_one" VAL="0.75" TYPE="float" UNITS=""/>
+<METRIC NAME="machine_type" VAL="x86 TYPE="string" UNITS=""/>
+</HOST>
+</CLUSTER>
+</GANGLIA_XML>
+"#;
+        let driver = fixed_gmond(dump.as_bytes());
+        for ttl in [0, 10_000] {
+            let url = JdbcUrl::parse(&format!("jdbc:ganglia://head/c?ttl={ttl}")).unwrap();
+            let mut conn = driver.connect(&url, &Properties::new()).unwrap();
+            let mut stmt = conn.create_statement().unwrap();
+            // Twice: the cached side must not forget the verdict.
+            for _ in 0..2 {
+                match stmt.execute_query("SELECT Load1 FROM Processor") {
+                    Err(SqlError::Driver(msg)) => {
+                        assert!(msg.starts_with("bad gmond XML: "), "{msg}")
+                    }
+                    other => panic!("ttl={ttl}: {:?}", other.map(|_| ())),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_utf8_dump_is_rejected() {
+        let driver = fixed_gmond(b"<?xml version=\"1.0\"?>\n<GANGLIA_XML \xff>");
+        let url = JdbcUrl::parse("jdbc:ganglia://head/c").unwrap();
+        match driver.connect(&url, &Properties::new()) {
+            Err(SqlError::Driver(msg)) => assert_eq!(msg, "gmond returned non-UTF-8 XML"),
+            other => panic!("{:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn bad_ttl_fails_connect() {
+        let (_env, driver) = setup(1);
+        let url = JdbcUrl::parse("jdbc:ganglia://node00.g/g?ttl=5s").unwrap();
+        match driver.connect(&url, &Properties::new()) {
+            Err(SqlError::Connection(msg)) => assert!(msg.starts_with("bad ?ttl= '5s'"), "{msg}"),
+            other => panic!("{:?}", other.map(|_| ())),
+        }
+    }
+}
+
+/// `parse_dump` against a reference that never sees XML: dumps are
+/// rendered from a generated model, and the reference reads the model.
+#[cfg(test)]
+mod parse_props {
+    use super::*;
+    use gridrm_agents::ganglia::xml_escape;
+    use proptest::prelude::*;
+
+    type Attrs = Vec<(String, String)>;
+    /// Per host: the `<HOST>` attributes, then each `<METRIC>`'s.
+    type Model = Vec<(Attrs, Vec<Attrs>)>;
+
+    const METRICS: [&str; 6] = [
+        "load_one", "boottime", "cpu_num", "a&b", "x<y>\"q'", "os name",
+    ];
+
+    /// Integers, decimals and text full of the five escaped characters.
+    fn value() -> impl Strategy<Value = String> {
+        prop_oneof![
+            "-?[0-9]{1,9}",
+            "[0-9]{1,3}[.][0-9]{1,2}",
+            "[a-f&<>\"' ]{0,6}"
+        ]
+    }
+
+    /// Three in four of `names`, each with a value, in shuffled order.
+    fn attrs(names: &'static [&'static str]) -> impl Strategy<Value = Attrs> {
+        prop::collection::vec((any::<u8>(), value()), names.len()..=names.len()).prop_map(
+            move |vals| {
+                let mut attrs: Vec<_> = names
+                    .iter()
+                    .zip(vals)
+                    .filter(|(_, (order, _))| order % 4 != 0)
+                    .map(|(name, (order, val))| (order, name.to_string(), val))
+                    .collect();
+                attrs.sort();
+                attrs
+                    .into_iter()
+                    .map(|(_, name, val)| (name, val))
+                    .collect()
+            },
+        )
+    }
+
+    fn model() -> impl Strategy<Value = Model> {
+        let metric = (
+            attrs(&["NAME", "VAL", "TYPE", "UNITS", "TN", "SLOPE"]),
+            prop::sample::select(METRICS.to_vec()),
+        )
+            .prop_map(|(mut attrs, name)| {
+                for (key, val) in &mut attrs {
+                    if key == "NAME" {
+                        *val = name.to_owned();
+                    }
+                }
+                attrs
+            });
+        let host = attrs(&["NAME", "IP", "REPORTED", "TN", "LOCATION"]);
+        prop::collection::vec((host, prop::collection::vec(metric, 0..8)), 0..5)
+    }
+
+    /// White space between attributes, and the `=` with or without it.
+    fn spacing() -> impl Strategy<Value = (&'static str, &'static str)> {
+        (
+            prop::sample::select(vec![" ", "  ", "\n", " \t"]),
+            prop::sample::select(vec!["=", " = "]),
+        )
+    }
+
+    fn keys() -> impl Strategy<Value = Vec<String>> {
+        let mut all = vec![
+            "host.name",
+            "host.ip",
+            "host.reported",
+            "derived.uptime_sec",
+            "absent",
+        ];
+        all.extend(METRICS);
+        let all: Vec<String> = all.into_iter().map(str::to_owned).collect();
+        let n = all.len();
+        prop::sample::subsequence(all, 0..n + 1)
+    }
+
+    fn render(model: &Model, (gap, eq): (&str, &str)) -> String {
+        let tag = |name: &str, attrs: &Attrs, end: &str| {
+            let attrs: String = attrs
+                .iter()
+                .map(|(k, v)| format!("{gap}{k}{eq}\"{}\"", xml_escape(v)))
+                .collect();
+            format!("<{name}{attrs}{end}{gap}")
+        };
+        let mut xml = String::from("<?xml version=\"1.0\"?>\n<!-- gmond -->\n");
+        xml += "<GANGLIA_XML VERSION=\"2.5.7\"><CLUSTER NAME=\"c&amp;d\" >some text\n";
+        for (host, metrics) in model {
+            xml += &tag("HOST", host, ">");
+            for metric in metrics {
+                xml += &tag("METRIC", metric, "/>");
+            }
+            xml += "</HOST>";
+        }
+        xml + "</CLUSTER>\n</GANGLIA_XML>\n"
+    }
+
+    /// What the dump says, read off the model.
+    fn reference(model: &Model, keep: Option<&[String]>) -> Vec<NativeRow> {
+        let get = |attrs: &Attrs, key: &str| {
+            let found = attrs.iter().find(|(k, _)| k == key);
+            found.map(|(_, v)| v.clone())
+        };
+        let rows = model.iter().map(|(host, metrics)| {
+            let mut row = NativeRow::new();
+            for (attr, key) in [("NAME", "host.name"), ("IP", "host.ip")] {
+                if let Some(v) = get(host, attr) {
+                    row.insert(key.into(), SqlValue::Str(v));
+                }
+            }
+            for metric in metrics {
+                if let (Some(name), Some(val)) = (get(metric, "NAME"), get(metric, "VAL")) {
+                    row.insert(name, guess_value(&val));
+                }
+            }
+            let boot = row.get("boottime").and_then(SqlValue::as_i64);
+            if let Some(reported) = get(host, "REPORTED").map(|v| guess_value(&v)) {
+                if let (Some(r), Some(b)) = (reported.as_i64(), boot) {
+                    row.insert("derived.uptime_sec".into(), SqlValue::Int(r - b));
+                }
+                row.insert("host.reported".into(), reported);
+            }
+            row.retain(|k, _| keep.is_none_or(|keep| keep.iter().any(|n| n == k)));
+            row
+        });
+        rows.collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn agrees_with_the_reference(
+            model in model(),
+            spacing in spacing(),
+            keys in prop::option::of(keys()),
+        ) {
+            let keep = keys.as_deref();
+            let rows = parse_dump(&render(&model, spacing), keep).unwrap();
+            prop_assert_eq!(rows, reference(&model, keep));
+        }
+
+        /// A dump cut short at any byte, or missing any one `"`, `=` or
+        /// `>`, is either refused or still says, host for host from the
+        /// first, exactly what the whole dump said — wide and narrow.
+        #[test]
+        fn damage_is_refused_or_harmless(
+            model in model(),
+            spacing in spacing(),
+            keys in keys(),
+            at in any::<usize>(),
+            truncate in any::<bool>(),
+        ) {
+            let xml = render(&model, spacing);
+            let damaged = if truncate {
+                xml[..at % xml.len()].to_owned()
+            } else {
+                let marks: Vec<usize> = xml.match_indices(['"', '=', '>']).map(|(i, _)| i).collect();
+                let i = marks[at % marks.len()];
+                format!("{}{}", &xml[..i], &xml[i + 1..])
+            };
+            for keep in [None, Some(keys.as_slice())] {
+                match parse_dump(&damaged, keep) {
+                    Ok(rows) => {
+                        let whole = reference(&model, keep);
+                        prop_assert!(rows.len() <= whole.len(), "{damaged}");
+                        prop_assert_eq!(&rows[..], &whole[..rows.len()], "{}", damaged);
+                    }
+                    Err(SqlError::Driver(msg)) => prop_assert!(msg.starts_with("bad gmond XML: ")),
+                    Err(other) => panic!("{other:?}"),
+                }
+            }
+        }
     }
 }

@@ -10,27 +10,23 @@
 //! URL form: `jdbc:nws://<head-host>/<path>[?ttl=ms]` (the path is
 //! ignored, as with a real NWS nameserver registration namespace).
 
-use crate::base::{guess_value, KitDriver, Source, Target};
+use crate::base::{guess_value, KitDriver, Source, Target, TtlCache};
 use gridrm_dbc::{DbcResult, DriverMetaData, SqlError};
 use gridrm_glue::{DriverMapping, GroupDef, NativeRow};
 use gridrm_sqlparse::ast::SelectStatement;
 use gridrm_sqlparse::SqlValue;
-use parking_lot::Mutex;
-use std::collections::HashMap;
 
 /// Driver name as registered with the gateway.
 pub const DRIVER_NAME: &str = "jdbc-nws";
 
-/// Cache key: `(host, with_forecast)`; value: `(fetched_ms, rows)`.
-type PairCache = HashMap<(String, bool), (u64, Vec<NativeRow>)>;
-
 /// The JDBC-NWS driver.
 pub type NwsDriver = KitDriver<Nws>;
 
-/// The NWS [`Source`]: a TTL cache of fetched pair rows.
+/// The NWS [`Source`]: a TTL cache of fetched pair rows, keyed by
+/// `(host, with_forecast)`.
 #[derive(Default)]
 pub struct Nws {
-    cache: Mutex<PairCache>,
+    cache: TtlCache<(String, bool), Vec<NativeRow>>,
 }
 
 /// Send one NWS command; the reply text (which may be an `ERROR` line).
@@ -93,69 +89,55 @@ impl Source for Nws {
             None => true,
         };
 
-        // Driver-level TTL cache (§3.2.4): serve cached pair rows without
-        // touching the sensor at all when fresh enough.
-        let ttl: u64 = at
-            .url
-            .param("ttl")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0);
+        // Fresh enough pair rows are served without touching the sensor.
         let key = (at.url.host.clone(), needs_forecast);
-        let now_ms = at.env.clock.now_millis();
-        if ttl > 0 {
-            if let Some((fetched_ms, rows)) = self.cache.lock().get(&key) {
-                if now_ms.saturating_sub(*fetched_ms) < ttl {
-                    at.stats.hit();
-                    return Ok(rows.clone());
-                }
+        self.cache
+            .get_or_fetch(at, at.ttl_ms(0)?, key, || pair_rows(at, needs_forecast))
+    }
+}
+
+/// One native row per measured host pair, straight from the sensor.
+fn pair_rows(at: &Target<'_>, needs_forecast: bool) -> DbcResult<Vec<NativeRow>> {
+    // 1. Which pairs exist?
+    let series = text_request(at, "SERIES")?;
+    let mut pairs: Vec<(&str, &str)> = Vec::new();
+    for line in series.lines() {
+        let mut parts = line.split_whitespace();
+        if parts.next() == Some("bandwidthMbps") {
+            if let (Some(s), Some(d)) = (parts.next(), parts.next()) {
+                pairs.push((s, d));
             }
         }
+    }
 
-        // 1. Which pairs exist?
-        let series = text_request(at, "SERIES")?;
-        let mut pairs: Vec<(&str, &str)> = Vec::new();
-        for line in series.lines() {
-            let mut parts = line.split_whitespace();
-            if parts.next() == Some("bandwidthMbps") {
-                if let (Some(s), Some(d)) = (parts.next(), parts.next()) {
-                    pairs.push((s, d));
-                }
-            }
+    // 2. One MEASURE (and maybe FORECAST) per pair — coarse-grained.
+    let mut native_rows = Vec::with_capacity(pairs.len());
+    for (src, dst) in pairs {
+        let measure = text_request(at, &format!("MEASURE {src} {dst}"))?;
+        if measure.starts_with("ERROR") {
+            continue;
         }
-
-        // 2. One MEASURE (and maybe FORECAST) per pair — coarse-grained.
-        let mut native_rows = Vec::with_capacity(pairs.len());
-        for (src, dst) in pairs {
-            let measure = text_request(at, &format!("MEASURE {src} {dst}"))?;
-            if measure.starts_with("ERROR") {
-                continue;
-            }
-            let mut row = parse_kv_lines(&measure);
-            row.insert("src".into(), SqlValue::Str(src.to_owned()));
-            row.insert("dst".into(), SqlValue::Str(dst.to_owned()));
-            if needs_forecast {
-                let text = text_request(at, &format!("FORECAST {src} {dst}"))?;
-                if !text.starts_with("ERROR") {
-                    let f = parse_kv_lines(&text);
-                    for (from, to) in [
-                        ("bandwidthMbps_forecast", "forecastBandwidthMbps"),
-                        ("latencyMs_forecast", "forecastLatencyMs"),
-                        ("bandwidthMbps_forecast.method", "forecastMethod"),
-                    ] {
-                        if let Some(v) = f.get(from) {
-                            row.insert(to.into(), v.clone());
-                        }
+        let mut row = parse_kv_lines(&measure);
+        row.insert("src".into(), SqlValue::Str(src.to_owned()));
+        row.insert("dst".into(), SqlValue::Str(dst.to_owned()));
+        if needs_forecast {
+            let text = text_request(at, &format!("FORECAST {src} {dst}"))?;
+            if !text.starts_with("ERROR") {
+                let f = parse_kv_lines(&text);
+                for (from, to) in [
+                    ("bandwidthMbps_forecast", "forecastBandwidthMbps"),
+                    ("latencyMs_forecast", "forecastLatencyMs"),
+                    ("bandwidthMbps_forecast.method", "forecastMethod"),
+                ] {
+                    if let Some(v) = f.get(from) {
+                        row.insert(to.into(), v.clone());
                     }
                 }
             }
-            native_rows.push(row);
         }
-
-        if ttl > 0 {
-            self.cache.lock().insert(key, (now_ms, native_rows.clone()));
-        }
-        Ok(native_rows)
+        native_rows.push(row);
     }
+    Ok(native_rows)
 }
 
 #[cfg(test)]
@@ -242,6 +224,18 @@ mod tests {
         let (_env, driver) = setup();
         assert!(driver.accepts_url(&JdbcUrl::parse("jdbc:://node00.n/x").unwrap()));
         assert!(!driver.accepts_url(&JdbcUrl::parse("jdbc:://ghost/x").unwrap()));
+    }
+
+    #[test]
+    fn bad_ttl_fails_the_fetch() {
+        let (_env, driver) = setup();
+        let url = JdbcUrl::parse("jdbc:nws://node00.n/perfdata?ttl=5s").unwrap();
+        let mut conn = driver.connect(&url, &Properties::new()).unwrap();
+        let mut stmt = conn.create_statement().unwrap();
+        match stmt.execute_query("SELECT SourceHost FROM NetworkElement") {
+            Err(SqlError::Connection(msg)) => assert!(msg.starts_with("bad ?ttl= '5s'"), "{msg}"),
+            other => panic!("{:?}", other.map(|_| ())),
+        }
     }
 
     #[test]

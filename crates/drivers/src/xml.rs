@@ -1,32 +1,25 @@
-//! A minimal XML pull-scanner, sufficient for the gmond dialect (elements,
-//! double-quoted attributes, self-closing tags, declarations, no text
-//! content we care about). The Ganglia driver's "greater overhead … to
-//! parse values from the response" (§3.2.4) happens here.
+//! A minimal borrowed XML pull-scanner, sufficient for the gmond dialect
+//! (elements, double-quoted attributes, self-closing tags, declarations,
+//! no text content we care about). [`Tags`] yields one [`Tag`] per markup
+//! tag and [`Attrs`] one pair per attribute, all slices of the document;
+//! the only allocation is unescaping a value that contains an entity.
+//! The Ganglia driver's "greater overhead … to parse values from the
+//! response" (§3.2.4) happens here. Attributes are checked as they are
+//! pulled, so a consumer that must reject a damaged document drains the
+//! [`Attrs`] of every tag, including the tags it has no use for.
 
+use std::borrow::Cow;
 use std::fmt;
 
-/// One scanned markup event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum XmlEvent {
+/// One markup tag. Names borrow from the document.
+#[derive(Debug, Clone)]
+pub enum Tag<'a> {
     /// `<name a="v" ...>`
-    Open {
-        /// Element name.
-        name: String,
-        /// Attributes in document order.
-        attrs: Vec<(String, String)>,
-    },
+    Open(&'a str, Attrs<'a>),
     /// `<name a="v" .../>`
-    SelfClose {
-        /// Element name.
-        name: String,
-        /// Attributes in document order.
-        attrs: Vec<(String, String)>,
-    },
+    SelfClose(&'a str, Attrs<'a>),
     /// `</name>`
-    Close {
-        /// Element name.
-        name: String,
-    },
+    Close(&'a str),
 }
 
 /// Scanner errors.
@@ -34,7 +27,7 @@ pub enum XmlEvent {
 pub struct XmlError {
     /// What went wrong.
     pub message: String,
-    /// Byte offset.
+    /// Byte offset of the tag.
     pub offset: usize,
 }
 
@@ -46,132 +39,164 @@ impl fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
-/// Decode the five standard entities.
-pub fn unescape(s: &str) -> String {
+/// What a scanner's `next` answers when the tag at `offset` is damaged.
+fn fail<T>(message: impl Into<String>, offset: usize) -> Option<Result<T, XmlError>> {
+    let message = message.into();
+    Some(Err(XmlError { message, offset }))
+}
+
+const ENTITIES: [(&str, &str); 5] = [
+    ("&amp;", "&"),
+    ("&lt;", "<"),
+    ("&gt;", ">"),
+    ("&quot;", "\""),
+    ("&apos;", "'"),
+];
+
+/// Decode the five standard entities; borrowed when there are none.
+fn unescape(s: &str) -> Cow<'_, str> {
     if !s.contains('&') {
-        return s.to_owned();
+        return Cow::Borrowed(s);
     }
     let mut out = String::with_capacity(s.len());
     let mut rest = s;
     while let Some(idx) = rest.find('&') {
         out.push_str(&rest[..idx]);
         rest = &rest[idx..];
-        let (entity, len) = if rest.starts_with("&amp;") {
-            ("&", 5)
-        } else if rest.starts_with("&lt;") {
-            ("<", 4)
-        } else if rest.starts_with("&gt;") {
-            (">", 4)
-        } else if rest.starts_with("&quot;") {
-            ("\"", 6)
-        } else if rest.starts_with("&apos;") {
-            ("'", 6)
-        } else {
-            ("&", 1)
-        };
-        out.push_str(entity);
-        rest = &rest[len..];
+        // A lone `&` stands for itself.
+        let (from, to) = ENTITIES
+            .into_iter()
+            .find(|(from, _)| rest.starts_with(from))
+            .unwrap_or(("&", "&"));
+        out.push_str(to);
+        rest = &rest[from.len()..];
     }
     out.push_str(rest);
-    out
+    Cow::Owned(out)
 }
 
-/// Scan a document into events, skipping declarations, comments and text.
-pub fn scan(xml: &str) -> Result<Vec<XmlEvent>, XmlError> {
-    let bytes = xml.as_bytes();
-    let mut pos = 0usize;
-    let mut events = Vec::new();
-    while pos < bytes.len() {
-        // Find the next tag.
-        let Some(lt) = xml[pos..].find('<') else {
-            break;
-        };
-        pos += lt;
-        let start = pos;
-        let Some(gt_rel) = xml[pos..].find('>') else {
-            return Err(XmlError {
-                message: "unterminated tag".into(),
-                offset: start,
-            });
-        };
-        let inner = &xml[pos + 1..pos + gt_rel];
-        pos += gt_rel + 1;
-        if inner.starts_with('?') || inner.starts_with('!') {
-            continue; // declaration / comment / doctype
-        }
-        if let Some(name) = inner.strip_prefix('/') {
-            events.push(XmlEvent::Close {
-                name: name.trim().to_owned(),
-            });
-            continue;
-        }
-        let self_close = inner.ends_with('/');
-        let body = if self_close {
-            &inner[..inner.len() - 1]
-        } else {
-            inner
-        };
-        let (name, attrs) = parse_tag_body(body, start)?;
-        events.push(if self_close {
-            XmlEvent::SelfClose { name, attrs }
-        } else {
-            XmlEvent::Open { name, attrs }
-        });
-    }
-    Ok(events)
+/// A tag or attribute name: non-empty, and free of the characters that
+/// only get into one when a quote, `=` or `>` went missing nearby.
+fn is_name(s: &str) -> bool {
+    let stray = |b: u8| b.is_ascii_whitespace() || matches!(b, b'<' | b'"' | b'\'' | b'=');
+    !s.is_empty() && !s.bytes().any(stray)
 }
 
-fn parse_tag_body(body: &str, offset: usize) -> Result<(String, Vec<(String, String)>), XmlError> {
-    let body = body.trim();
-    let name_end = body.find(|c: char| c.is_whitespace()).unwrap_or(body.len());
-    let name = body[..name_end].to_owned();
-    if name.is_empty() {
-        return Err(XmlError {
-            message: "empty tag name".into(),
-            offset,
-        });
-    }
-    let mut attrs = Vec::new();
-    let mut rest = body[name_end..].trim_start();
-    while !rest.is_empty() {
-        let Some(eq) = rest.find('=') else {
-            return Err(XmlError {
-                message: format!("attribute without '=': {rest}"),
-                offset,
-            });
-        };
-        let key = rest[..eq].trim().to_owned();
-        rest = rest[eq + 1..].trim_start();
-        if !rest.starts_with('"') {
-            return Err(XmlError {
-                message: "attribute value must be double-quoted".into(),
-                offset,
-            });
-        }
-        let Some(endq) = rest[1..].find('"') else {
-            return Err(XmlError {
-                message: "unterminated attribute value".into(),
-                offset,
-            });
-        };
-        let value = unescape(&rest[1..1 + endq]);
-        attrs.push((key, value));
-        rest = rest[endq + 2..].trim_start();
-    }
-    Ok((name, attrs))
+/// The tags of a document in order, skipping declarations, comments and
+/// text.
+#[derive(Debug, Clone)]
+pub struct Tags<'a> {
+    xml: &'a str,
+    pos: usize,
 }
 
-/// Fetch a named attribute from an attribute list.
-pub fn attr<'a>(attrs: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    attrs
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
+impl<'a> Tags<'a> {
+    /// Scan `xml` from its start.
+    pub fn new(xml: &'a str) -> Tags<'a> {
+        Tags { xml, pos: 0 }
+    }
+}
+
+impl<'a> Iterator for Tags<'a> {
+    type Item = Result<Tag<'a>, XmlError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let offset = self.pos + self.xml[self.pos..].find('<')?;
+            let Some(len) = self.xml[offset..].find('>') else {
+                self.pos = self.xml.len();
+                return fail("unterminated tag", offset);
+            };
+            let inner = &self.xml[offset + 1..offset + len];
+            self.pos = offset + len + 1;
+            if inner.starts_with(['?', '!']) {
+                continue; // declaration / comment / doctype
+            }
+            if let Some(name) = inner.strip_prefix('/') {
+                let name = name.trim();
+                if !is_name(name) {
+                    return fail("malformed closing tag", offset);
+                }
+                return Some(Ok(Tag::Close(name)));
+            }
+            let (body, self_close) = match inner.strip_suffix('/') {
+                Some(body) => (body.trim(), true),
+                None => (inner.trim(), false),
+            };
+            let (name, rest) = body.split_at(body.find(char::is_whitespace).unwrap_or(body.len()));
+            if !is_name(name) {
+                return fail("empty or malformed tag name", offset);
+            }
+            let attrs = Attrs {
+                rest: rest.trim_start(),
+                offset,
+            };
+            return Some(Ok(if self_close {
+                Tag::SelfClose(name, attrs)
+            } else {
+                Tag::Open(name, attrs)
+            }));
+        }
+    }
+}
+
+/// The attributes of one tag in document order: `(name, unescaped
+/// value)`. An error ends the iteration.
+#[derive(Debug, Clone)]
+pub struct Attrs<'a> {
+    rest: &'a str,
+    offset: usize,
+}
+
+impl<'a> Iterator for Attrs<'a> {
+    type Item = Result<(&'a str, Cow<'a, str>), XmlError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let rest = std::mem::take(&mut self.rest);
+        if rest.is_empty() {
+            return None;
+        }
+        let Some((key, after)) = rest.split_once('=') else {
+            return fail(format!("attribute without '=': {rest}"), self.offset);
+        };
+        let key = key.trim_end();
+        if !is_name(key) {
+            return fail(format!("malformed attribute name: {key}"), self.offset);
+        }
+        let Some(quoted) = after.trim_start().strip_prefix('"') else {
+            return fail("attribute value must be double-quoted", self.offset);
+        };
+        let Some((value, after)) = quoted.split_once('"') else {
+            return fail("unterminated attribute value", self.offset);
+        };
+        self.rest = after.trim_start();
+        Some(Ok((key, unescape(value))))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    type Scanned = (&'static str, String, Vec<(String, String)>);
+
+    /// Drain a document: every tag with its attributes, or the first error.
+    fn scan(xml: &str) -> Result<Vec<Scanned>, XmlError> {
+        let owned = |attrs: Attrs<'_>| {
+            attrs
+                .map(|a| a.map(|(k, v)| (k.to_owned(), v.into_owned())))
+                .collect::<Result<Vec<_>, _>>()
+        };
+        Tags::new(xml)
+            .map(|tag| {
+                Ok(match tag? {
+                    Tag::Open(name, attrs) => ("open", name.to_owned(), owned(attrs)?),
+                    Tag::SelfClose(name, attrs) => ("self-close", name.to_owned(), owned(attrs)?),
+                    Tag::Close(name) => ("close", name.to_owned(), Vec::new()),
+                })
+            })
+            .collect()
+    }
 
     #[test]
     fn scan_gmond_shape() {
@@ -183,17 +208,13 @@ mod tests {
 </HOST>
 </CLUSTER>
 </GANGLIA_XML>"#;
-        let events = scan(xml).unwrap();
-        assert_eq!(events.len(), 7);
-        match &events[0] {
-            XmlEvent::Open { name, attrs } => {
-                assert_eq!(name, "GANGLIA_XML");
-                assert_eq!(attr(attrs, "VERSION"), Some("2.5.7"));
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(matches!(&events[3], XmlEvent::SelfClose { name, .. } if name == "METRIC"));
-        assert!(matches!(&events[6], XmlEvent::Close { name } if name == "GANGLIA_XML"));
+        let tags = scan(xml).unwrap();
+        assert_eq!(tags.len(), 7);
+        let (kind, name, attrs) = &tags[0];
+        assert_eq!((*kind, name.as_str()), ("open", "GANGLIA_XML"));
+        assert_eq!(attrs[0], ("VERSION".to_owned(), "2.5.7".to_owned()));
+        assert_eq!((tags[3].0, tags[3].1.as_str()), ("self-close", "METRIC"));
+        assert_eq!((tags[6].0, tags[6].1.as_str()), ("close", "GANGLIA_XML"));
     }
 
     #[test]
@@ -205,12 +226,8 @@ mod tests {
 
     #[test]
     fn escaped_attr_roundtrip() {
-        let xml = r#"<X NAME="a&amp;b &lt;c&gt;"/>"#;
-        let events = scan(xml).unwrap();
-        let XmlEvent::SelfClose { attrs, .. } = &events[0] else {
-            panic!()
-        };
-        assert_eq!(attr(attrs, "NAME"), Some("a&b <c>"));
+        let tags = scan(r#"<X NAME="a&amp;b &lt;c&gt;"/>"#).unwrap();
+        assert_eq!(tags[0].2, [("NAME".to_owned(), "a&b <c>".to_owned())]);
     }
 
     #[test]
@@ -219,11 +236,14 @@ mod tests {
         assert!(scan(r#"<A B/>"#).is_err()); // attribute without =
         assert!(scan(r#"<A B='x'/>"#).is_err()); // single quotes unsupported
         assert!(scan(r#"<A B="x/>"#).is_err()); // unterminated value
+        assert!(scan("< A=\"x\">").is_err()); // empty name
+        assert!(scan(r#"<A B="x C="y"/>"#).is_err()); // a quote went missing
+        assert!(scan("</A\n<A>").is_err()); // a `>` went missing
     }
 
     #[test]
     fn text_content_ignored() {
-        let events = scan("<a>some text</a>").unwrap();
-        assert_eq!(events.len(), 2);
+        let tags = scan("<a>some text</a>").unwrap();
+        assert_eq!(tags.len(), 2);
     }
 }
