@@ -3,6 +3,10 @@
 //! when a data source is first connected, especially if drivers are
 //! dynamically mapped to the data source. Therefore the ConnectionManager
 //! provides pooling of driver connections to reduce the overhead effects."
+//! A pooled connection is handed out as it is: it holds no session, so
+//! the query's own first request tests the source, a use that fails
+//! discards the connection, and liveness between queries belongs to the
+//! active prober ([`ConnectionManager::probe`]).
 //!
 //! This is also where failure policies play out (§4): a failed query
 //! invalidates the driver cache and, depending on policy, is retried,
@@ -32,7 +36,7 @@ pub struct PoolStats {
     pub pool_hits: Counter,
     /// Fresh connections created.
     pub creates: Counter,
-    /// Pooled connections discarded (failed ping / over capacity).
+    /// Connections discarded (failed use / over capacity).
     pub discards: Counter,
     /// Query attempts that failed.
     pub failures: Counter,
@@ -47,7 +51,7 @@ pub struct PoolSnapshot {
     pub pool_hits: u64,
     /// Fresh connections created.
     pub creates: u64,
-    /// Pooled connections discarded (failed ping / over capacity).
+    /// Connections discarded (failed use / over capacity).
     pub discards: u64,
     /// Query attempts that failed.
     pub failures: u64,
@@ -151,18 +155,11 @@ impl ConnectionManager {
         self.stats.checkouts.inc();
         let key: PoolKey = (url.to_string(), driver_name.to_owned());
         if self.pooling_enabled.load(Ordering::Relaxed) {
-            loop {
-                let candidate = self.pool.lock().get_mut(&key).and_then(Vec::pop);
-                let Some(mut conn) = candidate else { break };
-                // "All new connections are registered with the connection
-                // pool before use" — and pooled ones are validated before
-                // being handed out.
-                if conn.ping().is_ok() {
-                    self.stats.pool_hits.inc();
-                    return Ok((conn, true));
-                }
-                self.stats.discards.inc();
-                let _ = conn.close();
+            // Handed out as it is: the caller's first request is the test.
+            let pooled = self.pool.lock().get_mut(&key).and_then(Vec::pop);
+            if let Some(conn) = pooled {
+                self.stats.pool_hits.inc();
+                return Ok((conn, true));
             }
         }
         // "The ConnectionManager calls the GridRMDriverManager to return a
@@ -426,9 +423,10 @@ impl ConnectionManager {
     }
 
     /// Actively probe a data source: resolve its driver, check a
-    /// connection out (pooled or fresh) and ping it. Returns the driver
-    /// name on success. Used by the gateway's probe scheduler — the
-    /// caller records the outcome (and elapsed time) into health.
+    /// connection out (pooled or fresh) and ping it — one native
+    /// request on a pooled connection. Returns the driver name on
+    /// success. Used by the gateway's probe scheduler — the caller
+    /// records the outcome (and elapsed time) into health.
     pub fn probe(&self, url: &JdbcUrl) -> DbcResult<String> {
         let driver = self.driver_manager.resolve(url)?;
         let name = driver.name();
@@ -470,7 +468,12 @@ impl ConnectionManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridrm_agents::deploy_site;
     use gridrm_dbc::{ColumnMeta, Driver, DriverMetaData, ResultSet, ResultSetMetaData, Statement};
+    use gridrm_drivers::{register_standard_drivers, DriverEnv};
+    use gridrm_glue::SchemaManager;
+    use gridrm_resmodel::{SiteModel, SiteSpec};
+    use gridrm_simnet::{Network, SimClock};
     use gridrm_sqlparse::{SqlType, SqlValue};
     use std::sync::atomic::{AtomicBool, AtomicU64};
 
@@ -539,13 +542,6 @@ mod tests {
             self.closed = true;
             Ok(())
         }
-        fn ping(&mut self) -> DbcResult<()> {
-            if self.broken.load(Ordering::Relaxed) {
-                Err(SqlError::Connection("ping failed".into()))
-            } else {
-                Ok(())
-            }
-        }
     }
 
     impl Statement for ScriptedStmt {
@@ -568,6 +564,7 @@ mod tests {
         broken_a: Arc<AtomicBool>,
         broken_b: Arc<AtomicBool>,
         connects_a: Arc<AtomicU64>,
+        connects_b: Arc<AtomicU64>,
     }
 
     fn rig() -> Rig {
@@ -575,6 +572,7 @@ mod tests {
         let broken_a = Arc::new(AtomicBool::new(false));
         let broken_b = Arc::new(AtomicBool::new(false));
         let connects_a = Arc::new(AtomicU64::new(0));
+        let connects_b = Arc::new(AtomicU64::new(0));
         dm.register(Arc::new(ScriptedDriver {
             name: "drv-a",
             broken: broken_a.clone(),
@@ -583,13 +581,14 @@ mod tests {
         dm.register(Arc::new(ScriptedDriver {
             name: "drv-b",
             broken: broken_b.clone(),
-            connects: Arc::new(AtomicU64::new(0)),
+            connects: connects_b.clone(),
         }));
         Rig {
             cm: ConnectionManager::new(dm, 4),
             broken_a,
             broken_b,
             connects_a,
+            connects_b,
         }
     }
 
@@ -692,12 +691,186 @@ mod tests {
         let r = rig();
         r.cm.execute(&url(), "q").unwrap();
         assert_eq!(r.cm.idle_connections(), 1);
-        // Break the agent: the pooled connection fails its ping, is
-        // discarded, and (after the failure) drv-b takes over.
+        // Break the agent: the pooled connection fails its use, is
+        // discarded, and drv-b takes over. The failed use was drv-a's
+        // attempt, so nothing reconnects to drv-a.
         r.broken_a.store(true, Ordering::Relaxed);
         let rs = r.cm.execute(&url(), "q").unwrap();
         assert_eq!(winner(&rs), "drv-b");
         assert!(r.cm.stats().snapshot().discards >= 1);
+        assert_eq!(r.connects_a.load(Ordering::Relaxed), 1);
+    }
+
+    /// Table 2 over policy × what became of the source once its
+    /// connection was pooled. Every case first runs one query (drv-a
+    /// answers and its connection is pooled); then `Up` queries again,
+    /// `Broken` breaks drv-a and queries, `Healed` breaks drv-a,
+    /// queries, heals it and queries again. The last query is the one
+    /// judged: who answered, how many attempts failed, how many
+    /// connections were opened, and what the journal says was decided.
+    #[test]
+    fn table2_outcomes_by_policy_and_source_state() {
+        use FailurePolicy::{Report, Retry, TryNext};
+        #[derive(Clone, Copy, Debug)]
+        enum After {
+            Up,
+            Broken,
+            Healed,
+        }
+        use After::{Broken, Healed, Up};
+        struct Want {
+            /// The driver that answers; `None` for a connection error.
+            winner: Option<&'static str>,
+            failed_attempts: u64,
+            /// Connections opened to drv-a; `None` while it is broken
+            /// (`broken_pooled_connection_is_replaced` pins that the
+            /// pooled connection's failed use opens none).
+            connects_a: Option<u64>,
+            connects_b: u64,
+            /// `(kind, message prefix)` of each journal line.
+            journal: &'static [(&'static str, &'static str)],
+        }
+        let answered = |winner, connects_a| Want {
+            winner: Some(winner),
+            failed_attempts: 0,
+            connects_a: Some(connects_a),
+            connects_b: 0,
+            journal: &[],
+        };
+        let cases = [
+            (Report, Up, answered("drv-a", 0)),
+            (Retry(2), Up, answered("drv-a", 0)),
+            (TryNext, Up, answered("drv-a", 0)),
+            (
+                Report,
+                Broken,
+                Want {
+                    winner: None,
+                    failed_attempts: 1,
+                    connects_a: None,
+                    connects_b: 0,
+                    journal: &[(KIND_POLICY_DECISION, "report: surfacing error")],
+                },
+            ),
+            (
+                Retry(2),
+                Broken,
+                Want {
+                    winner: None,
+                    failed_attempts: 3,
+                    connects_a: None,
+                    connects_b: 0,
+                    journal: &[
+                        (KIND_POLICY_DECISION, "retry 1/2"),
+                        (KIND_POLICY_DECISION, "retry 2/2"),
+                        (KIND_POLICY_DECISION, "retry: 2 attempts exhausted"),
+                    ],
+                },
+            ),
+            (
+                TryNext,
+                Broken,
+                Want {
+                    winner: Some("drv-b"),
+                    failed_attempts: 1,
+                    connects_a: None,
+                    connects_b: 1,
+                    journal: &[(KIND_DRIVER_FALLBACK, "falling back from drv-a")],
+                },
+            ),
+            // Report and Retry forgot the failed driver, so the first
+            // compatible one is connected afresh; TryNext stays on the
+            // driver that last worked, whose connection is pooled.
+            (Report, Healed, answered("drv-a", 1)),
+            (Retry(2), Healed, answered("drv-a", 1)),
+            (TryNext, Healed, answered("drv-b", 0)),
+        ];
+        for (policy, after, want) in cases {
+            let case = format!("{policy:?} / {after:?}");
+            let r = rig();
+            let telemetry = GatewayTelemetry::new(SimClock::new());
+            r.cm.set_telemetry(telemetry.clone());
+            r.cm.driver_manager().set_policy(&url(), policy);
+            assert_eq!(winner(&r.cm.execute(&url(), "q").unwrap()), "drv-a");
+            if matches!(after, Broken | Healed) {
+                r.broken_a.store(true, Ordering::Relaxed);
+            }
+            if matches!(after, Healed) {
+                let _ = r.cm.execute(&url(), "q");
+                r.broken_a.store(false, Ordering::Relaxed);
+            }
+            let journal_before = telemetry.journal().recent().len();
+            let failures_before = r.cm.stats().snapshot().failures;
+            let connects = || {
+                (
+                    r.connects_a.load(Ordering::Relaxed),
+                    r.connects_b.load(Ordering::Relaxed),
+                )
+            };
+            let connects_before = connects();
+
+            let result = r.cm.execute(&url(), "q");
+
+            match (&result, want.winner) {
+                (Ok(rs), Some(driver)) => assert_eq!(winner(rs), driver, "{case}"),
+                (Err(SqlError::Connection(_)), None) => {}
+                _ => panic!("{case}: got {result:?}"),
+            }
+            assert_eq!(
+                r.cm.stats().snapshot().failures - failures_before,
+                want.failed_attempts,
+                "{case}: failed attempts"
+            );
+            let opened = connects();
+            if let Some(a) = want.connects_a {
+                assert_eq!(opened.0 - connects_before.0, a, "{case}: drv-a connects");
+            }
+            assert_eq!(
+                opened.1 - connects_before.1,
+                want.connects_b,
+                "{case}: drv-b connects"
+            );
+            let journal = telemetry.journal().recent();
+            let lines: Vec<(&str, &str)> = journal[journal_before..]
+                .iter()
+                .map(|e| (e.kind.as_str(), e.message.as_str()))
+                .collect();
+            assert_eq!(lines.len(), want.journal.len(), "{case}: {lines:?}");
+            for ((kind, message), (want_kind, prefix)) in lines.iter().zip(want.journal) {
+                assert_eq!(kind, want_kind, "{case}: {lines:?}");
+                assert!(message.starts_with(prefix), "{case}: {lines:?}");
+            }
+        }
+    }
+
+    /// E9's claim, in intrusion instead of µs: through the real SNMP
+    /// driver the pool saves the monitored host one request per query.
+    #[test]
+    fn pooled_snmp_query_costs_the_agent_one_request() {
+        let net = Network::new(SimClock::new(), 5);
+        let site = SiteModel::generate(7, &SiteSpec::new("pool", 2, 2));
+        site.advance_to(60_000);
+        deploy_site(&net, site);
+        let env = DriverEnv::new(net.clone(), Arc::new(SchemaManager::new()), "gw");
+        let dm = Arc::new(GridRMDriverManager::new());
+        register_standard_drivers(dm.base(), &env);
+        let cm = ConnectionManager::new(dm, 4);
+        let url = JdbcUrl::parse("jdbc:snmp://node01.pool/public").unwrap();
+        let link = net.stats_for("gw", "node01.pool:snmp");
+        let requests_of_one_query = || {
+            let before = link.snapshot().requests;
+            cm.execute(&url, "SELECT Hostname, Load1 FROM Processor")
+                .unwrap();
+            link.snapshot().requests - before
+        };
+        assert_eq!(requests_of_one_query(), 2, "cold: connect-time probe + GET");
+        assert_eq!(requests_of_one_query(), 1, "warm: the GET alone");
+        cm.set_pooling(false);
+        assert_eq!(
+            [requests_of_one_query(), requests_of_one_query()],
+            [2, 2],
+            "unpooled: every query reconnects"
+        );
     }
 
     #[test]

@@ -37,8 +37,11 @@ pub trait Connection: Send {
     /// Close the session and release agent-side resources.
     fn close(&mut self) -> DbcResult<()>;
 
-    /// Cheap liveness probe used by the connection pool before handing a
-    /// pooled connection out. The default optimistically reports healthy.
+    /// One request that succeeds iff the data source still answers (the
+    /// `java.sql.Connection.isValid` role). Called by the gateway's
+    /// active health prober only: the pool hands connections out
+    /// unvalidated, because the query's own first request is the test.
+    /// The default optimistically reports healthy.
     fn ping(&mut self) -> DbcResult<()> {
         Ok(())
     }

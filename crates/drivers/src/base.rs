@@ -207,18 +207,13 @@ pub trait Source: Send + Sync + 'static {
     /// One cheap native request that succeeds iff the data source is
     /// there and speaks this driver's protocol. Decides wildcard
     /// `jdbc:://…` URLs (Table 2's "supports the URL AND can connect"),
-    /// and by default verifies connectivity at connect time and
-    /// validates pooled connections.
+    /// answers the gateway's active health prober, and by default
+    /// verifies connectivity at connect time.
     fn probe(&self, at: &Target<'_>) -> DbcResult<()>;
 
     /// Connect-time verification. Override to prime a driver-level
     /// cache with the same request.
     fn open(&self, at: &Target<'_>) -> DbcResult<()> {
-        self.probe(at)
-    }
-
-    /// Validate an open connection before the pool hands it out again.
-    fn ping(&self, at: &Target<'_>) -> DbcResult<()> {
         self.probe(at)
     }
 
@@ -391,7 +386,7 @@ impl<S: Source> Connection for KitConnection<S> {
         if self.closed {
             return Err(SqlError::Closed);
         }
-        self.shared.source.ping(&self.shared.at(&self.url))
+        self.shared.source.probe(&self.shared.at(&self.url))
     }
 
     fn metadata(&self) -> ConnectionMetadata {

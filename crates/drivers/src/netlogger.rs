@@ -41,12 +41,6 @@ impl Source for NetLogger {
         Ok(())
     }
 
-    /// The log agent has no request cheaper than a `TAIL`; pooled
-    /// connections are handed out unvalidated.
-    fn ping(&self, _at: &Target<'_>) -> DbcResult<()> {
-        Ok(())
-    }
-
     fn fetch(
         &self,
         at: &Target<'_>,

@@ -44,12 +44,6 @@ impl Source for Scms {
         text_request(at, "SUMMARY").map(|_| ())
     }
 
-    /// SCMS has no request cheaper than the `SUMMARY` itself; pooled
-    /// connections are handed out unvalidated.
-    fn ping(&self, _at: &Target<'_>) -> DbcResult<()> {
-        Ok(())
-    }
-
     fn fetch(
         &self,
         at: &Target<'_>,

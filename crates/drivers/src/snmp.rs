@@ -156,10 +156,6 @@ impl Source for Snmp {
         }
     }
 
-    fn ping(&self, at: &Target<'_>) -> DbcResult<()> {
-        get(at, 0, oids_of([oids::SYS_UPTIME])).map(|_| ())
-    }
-
     fn fetch(
         &self,
         at: &Target<'_>,

@@ -141,7 +141,6 @@ impl Config {
                     "execute_update",
                     "probe",
                     "open",
-                    "ping",
                     "fetch",
                     "query",
                     "update",

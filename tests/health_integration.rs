@@ -320,3 +320,61 @@ fn site_rollup_tracks_worst_source_state() {
     assert_eq!(rollup.overall, HealthState::Down, "worst state wins");
     assert!(rollup.down >= 1);
 }
+
+#[test]
+fn prober_sees_a_dead_source_behind_a_pooled_netlogger_connection() {
+    const NETLOGGER_URL: &str = "jdbc:netlogger://node00.hm/log";
+    let gateway = world();
+    let clock = gateway.clock().clone();
+    gateway
+        .admin()
+        .add_source(DataSourceConfig::dynamic(NETLOGGER_URL, "node00 event log"))
+        .expect("source registers");
+    gateway.pump();
+    gateway
+        .query(&ClientRequest::realtime(
+            NETLOGGER_URL,
+            "SELECT Hostname, Category FROM Event",
+        ))
+        .expect("log agent answers");
+    assert_eq!(
+        gateway.connections().idle_connections(),
+        2,
+        "one per registered source"
+    );
+    assert_eq!(
+        gateway.health().state_of(NETLOGGER_URL),
+        Some(HealthState::Up)
+    );
+
+    // No client asks again: only the prober can notice the outage, and
+    // it has a pooled connection to notice it through.
+    gateway.network().set_down("node00.hm:netlogger", true);
+    for _ in 0..gateway.config().health_down_after {
+        clock.advance(10_000);
+        gateway.pump();
+    }
+    assert_eq!(
+        gateway.health().state_of(NETLOGGER_URL),
+        Some(HealthState::Down)
+    );
+}
+
+#[test]
+fn a_due_probe_on_a_pooled_connection_is_one_agent_request() {
+    let gateway = world();
+    let clock = gateway.clock().clone();
+    let link = gateway
+        .network()
+        .stats_for(&gateway.config().address, AGENT_ADDR);
+    // The first probe connects, and leaves its connection in the pool.
+    gateway.pump();
+    assert_eq!(gateway.connections().idle_connections(), 1);
+    for _ in 0..3 {
+        let before = link.snapshot().requests;
+        clock.advance(10_000);
+        gateway.pump();
+        assert_eq!(link.snapshot().requests - before, 1);
+    }
+    assert_eq!(gateway.connections().stats().snapshot().creates, 1);
+}
