@@ -287,9 +287,14 @@ impl WireFrame {
     /// transport carries passes through here, so the cost ledger sees
     /// every byte.
     pub fn encode<T: Serialize>(msg: &T) -> WireFrame {
-        WireFrame {
-            bytes: serde_json::to_vec(msg).expect("wire messages are serialisable"),
-        }
+        // Most frames (a point query, its reply, a ping) fit without
+        // the buffer growing; a wide reply doubles it a few times.
+        let mut bytes = Vec::with_capacity(512);
+        msg.write_json(&mut bytes);
+        // Frames get kept (request plans, transcripts, scheduler
+        // queues): hand the slack back instead of holding it per frame.
+        bytes.shrink_to_fit();
+        WireFrame { bytes }
     }
 
     /// Decode a message from the wire, reporting the frame size the

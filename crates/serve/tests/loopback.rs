@@ -1,6 +1,6 @@
 //! Loopback TCP smoke: the full serving path over real sockets —
-//! query, cached re-read, subscribe/poll-deltas, in-order shedding,
-//! the admin port, and clean shutdown.
+//! query, cached re-read, subscribe/poll-deltas, hostile frames,
+//! in-order shedding, the admin port, and clean shutdown.
 
 use gridrm_global::transport::FrameService;
 use gridrm_global::{GlobalRequest, GlobalResponse, WireFrame};
@@ -100,6 +100,47 @@ fn subscribe_and_poll_deltas_over_tcp() {
     server.stop();
 }
 
+/// Frames no codec should trust: 1 MiB of `[`, bare and inside a field
+/// this build does not know (nested far deeper than any message; either
+/// used to overflow the worker's stack and abort the whole gateway),
+/// plain garbage, and a request cut short. Each is answered with an
+/// `Error`, and the connection serves the next request.
+#[test]
+fn hostile_frames_get_an_error_and_the_connection_lives() {
+    let world = ServeWorld::build(1);
+    let server =
+        TcpServer::start("127.0.0.1:0", world.service(), SchedulerConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+
+    let ping = WireFrame::encode(&GlobalRequest::Ping).into_bytes();
+    let query = query_frame(
+        &[world.source_url(0)],
+        "SELECT Hostname FROM Processor",
+        None,
+    );
+    let deep = vec![b'['; 1 << 20];
+    let hostile = [
+        (deep.clone(), "expected an enum"),
+        (
+            [&br#"{"Query":{"hops":"#[..], &deep[..]].concat(),
+            "nesting deeper than 128",
+        ),
+        (b"not json".to_vec(), "bad global-layer message"),
+        (query[..query.len() / 2].to_vec(), "unexpected end of input"),
+    ];
+    for (frame, want) in &hostile {
+        match rpc(&mut stream, frame) {
+            GlobalResponse::Error { message } => assert!(message.contains(want), "{message}"),
+            other => panic!("expected an error, got {other:?}"),
+        }
+        match rpc(&mut stream, &ping) {
+            GlobalResponse::Pong { gateway } => assert_eq!(gateway, "gw-serve"),
+            other => panic!("expected pong, got {other:?}"),
+        }
+    }
+    server.stop();
+}
+
 /// A pipelined burst against a gate-blocked single worker: the queue
 /// absorbs its bound, the rest answer `Overloaded`, and every response
 /// arrives in request order (the shed markers ride the same queue).
@@ -136,6 +177,14 @@ fn pipelined_burst_sheds_in_order() {
     let ping = WireFrame::encode(&GlobalRequest::Ping).into_bytes();
     for _ in 0..5 {
         write_frame(&mut stream, &ping).unwrap();
+    }
+    // Open the gate only once the reader has admitted or shed all five;
+    // earlier, the worker could drain the queue as fast as it fills.
+    while {
+        let (accepted, shed, ..) = server.stats().snapshot();
+        accepted + shed < 5
+    } {
+        std::thread::yield_now();
     }
     drop(held);
 

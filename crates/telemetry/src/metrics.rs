@@ -334,19 +334,17 @@ impl PointKind {
 }
 
 impl Serialize for PointKind {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::String(self.name().to_owned())
+    fn write_json(&self, out: &mut Vec<u8>) {
+        self.name().write_json(out)
     }
 }
 
 impl<'de> Deserialize<'de> for PointKind {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        match v.as_str() {
-            Some("counter") => Ok(PointKind::Counter),
-            Some("gauge") => Ok(PointKind::Gauge),
-            _ => Err(serde::DeError::custom(format!(
-                "expected `counter` or `gauge`, got {v}"
-            ))),
+    fn read_json(r: &mut serde::Reader<'de>) -> Result<Self, serde::DeError> {
+        match String::read_json(r)?.as_str() {
+            "counter" => Ok(PointKind::Counter),
+            "gauge" => Ok(PointKind::Gauge),
+            other => Err(r.error(format_args!("expected `counter` or `gauge`, got `{other}`"))),
         }
     }
 }

@@ -27,7 +27,7 @@
 use crate::journal::{Journal, JournalSeverity, KIND_SLO};
 use crate::metrics::{Counter, Gauge, Labels, Registry};
 use parking_lot::Mutex;
-use serde::{DeError, Deserialize, Map, Serialize, Value};
+use serde::{DeError, Deserialize, Map, Reader, Serialize, Value};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -136,88 +136,79 @@ pub struct SloSpec {
 }
 
 impl Serialize for SloSpec {
-    fn to_value(&self) -> Value {
+    fn write_json(&self, out: &mut Vec<u8>) {
         let mut m = Map::new();
-        m.insert("name".to_owned(), Value::String(self.name.clone()));
+        m.insert("name".to_owned(), Value::from(self.name.as_str()));
         match &self.objective {
             SloObjective::Latency {
                 metric,
                 threshold_ms,
             } => {
-                m.insert("objective".to_owned(), Value::String("latency".to_owned()));
-                m.insert("metric".to_owned(), Value::String(metric.clone()));
-                m.insert("threshold_ms".to_owned(), threshold_ms.to_value());
+                m.insert("objective".to_owned(), Value::from("latency"));
+                m.insert("metric".to_owned(), Value::from(metric.as_str()));
+                m.insert("threshold_ms".to_owned(), Value::from(*threshold_ms));
             }
             SloObjective::Availability { bad_paths } => {
-                m.insert(
-                    "objective".to_owned(),
-                    Value::String("availability".to_owned()),
-                );
-                m.insert("bad_paths".to_owned(), bad_paths.to_value());
+                m.insert("objective".to_owned(), Value::from("availability"));
+                let paths = bad_paths.iter().map(|p| Value::from(p.as_str()));
+                m.insert("bad_paths".to_owned(), Value::Array(paths.collect()));
             }
             SloObjective::SourceHealth => {
-                m.insert(
-                    "objective".to_owned(),
-                    Value::String("source_health".to_owned()),
-                );
+                m.insert("objective".to_owned(), Value::from("source_health"));
             }
         }
-        m.insert("target".to_owned(), self.target.to_value());
-        m.insert("fast_window_ms".to_owned(), self.fast_window_ms.to_value());
-        m.insert("slow_window_ms".to_owned(), self.slow_window_ms.to_value());
+        m.insert("target".to_owned(), Value::from(self.target));
+        m.insert(
+            "fast_window_ms".to_owned(),
+            Value::from(self.fast_window_ms),
+        );
+        m.insert(
+            "slow_window_ms".to_owned(),
+            Value::from(self.slow_window_ms),
+        );
         m.insert(
             "fast_burn_threshold".to_owned(),
-            self.fast_burn_threshold.to_value(),
+            Value::from(self.fast_burn_threshold),
         );
         m.insert(
             "slow_burn_threshold".to_owned(),
-            self.slow_burn_threshold.to_value(),
+            Value::from(self.slow_burn_threshold),
         );
-        Value::Object(m)
+        Value::Object(m).write_json(out)
     }
 }
 
 impl<'de> Deserialize<'de> for SloSpec {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        fn field<'a, T: Deserialize<'a>>(
-            v: &Value,
-            key: &str,
-            default: impl FnOnce() -> T,
-        ) -> Result<T, DeError> {
-            match v.get(key) {
-                Some(inner) => T::from_value(inner),
-                None => Ok(default()),
-            }
+    fn read_json(r: &mut Reader<'de>) -> Result<Self, DeError> {
+        /// The typed value under `key`, when the key is there.
+        fn get<T: for<'a> Deserialize<'a>>(v: &Value, key: &str) -> Result<Option<T>, DeError> {
+            v.get(key)
+                .map(|inner| serde_json::from_value(inner.clone()).map_err(DeError::custom))
+                .transpose()
         }
-        let obj = v
-            .as_object()
-            .ok_or_else(|| DeError::custom(format!("expected SLO spec object, got {v}")))?;
-        let name: String = match obj.get("name") {
-            Some(inner) => String::from_value(inner)?,
-            None => return Err(DeError::custom("SLO spec missing `name`")),
-        };
-        let target: f64 = match obj.get("target") {
-            Some(inner) => f64::from_value(inner)?,
-            None => return Err(DeError::custom(format!("SLO `{name}` missing `target`"))),
-        };
-        let tag = obj
+        let v = Value::read_json(r)?;
+        if v.as_object().is_none() {
+            return Err(DeError::custom(format!(
+                "expected SLO spec object, got {v}"
+            )));
+        }
+        let name: String =
+            get(&v, "name")?.ok_or_else(|| DeError::custom("SLO spec missing `name`"))?;
+        let target = get(&v, "target")?
+            .ok_or_else(|| DeError::custom(format!("SLO `{name}` missing `target`")))?;
+        let tag = v
             .get("objective")
             .and_then(Value::as_str)
             .ok_or_else(|| DeError::custom(format!("SLO `{name}` missing `objective` tag")))?;
         let objective = match tag {
             "latency" => SloObjective::Latency {
-                metric: field(v, "metric", defaults::latency_metric)?,
-                threshold_ms: match obj.get("threshold_ms") {
-                    Some(inner) => f64::from_value(inner)?,
-                    None => {
-                        return Err(DeError::custom(format!(
-                            "latency SLO `{name}` missing `threshold_ms`"
-                        )))
-                    }
-                },
+                metric: get(&v, "metric")?.unwrap_or_else(defaults::latency_metric),
+                threshold_ms: get(&v, "threshold_ms")?.ok_or_else(|| {
+                    DeError::custom(format!("latency SLO `{name}` missing `threshold_ms`"))
+                })?,
             },
             "availability" => SloObjective::Availability {
-                bad_paths: field(v, "bad_paths", defaults::bad_paths)?,
+                bad_paths: get(&v, "bad_paths")?.unwrap_or_else(defaults::bad_paths),
             },
             "source_health" => SloObjective::SourceHealth,
             other => {
@@ -231,10 +222,12 @@ impl<'de> Deserialize<'de> for SloSpec {
             name,
             objective,
             target,
-            fast_window_ms: field(v, "fast_window_ms", defaults::fast_window_ms)?,
-            slow_window_ms: field(v, "slow_window_ms", defaults::slow_window_ms)?,
-            fast_burn_threshold: field(v, "fast_burn_threshold", defaults::fast_burn_threshold)?,
-            slow_burn_threshold: field(v, "slow_burn_threshold", defaults::slow_burn_threshold)?,
+            fast_window_ms: get(&v, "fast_window_ms")?.unwrap_or_else(defaults::fast_window_ms),
+            slow_window_ms: get(&v, "slow_window_ms")?.unwrap_or_else(defaults::slow_window_ms),
+            fast_burn_threshold: get(&v, "fast_burn_threshold")?
+                .unwrap_or_else(defaults::fast_burn_threshold),
+            slow_burn_threshold: get(&v, "slow_burn_threshold")?
+                .unwrap_or_else(defaults::slow_burn_threshold),
         })
     }
 }
