@@ -10,5 +10,5 @@ pub mod oid;
 
 pub use agent::SnmpAgent;
 pub use codec::{Pdu, SnmpMessage, SnmpValue};
-pub use mib::{mib_for_host, oids};
+pub use mib::oids;
 pub use oid::Oid;

@@ -1,6 +1,9 @@
 //! The JDBC-SNMP driver: fine-grained, per-attribute native requests
 //! (§3.2.4: "fine grained native requests for data are possible, with
-//! generally little or no parsing required").
+//! generally little or no parsing required"). The driver adds none of its
+//! own: a mapping key's OID is parsed once per source, and a GET's reply
+//! is matched to the request by position, checked OID against OID, so a
+//! warm query neither parses nor prints an OID.
 //!
 //! URL form: `jdbc:snmp://<host>[:port]/<community>`; the path is the SNMP
 //! community string (defaults to `public`).
@@ -12,8 +15,10 @@ use gridrm_dbc::{DbcResult, DriverMetaData, SqlError};
 use gridrm_glue::{DriverMapping, GroupDef, NativeRow};
 use gridrm_sqlparse::ast::SelectStatement;
 use gridrm_sqlparse::SqlValue;
-use std::collections::BTreeMap;
+use parking_lot::Mutex;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 /// Driver name as registered with the gateway.
 pub const DRIVER_NAME: &str = "jdbc-snmp";
@@ -21,13 +26,13 @@ pub const DRIVER_NAME: &str = "jdbc-snmp";
 /// GLUE groups whose rows are SNMP table walks rather than scalars.
 const INDEXED_GROUPS: [&str; 3] = ["NetworkAdapter", "FileSystem", "Disk"];
 
-fn snmp_to_sql(v: &SnmpValue) -> SqlValue {
+fn snmp_to_sql(v: SnmpValue) -> SqlValue {
     match v {
-        SnmpValue::Integer(i) => SqlValue::Int(*i),
-        SnmpValue::Counter64(c) => SqlValue::Int(*c as i64),
-        SnmpValue::Gauge(g) => SqlValue::Int(*g as i64),
-        SnmpValue::OctetString(s) => SqlValue::Str(s.clone()),
-        SnmpValue::TimeTicks(t) => SqlValue::Int(*t as i64),
+        SnmpValue::Integer(i) => SqlValue::Int(i),
+        SnmpValue::Counter64(c) => SqlValue::Int(c as i64),
+        SnmpValue::Gauge(g) => SqlValue::Int(g as i64),
+        SnmpValue::OctetString(s) => SqlValue::Str(s),
+        SnmpValue::TimeTicks(t) => SqlValue::Int(t as i64),
         SnmpValue::ObjectId(o) => SqlValue::Str(o.to_string()),
         SnmpValue::Null => SqlValue::Null,
     }
@@ -36,16 +41,44 @@ fn snmp_to_sql(v: &SnmpValue) -> SqlValue {
 /// The JDBC-SNMP driver.
 pub type SnmpDriver = KitDriver<Snmp>;
 
+/// A native key of the mapping with the OID it spells.
+type Key = (String, Arc<Oid>);
+
 /// The SNMP [`Source`].
 pub struct Snmp {
     request_id: AtomicU32,
+    /// The OID behind every native key a query has named so far, parsed
+    /// when first named; `None` for a key that is not an OID (the
+    /// mapping's `derived.*` names).
+    parsed: Mutex<HashMap<String, Option<Arc<Oid>>>>,
 }
 
 impl Default for Snmp {
     fn default() -> Snmp {
         Snmp {
             request_id: AtomicU32::new(1),
+            parsed: Mutex::default(),
         }
+    }
+}
+
+impl Snmp {
+    /// Pair each native key with its OID, skipping keys that are not
+    /// OIDs. A key is parsed once per source, not once per query.
+    fn compile(&self, keys: impl IntoIterator<Item = String>) -> Vec<Key> {
+        let mut parsed = self.parsed.lock();
+        let compiled = keys.into_iter().filter_map(|key| {
+            let oid = match parsed.get(&key) {
+                Some(known) => known.clone(),
+                None => {
+                    let oid = key.parse().ok().map(Arc::new);
+                    parsed.insert(key.clone(), oid.clone());
+                    oid
+                }
+            };
+            Some((key, oid?))
+        });
+        compiled.collect()
     }
 }
 
@@ -83,21 +116,25 @@ fn exchange(at: &Target<'_>, pdu: Pdu) -> DbcResult<(u8, Vec<(Oid, SnmpValue)>)>
     }
 }
 
-/// Parse dotted-OID keys, skipping native keys that are not OIDs (the
-/// mapping's `derived.*` names).
-fn oids_of<'k>(keys: impl IntoIterator<Item = &'k str>) -> Vec<Oid> {
-    keys.into_iter().filter_map(|k| k.parse().ok()).collect()
-}
-
-/// GET `oids` in one request: the error status and the bindings as a
-/// native row keyed by dotted OID.
-fn get(at: &Target<'_>, request_id: u32, oids: Vec<Oid>) -> DbcResult<(u8, NativeRow)> {
+/// GET the OIDs of `keys` in one request: the error status and the
+/// bindings as a native row under those keys.
+fn get(at: &Target<'_>, request_id: u32, keys: Vec<Key>) -> DbcResult<(u8, NativeRow)> {
+    let oids = keys.iter().map(|(_, oid)| Oid::clone(oid)).collect();
     let (status, bindings) = exchange(at, Pdu::Get { request_id, oids })?;
-    let row = bindings
-        .into_iter()
-        .map(|(oid, value)| (oid.to_string(), snmp_to_sql(&value)))
-        .collect();
-    Ok((status, row))
+    // An agent answers a GET binding for binding, so a reply's OID is
+    // normally the one asked at its position and the value goes under
+    // that key with no OID printed. The order is checked, not trusted: a
+    // binding that is not the one asked there goes under its own dotted
+    // form, which is how the mapping spells its keys.
+    let mut asked = keys.into_iter();
+    let row = bindings.into_iter().map(|(oid, value)| {
+        let key = match asked.next() {
+            Some((key, want)) if *want == oid => key,
+            _ => oid.to_string(),
+        };
+        (key, snmp_to_sql(value))
+    });
+    Ok((status, row.collect()))
 }
 
 /// Walk one table column prefix with GETBULK, returning index → value.
@@ -105,19 +142,14 @@ fn walk(at: &Target<'_>, prefix: &Oid) -> DbcResult<BTreeMap<u32, SnmpValue>> {
     let mut out = BTreeMap::new();
     let mut cursor = prefix.clone();
     loop {
-        let (_, bindings) = exchange(
-            at,
-            Pdu::GetBulk {
-                request_id: 0,
-                max_repetitions: 32,
-                oid: cursor.clone(),
-            },
-        )?;
-        if bindings.is_empty() {
-            break;
-        }
-        let mut advanced = false;
-        let got = bindings.len();
+        let bulk = Pdu::GetBulk {
+            request_id: 0,
+            max_repetitions: 32,
+            oid: cursor,
+        };
+        let (_, bindings) = exchange(at, bulk)?;
+        let full = bindings.len() >= 32;
+        let mut last = None;
         for (oid, value) in bindings {
             if !prefix.is_prefix_of(&oid) {
                 return Ok(out);
@@ -125,14 +157,14 @@ fn walk(at: &Target<'_>, prefix: &Oid) -> DbcResult<BTreeMap<u32, SnmpValue>> {
             if let Some(&idx) = oid.0.last() {
                 out.insert(idx, value);
             }
-            cursor = oid;
-            advanced = true;
+            last = Some(oid);
         }
-        if !advanced || got < 32 {
-            break;
+        // A short round was the last; a full one resumes after its end.
+        match last {
+            Some(oid) if full => cursor = oid,
+            _ => return Ok(out),
         }
     }
-    Ok(out)
 }
 
 impl Source for Snmp {
@@ -147,7 +179,7 @@ impl Source for Snmp {
 
     fn probe(&self, at: &Target<'_>) -> DbcResult<()> {
         let id = self.request_id.fetch_add(1, Ordering::Relaxed);
-        match get(at, id, oids_of([oids::SYS_NAME]))? {
+        match get(at, id, self.compile([oids::SYS_NAME.to_owned()]))? {
             (error_status::NO_ERROR, _) => Ok(()),
             (status, _) => Err(SqlError::Connection(format!(
                 "SNMP agent {} answered sysName with error status {status}",
@@ -164,52 +196,43 @@ impl Source for Snmp {
         sel: &SelectStatement,
     ) -> DbcResult<Vec<NativeRow>> {
         // Which attributes do we actually need? (Fine-grained fetching.)
-        let keys = needed_keys(group, mapping, sel);
+        let mut keys = needed_keys(group, mapping, sel);
         if !INDEXED_GROUPS
             .iter()
             .any(|g| g.eq_ignore_ascii_case(&group.name))
         {
             // Single-row group: one GET with every needed OID.
-            let oids = oids_of(keys.iter().map(String::as_str));
-            return Ok(vec![if oids.is_empty() {
+            let keys = self.compile(keys);
+            return Ok(vec![if keys.is_empty() {
                 NativeRow::new()
             } else {
-                get(at, 0, oids)?.1
+                get(at, 0, keys)?.1
             }]);
         }
-        // Indexed group: the sysName key is scalar, everything else is
-        // a column prefix to walk.
-        let scalar_row = if keys.iter().any(|k| k == oids::SYS_NAME) {
-            get(at, 0, oids_of([oids::SYS_NAME]))?.1
-        } else {
-            NativeRow::new()
-        };
         // FileSystem.AvailableMB is size - used: if the query wants it,
-        // make sure both inputs are walked, then synthesise.
+        // make sure both inputs are walked (last), then synthesise.
         let wants_avail = keys.iter().any(|k| k == "derived.hrStorageAvail");
-        let mut columns: Vec<&str> = keys
-            .iter()
-            .map(String::as_str)
-            // Derived keys are synthesised below, not walked.
-            .filter(|k| *k != oids::SYS_NAME && !k.starts_with("derived."))
-            .collect();
         if wants_avail {
             for extra in [oids::HR_STORAGE_SIZE, oids::HR_STORAGE_USED] {
-                if !columns.contains(&extra) {
-                    columns.push(extra);
+                if !keys.iter().any(|k| k == extra) {
+                    keys.push(extra.to_owned());
                 }
             }
         }
+        // Indexed group: the sysName key is scalar, everything else that
+        // is an OID (derived keys are not) is a column prefix to walk.
+        let mut columns = self.compile(keys);
+        let scalar_row = match columns.iter().position(|(k, _)| k == oids::SYS_NAME) {
+            Some(sys_name) => get(at, 0, vec![columns.remove(sys_name)])?.1,
+            None => NativeRow::new(),
+        };
         let mut per_index: BTreeMap<u32, NativeRow> = BTreeMap::new();
-        for key in columns {
-            let Ok(prefix) = key.parse::<Oid>() else {
-                continue;
-            };
-            for (idx, value) in walk(at, &prefix)? {
+        for (key, prefix) in &columns {
+            for (idx, value) in walk(at, prefix)? {
                 per_index
                     .entry(idx)
                     .or_default()
-                    .insert(key.to_owned(), snmp_to_sql(&value));
+                    .insert(key.clone(), snmp_to_sql(value));
             }
         }
         Ok(per_index
@@ -324,6 +347,69 @@ mod tests {
             assert!(avail <= size, "avail {avail} > size {size}");
             assert!(avail >= 0);
         }
+    }
+
+    #[test]
+    fn filesystem_walk_requests_and_rows() {
+        let (_env, driver) = setup();
+        let rs = query(
+            &driver,
+            "jdbc:snmp://node00.s/public",
+            "SELECT Hostname, Name, SizeMB, AvailableMB FROM FileSystem ORDER BY Name",
+        );
+        // The connect probe, a GET for sysName, then one GETBULK round
+        // each for hrStorageDescr, hrStorageSize and — walked only to
+        // derive AvailableMB — hrStorageUsed.
+        assert_eq!(driver.stats().snapshot().1, 5);
+        let host = || SqlValue::Str("node00.s".into());
+        let int = SqlValue::Int;
+        assert_eq!(
+            rs.rows(),
+            [
+                [host(), SqlValue::Str("/".into()), int(60_000), int(23_477)],
+                [host(), SqlValue::Str("/boot".into()), int(512), int(205)],
+            ]
+        );
+    }
+
+    #[test]
+    fn a_reply_in_another_order_still_lands_under_the_right_keys() {
+        let (env, driver) = setup();
+        // An agent that answers a GET with the bindings back to front.
+        let backwards = |_: &str, request: &[u8]| {
+            let Ok(Pdu::Get { request_id, oids }) = codec::decode(request).map(|msg| msg.pdu)
+            else {
+                panic!("the driver sent something other than a GET");
+            };
+            let value = |oid: &Oid| match oid.to_string() {
+                name if name == oids::SYS_NAME => SnmpValue::OctetString("backwards".into()),
+                ncpu if ncpu == oids::HR_NUM_CPU => SnmpValue::Integer(16),
+                _ => SnmpValue::Integer(250), // laLoadInt.1, in centi-load
+            };
+            let bindings = oids.iter().rev().map(|oid| (oid.clone(), value(oid)));
+            codec::encode(&SnmpMessage::v2c(
+                "public",
+                Pdu::Response {
+                    request_id,
+                    error_status: error_status::NO_ERROR,
+                    bindings: bindings.collect(),
+                },
+            ))
+        };
+        env.network.register("backwards:snmp", Arc::new(backwards));
+        let rs = query(
+            &driver,
+            "jdbc:snmp://backwards/public",
+            "SELECT Hostname, NCpu, Load1 FROM Processor",
+        );
+        assert_eq!(
+            rs.rows(),
+            [[
+                SqlValue::Str("backwards".into()),
+                SqlValue::Int(16),
+                SqlValue::Float(2.5)
+            ]]
+        );
     }
 
     #[test]

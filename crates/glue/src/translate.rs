@@ -1,9 +1,10 @@
 //! Native → GLUE row translation (the normalisation step, §3.2.3).
 
 use crate::manager::SchemaHandle;
+use crate::mapping::FieldMapping;
 use crate::schema::GroupDef;
 use gridrm_sqlparse::SqlValue;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A bag of native key/value pairs fetched from a data source — one logical
 /// entity's worth (one host, one interface, one host pair, …).
@@ -30,6 +31,14 @@ impl<'a> Translator<'a> {
         self.handle.group(group)
     }
 
+    /// The driver's field mappings for `group`, borrowed from the handle;
+    /// empty when no mapping is registered or it lacks the group.
+    fn fields(&self, group: &str) -> &'a BTreeMap<String, FieldMapping> {
+        static NONE: BTreeMap<String, FieldMapping> = BTreeMap::new();
+        let mapping = self.handle.mapping.as_deref();
+        mapping.and_then(|m| m.group(group)).unwrap_or(&NONE)
+    }
+
     /// Translate one native row into a GLUE row for `group`.
     ///
     /// Returns `None` when the schema has no such group. Attributes the
@@ -38,12 +47,7 @@ impl<'a> Translator<'a> {
     /// the second tuple element so drivers can report translation coverage.
     pub fn translate(&self, group: &str, native: &NativeRow) -> Option<(Vec<SqlValue>, usize)> {
         let def = self.handle.group(group)?;
-        let fields = self
-            .handle
-            .mapping
-            .as_ref()
-            .and_then(|m| m.group(group).cloned())
-            .unwrap_or_default();
+        let fields = self.fields(group);
         let mut nulls = 0usize;
         let row = def
             .attributes
@@ -74,12 +78,7 @@ impl<'a> Translator<'a> {
         let Some(def) = self.handle.group(group) else {
             return Vec::new();
         };
-        let fields = self
-            .handle
-            .mapping
-            .as_ref()
-            .and_then(|m| m.group(group).cloned())
-            .unwrap_or_default();
+        let fields = self.fields(group);
         def.attributes
             .iter()
             .filter(|attr| {
