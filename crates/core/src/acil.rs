@@ -5,6 +5,19 @@
 //! [`ClientInterface`] and a text adapter ([`render_csv`]/[`render_json`])
 //! standing in for the web-facing front ends.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::security::Identity;
 use crate::session::SessionToken;
 use gridrm_dbc::{DbcResult, RowSet};

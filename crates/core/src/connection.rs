@@ -12,11 +12,24 @@
 //! invalidates the driver cache and, depending on policy, is retried,
 //! rerouted to the next compatible driver, or reported.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::driver_manager::{FailurePolicy, GridRMDriverManager};
 use crate::health::HealthMonitor;
 use gridrm_dbc::{Connection, DbcResult, JdbcUrl, Properties, RowSet, SqlError};
 use gridrm_telemetry::{
-    CostVector, Counter, GatewayTelemetry, JournalSeverity, Labels, Registry, SpanBuilder,
+    CostVector, Counter, GatewayTelemetry, JournalSeverity, Labels, Registry, SpanBuilder, Stage,
     DEFAULT_LATENCY_BUCKETS_MS, KIND_DRIVER_FALLBACK, KIND_POLICY_DECISION,
 };
 use parking_lot::{Mutex, RwLock};
@@ -211,19 +224,19 @@ impl ConnectionManager {
     ) -> DbcResult<RowSet> {
         let (mut conn, pooled) = self.checkout(url, driver_name)?;
         if let Some(s) = span.as_deref_mut() {
-            s.stage_with("checkout", if pooled { "pool_hit" } else { "create" });
-            s.stage_with("connect", driver_name);
+            s.stage_with(Stage::Checkout, if pooled { "pool_hit" } else { "create" });
+            s.stage_with(Stage::Connect, driver_name);
         }
         let result = (|| {
             let mut stmt = conn.create_statement()?;
             let mut rs = stmt.execute_query(sql)?;
             if let Some(s) = span.as_deref_mut() {
-                s.stage("execute");
+                s.stage(Stage::Execute);
             }
             let rows = RowSet::materialize(rs.as_mut());
             if rows.is_ok() {
                 if let Some(s) = span.as_deref_mut() {
-                    s.stage_with("translate", "glue rowset");
+                    s.stage_with(Stage::Translate, "glue rowset");
                 }
             }
             rows
@@ -294,11 +307,11 @@ impl ConnectionManager {
             };
             let name = driver.name();
             if let Some(s) = span.as_deref_mut() {
-                s.stage_with("resolve", &name);
+                s.stage_with(Stage::Resolve, &name);
             }
             let mut exec_span = span.as_deref().map(|s| {
                 let mut c = s.child(&format!("driver_execute {name}"));
-                c.stage_with("driver_execute", &name);
+                c.stage_with(Stage::DriverExecute, &name);
                 c.source(&key);
                 c
             });

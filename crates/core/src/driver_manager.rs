@@ -6,8 +6,21 @@
 //! applies configurable failure policies ("retry the driver, try another,
 //! report the error", §3.1.3/§4).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use gridrm_dbc::{DbcResult, Driver, DriverManager, JdbcUrl, SqlError};
-use gridrm_telemetry::{Counter, Labels, Registry, SpanBuilder};
+use gridrm_telemetry::{Counter, Labels, Registry, SpanBuilder, Stage};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -194,13 +207,13 @@ impl GridRMDriverManager {
         self.stats.resolutions.inc();
         let key = url.to_string();
         let traced = span.is_some();
-        let mut note = |stage: &str, detail: &str| {
+        let mut note = |stage: Stage, detail: &str| {
             if let Some(s) = span.as_deref_mut() {
                 s.stage_with(stage, detail);
             }
         };
         if traced {
-            note("resolve_policy", &format!("{:?}", self.policy_for(url)));
+            note(Stage::ResolvePolicy, &format!("{:?}", self.policy_for(url)));
         }
 
         // 1. Last-success cache ("for performance, the GridRMDriverManager
@@ -209,18 +222,18 @@ impl GridRMDriverManager {
         let cached = self.last_success.read().get(&key).cloned();
         match cached {
             Some(name) if exclude.contains(&name) => {
-                note("resolve_cache", &format!("{name} excluded"));
+                note(Stage::ResolveCache, &format!("{name} excluded"));
             }
             Some(name) => {
                 if let Some(d) = self.base.get_by_name(&name) {
                     self.stats.cache_hits.inc();
-                    note("resolve_cache", &format!("hit {name}"));
-                    note("resolve_chosen", &format!("{name} via cache"));
+                    note(Stage::ResolveCache, &format!("hit {name}"));
+                    note(Stage::ResolveChosen, &format!("{name} via cache"));
                     return Ok(d);
                 }
-                note("resolve_cache", &format!("stale {name}"));
+                note(Stage::ResolveCache, &format!("stale {name}"));
             }
-            None => note("resolve_cache", "miss"),
+            None => note(Stage::ResolveCache, "miss"),
         }
 
         // 2. Static preferences, in priority order.
@@ -228,16 +241,22 @@ impl GridRMDriverManager {
         if let Some(prefs) = prefs {
             for name in &prefs {
                 if exclude.contains(name) {
-                    note("resolve_candidate", &format!("{name} static excluded"));
+                    note(Stage::ResolveCandidate, &format!("{name} static excluded"));
                     continue;
                 }
                 if let Some(d) = self.base.get_by_name(name) {
                     self.stats.static_hits.inc();
-                    note("resolve_candidate", &format!("{name} static accepted"));
-                    note("resolve_chosen", &format!("{name} via static preference"));
+                    note(Stage::ResolveCandidate, &format!("{name} static accepted"));
+                    note(
+                        Stage::ResolveChosen,
+                        &format!("{name} via static preference"),
+                    );
                     return Ok(d);
                 }
-                note("resolve_candidate", &format!("{name} static unregistered"));
+                note(
+                    Stage::ResolveCandidate,
+                    &format!("{name} static unregistered"),
+                );
             }
             // Explicit preferences exist but none are usable: that is a
             // configuration-level failure the user asked to control; fall
@@ -262,16 +281,28 @@ impl GridRMDriverManager {
         for d in drivers {
             let name = d.name();
             if exclude.contains(&name) {
-                note("resolve_candidate", &format!("{name} accepts_url excluded"));
+                note(
+                    Stage::ResolveCandidate,
+                    &format!("{name} accepts_url excluded"),
+                );
                 continue;
             }
             scan.probes.fetch_add(1, Ordering::Relaxed);
             if d.accepts_url(url) {
-                note("resolve_candidate", &format!("{name} accepts_url accepted"));
-                note("resolve_chosen", &format!("{name} via accepts_url scan"));
+                note(
+                    Stage::ResolveCandidate,
+                    &format!("{name} accepts_url accepted"),
+                );
+                note(
+                    Stage::ResolveChosen,
+                    &format!("{name} via accepts_url scan"),
+                );
                 return Ok(d);
             }
-            note("resolve_candidate", &format!("{name} accepts_url rejected"));
+            note(
+                Stage::ResolveCandidate,
+                &format!("{name} accepts_url rejected"),
+            );
         }
         Err(SqlError::NoSuitableDriver(key))
     }

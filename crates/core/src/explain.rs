@@ -11,7 +11,7 @@ use crate::acil::{ClientRequest, ClientResponse};
 use crate::stream::SubscribeSpec;
 use gridrm_dbc::{ColumnMeta, DbcResult, ResultSetMetaData, RowSet};
 use gridrm_sqlparse::{SqlType, SqlValue, Statement};
-use gridrm_telemetry::{GatewayTelemetry, SpanBuilder, TraceRecord};
+use gridrm_telemetry::{GatewayTelemetry, SpanBuilder, Stage, TraceRecord};
 
 /// `EXPLAIN [ANALYZE] <inner>`, for every layer that answers it: run
 /// `inner` through `run` as a child of an `explain` span, then answer
@@ -29,7 +29,7 @@ pub fn explain(
     run: impl FnOnce(&ClientRequest, &SpanBuilder) -> DbcResult<ClientResponse>,
 ) -> DbcResult<ClientResponse> {
     let mut span = request.open_span(telemetry);
-    span.stage_with("explain", if analyze { "analyze" } else { "plan" });
+    span.stage_with(Stage::Explain, if analyze { "analyze" } else { "plan" });
     let trace_id = span.trace_id().to_owned();
     let inner_request = request
         .with_statement(inner.clone())
@@ -73,7 +73,7 @@ pub fn explain_subscription<S>(
         let subscription = subscribe(&SubscribeSpec::new(traced.clone()))?;
         let mut deliver = span.child("deliver");
         let delivered = deliver_and_cancel(subscription);
-        deliver.stage_with("deliver", &format!("{delivered} deltas"));
+        deliver.stage_with(Stage::Deliver, &format!("{delivered} deltas"));
         deliver.finish("ok");
         let no_rows = RowSet::empty(ResultSetMetaData::new(Vec::new()));
         Ok(ClientResponse::from_outcomes(

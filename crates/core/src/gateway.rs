@@ -1,6 +1,19 @@
 //! The Gateway facade: wires every Local-layer component together
 //! (Fig 2/Fig 3) and exposes the ACIL entry point.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::acil::{ClientRequest, ClientResponse, QueryExecutor, RequestKind};
 use crate::admin::AdminInterface;
 use crate::alerts::AlertEngine;
@@ -23,7 +36,7 @@ use gridrm_simnet::{Network, Push, SimClock};
 use gridrm_sqlparse::{SqlType, SqlValue};
 use gridrm_store::Store;
 use gridrm_telemetry::{
-    CostVector, GatewayTelemetry, IntrusionCause, Labels, TelemetryCapacities,
+    CostVector, GatewayTelemetry, IntrusionCause, Labels, Stage, TelemetryCapacities,
     DEFAULT_TRACE_CAPACITY,
 };
 use parking_lot::RwLock;
@@ -86,7 +99,10 @@ impl Gateway {
         ));
         let cache = Arc::new(CacheController::new(config.cache_ttl_ms));
         let store = Store::new();
-        // xlint: allow(hot-path-panic) -- startup-only: runs once in new(), before any request is served
+        #[expect(
+            clippy::expect_used,
+            reason = "startup-only: runs once in new(), before any request is served"
+        )]
         let history = HistoryManager::new(store).expect("fresh store accepts schema");
         let events = EventManager::new(config.event_fast_capacity);
         let sessions = Arc::new(SessionManager::new(config.session_ttl_ms));
@@ -161,9 +177,13 @@ impl Gateway {
                 b"gridrm-gateway: use the :gma endpoint for RPC".to_vec()
             }),
         );
+        #[expect(
+            clippy::expect_used,
+            reason = "startup-only: register() on this address is two statements up"
+        )]
         let push_rx = network
             .subscribe(&config.address)
-            .expect("gateway endpoint just registered"); // xlint: allow(hot-path-panic) -- startup-only: register() on this address is two statements up
+            .expect("gateway endpoint just registered");
         Arc::new(Gateway {
             config,
             clock,
@@ -289,7 +309,7 @@ impl Gateway {
     pub fn subscribe(&self, spec: &SubscribeSpec) -> DbcResult<SubscriptionId> {
         let now = self.clock.now_millis();
         let mut span = spec.request.open_span(&self.telemetry);
-        span.stage("subscribe");
+        span.stage(Stage::Subscribe);
         match self.streams.subscribe(spec, now) {
             Ok(id) => {
                 // A joiner on an already-materialized standing query got
@@ -298,7 +318,7 @@ impl Gateway {
                 // which is exactly the cost sharing exists to avoid.
                 if self.streams.pending(id) == 0 {
                     let ctx = span.context();
-                    span.stage("delta");
+                    span.stage(Stage::Delta);
                     self.streams.evaluate_for(id, now, |req| {
                         let traced = req.clone().with_trace(ctx.clone());
                         self.request.handle(&traced).map(|r| r.rows)

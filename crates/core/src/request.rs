@@ -5,6 +5,19 @@
 //! queries that span real-time resource requests and historical (or
 //! cached) data."
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::acil::{
     ClientRequest, ClientResponse, OutcomeStatus, QueryMode, ResultPolicy, SourceOutcome,
 };
@@ -20,7 +33,7 @@ use gridrm_dbc::{DbcResult, JdbcUrl, RowSet, SqlError};
 use gridrm_simnet::SimClock;
 use gridrm_sqlparse::Statement;
 use gridrm_telemetry::{
-    CostVector, Counter, GatewayTelemetry, JournalSeverity, Labels, Registry, SpanBuilder,
+    CostVector, Counter, GatewayTelemetry, JournalSeverity, Labels, Registry, SpanBuilder, Stage,
     KIND_CACHE_SERVE,
 };
 use parking_lot::RwLock;
@@ -214,7 +227,7 @@ impl RequestManager {
     pub fn handle(&self, request: &ClientRequest) -> DbcResult<ClientResponse> {
         let mut span = self.telemetry.as_ref().map(|t| {
             let mut s = request.open_span(t);
-            s.stage("acil");
+            s.stage(Stage::Acil);
             s
         });
         let started_ms = self.clock.now_millis();
@@ -257,7 +270,7 @@ impl RequestManager {
     ) -> DbcResult<ClientResponse> {
         self.stats.requests.inc();
         if let Some(s) = span.as_mut() {
-            s.stage("handle");
+            s.stage(Stage::Handle);
         }
         let identity = self.resolve_identity(request)?;
 
@@ -356,7 +369,10 @@ impl RequestManager {
                 if let QueryMode::Cached { max_age_ms } = request.mode {
                     let hit = self.cache.lookup(source, sql, now, max_age_ms);
                     if let Some(s) = span.as_mut() {
-                        s.stage_with("cache_lookup", if hit.is_some() { "hit" } else { "miss" });
+                        s.stage_with(
+                            Stage::CacheLookup,
+                            if hit.is_some() { "hit" } else { "miss" },
+                        );
                     }
                     if let Some(hit) = hit {
                         self.stats.cache_served.inc();
@@ -416,7 +432,7 @@ impl RequestManager {
                 if coalesced {
                     self.stats.coalesced_hits.inc();
                     if let Some(s) = span.as_mut() {
-                        s.stage_with("coalesce", "shared");
+                        s.stage_with(Stage::Coalesce, "shared");
                     }
                 }
                 let elapsed = self.clock.now_millis().saturating_sub(src_started);

@@ -16,6 +16,19 @@
 //! `determinism.rs`: coalescing only changes behaviour when real OS
 //! threads overlap, and then only by *removing* duplicate work.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};

@@ -49,7 +49,7 @@ pub enum SqlError {
     /// A gateway-internal invariant failed. Never the data source's
     /// fault: seeing one of these means a GridRM bug, not a Grid fault.
     /// Introduced so the hot request path can degrade instead of
-    /// panicking (see `docs/static-analysis.md`, rule `hot-path-panic`).
+    /// panicking (see `docs/static-analysis.md`, the clippy panic lints).
     Internal(String),
 }
 

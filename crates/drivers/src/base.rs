@@ -19,6 +19,7 @@ use gridrm_simnet::{Network, SimClock};
 use gridrm_sqlparse::ast::{self, BinaryOp, ColumnDef, Expr, SelectStatement};
 use gridrm_sqlparse::SqlValue;
 use gridrm_store::{Store, Table};
+use gridrm_telemetry::Stage;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -515,11 +516,11 @@ pub fn glue_translate(
                         rows.len()
                     )
                 };
-                s.stage_with("glue_translate", &detail);
+                s.stage_with(Stage::GlueTranslate, &detail);
                 s.finish("ok");
             }
             Err(_) => {
-                s.stage_with("glue_translate", "group vanished from schema");
+                s.stage_with(Stage::GlueTranslate, "group vanished from schema");
                 s.finish("error");
             }
         }

@@ -46,10 +46,10 @@ fn parse_kv_lines(text: &str) -> NativeRow {
         row.insert(key.to_owned(), guess_value(value));
         // FORECAST lines carry `method <name> mse <e>` suffixes.
         let rest: Vec<&str> = parts.collect();
-        let mut i = 0;
-        while i + 1 < rest.len() {
-            row.insert(format!("{key}.{}", rest[i]), guess_value(rest[i + 1]));
-            i += 2;
+        for pair in rest.chunks_exact(2) {
+            if let [name, value] = pair {
+                row.insert(format!("{key}.{name}"), guess_value(value));
+            }
         }
     }
     row

@@ -376,7 +376,7 @@ mod tests {
     use gridrm_dbc::RowSet;
     use gridrm_dbc::{Driver, JdbcUrl, Properties};
     use gridrm_simnet::SimClock;
-    use gridrm_telemetry::Labels;
+    use gridrm_telemetry::{Labels, Stage};
     use std::sync::Arc;
 
     fn driver_over(
@@ -526,9 +526,9 @@ mod tests {
         );
         let clock = telemetry.clock().clone();
         let mut span = telemetry.span("SELECT Load1 FROM Processor");
-        span.stage("acil");
+        span.stage(Stage::Acil);
         clock.advance(40);
-        span.stage_with("driver_execute", "jdbc-snmp");
+        span.stage_with(Stage::DriverExecute, "jdbc-snmp");
         span.finish("ok");
         let d = driver_over(telemetry, None, None);
         let rs = query(
@@ -553,7 +553,7 @@ mod tests {
         t.set_identity("siteA", "gw-a");
         let root = t.span("SELECT Load1 FROM Processor");
         let mut child = root.child("driver_execute jdbc-snmp");
-        child.stage_with("driver_execute", "jdbc-snmp");
+        child.stage_with(Stage::DriverExecute, "jdbc-snmp");
         child.finish("ok");
         root.finish("ok");
         let rs = query(

@@ -23,6 +23,19 @@
 //! one-gateway-at-a-time walk: the clock advances after every segment
 //! and total latency degrades to the sum of segment costs.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::gma::ProducerEntry;
 use crate::layer::GlobalLayer;
 use crate::protocol::{GlobalRequest, GlobalResponse, WireFrame, WireIdentity};
@@ -31,7 +44,7 @@ use gridrm_core::acil::{
 };
 use gridrm_core::security::Identity;
 use gridrm_dbc::{DbcResult, JdbcUrl, RowSet, SqlError};
-use gridrm_telemetry::{CostVector, IntrusionCause};
+use gridrm_telemetry::{CostVector, IntrusionCause, Stage};
 use std::collections::{BTreeMap, HashSet};
 
 /// One unit of the fan-out plan: the local gateway's share of the
@@ -131,7 +144,7 @@ impl GlobalLayer {
 
         let mut span = request.open_span(&telemetry);
         span.stage_with(
-            "global_query",
+            Stage::GlobalQuery,
             &format!(
                 "{n_local} local, {n_remote} remote gateways, {} dispatch",
                 if parallel { "parallel" } else { "sequential" }
@@ -215,7 +228,7 @@ impl GlobalLayer {
             // clock itself, so its external cost is 0.
             let (tag, external) = match &segment {
                 SegmentPlan::Local { sources } => {
-                    seg_span.stage_with("segment", "local");
+                    seg_span.stage_with(Stage::Segment, "local");
                     let mut local_request = request.clone();
                     local_request.sources = sources.clone();
                     local_request.trace = Some(seg_span.context());
@@ -263,7 +276,7 @@ impl GlobalLayer {
                     }
                 }
                 SegmentPlan::Remote { entry, sources } => {
-                    seg_span.stage_with("segment", "remote");
+                    seg_span.stage_with(Stage::Segment, "remote");
                     self.stats.remote_queries_out.inc();
                     let wire = GlobalRequest::Query {
                         from_gateway: my_name.clone(),

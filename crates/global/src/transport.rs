@@ -18,6 +18,19 @@
 //! layer cannot tell (and must not care) whether a frame crossed a
 //! channel or a socket.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::protocol::WireFrame;
 use std::fmt;
 use std::sync::Arc;

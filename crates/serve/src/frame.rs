@@ -5,6 +5,19 @@
 //! simnet would have carried, so cost accounting (which prices payload
 //! bytes) agrees across transports.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use std::io::{self, Read, Write};
 
 /// Refuse frames larger than this (16 MiB): a corrupt or hostile length
@@ -33,9 +46,8 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
-    while filled < len_buf.len() {
-        // xlint: allow(hot-path-panic) -- the loop condition guarantees filled < len_buf.len()
-        match r.read(&mut len_buf[filled..]) {
+    while let Some(rest) = len_buf.get_mut(filled..).filter(|rest| !rest.is_empty()) {
+        match r.read(rest) {
             Ok(0) if filled == 0 => return Ok(None),
             Ok(0) => {
                 return Err(io::Error::new(

@@ -16,6 +16,19 @@
 //! responses leave in request order without tagging frames, and gives
 //! round-robin fairness between connections under load.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use gridrm_global::transport::FrameService;
 use gridrm_global::{GlobalResponse, WireFrame};

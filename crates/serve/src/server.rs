@@ -12,6 +12,19 @@
 //! [`crate::frame`] carries no semantics — so cost accounting agrees
 //! across transports.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::frame::{read_frame, write_frame};
 use crate::scheduler::{Admission, Scheduler, SchedulerConfig, SchedulerStats};
 use gridrm_core::{AdminInterface, AdminStatus};

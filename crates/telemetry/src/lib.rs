@@ -35,6 +35,6 @@ pub use timeseries::{
     DEFAULT_TIMESERIES_INTERVAL_MS,
 };
 pub use trace::{
-    GatewayTelemetry, SpanBuilder, SpanStage, TelemetryCapacities, TraceBuffer, TraceContext,
-    TraceRecord, DEFAULT_TRACE_CAPACITY,
+    GatewayTelemetry, SpanBuilder, SpanStage, Stage, StageName, TelemetryCapacities, TraceBuffer,
+    TraceContext, TraceRecord, DEFAULT_TRACE_CAPACITY,
 };

@@ -12,13 +12,39 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// An ordered label set (`driver="ganglia", source="x:xml"`).
+/// An ordered label set (`driver="ganglia", state="up"`).
 ///
 /// Keep cardinality low: label values must come from small closed sets
-/// (driver names, source URLs, GLUE groups, stage names) — never from
-/// per-request data such as SQL text or row contents.
+/// (driver names, states, outcomes, stage names) — never from per-request
+/// data such as source URLs, SQL text or row contents. Debug builds
+/// refuse the keys of such open sets (`source`, `url`, `host`, …).
 #[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Labels(Vec<(String, String)>);
+
+/// Label keys whose values are client-controlled open sets: that detail
+/// belongs in the trace, not in labels.
+const OPEN_SET_LABEL_KEYS: &[&str] = &[
+    "source", "url", "hostname", "host", "sql", "query", "address",
+];
+
+fn debug_check_label_key(key: &str) {
+    debug_assert!(
+        !OPEN_SET_LABEL_KEYS.contains(&key),
+        "label key `{key}` is a client-controlled open set — put the detail in the trace, not in labels"
+    );
+}
+
+/// Every registered family is `gridrm_*`; a counter also ends `_total`.
+fn debug_check_metric_name(name: &str, counter: bool) {
+    debug_assert!(
+        name.starts_with("gridrm_"),
+        "metric `{name}` must start with `gridrm_`"
+    );
+    debug_assert!(
+        !counter || name.ends_with("_total"),
+        "counter `{name}` must end in `_total`"
+    );
+}
 
 impl Labels {
     /// The empty label set.
@@ -31,7 +57,10 @@ impl Labels {
     pub fn from_pairs(pairs: &[(&str, &str)]) -> Labels {
         let mut v: Vec<(String, String)> = pairs
             .iter()
-            .map(|(k, val)| (k.to_string(), val.to_string()))
+            .map(|(k, val)| {
+                debug_check_label_key(k);
+                (k.to_string(), val.to_string())
+            })
             .collect();
         v.sort();
         Labels(v)
@@ -39,6 +68,7 @@ impl Labels {
 
     /// A copy with one more label appended (re-canonicalised).
     pub fn with(&self, key: &str, value: &str) -> Labels {
+        debug_check_label_key(key);
         let mut v = self.0.clone();
         v.push((key.to_string(), value.to_string()));
         v.sort();
@@ -410,6 +440,7 @@ impl Registry {
 
     /// Register (or fetch) a counter series.
     pub fn counter(&self, name: &str, help: &str, labels: Labels) -> Counter {
+        debug_check_metric_name(name, true);
         match self.register(name, help, labels, || Metric::Counter(Counter::new())) {
             Metric::Counter(c) => c,
             other => panic!("metric `{name}` already registered as {}", other.kind()),
@@ -418,6 +449,7 @@ impl Registry {
 
     /// Register (or fetch) a gauge series.
     pub fn gauge(&self, name: &str, help: &str, labels: Labels) -> Gauge {
+        debug_check_metric_name(name, false);
         match self.register(name, help, labels, || Metric::Gauge(Gauge::new())) {
             Metric::Gauge(g) => g,
             other => panic!("metric `{name}` already registered as {}", other.kind()),
@@ -426,6 +458,7 @@ impl Registry {
 
     /// Register (or fetch) a histogram series with the given buckets.
     pub fn histogram(&self, name: &str, help: &str, labels: Labels, bounds: &[f64]) -> Histogram {
+        debug_check_metric_name(name, false);
         match self.register(name, help, labels, || {
             Metric::Histogram(Histogram::new(bounds))
         }) {
@@ -439,6 +472,7 @@ impl Registry {
     /// Used to retrofit pre-existing stats structs: their counter
     /// handles keep working and the registry sees the same cell.
     pub fn expose_counter(&self, name: &str, help: &str, labels: Labels, counter: &Counter) {
+        debug_check_metric_name(name, true);
         let mut families = self.families.write();
         let family = families.entry(name.to_string()).or_insert_with(|| Family {
             help: help.to_string(),

@@ -22,10 +22,107 @@ use crate::slo::SloEngine;
 use crate::slowlog::{SlowQueryLog, DEFAULT_SLOW_QUERY_CAPACITY, DEFAULT_SLOW_QUERY_THRESHOLD_MS};
 use crate::timeseries::TimeSeriesRecorder;
 
+/// Declares [`Stage`] once: each variant with the name a span records.
+macro_rules! stages {
+    ($($(#[doc = $doc:literal])+ $variant:ident = $name:literal,)+) => {
+        /// The closed span-stage vocabulary: every stage a span records
+        /// is one of these (listed in `docs/observability.md`, "Span
+        /// stage vocabulary", which `tests/docs_drift.rs` keeps equal to
+        /// [`Stage::ALL`]).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Stage {
+            $($(#[doc = $doc])+ $variant,)+
+        }
+
+        impl Stage {
+            /// Every stage, in declaration order.
+            pub const ALL: &'static [Stage] = &[$(Stage::$variant,)+];
+
+            /// The name recorded in [`SpanStage::stage`].
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $(Stage::$variant => $name,)+
+                }
+            }
+        }
+    };
+}
+
+stages! {
+    /// Request crossed the client interface.
+    Acil = "acil",
+    /// Request Manager accepted it (post-security).
+    Handle = "handle",
+    /// Cache Controller consulted (`hit`/`miss`).
+    CacheLookup = "cache_lookup",
+    /// Driver Manager resolution on the root span; detail is the winner.
+    Resolve = "resolve",
+    /// Resolution child span: the failure policy in force.
+    ResolvePolicy = "resolve_policy",
+    /// Resolution child span: the cached-driver verdict.
+    ResolveCache = "resolve_cache",
+    /// Resolution child span: one candidate tried, with its verdict.
+    ResolveCandidate = "resolve_candidate",
+    /// Resolution child span: how the winner was found.
+    ResolveChosen = "resolve_chosen",
+    /// Connection Manager checkout (`pool_hit`/`create`).
+    Checkout = "checkout",
+    /// Driver connection established; detail is the driver.
+    Connect = "connect",
+    /// Native fetch ran.
+    Execute = "execute",
+    /// Driver returned a GLUE rowset.
+    Translate = "translate",
+    /// Marks the per-attempt child span; detail is the driver.
+    DriverExecute = "driver_execute",
+    /// GLUE translation child span: dropped attributes and NULL counts.
+    GlueTranslate = "glue_translate",
+    /// An EXPLAIN verb is driving this trace (`plan`/`analyze`).
+    Explain = "explain",
+    /// Global-layer fan-out split.
+    GlobalQuery = "global_query",
+    /// One fan-out segment span (`local`/`remote`).
+    Segment = "segment",
+    /// Shared another identical request's in-flight execution.
+    Coalesce = "coalesce",
+    /// A continuous-query subscription was registered.
+    Subscribe = "subscribe",
+    /// A standing query was evaluated incrementally.
+    Delta = "delta",
+    /// Buffered deltas were drained to a subscriber.
+    Deliver = "deliver",
+    /// A root span's inclusive cost breached the budget.
+    Cost = "cost",
+}
+
+/// What [`SpanBuilder::stage`] records: a [`Stage`], or a stage's name
+/// for callers that spell it out (checked against [`Stage::ALL`] in
+/// debug builds).
+pub trait StageName {
+    /// The name to record.
+    fn stage_name(&self) -> &str;
+}
+
+impl StageName for Stage {
+    fn stage_name(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl StageName for &str {
+    fn stage_name(&self) -> &str {
+        debug_assert!(
+            Stage::ALL.iter().any(|s| s.as_str() == *self),
+            "span stage `{self}` is not in Stage::ALL — stages are a closed set"
+        );
+        self
+    }
+}
+
 /// One timestamped stage inside a trace (`resolve`, `connect`, …).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SpanStage {
-    /// Stage name from the closed query-path set.
+    /// Stage name: a [`Stage::as_str`].
     pub stage: String,
     /// Virtual time when the stage was recorded.
     pub at_ms: u64,
@@ -101,18 +198,18 @@ pub struct SpanBuilder {
 
 impl SpanBuilder {
     /// Record a stage now.
-    pub fn stage(&mut self, name: &str) {
+    pub fn stage(&mut self, stage: impl StageName) {
         self.record.stages.push(SpanStage {
-            stage: name.to_string(),
+            stage: stage.stage_name().to_string(),
             at_ms: self.hub.clock.now_millis(),
             detail: None,
         });
     }
 
     /// Record a stage now, with a low-cardinality detail string.
-    pub fn stage_with(&mut self, name: &str, detail: &str) {
+    pub fn stage_with(&mut self, stage: impl StageName, detail: &str) {
         self.record.stages.push(SpanStage {
-            stage: name.to_string(),
+            stage: stage.stage_name().to_string(),
             at_ms: self.hub.clock.now_millis(),
             detail: Some(detail.to_string()),
         });
@@ -209,7 +306,7 @@ impl SpanBuilder {
                 );
                 if over_budget {
                     self.record.stages.push(SpanStage {
-                        stage: "cost".to_string(),
+                        stage: Stage::Cost.as_str().to_string(),
                         at_ms: self.record.finished_ms,
                         detail: Some("over_budget".to_string()),
                     });
@@ -578,11 +675,11 @@ mod tests {
         let clock = SimClock::new();
         let telemetry = GatewayTelemetry::new(Arc::clone(&clock));
         let mut span = telemetry.span("SELECT * FROM host");
-        span.stage("resolve");
+        span.stage(Stage::Resolve);
         clock.advance(5);
-        span.stage_with("connect", "ganglia");
+        span.stage_with(Stage::Connect, "ganglia");
         clock.advance(3);
-        span.stage("execute");
+        span.stage(Stage::Execute);
         span.source("h0:xml");
         span.finish("ok");
 

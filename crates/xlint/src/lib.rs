@@ -1,14 +1,12 @@
-//! `gridrm-lint` — AST-level house-rule analyzer for the GridRM
-//! workspace.
+//! `gridrm-lint` — the house rules no compiler lint, type or test can
+//! check: the wire-schema evolution ratchet, virtual-time determinism
+//! and the workspace lock-acquisition order.
 //!
 //! Real parsing (via the vendored `proc-macro2`/`syn` stand-ins)
-//! instead of grep: rules resolve call
-//! expressions, span literals, impl blocks and function bodies instead
-//! of relying on rustfmt line-wrapping luck. See
-//! `docs/static-analysis.md` for the rule catalog, the waiver syntax and
-//! the baseline-ratchet workflow.
+//! instead of grep: rules resolve call expressions, impl blocks and
+//! function bodies instead of relying on rustfmt line-wrapping luck. See
+//! `docs/static-analysis.md` for the rule catalog and the waiver syntax.
 
-pub mod baseline;
 pub mod rules;
 pub mod schema;
 pub mod tokens;
@@ -62,101 +60,39 @@ pub struct Waiver {
     pub own_line: bool,
 }
 
-/// Analyzer configuration: which files count as the hot request path,
-/// the closed vocabularies, and the cross-layer dispatch surface.
+/// Analyzer configuration: the simnet-deterministic source set, the
+/// calls no lock guard may be held across, and the wire-schema roots.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Files audited for panic-freedom in full (repo-relative suffixes).
-    pub hot_path_files: Vec<String>,
-    /// (path prefix, fn names) pairs audited per-function — the driver
-    /// kit's `execute_query`/`execute_update` and the `Source` hooks
-    /// every driver's native-protocol code lives in.
-    pub hot_path_fns: Vec<(String, Vec<String>)>,
-    /// Label keys that are client-controlled open sets.
-    pub forbidden_label_keys: Vec<String>,
-    /// The closed span-stage vocabulary (from `docs/observability.md`).
-    pub stage_vocab: BTreeSet<String>,
-    /// Method names that cross a layer boundary or dispatch into a
-    /// driver; holding a lock guard across these is the single-flight
-    /// deadlock shape.
-    pub dispatch_methods: BTreeSet<String>,
-    /// Directory containing the driver crate sources.
-    pub driver_dir: String,
-    /// Driver-dir files exempt from the conformance rule (the DDK
-    /// itself, registries, pure helpers).
-    pub driver_exempt: Vec<String>,
     /// Path prefixes of the simnet-deterministic source set audited by
     /// the `determinism` rule. Wall-clock crates (serve, bench,
     /// resmodel) are simply not listed.
     pub deterministic_dirs: Vec<String>,
-    /// Scheduling-boundary method names for the `lock-order` pass
-    /// (holding a guard across these is flagged even without a cycle).
+    /// Method names the `lock-order` pass treats as boundaries: the
+    /// scheduling pump and every call that dispatches into a driver or
+    /// across a layer. Holding a guard across one is flagged even
+    /// without a cycle (the single-flight deadlock shape).
     pub boundary_methods: BTreeSet<String>,
     /// Root type names the wire-schema closure starts from.
     pub wire_roots: Vec<String>,
 }
 
 impl Config {
-    /// The GridRM workspace configuration; reads the span-stage
-    /// vocabulary from `docs/observability.md` under `root`.
-    pub fn for_workspace(root: &Path) -> io::Result<Config> {
-        let doc_path = root.join("docs/observability.md");
-        let doc = fs::read_to_string(&doc_path).map_err(|e| {
-            io::Error::new(
-                e.kind(),
-                format!(
-                    "{}: {e} — is --root pointing at the workspace?",
-                    doc_path.display()
-                ),
-            )
-        })?;
-        let stage_vocab = parse_stage_vocab(&doc);
-        if stage_vocab.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "no span-stage vocabulary found in docs/observability.md — section renamed?",
-            ));
-        }
-        Ok(Config {
-            hot_path_files: [
-                "crates/core/src/gateway.rs",
-                "crates/core/src/request.rs",
-                "crates/core/src/driver_manager.rs",
-                "crates/core/src/connection.rs",
-                "crates/core/src/acil.rs",
-                "crates/core/src/singleflight.rs",
-                "crates/global/src/engine.rs",
-                "crates/global/src/transport.rs",
-                "crates/serve/src/frame.rs",
-                "crates/serve/src/scheduler.rs",
-                "crates/serve/src/server.rs",
+    /// The GridRM workspace configuration.
+    pub fn workspace() -> Config {
+        Config {
+            deterministic_dirs: [
+                "crates/core/src/",
+                "crates/global/src/",
+                "crates/store/src/",
+                "crates/telemetry/src/",
+                "crates/drivers/src/",
             ]
             .into_iter()
             .map(str::to_owned)
             .collect(),
-            hot_path_fns: vec![(
-                "crates/drivers/src/".to_owned(),
-                [
-                    "execute_query",
-                    "execute_update",
-                    "probe",
-                    "open",
-                    "fetch",
-                    "query",
-                    "update",
-                ]
-                .into_iter()
-                .map(str::to_owned)
-                .collect(),
-            )],
-            forbidden_label_keys: [
-                "source", "url", "hostname", "host", "sql", "query", "address",
-            ]
-            .into_iter()
-            .map(str::to_owned)
-            .collect(),
-            stage_vocab,
-            dispatch_methods: [
+            boundary_methods: [
+                "pump",
                 "execute",
                 "execute_traced",
                 "execute_query",
@@ -170,70 +106,15 @@ impl Config {
             .into_iter()
             .map(str::to_owned)
             .collect(),
-            driver_dir: "crates/drivers/src/".to_owned(),
-            driver_exempt: [
-                "crates/drivers/src/base.rs",
-                "crates/drivers/src/lib.rs",
-                "crates/drivers/src/registry.rs",
-                "crates/drivers/src/mappings.rs",
-                "crates/drivers/src/formatters.rs",
-                "crates/drivers/src/xml.rs",
-            ]
-            .into_iter()
-            .map(str::to_owned)
-            .collect(),
-            deterministic_dirs: [
-                "crates/core/src/",
-                "crates/global/src/",
-                "crates/store/src/",
-                "crates/telemetry/src/",
-                "crates/drivers/src/",
-            ]
-            .into_iter()
-            .map(str::to_owned)
-            .collect(),
-            boundary_methods: ["pump"].into_iter().map(str::to_owned).collect(),
             wire_roots: vec!["GlobalRequest".to_owned(), "GlobalResponse".to_owned()],
-        })
-    }
-}
-
-/// Extract the backticked, `[a-z_]+`-shaped names from the "Span stage
-/// vocabulary" section of the observability doc.
-pub fn parse_stage_vocab(doc: &str) -> BTreeSet<String> {
-    let mut vocab = BTreeSet::new();
-    let mut in_section = false;
-    for line in doc.lines() {
-        if line.starts_with("### Span stage vocabulary") {
-            in_section = true;
-            continue;
-        }
-        if in_section && line.starts_with('#') {
-            break;
-        }
-        if !in_section {
-            continue;
-        }
-        let mut rest = line;
-        while let Some(open) = rest.find('`') {
-            let tail = &rest[open + 1..];
-            let Some(close) = tail.find('`') else { break };
-            let name = &tail[..close];
-            if !name.is_empty() && name.chars().all(|c| c.is_ascii_lowercase() || c == '_') {
-                vocab.insert(name.to_owned());
-            }
-            rest = &tail[close + 1..];
         }
     }
-    vocab
 }
 
 /// A parsed source file ready for rule evaluation.
 pub struct SourceFile {
     /// Repo-relative path (forward slashes).
     pub rel_path: String,
-    /// Raw text.
-    pub text: String,
     /// Full token stream of the file.
     pub tokens: TokenStream,
     /// Item-level parse.
@@ -246,15 +127,14 @@ pub struct SourceFile {
 
 impl SourceFile {
     /// Parse a file; returns `Err` with a description on lex failure.
-    pub fn parse(rel_path: &str, text: String) -> Result<SourceFile, String> {
+    pub fn parse(rel_path: &str, text: &str) -> Result<SourceFile, String> {
         let tokens: TokenStream = text
             .parse()
             .map_err(|e: proc_macro2::LexError| format!("{rel_path}: {e}"))?;
-        let ast = syn::parse_file(&text).map_err(|e| format!("{rel_path}: {e}"))?;
-        let (waivers, waiver_findings) = parse_waivers(rel_path, &text);
+        let ast = syn::parse_file(text).map_err(|e| format!("{rel_path}: {e}"))?;
+        let (waivers, waiver_findings) = parse_waivers(rel_path, text);
         Ok(SourceFile {
             rel_path: rel_path.to_owned(),
-            text,
             tokens,
             ast,
             waivers,
@@ -490,7 +370,7 @@ pub fn parse_workspace(root: &Path) -> io::Result<(Vec<SourceFile>, Vec<Finding>
             .to_string_lossy()
             .replace('\\', "/");
         let text = fs::read_to_string(&path)?;
-        match SourceFile::parse(&rel, text) {
+        match SourceFile::parse(&rel, &text) {
             Ok(sf) => files.push(sf),
             Err(e) => findings.push(Finding {
                 rule: "parse".to_owned(),
@@ -549,11 +429,6 @@ pub fn apply_file_waivers(files: &[SourceFile], findings: Vec<Finding>) -> Vec<F
 pub fn check_file(sf: &SourceFile, config: &Config) -> Vec<Finding> {
     let mut raw = Vec::new();
     raw.extend(sf.waiver_findings.clone());
-    raw.extend(rules::metrics::check(sf, config));
-    raw.extend(rules::stages::check(sf, config));
-    raw.extend(rules::panics::check(sf, config));
-    raw.extend(rules::locks::check(sf, config));
-    raw.extend(rules::drivers::check(sf, config));
     raw.extend(rules::determinism::check(sf, config));
     let mut out: Vec<Finding> = raw.into_iter().filter(|f| !sf.waived(f)).collect();
     out.sort();

@@ -1,92 +1,69 @@
 //! The `gridrm-lint` binary: scan the workspace, diff against the
-//! committed baseline and wire-schema fingerprint, report.
+//! committed wire-schema fingerprint, report.
 //!
 //! ```text
-//! gridrm-lint [--check] [--json] [--list] [--update-baseline]
-//!             [--update-wire-schema] [--root <dir>] [--baseline <file>]
+//! gridrm-lint [--check] [--json] [--update-wire-schema] [--root <dir>]
 //!             [--schema <file>]
 //! ```
 //!
-//! * default / `--check` — fail (exit 1) on any finding not
-//!   grandfathered in the baseline, on incompatible wire-schema
-//!   evolution, or on wire-schema drift that needs a fingerprint
-//!   refresh; point out ratchet opportunities.
-//! * `--list` — print every current finding (grandfathered included).
-//! * `--json` — machine-readable findings on stdout.
-//! * `--update-baseline` — rewrite the baseline from a fresh scan.
+//! * default / `--check` — fail (exit 1) on any finding without a
+//!   waiver, on incompatible wire-schema evolution, or on wire-schema
+//!   drift that needs a fingerprint refresh.
+//! * `--json` — the findings as JSON on stdout, exit 0.
 //! * `--update-wire-schema` — rewrite `xlint-wire-schema.json` from a
 //!   fresh scan (only after reviewing the diff for compatibility!).
 
-use gridrm_xlint::baseline::{diff, Baseline};
 use gridrm_xlint::schema::{build_schema, diff_schema, WireSchema};
-use gridrm_xlint::{apply_file_waivers, parse_workspace, scan_files, Config, Finding};
+use gridrm_xlint::{apply_file_waivers, parse_workspace, scan_files, Config};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
     root: PathBuf,
-    baseline: PathBuf,
     schema: PathBuf,
     json: bool,
-    list: bool,
-    update: bool,
     update_schema: bool,
 }
 
-const USAGE: &str = "gridrm-lint [--check] [--json] [--list] [--update-baseline] \
-                     [--update-wire-schema] [--root <dir>] [--baseline <file>] \
-                     [--schema <file>]";
+const USAGE: &str =
+    "gridrm-lint [--check] [--json] [--update-wire-schema] [--root <dir>] [--schema <file>]";
 
 /// `Ok(None)` means `--help` was asked for: print [`USAGE`] and stop.
 fn parse_args() -> Result<Option<Args>, String> {
     let mut root: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
     let mut schema: Option<PathBuf> = None;
     let mut json = false;
-    let mut list = false;
-    let mut update = false;
     let mut update_schema = false;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--check" => {}
             "--json" => json = true,
-            "--list" => list = true,
-            "--update-baseline" => update = true,
             "--update-wire-schema" => update_schema = true,
             "--root" => root = Some(PathBuf::from(it.next().ok_or("--root needs a value")?)),
-            "--baseline" => {
-                baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a value")?))
-            }
             "--schema" => schema = Some(PathBuf::from(it.next().ok_or("--schema needs a value")?)),
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
     let root = root.unwrap_or_else(find_workspace_root);
-    let baseline = baseline.unwrap_or_else(|| root.join("xlint-baseline.json"));
     let schema = schema.unwrap_or_else(|| root.join("xlint-wire-schema.json"));
     Ok(Some(Args {
         root,
-        baseline,
         schema,
         json,
-        list,
-        update,
         update_schema,
     }))
 }
 
-/// Walk upward from the current directory to the workspace root (the
-/// directory holding `xlint-baseline.json` or a `[workspace]` manifest).
+/// Walk upward from the current directory to the directory holding a
+/// `[workspace]` manifest.
 fn find_workspace_root() -> PathBuf {
     let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
     loop {
-        let manifest = dir.join("Cargo.toml");
-        if dir.join("xlint-baseline.json").exists()
-            || std::fs::read_to_string(&manifest)
-                .map(|t| t.contains("[workspace]"))
-                .unwrap_or(false)
+        if std::fs::read_to_string(dir.join("Cargo.toml"))
+            .map(|t| t.contains("[workspace]"))
+            .unwrap_or(false)
         {
             return dir;
         }
@@ -108,13 +85,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let config = match Config::for_workspace(&args.root) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("gridrm-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let config = Config::workspace();
     let (files, mut findings) = match parse_workspace(&args.root) {
         Ok(r) => r,
         Err(e) => {
@@ -135,20 +106,18 @@ fn main() -> ExitCode {
             fresh_schema.types.len(),
             fresh_schema.roots.join(", ")
         );
-        if !args.update {
-            return ExitCode::SUCCESS;
-        }
+        return ExitCode::SUCCESS;
     }
 
     // Wire-schema ratchet: incompatible evolution becomes findings (so
-    // the baseline machinery and --json/--list see it); compatible drift
-    // is a --check failure with a friendlier refresh instruction.
+    // waivers and --json see it); compatible drift is a --check failure
+    // with a friendlier refresh instruction.
     let mut schema_drift = false;
     let mut schema_missing = false;
     match std::fs::read_to_string(&args.schema) {
         Ok(text) => match WireSchema::from_json(&text) {
             Ok(committed) => {
-                let schema_findings: Vec<Finding> = apply_file_waivers(
+                let schema_findings = apply_file_waivers(
                     &files,
                     diff_schema(&committed, &fresh_schema, &schema_locs),
                 );
@@ -167,73 +136,21 @@ fn main() -> ExitCode {
     }
     findings.sort();
 
-    if args.update {
-        let fresh = Baseline::from_findings(&findings);
-        if let Err(e) = std::fs::write(&args.baseline, fresh.to_json()) {
-            eprintln!("gridrm-lint: cannot write {}: {e}", args.baseline.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "gridrm-lint: baseline updated — {} finding(s) in {} bucket(s)",
-            findings.len(),
-            fresh.entries.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
     if args.json {
-        match serde_json::to_string_pretty(&findings) {
-            Ok(s) => println!("{s}"),
+        return match serde_json::to_string_pretty(&findings) {
+            Ok(s) => {
+                println!("{s}");
+                ExitCode::SUCCESS
+            }
             Err(e) => {
                 eprintln!("gridrm-lint: {e}");
-                return ExitCode::from(2);
+                ExitCode::from(2)
             }
-        }
-        if args.list {
-            return ExitCode::SUCCESS;
-        }
+        };
     }
 
-    if args.list {
-        for f in &findings {
-            println!("{f}");
-        }
-        println!("gridrm-lint: {} finding(s) total", findings.len());
-        return ExitCode::SUCCESS;
-    }
-
-    let committed = match std::fs::read_to_string(&args.baseline) {
-        Ok(text) => match Baseline::from_json(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "gridrm-lint: {} is not a valid baseline: {e}",
-                    args.baseline.display()
-                );
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => Baseline::default(), // no baseline: everything is new
-    };
-    let d = diff(&committed, &findings);
-    for (entry, bucket) in &d.regressions {
-        eprintln!(
-            "FAIL: [{}] {} — {} finding(s), baseline grandfathers {}:",
-            entry.rule,
-            entry.file,
-            bucket.len(),
-            entry.count
-        );
-        for f in bucket {
-            eprintln!("  {f}");
-        }
-    }
-    for (entry, now) in &d.improvements {
-        println!(
-            "ratchet: [{}] {} improved {} -> {} — run `gridrm-lint --update-baseline` \
-             and commit xlint-baseline.json",
-            entry.rule, entry.file, entry.count, now
-        );
+    for f in &findings {
+        eprintln!("FAIL: {f}");
     }
     if schema_missing {
         eprintln!(
@@ -250,22 +167,20 @@ fn main() -> ExitCode {
             args.schema.display()
         );
     }
-    if d.is_clean() && !schema_missing && !schema_drift {
+    if findings.is_empty() && !schema_missing && !schema_drift {
         println!(
-            "gridrm-lint: OK — {} finding(s), all grandfathered by {}; wire schema matches \
-             {} ({} type(s))",
-            findings.len(),
-            args.baseline.display(),
+            "gridrm-lint: OK — {} file(s), no findings; wire schema matches {} ({} type(s))",
+            files.len(),
             args.schema.display(),
             fresh_schema.types.len()
         );
         ExitCode::SUCCESS
     } else {
-        if !d.is_clean() {
+        if !findings.is_empty() {
             eprintln!(
-                "gridrm-lint: {} bucket(s) exceed the baseline — fix the findings or add \
+                "gridrm-lint: {} finding(s) — fix them or add \
                  `xlint: allow(<rule>) -- <reason>` comment waivers (see docs/static-analysis.md)",
-                d.regressions.len()
+                findings.len()
             );
         }
         ExitCode::FAILURE

@@ -1,9 +1,6 @@
 //! `lock-order` — workspace-wide static lock-acquisition graph and
-//! deadlock-cycle detection.
-//!
-//! The per-file `lock-across-dispatch` rule catches a guard held across
-//! a driver dispatch; this pass extends it inter-procedurally. For every
-//! non-test function it records
+//! deadlock-cycle detection, plus the guards held across a boundary
+//! call. For every non-test function it records
 //!
 //! * which locks the function acquires directly (`let g =
 //!   <recv>.lock()/.read()/.write()` bindings *and* statement
@@ -19,16 +16,19 @@
 //! locks to everything the callee's summary may acquire. Cycles in the
 //! resulting graph — including self-edges, since neither `std` nor
 //! `parking_lot` mutexes are re-entrant — are reported as potential
-//! deadlocks, and a guard held across a `pump` boundary
+//! deadlocks. A guard held across a boundary call
 //! (`Config::boundary_methods`) is flagged directly: `pump` drives
-//! probes, standing queries and delta delivery, so any lock it needs is
-//! reachable from it.
+//! probes, standing queries and delta delivery, and the dispatch methods
+//! (`execute`, `handle_request`, `glue_translate`, ...) run a driver or
+//! another layer — the leader of a single-flight group parks followers
+//! while it dispatches, so a gateway lock held there is the deadlock
+//! shape. A guard dies at the end of its block or at `drop(guard)`.
 //!
 //! Name-based call resolution is deliberately coarse; ubiquitous method
 //! names that collide with `std` collections (`get`, `insert`, `len`,
-//! ...) are excluded from propagation via `NO_PROPAGATE`, and dispatch
+//! ...) are excluded from propagation via `NO_PROPAGATE`, and boundary
 //! methods are excluded because holding a lock across them is already
-//! its own rule.
+//! a finding of its own.
 
 use crate::tokens::{group_with, ident_text, is_ident, is_punct};
 use crate::{collect_fns, Config, Finding, SourceFile};
@@ -190,7 +190,6 @@ pub fn check_workspace(files: &[SourceFile], config: &Config) -> Vec<Finding> {
     let propagatable = |callee: &str| {
         defined.contains(callee)
             && !NO_PROPAGATE.contains(&callee)
-            && !config.dispatch_methods.contains(callee)
             && !config.boundary_methods.contains(callee)
     };
     // Same-named functions merge into one summary: coarse but sound for
@@ -253,9 +252,9 @@ pub fn check_workspace(files: &[SourceFile], config: &Config) -> Vec<Finding> {
                     line: site.line,
                     column: site.column + 1,
                     message: format!(
-                        "`.{callee}(..)` called in `{}` while lock guard(s) on {} are held — \
-                         `{callee}` is a scheduling boundary (probes, standing queries, delta \
-                         delivery); drop the guard first",
+                        "`{callee}(..)` called in `{}` while lock guard(s) on {} are held — \
+                         `{callee}` is a boundary (scheduling pump or driver/layer dispatch); \
+                         drop the guard first",
                         site.fn_name,
                         held.join(", ")
                     ),

@@ -1,7 +1,7 @@
-//! Token-tree walking helpers shared by the lint rules: method-call and
-//! macro-invocation pattern matching over `proc-macro2` token sequences.
+//! Token-tree helpers shared by the lint rules: token predicates and
+//! path-call matching over `proc-macro2` token sequences.
 
-use proc_macro2::{Delimiter, Group, TokenStream, TokenTree};
+use proc_macro2::{Delimiter, Group, TokenTree};
 
 /// True when `t` is the punctuation character `c`.
 pub fn is_punct(t: &TokenTree, c: char) -> bool {
@@ -29,104 +29,6 @@ pub fn group_with(t: &TokenTree, d: Delimiter) -> Option<&Group> {
     }
 }
 
-/// Invoke `f` on every token sequence in the stream: the top-level
-/// sequence and, recursively, the contents of every group.
-pub fn for_each_seq(ts: &TokenStream, f: &mut impl FnMut(&[TokenTree])) {
-    fn walk(seq: &[TokenTree], f: &mut impl FnMut(&[TokenTree])) {
-        f(seq);
-        for t in seq {
-            if let TokenTree::Group(g) = t {
-                let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-                walk(&inner, f);
-            }
-        }
-    }
-    let top: Vec<TokenTree> = ts.clone().into_iter().collect();
-    walk(&top, f);
-}
-
-/// A method call `.name(args)` found in a sequence.
-pub struct MethodCall<'a> {
-    /// The method name.
-    pub name: String,
-    /// The argument group.
-    pub args: &'a Group,
-    /// 1-based line of the method-name token.
-    pub line: usize,
-    /// 0-based column of the method-name token.
-    pub column: usize,
-    /// Index of the `.` token in the sequence.
-    pub at: usize,
-}
-
-/// Find every `.name(...)` pattern at the top level of `seq` (rules that
-/// need nesting wrap this in [`for_each_seq`]).
-pub fn method_calls<'a>(seq: &'a [TokenTree]) -> Vec<MethodCall<'a>> {
-    let mut out = Vec::new();
-    for i in 0..seq.len() {
-        if !is_punct(&seq[i], '.') {
-            continue;
-        }
-        let Some(name_tok) = seq.get(i + 1) else {
-            continue;
-        };
-        let Some(name) = ident_text(name_tok) else {
-            continue;
-        };
-        let Some(args) = seq
-            .get(i + 2)
-            .and_then(|t| group_with(t, Delimiter::Parenthesis))
-        else {
-            continue;
-        };
-        let span = name_tok.span().start();
-        out.push(MethodCall {
-            name,
-            args,
-            line: span.line,
-            column: span.column,
-            at: i,
-        });
-    }
-    out
-}
-
-/// A macro invocation `name!(..)` / `name!{..}` / `name![..]`.
-pub struct MacroCall {
-    /// The macro name.
-    pub name: String,
-    /// 1-based line of the name token.
-    pub line: usize,
-    /// 0-based column of the name token.
-    pub column: usize,
-}
-
-/// Find every `name!...` macro invocation at the top level of `seq`.
-pub fn macro_calls(seq: &[TokenTree]) -> Vec<MacroCall> {
-    let mut out = Vec::new();
-    for i in 0..seq.len() {
-        let Some(name) = ident_text(&seq[i]) else {
-            continue;
-        };
-        let Some(bang) = seq.get(i + 1) else {
-            continue;
-        };
-        if !is_punct(bang, '!') {
-            continue;
-        }
-        if !matches!(seq.get(i + 2), Some(TokenTree::Group(_))) {
-            continue;
-        }
-        let span = seq[i].span().start();
-        out.push(MacroCall {
-            name,
-            line: span.line,
-            column: span.column,
-        });
-    }
-    out
-}
-
 /// Find every `A::B(...)`-style path call whose final two segments are
 /// `ty::method`, returning the argument group.
 pub fn path_calls<'a>(seq: &'a [TokenTree], ty: &str, method: &str) -> Vec<(&'a Group, usize)> {
@@ -152,67 +54,4 @@ pub fn path_calls<'a>(seq: &'a [TokenTree], ty: &str, method: &str) -> Vec<(&'a 
         }
     }
     out
-}
-
-/// The first string literal at the top level of a group's stream.
-pub fn first_str_literal(args: &Group) -> Option<(String, usize, usize)> {
-    for t in args.stream() {
-        if let TokenTree::Literal(l) = &t {
-            if let Some(v) = l.str_value() {
-                let at = l.span().start();
-                return Some((v, at.line, at.column));
-            }
-        }
-    }
-    None
-}
-
-/// True when the sequence contains `needle` as a path segment sequence
-/// (e.g. `["Translator", "::", "new"]` given `ty`/`method`), anywhere at
-/// any nesting depth.
-pub fn contains_path(ts: &TokenStream, ty: &str, method: &str) -> bool {
-    let mut found = false;
-    for_each_seq(ts, &mut |seq| {
-        if found {
-            return;
-        }
-        for i in 0..seq.len() {
-            if is_ident(&seq[i], ty)
-                && matches!((seq.get(i + 1), seq.get(i + 2)),
-                    (Some(a), Some(b)) if is_punct(a, ':') && is_punct(b, ':'))
-                && matches!(seq.get(i + 3), Some(m) if is_ident(m, method))
-            {
-                found = true;
-                return;
-            }
-        }
-    });
-    found
-}
-
-/// True when, anywhere in the stream, identifier `name` is directly
-/// followed by a parenthesised argument list — a plain function call
-/// (method calls also match when `include_methods`).
-pub fn contains_call(ts: &TokenStream, name: &str, include_methods: bool) -> bool {
-    let mut found = false;
-    for_each_seq(ts, &mut |seq| {
-        if found {
-            return;
-        }
-        for i in 0..seq.len() {
-            if is_ident(&seq[i], name)
-                && seq
-                    .get(i + 1)
-                    .and_then(|t| group_with(t, Delimiter::Parenthesis))
-                    .is_some()
-            {
-                let is_method = i > 0 && is_punct(&seq[i - 1], '.');
-                if include_methods || !is_method {
-                    found = true;
-                    return;
-                }
-            }
-        }
-    });
-    found
 }

@@ -1,7 +1,7 @@
 //! Fixture: every malformed-waiver shape once.
 
 pub fn f() -> u32 {
-    // xlint: allow(hot-path-panic)
+    // xlint: allow(determinism)
     let a = 1;
     // xlint: allow(made-up-rule) -- because I said so
     let b = 2;

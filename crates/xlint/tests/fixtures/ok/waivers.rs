@@ -1,9 +1,9 @@
-//! Fixture: well-formed waivers suppress hot-path-panic findings, in
-//! both the own-line and the trailing form.
+//! Fixture: well-formed waivers suppress determinism findings, in both
+//! the own-line and the trailing form.
 
-pub fn handle(req: &Request) -> Response {
-    // xlint: allow(hot-path-panic) -- fixture: deliberate, invariant covered elsewhere
-    let first = req.parts.get(0).unwrap();
-    let second = req.lookup("x").expect("present"); // xlint: allow(hot-path-panic) -- fixture: trailing waiver form
-    respond(first, second)
+pub fn stamp() -> u64 {
+    // xlint: allow(determinism) -- fixture: deliberate, reviewed wall-clock read
+    let first = std::time::Instant::now();
+    let second = std::time::SystemTime::now(); // xlint: allow(determinism) -- fixture: trailing waiver form
+    elapsed(first, second)
 }

@@ -17,13 +17,6 @@ fn fixture(rel: &str) -> String {
 /// Minimal config whose wire closure is rooted at the fixture `Req`.
 fn fixture_config() -> Config {
     Config {
-        hot_path_files: Vec::new(),
-        hot_path_fns: Vec::new(),
-        forbidden_label_keys: Vec::new(),
-        stage_vocab: BTreeSet::new(),
-        dispatch_methods: BTreeSet::new(),
-        driver_dir: "crates/drivers/src/".to_owned(),
-        driver_exempt: Vec::new(),
         deterministic_dirs: Vec::new(),
         boundary_methods: BTreeSet::new(),
         wire_roots: vec!["Req".to_owned()],
@@ -31,7 +24,7 @@ fn fixture_config() -> Config {
 }
 
 fn schema_of(fixture_rel: &str) -> (WireSchema, gridrm_xlint::schema::SchemaLocs) {
-    let sf = SourceFile::parse("crates/global/src/protocol.rs", fixture(fixture_rel))
+    let sf = SourceFile::parse("crates/global/src/protocol.rs", &fixture(fixture_rel))
         .expect("fixture parses");
     build_schema(std::slice::from_ref(&sf), &fixture_config())
 }
@@ -42,9 +35,8 @@ fn committed_wire_schema_matches_fresh_scan() {
         .ancestors()
         .nth(2)
         .expect("workspace root");
-    let config = Config::for_workspace(root).expect("workspace config");
     let (files, _) = parse_workspace(root).expect("parse workspace");
-    let (fresh, _locs) = build_schema(&files, &config);
+    let (fresh, _locs) = build_schema(&files, &Config::workspace());
     let text = std::fs::read_to_string(root.join("xlint-wire-schema.json"))
         .expect("xlint-wire-schema.json is committed");
     let committed = WireSchema::from_json(&text).expect("schema parses");

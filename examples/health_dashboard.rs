@@ -53,9 +53,9 @@ fn main() {
     let mut span = gateway
         .telemetry()
         .span("SELECT Hostname, Load1 FROM Processor");
-    span.stage("acil");
+    span.stage(Stage::Acil);
     clock.advance(42);
-    span.stage_with("driver_execute", "jdbc-ganglia");
+    span.stage_with(Stage::DriverExecute, "jdbc-ganglia");
     span.finish("ok");
 
     // Recovery: the agent returns; two clean probes re-promote it.

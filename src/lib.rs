@@ -71,6 +71,6 @@ pub mod prelude {
     pub use gridrm_telemetry::{
         CostLedger, CostVector, GatewayTelemetry, IntrusionCause, IntrusionRow, Journal,
         JournalEntry, JournalSeverity, QueryCostEntry, Registry, SloObjective, SloSpec, SloStatus,
-        SlowQueryLog, TimeSeriesRecorder, TraceRecord,
+        SlowQueryLog, Stage, TimeSeriesRecorder, TraceRecord,
     };
 }

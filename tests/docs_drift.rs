@@ -3,9 +3,10 @@
 //! every documented family must be registered by a fully exercised
 //! gateway, and every registered family must be documented. A new
 //! metric without a doc row (or a doc row for a removed metric) fails
-//! here instead of rotting silently. The same holds for the two other
-//! declared lists: the telemetry driver's virtual tables and the admin
-//! `/v1` routes.
+//! here instead of rotting silently. The same holds for the other
+//! declared lists: the telemetry driver's virtual tables, the admin
+//! `/v1` routes, the span-stage vocabulary, the DESIGN.md crate
+//! inventory and the EXPERIMENTS.md section per experiment.
 
 use gridrm::core::AdminStatus;
 use gridrm::prelude::*;
@@ -14,6 +15,9 @@ use std::sync::Arc;
 
 const OBSERVABILITY_MD: &str = include_str!("../docs/observability.md");
 const SERVING_MD: &str = include_str!("../docs/serving.md");
+const DESIGN_MD: &str = include_str!("../DESIGN.md");
+const EXPERIMENTS_MD: &str = include_str!("../EXPERIMENTS.md");
+const EXPERIMENTS_RS: &str = include_str!("../crates/bench/src/bin/experiments.rs");
 
 /// Family names from the `| metric | kind | labels | meaning |` table:
 /// the first backticked cell of each `| `gridrm_...` |` row.
@@ -192,4 +196,65 @@ fn admin_routes_match_the_index_and_the_docs_both_ways() {
         gateway.admin().handle("/v1/no-such-route").status,
         AdminStatus::NotFound
     );
+}
+
+#[test]
+fn span_stage_vocabulary_matches_the_stage_enum_both_ways() {
+    // The bullets under "### Span stage vocabulary": the backticked
+    // names before each bullet's ` — ` (details after it are values).
+    let section = OBSERVABILITY_MD
+        .split("### Span stage vocabulary")
+        .nth(1)
+        .and_then(|rest| rest.split("\n#").next())
+        .expect("docs/observability.md has a span stage vocabulary section");
+    let documented: BTreeSet<String> = section
+        .split("\n* ")
+        .skip(1)
+        .filter_map(|bullet| bullet.split(" — ").next())
+        .flat_map(|names| backticked(names, |_| true))
+        .collect();
+    let declared: BTreeSet<String> = Stage::ALL.iter().map(|s| s.as_str().to_owned()).collect();
+    assert_eq!(declared.len(), Stage::ALL.len(), "duplicate stage name");
+    assert_eq!(documented, declared, "docs/observability.md stage list");
+}
+
+#[test]
+fn crate_inventory_matches_the_workspace_both_ways() {
+    // `    <dir>/   gridrm-<name>   <what>` rows of DESIGN.md §3.
+    let documented: BTreeSet<String> = DESIGN_MD
+        .lines()
+        .filter_map(|line| {
+            let mut words = line.split_whitespace();
+            let dir = words.next()?.strip_suffix('/')?;
+            let package = words.next()?;
+            (package == format!("gridrm-{dir}")).then(|| dir.to_owned())
+        })
+        .collect();
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let on_disk: BTreeSet<String> = std::fs::read_dir(&crates)
+        .expect("crates/ is readable")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|path| path.join("Cargo.toml").is_file())
+        .filter_map(|path| Some(path.file_name()?.to_str()?.to_owned()))
+        .collect();
+    assert!(on_disk.len() >= 15, "crates/ scan found {on_disk:?}");
+    assert_eq!(documented, on_disk, "DESIGN.md §3 inventory vs crates/");
+}
+
+#[test]
+fn every_experiment_has_a_section() {
+    let ids: Vec<&str> = EXPERIMENTS_RS
+        .split("want(\"")
+        .skip(1)
+        .filter_map(|rest| rest.split('"').next())
+        .filter(|id| *id != "all")
+        .collect();
+    assert!(ids.len() >= 13, "experiments.rs parse found {ids:?}");
+    for id in ids {
+        let heading = format!("## {} ", id.to_uppercase());
+        assert!(
+            EXPERIMENTS_MD.lines().any(|l| l.starts_with(&heading)),
+            "EXPERIMENTS.md has no `{heading}…` section for `experiments {id}`"
+        );
+    }
 }

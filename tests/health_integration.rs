@@ -268,9 +268,9 @@ fn slow_query_log_captures_per_stage_breakdown() {
     let mut span = gateway
         .telemetry()
         .span("SELECT Hostname, Load1 FROM Processor");
-    span.stage("acil");
+    span.stage(Stage::Acil);
     clock.advance(25);
-    span.stage_with("driver_execute", "jdbc-snmp");
+    span.stage_with(Stage::DriverExecute, "jdbc-snmp");
     span.finish("ok");
     let slow = gateway.telemetry().slow_queries().top();
     assert!(!slow.is_empty(), "slow log captured the query");

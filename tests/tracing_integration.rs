@@ -167,6 +167,39 @@ fn explain_analyze_reconstructs_the_span_tree() {
     assert_eq!(via_sql.rows.len(), rows.len());
 }
 
+/// Every GLUE driver translates through the driver kit, whose
+/// `Source::query` is the one place a `Translator` is built: a driver
+/// that translated on its own would answer without a `glue_translate`
+/// span.
+#[test]
+fn every_glue_driver_translates_through_the_kit() {
+    let g = grid();
+    let (gateway, _layer) = &g[0];
+    for (url, sql) in [
+        (ALPHA_URL, SQL),
+        ("jdbc:ganglia://node00.alpha/alpha?ttl=0", SQL),
+        (
+            "jdbc:nws://node00.alpha/perf",
+            "SELECT * FROM NetworkElement",
+        ),
+        ("jdbc:netlogger://node00.alpha/log", "SELECT * FROM Event"),
+        ("jdbc:scms://node00.alpha/", SQL),
+    ] {
+        let resp = gateway
+            .query(&ClientRequest::realtime(
+                url,
+                &format!("EXPLAIN ANALYZE {sql}"),
+            ))
+            .unwrap_or_else(|e| panic!("{url}: {e}"));
+        assert!(resp.warnings.is_empty(), "{url}: {:?}", resp.warnings);
+        let stages: Vec<String> = resp.rows.rows().iter().map(|r| r[11].to_string()).collect();
+        assert!(
+            stages.iter().any(|s| s.contains("glue_translate")),
+            "{url}: no glue_translate stage in {stages:?}"
+        );
+    }
+}
+
 #[test]
 fn plain_explain_skips_timings_but_keeps_the_plan() {
     let g = grid();
