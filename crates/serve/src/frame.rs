@@ -24,6 +24,11 @@ use std::io::{self, Read, Write};
 /// prefix must not make the server allocate unbounded memory.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
+/// The first payload read asks for at most this much; later reads at
+/// most double what has arrived. A prefix alone buys a stranger no
+/// memory, and a payload up to this size still takes one `read`.
+const PAYLOAD_CHUNK: usize = 64 * 1024;
+
 /// Write one frame: 4-byte big-endian length, then the payload.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME_BYTES {
@@ -43,6 +48,11 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 
 /// Read one frame. Returns `Ok(None)` on a clean close (EOF exactly at
 /// a frame boundary); a close mid-frame is an error.
+///
+/// A read timeout (`WouldBlock`/`TimedOut`) before the first prefix
+/// byte is an idle peer and is waited out: pooled connections idle as
+/// long as they like. Once a frame has started, it is a stall and an
+/// error.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
@@ -57,6 +67,12 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             }
             Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e)
+                if filled == 0
+                    && matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) => {}
             Err(e) => return Err(e),
         }
     }
@@ -67,8 +83,14 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame of {len} bytes exceeds {MAX_FRAME_BYTES}"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let got = payload.len();
+        payload.resize(got + (len - got).min(got.max(PAYLOAD_CHUNK)), 0);
+        if let Some(chunk) = payload.get_mut(got..) {
+            r.read_exact(chunk)?;
+        }
+    }
     Ok(Some(payload))
 }
 
@@ -116,5 +138,92 @@ mod tests {
         // EOF mid-prefix is also an error, not a clean close.
         let mut r = Cursor::new(vec![0u8, 0]);
         assert!(read_frame(&mut r).is_err());
+    }
+
+    /// One scripted outcome per `read` call (bytes are handed out over
+    /// as many calls as the offered buffers need; an empty script is
+    /// EOF). Counts its calls and records the largest buffer offered.
+    struct Scripted {
+        script: std::collections::VecDeque<Result<Vec<u8>, io::ErrorKind>>,
+        calls: usize,
+        largest: usize,
+    }
+
+    impl Scripted {
+        fn new(script: Vec<Result<Vec<u8>, io::ErrorKind>>) -> Scripted {
+            Scripted {
+                script: script.into(),
+                calls: 0,
+                largest: 0,
+            }
+        }
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.largest = self.largest.max(buf.len());
+            match self.script.pop_front() {
+                None => Ok(0),
+                Some(Err(kind)) => Err(kind.into()),
+                Some(Ok(mut bytes)) => {
+                    let n = bytes.len().min(buf.len());
+                    buf[..n].copy_from_slice(&bytes[..n]);
+                    let rest = bytes.split_off(n);
+                    if !rest.is_empty() {
+                        self.script.push_front(Ok(rest));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, payload).unwrap();
+        buf
+    }
+
+    #[test]
+    fn payload_buffer_grows_with_the_bytes_that_arrived() {
+        // A 16 MiB prefix followed by 10 bytes and EOF.
+        let mut hostile = (MAX_FRAME_BYTES as u32).to_be_bytes().to_vec();
+        hostile.extend_from_slice(&[7u8; 10]);
+        let mut r = Scripted::new(vec![Ok(hostile)]);
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(r.largest <= PAYLOAD_CHUNK, "offered {} bytes", r.largest);
+
+        // A cached_point-sized frame: one read for the prefix, one for
+        // the payload, none after.
+        let payload = vec![b'x'; 580];
+        let mut r = Scripted::new(vec![Ok(framed(&payload))]);
+        assert_eq!(read_frame(&mut r).unwrap(), Some(payload));
+        assert_eq!(r.calls, 2);
+
+        // A payload past one chunk arrives whole.
+        let payload: Vec<u8> = (0..3 * PAYLOAD_CHUNK + 5).map(|i| i as u8).collect();
+        let mut r = Scripted::new(vec![Ok(framed(&payload))]);
+        assert_eq!(read_frame(&mut r).unwrap(), Some(payload));
+    }
+
+    #[test]
+    fn a_timeout_waits_while_idle_and_fails_mid_frame() {
+        let frame = framed(b"ping");
+        let mut r = Scripted::new(vec![
+            Err(io::ErrorKind::WouldBlock),
+            Err(io::ErrorKind::TimedOut),
+            Ok(frame.clone()),
+        ]);
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b"ping"[..]));
+
+        for (sent, kind) in [
+            (2, io::ErrorKind::WouldBlock), // mid-prefix
+            (6, io::ErrorKind::TimedOut),   // mid-payload
+        ] {
+            let mut r = Scripted::new(vec![Ok(frame[..sent].to_vec()), Err(kind)]);
+            assert_eq!(read_frame(&mut r).unwrap_err().kind(), kind);
+        }
     }
 }

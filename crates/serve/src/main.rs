@@ -3,24 +3,19 @@
 //! ```text
 //! gridrm-serve serve [--port 7227] [--admin-port 7228] [--hosts 8] [--duration-ms N]
 //! gridrm-serve bench [--clients 1,2,4,8,16] [--duration-ms 2000] [--hosts 8] [--out BENCH_serve.json]
-//! gridrm-serve smoke
 //! ```
 //!
 //! `serve` runs a simulated site behind real sockets (wire port +
 //! admin port), pumping virtual time forward so subscriptions fire.
 //! `bench` produces the throughput/latency curves committed as
-//! `BENCH_serve.json`. `smoke` exercises the full serving path
-//! in-process — query, subscribe/poll, shedding, admin, clean
-//! shutdown — and prints `RESULT: PASS`.
+//! `BENCH_serve.json`. The end-to-end checks of the serving path live
+//! in `tests/loopback.rs`.
 
-use gridrm_global::{GlobalRequest, GlobalResponse, WireFrame};
+use gridrm_serve::bench;
 use gridrm_serve::scheduler::SchedulerConfig;
-use gridrm_serve::server::{admin_request, AdminServer, TcpServer};
-use gridrm_serve::world::{client_identity, query_frame, ServeWorld};
-use gridrm_serve::{bench, read_frame, write_frame};
-use std::net::TcpStream;
+use gridrm_serve::server::{AdminServer, TcpServer};
+use gridrm_serve::world::ServeWorld;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 fn main() -> ExitCode {
@@ -28,14 +23,12 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("serve") => cmd_serve(&args[1..]),
         Some("bench") => cmd_bench(&args[1..]),
-        Some("smoke") => cmd_smoke(),
         _ => {
-            eprintln!("usage: gridrm-serve <serve|bench|smoke> [options]");
+            eprintln!("usage: gridrm-serve <serve|bench> [options]");
             eprintln!("  serve  --port 7227 --admin-port 7228 --hosts 8 [--duration-ms N]");
             eprintln!(
                 "  bench  --clients 1,2,4,8,16 --duration-ms 2000 --hosts 8 --out BENCH_serve.json"
             );
-            eprintln!("  smoke  (in-process end-to-end check, prints RESULT: PASS)");
             ExitCode::FAILURE
         }
     }
@@ -142,199 +135,4 @@ fn cmd_bench(args: &[String]) -> ExitCode {
         println!("RESULT: FAIL");
         ExitCode::FAILURE
     }
-}
-
-/// The in-process end-to-end check CI runs: every claim is asserted and
-/// any failure aborts with a message instead of `RESULT: PASS`.
-fn cmd_smoke() -> ExitCode {
-    match smoke() {
-        Ok(()) => {
-            println!("RESULT: PASS");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("smoke FAILED: {e}");
-            println!("RESULT: FAIL");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn smoke() -> Result<(), String> {
-    let fail = |what: &str, detail: String| format!("{what}: {detail}");
-    let world = ServeWorld::build(4);
-    let server = TcpServer::start("127.0.0.1:0", world.service(), SchedulerConfig::default())
-        .map_err(|e| fail("bind", e.to_string()))?;
-    let addr = server.local_addr();
-    let mut stream = TcpStream::connect(addr).map_err(|e| fail("connect", e.to_string()))?;
-    let mut rpc = |frame: Vec<u8>| -> Result<GlobalResponse, String> {
-        write_frame(&mut stream, &frame).map_err(|e| fail("write", e.to_string()))?;
-        let bytes = read_frame(&mut stream)
-            .map_err(|e| fail("read", e.to_string()))?
-            .ok_or_else(|| "server closed mid-smoke".to_owned())?;
-        WireFrame::decode::<GlobalResponse>(&bytes)
-            .map(|(r, _)| r)
-            .map_err(|e| fail("decode", e.to_string()))
-    };
-
-    // 1. Liveness.
-    match rpc(WireFrame::encode(&GlobalRequest::Ping).into_bytes())? {
-        GlobalResponse::Pong { gateway } if gateway == "gw-serve" => {
-            println!("  ping: pong from gw-serve")
-        }
-        other => return Err(fail("ping", format!("{other:?}"))),
-    }
-
-    // 2. Real-time query, then a cached re-read.
-    let source = world.source_url(0);
-    let sql = "SELECT Hostname, Load1 FROM Processor";
-    match rpc(query_frame(std::slice::from_ref(&source), sql, None))? {
-        GlobalResponse::Rows { rows, .. } if !rows.rows.is_empty() => {
-            println!("  query: {} rows (real-time)", rows.rows.len())
-        }
-        other => return Err(fail("query", format!("{other:?}"))),
-    }
-    match rpc(query_frame(
-        std::slice::from_ref(&source),
-        sql,
-        Some(3_600_000),
-    ))? {
-        GlobalResponse::Rows {
-            served_from_cache, ..
-        } if served_from_cache > 0 => println!("  query: served from cache"),
-        other => return Err(fail("cached query", format!("{other:?}"))),
-    }
-
-    // 3. Subscribe, pump virtual time, poll deltas, unsubscribe.
-    let sub_frame = WireFrame::encode(&GlobalRequest::Subscribe {
-        from_gateway: "wire-client".to_owned(),
-        identity: client_identity(),
-        sources: vec![source],
-        sql: sql.to_owned(),
-        every_ms: Some(1_000),
-        buffer: None,
-        backpressure: None,
-    })
-    .into_bytes();
-    let sub = match rpc(sub_frame)? {
-        GlobalResponse::Subscribed { subscription } => subscription,
-        other => return Err(fail("subscribe", format!("{other:?}"))),
-    };
-    for _ in 0..3 {
-        world.pump_once(1_000);
-    }
-    let deltas = match rpc(WireFrame::encode(&GlobalRequest::PollDeltas {
-        subscription: sub,
-        max: 0,
-    })
-    .into_bytes())?
-    {
-        GlobalResponse::Deltas { deltas } => deltas,
-        other => return Err(fail("poll", format!("{other:?}"))),
-    };
-    if deltas.is_empty() {
-        return Err("poll: no deltas after three pump cycles".to_owned());
-    }
-    println!("  subscribe: {} deltas after 3 pumps", deltas.len());
-    match rpc(WireFrame::encode(&GlobalRequest::Unsubscribe { subscription: sub }).into_bytes())? {
-        GlobalResponse::Unsubscribed { existed: true } => println!("  unsubscribe: ok"),
-        other => return Err(fail("unsubscribe", format!("{other:?}"))),
-    }
-
-    // 4. Load shedding: a one-worker server with a slow service and a
-    // queue bound of 4 must answer the tail of a 6-deep pipelined
-    // burst with Overloaded (the worker needs 50ms per job, the burst
-    // arrives in well under one, so at most one job leaves the queue
-    // mid-burst: 4-5 served, 1-2 shed, never closed).
-    let slow: Arc<dyn gridrm_global::FrameService> = Arc::new(|_from: &str, req: &[u8]| {
-        std::thread::sleep(Duration::from_millis(50));
-        match WireFrame::decode::<GlobalRequest>(req) {
-            Ok(_) => WireFrame::encode(&GlobalResponse::Pong {
-                gateway: "slow".to_owned(),
-            })
-            .into_bytes(),
-            Err(e) => WireFrame::encode(&GlobalResponse::Error {
-                message: e.to_string(),
-            })
-            .into_bytes(),
-        }
-    });
-    let tiny = TcpServer::start(
-        "127.0.0.1:0",
-        slow,
-        SchedulerConfig {
-            workers: 1,
-            queue_bound: 4,
-            global_bound: 4_096,
-            retry_after_ms: 25,
-        },
-    )
-    .map_err(|e| fail("shed bind", e.to_string()))?;
-    let mut burst =
-        TcpStream::connect(tiny.local_addr()).map_err(|e| fail("shed connect", e.to_string()))?;
-    let ping = WireFrame::encode(&GlobalRequest::Ping).into_bytes();
-    let burst_n = 6;
-    for _ in 0..burst_n {
-        write_frame(&mut burst, &ping).map_err(|e| fail("shed write", e.to_string()))?;
-    }
-    let (mut pongs, mut shed) = (0, 0);
-    for _ in 0..burst_n {
-        let bytes = read_frame(&mut burst)
-            .map_err(|e| fail("shed read", e.to_string()))?
-            .ok_or_else(|| "shed: connection closed early".to_owned())?;
-        match WireFrame::decode::<GlobalResponse>(&bytes)
-            .map_err(|e| fail("shed decode", e.to_string()))?
-            .0
-        {
-            GlobalResponse::Pong { .. } => pongs += 1,
-            GlobalResponse::Overloaded { retry_after_ms, .. } => {
-                if retry_after_ms != 25 {
-                    return Err(fail("shed", format!("retry_after_ms = {retry_after_ms}")));
-                }
-                shed += 1;
-            }
-            other => return Err(fail("shed", format!("{other:?}"))),
-        }
-    }
-    if pongs == 0 || shed == 0 {
-        return Err(fail("shed", format!("pongs={pongs} shed={shed}")));
-    }
-    println!("  shedding: {pongs} served, {shed} Overloaded (in order)");
-    tiny.stop();
-
-    // 5. Admin port.
-    let admin = AdminServer::start("127.0.0.1:0", world.gateway.admin().clone())
-        .map_err(|e| fail("admin bind", e.to_string()))?;
-    for path in ["/v1/health", "/v1/metrics", "/v1/sources"] {
-        let (ok, _, body) = admin_request(admin.local_addr(), path)
-            .map_err(|e| fail("admin request", e.to_string()))?;
-        if !ok || body.is_empty() {
-            return Err(fail(
-                "admin",
-                format!("{path} -> ok={ok} len={}", body.len()),
-            ));
-        }
-    }
-    let (ok, _, _) = admin_request(admin.local_addr(), "/v2/nope")
-        .map_err(|e| fail("admin request", e.to_string()))?;
-    if ok {
-        return Err("admin: /v2/nope unexpectedly ok".to_owned());
-    }
-    println!("  admin: /v1/health /v1/metrics /v1/sources ok, /v2/nope NOTFOUND");
-
-    // 6. Clean shutdown: stop() closes our connection and joins all
-    // server threads.
-    admin.stop();
-    server.stop();
-    let closed = write_frame(&mut stream, &ping)
-        .and_then(|()| read_frame(&mut stream))
-        .map(|r| r.is_none());
-    if !matches!(closed, Ok(true) | Err(_)) {
-        return Err("shutdown: connection still answering after stop".to_owned());
-    }
-    let (accepted, shed_total, executed, closed_sources) = server.stats().snapshot();
-    println!(
-        "  shutdown: clean (accepted={accepted} shed={shed_total} executed={executed} closed_sources={closed_sources})"
-    );
-    Ok(())
 }

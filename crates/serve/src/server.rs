@@ -2,11 +2,12 @@
 //! the plain-text admin port ([`AdminServer`]), and a production
 //! [`Transport`] backed by both ([`TcpTransport`]).
 //!
-//! The TCP server is deliberately thin: it owns connection lifecycle
-//! (accept, per-connection reader thread, shutdown) and nothing else.
-//! Every frame it reads goes straight into the [`Scheduler`], which
+//! Both ports share one connection lifecycle (`Acceptor`): accept,
+//! one handler thread per connection, reap the connection when its
+//! handler returns, and shut everything down on stop. The wire port's
+//! handler sends every frame straight into the [`Scheduler`], which
 //! owns ordering, fairness, and load shedding; every response payload
-//! comes back through a write-half mutex so pipelined replies stay in
+//! comes back through a write lock so pipelined replies stay in
 //! request order. The payload bytes on the socket are exactly the
 //! bytes the simnet would have carried — the length prefix added by
 //! [`crate::frame`] carries no semantics — so cost accounting agrees
@@ -34,22 +35,136 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// State shared between the accept thread, reader threads, and the
-/// owning [`TcpServer`] handle. Threads hold this (never the server
-/// handle itself), so dropping the handle can stop them.
-struct Shared {
-    scheduler: Arc<Scheduler>,
-    stopping: AtomicBool,
-    /// Shutdown clones of every live connection, so `stop` can unblock
-    /// reader threads parked in `read`.
-    conns: Mutex<Vec<TcpStream>>,
-    readers: Mutex<Vec<JoinHandle<()>>>,
-    accepted: AtomicU64,
+/// How long a started frame may stall before the wire port closes its
+/// connection. Idle time between frames is not bounded.
+const FRAME_STALL: Duration = Duration::from_secs(10);
+
+/// Longest admin request line, newline included; the longest route is
+/// `/v1/traces/<id>`. A longer line closes the connection unanswered.
+const MAX_ADMIN_LINE: u64 = 4 * 1024;
+
+/// The connection lifecycle both ports share: bind, one accept loop,
+/// one handler thread per connection, and a table of the connections
+/// still open. A connection leaves the table, and its socket is shut
+/// down, when its handler returns. Stopped on drop.
+struct Acceptor {
+    local_addr: SocketAddr,
+    live: Arc<Mutex<Live>>,
+    accept_thread: Mutex<Option<JoinHandle<()>>>,
+}
+
+/// The accept loop's registrations, guarded as one so that a
+/// connection is either registered before `stop` sweeps or sees
+/// `stopping` and is dropped.
+#[derive(Default)]
+struct Live {
+    stopping: bool,
+    next_id: u64,
+    open: HashMap<u64, Arc<TcpStream>>,
+}
+
+impl Acceptor {
+    /// Bind `bind` and run `handler` on its own thread (named
+    /// `{name}-conn`) for every accepted connection.
+    fn start(
+        bind: &str,
+        name: &str,
+        handler: impl Fn(&Arc<TcpStream>) + Send + Sync + 'static,
+    ) -> io::Result<Acceptor> {
+        let listener = TcpListener::bind(bind)?;
+        let local_addr = listener.local_addr()?;
+        let live = Arc::new(Mutex::new(Live::default()));
+        let accept_live = live.clone();
+        let conn_name = format!("{name}-conn");
+        let accept_thread = std::thread::Builder::new()
+            .name(format!("{name}-accept"))
+            .spawn(move || accept_loop(&listener, &accept_live, &handler, &conn_name))?;
+        Ok(Acceptor {
+            local_addr,
+            live,
+            accept_thread: Mutex::new(Some(accept_thread)),
+        })
+    }
+
+    /// Stop accepting, shut down every open connection, and return once
+    /// every handler has. Idempotent.
+    fn stop(&self) {
+        {
+            let mut live = self.live.lock();
+            if live.stopping {
+                return;
+            }
+            live.stopping = true;
+            for conn in live.open.values() {
+                let _ = conn.shutdown(Shutdown::Both);
+            }
+        }
+        // Wake the blocking accept with a throwaway connection; the loop
+        // sees `stopping` and ends once every handler has returned.
+        let _ = TcpStream::connect(self.local_addr);
+        if let Some(thread) = self.accept_thread.lock().take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+impl Drop for Acceptor {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// The one accept loop. Handlers run as scoped threads, so leaving the
+/// scope is waiting for every one of them.
+fn accept_loop(
+    listener: &TcpListener,
+    live: &Mutex<Live>,
+    handler: &(impl Fn(&Arc<TcpStream>) + Sync),
+    conn_name: &str,
+) {
+    std::thread::scope(|scope| {
+        for stream in listener.incoming() {
+            // A failed accept (e.g. transient resource exhaustion) is
+            // not fatal to the server; keep listening.
+            let Ok(stream) = stream else { continue };
+            let conn = Arc::new(stream);
+            let id = {
+                let mut live = live.lock();
+                if live.stopping {
+                    break;
+                }
+                live.next_id += 1;
+                let id = live.next_id;
+                live.open.insert(id, conn.clone());
+                id
+            };
+            // Request/response exchanges are small; Nagle's algorithm
+            // would add delayed-ACK-sized stalls to every round trip.
+            let _ = conn.set_nodelay(true);
+            let spawned = std::thread::Builder::new()
+                .name(conn_name.to_owned())
+                .spawn_scoped(scope, move || {
+                    handler(&conn);
+                    retire(live, id);
+                });
+            if spawned.is_err() {
+                retire(live, id);
+            }
+        }
+    });
+}
+
+/// Take connection `id` out of the table and shut it down, so the peer
+/// sees the close even while queued responses still hold the socket.
+fn retire(live: &Mutex<Live>, id: u64) {
+    let conn = live.lock().open.remove(&id);
+    if let Some(conn) = conn {
+        let _ = conn.shutdown(Shutdown::Both);
+    }
 }
 
 /// A wire-protocol server on a real TCP socket.
@@ -60,9 +175,8 @@ struct Shared {
 /// share of the worker pool. Stop explicitly with [`TcpServer::stop`]
 /// (also invoked on drop).
 pub struct TcpServer {
-    local_addr: SocketAddr,
-    shared: Arc<Shared>,
-    accept_handle: Mutex<Option<JoinHandle<()>>>,
+    acceptor: Acceptor,
+    scheduler: Arc<Scheduler>,
 }
 
 impl TcpServer {
@@ -73,61 +187,32 @@ impl TcpServer {
         service: Arc<dyn FrameService>,
         config: SchedulerConfig,
     ) -> io::Result<TcpServer> {
-        let listener = TcpListener::bind(bind)?;
-        let local_addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            scheduler: Scheduler::start(config, service),
-            stopping: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
-            readers: Mutex::new(Vec::new()),
-            accepted: AtomicU64::new(0),
-        });
-        let accept_shared = shared.clone();
-        let accept_handle = std::thread::Builder::new()
-            .name("gridrm-serve-accept".to_owned())
-            .spawn(move || accept_loop(&listener, &accept_shared))?;
+        let scheduler = Scheduler::start(config, service);
+        let sched = scheduler.clone();
+        let acceptor =
+            Acceptor::start(bind, "gridrm-serve", move |conn| serve_frames(conn, &sched))
+                .inspect_err(|_| scheduler.stop())?;
         Ok(TcpServer {
-            local_addr,
-            shared,
-            accept_handle: Mutex::new(Some(accept_handle)),
+            acceptor,
+            scheduler,
         })
     }
 
     /// The bound socket address (resolves ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.acceptor.local_addr
     }
 
     /// Scheduler counters (accepted / shed / executed / closed sources).
     pub fn stats(&self) -> &SchedulerStats {
-        self.shared.scheduler.stats()
-    }
-
-    /// Connections accepted since start.
-    pub fn connections_accepted(&self) -> u64 {
-        self.shared.accepted.load(Ordering::Relaxed)
+        self.scheduler.stats()
     }
 
     /// Stop accepting, close every connection, drain the worker pool,
     /// and join all threads. Idempotent.
     pub fn stop(&self) {
-        if self.shared.stopping.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Wake the blocking accept with a throwaway connection; the
-        // loop re-checks `stopping` before handling it.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(handle) = self.accept_handle.lock().take() {
-            let _ = handle.join();
-        }
-        for conn in self.shared.conns.lock().drain(..) {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        let readers: Vec<JoinHandle<()>> = std::mem::take(&mut *self.shared.readers.lock());
-        for handle in readers {
-            let _ = handle.join();
-        }
-        self.shared.scheduler.stop();
+        self.acceptor.stop();
+        self.scheduler.stop();
     }
 }
 
@@ -137,73 +222,35 @@ impl Drop for TcpServer {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.stopping.load(Ordering::Acquire) {
-            break;
-        }
-        let stream = match stream {
-            Ok(s) => s,
-            // A failed accept (e.g. transient resource exhaustion) is
-            // not fatal to the server; keep listening.
-            Err(_) => continue,
-        };
-        shared.accepted.fetch_add(1, Ordering::Relaxed);
-        spawn_reader(shared, stream);
-    }
-}
-
-/// One reader thread per connection: frames in, scheduler submissions
-/// out. Responses are written by worker threads through a shared
-/// write-half mutex (the scheduler already serialises them per source,
-/// the mutex just keeps the byte stream intact).
-fn spawn_reader(shared: &Arc<Shared>, stream: TcpStream) {
-    // Request/response frames are small; Nagle's algorithm would add
-    // delayed-ACK-sized stalls to every round trip.
-    let _ = stream.set_nodelay(true);
-    let peer = stream
+/// One wire connection: frames in, scheduler submissions out. Worker
+/// threads write the responses through a write lock (the scheduler
+/// already serialises them per source, the lock just keeps the byte
+/// stream intact).
+fn serve_frames(conn: &Arc<TcpStream>, scheduler: &Scheduler) {
+    let _ = conn.set_read_timeout(Some(FRAME_STALL));
+    let peer = conn
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "unknown".to_owned());
-    let write_half = match stream.try_clone() {
-        Ok(clone) => Arc::new(Mutex::new(clone)),
-        Err(_) => {
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-    };
-    if let Ok(clone) = stream.try_clone() {
-        shared.conns.lock().push(clone);
-    }
-    let scheduler = shared.scheduler.clone();
+    let writer = Arc::new(Mutex::new(conn.clone()));
     let source = scheduler.source();
-    let handle = std::thread::Builder::new()
-        .name("gridrm-serve-conn".to_owned())
-        .spawn(move || {
-            let mut stream = stream;
-            // A clean close (`Ok(None)`) or a read error both end the
-            // connection; only a full frame keeps the loop going.
-            while let Ok(Some(payload)) = read_frame(&mut stream) {
-                let writer = write_half.clone();
-                let admission = scheduler.submit(
-                    &source,
-                    &peer,
-                    payload,
-                    Box::new(move |response| {
-                        let mut guard = writer.lock();
-                        // A response to a gone client is dropped; the
-                        // reader notices the closed socket separately.
-                        let _ = write_frame(&mut *guard, &response);
-                    }),
-                );
-                if admission == Admission::Closed {
-                    break;
-                }
-            }
-            let _ = stream.shutdown(Shutdown::Both);
-        });
-    if let Ok(handle) = handle {
-        shared.readers.lock().push(handle);
+    // A clean close (`Ok(None)`), a stall or a read error all end the
+    // connection; only a full frame keeps the loop going.
+    while let Ok(Some(payload)) = read_frame(&mut &**conn) {
+        let writer = writer.clone();
+        let admission = scheduler.submit(
+            &source,
+            &peer,
+            payload,
+            Box::new(move |response| {
+                // A response to a gone client is dropped; the reader
+                // notices the closed socket separately.
+                let _ = write_frame(&mut &**writer.lock(), &response);
+            }),
+        );
+        if admission == Admission::Closed {
+            break;
+        }
     }
 }
 
@@ -216,121 +263,54 @@ fn spawn_reader(shared: &Arc<Shared>, stream: TcpStream) {
 /// Dispatch goes through [`AdminInterface::handle`], so the TCP port
 /// and in-process callers see identical payloads.
 pub struct AdminServer {
-    local_addr: SocketAddr,
-    stopping: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    accept_handle: Mutex<Option<JoinHandle<()>>>,
+    acceptor: Acceptor,
 }
 
 impl AdminServer {
     /// Bind `bind` and serve `admin`'s versioned endpoints.
     pub fn start(bind: &str, admin: Arc<AdminInterface>) -> io::Result<AdminServer> {
-        let listener = TcpListener::bind(bind)?;
-        let local_addr = listener.local_addr()?;
-        let stopping = Arc::new(AtomicBool::new(false));
-        let conns = Arc::new(Mutex::new(Vec::new()));
-        let workers = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
-            let stopping = stopping.clone();
-            let conns = conns.clone();
-            let workers = workers.clone();
-            std::thread::Builder::new()
-                .name("gridrm-admin-accept".to_owned())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if stopping.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let stream = match stream {
-                            Ok(s) => s,
-                            Err(_) => continue,
-                        };
-                        let _ = stream.set_nodelay(true);
-                        if let Ok(clone) = stream.try_clone() {
-                            conns.lock().push(clone);
-                        }
-                        let admin = admin.clone();
-                        let handle = std::thread::Builder::new()
-                            .name("gridrm-admin-conn".to_owned())
-                            .spawn(move || admin_conn(stream, &admin));
-                        if let Ok(handle) = handle {
-                            workers.lock().push(handle);
-                        }
-                    }
-                })?
-        };
-        Ok(AdminServer {
-            local_addr,
-            stopping,
-            conns,
-            workers,
-            accept_handle: Mutex::new(Some(accept)),
-        })
+        let acceptor =
+            Acceptor::start(bind, "gridrm-admin", move |conn| serve_admin(conn, &admin))?;
+        Ok(AdminServer { acceptor })
     }
 
     /// The bound socket address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.acceptor.local_addr
     }
 
     /// Stop accepting, close connections, join threads. Idempotent.
     pub fn stop(&self) {
-        if self.stopping.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(handle) = self.accept_handle.lock().take() {
-            let _ = handle.join();
-        }
-        for conn in self.conns.lock().drain(..) {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        let workers: Vec<JoinHandle<()>> = std::mem::take(&mut *self.workers.lock());
-        for handle in workers {
-            let _ = handle.join();
-        }
+        self.acceptor.stop();
     }
 }
 
-impl Drop for AdminServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn admin_conn(stream: TcpStream, admin: &Arc<AdminInterface>) {
-    let read_half = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut stream = stream;
+fn serve_admin(mut conn: &TcpStream, admin: &AdminInterface) {
+    let mut reader = BufReader::new(conn);
     let mut line = String::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
+        // A line without its newline is the peer closing, or a line
+        // past MAX_ADMIN_LINE: either way not a request to answer.
+        match reader.by_ref().take(MAX_ADMIN_LINE).read_line(&mut line) {
+            Ok(_) if line.ends_with('\n') => {}
+            _ => break,
         }
         let response = admin.handle(line.trim());
         let status = match response.status {
             AdminStatus::Ok => "OK",
             AdminStatus::NotFound => "NOTFOUND",
         };
-        let header = format!(
-            "{status} {} {}\n",
+        let reply = format!(
+            "{status} {} {}\n{}",
             response.content_type,
-            response.body.len()
+            response.body.len(),
+            response.body
         );
-        if stream.write_all(header.as_bytes()).is_err()
-            || stream.write_all(response.body.as_bytes()).is_err()
-            || stream.flush().is_err()
-        {
+        if conn.write_all(reply.as_bytes()).is_err() {
             break;
         }
     }
-    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// One admin request over a fresh connection: send `path`, parse the
@@ -528,7 +508,6 @@ mod tests {
             let (resp, _) = WireFrame::decode::<GlobalResponse>(&bytes).unwrap();
             assert!(matches!(resp, GlobalResponse::Pong { .. }));
         }
-        assert_eq!(server.connections_accepted(), 1);
         server.stop();
         server.stop(); // idempotent
                        // The old connection is dead after stop.
