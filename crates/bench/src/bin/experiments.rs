@@ -3,23 +3,128 @@
 //!
 //! Usage: `cargo run -p gridrm-bench --bin experiments [--release] -- [eN ...|all]`
 //!
-//! Timing-shaped experiments live in the Criterion benches; this harness
-//! covers the *traffic-shape* and *behavioural* experiments, which are
-//! deterministic (message counts on the simulated network) and therefore
-//! machine-independent.
+//! Each experiment is one row of [`EXPERIMENTS`]: a function that prints
+//! its table and returns an [`Outcome`] — a verdict taken from counts on
+//! the simulated network, which are deterministic and therefore
+//! machine-independent, plus, for the four pinned experiments, the JSON
+//! document to write. `main` prints every `RESULT:` line, writes every
+//! pinned file and exits non-zero if any experiment fails. Wall-clock
+//! per-layer timings come from `gridrm-benchmark`, not from here.
 
 use gridrm_bench::{grid_world, grid_world_with_wan, single_site_world, SEED};
 use gridrm_core::events::{EventManager, GridRMEvent, ListenerFilter, Severity};
 use gridrm_core::{ClientRequest, FailurePolicy};
 use gridrm_dbc::JdbcUrl;
 use gridrm_simnet::Latency;
+use std::process::ExitCode;
 use std::sync::atomic::Ordering;
+use std::time::Instant;
 
-fn banner(id: &str, title: &str) {
-    println!("\n==================================================================");
-    println!("{id}: {title}");
-    println!("==================================================================");
+/// A value in a pinned document. A float carries the number of decimals
+/// it is printed with, so a document renders to the same bytes anywhere.
+enum Json {
+    Int(u64),
+    Fixed(f64, usize),
+    Bool(bool),
+    Str(String),
+    /// An array of flat objects, one object per line.
+    Rows(Vec<Fields>),
 }
+
+/// The fields of one JSON object, in print order.
+type Fields = Vec<(&'static str, Json)>;
+
+impl Json {
+    fn render(&self) -> String {
+        match self {
+            Json::Int(n) => n.to_string(),
+            Json::Fixed(x, decimals) => format!("{x:.decimals$}"),
+            Json::Bool(b) => b.to_string(),
+            Json::Str(s) => format!("\"{s}\""),
+            Json::Rows(rows) => {
+                let rows: Vec<String> = rows
+                    .iter()
+                    .map(|r| format!("    {{{}}}", join_fields(r, ", ")))
+                    .collect();
+                format!("[\n{}\n  ]", rows.join(",\n"))
+            }
+        }
+    }
+}
+
+fn join_fields(fields: &[(&str, Json)], sep: &str) -> String {
+    let fields: Vec<String> = fields
+        .iter()
+        .map(|(key, value)| format!("\"{key}\": {}", value.render()))
+        .collect();
+    fields.join(sep)
+}
+
+/// The text of a pinned file: one top-level field per line.
+fn document(fields: &[(&str, Json)]) -> String {
+    format!("{{\n  {}\n}}\n", join_fields(fields, ",\n  "))
+}
+
+/// What an experiment hands back to `main`.
+struct Outcome {
+    pass: bool,
+    /// The pinned file name and its document, for E13–E16.
+    pinned: Option<(&'static str, Fields)>,
+}
+
+impl From<bool> for Outcome {
+    fn from(pass: bool) -> Outcome {
+        Outcome { pass, pinned: None }
+    }
+}
+
+/// One experiment: `(id, title, run)`.
+type Experiment = (&'static str, &'static str, fn() -> Outcome);
+
+/// Every experiment, in run order.
+const EXPERIMENTS: &[Experiment] = &[
+    ("e1", "Global-layer routing (Fig 1)", e1),
+    ("e3", "Query-path anatomy (Fig 3)", e3),
+    ("e4", "Event Manager loss-freedom under burst (Fig 4)", e4),
+    ("e5", "Driver selection probe counts (Fig 5, Table 2)", e5),
+    (
+        "e6",
+        "Failure policies: notify / retry n / dynamic reselect (§4)",
+        e6,
+    ),
+    (
+        "e7",
+        "Cache scalability: agent intrusion vs TTL (§4, Fig 9)",
+        e7,
+    ),
+    (
+        "e10",
+        "Runtime driver registration/removal under load (§3.2)",
+        e10,
+    ),
+    ("e11", "GLUE translation coverage per driver (§3.2.3)", e11),
+    ("e12", "Inter-gateway event propagation (§3.1.5)", e12),
+    (
+        "e13",
+        "Parallel fan-out: max(site) vs sum(site) latency",
+        e13,
+    ),
+    (
+        "e14",
+        "TIME_BUCKET rollups + SLO burn engine over 1M samples",
+        || e14_run(8, 131_072),
+    ),
+    (
+        "e15",
+        "Continuous queries: shared delta evaluation vs 10k re-pollers",
+        || e15_run(100, 100, 20),
+    ),
+    (
+        "e16",
+        "Intrusion profile: per-site monitor traffic vs. grid size and subscribers",
+        || e16_run(&[2, 4, 8], 8, &[1, 4, 16], 5),
+    ),
+];
 
 fn row(cols: &[&str], widths: &[usize]) {
     let line: Vec<String> = cols
@@ -33,8 +138,7 @@ fn row(cols: &[&str], widths: &[usize]) {
 /// E1 — Fig 1: remote queries are routed via the owning gateway; local
 /// queries never cross sites; no client/gateway ever contacts a foreign
 /// agent directly.
-fn e1() {
-    banner("E1", "Global-layer routing (Fig 1)");
+fn e1() -> Outcome {
     let world = grid_world(3, 4);
     let portal = &world.sites[0].3;
     let sql = "SELECT Hostname, Load1 FROM Processor";
@@ -50,33 +154,20 @@ fn e1() {
         println!("  query {label}: {} row(s)", resp.rows.len());
     }
     let out = portal.stats().remote_queries_out.get();
-    let hops01 = world
-        .net
-        .stats_for("gw.site0:gma", "gw.site1:gma")
-        .snapshot()
-        .requests;
-    let hops02 = world
-        .net
-        .stats_for("gw.site0:gma", "gw.site2:gma")
-        .snapshot()
-        .requests;
-    let direct_foreign = world
-        .net
-        .stats_for("gw.site0", "node01.site1:snmp")
-        .snapshot()
-        .requests;
+    let requests = |from: &str, to: &str| world.net.stats_for(from, to).snapshot().requests;
+    let hops01 = requests("gw.site0:gma", "gw.site1:gma");
+    let hops02 = requests("gw.site0:gma", "gw.site2:gma");
+    let direct_foreign = requests("gw.site0", "node01.site1:snmp");
     println!("\n  remote queries sent by gw-site0 ............ {out} (expect 2)");
     println!("  gw-site0 -> gw-site1 gma hops ............... {hops01} (expect 1)");
     println!("  gw-site0 -> gw-site2 gma hops ............... {hops02} (expect 1)");
     println!("  gw-site0 direct requests to foreign agents .. {direct_foreign} (expect 0)");
-    let ok = out == 2 && hops01 == 1 && hops02 == 1 && direct_foreign == 0;
-    println!("  RESULT: {}", if ok { "PASS" } else { "FAIL" });
+    (out == 2 && hops01 == 1 && hops02 == 1 && direct_foreign == 0).into()
 }
 
 /// E3 — Fig 3: component-by-component breakdown of one query, shown as the
 /// native requests/bytes each stage induced.
-fn e3() {
-    banner("E3", "Query-path anatomy (Fig 3)");
+fn e3() -> Outcome {
     let world = single_site_world(8);
     let source = "jdbc:snmp://node03.bench/public";
     let sql = "SELECT Hostname, NCpu, Load1 FROM Processor";
@@ -89,14 +180,8 @@ fn e3() {
         .expect("query");
     let after = link.snapshot();
     let dm_snap = world.gateway.driver_manager().stats().snapshot();
-    let (resolutions, cache_hits, scans) = (
-        dm_snap.resolutions,
-        dm_snap.cache_hits,
-        dm_snap.dynamic_scans,
-    );
     let pool_snap = world.gateway.connections().stats().snapshot();
-    let (checkouts, pool_hits, creates) =
-        (pool_snap.checkouts, pool_snap.pool_hits, pool_snap.creates);
+    let (pool_hits, creates) = (pool_snap.pool_hits, pool_snap.creates);
     let (_h, validations, _s) = world.gateway.schema().stats().snapshot();
 
     println!("  query: {sql}\n  source: {source}\n");
@@ -104,8 +189,14 @@ fn e3() {
         "  RequestManager  -> 1 client request, {} row(s) back",
         resp.rows.len()
     );
-    println!("  DriverManager   -> {resolutions} resolution(s) ({cache_hits} cached, {scans} dynamic scan(s))");
-    println!("  ConnectionMgr   -> {checkouts} checkout(s): {pool_hits} pooled, {creates} created");
+    println!(
+        "  DriverManager   -> {} resolution(s) ({} cached, {} dynamic scan(s))",
+        dm_snap.resolutions, dm_snap.cache_hits, dm_snap.dynamic_scans
+    );
+    println!(
+        "  ConnectionMgr   -> {} checkout(s): {pool_hits} pooled, {creates} created",
+        pool_snap.checkouts
+    );
     println!("  SchemaManager   -> {validations} consistency validation(s)");
     let cold_requests = after.requests - before.requests;
     println!(
@@ -122,32 +213,32 @@ fn e3() {
         .expect("query");
     let after = link.snapshot();
     let dm_snap = world.gateway.driver_manager().stats().snapshot();
-    let (cache_hits2, scans2) = (dm_snap.cache_hits, dm_snap.dynamic_scans);
     let pool_snap = world.gateway.connections().stats().snapshot();
     let (pool_hits2, creates2) = (pool_snap.pool_hits, pool_snap.creates);
     println!("\n  repeat query (warm):");
     println!(
-        "  DriverManager   -> cached driver ({} total hits, scans still {scans2})",
-        cache_hits2
+        "  DriverManager   -> cached driver ({} total hits, scans still {})",
+        dm_snap.cache_hits, dm_snap.dynamic_scans
     );
     println!(
-        "  ConnectionMgr   -> pooled connection ({} total pool hits, creates still {creates2})",
-        pool_hits2
+        "  ConnectionMgr   -> pooled connection ({pool_hits2} total pool hits, creates still {creates2})"
     );
     let warm_requests = after.requests - before.requests;
     println!(
         "  Driver/agent    -> {warm_requests} native request(s) (the GET alone: no reconnect probe, no pool ping)"
     );
-    let ok = (cold_requests, warm_requests) == (2, 1)
+    ((cold_requests, warm_requests) == (2, 1)
         && (pool_hits, creates) == (0, 1)
-        && (pool_hits2, creates2) == (1, 1);
-    println!("  RESULT: {}", if ok { "PASS" } else { "FAIL" });
+        && (pool_hits2, creates2) == (1, 1))
+        .into()
 }
 
-/// E4 — Fig 4: the fast buffer absorbs bursts without losing events.
-fn e4() {
-    banner("E4", "Event Manager loss-freedom under burst (Fig 4)");
-    println!("  burst   fast-cap  overflowed  dispatched  delivered  lost");
+/// E4 — Fig 4: the fast buffer absorbs bursts without losing events. The
+/// events/s column times ingest, dispatch and the listener's drain of
+/// each burst on this host (stdout only).
+fn e4() -> Outcome {
+    println!("  burst   fast-cap  overflowed  dispatched  delivered  lost  events/s");
+    let mut ok = true;
     for (burst, cap) in [
         (1_000usize, 1024usize),
         (10_000, 1024),
@@ -156,6 +247,7 @@ fn e4() {
     ] {
         let manager = EventManager::new(cap);
         let (_, rx) = manager.register_listener(ListenerFilter::default());
+        let t0 = Instant::now();
         for i in 0..burst {
             manager.ingest(GridRMEvent {
                 id: 0,
@@ -170,68 +262,61 @@ fn e4() {
         }
         let dispatched = manager.dispatch().len();
         let delivered = rx.try_iter().count();
+        let rate = burst as f64 / t0.elapsed().as_secs_f64();
         let overflowed = manager.stats().overflowed.get();
-        let lost = burst - delivered;
-        println!("  {burst:<7} {cap:<9} {overflowed:<11} {dispatched:<11} {delivered:<10} {lost}");
+        let lost = burst.saturating_sub(delivered);
+        println!(
+            "  {burst:<7} {cap:<9} {overflowed:<11} {dispatched:<11} {delivered:<10} {lost:<5} {:.2}M",
+            rate / 1e6
+        );
+        ok &= lost == 0;
     }
-    println!("  RESULT: PASS if lost == 0 on every row");
+    ok.into()
 }
 
 /// E5 — Fig 5/Table 2: how much accepts_url probing each selection mode
-/// costs (counts, complementing the latency bench).
-fn e5() {
-    banner("E5", "Driver selection probe counts (Fig 5, Table 2)");
+/// costs.
+fn e5() -> Outcome {
     let world = single_site_world(4);
     let dm = world.gateway.driver_manager();
-    let base = dm.base();
+    let probes = || dm.base().stats().snapshot().1;
     let sql = "SELECT Hostname FROM Processor";
     let wildcard = "jdbc:://node01.bench/public";
 
-    let probes0 = base.stats().snapshot().1;
+    let probes0 = probes();
     world
         .gateway
         .query(&ClientRequest::realtime(wildcard, sql))
         .expect("first wildcard query");
-    let probes_first = base.stats().snapshot().1 - probes0;
+    let probes_first = probes() - probes0;
 
-    let probes1 = base.stats().snapshot().1;
+    let probes1 = probes();
     for _ in 0..10 {
         world
             .gateway
             .query(&ClientRequest::realtime(wildcard, sql))
             .expect("cached query");
     }
-    let probes_cached = base.stats().snapshot().1 - probes1;
+    let probes_cached = probes() - probes1;
 
     let snap = dm.stats().snapshot();
-    let (resolutions, cache_hits, dynamic_scans, invalidations) = (
-        snap.resolutions,
-        snap.cache_hits,
-        snap.dynamic_scans,
-        snap.invalidations,
-    );
     println!("  first wildcard resolution: {probes_first} accepts_url probe(s)");
     println!("  next 10 resolutions:       {probes_cached} probe(s) (last-success cache)");
-    println!("  totals: {resolutions} resolutions, {cache_hits} cache hits, {dynamic_scans} dynamic scans, {invalidations} invalidations");
     println!(
-        "  RESULT: {}",
-        if probes_cached == 0 && probes_first >= 1 {
-            "PASS"
-        } else {
-            "FAIL"
-        }
+        "  totals: {} resolutions, {} cache hits, {} dynamic scans, {} invalidations",
+        snap.resolutions, snap.cache_hits, snap.dynamic_scans, snap.invalidations
     );
+    (probes_cached == 0 && probes_first >= 1).into()
 }
 
 /// E6 — §4/Fig 8: the three failure policies against a dead agent.
-fn e6() {
-    banner(
-        "E6",
-        "Failure policies: notify / retry n / dynamic reselect (§4)",
-    );
+/// `Report` and `Retry(3)` must surface the agent-down error; `TryNext`
+/// must recover through the Ganglia driver.
+fn e6() -> Outcome {
     let sql = "SELECT Hostname, Load1 FROM Processor WHERE Hostname = 'node00.bench'";
     let source = "jdbc:://node00.bench/public";
     println!("  policy        outcome after agent failure");
+    let mut ok = true;
     for policy in [
         FailurePolicy::Report,
         FailurePolicy::Retry(3),
@@ -255,30 +340,32 @@ fn e6() {
         }
         // Kill the SNMP agent.
         world.net.set_down("node00.bench:snmp", true);
+        let recovers = policy == FailurePolicy::TryNext;
         let outcome = match world.gateway.query(&ClientRequest::realtime(source, sql)) {
-            Ok(resp) => format!(
-                "recovered via {} ({} row)",
-                world
+            Ok(resp) => {
+                let via = world
                     .gateway
                     .driver_manager()
                     .cached_driver(&url)
-                    .unwrap_or_default(),
-                resp.rows.len()
-            ),
-            Err(e) => format!("reported after exhausting policy: {e}"),
+                    .unwrap_or_default();
+                ok &= recovers && via == "jdbc-ganglia" && resp.rows.len() == 1;
+                format!("recovered via {via} ({} row)", resp.rows.len())
+            }
+            Err(e) => {
+                let e = e.to_string();
+                ok &= !recovers && e.contains("'node00.bench:snmp' is down");
+                format!("reported after exhausting policy: {e}")
+            }
         };
         println!("  {:<13} {outcome}", format!("{policy:?}"));
     }
-    println!("  RESULT: PASS if Report and Retry(n) surface the error, TryNext recovers via jdbc-ganglia");
+    ok.into()
 }
 
 /// E7 — §4/Fig 9: cache TTL vs agent intrusion for a population of
-/// polling clients, plus the inter-gateway variant.
-fn e7() {
-    banner(
-        "E7",
-        "Cache scalability: agent intrusion vs TTL (§4, Fig 9)",
-    );
+/// polling clients, plus the inter-gateway variant. Realtime intrusion
+/// grows with the clients; cached intrusion is set by the TTL alone.
+fn e7() -> Outcome {
     let sql = "SELECT Hostname, Load1 FROM Processor";
     // Each client polls 10 times over 60 virtual seconds; agent intrusion
     // is measured for real-time polling vs gateway-cached polling.
@@ -302,12 +389,12 @@ fn e7() {
         agent.snapshot().requests_served - before
     };
     println!("  clients  agent_req(realtime)  agent_req(ttl=5s)  agent_req(ttl=30s)  reduction@5s");
+    let mut rows: Vec<[u64; 3]> = Vec::new();
     for clients in [1usize, 16, 64, 256] {
-        let realtime = measure(clients, 0);
-        let cached5 = measure(clients, 5_000);
-        let cached30 = measure(clients, 30_000);
+        let [realtime, cached5, cached30] = [0, 5_000, 30_000].map(|ttl| measure(clients, ttl));
         let reduction = 100.0 * (1.0 - cached5 as f64 / realtime as f64);
         println!("  {clients:<8} {realtime:<20} {cached5:<18} {cached30:<19} {reduction:>6.1}%");
+        rows.push([realtime, cached5, cached30]);
     }
 
     // Inter-gateway: the same mechanism between sites.
@@ -315,39 +402,36 @@ fn e7() {
     let portal = &world.sites[0].3;
     let source = "jdbc:ganglia://node00.site1/site1?ttl=0";
     let agent = world.net.endpoint_stats("node00.site1:ganglia").unwrap();
+    let hops = || {
+        world
+            .net
+            .stats_for("gw.site0:gma", "gw.site1:gma")
+            .snapshot()
+            .requests
+    };
     portal
         .query(&ClientRequest::realtime(source, sql))
         .expect("prime");
     let before = agent.snapshot().requests_served;
-    let hops_before = world
-        .net
-        .stats_for("gw.site0:gma", "gw.site1:gma")
-        .snapshot()
-        .requests;
+    let hops_before = hops();
     for _ in 0..50 {
         portal
             .query(&ClientRequest::cached(source, sql, Some(60_000)))
             .expect("cached remote");
     }
     let served = agent.snapshot().requests_served - before;
-    let hops = world
-        .net
-        .stats_for("gw.site0:gma", "gw.site1:gma")
-        .snapshot()
-        .requests
-        - hops_before;
     println!(
-        "\n  inter-gateway: 50 cached remote polls -> {hops} gma hops, {served} agent request(s)"
+        "\n  inter-gateway: 50 cached remote polls -> {} gma hops, {served} agent request(s)",
+        hops() - hops_before
     );
-    println!("  RESULT: PASS if intrusion falls sharply once ttl > 0 and remote agent sees 0");
+    let realtime_grows = rows.windows(2).all(|w| w[1][0] > w[0][0]);
+    let ttl5_flat = rows.iter().all(|r| r[1] == rows[0][1]);
+    let ttl30_below = rows.iter().all(|r| r[2] < r[1]);
+    (realtime_grows && ttl5_flat && ttl30_below && served == 0).into()
 }
 
 /// E10 — Table 1/§3.2: runtime driver churn does not disturb queries.
-fn e10() {
-    banner(
-        "E10",
-        "Runtime driver registration/removal under load (§3.2)",
-    );
+fn e10() -> Outcome {
     let world = single_site_world(4);
     let gateway = world.gateway.clone();
     let sql = "SELECT Hostname FROM Processor";
@@ -390,20 +474,13 @@ fn e10() {
         ok + failed,
         failed
     );
-    println!(
-        "  RESULT: {}",
-        if failed == 0 && ok > 0 {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    );
+    (failed == 0 && ok > 0).into()
 }
 
 /// E11 — §3.2.3: translation coverage per driver — which GLUE attributes
-/// each source can fill, NULLs for the rest.
-fn e11() {
-    banner("E11", "GLUE translation coverage per driver (§3.2.3)");
+/// each source can fill, NULLs for the rest. SNMP fills the whole group;
+/// Ganglia and SCMS each fill part of it, and not the same part.
+fn e11() -> Outcome {
     let world = single_site_world(4);
     world.agents.pump();
     let sql = "SELECT * FROM Processor WHERE Hostname = 'node01.bench'";
@@ -412,6 +489,7 @@ fn e11() {
         &["driver", "attrs", "non-null", "sample NULL attrs"],
         &widths,
     );
+    let mut coverage = Vec::new();
     for (driver, source) in [
         ("jdbc-snmp", "jdbc:snmp://node01.bench/public"),
         ("jdbc-ganglia", "jdbc:ganglia://node00.bench/bench"),
@@ -425,42 +503,41 @@ fn e11() {
         let total = rows.meta().column_count();
         let rowv = &rows.rows()[0];
         let non_null = rowv.iter().filter(|v| !v.is_null()).count();
-        let nulls: Vec<&str> = (0..total)
+        let nulls: Vec<String> = (0..total)
             .filter(|&i| rowv[i].is_null())
-            .map(|i| rows.meta().column_name(i).unwrap_or("?"))
-            .take(3)
+            .map(|i| rows.meta().column_name(i).unwrap_or("?").to_owned())
             .collect();
+        let sample = nulls.iter().take(3).cloned().collect::<Vec<_>>().join(",");
         row(
-            &[
-                driver,
-                &total.to_string(),
-                &non_null.to_string(),
-                &nulls.join(","),
-            ],
+            &[driver, &total.to_string(), &non_null.to_string(), &sample],
             &widths,
         );
+        coverage.push((total, non_null, nulls));
     }
-    println!("\n  RESULT: PASS if every driver fills a (different) subset and NULLs the rest");
+    let (snmp, ganglia, scms) = (&coverage[0], &coverage[1], &coverage[2]);
+    (snmp.0 == 11 && snmp.1 == 11 && ganglia.1 >= 1 && scms.1 >= 1 && ganglia.2 != scms.2).into()
 }
 
 /// E12 — §1.1/§3.1.5: event propagation between gateways, with counts.
-fn e12() {
-    banner("E12", "Inter-gateway event propagation (§3.1.5)");
+fn e12() -> Outcome {
     let world = grid_world(3, 3);
     for (_, _, _, layer) in &world.sites {
         layer.enable_event_propagation(Severity::Warning);
     }
     // Listeners at the two consumer sites.
-    let rx1 = world.sites[1]
-        .2
-        .events()
-        .register_listener(ListenerFilter::default())
-        .1;
-    let rx2 = world.sites[2]
-        .2
-        .events()
-        .register_listener(ListenerFilter::default())
-        .1;
+    let listen = |site: usize| {
+        world.sites[site]
+            .2
+            .events()
+            .register_listener(ListenerFilter::default())
+            .1
+    };
+    let (rx1, rx2) = (listen(1), listen(2));
+    let pump_gateways = || {
+        for (_, _, gateway, _) in &world.sites {
+            gateway.pump();
+        }
+    };
 
     // Trap at site0.
     for a in &world.sites[0].1.snmp {
@@ -469,9 +546,7 @@ fn e12() {
     world.sites[0].0.inject_load_spike("node01.site0", 15.0);
     world.sites[0].0.advance_to(601_000);
     let (traps, _) = world.sites[0].1.pump();
-    world.sites[0].2.pump();
-    world.sites[1].2.pump();
-    world.sites[2].2.pump();
+    pump_gateways();
 
     let got1 = rx1.try_iter().count();
     let got2 = rx2.try_iter().count();
@@ -481,35 +556,32 @@ fn e12() {
     println!("  received by consumer at site1 ......... {got1}");
     println!("  received by consumer at site2 ......... {got2}");
     // Loop check: pump everything again; nothing new may move.
-    world.sites[0].2.pump();
-    world.sites[1].2.pump();
-    world.sites[2].2.pump();
+    pump_gateways();
     let extra = rx1.try_iter().count() + rx2.try_iter().count();
     println!("  extra deliveries after re-pump ........ {extra} (expect 0, no loops)");
-    let ok = traps == 1 && fwd == 2 && got1 == 1 && got2 == 1 && extra == 0;
-    println!("  RESULT: {}", if ok { "PASS" } else { "FAIL" });
+    (traps == 1 && fwd == 2 && got1 == 1 && got2 == 1 && extra == 0).into()
 }
 
 /// E13 — Fan-out engine: a consolidated multi-site query should cost
 /// about the *slowest* site (parallel dispatch), not the *sum* of sites
 /// (sequential dispatch). Virtual-clock latencies, so the numbers are
-/// machine-independent; also emitted as `BENCH_fanout.json`.
-fn e13() {
-    banner("E13", "Parallel fan-out: max(site) vs sum(site) latency");
+/// machine-independent; pinned in `BENCH_fanout.json`.
+fn e13() -> Outcome {
     const ROUNDS: usize = 12;
     const WAN_MS: u64 = 40;
     const WAN_JITTER_MS: u64 = 10;
     let sql = "SELECT Hostname, Load1 FROM Processor ORDER BY Hostname";
     let pct = |sorted: &[u64], p: usize| sorted[(sorted.len() * p / 100).min(sorted.len() - 1)];
+    let widths = [6, 8, 8, 8, 8, 8];
 
     println!("  WAN one-way latency {WAN_MS}ms + jitter {WAN_JITTER_MS}ms, {ROUNDS} cold queries per mode\n");
     row(
         &[
             "sites", "par p50", "par p95", "seq p50", "seq p95", "speedup",
         ],
-        &[6, 8, 8, 8, 8, 8],
+        &widths,
     );
-    let mut json_rows = Vec::new();
+    let mut results = Vec::new();
     let mut speedup_at_8 = 0.0_f64;
     for n in [1usize, 2, 4, 8] {
         let world = grid_world_with_wan(n, 2, Latency::ms(WAN_MS, WAN_JITTER_MS));
@@ -557,38 +629,44 @@ fn e13() {
                 &format!("{sp95}ms"),
                 &format!("{speedup:.2}x"),
             ],
-            &[6, 8, 8, 8, 8, 8],
+            &widths,
         );
-        json_rows.push(format!(
-            "    {{\"sites\": {n}, \"parallel_p50_ms\": {pp50}, \"parallel_p95_ms\": {pp95}, \
-             \"sequential_p50_ms\": {sp50}, \"sequential_p95_ms\": {sp95}, \
-             \"speedup_p50\": {speedup:.2}}}"
-        ));
+        results.push(vec![
+            ("sites", Json::Int(n as u64)),
+            ("parallel_p50_ms", Json::Int(pp50)),
+            ("parallel_p95_ms", Json::Int(pp95)),
+            ("sequential_p50_ms", Json::Int(sp50)),
+            ("sequential_p95_ms", Json::Int(sp95)),
+            ("speedup_p50", Json::Fixed(speedup, 2)),
+        ]);
     }
-    let json = format!(
-        "{{\n  \"experiment\": \"fanout\",\n  \"seed\": \"{SEED:#x}\",\n  \
-         \"wan_base_ms\": {WAN_MS},\n  \"wan_jitter_ms\": {WAN_JITTER_MS},\n  \
-         \"rounds_per_mode\": {ROUNDS},\n  \"unit\": \"virtual_ms\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    std::fs::write("BENCH_fanout.json", &json).expect("write BENCH_fanout.json");
-    println!("\n  wrote BENCH_fanout.json");
-    println!("  speedup at 8 sites .................... {speedup_at_8:.2}x (expect >= 3x)");
-    let ok = speedup_at_8 >= 3.0;
-    println!("  RESULT: {}", if ok { "PASS" } else { "FAIL" });
+    println!("\n  speedup at 8 sites .................... {speedup_at_8:.2}x (expect >= 3x)");
+    let doc = vec![
+        ("experiment", Json::Str("fanout".into())),
+        ("seed", Json::Str(format!("{SEED:#x}"))),
+        ("wan_base_ms", Json::Int(WAN_MS)),
+        ("wan_jitter_ms", Json::Int(WAN_JITTER_MS)),
+        ("rounds_per_mode", Json::Int(ROUNDS as u64)),
+        ("unit", Json::Str("virtual_ms".into())),
+        ("results", Json::Rows(results)),
+    ];
+    Outcome {
+        pass: speedup_at_8 >= 3.0,
+        pinned: Some(("BENCH_fanout.json", doc)),
+    }
 }
 
-/// E14 — Time-series + SLO engine at scale: feed the recorder a million
-/// deterministic synthetic samples, roll them up three independent ways
-/// — the columnar `bucketed()` kernel, the SQL `TIME_BUCKET` GROUP BY
-/// path through the store executor, and a naive row loop — and require
-/// bucket-for-bucket agreement; then drive the burn-rate engine through
-/// a scripted regression and recovery in virtual time. Sample values
-/// are exact multiples of 1/8 so every sum is exact in f64 and the
-/// aggregates are bit-identical regardless of summation order; counts,
-/// sums and transition timestamps land in `BENCH_slo.json`, wall-clock
-/// timings go to stdout only.
-fn e14_run(series: usize, points_per_series: usize, write_json: bool) -> bool {
+/// E14 — Time-series + SLO engine at scale: feed the recorder
+/// `series × points_per_series` deterministic synthetic samples, roll
+/// them up three independent ways — the columnar `bucketed()` kernel,
+/// the SQL `TIME_BUCKET` GROUP BY path through the store executor, and a
+/// naive row loop — and require bucket-for-bucket agreement; then drive
+/// the burn-rate engine through a scripted regression and recovery in
+/// virtual time. Sample values are exact multiples of 1/8 so every sum
+/// is exact in f64 and the aggregates are bit-identical regardless of
+/// summation order; counts, sums and transition timestamps are pinned in
+/// `BENCH_slo.json`, wall-clock timings go to stdout only.
+fn e14_run(series: usize, points_per_series: usize) -> Outcome {
     use gridrm_sqlparse::ast::{ColumnDef, Statement};
     use gridrm_sqlparse::{SqlType, SqlValue};
     use gridrm_store::Table;
@@ -597,7 +675,6 @@ fn e14_run(series: usize, points_per_series: usize, write_json: bool) -> bool {
         DEFAULT_LATENCY_BUCKETS_MS,
     };
     use std::sync::Arc;
-    use std::time::Instant;
 
     const STEP_MS: u64 = 100;
     const BUCKET_MS: u64 = 60_000;
@@ -664,19 +741,16 @@ fn e14_run(series: usize, points_per_series: usize, write_json: bool) -> bool {
 
     // Path 3: the SQL TIME_BUCKET GROUP BY path through the store
     // executor, over series 0 loaded into a plain two-column table.
+    let column = |name: &str, ty| ColumnDef {
+        name: name.into(),
+        ty,
+        primary_key: false,
+    };
     let mut table = Table::new(
         "samples",
         vec![
-            ColumnDef {
-                name: "ts".into(),
-                ty: SqlType::Timestamp,
-                primary_key: false,
-            },
-            ColumnDef {
-                name: "value".into(),
-                ty: SqlType::Float,
-                primary_key: false,
-            },
+            column("ts", SqlType::Timestamp),
+            column("value", SqlType::Float),
         ],
     );
     for i in 0..points_per_series {
@@ -711,47 +785,21 @@ fn e14_run(series: usize, points_per_series: usize, write_json: bool) -> bool {
                 && row[4].as_f64() == Some(w.sum)
         });
 
-    let buckets_per_series = kernel[0].len();
-    let total_count: u64 = kernel.iter().flatten().map(|b| b.count).sum();
-    let total_sum: f64 = kernel.iter().flatten().map(|b| b.sum).sum();
-    let global_min = kernel
-        .iter()
-        .flatten()
-        .map(|b| b.min)
-        .fold(f64::MAX, f64::min);
-    let global_max = kernel
-        .iter()
-        .flatten()
-        .map(|b| b.max)
-        .fold(f64::MIN, f64::max);
-    row(&["path", "time", "buckets", "agrees"], &[22, 12, 10, 8]);
-    row(
-        &[
-            "columnar kernel",
-            &format!("{kernel_ms:.1}ms"),
-            &buckets_per_series.to_string(),
-            "-",
-        ],
-        &[22, 12, 10, 8],
-    );
-    row(
-        &[
-            "naive row loop",
-            &format!("{naive_ms:.1}ms"),
-            &buckets_per_series.to_string(),
-            if naive_ok { "yes" } else { "NO" },
-        ],
-        &[22, 12, 10, 8],
-    );
-    row(
-        &[
-            "sql TIME_BUCKET",
-            &format!("{sql_ms:.1}ms"),
-            &rs.len().to_string(),
-            if sql_ok { "yes" } else { "NO" },
-        ],
-        &[22, 12, 10, 8],
-    );
+    let buckets = kernel.iter().flatten();
+    let total_count: u64 = buckets.clone().map(|b| b.count).sum();
+    let total_sum: f64 = buckets.clone().map(|b| b.sum).sum();
+    let global_min = buckets.clone().map(|b| b.min).fold(f64::MAX, f64::min);
+    let global_max = buckets.map(|b| b.max).fold(f64::MIN, f64::max);
+    let widths = [22, 12, 10, 8];
+    let (per_series, sql_buckets) = (kernel[0].len().to_string(), rs.len().to_string());
+    row(&["path", "time", "buckets", "agrees"], &widths);
+    for (path, ms, n, agrees) in [
+        ("columnar kernel", kernel_ms, &per_series, "-"),
+        ("naive row loop", naive_ms, &per_series, yes_no(naive_ok)),
+        ("sql TIME_BUCKET", sql_ms, &sql_buckets, yes_no(sql_ok)),
+    ] {
+        row(&[path, &format!("{ms:.1}ms"), n, agrees], &widths);
+    }
 
     // The burn-rate engine on a scripted workload: 10 ms requests, a
     // 10-minute 500 ms regression starting at t=600 s, then recovery.
@@ -800,187 +848,139 @@ fn e14_run(series: usize, points_per_series: usize, write_json: bool) -> bool {
             }
         }
     }
-    let status = &engine.snapshot()[0];
-    let slo_ok = status.transitions == 2 && fired_at > 0 && cleared_at > fired_at;
+    let transitions = engine.snapshot()[0].transitions;
+    let slo_ok = transitions == 2 && fired_at > 0 && cleared_at > fired_at;
     println!(
-        "  slo: {} evaluations, fired at t={}ms, cleared at t={}ms, {} transitions",
-        evaluations, fired_at, cleared_at, status.transitions
+        "  slo: {evaluations} evaluations, fired at t={fired_at}ms, cleared at t={cleared_at}ms, \
+         {transitions} transitions"
     );
 
-    let ok = naive_ok && sql_ok && slo_ok && total_count as usize == total_points;
-    if write_json {
-        let json = format!(
-            "{{\n  \"experiment\": \"slo_timebucket\",\n  \"unit\": \"virtual_ms\",\n  \
-             \"series\": {series},\n  \"points_per_series\": {points_per_series},\n  \
-             \"total_points\": {total_points},\n  \"step_ms\": {STEP_MS},\n  \
-             \"bucket_ms\": {BUCKET_MS},\n  \"buckets_per_series\": {buckets_per_series},\n  \
-             \"total_count\": {total_count},\n  \"total_sum\": {total_sum:.3},\n  \
-             \"global_min\": {global_min:.3},\n  \"global_max\": {global_max:.3},\n  \
-             \"paths_agree\": {agree},\n  \"slo_evaluations\": {evaluations},\n  \
-             \"slo_fired_at_ms\": {fired_at},\n  \"slo_cleared_at_ms\": {cleared_at},\n  \
-             \"slo_transitions\": {transitions}\n}}\n",
-            agree = naive_ok && sql_ok,
-            transitions = status.transitions,
-        );
-        std::fs::write("BENCH_slo.json", &json).expect("write BENCH_slo.json");
-        println!("  wrote BENCH_slo.json");
+    let doc = vec![
+        ("experiment", Json::Str("slo_timebucket".into())),
+        ("unit", Json::Str("virtual_ms".into())),
+        ("series", Json::Int(series as u64)),
+        ("points_per_series", Json::Int(points_per_series as u64)),
+        ("total_points", Json::Int(total_points as u64)),
+        ("step_ms", Json::Int(STEP_MS)),
+        ("bucket_ms", Json::Int(BUCKET_MS)),
+        ("buckets_per_series", Json::Int(kernel[0].len() as u64)),
+        ("total_count", Json::Int(total_count)),
+        ("total_sum", Json::Fixed(total_sum, 3)),
+        ("global_min", Json::Fixed(global_min, 3)),
+        ("global_max", Json::Fixed(global_max, 3)),
+        ("paths_agree", Json::Bool(naive_ok && sql_ok)),
+        ("slo_evaluations", Json::Int(evaluations)),
+        ("slo_fired_at_ms", Json::Int(fired_at)),
+        ("slo_cleared_at_ms", Json::Int(cleared_at)),
+        ("slo_transitions", Json::Int(transitions)),
+    ];
+    Outcome {
+        pass: naive_ok && sql_ok && slo_ok && total_count as usize == total_points,
+        pinned: Some(("BENCH_slo.json", doc)),
     }
-    println!("  RESULT: {}", if ok { "PASS" } else { "FAIL" });
-    ok
 }
 
-/// E14 at full scale: 8 series x 131072 points = 1,048,576 samples.
-fn e14() {
-    banner(
-        "E14",
-        "TIME_BUCKET rollups + SLO burn engine over 1M samples",
-    );
-    e14_run(8, 131_072, true);
+fn yes_no(ok: bool) -> &'static str {
+    if ok {
+        "yes"
+    } else {
+        "NO"
+    }
 }
 
-// --------------------------------------------------------------------
-// E15 support: a synthetic monitoring feed with a precisely scripted
-// change rate — each source serves `rows` rows of which exactly one
-// changes per evaluation cadence, so the delta volume is analytic.
-// --------------------------------------------------------------------
+/// E15's synthetic monitoring feed, a third-party driver on the kit:
+/// each source serves `rows` rows of which only row 0 changes, once per
+/// `every_ms` of virtual time, so the delta volume is analytic.
+struct Feed {
+    rows: usize,
+    every_ms: u64,
+}
 
-mod feed {
-    use gridrm_dbc::{
-        ColumnMeta, Connection, DbcResult, Driver, DriverMetaData, JdbcUrl, Properties, ResultSet,
-        ResultSetMetaData, RowSet, SqlError, Statement,
-    };
-    use gridrm_simnet::SimClock;
-    use gridrm_sqlparse::{SqlType, SqlValue};
-    use std::sync::Arc;
-
-    pub struct FeedDriver {
-        pub clock: Arc<SimClock>,
-        pub rows: usize,
-        pub every_ms: u64,
-    }
-
-    struct FeedConnection {
-        url: JdbcUrl,
-        clock: Arc<SimClock>,
-        rows: usize,
-        every_ms: u64,
-        closed: bool,
-    }
-
-    struct FeedStatement {
-        clock: Arc<SimClock>,
-        rows: usize,
-        every_ms: u64,
-    }
-
-    impl Driver for FeedDriver {
-        fn meta(&self) -> DriverMetaData {
-            DriverMetaData {
-                name: "jdbc-feed".to_owned(),
-                subprotocol: "feed".to_owned(),
-                version: (0, 1),
-                description: "bench feed: one row changes per cadence".to_owned(),
-            }
-        }
-        fn accepts_url(&self, url: &JdbcUrl) -> bool {
-            url.subprotocol == "feed"
-        }
-        fn connect(&self, url: &JdbcUrl, _props: &Properties) -> DbcResult<Box<dyn Connection>> {
-            Ok(Box::new(FeedConnection {
-                url: url.clone(),
-                clock: self.clock.clone(),
-                rows: self.rows,
-                every_ms: self.every_ms,
-                closed: false,
-            }))
+impl gridrm_drivers::Source for Feed {
+    fn meta(&self) -> gridrm_dbc::DriverMetaData {
+        gridrm_dbc::DriverMetaData {
+            name: "jdbc-feed".to_owned(),
+            subprotocol: "feed".to_owned(),
+            version: (0, 1),
+            description: "bench feed: one row changes per cadence".to_owned(),
         }
     }
 
-    impl Connection for FeedConnection {
-        fn create_statement(&mut self) -> DbcResult<Box<dyn Statement>> {
-            Ok(Box::new(FeedStatement {
-                clock: self.clock.clone(),
-                rows: self.rows,
-                every_ms: self.every_ms,
-            }))
-        }
-        fn url(&self) -> &JdbcUrl {
-            &self.url
-        }
-        fn is_closed(&self) -> bool {
-            self.closed
-        }
-        fn close(&mut self) -> DbcResult<()> {
-            self.closed = true;
-            Ok(())
-        }
+    /// Nothing to reach: the rows are made in process.
+    fn probe(&self, _at: &gridrm_drivers::Target<'_>) -> gridrm_dbc::DbcResult<()> {
+        Ok(())
     }
 
-    impl Statement for FeedStatement {
-        fn execute_query(&mut self, _sql: &str) -> DbcResult<Box<dyn ResultSet>> {
-            // Row 0 carries the current epoch (changes every cadence);
-            // the remaining rows are stable background data.
-            let epoch = self.clock.now_millis() / self.every_ms;
-            let rows: Vec<Vec<SqlValue>> = (0..self.rows)
-                .map(|r| {
-                    let value = if r == 0 { epoch as i64 } else { r as i64 * 100 };
-                    vec![SqlValue::Str(format!("h{r}")), SqlValue::Int(value)]
-                })
-                .collect();
-            let rows = RowSet::new(
-                ResultSetMetaData::new(vec![
-                    ColumnMeta::new("Host", SqlType::Str),
-                    ColumnMeta::new("Value", SqlType::Int),
-                ]),
-                rows,
-            )
-            .map_err(|e| SqlError::Driver(e.to_string()))?;
-            Ok(Box::new(rows))
-        }
+    fn query(
+        &self,
+        at: &gridrm_drivers::Target<'_>,
+        _schema: &mut gridrm_glue::SchemaHandle,
+        _sel: &gridrm_sqlparse::ast::SelectStatement,
+    ) -> gridrm_dbc::DbcResult<gridrm_dbc::RowSet> {
+        use gridrm_dbc::{ColumnMeta, ResultSetMetaData, RowSet, SqlError};
+        use gridrm_sqlparse::{SqlType, SqlValue};
+        // Row 0 carries the current epoch; the rest are stable background data.
+        let epoch = at.env.clock.now_millis() / self.every_ms;
+        let rows = (0..self.rows)
+            .map(|r| {
+                let value = if r == 0 { epoch as i64 } else { r as i64 * 100 };
+                vec![SqlValue::Str(format!("h{r}")), SqlValue::Int(value)]
+            })
+            .collect();
+        let meta = ResultSetMetaData::new(vec![
+            ColumnMeta::new("Host", SqlType::Str),
+            ColumnMeta::new("Value", SqlType::Int),
+        ]);
+        RowSet::new(meta, rows).map_err(|e| SqlError::Driver(e.to_string()))
     }
 }
 
 /// E15 — the continuous-query plane at scale: N subscribers sharing
 /// deduplicated standing queries versus the same N clients re-polling.
 /// Executions, deltas and rows shipped are virtual-time deterministic
-/// and land in `BENCH_stream.json`; wall-clock goes to stdout only.
-fn e15_run(queries: usize, subs_per_query: usize, ticks: u64, write_json: bool) -> bool {
+/// and pinned in `BENCH_stream.json`; wall-clock goes to stdout only.
+fn e15_run(queries: usize, subs_per_query: usize, ticks: u64) -> Outcome {
     use gridrm_core::stream::BackpressurePolicy;
     use gridrm_core::{Gateway, GatewayConfig};
+    use gridrm_drivers::{DriverEnv, KitDriver};
     use gridrm_simnet::{Network, SimClock};
     use std::sync::Arc;
-    use std::time::Instant;
 
     const EVERY_MS: u64 = 1_000;
     const ROWS_PER_SOURCE: usize = 5;
     const BUFFER_CAP: usize = 4;
     const UNPOLLED_TICKS: u64 = 10;
+    let sql = "SELECT Host, Value FROM Feed";
     let subscribers = queries * subs_per_query;
     let sources: Vec<String> = (0..queries)
         .map(|q| format!("jdbc:feed://src{q:03}.bench/feed"))
         .collect();
-    let world = |seed: u64| -> (Arc<Gateway>, Arc<SimClock>) {
-        let clock = SimClock::new();
-        let net = Network::new(clock.clone(), seed);
+    let world = |seed: u64| -> Arc<Gateway> {
+        let net = Network::new(SimClock::new(), seed);
         let gateway = Gateway::new(GatewayConfig::new("gw-stream", "bench"), net);
         gateway.request_manager().set_record_history(false);
+        let env = DriverEnv::new(
+            gateway.network().clone(),
+            gateway.schema().clone(),
+            &gateway.config().address,
+        );
+        let feed = Feed {
+            rows: ROWS_PER_SOURCE,
+            every_ms: EVERY_MS,
+        };
         gateway
             .driver_manager()
-            .register(Arc::new(feed::FeedDriver {
-                clock: clock.clone(),
-                rows: ROWS_PER_SOURCE,
-                every_ms: EVERY_MS,
-            }));
-        (gateway, clock)
+            .register(KitDriver::with_source(env, feed));
+        gateway
     };
 
     // --- Streaming path: subscribe everyone, pump, drain every tick.
-    let (gateway, clock) = world(1);
+    let gateway = world(1);
     let t0 = Instant::now();
     let mut ids = Vec::with_capacity(subscribers);
     for source in &sources {
         for _ in 0..subs_per_query {
-            let spec = gridrm_core::ClientRequest::builder("SELECT Host, Value FROM Feed")
+            let spec = ClientRequest::builder(sql)
                 .source(source)
                 .subscribe_every(EVERY_MS)
                 .buffer(BUFFER_CAP)
@@ -999,7 +999,7 @@ fn e15_run(queries: usize, subs_per_query: usize, ticks: u64, write_json: bool) 
                 stream_rows += d.rows.len() as u64;
             }
         }
-        clock.advance(EVERY_MS);
+        gateway.clock().advance(EVERY_MS);
         gateway.pump();
     }
     let stream_wall = t0.elapsed();
@@ -1010,7 +1010,7 @@ fn e15_run(queries: usize, subs_per_query: usize, ticks: u64, write_json: bool) 
     // --- Bounded-memory phase: stop draining entirely; buffers must
     // plateau at their capacity while the drop counters absorb the rest.
     for _ in 0..UNPOLLED_TICKS {
-        clock.advance(EVERY_MS);
+        gateway.clock().advance(EVERY_MS);
         gateway.pump();
     }
     let peak_unpolled = ids
@@ -1021,20 +1021,17 @@ fn e15_run(queries: usize, subs_per_query: usize, ticks: u64, write_json: bool) 
     let dropped_total = stats.dropped_oldest.get();
 
     // --- Naive path: every subscriber re-polls its query every tick.
-    let (gateway2, clock2) = world(2);
+    let gateway2 = world(2);
     let mut naive_rows = 0u64;
     let t0 = Instant::now();
     for tick in 0..=ticks {
         if tick > 0 {
-            clock2.advance(EVERY_MS);
+            gateway2.clock().advance(EVERY_MS);
         }
         for source in &sources {
             for _ in 0..subs_per_query {
                 let resp = gateway2
-                    .query(&gridrm_core::ClientRequest::realtime(
-                        source,
-                        "SELECT Host, Value FROM Feed",
-                    ))
+                    .query(&ClientRequest::realtime(source, sql))
                     .expect("re-poll");
                 naive_rows += resp.rows.len() as u64;
             }
@@ -1049,28 +1046,18 @@ fn e15_run(queries: usize, subs_per_query: usize, ticks: u64, write_json: bool) 
         "  {subscribers} subscribers over {queries} standing queries, {ticks} ticks @ {EVERY_MS}ms, \
          {ROWS_PER_SOURCE} rows/source\n"
     );
-    row(
-        &["path", "executions", "rows shipped", "wall"],
-        &[10, 12, 14, 10],
-    );
-    row(
-        &[
-            "delta",
-            &stream_execs.to_string(),
-            &stream_rows.to_string(),
-            &format!("{:.0}ms", stream_wall.as_secs_f64() * 1e3),
-        ],
-        &[10, 12, 14, 10],
-    );
-    row(
-        &[
-            "re-poll",
-            &naive_execs.to_string(),
-            &naive_rows.to_string(),
-            &format!("{:.0}ms", naive_wall.as_secs_f64() * 1e3),
-        ],
-        &[10, 12, 14, 10],
-    );
+    let widths = [10, 12, 14, 10];
+    row(&["path", "executions", "rows shipped", "wall"], &widths);
+    for (path, execs, rows, wall) in [
+        ("delta", stream_execs, stream_rows, stream_wall),
+        ("re-poll", naive_execs, naive_rows, naive_wall),
+    ] {
+        let wall = format!("{:.0}ms", wall.as_secs_f64() * 1e3);
+        row(
+            &[path, &execs.to_string(), &rows.to_string(), &wall],
+            &widths,
+        );
+    }
     println!(
         "\n  subscribe burst: {subscribers} registrations in {:.0}ms",
         subscribe_wall.as_secs_f64() * 1e3
@@ -1082,37 +1069,31 @@ fn e15_run(queries: usize, subs_per_query: usize, ticks: u64, write_json: bool) 
          after {UNPOLLED_TICKS} unpolled ticks, {dropped_total} dropped"
     );
     let bounded = peak_unpolled <= BUFFER_CAP;
-    let ok = exec_reduction > 90.0 && rows_reduction > 50.0 && bounded && stream_rows > 0;
-    if write_json {
-        let json = format!(
-            "{{\n  \"experiment\": \"stream_delta\",\n  \"unit\": \"virtual_ms\",\n  \
-             \"standing_queries\": {queries},\n  \"subscribers\": {subscribers},\n  \
-             \"ticks\": {ticks},\n  \"every_ms\": {EVERY_MS},\n  \
-             \"rows_per_source\": {ROWS_PER_SOURCE},\n  \
-             \"stream_executions\": {stream_execs},\n  \
-             \"stream_deltas_emitted\": {stream_deltas},\n  \
-             \"stream_rows_shipped\": {stream_rows},\n  \
-             \"naive_executions\": {naive_execs},\n  \"naive_rows_shipped\": {naive_rows},\n  \
-             \"execution_reduction_pct\": {exec_reduction:.1},\n  \
-             \"rows_reduction_pct\": {rows_reduction:.1},\n  \
-             \"buffer_capacity\": {BUFFER_CAP},\n  \"unpolled_ticks\": {UNPOLLED_TICKS},\n  \
-             \"peak_pending_unpolled\": {peak_unpolled},\n  \
-             \"dropped_total\": {dropped_total},\n  \"memory_bounded\": {bounded}\n}}\n"
-        );
-        std::fs::write("BENCH_stream.json", &json).expect("write BENCH_stream.json");
-        println!("  wrote BENCH_stream.json");
+    let doc = vec![
+        ("experiment", Json::Str("stream_delta".into())),
+        ("unit", Json::Str("virtual_ms".into())),
+        ("standing_queries", Json::Int(queries as u64)),
+        ("subscribers", Json::Int(subscribers as u64)),
+        ("ticks", Json::Int(ticks)),
+        ("every_ms", Json::Int(EVERY_MS)),
+        ("rows_per_source", Json::Int(ROWS_PER_SOURCE as u64)),
+        ("stream_executions", Json::Int(stream_execs)),
+        ("stream_deltas_emitted", Json::Int(stream_deltas)),
+        ("stream_rows_shipped", Json::Int(stream_rows)),
+        ("naive_executions", Json::Int(naive_execs)),
+        ("naive_rows_shipped", Json::Int(naive_rows)),
+        ("execution_reduction_pct", Json::Fixed(exec_reduction, 1)),
+        ("rows_reduction_pct", Json::Fixed(rows_reduction, 1)),
+        ("buffer_capacity", Json::Int(BUFFER_CAP as u64)),
+        ("unpolled_ticks", Json::Int(UNPOLLED_TICKS)),
+        ("peak_pending_unpolled", Json::Int(peak_unpolled as u64)),
+        ("dropped_total", Json::Int(dropped_total)),
+        ("memory_bounded", Json::Bool(bounded)),
+    ];
+    Outcome {
+        pass: exec_reduction > 90.0 && rows_reduction > 50.0 && bounded && stream_rows > 0,
+        pinned: Some(("BENCH_stream.json", doc)),
     }
-    println!("  RESULT: {}", if ok { "PASS" } else { "FAIL" });
-    ok
-}
-
-/// E15 at full scale: 10,000 subscribers over 100 standing queries.
-fn e15() {
-    banner(
-        "E15",
-        "Continuous queries: shared delta evaluation vs 10k re-pollers",
-    );
-    e15_run(100, 100, 20, true);
 }
 
 /// E16 core — the monitor's own network footprint (Zhang et al.'s
@@ -1123,25 +1104,20 @@ fn e15() {
 /// way); (b) subscriber count — grid-wide standing queries against one
 /// remote site cost one poll round-trip per subscriber per tick, so
 /// per-site subscription traffic is exactly linear. Message counts are
-/// virtual-network facts, so both curves are deterministic and land in
+/// virtual-network facts, so both curves are deterministic and pinned in
 /// `BENCH_intrusion.json`; wall-clock never matters here.
-fn e16_run(
-    grid_sizes: &[usize],
-    rounds: u64,
-    sub_counts: &[usize],
-    ticks: u64,
-    write_json: bool,
-) -> bool {
+fn e16_run(grid_sizes: &[usize], rounds: u64, sub_counts: &[usize], ticks: u64) -> Outcome {
     use gridrm_core::stream::SubscribeSpec;
     use gridrm_telemetry::IntrusionRow;
 
     const WAN_MS: u64 = 20;
     const EVERY_MS: u64 = 1_000;
     let sql = "SELECT Hostname, Load1 FROM Processor ORDER BY Hostname";
-    let query_bucket = |snapshot: &[IntrusionRow], site: &str| -> (u64, u64, f64, f64) {
+    // `(msgs, bytes, msgs/vsec, bytes/vsec)` charged to `site` for `cause`.
+    let bucket = |snapshot: &[IntrusionRow], site: &str, cause: &str| -> (u64, u64, f64, f64) {
         snapshot
             .iter()
-            .filter(|r| r.site == site && r.cause == "query")
+            .find(|r| r.site == site && r.cause == cause)
             .map(|r| {
                 (
                     r.bucket.msgs,
@@ -1150,12 +1126,12 @@ fn e16_run(
                     r.bucket.bytes_per_vsec(),
                 )
             })
-            .next()
             .unwrap_or((0, 0, 0.0, 0.0))
     };
 
     // ---- Sweep A: per-site query intrusion vs. grid size ----
     println!("  {rounds} cold fan-out queries per grid, {WAN_MS}ms WAN\n");
+    let widths = [6, 10, 11, 16, 6];
     row(
         &[
             "sites",
@@ -1164,10 +1140,11 @@ fn e16_run(
             "msgs/site/query",
             "flat?",
         ],
-        &[6, 10, 11, 16, 6],
+        &widths,
     );
     let mut grid_rows = Vec::new();
     let mut per_site_msgs_per_query = Vec::new();
+    let mut all_uniform = true;
     for &n in grid_sizes {
         let world = grid_world_with_wan(n, 2, Latency::ms(WAN_MS, 0));
         let (_, _, portal_gw, portal) = &world.sites[0];
@@ -1186,13 +1163,14 @@ fn e16_run(
         // Average over the remote sites; each should carry the same
         // load (and sweep A's claim is that it is independent of n).
         let remotes: Vec<(u64, u64, f64, f64)> = (1..n)
-            .map(|i| query_bucket(&snapshot, &format!("site{i}")))
+            .map(|i| bucket(&snapshot, &format!("site{i}"), "query"))
             .collect();
         let site_msgs = remotes.iter().map(|r| r.0).sum::<u64>() / remotes.len() as u64;
         let site_bytes = remotes.iter().map(|r| r.1).sum::<u64>() / remotes.len() as u64;
         let msgs_per_vsec = remotes.iter().map(|r| r.2).sum::<f64>() / remotes.len() as f64;
         let bytes_per_vsec = remotes.iter().map(|r| r.3).sum::<f64>() / remotes.len() as f64;
         let uniform = remotes.iter().all(|r| r.0 == site_msgs);
+        all_uniform &= uniform;
         let per_query = site_msgs as f64 / rounds as f64;
         per_site_msgs_per_query.push(per_query);
         row(
@@ -1201,21 +1179,20 @@ fn e16_run(
                 &site_msgs.to_string(),
                 &site_bytes.to_string(),
                 &format!("{per_query:.1}"),
-                if uniform { "yes" } else { "NO" },
+                yes_no(uniform),
             ],
-            &[6, 10, 11, 16, 6],
+            &widths,
         );
-        grid_rows.push(format!(
-            "    {{\"sites\": {n}, \"queries\": {rounds}, \"msgs_per_site\": {site_msgs}, \
-             \"bytes_per_site\": {site_bytes}, \"msgs_per_site_per_query\": {per_query:.1}, \
-             \"msgs_per_site_per_vsec\": {msgs_per_vsec:.3}, \
-             \"bytes_per_site_per_vsec\": {bytes_per_vsec:.3}, \
-             \"uniform_across_sites\": {uniform}}}"
-        ));
-        if !uniform {
-            println!("  RESULT: FAIL (unequal load across sites)");
-            return false;
-        }
+        grid_rows.push(vec![
+            ("sites", Json::Int(n as u64)),
+            ("queries", Json::Int(rounds)),
+            ("msgs_per_site", Json::Int(site_msgs)),
+            ("bytes_per_site", Json::Int(site_bytes)),
+            ("msgs_per_site_per_query", Json::Fixed(per_query, 1)),
+            ("msgs_per_site_per_vsec", Json::Fixed(msgs_per_vsec, 3)),
+            ("bytes_per_site_per_vsec", Json::Fixed(bytes_per_vsec, 3)),
+            ("uniform_across_sites", Json::Bool(uniform)),
+        ]);
     }
     // Flat: every grid size imposes the same per-site per-query load
     // (one request frame out, one response frame in).
@@ -1223,13 +1200,13 @@ fn e16_run(
         .iter()
         .all(|&m| m == per_site_msgs_per_query[0]);
     println!(
-        "\n  per-site msgs per query across grid sizes ... {:?} (expect flat)",
-        per_site_msgs_per_query
+        "\n  per-site msgs per query across grid sizes ... {per_site_msgs_per_query:?} (expect flat)"
     );
 
     // ---- Sweep B: subscription intrusion vs. subscriber count ----
     println!("\n  standing queries against one remote site, {ticks} ticks @ {EVERY_MS}ms\n");
-    row(&["subs", "msgs", "bytes", "msgs/sub"], &[6, 8, 10, 10]);
+    let widths = [6, 8, 10, 10];
+    row(&["subs", "msgs", "bytes", "msgs/sub"], &widths);
     let mut sub_rows = Vec::new();
     let mut msgs_per_sub = Vec::new();
     for &k in sub_counts {
@@ -1259,19 +1236,7 @@ fn e16_run(
             portal.unsubscribe(sub);
         }
         let snapshot = portal_gw.telemetry().costs().intrusion_snapshot();
-        let (msgs, bytes, msgs_vsec, bytes_vsec) = snapshot
-            .iter()
-            .filter(|r| r.site == "site1" && r.cause == "subscription")
-            .map(|r| {
-                (
-                    r.bucket.msgs,
-                    r.bucket.bytes,
-                    r.bucket.msgs_per_vsec(),
-                    r.bucket.bytes_per_vsec(),
-                )
-            })
-            .next()
-            .unwrap_or((0, 0, 0.0, 0.0));
+        let (msgs, bytes, msgs_vsec, bytes_vsec) = bucket(&snapshot, "site1", "subscription");
         let per_sub = msgs as f64 / k as f64;
         msgs_per_sub.push(per_sub);
         row(
@@ -1281,114 +1246,109 @@ fn e16_run(
                 &bytes.to_string(),
                 &format!("{per_sub:.1}"),
             ],
-            &[6, 8, 10, 10],
+            &widths,
         );
-        sub_rows.push(format!(
-            "    {{\"subscribers\": {k}, \"ticks\": {ticks}, \"msgs\": {msgs}, \
-             \"bytes\": {bytes}, \"msgs_per_subscriber\": {per_sub:.1}, \
-             \"msgs_per_vsec\": {msgs_vsec:.3}, \"bytes_per_vsec\": {bytes_vsec:.3}}}"
-        ));
+        sub_rows.push(vec![
+            ("subscribers", Json::Int(k as u64)),
+            ("ticks", Json::Int(ticks)),
+            ("msgs", Json::Int(msgs)),
+            ("bytes", Json::Int(bytes)),
+            ("msgs_per_subscriber", Json::Fixed(per_sub, 1)),
+            ("msgs_per_vsec", Json::Fixed(msgs_vsec, 3)),
+            ("bytes_per_vsec", Json::Fixed(bytes_vsec, 3)),
+        ]);
     }
     // Linear: subscribe + ticks polls + unsubscribe, one round trip
     // each, identically per subscriber.
     let linear = msgs_per_sub.iter().all(|&m| m == msgs_per_sub[0]);
-    println!(
-        "\n  msgs per subscriber across counts ........... {:?} (expect linear)",
-        msgs_per_sub
-    );
+    println!("\n  msgs per subscriber across counts ........... {msgs_per_sub:?} (expect linear)");
 
-    if write_json {
-        let json = format!(
-            "{{\n  \"experiment\": \"intrusion\",\n  \"seed\": \"{SEED:#x}\",\n  \
-             \"wan_ms\": {WAN_MS},\n  \"unit\": \"virtual_network_messages_and_bytes\",\n  \
-             \"grid_sweep\": [\n{}\n  ],\n  \"subscriber_sweep\": [\n{}\n  ]\n}}\n",
-            grid_rows.join(",\n"),
-            sub_rows.join(",\n")
-        );
-        std::fs::write("BENCH_intrusion.json", &json).expect("write BENCH_intrusion.json");
-        println!("  wrote BENCH_intrusion.json");
+    let doc = vec![
+        ("experiment", Json::Str("intrusion".into())),
+        ("seed", Json::Str(format!("{SEED:#x}"))),
+        ("wan_ms", Json::Int(WAN_MS)),
+        (
+            "unit",
+            Json::Str("virtual_network_messages_and_bytes".into()),
+        ),
+        ("grid_sweep", Json::Rows(grid_rows)),
+        ("subscriber_sweep", Json::Rows(sub_rows)),
+    ];
+    Outcome {
+        pass: all_uniform && flat && linear,
+        pinned: Some(("BENCH_intrusion.json", doc)),
     }
-    let ok = flat && linear;
-    println!("  RESULT: {}", if ok { "PASS" } else { "FAIL" });
-    ok
 }
 
-/// E16 at full scale: grids of 2/4/8 sites, 1/4/16 subscribers.
-fn e16() {
-    banner(
-        "E16",
-        "Intrusion profile: per-site monitor traffic vs. grid size and subscribers",
-    );
-    e16_run(&[2, 4, 8], 8, &[1, 4, 16], 5, true);
-}
-
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let want = |id: &str| args.is_empty() || args.iter().any(|a| a == id || a == "all");
     println!("GridRM-rs experiment harness (seed {SEED:#x})");
-    println!("Timing-shaped experiments: `cargo bench` (e1,e2,e3,e4,e5,e7,e8,e9,e11).");
-    if want("e1") {
-        e1();
-    }
-    if want("e3") {
-        e3();
-    }
-    if want("e4") {
-        e4();
-    }
-    if want("e5") {
-        e5();
-    }
-    if want("e6") {
-        e6();
-    }
-    if want("e7") {
-        e7();
-    }
-    if want("e10") {
-        e10();
-    }
-    if want("e11") {
-        e11();
-    }
-    if want("e12") {
-        e12();
-    }
-    if want("e13") {
-        e13();
-    }
-    if want("e14") {
-        e14();
-    }
-    if want("e15") {
-        e15();
-    }
-    if want("e16") {
-        e16();
+    println!(
+        "Per-layer wall-clock timings: `cargo run --release -p gridrm-benchmark -- --workload <w> --trace 1`."
+    );
+    let mut failed = 0;
+    for (id, title, run) in EXPERIMENTS.iter().filter(|(id, ..)| want(id)) {
+        println!("\n==================================================================");
+        println!("{}: {title}", id.to_uppercase());
+        println!("==================================================================");
+        let outcome = run();
+        if let Some((file, doc)) = &outcome.pinned {
+            std::fs::write(file, document(doc)).unwrap_or_else(|e| panic!("write {file}: {e}"));
+            println!("  wrote {file}");
+        }
+        println!("  RESULT: {}", if outcome.pass { "PASS" } else { "FAIL" });
+        failed += usize::from(!outcome.pass);
     }
     println!();
+    if failed == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    /// CI smoke: the full e14 pipeline at reduced scale, without
-    /// touching the committed BENCH_slo.json.
+    use super::*;
+
+    /// Every experiment but the three large ones, at full scale. Runs
+    /// never write: E13's document, which only `main` writes, must equal
+    /// the committed `BENCH_fanout.json` byte for byte.
+    #[test]
+    fn every_small_experiment_passes_at_full_scale() {
+        for (id, _, run) in EXPERIMENTS {
+            if ["e14", "e15", "e16"].contains(id) {
+                continue;
+            }
+            let outcome = run();
+            assert!(outcome.pass, "{id} failed");
+            if let Some((file, doc)) = &outcome.pinned {
+                assert_eq!(*file, "BENCH_fanout.json", "{id}");
+                assert_eq!(
+                    document(doc),
+                    include_str!("../../../../BENCH_fanout.json"),
+                    "{id}"
+                );
+            }
+        }
+    }
+
+    /// The e14 pipeline at reduced scale.
     #[test]
     fn e14_paths_agree_at_reduced_scale() {
-        assert!(super::e14_run(2, 4_096, false));
+        assert!(e14_run(2, 4_096).pass);
     }
 
-    /// CI smoke: the full e15 pipeline at reduced scale, without
-    /// touching the committed BENCH_stream.json.
+    /// The e15 pipeline at reduced scale.
     #[test]
     fn e15_delta_beats_repoll_at_reduced_scale() {
-        assert!(super::e15_run(10, 20, 5, false));
+        assert!(e15_run(10, 20, 5).pass);
     }
 
-    /// CI smoke: both e16 sweeps at reduced scale, without touching
-    /// the committed BENCH_intrusion.json.
+    /// Both e16 sweeps at reduced scale.
     #[test]
     fn e16_intrusion_is_flat_and_linear_at_reduced_scale() {
-        assert!(super::e16_run(&[2, 3], 2, &[1, 2], 2, false));
+        assert!(e16_run(&[2, 3], 2, &[1, 2], 2).pass);
     }
 }

@@ -2,11 +2,10 @@
 
 //! # gridrm-bench — experiment support library
 //!
-//! Shared scenario builders used by both the Criterion benches
-//! (`benches/`) and the experiment harness binary
-//! (`src/bin/experiments.rs`). Each experiment in `EXPERIMENTS.md` (E1 —
-//! E12) maps to a bench target and/or a harness subcommand; this crate
-//! keeps their world-building identical so numbers are comparable.
+//! The canonical simulated worlds the experiment harness
+//! (`src/bin/experiments.rs`) builds its scenarios from, so every
+//! experiment in `EXPERIMENTS.md` starts from the same seeded sites and
+//! its counts are comparable across experiments and runs.
 
 pub mod world;
 

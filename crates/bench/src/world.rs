@@ -16,13 +16,11 @@ pub const SEED: u64 = 0x6721d;
 pub struct SiteWorld {
     /// The shared network.
     pub net: Arc<Network>,
-    /// The resource model.
-    pub site: Arc<SiteModel>,
     /// Deployed agents.
     pub agents: SiteAgents,
     /// The gateway (standard drivers installed).
     pub gateway: Arc<Gateway>,
-    /// Driver environment (for direct driver construction in benches).
+    /// Driver environment (for constructing drivers at runtime).
     pub env: Arc<DriverEnv>,
 }
 
@@ -34,12 +32,11 @@ pub fn single_site_world(hosts: usize) -> SiteWorld {
     spec.peers = vec!["node00.peer".to_owned()];
     let site = SiteModel::generate(SEED, &spec);
     site.advance_to(600_000);
-    let agents = deploy_site(&net, site.clone());
+    let agents = deploy_site(&net, site);
     let gateway = Gateway::new(GatewayConfig::new("gw-bench", "bench"), net.clone());
     let env = install_into_gateway(&gateway);
     SiteWorld {
         net,
-        site,
         agents,
         gateway,
         env,
@@ -53,8 +50,6 @@ pub type GridSite = (Arc<SiteModel>, SiteAgents, Arc<Gateway>, Arc<GlobalLayer>)
 pub struct GridWorld {
     /// The shared network.
     pub net: Arc<Network>,
-    /// The GMA directory.
-    pub directory: Arc<GmaDirectory>,
     /// Per-site `(model, agents, gateway, layer)`.
     pub sites: Vec<GridSite>,
 }
@@ -77,11 +72,7 @@ pub fn grid_world(n_sites: usize, hosts: usize) -> GridWorld {
         let layer = GlobalLayer::attach(gateway.clone(), directory.clone());
         sites.push((model, agents, gateway, layer));
     }
-    GridWorld {
-        net,
-        directory,
-        sites,
-    }
+    GridWorld { net, sites }
 }
 
 /// A [`grid_world`] whose inter-gateway GMA links all carry the given

@@ -6,7 +6,8 @@
 //! here instead of rotting silently. The same holds for the other
 //! declared lists: the telemetry driver's virtual tables, the admin
 //! `/v1` routes, the span-stage vocabulary, the DESIGN.md crate
-//! inventory and the EXPERIMENTS.md section per experiment.
+//! inventory and the EXPERIMENTS.md section per experiment; and no
+//! top-level doc points at the removed criterion benches.
 
 use gridrm::core::AdminStatus;
 use gridrm::prelude::*;
@@ -14,6 +15,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 const OBSERVABILITY_MD: &str = include_str!("../docs/observability.md");
+const README_MD: &str = include_str!("../README.md");
 const SERVING_MD: &str = include_str!("../docs/serving.md");
 const DESIGN_MD: &str = include_str!("../DESIGN.md");
 const EXPERIMENTS_MD: &str = include_str!("../EXPERIMENTS.md");
@@ -241,14 +243,27 @@ fn crate_inventory_matches_the_workspace_both_ways() {
     assert_eq!(documented, on_disk, "DESIGN.md §3 inventory vs crates/");
 }
 
+/// The ids of the harness's `EXPERIMENTS` table, in run order: the
+/// `"eN"` that opens each `(id, title, run)` row.
+fn experiment_ids() -> Vec<&'static str> {
+    let table = EXPERIMENTS_RS
+        .split("const EXPERIMENTS")
+        .nth(1)
+        .and_then(|rest| rest.split("\n];").next())
+        .expect("experiments.rs has a `const EXPERIMENTS` table");
+    table
+        .split('(')
+        .filter_map(|row| row.trim_start().strip_prefix('"')?.split('"').next())
+        .filter(|id| {
+            id.strip_prefix('e')
+                .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
+        })
+        .collect()
+}
+
 #[test]
 fn every_experiment_has_a_section() {
-    let ids: Vec<&str> = EXPERIMENTS_RS
-        .split("want(\"")
-        .skip(1)
-        .filter_map(|rest| rest.split('"').next())
-        .filter(|id| *id != "all")
-        .collect();
+    let ids = experiment_ids();
     assert!(ids.len() >= 13, "experiments.rs parse found {ids:?}");
     for id in ids {
         let heading = format!("## {} ", id.to_uppercase());
@@ -257,4 +272,32 @@ fn every_experiment_has_a_section() {
             "EXPERIMENTS.md has no `{heading}…` section for `experiments {id}`"
         );
     }
+}
+
+/// The timing figures come from `gridrm-benchmark` and the experiments
+/// binary; the criterion benches are gone and the top-level docs must
+/// not send a reader to them.
+#[test]
+fn docs_name_no_removed_bench_harness() {
+    let mut stale = Vec::new();
+    for (doc, text) in [
+        ("README.md", README_MD),
+        ("DESIGN.md", DESIGN_MD),
+        ("EXPERIMENTS.md", EXPERIMENTS_MD),
+    ] {
+        for (n, line) in text.lines().enumerate() {
+            let lower = line.to_lowercase();
+            if ["cargo bench", "criterion", "bench/benches"]
+                .iter()
+                .any(|gone| lower.contains(gone))
+            {
+                stale.push(format!("{doc}:{}: {line}", n + 1));
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "stale bench references:\n{}",
+        stale.join("\n")
+    );
 }
