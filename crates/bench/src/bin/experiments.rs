@@ -15,7 +15,8 @@ use gridrm_bench::{grid_world, grid_world_with_wan, single_site_world, SEED};
 use gridrm_core::events::{EventManager, GridRMEvent, ListenerFilter, Severity};
 use gridrm_core::{ClientRequest, FailurePolicy};
 use gridrm_dbc::JdbcUrl;
-use gridrm_simnet::Latency;
+use gridrm_simnet::{Latency, SimClock};
+use gridrm_telemetry::GatewayTelemetry;
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -234,8 +235,9 @@ fn e3() -> Outcome {
 }
 
 /// E4 — Fig 4: the fast buffer absorbs bursts without losing events. The
-/// events/s column times ingest, dispatch and the listener's drain of
-/// each burst on this host (stdout only).
+/// events/s column times ingest (each event also journalled, as in a
+/// gateway), dispatch and the listener's drain of each burst on this
+/// host (stdout only).
 fn e4() -> Outcome {
     println!("  burst   fast-cap  overflowed  dispatched  delivered  lost  events/s");
     let mut ok = true;
@@ -245,7 +247,7 @@ fn e4() -> Outcome {
         (100_000, 1024),
         (100_000, 64),
     ] {
-        let manager = EventManager::new(cap);
+        let manager = EventManager::new(cap, &GatewayTelemetry::new(SimClock::new()));
         let (_, rx) = manager.register_listener(ListenerFilter::default());
         let t0 = Instant::now();
         for i in 0..burst {
@@ -686,7 +688,7 @@ fn e14_run(series: usize, points_per_series: usize) -> Outcome {
     let label = |s: usize| format!("series=\"s{s:02}\"");
 
     // Ingest: one ring per series, sized so nothing is evicted.
-    let rec = TimeSeriesRecorder::new();
+    let rec = TimeSeriesRecorder::new(&Registry::new());
     rec.configure(1, points_per_series);
     let t0 = Instant::now();
     for s in 0..series {
@@ -805,7 +807,7 @@ fn e14_run(series: usize, points_per_series: usize) -> Outcome {
     // 10-minute 500 ms regression starting at t=600 s, then recovery.
     // All in virtual time, so the transition stamps are deterministic.
     let registry = Arc::new(Registry::new());
-    let journal = Arc::new(Journal::new(64));
+    let journal = Arc::new(Journal::new(64, &registry));
     let engine = SloEngine::new(registry.clone(), journal);
     let mut spec = SloSpec::new(
         "bench-latency",
@@ -943,7 +945,7 @@ fn e15_run(queries: usize, subs_per_query: usize, ticks: u64) -> Outcome {
     use gridrm_core::stream::BackpressurePolicy;
     use gridrm_core::{Gateway, GatewayConfig};
     use gridrm_drivers::{DriverEnv, KitDriver};
-    use gridrm_simnet::{Network, SimClock};
+    use gridrm_simnet::Network;
     use std::sync::Arc;
 
     const EVERY_MS: u64 = 1_000;

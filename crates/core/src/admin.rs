@@ -134,49 +134,41 @@ pub struct AdminInterface {
     health: RwLock<BTreeMap<String, SourceHealth>>,
     driver_manager: Arc<GridRMDriverManager>,
     cache: Arc<CacheController>,
-    telemetry: RwLock<Option<GatewayTelemetry>>,
-    health_monitor: RwLock<Option<Arc<HealthMonitor>>>,
-    streams: RwLock<Option<Arc<StreamManager>>>,
+    telemetry: GatewayTelemetry,
+    health_monitor: Arc<HealthMonitor>,
+    streams: Arc<StreamManager>,
 }
 
 impl AdminInterface {
-    /// Wire the interface to the managers it configures.
+    /// Wire the interface to the managers it configures and the
+    /// subsystems it exposes.
     pub fn new(
         driver_manager: Arc<GridRMDriverManager>,
         cache: Arc<CacheController>,
+        telemetry: &GatewayTelemetry,
+        health_monitor: Arc<HealthMonitor>,
+        streams: Arc<StreamManager>,
     ) -> AdminInterface {
         AdminInterface {
             sources: RwLock::new(BTreeMap::new()),
             health: RwLock::new(BTreeMap::new()),
             driver_manager,
             cache,
-            telemetry: RwLock::new(None),
-            health_monitor: RwLock::new(None),
-            streams: RwLock::new(None),
+            telemetry: telemetry.clone(),
+            health_monitor,
+            streams,
         }
     }
 
-    /// Attach the gateway telemetry hub; enables the metric and trace
-    /// exposition endpoints below.
-    pub fn attach_telemetry(&self, telemetry: GatewayTelemetry) {
-        *self.telemetry.write() = Some(telemetry);
-    }
-
-    /// Read from the attached telemetry hub; the type's empty value
-    /// without one.
-    fn telemetry<T: Default>(&self, read: impl FnOnce(&GatewayTelemetry) -> T) -> T {
-        self.telemetry.read().as_ref().map(read).unwrap_or_default()
-    }
-
     /// Prometheus text exposition of every gateway metric (the admin
-    /// scrape endpoint). Empty without attached telemetry.
+    /// scrape endpoint).
     pub fn metrics_prometheus(&self) -> String {
-        self.telemetry(|t| t.registry().render_prometheus())
+        self.telemetry.registry().render_prometheus()
     }
 
     /// Structured snapshot of every metric family (JSON exposition).
     pub fn metrics_snapshot(&self) -> Vec<MetricSnapshot> {
-        self.telemetry(|t| t.registry().snapshot())
+        self.telemetry.registry().snapshot()
     }
 
     /// JSON text of [`AdminInterface::metrics_snapshot`].
@@ -186,17 +178,17 @@ impl AdminInterface {
 
     /// Recent query traces, oldest first.
     pub fn traces(&self) -> Vec<TraceRecord> {
-        self.telemetry(|t| t.traces().recent())
+        self.telemetry.traces().recent()
     }
 
     /// The slowest retained trace by virtual duration.
     pub fn slowest_trace(&self) -> Option<TraceRecord> {
-        self.telemetry(|t| t.traces().slowest())
+        self.telemetry.traces().slowest()
     }
 
     /// Every retained span of one trace tree, oldest first.
     pub fn trace_spans(&self, trace_id: &str) -> Vec<TraceRecord> {
-        self.telemetry(|t| t.traces().for_trace(trace_id))
+        self.telemetry.traces().for_trace(trace_id)
     }
 
     /// JSON text of [`AdminInterface::trace_spans`] (the span tree of
@@ -205,29 +197,10 @@ impl AdminInterface {
         pretty_json(&self.trace_spans(trace_id))
     }
 
-    /// Attach the health monitor; enables the health exposition below
-    /// and health tracking of administered sources.
-    pub fn attach_health(&self, monitor: Arc<HealthMonitor>) {
-        // Sources configured before attachment become tracked now.
-        for url in self.sources.read().keys() {
-            monitor.track(url);
-        }
-        *self.health_monitor.write() = Some(monitor);
-    }
-
-    /// The attached health monitor, if any.
-    pub fn health_monitor(&self) -> Option<Arc<HealthMonitor>> {
-        self.health_monitor.read().clone()
-    }
-
     /// Per-source health snapshot (JSON exposition source of truth —
     /// the `gridrm_health` SQL table serves the same rows).
     pub fn health_snapshot(&self) -> Vec<SourceHealthSnapshot> {
-        self.health_monitor
-            .read()
-            .as_ref()
-            .map(|m| m.snapshot())
-            .unwrap_or_default()
+        self.health_monitor.snapshot()
     }
 
     /// JSON text of [`AdminInterface::health_snapshot`].
@@ -237,7 +210,7 @@ impl AdminInterface {
 
     /// The slow-query log, slowest first (full per-stage breakdown).
     pub fn slow_queries(&self) -> Vec<TraceRecord> {
-        self.telemetry(|t| t.slow_queries().top())
+        self.telemetry.slow_queries().top()
     }
 
     /// JSON text of [`AdminInterface::slow_queries`].
@@ -248,20 +221,13 @@ impl AdminInterface {
     /// Point-in-time SLO statuses as JSON: burn rates, remaining error
     /// budget, and firing state per declared SLO, sorted by name.
     pub fn slo_json(&self) -> String {
-        pretty_json(&self.telemetry(|t| t.slo().snapshot()))
-    }
-
-    /// Attach the stream manager; enables the subscription exposition
-    /// below.
-    pub fn attach_streams(&self, streams: Arc<StreamManager>) {
-        *self.streams.write() = Some(streams);
+        pretty_json(&self.telemetry.slo().snapshot())
     }
 
     /// Live continuous-query subscriptions as JSON, ordered by id (the
     /// `gridrm_subscriptions` SQL table serves the same rows).
     pub fn subscriptions_json(&self) -> String {
-        let subs = self.streams.read().as_ref().map(|s| s.snapshot());
-        pretty_json(&subs.unwrap_or_default())
+        pretty_json(&self.streams.snapshot())
     }
 
     /// Add (or modify) a data source; applies its driver preferences and
@@ -277,9 +243,7 @@ impl AdminInterface {
         if let Some(policy) = config.policy {
             self.driver_manager.set_policy(&url, policy);
         }
-        if let Some(monitor) = self.health_monitor.read().as_ref() {
-            monitor.track(&config.url);
-        }
+        self.health_monitor.track(&config.url);
         self.sources.write().insert(config.url.clone(), config);
         Ok(())
     }
@@ -293,9 +257,7 @@ impl AdminInterface {
             }
             self.cache.invalidate_source(url);
             self.health.write().remove(url);
-            if let Some(monitor) = self.health_monitor.read().as_ref() {
-                monitor.untrack(url);
-            }
+            self.health_monitor.untrack(url);
         }
         existed
     }
@@ -540,7 +502,7 @@ pub const ROUTES: &[(&str, &str, Render)] = &[
         AdminResponse::ok_json(a.health_json())
     }),
     ("/v1/journal", "structured journal entries", |a, _| {
-        AdminResponse::ok_json(pretty_json(&a.telemetry(|t| t.journal().recent())))
+        AdminResponse::ok_json(pretty_json(&a.telemetry.journal().recent()))
     }),
     (
         "/v1/slow-queries",
@@ -556,21 +518,17 @@ pub const ROUTES: &[(&str, &str, Render)] = &[
         |a, _| AdminResponse::ok_json(a.subscriptions_json()),
     ),
     ("/v1/costs", "per-query inclusive cost entries", |a, _| {
-        AdminResponse::ok_json(pretty_json(&a.telemetry(|t| t.costs().entries())))
+        AdminResponse::ok_json(pretty_json(&a.telemetry.costs().entries()))
     }),
     (
         "/v1/intrusion",
         "per-(site, cause) intrusion buckets",
-        |a, _| {
-            AdminResponse::ok_json(pretty_json(
-                &a.telemetry(|t| t.costs().intrusion_snapshot()),
-            ))
-        },
+        |a, _| AdminResponse::ok_json(pretty_json(&a.telemetry.costs().intrusion_snapshot())),
     ),
     (
         "/v1/timeseries",
         "recorded metric time-series rows",
-        |a, _| AdminResponse::ok_json(pretty_json(&a.telemetry(|t| t.timeseries().history()))),
+        |a, _| AdminResponse::ok_json(pretty_json(&a.telemetry.timeseries().history())),
     ),
     ("/v1/traces", "recent query traces", |a, _| {
         AdminResponse::ok_json(pretty_json(&a.traces()))
@@ -597,14 +555,15 @@ fn index_text() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Gateway, GatewayConfig};
     use gridrm_simnet::SimClock;
-    use std::sync::Arc;
 
-    fn admin() -> AdminInterface {
-        AdminInterface::new(
-            Arc::new(GridRMDriverManager::new()),
-            Arc::new(CacheController::new(5_000)),
-        )
+    /// The admin interface of a fresh, idle gateway.
+    fn admin() -> Arc<AdminInterface> {
+        let network = Network::new(SimClock::new(), 1);
+        Gateway::new(GatewayConfig::new("gw-admin", "admin"), network)
+            .admin()
+            .clone()
     }
 
     #[test]
@@ -743,8 +702,8 @@ mod tests {
         let a = admin();
         a.add_source(DataSourceConfig::dynamic("jdbc:snmp://n/p", "n"))
             .unwrap();
-        // JSON endpoints answer Ok with parseable JSON bodies, even with
-        // nothing attached (they expose empty snapshots).
+        // JSON endpoints answer Ok with parseable JSON bodies, even on an
+        // idle gateway (they expose empty snapshots).
         for path in [
             "/v1/metrics.json",
             "/v1/health",

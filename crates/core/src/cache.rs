@@ -5,7 +5,7 @@
 //! requests".
 
 use gridrm_dbc::RowSet;
-use gridrm_telemetry::{Counter, Labels, Registry};
+use gridrm_telemetry::{Counter, Registry};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -27,10 +27,9 @@ impl CachedResult {
     }
 }
 
-/// Cache counters (experiment E7). Shared telemetry cells: also
-/// exposable in a gateway-wide [`Registry`] via
-/// [`CacheStats::register_into`].
-#[derive(Debug, Default)]
+/// Cache counters (experiment E7), registered as
+/// `gridrm_cache_events_total{event=…}`.
+#[derive(Debug)]
 pub struct CacheStats {
     /// Lookups that found a fresh entry.
     pub hits: Counter,
@@ -56,6 +55,21 @@ pub struct CacheSnapshot {
 }
 
 impl CacheStats {
+    fn new(registry: &Registry) -> CacheStats {
+        let [hits, misses, stores, invalidations] = registry.counters(
+            "gridrm_cache_events_total",
+            "Cache-controller lookup/store/invalidate events by kind",
+            "event",
+            ["hit", "miss", "store", "invalidate"],
+        );
+        CacheStats {
+            hits,
+            misses,
+            stores,
+            invalidations,
+        }
+    }
+
     /// Point-in-time copy of all counters.
     pub fn snapshot(&self) -> CacheSnapshot {
         CacheSnapshot {
@@ -63,25 +77,6 @@ impl CacheStats {
             misses: self.misses.get(),
             stores: self.stores.get(),
             invalidations: self.invalidations.get(),
-        }
-    }
-
-    /// Expose these counters in a metrics registry (shared cells: the
-    /// struct and the registry observe the same values).
-    pub fn register_into(&self, registry: &Registry) {
-        let series = [
-            ("hit", &self.hits),
-            ("miss", &self.misses),
-            ("store", &self.stores),
-            ("invalidate", &self.invalidations),
-        ];
-        for (event, counter) in series {
-            registry.expose_counter(
-                "gridrm_cache_events_total",
-                "Cache-controller lookup/store/invalidate events by kind",
-                Labels::from_pairs(&[("event", event)]),
-                counter,
-            );
         }
     }
 }
@@ -97,12 +92,12 @@ pub struct CacheController {
 }
 
 impl CacheController {
-    /// Controller with a default TTL.
-    pub fn new(default_ttl_ms: u64) -> CacheController {
+    /// Controller with a default TTL, its counters created in `registry`.
+    pub fn new(default_ttl_ms: u64, registry: &Registry) -> CacheController {
         CacheController {
             entries: RwLock::new(BTreeMap::new()),
             default_ttl_ms,
-            stats: CacheStats::default(),
+            stats: CacheStats::new(registry),
         }
     }
 
@@ -212,7 +207,7 @@ mod tests {
 
     #[test]
     fn hit_within_ttl_miss_after() {
-        let c = CacheController::new(5_000);
+        let c = CacheController::new(5_000, &Registry::new());
         c.store("src", "SELECT 1", rows(), 1_000);
         assert!(c.lookup("src", "SELECT 1", 3_000, None).is_some());
         assert!(c.lookup("src", "SELECT 1", 7_000, None).is_none());
@@ -224,7 +219,7 @@ mod tests {
     fn ttl_expiry_is_inclusive_at_the_boundary() {
         // An entry exactly `ttl` old is still served; one millisecond
         // older is not. Clients pinning `max_age_ms` get the same edge.
-        let c = CacheController::new(5_000);
+        let c = CacheController::new(5_000, &Registry::new());
         c.store("src", "q", rows(), 1_000);
         assert!(c.lookup("src", "q", 5_999, None).is_some(), "age ttl-1");
         assert!(c.lookup("src", "q", 6_000, None).is_some(), "age == ttl");
@@ -241,14 +236,14 @@ mod tests {
         // `age_ms` saturates: a lookup timestamped before the store (the
         // sim clock never goes backwards, but defensive code shouldn't
         // underflow) behaves like a fresh entry.
-        let c = CacheController::new(5_000);
+        let c = CacheController::new(5_000, &Registry::new());
         c.store("src", "q", rows(), 10_000);
         assert_eq!(c.lookup("src", "q", 9_000, None).unwrap().age_ms(9_000), 0);
     }
 
     #[test]
     fn sweep_keeps_entries_exactly_at_the_age_limit() {
-        let c = CacheController::new(60_000);
+        let c = CacheController::new(60_000, &Registry::new());
         c.store("a", "q1", rows(), 0);
         c.store("a", "q2", rows(), 1);
         // At now=20_000 with a 20_000 limit, q1 is exactly at the limit
@@ -262,7 +257,7 @@ mod tests {
 
     #[test]
     fn client_max_age_overrides_default() {
-        let c = CacheController::new(60_000);
+        let c = CacheController::new(60_000, &Registry::new());
         c.store("src", "q", rows(), 0);
         // Client insists on ≤1s freshness.
         assert!(c.lookup("src", "q", 5_000, Some(1_000)).is_none());
@@ -271,7 +266,7 @@ mod tests {
 
     #[test]
     fn keyed_by_source_and_sql() {
-        let c = CacheController::new(5_000);
+        let c = CacheController::new(5_000, &Registry::new());
         c.store("a", "q1", rows(), 0);
         assert!(c.lookup("a", "q2", 0, None).is_none());
         assert!(c.lookup("b", "q1", 0, None).is_none());
@@ -280,7 +275,7 @@ mod tests {
 
     #[test]
     fn invalidate_source_scoped() {
-        let c = CacheController::new(5_000);
+        let c = CacheController::new(5_000, &Registry::new());
         c.store("a", "q1", rows(), 0);
         c.store("a", "q2", rows(), 0);
         c.store("b", "q1", rows(), 0);
@@ -291,7 +286,7 @@ mod tests {
 
     #[test]
     fn sweep_by_age() {
-        let c = CacheController::new(60_000);
+        let c = CacheController::new(60_000, &Registry::new());
         c.store("a", "q1", rows(), 0);
         c.store("a", "q2", rows(), 50_000);
         assert_eq!(c.sweep(60_000, 20_000), 1);
@@ -300,7 +295,7 @@ mod tests {
 
     #[test]
     fn inventory_reports_ages() {
-        let c = CacheController::new(5_000);
+        let c = CacheController::new(5_000, &Registry::new());
         c.store("a", "q", rows(), 1_000);
         let inv = c.inventory(4_000);
         assert_eq!(inv.len(), 1);
@@ -309,7 +304,7 @@ mod tests {
 
     #[test]
     fn age_never_negative() {
-        let c = CacheController::new(5_000);
+        let c = CacheController::new(5_000, &Registry::new());
         c.store("a", "q", rows(), 10_000);
         // Clock skew (entry "from the future") reads as age 0.
         assert!(c.lookup("a", "q", 5_000, None).is_some());

@@ -32,16 +32,15 @@ use gridrm_telemetry::{
     CostVector, Counter, GatewayTelemetry, JournalSeverity, Labels, Registry, SpanBuilder, Stage,
     DEFAULT_LATENCY_BUCKETS_MS, KIND_DRIVER_FALLBACK, KIND_POLICY_DECISION,
 };
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Pool counters (experiment E9). Shared telemetry cells: also
-/// exposable in a gateway-wide [`Registry`] via
-/// [`PoolStats::register_into`].
-#[derive(Debug, Default)]
+/// Pool counters (experiment E9), registered as
+/// `gridrm_pool_events_total{event=…}`.
+#[derive(Debug)]
 pub struct PoolStats {
     /// Connection requests.
     pub checkouts: Counter,
@@ -71,6 +70,22 @@ pub struct PoolSnapshot {
 }
 
 impl PoolStats {
+    fn new(registry: &Registry) -> PoolStats {
+        let [checkouts, pool_hits, creates, discards, failures] = registry.counters(
+            "gridrm_pool_events_total",
+            "Connection-pool lifecycle events by kind",
+            "event",
+            ["checkout", "pool_hit", "create", "discard", "failure"],
+        );
+        PoolStats {
+            checkouts,
+            pool_hits,
+            creates,
+            discards,
+            failures,
+        }
+    }
+
     /// Point-in-time copy of all counters.
     pub fn snapshot(&self) -> PoolSnapshot {
         PoolSnapshot {
@@ -79,26 +94,6 @@ impl PoolStats {
             creates: self.creates.get(),
             discards: self.discards.get(),
             failures: self.failures.get(),
-        }
-    }
-
-    /// Expose these counters in a metrics registry (shared cells: the
-    /// struct and the registry observe the same values).
-    pub fn register_into(&self, registry: &Registry) {
-        let series = [
-            ("checkout", &self.checkouts),
-            ("pool_hit", &self.pool_hits),
-            ("create", &self.creates),
-            ("discard", &self.discards),
-            ("failure", &self.failures),
-        ];
-        for (event, counter) in series {
-            registry.expose_counter(
-                "gridrm_pool_events_total",
-                "Connection-pool lifecycle events by kind",
-                Labels::from_pairs(&[("event", event)]),
-                counter,
-            );
         }
     }
 }
@@ -113,39 +108,32 @@ pub struct ConnectionManager {
     /// Pooling can be disabled to measure its benefit (E9).
     pooling_enabled: std::sync::atomic::AtomicBool,
     stats: PoolStats,
-    /// Optional gateway telemetry hub: per-driver latency histograms and
-    /// query-path trace stages.
-    telemetry: RwLock<Option<GatewayTelemetry>>,
-    /// Optional health monitor fed by query outcomes (passive signal).
-    health: RwLock<Option<Arc<HealthMonitor>>>,
+    /// Per-driver latency histograms, policy-decision journal entries
+    /// and the clock that stamps them.
+    telemetry: GatewayTelemetry,
+    /// Fed by every query outcome (the passive health signal).
+    health: Arc<HealthMonitor>,
 }
 
 impl ConnectionManager {
     /// Manager over a driver manager, keeping up to `max_idle_per_key`
-    /// idle connections per (source, driver) pair.
-    pub fn new(driver_manager: Arc<GridRMDriverManager>, max_idle_per_key: usize) -> Self {
+    /// idle connections per (source, driver) pair, reporting into the
+    /// telemetry hub and the health monitor.
+    pub fn new(
+        driver_manager: Arc<GridRMDriverManager>,
+        max_idle_per_key: usize,
+        telemetry: &GatewayTelemetry,
+        health: Arc<HealthMonitor>,
+    ) -> Self {
         ConnectionManager {
             driver_manager,
             pool: Mutex::new(HashMap::new()),
             max_idle_per_key: max_idle_per_key.max(1),
             pooling_enabled: std::sync::atomic::AtomicBool::new(true),
-            stats: PoolStats::default(),
-            telemetry: RwLock::new(None),
-            health: RwLock::new(None),
+            stats: PoolStats::new(telemetry.registry()),
+            telemetry: telemetry.clone(),
+            health,
         }
-    }
-
-    /// Attach the gateway telemetry hub: driver executions start feeding
-    /// the per-driver latency histogram, and traced executions record
-    /// their query-path stages.
-    pub fn set_telemetry(&self, telemetry: GatewayTelemetry) {
-        *self.telemetry.write() = Some(telemetry);
-    }
-
-    /// Attach the health monitor: every query outcome becomes a passive
-    /// health signal for its source.
-    pub fn set_health(&self, health: Arc<HealthMonitor>) {
-        *self.health.write() = Some(health);
     }
 
     /// Enable/disable pooling (ablation switch).
@@ -264,25 +252,19 @@ impl ConnectionManager {
     /// attempt under a `driver_execute` child span (`checkout` →
     /// `connect` → `execute` → `translate`); the attempt's span is also
     /// entered as the thread's ambient active span, so GLUE translation
-    /// inside the driver hangs its own child off it. The per-driver
-    /// latency histogram is fed when telemetry is attached.
+    /// inside the driver hangs its own child off it. Every attempt feeds
+    /// the per-driver latency histogram.
     pub fn execute_traced(
         &self,
         url: &JdbcUrl,
         sql: &str,
         mut span: Option<&mut SpanBuilder>,
     ) -> DbcResult<RowSet> {
-        let telemetry = self.telemetry.read().clone();
-        let health = self.health.read().clone();
+        let clock = self.telemetry.clock();
+        let journal = self.telemetry.journal();
         let policy = self.driver_manager.policy_for(url);
         let key = url.to_string();
         let trace_id = span.as_deref().map(|s| s.trace_id().to_owned());
-        let now = || {
-            telemetry
-                .as_ref()
-                .map(|t| t.clock().now_millis())
-                .unwrap_or(0)
-        };
         let mut excluded: Vec<String> = Vec::new();
         let mut retries_used = 0u32;
         let mut last_err: Option<SqlError> = None;
@@ -315,12 +297,11 @@ impl ConnectionManager {
                 c.source(&key);
                 c
             });
-            let started_ms = telemetry.as_ref().map(|t| t.clock().now_millis());
+            let started_ms = clock.now_millis();
             let outcome = {
-                let _active = match (&telemetry, exec_span.as_ref()) {
-                    (Some(t), Some(es)) => Some(gridrm_telemetry::active::enter(t, es.context())),
-                    _ => None,
-                };
+                let _active = exec_span
+                    .as_ref()
+                    .map(|es| gridrm_telemetry::active::enter(&self.telemetry, es.context()));
                 self.attempt(url, &name, sql, exec_span.as_mut())
             };
             if let Some(mut es) = exec_span {
@@ -333,23 +314,19 @@ impl ConnectionManager {
                 });
                 es.finish(if outcome.is_ok() { "ok" } else { "error" });
             }
-            if let (Some(t), Some(started)) = (&telemetry, started_ms) {
-                let elapsed = t.clock().now_millis().saturating_sub(started);
-                t.registry()
-                    .histogram(
-                        "gridrm_driver_latency_ms",
-                        "Per-driver query execution latency in virtual milliseconds",
-                        Labels::from_pairs(&[("driver", &name)]),
-                        DEFAULT_LATENCY_BUCKETS_MS,
-                    )
-                    .observe(elapsed as f64);
-            }
+            self.telemetry
+                .registry()
+                .histogram(
+                    "gridrm_driver_latency_ms",
+                    "Per-driver query execution latency in virtual milliseconds",
+                    Labels::from_pairs(&[("driver", &name)]),
+                    DEFAULT_LATENCY_BUCKETS_MS,
+                )
+                .observe(clock.now_millis().saturating_sub(started_ms) as f64);
             match outcome {
                 Ok(rs) => {
                     self.driver_manager.record_success(url, &name);
-                    if let Some(h) = &health {
-                        h.record_success(&key, &name, now());
-                    }
+                    self.health.record_success(&key, &name, clock.now_millis());
                     return Ok(rs);
                 }
                 Err(err) => {
@@ -357,75 +334,61 @@ impl ConnectionManager {
                     // The *failed* driver is recorded against the source's
                     // health, even when the policy falls back to another.
                     self.driver_manager.record_failure(url, &name);
-                    if let Some(h) = &health {
-                        h.record_failure(&key, Some(&name), &err.to_string(), now());
-                    }
+                    self.health.record_failure(
+                        &key,
+                        Some(&name),
+                        &err.to_string(),
+                        clock.now_millis(),
+                    );
                     // Query-level errors (bad SQL, unsupported group) are
                     // not connectivity failures: no policy will fix them.
                     if !err.is_retryable() && !matches!(err, SqlError::Driver(_)) {
                         return Err(err);
                     }
-                    let journal = telemetry.as_ref().map(|t| t.journal());
+                    let decision = |severity, kind, message: &str| {
+                        journal.record_traced(
+                            clock.now_millis(),
+                            severity,
+                            kind,
+                            &key,
+                            Some(&name),
+                            None,
+                            message,
+                            trace_id.as_deref(),
+                        );
+                    };
                     match policy {
                         FailurePolicy::Report => {
-                            if let Some(j) = journal {
-                                j.record_traced(
-                                    now(),
-                                    JournalSeverity::Warning,
-                                    KIND_POLICY_DECISION,
-                                    &key,
-                                    Some(&name),
-                                    None,
-                                    "report: surfacing error to client",
-                                    trace_id.as_deref(),
-                                );
-                            }
+                            decision(
+                                JournalSeverity::Warning,
+                                KIND_POLICY_DECISION,
+                                "report: surfacing error to client",
+                            );
                             return Err(err);
                         }
                         FailurePolicy::Retry(n) => {
                             if retries_used >= n {
-                                if let Some(j) = journal {
-                                    j.record_traced(
-                                        now(),
-                                        JournalSeverity::Warning,
-                                        KIND_POLICY_DECISION,
-                                        &key,
-                                        Some(&name),
-                                        None,
-                                        &format!("retry: {n} attempts exhausted"),
-                                        trace_id.as_deref(),
-                                    );
-                                }
+                                decision(
+                                    JournalSeverity::Warning,
+                                    KIND_POLICY_DECISION,
+                                    &format!("retry: {n} attempts exhausted"),
+                                );
                                 return Err(err);
                             }
                             retries_used += 1;
-                            if let Some(j) = journal {
-                                j.record_traced(
-                                    now(),
-                                    JournalSeverity::Info,
-                                    KIND_POLICY_DECISION,
-                                    &key,
-                                    Some(&name),
-                                    None,
-                                    &format!("retry {retries_used}/{n}"),
-                                    trace_id.as_deref(),
-                                );
-                            }
+                            decision(
+                                JournalSeverity::Info,
+                                KIND_POLICY_DECISION,
+                                &format!("retry {retries_used}/{n}"),
+                            );
                             last_err = Some(err);
                         }
                         FailurePolicy::TryNext => {
-                            if let Some(j) = journal {
-                                j.record_traced(
-                                    now(),
-                                    JournalSeverity::Warning,
-                                    KIND_DRIVER_FALLBACK,
-                                    &key,
-                                    Some(&name),
-                                    None,
-                                    &format!("falling back from {name}: {err}"),
-                                    trace_id.as_deref(),
-                                );
-                            }
+                            decision(
+                                JournalSeverity::Warning,
+                                KIND_DRIVER_FALLBACK,
+                                &format!("falling back from {name}: {err}"),
+                            );
                             excluded.push(name);
                             last_err = Some(err);
                         }
@@ -481,6 +444,7 @@ impl ConnectionManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::health::HealthConfig;
     use gridrm_agents::deploy_site;
     use gridrm_dbc::{ColumnMeta, Driver, DriverMetaData, ResultSet, ResultSetMetaData, Statement};
     use gridrm_drivers::{register_standard_drivers, DriverEnv};
@@ -488,6 +452,7 @@ mod tests {
     use gridrm_resmodel::{SiteModel, SiteSpec};
     use gridrm_simnet::{Network, SimClock};
     use gridrm_sqlparse::{SqlType, SqlValue};
+    use gridrm_telemetry::KIND_STATE_TRANSITION;
     use std::sync::atomic::{AtomicBool, AtomicU64};
 
     /// A scriptable driver: fails while `broken` is set.
@@ -580,8 +545,15 @@ mod tests {
         connects_b: Arc<AtomicU64>,
     }
 
+    /// A manager over `dm` with its own telemetry hub and health monitor.
+    fn manager(dm: Arc<GridRMDriverManager>, max_idle_per_key: usize) -> ConnectionManager {
+        let telemetry = GatewayTelemetry::new(SimClock::new());
+        let health = Arc::new(HealthMonitor::new(HealthConfig::default(), &telemetry));
+        ConnectionManager::new(dm, max_idle_per_key, &telemetry, health)
+    }
+
     fn rig() -> Rig {
-        let dm = Arc::new(GridRMDriverManager::new());
+        let dm = Arc::new(GridRMDriverManager::new(&Registry::new()));
         let broken_a = Arc::new(AtomicBool::new(false));
         let broken_b = Arc::new(AtomicBool::new(false));
         let connects_a = Arc::new(AtomicU64::new(0));
@@ -597,7 +569,7 @@ mod tests {
             connects: connects_b.clone(),
         }));
         Rig {
-            cm: ConnectionManager::new(dm, 4),
+            cm: manager(dm, 4),
             broken_a,
             broken_b,
             connects_a,
@@ -801,8 +773,7 @@ mod tests {
         for (policy, after, want) in cases {
             let case = format!("{policy:?} / {after:?}");
             let r = rig();
-            let telemetry = GatewayTelemetry::new(SimClock::new());
-            r.cm.set_telemetry(telemetry.clone());
+            let telemetry = r.cm.telemetry.clone();
             r.cm.driver_manager().set_policy(&url(), policy);
             assert_eq!(winner(&r.cm.execute(&url(), "q").unwrap()), "drv-a");
             if matches!(after, Broken | Healed) {
@@ -843,9 +814,12 @@ mod tests {
                 want.connects_b,
                 "{case}: drv-b connects"
             );
+            // The health monitor's transitions share the journal; the
+            // decisions judged here are the policy's own lines.
             let journal = telemetry.journal().recent();
             let lines: Vec<(&str, &str)> = journal[journal_before..]
                 .iter()
+                .filter(|e| e.kind != KIND_STATE_TRANSITION)
                 .map(|e| (e.kind.as_str(), e.message.as_str()))
                 .collect();
             assert_eq!(lines.len(), want.journal.len(), "{case}: {lines:?}");
@@ -865,9 +839,9 @@ mod tests {
         site.advance_to(60_000);
         deploy_site(&net, site);
         let env = DriverEnv::new(net.clone(), Arc::new(SchemaManager::new()), "gw");
-        let dm = Arc::new(GridRMDriverManager::new());
+        let dm = Arc::new(GridRMDriverManager::new(&Registry::new()));
         register_standard_drivers(dm.base(), &env);
-        let cm = ConnectionManager::new(dm, 4);
+        let cm = manager(dm, 4);
         let url = JdbcUrl::parse("jdbc:snmp://node01.pool/public").unwrap();
         let link = net.stats_for("gw", "node01.pool:snmp");
         let requests_of_one_query = || {
@@ -888,13 +862,13 @@ mod tests {
 
     #[test]
     fn pool_respects_capacity() {
-        let dm = Arc::new(GridRMDriverManager::new());
+        let dm = Arc::new(GridRMDriverManager::new(&Registry::new()));
         dm.register(Arc::new(ScriptedDriver {
             name: "drv-a",
             broken: Arc::new(AtomicBool::new(false)),
             connects: Arc::new(AtomicU64::new(0)),
         }));
-        let cm = ConnectionManager::new(dm, 2);
+        let cm = manager(dm, 2);
         // Checkout 4 connections simultaneously, then return them all.
         let u = url();
         let conns: Vec<_> = (0..4)
@@ -950,9 +924,9 @@ mod tests {
                 Ok(Box::new(C(url.clone())))
             }
         }
-        let dm = Arc::new(GridRMDriverManager::new());
+        let dm = Arc::new(GridRMDriverManager::new(&Registry::new()));
         dm.register(Arc::new(UnsupportedDriver));
-        let cm = ConnectionManager::new(dm, 2);
+        let cm = manager(dm, 2);
         assert!(matches!(
             cm.execute(&url(), "SELECT * FROM Bogus").err().unwrap(),
             SqlError::Unsupported(_)

@@ -20,7 +20,7 @@
 )]
 
 use gridrm_dbc::{DbcResult, Driver, DriverManager, JdbcUrl, SqlError};
-use gridrm_telemetry::{Counter, Labels, Registry, SpanBuilder, Stage};
+use gridrm_telemetry::{Counter, Registry, SpanBuilder, Stage};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -40,10 +40,9 @@ pub enum FailurePolicy {
     TryNext,
 }
 
-/// Selection-path counters (experiment E5). The counters are shared
-/// telemetry cells, so they can simultaneously live in a gateway-wide
-/// [`Registry`] via [`ResolutionStats::register_into`].
-#[derive(Debug, Default)]
+/// Selection-path counters (experiment E5), registered as
+/// `gridrm_driver_resolutions_total{path=…}`.
+#[derive(Debug)]
 pub struct ResolutionStats {
     /// Total resolutions requested.
     pub resolutions: Counter,
@@ -73,6 +72,29 @@ pub struct ResolutionSnapshot {
 }
 
 impl ResolutionStats {
+    fn new(registry: &Registry) -> ResolutionStats {
+        let [resolutions, cache_hits, static_hits, dynamic_scans, invalidations] = registry
+            .counters(
+                "gridrm_driver_resolutions_total",
+                "Driver-manager resolution outcomes by path",
+                "path",
+                [
+                    "resolutions",
+                    "cache_hits",
+                    "static_hits",
+                    "dynamic_scans",
+                    "invalidations",
+                ],
+            );
+        ResolutionStats {
+            resolutions,
+            cache_hits,
+            static_hits,
+            dynamic_scans,
+            invalidations,
+        }
+    }
+
     /// Point-in-time copy of all counters.
     pub fn snapshot(&self) -> ResolutionSnapshot {
         ResolutionSnapshot {
@@ -81,26 +103,6 @@ impl ResolutionStats {
             static_hits: self.static_hits.get(),
             dynamic_scans: self.dynamic_scans.get(),
             invalidations: self.invalidations.get(),
-        }
-    }
-
-    /// Expose these counters in a metrics registry (shared cells: the
-    /// struct and the registry observe the same values).
-    pub fn register_into(&self, registry: &Registry) {
-        let series = [
-            ("resolutions", &self.resolutions),
-            ("cache_hits", &self.cache_hits),
-            ("static_hits", &self.static_hits),
-            ("dynamic_scans", &self.dynamic_scans),
-            ("invalidations", &self.invalidations),
-        ];
-        for (path, counter) in series {
-            registry.expose_counter(
-                "gridrm_driver_resolutions_total",
-                "Driver-manager resolution outcomes by path",
-                Labels::from_pairs(&[("path", path)]),
-                counter,
-            );
         }
     }
 }
@@ -120,15 +122,16 @@ pub struct GridRMDriverManager {
 }
 
 impl GridRMDriverManager {
-    /// Empty manager with the default failure policy.
-    pub fn new() -> GridRMDriverManager {
+    /// Empty manager with the default failure policy, its counters
+    /// created in `registry`.
+    pub fn new(registry: &Registry) -> GridRMDriverManager {
         GridRMDriverManager {
             base: DriverManager::new(),
             preferences: RwLock::new(HashMap::new()),
             last_success: RwLock::new(HashMap::new()),
             policies: RwLock::new(HashMap::new()),
             default_policy: RwLock::new(FailurePolicy::default()),
-            stats: ResolutionStats::default(),
+            stats: ResolutionStats::new(registry),
         }
     }
 
@@ -354,12 +357,6 @@ impl GridRMDriverManager {
     }
 }
 
-impl Default for GridRMDriverManager {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,7 +385,7 @@ mod tests {
     }
 
     fn manager() -> GridRMDriverManager {
-        let m = GridRMDriverManager::new();
+        let m = GridRMDriverManager::new(&Registry::new());
         m.register(Arc::new(FakeDriver {
             name: "d-snmp",
             proto: "snmp",

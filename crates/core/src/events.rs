@@ -15,7 +15,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use crossbeam::queue::ArrayQueue;
 use gridrm_simnet::SimClock;
 use gridrm_telemetry::{
-    Counter, Journal, JournalSeverity, Labels, Registry, KIND_EVENT, KIND_EVENT_OVERFLOW,
+    Counter, GatewayTelemetry, Journal, JournalSeverity, Registry, KIND_EVENT, KIND_EVENT_OVERFLOW,
     KIND_EVENT_UNFORMATTED,
 };
 use parking_lot::{Mutex, RwLock};
@@ -144,10 +144,9 @@ struct Listener {
     tx: Sender<GridRMEvent>,
 }
 
-/// Counters for the event path (experiment E4). Shared telemetry cells:
-/// also exposable in a gateway-wide [`Registry`] via
-/// [`EventStats::register_into`].
-#[derive(Debug, Default)]
+/// Counters for the event path (experiment E4), registered as
+/// `gridrm_events_total{stage=…}`.
+#[derive(Debug)]
 pub struct EventStats {
     /// Events accepted into the manager.
     pub ingested: Counter,
@@ -177,6 +176,28 @@ pub struct EventSnapshot {
 }
 
 impl EventStats {
+    fn new(registry: &Registry) -> EventStats {
+        let [ingested, overflowed, delivered, transmitted, unformatted] = registry.counters(
+            "gridrm_events_total",
+            "Event-manager pipeline events by stage",
+            "stage",
+            [
+                "ingested",
+                "overflowed",
+                "delivered",
+                "transmitted",
+                "unformatted",
+            ],
+        );
+        EventStats {
+            ingested,
+            overflowed,
+            delivered,
+            transmitted,
+            unformatted,
+        }
+    }
+
     /// Point-in-time copy of all counters.
     pub fn snapshot(&self) -> EventSnapshot {
         EventSnapshot {
@@ -185,26 +206,6 @@ impl EventStats {
             delivered: self.delivered.get(),
             transmitted: self.transmitted.get(),
             unformatted: self.unformatted.get(),
-        }
-    }
-
-    /// Expose these counters in a metrics registry (shared cells: the
-    /// struct and the registry observe the same values).
-    pub fn register_into(&self, registry: &Registry) {
-        let series = [
-            ("ingested", &self.ingested),
-            ("overflowed", &self.overflowed),
-            ("delivered", &self.delivered),
-            ("transmitted", &self.transmitted),
-            ("unformatted", &self.unformatted),
-        ];
-        for (stage, counter) in series {
-            registry.expose_counter(
-                "gridrm_events_total",
-                "Event-manager pipeline events by stage",
-                Labels::from_pairs(&[("stage", stage)]),
-                counter,
-            );
         }
     }
 }
@@ -221,15 +222,18 @@ pub struct EventManager {
     next_event_id: AtomicU64,
     next_listener_id: AtomicU64,
     stats: EventStats,
-    /// Optional structured journal; when attached, every emission path
-    /// (ingest, overflow, unformatted) writes its counter *and* a journal
-    /// entry through one helper, so the two counts cannot drift.
-    journal: RwLock<Option<(Arc<Journal>, Arc<SimClock>)>>,
+    /// Every emission path (ingest, overflow, unformatted) writes its
+    /// counter *and* a journal entry through one helper, so the two
+    /// counts cannot drift.
+    journal: Arc<Journal>,
+    /// Stamps journal entries.
+    clock: Arc<SimClock>,
 }
 
 impl EventManager {
-    /// Manager with a fast buffer of `fast_capacity` events.
-    pub fn new(fast_capacity: usize) -> Arc<EventManager> {
+    /// Manager with a fast buffer of `fast_capacity` events, journalling
+    /// into the telemetry hub's journal and counting in its registry.
+    pub fn new(fast_capacity: usize, telemetry: &GatewayTelemetry) -> Arc<EventManager> {
         Arc::new(EventManager {
             formatters: RwLock::new(Vec::new()),
             transmitters: RwLock::new(Vec::new()),
@@ -238,18 +242,14 @@ impl EventManager {
             disk: Mutex::new(VecDeque::new()),
             next_event_id: AtomicU64::new(1),
             next_listener_id: AtomicU64::new(1),
-            stats: EventStats::default(),
-            journal: RwLock::new(None),
+            stats: EventStats::new(telemetry.registry()),
+            journal: telemetry.journal().clone(),
+            clock: telemetry.clock().clone(),
         })
     }
 
-    /// Attach the structured journal (and the clock stamping entries).
-    pub fn set_journal(&self, journal: Arc<Journal>, clock: Arc<SimClock>) {
-        *self.journal.write() = Some((journal, clock));
-    }
-
     /// The single emission path: increment the stage counter and mirror
-    /// the fact into the journal (when attached) in one place.
+    /// the fact into the journal in one place.
     fn note(
         &self,
         counter: &Counter,
@@ -259,17 +259,15 @@ impl EventManager {
         message: &str,
     ) {
         counter.inc();
-        if let Some((journal, clock)) = self.journal.read().as_ref() {
-            journal.record(
-                clock.now_millis(),
-                severity,
-                kind,
-                source,
-                None,
-                None,
-                message,
-            );
-        }
+        self.journal.record(
+            self.clock.now_millis(),
+            severity,
+            kind,
+            source,
+            None,
+            None,
+            message,
+        );
     }
 
     /// Install an event formatter (driver-supplied, Fig 4).
@@ -415,6 +413,10 @@ impl EventManager {
 mod tests {
     use super::*;
 
+    fn manager(fast_capacity: usize) -> Arc<EventManager> {
+        EventManager::new(fast_capacity, &GatewayTelemetry::new(SimClock::new()))
+    }
+
     fn ev(category: &str, sev: Severity) -> GridRMEvent {
         GridRMEvent {
             id: 0,
@@ -430,7 +432,7 @@ mod tests {
 
     #[test]
     fn ids_are_assigned_sequentially() {
-        let m = EventManager::new(16);
+        let m = manager(16);
         m.ingest(ev("a", Severity::Info));
         m.ingest(ev("b", Severity::Info));
         let out = m.dispatch();
@@ -440,7 +442,7 @@ mod tests {
 
     #[test]
     fn listener_filtering() {
-        let m = EventManager::new(16);
+        let m = manager(16);
         let (_, all) = m.register_listener(ListenerFilter::default());
         let (_, crit) = m.register_listener(ListenerFilter {
             min_severity: Some(Severity::Critical),
@@ -464,7 +466,7 @@ mod tests {
     fn burst_larger_than_fast_buffer_is_loss_free() {
         // The Fig 4 claim: the fast buffer "ensures events are not lost in
         // a busy system". Overflow goes to the disk buffer, not the floor.
-        let m = EventManager::new(64);
+        let m = manager(64);
         let (_, rx) = m.register_listener(ListenerFilter::default());
         for i in 0..10_000 {
             m.ingest(ev(&format!("burst.{i}"), Severity::Info));
@@ -483,7 +485,7 @@ mod tests {
 
     #[test]
     fn concurrent_producers_lose_nothing() {
-        let m = EventManager::new(32);
+        let m = manager(32);
         std::thread::scope(|s| {
             for t in 0..8 {
                 let m = &m;
@@ -500,7 +502,7 @@ mod tests {
 
     #[test]
     fn dead_listener_is_pruned() {
-        let m = EventManager::new(8);
+        let m = manager(8);
         let (id, rx) = m.register_listener(ListenerFilter::default());
         drop(rx);
         m.ingest(ev("x", Severity::Info));
@@ -511,7 +513,7 @@ mod tests {
 
     #[test]
     fn unregister_listener_stops_delivery() {
-        let m = EventManager::new(8);
+        let m = manager(8);
         let (id, rx) = m.register_listener(ListenerFilter::default());
         assert!(m.unregister_listener(id));
         m.ingest(ev("x", Severity::Info));
@@ -539,7 +541,7 @@ mod tests {
                 }]
             }
         }
-        let m = EventManager::new(8);
+        let m = manager(8);
         m.register_formatter(Arc::new(F));
         assert_eq!(m.ingest_native("node0:test", b"cat", 5), 1);
         assert_eq!(m.ingest_native("node0:other", b"cat", 5), 0);
@@ -561,7 +563,7 @@ mod tests {
                 true
             }
         }
-        let m = EventManager::new(8);
+        let m = manager(8);
         let count = Arc::new(AtomicU64::new(0));
         m.register_transmitter(Arc::new(T(count.clone())));
         for _ in 0..3 {
@@ -576,9 +578,9 @@ mod tests {
 
     #[test]
     fn journal_mirrors_emission_counters() {
-        let m = EventManager::new(2);
-        let journal = Arc::new(Journal::new(64));
-        m.set_journal(journal.clone(), SimClock::new());
+        let telemetry = GatewayTelemetry::new(SimClock::new());
+        let m = EventManager::new(2, &telemetry);
+        let journal = telemetry.journal();
         for i in 0..4 {
             m.ingest(ev(&format!("c{i}"), Severity::Warning)); // 2 overflow
         }

@@ -91,26 +91,11 @@ impl Gateway {
         telemetry
             .costs()
             .set_budget(config.cost_budget_bytes, config.cost_budget_rows);
+        // Every component below gets the telemetry hub (or its registry)
+        // when it is built and creates its own metric families there.
+        let registry = telemetry.registry();
         let schema = Arc::new(SchemaManager::new());
-        let driver_manager = Arc::new(GridRMDriverManager::new());
-        let connections = Arc::new(ConnectionManager::new(
-            driver_manager.clone(),
-            config.pool_max_idle,
-        ));
-        let cache = Arc::new(CacheController::new(config.cache_ttl_ms));
-        let store = Store::new();
-        #[expect(
-            clippy::expect_used,
-            reason = "startup-only: runs once in new(), before any request is served"
-        )]
-        let history = HistoryManager::new(store).expect("fresh store accepts schema");
-        let events = EventManager::new(config.event_fast_capacity);
-        let sessions = Arc::new(SessionManager::new(config.session_ttl_ms));
-        let security = Arc::new(RwLock::new(SecurityPolicy::permissive()));
-        let alerts = Arc::new(AlertEngine::new());
-        let admin = Arc::new(AdminInterface::new(driver_manager.clone(), cache.clone()));
-        admin.attach_telemetry(telemetry.clone());
-        connections.set_telemetry(telemetry.clone());
+        let driver_manager = Arc::new(GridRMDriverManager::new(registry));
         // Data-source health: the state machine is fed passively by the
         // ConnectionManager's execute/checkout outcomes and actively by
         // the probe scheduler in `pump()`.
@@ -121,11 +106,25 @@ impl Gateway {
                 down_after: config.health_down_after,
                 up_after: config.health_up_after,
             },
-            telemetry.journal().clone(),
+            &telemetry,
         ));
-        connections.set_health(health.clone());
-        events.set_journal(telemetry.journal().clone(), clock.clone());
-        admin.attach_health(health.clone());
+        let connections = Arc::new(ConnectionManager::new(
+            driver_manager.clone(),
+            config.pool_max_idle,
+            &telemetry,
+            health.clone(),
+        ));
+        let cache = Arc::new(CacheController::new(config.cache_ttl_ms, registry));
+        let store = Store::new();
+        #[expect(
+            clippy::expect_used,
+            reason = "startup-only: runs once in new(), before any request is served"
+        )]
+        let history = HistoryManager::new(store).expect("fresh store accepts schema");
+        let events = EventManager::new(config.event_fast_capacity, &telemetry);
+        let sessions = Arc::new(SessionManager::new(config.session_ttl_ms));
+        let security = Arc::new(RwLock::new(SecurityPolicy::permissive()));
+        let alerts = Arc::new(AlertEngine::new());
         let request = Arc::new(RequestManager::new(
             connections.clone(),
             cache.clone(),
@@ -134,29 +133,14 @@ impl Gateway {
             alerts.clone(),
             sessions.clone(),
             security.clone(),
-            clock.clone(),
             config.record_history,
-            Some(telemetry.clone()),
+            &telemetry,
         ));
         request.set_coalesce_identical(config.coalesce_identical);
         request.set_default_deadline_ms(config.default_deadline_ms);
-        // Retrofit every subsystem's counters onto the shared registry:
-        // the stats structs keep their handles, the registry sees the
-        // same cells.
-        {
-            let registry = telemetry.registry();
-            request.stats().register_into(registry);
-            driver_manager.stats().register_into(registry);
-            connections.stats().register_into(registry);
-            cache.stats().register_into(registry);
-            events.stats().register_into(registry);
-            health.stats().register_into(registry);
-            telemetry.journal().stats().register_into(registry);
-            telemetry.slow_queries().register_into(registry);
-        }
         // The live observability plane: standing queries registered by
         // `subscribe` / `SELECT … EVERY n`, evaluated incrementally in
-        // `pump`. Construction registers the streaming metric families.
+        // `pump`.
         let streams = Arc::new(StreamManager::new(
             StreamSettings {
                 buffer_capacity: config.stream_buffer_capacity,
@@ -165,9 +149,15 @@ impl Gateway {
                 max_subscribers: config.stream_max_subscribers,
             },
             format!("local:{}", config.name),
-            Some(telemetry.clone()),
+            &telemetry,
         ));
-        admin.attach_streams(streams.clone());
+        let admin = Arc::new(AdminInterface::new(
+            driver_manager.clone(),
+            cache.clone(),
+            &telemetry,
+            health.clone(),
+            streams.clone(),
+        ));
         // Become reachable: agents push traps to `config.address`.
         network.register(
             &config.address,

@@ -14,7 +14,8 @@
 //! ```
 
 use gridrm_telemetry::{
-    Counter, Journal, JournalSeverity, Labels, Registry, KIND_PROBE, KIND_STATE_TRANSITION,
+    Counter, GatewayTelemetry, Journal, JournalSeverity, Registry, KIND_PROBE,
+    KIND_STATE_TRANSITION,
 };
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
@@ -111,9 +112,10 @@ pub struct SourceHealthSnapshot {
     pub last_transition_ms: Option<u64>,
 }
 
-/// Health counters. Shared telemetry cells, exposable in a gateway-wide
-/// [`Registry`] via [`HealthStats::register_into`].
-#[derive(Debug, Default)]
+/// Health counters, registered as
+/// `gridrm_health_transitions_total{state=…}` and
+/// `gridrm_health_probes_total{outcome=…}`.
+#[derive(Debug)]
 pub struct HealthStats {
     /// Transitions into `Up`.
     pub to_up: Counter,
@@ -128,30 +130,25 @@ pub struct HealthStats {
 }
 
 impl HealthStats {
-    /// Expose these counters in a metrics registry (shared cells: the
-    /// struct and the registry observe the same values).
-    pub fn register_into(&self, registry: &Registry) {
-        let transitions = [
-            ("up", &self.to_up),
-            ("degraded", &self.to_degraded),
-            ("down", &self.to_down),
-        ];
-        for (state, counter) in transitions {
-            registry.expose_counter(
-                "gridrm_health_transitions_total",
-                "Health state-machine transitions by target state",
-                Labels::from_pairs(&[("state", state)]),
-                counter,
-            );
-        }
-        let probes = [("ok", &self.probes_ok), ("failed", &self.probes_failed)];
-        for (outcome, counter) in probes {
-            registry.expose_counter(
-                "gridrm_health_probes_total",
-                "Active health probes by outcome",
-                Labels::from_pairs(&[("outcome", outcome)]),
-                counter,
-            );
+    fn new(registry: &Registry) -> HealthStats {
+        let [to_up, to_degraded, to_down] = registry.counters(
+            "gridrm_health_transitions_total",
+            "Health state-machine transitions by target state",
+            "state",
+            ["up", "degraded", "down"],
+        );
+        let [probes_ok, probes_failed] = registry.counters(
+            "gridrm_health_probes_total",
+            "Active health probes by outcome",
+            "outcome",
+            ["ok", "failed"],
+        );
+        HealthStats {
+            to_up,
+            to_degraded,
+            to_down,
+            probes_ok,
+            probes_failed,
         }
     }
 }
@@ -180,8 +177,9 @@ pub struct HealthMonitor {
 }
 
 impl HealthMonitor {
-    /// Monitor journalling into `journal` with the given thresholds.
-    pub fn new(config: HealthConfig, journal: Arc<Journal>) -> HealthMonitor {
+    /// Monitor with the given thresholds, journalling into the
+    /// telemetry hub's journal and counting in its registry.
+    pub fn new(config: HealthConfig, telemetry: &GatewayTelemetry) -> HealthMonitor {
         HealthMonitor {
             config: HealthConfig {
                 down_after: config.down_after.max(1),
@@ -190,9 +188,9 @@ impl HealthMonitor {
                 ..config
             },
             records: RwLock::new(BTreeMap::new()),
-            journal,
+            journal: telemetry.journal().clone(),
             pending: Mutex::new(Vec::new()),
-            stats: HealthStats::default(),
+            stats: HealthStats::new(telemetry.registry()),
         }
     }
 
@@ -454,7 +452,7 @@ impl HealthMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridrm_telemetry::KIND_STATE_TRANSITION;
+    use gridrm_simnet::SimClock;
 
     const SRC: &str = "jdbc:snmp://node00/public";
 
@@ -466,7 +464,7 @@ mod tests {
                 down_after,
                 up_after,
             },
-            Arc::new(Journal::new(64)),
+            &GatewayTelemetry::new(SimClock::new()),
         )
     }
 

@@ -41,9 +41,9 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Request-path counters. Shared telemetry cells: also exposable in a
-/// gateway-wide [`Registry`] via [`RequestStats::register_into`].
-#[derive(Debug, Default)]
+/// Request-path counters, registered as `gridrm_requests_total` and
+/// `gridrm_request_paths_total{path=…}`.
+#[derive(Debug)]
 pub struct RequestStats {
     /// Requests handled.
     pub requests: Counter,
@@ -85,6 +85,36 @@ pub struct RequestSnapshot {
 }
 
 impl RequestStats {
+    fn new(registry: &Registry) -> RequestStats {
+        let [realtime_fetches, cache_served, historical, denied, coalesced_hits, deadline_exceeded] =
+            registry.counters(
+                "gridrm_request_paths_total",
+                "Request-manager per-source outcomes by path",
+                "path",
+                [
+                    "realtime_fetch",
+                    "cache_served",
+                    "historical",
+                    "denied",
+                    "coalesced",
+                    "deadline_exceeded",
+                ],
+            );
+        RequestStats {
+            requests: registry.counter(
+                "gridrm_requests_total",
+                "Client requests handled by the Request Manager",
+                Labels::none(),
+            ),
+            realtime_fetches,
+            cache_served,
+            historical,
+            denied,
+            coalesced_hits,
+            deadline_exceeded,
+        }
+    }
+
     /// Point-in-time copy of all counters.
     pub fn snapshot(&self) -> RequestSnapshot {
         RequestSnapshot {
@@ -95,33 +125,6 @@ impl RequestStats {
             denied: self.denied.get(),
             coalesced_hits: self.coalesced_hits.get(),
             deadline_exceeded: self.deadline_exceeded.get(),
-        }
-    }
-
-    /// Expose these counters in a metrics registry (shared cells: the
-    /// struct and the registry observe the same values).
-    pub fn register_into(&self, registry: &Registry) {
-        registry.expose_counter(
-            "gridrm_requests_total",
-            "Client requests handled by the Request Manager",
-            Labels::none(),
-            &self.requests,
-        );
-        let series = [
-            ("realtime_fetch", &self.realtime_fetches),
-            ("cache_served", &self.cache_served),
-            ("historical", &self.historical),
-            ("denied", &self.denied),
-            ("coalesced", &self.coalesced_hits),
-            ("deadline_exceeded", &self.deadline_exceeded),
-        ];
-        for (path, counter) in series {
-            registry.expose_counter(
-                "gridrm_request_paths_total",
-                "Request-manager per-source outcomes by path",
-                Labels::from_pairs(&[("path", path)]),
-                counter,
-            );
         }
     }
 }
@@ -138,9 +141,9 @@ pub struct RequestManager {
     clock: Arc<SimClock>,
     record_history: AtomicBool,
     stats: RequestStats,
-    /// Optional gateway telemetry hub: request latency histogram and
-    /// per-request trace spans.
-    telemetry: Option<GatewayTelemetry>,
+    /// Request latency histogram, per-request trace spans and the
+    /// cache-serve journal entries.
+    telemetry: GatewayTelemetry,
     /// Deduplicates identical concurrent realtime fetches (keyed by
     /// source URL + SQL text).
     singleflight: SingleFlight<(String, String), DbcResult<RowSet>>,
@@ -152,7 +155,8 @@ pub struct RequestManager {
 }
 
 impl RequestManager {
-    /// Wire the manager to its collaborators.
+    /// Wire the manager to its collaborators and the gateway's
+    /// telemetry hub (whose clock it reads).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         connections: Arc<ConnectionManager>,
@@ -162,9 +166,8 @@ impl RequestManager {
         alerts: Arc<AlertEngine>,
         sessions: Arc<SessionManager>,
         security: Arc<RwLock<SecurityPolicy>>,
-        clock: Arc<SimClock>,
         record_history: bool,
-        telemetry: Option<GatewayTelemetry>,
+        telemetry: &GatewayTelemetry,
     ) -> RequestManager {
         RequestManager {
             connections,
@@ -174,10 +177,10 @@ impl RequestManager {
             alerts,
             sessions,
             security,
-            clock,
+            clock: telemetry.clock().clone(),
             record_history: AtomicBool::new(record_history),
-            stats: RequestStats::default(),
-            telemetry,
+            stats: RequestStats::new(telemetry.registry()),
+            telemetry: telemetry.clone(),
             singleflight: SingleFlight::new(),
             coalesce_identical: AtomicBool::new(true),
             default_deadline_ms: AtomicU64::new(0),
@@ -219,59 +222,50 @@ impl RequestManager {
         Ok(request.identity.clone().unwrap_or_else(Identity::anonymous))
     }
 
-    /// Handle one client request (the Fig 3 entry point). When telemetry
-    /// is attached, the whole request is traced (ACIL receipt through
-    /// driver execution and GLUE translation) and its virtual latency
-    /// recorded. A request carrying a [`gridrm_telemetry::TraceContext`]
-    /// joins that trace as a child span instead of starting a new root.
+    /// Handle one client request (the Fig 3 entry point). The whole
+    /// request is traced (ACIL receipt through driver execution and GLUE
+    /// translation) and its virtual latency recorded. A request carrying
+    /// a [`gridrm_telemetry::TraceContext`] joins that trace as a child
+    /// span instead of starting a new root.
     pub fn handle(&self, request: &ClientRequest) -> DbcResult<ClientResponse> {
-        let mut span = self.telemetry.as_ref().map(|t| {
-            let mut s = request.open_span(t);
-            s.stage(Stage::Acil);
-            s
-        });
+        let mut span = request.open_span(&self.telemetry);
+        span.stage(Stage::Acil);
         let started_ms = self.clock.now_millis();
         let result = self.handle_inner(request, &mut span);
-        if let Some(t) = &self.telemetry {
-            let elapsed = self.clock.now_millis().saturating_sub(started_ms);
-            t.registry()
-                .histogram(
-                    "gridrm_request_latency_ms",
-                    "End-to-end client request latency in virtual milliseconds",
-                    Labels::none(),
-                    gridrm_telemetry::DEFAULT_LATENCY_BUCKETS_MS,
-                )
-                .observe(elapsed as f64);
-        }
-        if let Some(mut s) = span {
-            // The rows this request ships back to its caller — cache
-            // hits and coalesced shares included — are a direct charge
-            // on the request span; driver-side work (rows scanned,
-            // fetch units) rolls up from the execute child spans.
-            if let Ok(resp) = &result {
-                s.add_cost(&CostVector {
-                    rows_returned: resp.rows.len() as u64,
-                    ..CostVector::default()
-                });
-            }
-            s.finish(match &result {
-                Ok(_) => "ok",
-                Err(SqlError::Security(_)) => "denied",
-                Err(_) => "error",
+        self.telemetry
+            .registry()
+            .histogram(
+                "gridrm_request_latency_ms",
+                "End-to-end client request latency in virtual milliseconds",
+                Labels::none(),
+                gridrm_telemetry::DEFAULT_LATENCY_BUCKETS_MS,
+            )
+            .observe(self.clock.now_millis().saturating_sub(started_ms) as f64);
+        // The rows this request ships back to its caller — cache hits and
+        // coalesced shares included — are a direct charge on the request
+        // span; driver-side work (rows scanned, fetch units) rolls up
+        // from the execute child spans.
+        if let Ok(resp) = &result {
+            span.add_cost(&CostVector {
+                rows_returned: resp.rows.len() as u64,
+                ..CostVector::default()
             });
         }
+        span.finish(match &result {
+            Ok(_) => "ok",
+            Err(SqlError::Security(_)) => "denied",
+            Err(_) => "error",
+        });
         result
     }
 
     fn handle_inner(
         &self,
         request: &ClientRequest,
-        span: &mut Option<SpanBuilder>,
+        span: &mut SpanBuilder,
     ) -> DbcResult<ClientResponse> {
         self.stats.requests.inc();
-        if let Some(s) = span.as_mut() {
-            s.stage(Stage::Handle);
-        }
+        span.stage(Stage::Handle);
         let identity = self.resolve_identity(request)?;
 
         // Clients may only SELECT; writes to the historical store go
@@ -368,29 +362,25 @@ impl RequestManager {
                 // Cache path (§4).
                 if let QueryMode::Cached { max_age_ms } = request.mode {
                     let hit = self.cache.lookup(source, sql, now, max_age_ms);
-                    if let Some(s) = span.as_mut() {
-                        s.stage_with(
-                            Stage::CacheLookup,
-                            if hit.is_some() { "hit" } else { "miss" },
-                        );
-                    }
+                    span.stage_with(
+                        Stage::CacheLookup,
+                        if hit.is_some() { "hit" } else { "miss" },
+                    );
                     if let Some(hit) = hit {
                         self.stats.cache_served.inc();
                         // The cache serving a last-known-state result is an
                         // operational fact worth journalling (§4): the client
                         // got an answer without the source being consulted.
-                        if let Some(t) = &self.telemetry {
-                            t.journal().record_traced(
-                                now,
-                                JournalSeverity::Info,
-                                KIND_CACHE_SERVE,
-                                source,
-                                None,
-                                Some("cache_lookup"),
-                                "served last known state from cache",
-                                span.as_ref().map(|s| s.trace_id()),
-                            );
-                        }
+                        self.telemetry.journal().record_traced(
+                            now,
+                            JournalSeverity::Info,
+                            KIND_CACHE_SERVE,
+                            source,
+                            None,
+                            Some("cache_lookup"),
+                            "served last known state from cache",
+                            Some(span.trace_id()),
+                        );
                         let elapsed = self.clock.now_millis().saturating_sub(src_started);
                         append(
                             &mut consolidated,
@@ -411,9 +401,7 @@ impl RequestManager {
                     Ok(u) => u,
                     Err(e) => return failure(OutcomeStatus::Error, 0, &e.to_string(), e),
                 };
-                if let Some(s) = span.as_mut() {
-                    s.source(source);
-                }
+                span.source(source);
                 // Single-flight: identical concurrent fetches share one
                 // driver execution and one cache fill. The first caller in
                 // (the leader) runs the closure; overlapping identical
@@ -422,18 +410,16 @@ impl RequestManager {
                     self.singleflight
                         .execute((source.clone(), sql.to_owned()), || {
                             self.stats.realtime_fetches.inc();
-                            self.connections.execute_traced(&url, sql, span.as_mut())
+                            self.connections.execute_traced(&url, sql, Some(&mut *span))
                         })
                 } else {
                     self.stats.realtime_fetches.inc();
-                    let fetched = self.connections.execute_traced(&url, sql, span.as_mut());
+                    let fetched = self.connections.execute_traced(&url, sql, Some(&mut *span));
                     (fetched, false)
                 };
                 if coalesced {
                     self.stats.coalesced_hits.inc();
-                    if let Some(s) = span.as_mut() {
-                        s.stage_with(Stage::Coalesce, "shared");
-                    }
+                    span.stage_with(Stage::Coalesce, "shared");
                 }
                 let elapsed = self.clock.now_millis().saturating_sub(src_started);
                 let rows = match result {

@@ -156,9 +156,9 @@ pub struct SubscriptionSnapshot {
     pub created_ms: u64,
 }
 
-/// Streaming-plane counters. Shared telemetry cells, exposable via
-/// [`StreamStats::register_into`].
-#[derive(Debug, Default)]
+/// Streaming-plane counters, registered as `gridrm_sub_deltas_total` and
+/// `gridrm_sub_dropped_total{policy=…}`; `evaluations` is not exposed.
+#[derive(Debug)]
 pub struct StreamStats {
     /// Deltas emitted into subscriber buffers (one per subscriber per
     /// changed evaluation).
@@ -176,26 +176,27 @@ pub struct StreamStats {
 }
 
 impl StreamStats {
-    /// Expose the subscription counters in a metrics registry.
-    pub fn register_into(&self, registry: &Registry) {
-        registry.expose_counter(
-            "gridrm_sub_deltas_total",
-            "Continuous-query deltas emitted into subscriber buffers",
-            Labels::none(),
-            &self.deltas,
+    fn new(registry: &Registry) -> StreamStats {
+        let [dropped_oldest, dropped_newest, dropped_coalesced] = registry.counters(
+            "gridrm_sub_dropped_total",
+            "Deltas lost or merged away by subscriber backpressure",
+            "policy",
+            [
+                BackpressurePolicy::DropOldest.name(),
+                BackpressurePolicy::DropNewest.name(),
+                BackpressurePolicy::Coalesce.name(),
+            ],
         );
-        let series = [
-            ("drop_oldest", &self.dropped_oldest),
-            ("drop_newest", &self.dropped_newest),
-            ("coalesce", &self.dropped_coalesced),
-        ];
-        for (policy, counter) in series {
-            registry.expose_counter(
-                "gridrm_sub_dropped_total",
-                "Deltas lost or merged away by subscriber backpressure",
-                Labels::from_pairs(&[("policy", policy)]),
-                counter,
-            );
+        StreamStats {
+            deltas: registry.counter(
+                "gridrm_sub_deltas_total",
+                "Continuous-query deltas emitted into subscriber buffers",
+                Labels::none(),
+            ),
+            dropped_oldest,
+            dropped_newest,
+            dropped_coalesced,
+            evaluations: Counter::new(),
         }
     }
 
@@ -270,51 +271,39 @@ pub struct StreamManager {
     origin: String,
     stats: StreamStats,
     /// Delivery lag (poll time minus emit time), virtual ms.
-    lag: Option<Histogram>,
+    lag: Histogram,
     /// Live subscriber count.
-    active: Option<Gauge>,
-    telemetry: Option<GatewayTelemetry>,
+    active: Gauge,
+    telemetry: GatewayTelemetry,
 }
 
 impl StreamManager {
-    /// Build the manager and (when telemetry is attached) register the
-    /// streaming metric families eagerly, so they are visible before
-    /// the first subscription.
+    /// Build the manager and register the streaming metric families
+    /// eagerly, so they are visible before the first subscription.
     pub fn new(
         settings: StreamSettings,
         origin: String,
-        telemetry: Option<GatewayTelemetry>,
+        telemetry: &GatewayTelemetry,
     ) -> StreamManager {
-        let stats = StreamStats::default();
-        let (lag, active) = match &telemetry {
-            Some(t) => {
-                let registry = t.registry();
-                stats.register_into(registry);
-                (
-                    Some(registry.histogram(
-                        "gridrm_sub_lag_ms",
-                        "Delta delivery lag: poll time minus emit time, virtual ms",
-                        Labels::none(),
-                        DEFAULT_LATENCY_BUCKETS_MS,
-                    )),
-                    Some(registry.gauge(
-                        "gridrm_subscriptions_active",
-                        "Registered continuous-query subscribers",
-                        Labels::none(),
-                    )),
-                )
-            }
-            None => (None, None),
-        };
+        let registry = telemetry.registry();
         StreamManager {
             inner: Mutex::new(Inner::default()),
             next_id: AtomicU64::new(1),
             settings,
             origin,
-            stats,
-            lag,
-            active,
-            telemetry,
+            stats: StreamStats::new(registry),
+            lag: registry.histogram(
+                "gridrm_sub_lag_ms",
+                "Delta delivery lag: poll time minus emit time, virtual ms",
+                Labels::none(),
+                DEFAULT_LATENCY_BUCKETS_MS,
+            ),
+            active: registry.gauge(
+                "gridrm_subscriptions_active",
+                "Registered continuous-query subscribers",
+                Labels::none(),
+            ),
+            telemetry: telemetry.clone(),
         }
     }
 
@@ -440,25 +429,21 @@ impl StreamManager {
                 self.stats.deltas.inc();
             }
             inner.subs.insert(id, sub);
-            if let Some(g) = &self.active {
-                g.set(inner.subs.len() as f64);
-            }
+            self.active.set(inner.subs.len() as f64);
             id
         };
-        if let Some(t) = &self.telemetry {
-            t.journal().record(
-                now,
-                JournalSeverity::Info,
-                KIND_STREAM,
-                &spec.request.sources.join(","),
-                None,
-                Some("subscribe"),
-                &format!(
-                    "subscription {id} registered (every {every} ms, {})",
-                    policy.name()
-                ),
-            );
-        }
+        self.telemetry.journal().record(
+            now,
+            JournalSeverity::Info,
+            KIND_STREAM,
+            &spec.request.sources.join(","),
+            None,
+            Some("subscribe"),
+            &format!(
+                "subscription {id} registered (every {every} ms, {})",
+                policy.name()
+            ),
+        );
         Ok(id)
     }
 
@@ -476,22 +461,18 @@ impl StreamManager {
                     inner.queries.remove(&sub.key);
                 }
             }
-            if let Some(g) = &self.active {
-                g.set(inner.subs.len() as f64);
-            }
+            self.active.set(inner.subs.len() as f64);
             true
         };
-        if let Some(t) = &self.telemetry {
-            t.journal().record(
-                now,
-                JournalSeverity::Info,
-                KIND_STREAM,
-                "",
-                None,
-                Some("subscribe"),
-                &format!("subscription {id} cancelled"),
-            );
-        }
+        self.telemetry.journal().record(
+            now,
+            JournalSeverity::Info,
+            KIND_STREAM,
+            "",
+            None,
+            Some("subscribe"),
+            &format!("subscription {id} cancelled"),
+        );
         existed
     }
 
@@ -584,17 +565,15 @@ impl StreamManager {
             let rows = match outcome {
                 Ok(rows) => rows,
                 Err(e) => {
-                    if let Some(t) = &self.telemetry {
-                        t.journal().record(
-                            now,
-                            JournalSeverity::Warning,
-                            KIND_STREAM,
-                            &q.request.sources.join(","),
-                            None,
-                            Some("delta"),
-                            &format!("standing query evaluation failed: {e}"),
-                        );
-                    }
+                    self.telemetry.journal().record(
+                        now,
+                        JournalSeverity::Warning,
+                        KIND_STREAM,
+                        &q.request.sources.join(","),
+                        None,
+                        Some("delta"),
+                        &format!("standing query evaluation failed: {e}"),
+                    );
                     continue;
                 }
             };
@@ -669,9 +648,7 @@ impl StreamManager {
         for _ in 0..take {
             if let Some(d) = sub.buffer.pop_front() {
                 sub.delivered += 1;
-                if let Some(h) = &self.lag {
-                    h.observe(now.saturating_sub(d.emitted_ms) as f64);
-                }
+                self.lag.observe(now.saturating_sub(d.emitted_ms) as f64);
                 // Each delivered delta is one message's worth of rows
                 // shipped to a subscriber: subscription traffic the
                 // local site endures.
@@ -680,12 +657,10 @@ impl StreamManager {
                 out.push(d);
             }
         }
-        if let Some(t) = &self.telemetry {
-            if !out.is_empty() {
-                let costs = t.costs();
-                costs.count(&cost);
-                costs.intrude(&t.site(), IntrusionCause::Subscription, &cost);
-            }
+        if !out.is_empty() {
+            let costs = self.telemetry.costs();
+            costs.count(&cost);
+            costs.intrude(&self.telemetry.site(), IntrusionCause::Subscription, &cost);
         }
         Ok(out)
     }
@@ -744,8 +719,12 @@ mod tests {
         }
     }
 
+    fn telemetry() -> GatewayTelemetry {
+        GatewayTelemetry::new(gridrm_simnet::SimClock::new())
+    }
+
     fn manager() -> StreamManager {
-        StreamManager::new(settings(), "local:test".into(), None)
+        StreamManager::new(settings(), "local:test".into(), &telemetry())
     }
 
     fn spec(sql: &str) -> SubscribeSpec {
@@ -907,7 +886,7 @@ mod tests {
     fn subscriber_cap_is_enforced() {
         let mut st = settings();
         st.max_subscribers = 2;
-        let m = StreamManager::new(st, "local:test".into(), None);
+        let m = StreamManager::new(st, "local:test".into(), &telemetry());
         m.subscribe(&spec("SELECT * FROM Processor EVERY 10"), 0)
             .unwrap();
         m.subscribe(&spec("SELECT * FROM Processor EVERY 10"), 0)

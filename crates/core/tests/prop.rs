@@ -7,7 +7,9 @@ use gridrm_core::events::{EventManager, GridRMEvent, ListenerFilter, Severity};
 use gridrm_core::security::Identity;
 use gridrm_core::session::SessionManager;
 use gridrm_dbc::{ColumnMeta, ResultSetMetaData, RowSet};
+use gridrm_simnet::SimClock;
 use gridrm_sqlparse::{SqlType, SqlValue};
+use gridrm_telemetry::{GatewayTelemetry, Registry};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -43,7 +45,7 @@ proptest! {
         capacity in 1usize..64,
         min_sev in arb_severity(),
     ) {
-        let manager = EventManager::new(capacity);
+        let manager = EventManager::new(capacity, &GatewayTelemetry::new(SimClock::new()));
         let (_, all_rx) = manager.register_listener(ListenerFilter::default());
         let (_, sev_rx) = manager.register_listener(ListenerFilter {
             min_severity: Some(min_sev),
@@ -72,7 +74,7 @@ proptest! {
         now_delta in 0u64..100_000,
         max_age in 0u64..100_000,
     ) {
-        let cache = CacheController::new(10_000);
+        let cache = CacheController::new(10_000, &Registry::new());
         let rows = Arc::new(RowSet::empty(ResultSetMetaData::new(vec![ColumnMeta::new(
             "x",
             SqlType::Int,

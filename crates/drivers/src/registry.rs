@@ -57,8 +57,8 @@ pub fn install_into_gateway(gateway: &gridrm_core::Gateway) -> Arc<DriverEnv> {
         .register(crate::TelemetryDriver::new(
             env.clone(),
             gateway.telemetry().clone(),
-            Some(gateway.health().clone()),
-            Some(gateway.streams().clone()),
+            gateway.health().clone(),
+            gateway.streams().clone(),
         ));
     install_standard_formatters(gateway.events());
     env
@@ -179,21 +179,22 @@ mod tests {
     #[test]
     fn kit_conformance_across_every_driver() {
         use crate::telemetry::TelemetryDriver;
+        use gridrm_core::{Gateway, GatewayConfig};
         use gridrm_dbc::SqlError;
         use gridrm_glue::{AttributeDef, GroupDef};
         use gridrm_sqlparse::SqlType;
-        use gridrm_telemetry::GatewayTelemetry;
 
         let (env, dm) = setup();
         env.store("history")
             .unwrap()
             .execute_sql("CREATE TABLE t (a INTEGER)", 0)
             .unwrap();
+        let gateway = Gateway::new(GatewayConfig::new("gw-kit", "r"), env.network.clone());
         dm.register(TelemetryDriver::new(
             env.clone(),
-            GatewayTelemetry::new(env.clock.clone()),
-            None,
-            None,
+            gateway.telemetry().clone(),
+            gateway.health().clone(),
+            gateway.streams().clone(),
         ));
         // (url, a SELECT the driver answers, a table of its own it can lose)
         let cases = [

@@ -39,19 +39,18 @@ pub type TelemetryDriver = KitDriver<Telemetry>;
 /// The telemetry [`Source`]: the gateway subsystems the tables read.
 pub struct Telemetry {
     telemetry: GatewayTelemetry,
-    health: Option<Arc<HealthMonitor>>,
-    streams: Option<Arc<StreamManager>>,
+    health: Arc<HealthMonitor>,
+    streams: Arc<StreamManager>,
 }
 
 impl TelemetryDriver {
-    /// Create the driver over a gateway's telemetry hub. Without a
-    /// health monitor `gridrm_health` is served empty, without a stream
-    /// manager `gridrm_subscriptions` is.
+    /// Create the driver over a gateway's telemetry hub, health monitor
+    /// and stream manager.
     pub fn new(
         env: Arc<DriverEnv>,
         telemetry: GatewayTelemetry,
-        health: Option<Arc<HealthMonitor>>,
-        streams: Option<Arc<StreamManager>>,
+        health: Arc<HealthMonitor>,
+        streams: Arc<StreamManager>,
     ) -> Arc<TelemetryDriver> {
         KitDriver::with_source(
             env,
@@ -131,10 +130,10 @@ pub static TABLES: &[VirtualTable] = &[
         }
     ),
     // One row per tracked data source, straight from the health monitor's
-    // state machine. Served empty when no monitor is attached.
+    // state machine.
     virtual_table!(
         "gridrm_health",
-        |t, _| t.health.as_ref().map(|h| h.snapshot()).unwrap_or_default(),
+        |t, _| t.health.snapshot(),
         |s| {
             source: Str = s.source,
             state: Str = s.state.name(),
@@ -242,10 +241,9 @@ pub static TABLES: &[VirtualTable] = &[
         }
     ),
     // One row per live continuous-query subscription, ordered by id.
-    // Served empty when no stream manager is attached.
     virtual_table!(
         "gridrm_subscriptions",
-        |t, _| t.streams.as_ref().map(|s| s.snapshot()).unwrap_or_default(),
+        |t, _| t.streams.snapshot(),
         |s| {
             id: Int = s.id,
             origin: Str = s.origin,
@@ -373,26 +371,50 @@ impl Source for Telemetry {
 mod tests {
     use super::*;
     use crate::base::DriverEnv;
+    use gridrm_core::health::HealthConfig;
+    use gridrm_core::stream::{BackpressurePolicy, StreamSettings};
     use gridrm_dbc::RowSet;
     use gridrm_dbc::{Driver, JdbcUrl, Properties};
     use gridrm_simnet::SimClock;
     use gridrm_telemetry::{Labels, Stage};
     use std::sync::Arc;
 
-    fn driver_over(
-        telemetry: GatewayTelemetry,
-        health: Option<Arc<HealthMonitor>>,
-        streams: Option<Arc<StreamManager>>,
+    fn health(telemetry: &GatewayTelemetry) -> Arc<HealthMonitor> {
+        Arc::new(HealthMonitor::new(HealthConfig::default(), telemetry))
+    }
+
+    fn streams(telemetry: &GatewayTelemetry) -> Arc<StreamManager> {
+        let settings = StreamSettings {
+            buffer_capacity: 4,
+            backpressure: BackpressurePolicy::DropOldest,
+            min_every_ms: 1,
+            max_subscribers: 0,
+        };
+        Arc::new(StreamManager::new(
+            settings,
+            "local:test".to_owned(),
+            telemetry,
+        ))
+    }
+
+    fn driver_with(
+        telemetry: &GatewayTelemetry,
+        health: Arc<HealthMonitor>,
+        streams: Arc<StreamManager>,
     ) -> Arc<TelemetryDriver> {
         let net = gridrm_simnet::Network::new(telemetry.clock().clone(), 1);
         let schema = Arc::new(gridrm_glue::SchemaManager::new());
         let env = DriverEnv::new(net, schema, "gw");
-        TelemetryDriver::new(env, telemetry, health, streams)
+        TelemetryDriver::new(env, telemetry.clone(), health, streams)
+    }
+
+    fn driver_over(telemetry: &GatewayTelemetry) -> Arc<TelemetryDriver> {
+        driver_with(telemetry, health(telemetry), streams(telemetry))
     }
 
     fn driver() -> (GatewayTelemetry, Arc<TelemetryDriver>) {
         let telemetry = GatewayTelemetry::new(SimClock::new());
-        let d = driver_over(telemetry.clone(), None, None);
+        let d = driver_over(&telemetry);
         (telemetry, d)
     }
 
@@ -464,14 +486,10 @@ mod tests {
 
     #[test]
     fn health_table_reflects_monitor_state() {
-        use gridrm_core::health::HealthConfig;
         let telemetry = GatewayTelemetry::new(SimClock::new());
-        let monitor = Arc::new(HealthMonitor::new(
-            HealthConfig::default(),
-            telemetry.journal().clone(),
-        ));
+        let monitor = health(&telemetry);
         monitor.record_failure("jdbc:snmp://n/p", Some("jdbc-snmp"), "timed out", 5);
-        let d = driver_over(telemetry, Some(monitor), None);
+        let d = driver_with(&telemetry, monitor, streams(&telemetry));
         let rs = query(
             &d,
             "SELECT source, state, consecutive_failures, last_failed_driver \
@@ -482,13 +500,6 @@ mod tests {
         assert_eq!(rs.rows()[0][1], SqlValue::Str("degraded".into()));
         assert_eq!(rs.rows()[0][2], SqlValue::Int(1));
         assert_eq!(rs.rows()[0][3], SqlValue::Str("jdbc-snmp".into()));
-    }
-
-    #[test]
-    fn health_table_empty_without_monitor() {
-        let (_t, d) = driver();
-        let rs = query(&d, "SELECT * FROM gridrm_health").unwrap();
-        assert_eq!(rs.len(), 0);
     }
 
     #[test]
@@ -530,7 +541,7 @@ mod tests {
         clock.advance(40);
         span.stage_with(Stage::DriverExecute, "jdbc-snmp");
         span.finish("ok");
-        let d = driver_over(telemetry, None, None);
+        let d = driver_over(&telemetry);
         let rs = query(
             &d,
             "SELECT duration_ms, outcome, stages FROM gridrm_slow_queries",
@@ -682,19 +693,10 @@ mod tests {
     #[test]
     fn subscriptions_table_reflects_live_subscribers() {
         use gridrm_core::acil::ClientRequest;
-        use gridrm_core::stream::{BackpressurePolicy, StreamSettings, SubscribeSpec};
+        use gridrm_core::stream::SubscribeSpec;
         use gridrm_dbc::{ColumnMeta, ResultSetMetaData};
         let telemetry = GatewayTelemetry::new(SimClock::new());
-        let streams = Arc::new(StreamManager::new(
-            StreamSettings {
-                buffer_capacity: 4,
-                backpressure: BackpressurePolicy::DropOldest,
-                min_every_ms: 1,
-                max_subscribers: 0,
-            },
-            "local:test".to_owned(),
-            None,
-        ));
+        let streams = streams(&telemetry);
         let spec = SubscribeSpec {
             request: ClientRequest::builder("SELECT Load1 FROM Processor EVERY 250")
                 .sources(&["jdbc:snmp://n1.siteA/public"])
@@ -710,7 +712,7 @@ mod tests {
                 vec![vec![SqlValue::Float(0.5)]],
             )
         });
-        let d = driver_over(telemetry, None, Some(streams));
+        let d = driver_with(&telemetry, health(&telemetry), streams);
         let rs = query(
             &d,
             "SELECT id, sql, every_ms, policy, pending, emitted FROM gridrm_subscriptions",
@@ -726,13 +728,6 @@ mod tests {
         assert_eq!(rs.rows()[0][3], SqlValue::Str("coalesce".into()));
         assert_eq!(rs.rows()[0][4], SqlValue::Int(1));
         assert_eq!(rs.rows()[0][5], SqlValue::Int(1));
-    }
-
-    #[test]
-    fn subscriptions_table_empty_without_manager() {
-        let (_t, d) = driver();
-        let rs = query(&d, "SELECT * FROM gridrm_subscriptions").unwrap();
-        assert_eq!(rs.len(), 0);
     }
 
     #[test]

@@ -19,10 +19,11 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
-/// Global-layer counters (experiments E1/E12). Shared telemetry cells:
-/// also exposable in a gateway-wide [`Registry`] via
-/// [`GlobalStats::register_into`].
-#[derive(Debug, Default)]
+/// Global-layer counters (experiments E1/E12), registered in the
+/// gateway's registry as `gridrm_global_messages_total{kind=…}` and
+/// `gridrm_global_segments_total{outcome=…}`. The counts are per
+/// gateway: every layer attached to one gateway shares these cells.
+#[derive(Debug)]
 pub struct GlobalStats {
     /// Remote queries this gateway sent out.
     pub remote_queries_out: Counter,
@@ -60,6 +61,30 @@ pub struct GlobalSnapshot {
 }
 
 impl GlobalStats {
+    fn new(registry: &Registry) -> GlobalStats {
+        let [remote_queries_out, remote_queries_in, events_out, events_in] = registry.counters(
+            "gridrm_global_messages_total",
+            "Inter-gateway Global-layer messages by kind and direction",
+            "kind",
+            ["query_out", "query_in", "event_out", "event_in"],
+        );
+        let [segments_ok, segments_error, segments_deadline_exceeded] = registry.counters(
+            "gridrm_global_segments_total",
+            "Global-layer fan-out segments by outcome",
+            "outcome",
+            ["ok", "error", "deadline_exceeded"],
+        );
+        GlobalStats {
+            remote_queries_out,
+            remote_queries_in,
+            events_out,
+            events_in,
+            segments_ok,
+            segments_error,
+            segments_deadline_exceeded,
+        }
+    }
+
     /// Point-in-time copy of all counters.
     pub fn snapshot(&self) -> GlobalSnapshot {
         GlobalSnapshot {
@@ -70,38 +95,6 @@ impl GlobalStats {
             segments_ok: self.segments_ok.get(),
             segments_error: self.segments_error.get(),
             segments_deadline_exceeded: self.segments_deadline_exceeded.get(),
-        }
-    }
-
-    /// Expose these counters in a metrics registry (shared cells: the
-    /// struct and the registry observe the same values).
-    pub fn register_into(&self, registry: &Registry) {
-        let series = [
-            ("query_out", &self.remote_queries_out),
-            ("query_in", &self.remote_queries_in),
-            ("event_out", &self.events_out),
-            ("event_in", &self.events_in),
-        ];
-        for (kind, counter) in series {
-            registry.expose_counter(
-                "gridrm_global_messages_total",
-                "Inter-gateway Global-layer messages by kind and direction",
-                Labels::from_pairs(&[("kind", kind)]),
-                counter,
-            );
-        }
-        let segments = [
-            ("ok", &self.segments_ok),
-            ("error", &self.segments_error),
-            ("deadline_exceeded", &self.segments_deadline_exceeded),
-        ];
-        for (outcome, counter) in segments {
-            registry.expose_counter(
-                "gridrm_global_segments_total",
-                "Global-layer fan-out segments by outcome",
-                Labels::from_pairs(&[("outcome", outcome)]),
-                counter,
-            );
         }
     }
 }
@@ -269,20 +262,18 @@ impl GlobalLayer {
             gma_address: gma_address.clone(),
             host_suffixes: vec![format!(".{}", config.site)],
         });
+        // Global-layer traffic shows up in the gateway's own registry.
+        let stats = GlobalStats::new(gateway.telemetry().registry());
         let layer = Arc::new_cyclic(|this: &Weak<GlobalLayer>| GlobalLayer {
             gateway,
             directory,
             transport: transport.clone(),
             gma_address: gma_address.clone(),
-            stats: GlobalStats::default(),
+            stats,
             parallel: AtomicBool::new(config.fanout_parallel),
             this: this.clone(),
         });
         transport.serve(&gma_address, layer.wire_service());
-        // Global-layer traffic shows up in the gateway's own registry.
-        layer
-            .stats
-            .register_into(layer.gateway.telemetry().registry());
         layer
     }
 

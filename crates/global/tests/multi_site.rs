@@ -79,6 +79,31 @@ fn remote_query_routed_to_owning_gateway() {
     );
 }
 
+/// A second Global layer attached to an already attached gateway counts
+/// into the same cells the gateway's `/v1/metrics` reads.
+#[test]
+fn a_reattached_layer_counts_where_the_registry_reads() {
+    let g = grid(&["alpha", "beta"]);
+    let alpha = &g.sites[0].gateway;
+    let second = GlobalLayer::attach(alpha.clone(), g.directory.clone());
+    second
+        .query(&ClientRequest::realtime(
+            "jdbc:snmp://node01.beta/public",
+            "SELECT Hostname FROM Processor",
+        ))
+        .unwrap();
+    let live = second.stats().remote_queries_out.get();
+    let exposed = alpha
+        .telemetry()
+        .registry()
+        .family_values("gridrm_global_messages_total")
+        .into_iter()
+        .find_map(|(labels, value)| (labels == "kind=\"query_out\"").then_some(value))
+        .expect("query_out series");
+    assert_eq!(live, 1);
+    assert_eq!(exposed, live as f64, "registry {exposed}, live {live}");
+}
+
 #[test]
 fn mixed_local_and_remote_sources_consolidated() {
     let g = grid(&["alpha", "beta", "gamma"]);

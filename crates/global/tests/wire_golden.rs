@@ -11,8 +11,9 @@ use gridrm_core::acil::{OutcomeStatus, SourceOutcome};
 use gridrm_core::admin::{AdminInterface, DataSourceConfig};
 use gridrm_core::events::{GridRMEvent, Severity};
 use gridrm_core::stream::BackpressurePolicy;
-use gridrm_core::{CacheController, FailurePolicy, GatewayConfig, GridRMDriverManager};
+use gridrm_core::{FailurePolicy, Gateway, GatewayConfig};
 use gridrm_global::{GlobalRequest, GlobalResponse, WireDelta, WireFrame, WireIdentity, WireRows};
+use gridrm_simnet::{Network, SimClock};
 use gridrm_sqlparse::{SqlType, SqlValue};
 use gridrm_telemetry::{CostVector, SloObjective, SloSpec, SpanStage, TraceContext, TraceRecord};
 use serde::{Deserialize, Serialize};
@@ -296,11 +297,11 @@ fn corpus() -> Vec<Box<dyn Golden>> {
     ]
 }
 
-fn admin() -> AdminInterface {
-    AdminInterface::new(
-        Arc::new(GridRMDriverManager::new()),
-        Arc::new(CacheController::new(5_000)),
-    )
+fn admin() -> Arc<AdminInterface> {
+    let network = Network::new(SimClock::new(), 1);
+    Gateway::new(GatewayConfig::new("gw-golden", "golden"), network)
+        .admin()
+        .clone()
 }
 
 #[test]

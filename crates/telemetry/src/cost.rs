@@ -189,7 +189,7 @@ pub struct IntrusionRow {
 }
 
 /// Per-cause intrusion counter cells (messages + bytes).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct CauseCells {
     msgs: Counter,
     bytes: Counter,
@@ -234,8 +234,47 @@ pub struct CostLedger {
 }
 
 impl CostLedger {
-    /// Ledger over the gateway clock and journal, default capacities.
-    pub fn new(clock: Arc<SimClock>, journal: Arc<Journal>) -> CostLedger {
+    /// Ledger over the gateway clock and journal, default capacities,
+    /// its `gridrm_cost_*` / `gridrm_intrusion_*` counters created in
+    /// `registry`.
+    pub fn new(clock: Arc<SimClock>, journal: Arc<Journal>, registry: &Registry) -> CostLedger {
+        let [msgs_out, msgs_in] = registry.counters(
+            "gridrm_cost_msgs_total",
+            "Wire messages attributed by the cost ledger, by direction",
+            "dir",
+            ["out", "in"],
+        );
+        let [bytes_out, bytes_in] = registry.counters(
+            "gridrm_cost_bytes_total",
+            "Wire bytes attributed by the cost ledger, by direction",
+            "dir",
+            ["out", "in"],
+        );
+        let [rows_scanned, rows_returned] = registry.counters(
+            "gridrm_cost_rows_total",
+            "Rows attributed by the cost ledger: driver-materialised (scanned) vs client-shipped (returned)",
+            "kind",
+            ["scanned", "returned"],
+        );
+        let cause_cells = IntrusionCause::all()
+            .into_iter()
+            .map(|cause| {
+                let labels = || Labels::from_pairs(&[("cause", cause.name())]);
+                let cells = CauseCells {
+                    msgs: registry.counter(
+                        "gridrm_intrusion_msgs_total",
+                        "Messages imposed on Grid sites, by cause",
+                        labels(),
+                    ),
+                    bytes: registry.counter(
+                        "gridrm_intrusion_bytes_total",
+                        "Bytes imposed on Grid sites, by cause",
+                        labels(),
+                    ),
+                };
+                (cause.name(), cells)
+            })
+            .collect();
         CostLedger {
             clock,
             journal,
@@ -246,81 +285,23 @@ impl CostLedger {
             intrusion: Mutex::new(BTreeMap::new()),
             budget_bytes: AtomicU64::new(0),
             budget_rows: AtomicU64::new(0),
-            msgs_out: Counter::new(),
-            msgs_in: Counter::new(),
-            bytes_out: Counter::new(),
-            bytes_in: Counter::new(),
-            rows_scanned: Counter::new(),
-            rows_returned: Counter::new(),
-            fetch_units: Counter::new(),
-            drops: Counter::new(),
-            cause_cells: IntrusionCause::all()
-                .into_iter()
-                .map(|c| (c.name(), CauseCells::default()))
-                .collect(),
-        }
-    }
-
-    /// Expose the ledger's shared counter cells in a metrics registry.
-    /// Registered unconditionally at hub construction so the
-    /// `gridrm_cost_*` / `gridrm_intrusion_*` families always exist.
-    pub fn register_into(&self, registry: &Registry) {
-        let dirs = [("out", &self.msgs_out), ("in", &self.msgs_in)];
-        for (dir, counter) in dirs {
-            registry.expose_counter(
-                "gridrm_cost_msgs_total",
-                "Wire messages attributed by the cost ledger, by direction",
-                Labels::from_pairs(&[("dir", dir)]),
-                counter,
-            );
-        }
-        let dirs = [("out", &self.bytes_out), ("in", &self.bytes_in)];
-        for (dir, counter) in dirs {
-            registry.expose_counter(
-                "gridrm_cost_bytes_total",
-                "Wire bytes attributed by the cost ledger, by direction",
-                Labels::from_pairs(&[("dir", dir)]),
-                counter,
-            );
-        }
-        let kinds = [
-            ("scanned", &self.rows_scanned),
-            ("returned", &self.rows_returned),
-        ];
-        for (kind, counter) in kinds {
-            registry.expose_counter(
-                "gridrm_cost_rows_total",
-                "Rows attributed by the cost ledger: driver-materialised (scanned) vs client-shipped (returned)",
-                Labels::from_pairs(&[("kind", kind)]),
-                counter,
-            );
-        }
-        registry.expose_counter(
-            "gridrm_cost_fetch_units_total",
-            "Native driver fetches attributed by the cost ledger",
-            Labels::none(),
-            &self.fetch_units,
-        );
-        registry.expose_counter(
-            "gridrm_cost_drops_total",
-            "Cost-ledger records evicted (pending roll-ups or completed entries) before being read",
-            Labels::none(),
-            &self.drops,
-        );
-        for cause in IntrusionCause::all() {
-            let cells = &self.cause_cells[cause.name()];
-            registry.expose_counter(
-                "gridrm_intrusion_msgs_total",
-                "Messages imposed on Grid sites, by cause",
-                Labels::from_pairs(&[("cause", cause.name())]),
-                &cells.msgs,
-            );
-            registry.expose_counter(
-                "gridrm_intrusion_bytes_total",
-                "Bytes imposed on Grid sites, by cause",
-                Labels::from_pairs(&[("cause", cause.name())]),
-                &cells.bytes,
-            );
+            msgs_out,
+            msgs_in,
+            bytes_out,
+            bytes_in,
+            rows_scanned,
+            rows_returned,
+            fetch_units: registry.counter(
+                "gridrm_cost_fetch_units_total",
+                "Native driver fetches attributed by the cost ledger",
+                Labels::none(),
+            ),
+            drops: registry.counter(
+                "gridrm_cost_drops_total",
+                "Cost-ledger records evicted (pending roll-ups or completed entries) before being read",
+                Labels::none(),
+            ),
+            cause_cells,
         }
     }
 
@@ -501,7 +482,12 @@ mod tests {
     use super::*;
 
     fn ledger() -> CostLedger {
-        CostLedger::new(SimClock::new(), Arc::new(Journal::new(16)))
+        ledger_at(SimClock::new())
+    }
+
+    fn ledger_at(clock: Arc<SimClock>) -> CostLedger {
+        let registry = Registry::new();
+        CostLedger::new(clock, Arc::new(Journal::new(16, &registry)), &registry)
     }
 
     fn v(bytes_out: u64, rows: u64) -> CostVector {
@@ -556,13 +542,11 @@ mod tests {
 
     #[test]
     fn note_root_journals_budget_breach() {
-        let clock = SimClock::new();
-        let journal = Arc::new(Journal::new(16));
-        let l = CostLedger::new(clock, journal.clone());
+        let l = ledger();
         l.set_budget(1_000, 0);
         assert!(!l.note_root(entry("t:1", "q1", v(500, 1)), None));
         assert!(l.note_root(entry("t:2", "q2", v(2_000, 1)), None));
-        let breaches = journal.recent_of_kind(KIND_COST_BUDGET);
+        let breaches = l.journal.recent_of_kind(KIND_COST_BUDGET);
         assert_eq!(breaches.len(), 1);
         assert_eq!(breaches[0].trace_id.as_deref(), Some("t:2"));
         let entries = l.entries();
@@ -574,7 +558,7 @@ mod tests {
     #[test]
     fn intrusion_buckets_rate_per_virtual_second() {
         let clock = SimClock::new();
-        let l = CostLedger::new(clock.clone(), Arc::new(Journal::new(4)));
+        let l = ledger_at(clock.clone());
         l.intrude("beta", IntrusionCause::Query, &v(1_000, 0));
         clock.advance(4_000);
         l.intrude("beta", IntrusionCause::Query, &v(1_000, 0));
@@ -590,9 +574,7 @@ mod tests {
 
     #[test]
     fn pending_table_is_bounded_and_flush_counts_drops() {
-        let clock = SimClock::new();
-        let journal = Arc::new(Journal::new(4));
-        let mut l = CostLedger::new(clock, journal);
+        let mut l = ledger();
         l.pending_cap = 2;
         l.roll_up("a:1", &v(1, 0));
         l.roll_up("b:1", &v(1, 0));
@@ -609,8 +591,7 @@ mod tests {
         // Satellite regression: ring evictions that happen while a
         // ledger flush is in progress must still be counted — both
         // paths hit the same shared drops cell, from different threads.
-        let clock = SimClock::new();
-        let mut l = CostLedger::new(clock, Arc::new(Journal::new(4)));
+        let mut l = ledger();
         l.entries_cap = 8;
         let l = Arc::new(l);
         std::thread::scope(|s| {

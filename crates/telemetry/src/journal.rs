@@ -100,9 +100,9 @@ pub const KIND_STREAM: &str = "stream";
 /// Kind: a query's inclusive cost exceeded the configured budget.
 pub const KIND_COST_BUDGET: &str = "cost_budget";
 
-/// Per-severity journal counters. Shared telemetry cells, exposable in a
-/// gateway-wide [`Registry`] via [`JournalStats::register_into`].
-#[derive(Debug, Default)]
+/// Per-severity journal counters, registered as
+/// `gridrm_journal_entries_total{severity=…}`.
+#[derive(Debug)]
 pub struct JournalStats {
     /// Info entries recorded.
     pub info: Counter,
@@ -113,29 +113,25 @@ pub struct JournalStats {
 }
 
 impl JournalStats {
+    fn new(registry: &Registry) -> JournalStats {
+        let [info, warning, critical] = registry.counters(
+            "gridrm_journal_entries_total",
+            "Structured journal entries recorded by severity",
+            "severity",
+            ["info", "warning", "critical"],
+        );
+        JournalStats {
+            info,
+            warning,
+            critical,
+        }
+    }
+
     fn for_severity(&self, severity: JournalSeverity) -> &Counter {
         match severity {
             JournalSeverity::Info => &self.info,
             JournalSeverity::Warning => &self.warning,
             JournalSeverity::Critical => &self.critical,
-        }
-    }
-
-    /// Expose these counters in a metrics registry (shared cells: the
-    /// struct and the registry observe the same values).
-    pub fn register_into(&self, registry: &Registry) {
-        let series = [
-            ("info", &self.info),
-            ("warning", &self.warning),
-            ("critical", &self.critical),
-        ];
-        for (severity, counter) in series {
-            registry.expose_counter(
-                "gridrm_journal_entries_total",
-                "Structured journal entries recorded by severity",
-                Labels::from_pairs(&[("severity", severity)]),
-                counter,
-            );
         }
     }
 }
@@ -156,14 +152,19 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Journal keeping at most `capacity` entries (capacity >= 1).
-    pub fn new(capacity: usize) -> Journal {
+    /// Journal keeping at most `capacity` entries (capacity >= 1), its
+    /// counters created in `registry`.
+    pub fn new(capacity: usize, registry: &Registry) -> Journal {
         Journal {
             capacity: capacity.max(1),
             ring: Mutex::new(VecDeque::new()),
             next_seq: AtomicU64::new(1),
-            stats: JournalStats::default(),
-            drops: Counter::new(),
+            stats: JournalStats::new(registry),
+            drops: registry.counter(
+                "gridrm_journal_drops_total",
+                "Journal entries evicted from the bounded ring buffer before being read",
+                Labels::none(),
+            ),
         }
     }
 
@@ -271,7 +272,7 @@ mod tests {
     use super::*;
 
     fn j(capacity: usize) -> Journal {
-        Journal::new(capacity)
+        Journal::new(capacity, &Registry::new())
     }
 
     #[test]

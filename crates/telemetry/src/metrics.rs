@@ -430,6 +430,17 @@ impl Registry {
         labels: Labels,
         make: impl FnOnce() -> Metric,
     ) -> Metric {
+        // An existing series costs a read lock and no allocation: the
+        // write lock (and the family-name copy) is only for inserting.
+        let existing = self
+            .families
+            .read()
+            .get(name)
+            .and_then(|family| family.series.get(&labels))
+            .map(Metric::duplicate);
+        if let Some(metric) = existing {
+            return metric;
+        }
         let mut families = self.families.write();
         let family = families.entry(name.to_string()).or_insert_with(|| Family {
             help: help.to_string(),
@@ -445,6 +456,19 @@ impl Registry {
             Metric::Counter(c) => c,
             other => panic!("metric `{name}` already registered as {}", other.kind()),
         }
+    }
+
+    /// Register (or fetch) one counter series per value of one label
+    /// key: `counters(name, help, "event", ["hit", "miss"])` returns the
+    /// `{event="hit"}` and `{event="miss"}` series of `name`, in order.
+    pub fn counters<const N: usize>(
+        &self,
+        name: &str,
+        help: &str,
+        key: &str,
+        values: [&str; N],
+    ) -> [Counter; N] {
+        values.map(|value| self.counter(name, help, Labels::from_pairs(&[(key, value)])))
     }
 
     /// Register (or fetch) a gauge series.
@@ -465,23 +489,6 @@ impl Registry {
             Metric::Histogram(h) => h,
             other => panic!("metric `{name}` already registered as {}", other.kind()),
         }
-    }
-
-    /// Expose an externally owned counter cell under a registry name.
-    ///
-    /// Used to retrofit pre-existing stats structs: their counter
-    /// handles keep working and the registry sees the same cell.
-    pub fn expose_counter(&self, name: &str, help: &str, labels: Labels, counter: &Counter) {
-        debug_check_metric_name(name, true);
-        let mut families = self.families.write();
-        let family = families.entry(name.to_string()).or_insert_with(|| Family {
-            help: help.to_string(),
-            series: BTreeMap::new(),
-        });
-        family
-            .series
-            .entry(labels)
-            .or_insert_with(|| Metric::Counter(counter.clone()));
     }
 
     /// Snapshot every family for JSON exposition.
@@ -739,6 +746,21 @@ mod tests {
         b.add(2);
         assert_eq!(a.get(), 3);
         assert_eq!(reg.samples()[0].value, 3.0);
+    }
+
+    #[test]
+    fn counters_register_one_series_per_label_value() {
+        let reg = Registry::new();
+        let [hits, misses] = reg.counters("gridrm_c_total", "C", "event", ["hit", "miss"]);
+        hits.add(2);
+        misses.inc();
+        assert_eq!(
+            reg.family_values("gridrm_c_total"),
+            vec![
+                ("event=\"hit\"".to_owned(), 2.0),
+                ("event=\"miss\"".to_owned(), 1.0)
+            ]
+        );
     }
 
     #[test]

@@ -316,9 +316,9 @@ struct SloRuntime {
     last_total: f64,
 }
 
-/// Fired/cleared counters, shared cells exposed as
+/// Fired/cleared counters, registered as
 /// `gridrm_slo_transitions_total{state=…}`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SloStats {
     /// Alerts that started firing.
     pub fired: Counter,
@@ -327,17 +327,14 @@ pub struct SloStats {
 }
 
 impl SloStats {
-    /// Expose these counters in a metrics registry.
-    pub fn register_into(&self, registry: &Registry) {
-        let series = [("firing", &self.fired), ("ok", &self.cleared)];
-        for (state, counter) in series {
-            registry.expose_counter(
-                "gridrm_slo_transitions_total",
-                "SLO alert transitions by destination state",
-                Labels::from_pairs(&[("state", state)]),
-                counter,
-            );
-        }
+    fn new(registry: &Registry) -> SloStats {
+        let [fired, cleared] = registry.counters(
+            "gridrm_slo_transitions_total",
+            "SLO alert transitions by destination state",
+            "state",
+            ["firing", "ok"],
+        );
+        SloStats { fired, cleared }
     }
 }
 
@@ -355,14 +352,12 @@ impl SloEngine {
     /// them. The transition counters register eagerly so the family
     /// exists from startup.
     pub fn new(registry: Arc<Registry>, journal: Arc<Journal>) -> SloEngine {
-        let stats = SloStats::default();
-        stats.register_into(&registry);
         SloEngine {
+            stats: SloStats::new(&registry),
             registry,
             journal,
             runtimes: Mutex::new(Vec::new()),
             pending: Mutex::new(Vec::new()),
-            stats,
         }
     }
 
@@ -667,7 +662,7 @@ mod tests {
 
     fn engine() -> (Arc<Registry>, Arc<Journal>, SloEngine) {
         let registry = Arc::new(Registry::new());
-        let journal = Arc::new(Journal::new(64));
+        let journal = Arc::new(Journal::new(64, &registry));
         let engine = SloEngine::new(registry.clone(), journal.clone());
         (registry, journal, engine)
     }

@@ -24,14 +24,19 @@ pub struct SlowQueryLog {
 }
 
 impl SlowQueryLog {
-    /// Log retaining at most `capacity` traces at/above `threshold_ms`.
-    /// A threshold of 0 disables recording.
-    pub fn new(threshold_ms: u64, capacity: usize) -> SlowQueryLog {
+    /// Log retaining at most `capacity` traces at/above `threshold_ms`,
+    /// its counter created in `registry`. A threshold of 0 disables
+    /// recording.
+    pub fn new(threshold_ms: u64, capacity: usize, registry: &Registry) -> SlowQueryLog {
         SlowQueryLog {
             threshold_ms: AtomicU64::new(threshold_ms),
             capacity: capacity.max(1),
             entries: Mutex::new(Vec::new()),
-            recorded: Counter::default(),
+            recorded: registry.counter(
+                "gridrm_slow_queries_total",
+                "Traces at or above the slow-query threshold",
+                Labels::none(),
+            ),
         }
     }
 
@@ -95,16 +100,6 @@ impl SlowQueryLog {
     pub fn total_recorded(&self) -> u64 {
         self.recorded.get()
     }
-
-    /// Expose the slow-query counter in a metrics registry.
-    pub fn register_into(&self, registry: &Registry) {
-        registry.expose_counter(
-            "gridrm_slow_queries_total",
-            "Traces at or above the slow-query threshold",
-            Labels::none(),
-            &self.recorded,
-        );
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +119,7 @@ mod tests {
 
     #[test]
     fn zero_threshold_disables() {
-        let log = SlowQueryLog::new(0, 4);
+        let log = SlowQueryLog::new(0, 4, &Registry::new());
         assert!(!log.offer(&record(1, 10_000)));
         assert!(log.is_empty());
         assert_eq!(log.total_recorded(), 0);
@@ -132,7 +127,7 @@ mod tests {
 
     #[test]
     fn below_threshold_rejected() {
-        let log = SlowQueryLog::new(100, 4);
+        let log = SlowQueryLog::new(100, 4, &Registry::new());
         assert!(!log.offer(&record(1, 99)));
         assert!(log.offer(&record(2, 100)));
         assert_eq!(log.len(), 1);
@@ -141,7 +136,7 @@ mod tests {
 
     #[test]
     fn keeps_top_k_slowest_first() {
-        let log = SlowQueryLog::new(10, 3);
+        let log = SlowQueryLog::new(10, 3, &Registry::new());
         for (id, d) in [(1, 50), (2, 20), (3, 80), (4, 30), (5, 60)] {
             log.offer(&record(id, d));
         }
@@ -153,7 +148,7 @@ mod tests {
 
     #[test]
     fn ties_keep_earlier_trace_first() {
-        let log = SlowQueryLog::new(10, 4);
+        let log = SlowQueryLog::new(10, 4, &Registry::new());
         log.offer(&record(2, 40));
         log.offer(&record(1, 40));
         log.offer(&record(3, 40));
@@ -163,7 +158,7 @@ mod tests {
 
     #[test]
     fn runtime_threshold_change() {
-        let log = SlowQueryLog::new(0, 4);
+        let log = SlowQueryLog::new(0, 4, &Registry::new());
         assert!(!log.offer(&record(1, 500)));
         log.set_threshold_ms(100);
         assert_eq!(log.threshold_ms(), 100);

@@ -19,7 +19,7 @@
 //! `gridrm_metrics_history` virtual SQL table and the Admin JSON
 //! endpoint.
 
-use crate::metrics::{Counter, PointKind, Registry};
+use crate::metrics::{Counter, Labels, PointKind, Registry};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -185,15 +185,10 @@ pub struct TimeSeriesRecorder {
     points: Counter,
 }
 
-impl Default for TimeSeriesRecorder {
-    fn default() -> TimeSeriesRecorder {
-        TimeSeriesRecorder::new()
-    }
-}
-
 impl TimeSeriesRecorder {
-    /// Recorder with default interval and capacity.
-    pub fn new() -> TimeSeriesRecorder {
+    /// Recorder with default interval and capacity, its counter created
+    /// in `registry`.
+    pub fn new(registry: &Registry) -> TimeSeriesRecorder {
         TimeSeriesRecorder {
             state: Mutex::new(RecorderState {
                 interval_ms: DEFAULT_TIMESERIES_INTERVAL_MS,
@@ -201,7 +196,11 @@ impl TimeSeriesRecorder {
                 last_sample_ms: None,
                 series: BTreeMap::new(),
             }),
-            points: Counter::new(),
+            points: registry.counter(
+                "gridrm_timeseries_points_total",
+                "Samples recorded into the metrics time-series rings",
+                Labels::none(),
+            ),
         }
     }
 
@@ -222,11 +221,6 @@ impl TimeSeriesRecorder {
     /// Per-series ring capacity for newly seen series.
     pub fn capacity(&self) -> usize {
         self.state.lock().capacity
-    }
-
-    /// Shared counter of points recorded.
-    pub fn points_recorded(&self) -> &Counter {
-        &self.points
     }
 
     /// Sample every registry series if at least one interval elapsed
@@ -382,7 +376,6 @@ impl TimeSeriesRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{Labels, Registry};
 
     #[test]
     fn column_ring_wraps_and_keeps_time_order() {
@@ -406,7 +399,7 @@ mod tests {
     fn recorder_samples_on_interval_only() {
         let reg = Registry::new();
         let c = reg.counter("gridrm_x_total", "X", Labels::none());
-        let rec = TimeSeriesRecorder::new();
+        let rec = TimeSeriesRecorder::new(&Registry::new());
         rec.configure(1_000, 16);
         c.inc();
         assert!(rec.maybe_sample(&reg, 0));
@@ -428,7 +421,7 @@ mod tests {
         let h = reg.histogram("gridrm_lat_ms", "L", Labels::none(), &[10.0, 100.0]);
         h.observe(5.0);
         h.observe(50.0);
-        let rec = TimeSeriesRecorder::new();
+        let rec = TimeSeriesRecorder::new(&Registry::new());
         rec.sample_now(&reg, 0);
         let names: Vec<(String, String)> = rec.series_names();
         let names: Vec<&str> = names.iter().map(|(n, _)| n.as_str()).collect();
@@ -452,7 +445,7 @@ mod tests {
 
     #[test]
     fn counter_reset_reports_post_reset_delta() {
-        let rec = TimeSeriesRecorder::new();
+        let rec = TimeSeriesRecorder::new(&Registry::new());
         rec.record_point("gridrm_x_total", "", PointKind::Counter, 0, 100.0);
         rec.record_point("gridrm_x_total", "", PointKind::Counter, 1_000, 3.0);
         let rows = rec.history();
@@ -461,7 +454,7 @@ mod tests {
 
     #[test]
     fn bucketed_matches_row_by_row_aggregation() {
-        let rec = TimeSeriesRecorder::new();
+        let rec = TimeSeriesRecorder::new(&Registry::new());
         rec.configure(1, 4_096);
         // Two full buckets of width 100 plus a partial third.
         for i in 0..25u64 {

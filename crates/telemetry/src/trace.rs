@@ -336,8 +336,9 @@ pub struct TraceBuffer {
 }
 
 impl TraceBuffer {
-    /// Buffer keeping at most `capacity` traces (capacity >= 1).
-    pub fn new(capacity: usize) -> TraceBuffer {
+    /// Buffer keeping at most `capacity` traces (capacity >= 1), its
+    /// counter created in `registry`.
+    pub fn new(capacity: usize, registry: &Registry) -> TraceBuffer {
         assert!(capacity > 0, "trace buffer capacity must be positive");
         TraceBuffer {
             capacity,
@@ -345,7 +346,11 @@ impl TraceBuffer {
                 ring: VecDeque::with_capacity(capacity),
                 slowest: None,
             }),
-            drops: Counter::new(),
+            drops: registry.counter(
+                "gridrm_trace_drops_total",
+                "Trace spans evicted from the bounded ring buffer before being read",
+                Labels::none(),
+            ),
         }
     }
 
@@ -481,47 +486,23 @@ impl GatewayTelemetry {
     }
 
     /// Telemetry hub with explicit capacities for every bounded store.
+    /// Each store creates its counters in the hub's registry, so a bare
+    /// hub exposes the same families a gateway's does.
     pub fn with_capacities(clock: Arc<SimClock>, caps: TelemetryCapacities) -> GatewayTelemetry {
         let registry = Arc::new(Registry::new());
-        let traces = Arc::new(TraceBuffer::new(caps.traces));
-        let journal = Arc::new(Journal::new(caps.journal));
-        // Ring-buffer eviction is silent data loss; count it where it
-        // can be scraped.
-        registry.expose_counter(
-            "gridrm_trace_drops_total",
-            "Trace spans evicted from the bounded ring buffer before being read",
-            Labels::none(),
-            traces.drops(),
-        );
-        registry.expose_counter(
-            "gridrm_journal_drops_total",
-            "Journal entries evicted from the bounded ring buffer before being read",
-            Labels::none(),
-            journal.drops(),
-        );
-        let slo = Arc::new(SloEngine::new(registry.clone(), journal.clone()));
-        let timeseries = Arc::new(TimeSeriesRecorder::new());
-        registry.expose_counter(
-            "gridrm_timeseries_points_total",
-            "Samples recorded into the metrics time-series rings",
-            Labels::none(),
-            timeseries.points_recorded(),
-        );
-        let costs = Arc::new(CostLedger::new(clock.clone(), journal.clone()));
-        // Registered unconditionally so the cost/intrusion families
-        // always exist for scrapes and the docs-drift check.
-        costs.register_into(&registry);
+        let journal = Arc::new(Journal::new(caps.journal, &registry));
         GatewayTelemetry {
-            registry,
-            traces,
-            journal,
+            traces: Arc::new(TraceBuffer::new(caps.traces, &registry)),
             slow_queries: Arc::new(SlowQueryLog::new(
                 caps.slow_query_threshold_ms,
                 caps.slow_queries,
+                &registry,
             )),
-            timeseries,
-            slo,
-            costs,
+            timeseries: Arc::new(TimeSeriesRecorder::new(&registry)),
+            slo: Arc::new(SloEngine::new(registry.clone(), journal.clone())),
+            costs: Arc::new(CostLedger::new(clock.clone(), journal.clone(), &registry)),
+            registry,
+            journal,
             clock,
             next_trace_id: Arc::new(AtomicU64::new(1)),
             identity: Arc::new(RwLock::new(TelemetryIdentity {
@@ -652,7 +633,7 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest_under_wraparound() {
-        let buf = TraceBuffer::new(3);
+        let buf = TraceBuffer::new(3, &Registry::new());
         for id in 1..=7 {
             buf.push(record(id, 0, id));
         }
@@ -700,7 +681,7 @@ mod tests {
 
     #[test]
     fn slowest_picks_longest_duration() {
-        let buf = TraceBuffer::new(8);
+        let buf = TraceBuffer::new(8, &Registry::new());
         buf.push(record(1, 0, 10));
         buf.push(record(2, 0, 50));
         buf.push(record(3, 0, 20));
@@ -709,7 +690,7 @@ mod tests {
 
     #[test]
     fn slowest_cache_survives_eviction_of_maximum() {
-        let buf = TraceBuffer::new(3);
+        let buf = TraceBuffer::new(3, &Registry::new());
         buf.push(record(1, 0, 50)); // the maximum
         buf.push(record(2, 0, 10));
         buf.push(record(3, 0, 30));

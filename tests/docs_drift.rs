@@ -1,7 +1,8 @@
 //! Doc-drift guard: the metric-family table in `docs/observability.md`
 //! must stay in lockstep with the live registry, in both directions —
 //! every documented family must be registered by a fully exercised
-//! gateway, and every registered family must be documented. A new
+//! gateway, and every registered family must be documented, with the
+//! kind, label keys and closed label values its row states. A new
 //! metric without a doc row (or a doc row for a removed metric) fails
 //! here instead of rotting silently. The same holds for the other
 //! declared lists: the telemetry driver's virtual tables, the admin
@@ -11,7 +12,7 @@
 
 use gridrm::core::AdminStatus;
 use gridrm::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 const OBSERVABILITY_MD: &str = include_str!("../docs/observability.md");
@@ -21,17 +22,67 @@ const DESIGN_MD: &str = include_str!("../DESIGN.md");
 const EXPERIMENTS_MD: &str = include_str!("../EXPERIMENTS.md");
 const EXPERIMENTS_RS: &str = include_str!("../crates/bench/src/bin/experiments.rs");
 
-/// Family names from the `| metric | kind | labels | meaning |` table:
-/// the first backticked cell of each `| `gridrm_...` |` row.
-fn documented_families() -> BTreeSet<String> {
+/// One metric family as the docs describe it or the registry holds it:
+/// its kind and, per label key, the label values (the docs list values
+/// only for closed sets; an open set such as `driver` documents the key
+/// alone).
+struct Family {
+    kind: String,
+    labels: BTreeMap<String, BTreeSet<String>>,
+}
+
+/// The `| metric | kind | labels | meaning |` table, by family name.
+/// A labels cell reads `—`, or comma-separated `` `key` `` and
+/// `` `key` = `v1` \| `v2` `` entries.
+fn documented_families() -> BTreeMap<String, Family> {
     OBSERVABILITY_MD
         .lines()
-        .filter_map(|line| {
-            let rest = line.strip_prefix("| `gridrm_")?;
-            let name = rest.split('`').next()?;
-            Some(format!("gridrm_{name}"))
+        .filter(|line| line.starts_with("| `gridrm_"))
+        .map(|line| {
+            let row = line.replace("\\|", " ");
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            let labels = cells[3]
+                .split(", ")
+                .filter(|entry| *entry != "—")
+                .map(|entry| {
+                    let (key, values) = entry.split_once(" = ").unwrap_or((entry, ""));
+                    (
+                        key.trim_matches('`').to_owned(),
+                        backticked(values, |_| true),
+                    )
+                })
+                .collect();
+            let family = Family {
+                kind: cells[2].to_owned(),
+                labels,
+            };
+            (cells[1].trim_matches('`').to_owned(), family)
         })
         .collect()
+}
+
+/// Every family `gateway` registers, in the shape of the docs table (a
+/// histogram's `le` bucket label is part of the kind, not a label).
+fn registered_families(gateway: &Gateway) -> BTreeMap<String, Family> {
+    let mut out = BTreeMap::new();
+    for snapshot in gateway.telemetry().registry().snapshot() {
+        let mut labels: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        for sample in &snapshot.samples {
+            for pair in sample.labels.split(',').filter(|pair| !pair.is_empty()) {
+                let (key, value) = pair.split_once('=').expect("rendered as key=\"value\"");
+                if !(snapshot.kind == "histogram" && key == "le") {
+                    let value = value.trim_matches('"').to_owned();
+                    labels.entry(key.to_owned()).or_default().insert(value);
+                }
+            }
+        }
+        let family = Family {
+            kind: snapshot.kind,
+            labels,
+        };
+        out.insert(snapshot.name, family);
+    }
+    out
 }
 
 /// A world that materialises every documented family: two sites with
@@ -93,27 +144,38 @@ fn metrics_table_matches_live_registry_both_ways() {
         documented.len()
     );
 
-    let gateway = exercised_gateway();
-    let registered: BTreeSet<String> = gateway
-        .telemetry()
-        .registry()
-        .snapshot()
-        .into_iter()
-        .map(|f| f.name)
-        .collect();
+    let registered = registered_families(&exercised_gateway());
 
-    let undocumented: Vec<&String> = registered.difference(&documented).collect();
+    let undocumented: Vec<&String> = registered
+        .keys()
+        .filter(|name| !documented.contains_key(*name))
+        .collect();
     assert!(
         undocumented.is_empty(),
         "registered but missing from the docs/observability.md metrics \
          table: {undocumented:?}"
     );
-    let unregistered: Vec<&String> = documented.difference(&registered).collect();
+    let unregistered: Vec<&String> = documented
+        .keys()
+        .filter(|name| !registered.contains_key(*name))
+        .collect();
     assert!(
         unregistered.is_empty(),
         "documented in docs/observability.md but never registered by an \
          exercised gateway (stale row?): {unregistered:?}"
     );
+
+    // Each row's kind and label keys, and the values of a closed label
+    // set, are what the registry holds.
+    for (name, doc) in &documented {
+        let live = &registered[name];
+        assert_eq!(doc.kind, live.kind, "{name}: kind column");
+        let keys = |f: &Family| f.labels.keys().cloned().collect::<Vec<_>>();
+        assert_eq!(keys(doc), keys(live), "{name}: label keys");
+        for (key, values) in doc.labels.iter().filter(|(_, v)| !v.is_empty()) {
+            assert_eq!(values, &live.labels[key], "{name}: `{key}` values");
+        }
+    }
 }
 
 /// The backticked spans of `text` that satisfy `keep`.
