@@ -3,7 +3,7 @@
 //! modify data sources, prioritised driver registration per source,
 //! network discovery, and the cached tree view with status icons.
 
-use crate::acil::{ClientRequest, ClientResponse, QueryExecutor};
+use crate::acil::{ClientRequest, ClientResponse, OutcomeStatus, QueryExecutor, SourceOutcome};
 use crate::cache::CacheController;
 use crate::driver_manager::{FailurePolicy, GridRMDriverManager};
 use crate::health::{HealthMonitor, SourceHealthSnapshot};
@@ -331,18 +331,26 @@ impl AdminInterface {
         let request = ClientRequest::builder(sql).source(url).build();
         let result = executor.execute(&request);
         match &result {
-            Ok(resp) => {
-                for o in &resp.outcomes {
-                    if o.status.is_success() {
-                        self.record_poll_ok(&o.source, now_ms);
-                    } else if let Some(w) = o.warning() {
-                        self.record_poll_error(&o.source, now_ms, &w);
-                    }
-                }
-            }
+            Ok(resp) => self.record_outcomes(&resp.outcomes, now_ms),
             Err(e) => self.record_poll_error(url, now_ms, &e.to_string()),
         }
         result
+    }
+
+    /// Feed the tree-view health model from one answer's per-source
+    /// outcomes. Only a source that was contacted (`Ok`, or `Coalesced`
+    /// onto a live fetch) counts as polled; a cache hit leaves its state
+    /// as it was.
+    pub(crate) fn record_outcomes(&self, outcomes: &[SourceOutcome], now_ms: u64) {
+        for o in outcomes {
+            match (o.status, o.warning()) {
+                (OutcomeStatus::Ok | OutcomeStatus::Coalesced, _) => {
+                    self.record_poll_ok(&o.source, now_ms)
+                }
+                (_, Some(w)) => self.record_poll_error(&o.source, now_ms, &w),
+                (_, None) => {}
+            }
+        }
     }
 
     /// Record a successful poll of `url` at `now_ms` (gateway hook).

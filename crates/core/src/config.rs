@@ -55,10 +55,6 @@ pub struct GatewayConfig {
     /// request does not set its own. 0 means no deadline.
     #[serde(default)]
     pub default_deadline_ms: u64,
-    /// Coalesce identical concurrent realtime queries into one driver
-    /// execution (single-flight).
-    #[serde(default = "defaults::coalesce_identical")]
-    pub coalesce_identical: bool,
     /// Virtual ms between samples of the metrics registry into the
     /// time-series recorder (driven by `pump`).
     #[serde(default = "defaults::timeseries_interval_ms")]
@@ -120,9 +116,6 @@ mod defaults {
     pub fn fanout_parallel() -> bool {
         true
     }
-    pub fn coalesce_identical() -> bool {
-        true
-    }
     pub fn timeseries_interval_ms() -> u64 {
         gridrm_telemetry::DEFAULT_TIMESERIES_INTERVAL_MS
     }
@@ -162,7 +155,6 @@ impl GatewayConfig {
             journal_capacity: defaults::journal_capacity(),
             fanout_parallel: defaults::fanout_parallel(),
             default_deadline_ms: 0,
-            coalesce_identical: defaults::coalesce_identical(),
             timeseries_interval_ms: defaults::timeseries_interval_ms(),
             timeseries_capacity: defaults::timeseries_capacity(),
             slos: Vec::new(),
@@ -220,8 +212,8 @@ mod tests {
     #[test]
     fn pre_fanout_config_loads_with_defaults() {
         // A config persisted before the parallel fan-out engine existed
-        // must still deserialise, with parallelism and coalescing on
-        // and no default deadline.
+        // must still deserialise, with parallelism on and no default
+        // deadline.
         let json = r#"{
             "name": "gw-old", "site": "s", "address": "gw.s",
             "cache_ttl_ms": 10000, "history_retention_ms": 86400000,
@@ -230,8 +222,20 @@ mod tests {
         }"#;
         let c: GatewayConfig = serde_json::from_str(json).unwrap();
         assert!(c.fanout_parallel);
-        assert!(c.coalesce_identical);
         assert_eq!(c.default_deadline_ms, 0);
+
+        // Single-flight coalescing is always on now; a config that still
+        // carries the retired `coalesce_identical` switch loads anyway.
+        let json = r#"{
+            "name": "gw-old", "site": "s", "address": "gw.s",
+            "cache_ttl_ms": 10000, "history_retention_ms": 86400000,
+            "event_fast_capacity": 1024, "pool_max_idle": 8,
+            "session_ttl_ms": 1800000, "record_history": true,
+            "fanout_parallel": true, "coalesce_identical": false
+        }"#;
+        let c: GatewayConfig = serde_json::from_str(json).unwrap();
+        assert!(c.fanout_parallel);
+        assert_eq!(c.name, "gw-old");
     }
 
     #[test]

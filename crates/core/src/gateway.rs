@@ -136,7 +136,6 @@ impl Gateway {
             config.record_history,
             &telemetry,
         ));
-        request.set_coalesce_identical(config.coalesce_identical);
         request.set_default_deadline_ms(config.default_deadline_ms);
         // The live observability plane: standing queries registered by
         // `subscribe` / `SELECT … EVERY n`, evaluated incrementally in
@@ -411,15 +410,7 @@ impl Gateway {
         // structured per-source outcomes.
         let now = self.clock.now_millis();
         match &result {
-            Ok(resp) => {
-                for o in &resp.outcomes {
-                    if o.status.is_success() {
-                        self.admin.record_poll_ok(&o.source, now);
-                    } else if let Some(w) = o.warning() {
-                        self.admin.record_poll_error(&o.source, now, &w);
-                    }
-                }
-            }
+            Ok(resp) => self.admin.record_outcomes(&resp.outcomes, now),
             Err(e) => {
                 for s in &request.sources {
                     self.admin.record_poll_error(s, now, &e.to_string());

@@ -147,8 +147,6 @@ pub struct RequestManager {
     /// Deduplicates identical concurrent realtime fetches (keyed by
     /// source URL + SQL text).
     singleflight: SingleFlight<(String, String), DbcResult<RowSet>>,
-    /// Single-flight coalescing on/off (config `coalesce_identical`).
-    coalesce_identical: AtomicBool,
     /// Deadline budget applied to requests that set none
     /// (config `default_deadline_ms`; 0 = no deadline).
     default_deadline_ms: AtomicU64,
@@ -182,7 +180,6 @@ impl RequestManager {
             stats: RequestStats::new(telemetry.registry()),
             telemetry: telemetry.clone(),
             singleflight: SingleFlight::new(),
-            coalesce_identical: AtomicBool::new(true),
             default_deadline_ms: AtomicU64::new(0),
         }
     }
@@ -190,11 +187,6 @@ impl RequestManager {
     /// Toggle history recording.
     pub fn set_record_history(&self, on: bool) {
         self.record_history.store(on, Ordering::Relaxed);
-    }
-
-    /// Toggle single-flight coalescing of identical concurrent fetches.
-    pub fn set_coalesce_identical(&self, on: bool) {
-        self.coalesce_identical.store(on, Ordering::Relaxed);
     }
 
     /// Set the deadline budget (virtual ms) applied to requests that do
@@ -406,17 +398,12 @@ impl RequestManager {
                 // driver execution and one cache fill. The first caller in
                 // (the leader) runs the closure; overlapping identical
                 // callers block and share its result.
-                let (result, coalesced) = if self.coalesce_identical.load(Ordering::Relaxed) {
+                let (result, coalesced) =
                     self.singleflight
                         .execute((source.clone(), sql.to_owned()), || {
                             self.stats.realtime_fetches.inc();
                             self.connections.execute_traced(&url, sql, Some(&mut *span))
-                        })
-                } else {
-                    self.stats.realtime_fetches.inc();
-                    let fetched = self.connections.execute_traced(&url, sql, Some(&mut *span));
-                    (fetched, false)
-                };
+                        });
                 if coalesced {
                     self.stats.coalesced_hits.inc();
                     span.stage_with(Stage::Coalesce, "shared");

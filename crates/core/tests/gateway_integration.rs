@@ -318,6 +318,40 @@ fn admin_tree_view_reflects_health() {
         .is_empty());
 }
 
+/// A cache hit never contacts the source, so it is no evidence that a
+/// poll succeeded: the tree keeps showing the last real poll's failure.
+#[test]
+fn a_cache_hit_does_not_clear_a_failed_poll() {
+    let w = world();
+    let url = "jdbc:snmp://node02.alpha/public";
+    let sql = "SELECT Hostname FROM Processor";
+    w.gateway
+        .admin()
+        .add_source(DataSourceConfig::dynamic(url, "node02"))
+        .unwrap();
+    w.gateway.query(&ClientRequest::realtime(url, sql)).unwrap();
+    w.net.set_down("node02.alpha:snmp", true);
+    w.gateway.driver_manager().set_policy(
+        &gridrm_dbc::JdbcUrl::parse(url).unwrap(),
+        gridrm_core::FailurePolicy::Report,
+    );
+    assert!(w.gateway.query(&ClientRequest::realtime(url, sql)).is_err());
+
+    w.gateway.clock().advance(1_000);
+    let resp = w
+        .gateway
+        .query(&ClientRequest::cached(url, sql, Some(60_000)))
+        .unwrap();
+    assert_eq!(resp.served_from_cache, 1);
+
+    let tree = w
+        .gateway
+        .admin()
+        .tree_view(w.gateway.clock().now_millis(), 60_000);
+    let node = tree.iter().find(|n| n.source == url).unwrap();
+    assert_eq!(node.status, SourceStatus::PollFailed, "{node:?}");
+}
+
 #[test]
 fn dml_rejected_at_the_acil() {
     let w = world();

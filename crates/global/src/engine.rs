@@ -38,14 +38,14 @@
 
 use crate::gma::ProducerEntry;
 use crate::layer::GlobalLayer;
-use crate::protocol::{GlobalRequest, GlobalResponse, WireFrame, WireIdentity};
+use crate::protocol::{GlobalRequest, GlobalResponse, WireIdentity};
 use gridrm_core::acil::{
     ClientRequest, ClientResponse, OutcomeStatus, QueryMode, ResultPolicy, SourceOutcome,
 };
 use gridrm_core::security::Identity;
-use gridrm_dbc::{DbcResult, JdbcUrl, RowSet, SqlError};
-use gridrm_telemetry::{CostVector, IntrusionCause, Stage};
-use std::collections::{BTreeMap, HashSet};
+use gridrm_dbc::{DbcResult, RowSet, SqlError};
+use gridrm_telemetry::Stage;
+use std::collections::HashSet;
 
 /// One unit of the fan-out plan: the local gateway's share of the
 /// sources, or one remote gateway's share.
@@ -93,6 +93,21 @@ fn undeclared_warnings(warnings: Vec<String>, outcomes: &[SourceOutcome]) -> Vec
         .collect()
 }
 
+/// Record the same failure for every source of a segment.
+fn fail_each(
+    outcomes: &mut Vec<SourceOutcome>,
+    sources: &[String],
+    status: OutcomeStatus,
+    elapsed_ms: u64,
+    detail: &str,
+) {
+    outcomes.extend(
+        sources
+            .iter()
+            .map(|s| SourceOutcome::failure(s, status, elapsed_ms, detail)),
+    );
+}
+
 fn merge(acc: &mut Option<RowSet>, rows: RowSet, warnings: &mut Vec<String>, origin: &str) {
     match acc {
         None => *acc = Some(rows),
@@ -113,32 +128,14 @@ impl GlobalLayer {
         let my_name = self.gateway.config().name.clone();
         let parallel = self.parallel_fanout();
 
-        // ---- plan: partition sources by owning gateway ----
-        let mut local: Vec<String> = Vec::new();
-        let mut remote: BTreeMap<String, (ProducerEntry, Vec<String>)> = BTreeMap::new();
-        for source in &request.sources {
-            let owner = JdbcUrl::parse(source)
-                .ok()
-                .and_then(|u| self.directory.lookup(&u));
-            match owner {
-                Some(entry) if entry.gateway != my_name => {
-                    remote
-                        .entry(entry.gateway.clone())
-                        .or_insert_with(|| (entry, Vec::new()))
-                        .1
-                        .push(source.clone());
-                }
-                // Owned by us, or unknown to the directory (e.g. a local
-                // store URL): handle locally.
-                _ => local.push(source.clone()),
-            }
-        }
+        // ---- plan: one segment per owning gateway ----
+        let (local, remote) = self.partition(&request.sources);
         let (n_local, n_remote) = (local.len(), remote.len());
         let mut segments: Vec<SegmentPlan> = Vec::new();
         if !local.is_empty() || request.mode == QueryMode::Historical {
             segments.push(SegmentPlan::Local { sources: local });
         }
-        for (_, (entry, sources)) in remote {
+        for (entry, sources) in remote {
             segments.push(SegmentPlan::Remote { entry, sources });
         }
 
@@ -182,14 +179,13 @@ impl GlobalLayer {
 
             // Fail-fast: once a segment has failed, skip the rest.
             if failed && request.policy == ResultPolicy::FailFast {
-                for source in segment.sources() {
-                    outcomes.push(SourceOutcome::failure(
-                        source,
-                        OutcomeStatus::Error,
-                        0,
-                        "skipped: fail-fast after earlier failure",
-                    ));
-                }
+                fail_each(
+                    &mut outcomes,
+                    segment.sources(),
+                    OutcomeStatus::Error,
+                    0,
+                    "skipped: fail-fast after earlier failure",
+                );
                 self.stats.segments_error.inc();
                 continue;
             }
@@ -205,14 +201,13 @@ impl GlobalLayer {
                 }
             });
             if budget == Some(0) {
-                for source in segment.sources() {
-                    outcomes.push(SourceOutcome::failure(
-                        source,
-                        OutcomeStatus::Timeout,
-                        0,
-                        "deadline budget exhausted",
-                    ));
-                }
+                fail_each(
+                    &mut outcomes,
+                    segment.sources(),
+                    OutcomeStatus::Timeout,
+                    0,
+                    "deadline budget exhausted",
+                );
                 self.stats.segments_deadline_exceeded.inc();
                 first_err.get_or_insert_with(|| {
                     SqlError::Timeout(format!("{label}: deadline budget exhausted"))
@@ -260,14 +255,13 @@ impl GlobalLayer {
                                     &detail,
                                 ));
                             }
-                            for source in sources {
-                                outcomes.push(SourceOutcome::failure(
-                                    source,
-                                    OutcomeStatus::Error,
-                                    elapsed,
-                                    &detail,
-                                ));
-                            }
+                            fail_each(
+                                &mut outcomes,
+                                sources,
+                                OutcomeStatus::Error,
+                                elapsed,
+                                &detail,
+                            );
                             first_err.get_or_insert(e);
                             failed = true;
                             self.stats.segments_error.inc();
@@ -287,39 +281,12 @@ impl GlobalLayer {
                         trace: Some(seg_span.context()),
                         deadline_ms: budget,
                     };
-                    // The frame is the single source of truth for the
-                    // bytes this segment imposes on the remote site.
-                    let frame = WireFrame::encode(&wire);
-                    let out_cost = CostVector {
-                        msgs_out: 1,
-                        bytes_out: frame.len(),
-                        ..CostVector::default()
-                    };
-                    seg_span.add_cost(&out_cost);
-                    telemetry
-                        .costs()
-                        .intrude(&entry.site, IntrusionCause::Query, &out_cost);
-                    let sent =
-                        self.transport
-                            .send_frame(&self.gma_address, &entry.gma_address, &frame);
-                    let (answer, rtt_ms) = match sent {
-                        Ok((bytes, rtt_us)) => {
-                            let in_cost = CostVector {
-                                msgs_in: 1,
-                                bytes_in: bytes.len() as u64,
-                                ..CostVector::default()
-                            };
-                            seg_span.add_cost(&in_cost);
-                            telemetry
-                                .costs()
-                                .intrude(&entry.site, IntrusionCause::Query, &in_cost);
-                            (
-                                WireFrame::decode::<GlobalResponse>(&bytes).map(|(r, _)| r),
-                                rtt_us.div_ceil(1000),
-                            )
-                        }
-                        Err(e) => (Err(SqlError::Connection(e.to_string())), 0),
-                    };
+                    let (answer, rtt_us, wire_cost) =
+                        self.exchange(&entry.site, &entry.gma_address, &wire);
+                    // The exchange already counted the frames; the span
+                    // only sums them.
+                    seg_span.absorb_cost(&wire_cost);
+                    let rtt_ms = rtt_us.div_ceil(1000);
                     let clock_delta = clock.now_millis().saturating_sub(seg_start);
                     match answer {
                         Ok(GlobalResponse::Rows {
@@ -356,17 +323,16 @@ impl GlobalLayer {
                                     // The answer would land after the
                                     // budget: the caller stopped waiting
                                     // at `b`, so the rows are dropped.
-                                    for source in sources {
-                                        outcomes.push(SourceOutcome::failure(
-                                            source,
-                                            OutcomeStatus::Timeout,
-                                            b,
-                                            &format!(
-                                                "via {label}: deadline exceeded \
-                                                 ({cost}ms > {b}ms budget)"
-                                            ),
-                                        ));
-                                    }
+                                    fail_each(
+                                        &mut outcomes,
+                                        sources,
+                                        OutcomeStatus::Timeout,
+                                        b,
+                                        &format!(
+                                            "via {label}: deadline exceeded \
+                                             ({cost}ms > {b}ms budget)"
+                                        ),
+                                    );
                                     self.stats.segments_deadline_exceeded.inc();
                                     first_err.get_or_insert_with(|| {
                                         SqlError::Timeout(format!(
@@ -416,14 +382,13 @@ impl GlobalLayer {
                                         ("ok", external)
                                     }
                                     Err(e) => {
-                                        for source in sources {
-                                            outcomes.push(SourceOutcome::failure(
-                                                source,
-                                                OutcomeStatus::Error,
-                                                cost,
-                                                &format!("via {label}: bad wire rows: {e}"),
-                                            ));
-                                        }
+                                        fail_each(
+                                            &mut outcomes,
+                                            sources,
+                                            OutcomeStatus::Error,
+                                            cost,
+                                            &format!("via {label}: bad wire rows: {e}"),
+                                        );
                                         first_err.get_or_insert(e);
                                         failed = true;
                                         self.stats.segments_error.inc();
@@ -432,73 +397,39 @@ impl GlobalLayer {
                                 },
                             }
                         }
-                        Ok(GlobalResponse::Error { message }) => {
+                        failure => {
+                            let (detail, error) = match failure {
+                                Ok(GlobalResponse::Error { message }) => (
+                                    format!("via {label}: {message}"),
+                                    Some(SqlError::Driver(message)),
+                                ),
+                                Ok(GlobalResponse::Overloaded {
+                                    queue_depth,
+                                    retry_after_ms,
+                                }) => {
+                                    // A serving-layer peer shed this segment
+                                    // at admission; the query was never
+                                    // executed there. Surface it as a
+                                    // retryable connection-class failure.
+                                    // (Simnet peers never produce this.)
+                                    let message = format!(
+                                        "via {label}: peer overloaded \
+                                         (queue depth {queue_depth}, retry after {retry_after_ms}ms)"
+                                    );
+                                    (message.clone(), Some(SqlError::Connection(message)))
+                                }
+                                // An answer of the wrong kind fails the
+                                // segment's sources but is no request error.
+                                Ok(other) => {
+                                    (format!("via {label}: unexpected response {other:?}"), None)
+                                }
+                                Err(e) => (format!("via {label}: {e}"), Some(e)),
+                            };
                             let cost = clock_delta + rtt_ms;
-                            for source in sources {
-                                outcomes.push(SourceOutcome::failure(
-                                    source,
-                                    OutcomeStatus::Error,
-                                    cost,
-                                    &format!("via {label}: {message}"),
-                                ));
+                            fail_each(&mut outcomes, sources, OutcomeStatus::Error, cost, &detail);
+                            if let Some(e) = error {
+                                first_err.get_or_insert(e);
                             }
-                            first_err.get_or_insert(SqlError::Driver(message));
-                            failed = true;
-                            self.stats.segments_error.inc();
-                            ("error", rtt_ms)
-                        }
-                        Ok(GlobalResponse::Overloaded {
-                            queue_depth,
-                            retry_after_ms,
-                        }) => {
-                            // A serving-layer peer shed this segment at
-                            // admission; the query was never executed
-                            // there. Surface it as a retryable
-                            // connection-class failure. (Simnet peers
-                            // never produce this.)
-                            let cost = clock_delta + rtt_ms;
-                            let message = format!(
-                                "via {label}: peer overloaded \
-                                 (queue depth {queue_depth}, retry after {retry_after_ms}ms)"
-                            );
-                            for source in sources {
-                                outcomes.push(SourceOutcome::failure(
-                                    source,
-                                    OutcomeStatus::Error,
-                                    cost,
-                                    &message,
-                                ));
-                            }
-                            first_err.get_or_insert(SqlError::Connection(message.clone()));
-                            failed = true;
-                            self.stats.segments_error.inc();
-                            ("error", rtt_ms)
-                        }
-                        Ok(other) => {
-                            let cost = clock_delta + rtt_ms;
-                            for source in sources {
-                                outcomes.push(SourceOutcome::failure(
-                                    source,
-                                    OutcomeStatus::Error,
-                                    cost,
-                                    &format!("via {label}: unexpected response {other:?}"),
-                                ));
-                            }
-                            failed = true;
-                            self.stats.segments_error.inc();
-                            ("error", rtt_ms)
-                        }
-                        Err(e) => {
-                            let cost = clock_delta + rtt_ms;
-                            for source in sources {
-                                outcomes.push(SourceOutcome::failure(
-                                    source,
-                                    OutcomeStatus::Error,
-                                    cost,
-                                    &format!("via {label}: {e}"),
-                                ));
-                            }
-                            first_err.get_or_insert(e);
                             failed = true;
                             self.stats.segments_error.inc();
                             ("error", rtt_ms)
@@ -526,42 +457,29 @@ impl GlobalLayer {
             clock.advance(max_external);
         }
 
-        let consolidate = |consolidated: Option<RowSet>,
-                           outcomes: Vec<SourceOutcome>,
-                           extra_warnings: Vec<String>,
-                           first_err: Option<SqlError>| {
-            match consolidated {
-                Some(rows) => Ok(ClientResponse::from_outcomes(
+        let ok = outcomes.iter().filter(|o| o.status.is_success()).count();
+        let result =
+            match (request.policy, consolidated) {
+                (ResultPolicy::FailFast, _) if failed => {
+                    let detail = outcomes
+                        .iter()
+                        .find(|o| !o.status.is_success())
+                        .and_then(SourceOutcome::warning);
+                    Err(first_err.unwrap_or_else(|| {
+                        SqlError::Driver(detail.unwrap_or_else(|| "fan-out segment failed".into()))
+                    }))
+                }
+                (ResultPolicy::Quorum(n), _) if ok < n => Err(SqlError::Driver(format!(
+                    "quorum not met: {ok}/{n} sources answered"
+                ))),
+                (_, Some(rows)) => Ok(ClientResponse::from_outcomes(
                     rows,
                     outcomes,
                     extra_warnings,
                 )),
-                None => Err(first_err
+                (_, None) => Err(first_err
                     .unwrap_or_else(|| SqlError::Driver("no source produced a result".into()))),
-            }
-        };
-        let result = match request.policy {
-            ResultPolicy::FailFast if failed => {
-                let detail = outcomes
-                    .iter()
-                    .find(|o| !o.status.is_success())
-                    .and_then(SourceOutcome::warning);
-                Err(first_err.unwrap_or_else(|| {
-                    SqlError::Driver(detail.unwrap_or_else(|| "fan-out segment failed".into()))
-                }))
-            }
-            ResultPolicy::Quorum(n) => {
-                let ok = outcomes.iter().filter(|o| o.status.is_success()).count();
-                if ok < n {
-                    Err(SqlError::Driver(format!(
-                        "quorum not met: {ok}/{n} sources answered"
-                    )))
-                } else {
-                    consolidate(consolidated, outcomes, extra_warnings, first_err)
-                }
-            }
-            _ => consolidate(consolidated, outcomes, extra_warnings, first_err),
-        };
+            };
         span.finish(if result.is_ok() { "ok" } else { "error" });
         result
     }

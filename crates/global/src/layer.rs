@@ -10,10 +10,8 @@ use gridrm_core::explain::{explain, explain_subscription};
 use gridrm_core::health::HealthState;
 use gridrm_core::stream::SubscribeSpec;
 use gridrm_core::Gateway;
-use gridrm_dbc::DbcResult;
-use gridrm_telemetry::{
-    CostVector, Counter, IntrusionCause, Labels, Registry, DEFAULT_LATENCY_BUCKETS_MS,
-};
+use gridrm_dbc::{DbcResult, JdbcUrl, SqlError};
+use gridrm_telemetry::{CostVector, Counter, Labels, Registry, DEFAULT_LATENCY_BUCKETS_MS};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -225,9 +223,9 @@ pub struct SiteIntrusionRollup {
 /// A gateway's Global-layer attachment.
 pub struct GlobalLayer {
     pub(crate) gateway: Arc<Gateway>,
-    pub(crate) directory: Arc<GmaDirectory>,
-    pub(crate) transport: Arc<dyn Transport>,
-    pub(crate) gma_address: String,
+    directory: Arc<GmaDirectory>,
+    transport: Arc<dyn Transport>,
+    gma_address: String,
     pub(crate) stats: GlobalStats,
     /// Fan-out dispatch mode: `true` issues segments concurrently in
     /// virtual time, `false` replays the historical one-at-a-time walk.
@@ -343,16 +341,9 @@ impl GlobalLayer {
                 .into_bytes()
             }
         };
-        // Classify what this wire service costs the local site: traffic
-        // we *endure*, split by why the peer sent it.
-        let cause = match &request {
-            GlobalRequest::Query { .. } => IntrusionCause::Query,
-            GlobalRequest::Ping => IntrusionCause::Probe,
-            GlobalRequest::Subscribe { .. }
-            | GlobalRequest::PollDeltas { .. }
-            | GlobalRequest::Unsubscribe { .. } => IntrusionCause::Subscription,
-            GlobalRequest::Event { .. } => IntrusionCause::Gossip,
-        };
+        // What this wire service costs the local site: traffic we
+        // *endure*, split by why the peer sent it.
+        let cause = request.cause();
         let response = match request {
             GlobalRequest::Ping => GlobalResponse::Pong {
                 gateway: self.gateway.config().name.clone(),
@@ -480,6 +471,72 @@ impl GlobalLayer {
         frame.into_bytes()
     }
 
+    /// Send one request to a peer's `:gma` endpoint and price it: the
+    /// one place gateway-to-gateway traffic is sent, counted in the
+    /// ledger and charged as intrusion against the peer's `site`, under
+    /// the cause the request's kind names. Returns the decoded answer
+    /// (a transport failure is `SqlError::Connection`), the round trip
+    /// in µs (0 when nothing came back) and the cost: 1 message and the
+    /// frame's bytes out, plus 1 message and the reply's bytes in when
+    /// a reply arrived.
+    pub(crate) fn exchange(
+        &self,
+        site: &str,
+        gma_address: &str,
+        request: &GlobalRequest,
+    ) -> (DbcResult<GlobalResponse>, u64, CostVector) {
+        let frame = WireFrame::encode(request);
+        let mut cost = CostVector {
+            msgs_out: 1,
+            bytes_out: frame.len(),
+            ..CostVector::default()
+        };
+        let sent = self
+            .transport
+            .send_frame(&self.gma_address, gma_address, &frame);
+        let (answer, rtt_us) = match sent {
+            Ok((bytes, rtt_us)) => {
+                cost.msgs_in = 1;
+                cost.bytes_in = bytes.len() as u64;
+                (WireFrame::decode(&bytes).map(|(r, _)| r), rtt_us)
+            }
+            Err(e) => (Err(SqlError::Connection(e.to_string())), 0),
+        };
+        let costs = self.gateway.telemetry().costs();
+        costs.count(&cost);
+        costs.intrude(site, request.cause(), &cost);
+        (answer, rtt_us, cost)
+    }
+
+    /// Split `sources` by owning gateway: the share this gateway answers
+    /// (sources it owns, and any the directory does not know, e.g. a
+    /// local store URL), then each remote owner's share in gateway-name
+    /// order.
+    pub(crate) fn partition(
+        &self,
+        sources: &[String],
+    ) -> (Vec<String>, Vec<(ProducerEntry, Vec<String>)>) {
+        let my_name = &self.gateway.config().name;
+        let mut local = Vec::new();
+        let mut remote: BTreeMap<String, (ProducerEntry, Vec<String>)> = BTreeMap::new();
+        for source in sources {
+            let owner = JdbcUrl::parse(source)
+                .ok()
+                .and_then(|u| self.directory.lookup(&u));
+            match owner {
+                Some(entry) if &entry.gateway != my_name => {
+                    remote
+                        .entry(entry.gateway.clone())
+                        .or_insert_with(|| (entry, Vec::new()))
+                        .1
+                        .push(source.clone());
+                }
+                _ => local.push(source.clone()),
+            }
+        }
+        (local, remote.into_values().collect())
+    }
+
     /// Query through the Global layer: local sources are handled by the
     /// local gateway, remote ones are routed to their owning gateways
     /// (Fig 1), and everything is consolidated into one response.
@@ -546,29 +603,11 @@ impl GlobalLayer {
                 from_gateway: my_name.clone(),
                 event: event.clone(),
             };
-            let frame = WireFrame::encode(&wire);
-            let mut cost = CostVector {
-                msgs_out: 1,
-                bytes_out: frame.len(),
-                ..CostVector::default()
-            };
-            if let Ok((bytes, _)) =
-                self.transport
-                    .send_frame(&self.gma_address, &peer.gma_address, &frame)
-            {
-                cost.msgs_in = 1;
-                cost.bytes_in = bytes.len() as u64;
-                if matches!(
-                    WireFrame::decode::<GlobalResponse>(&bytes).map(|(r, _)| r),
-                    Ok(GlobalResponse::EventAccepted)
-                ) {
-                    self.stats.events_out.inc();
-                    accepted += 1;
-                }
+            let (answer, ..) = self.exchange(&peer.site, &peer.gma_address, &wire);
+            if matches!(answer, Ok(GlobalResponse::EventAccepted)) {
+                self.stats.events_out.inc();
+                accepted += 1;
             }
-            let costs = self.gateway.telemetry().costs();
-            costs.count(&cost);
-            costs.intrude(&peer.site, IntrusionCause::Gossip, &cost);
         }
         accepted
     }
@@ -695,28 +734,8 @@ impl GlobalLayer {
         let Some(entry) = self.directory.by_name(gateway_name) else {
             return false;
         };
-        let frame = WireFrame::encode(&GlobalRequest::Ping);
-        let mut cost = CostVector {
-            msgs_out: 1,
-            bytes_out: frame.len(),
-            ..CostVector::default()
-        };
-        let answer = self
-            .transport
-            .send_frame(&self.gma_address, &entry.gma_address, &frame)
-            .ok()
-            .map(|(bytes, _)| bytes);
-        if let Some(bytes) = &answer {
-            cost.msgs_in = 1;
-            cost.bytes_in = bytes.len() as u64;
-        }
-        let costs = self.gateway.telemetry().costs();
-        costs.count(&cost);
-        costs.intrude(&entry.site, IntrusionCause::Probe, &cost);
-        matches!(
-            answer.and_then(|b| WireFrame::decode::<GlobalResponse>(&b).ok()),
-            Some((GlobalResponse::Pong { .. }, _))
-        )
+        let (answer, ..) = self.exchange(&entry.site, &entry.gma_address, &GlobalRequest::Ping);
+        matches!(answer, Ok(GlobalResponse::Pong { .. }))
     }
 }
 

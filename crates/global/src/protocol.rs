@@ -7,7 +7,7 @@ use gridrm_core::security::Identity;
 use gridrm_core::stream::{BackpressurePolicy, StreamDelta};
 use gridrm_dbc::{ColumnMeta, DbcResult, ResultSetMetaData, RowSet, SqlError};
 use gridrm_sqlparse::{SqlType, SqlValue};
-use gridrm_telemetry::{TraceContext, TraceRecord};
+use gridrm_telemetry::{IntrusionCause, TraceContext, TraceRecord};
 use serde::{Deserialize, Serialize};
 
 /// Identity as shipped between gateways (the requesting gateway vouches
@@ -198,6 +198,22 @@ pub enum GlobalRequest {
         /// Subscription id returned by `Subscribed`.
         subscription: u64,
     },
+}
+
+impl GlobalRequest {
+    /// Why this message intrudes on the site that answers it: the
+    /// sender charges the peer's site under this cause, the receiver
+    /// its own.
+    pub(crate) fn cause(&self) -> IntrusionCause {
+        match self {
+            GlobalRequest::Query { .. } => IntrusionCause::Query,
+            GlobalRequest::Ping => IntrusionCause::Probe,
+            GlobalRequest::Subscribe { .. }
+            | GlobalRequest::PollDeltas { .. }
+            | GlobalRequest::Unsubscribe { .. } => IntrusionCause::Subscription,
+            GlobalRequest::Event { .. } => IntrusionCause::Gossip,
+        }
+    }
 }
 
 /// Responses from a gateway's `:gma` endpoint.

@@ -1,28 +1,28 @@
 //! Grid-level continuous queries: one subscription that watches every
 //! site.
 //!
-//! A [`GridSubscription`] partitions a [`SubscribeSpec`]'s sources by
-//! owning gateway exactly like the query fan-out does: the local share
-//! becomes an ordinary local subscription, and each remote share is
-//! registered on its owning gateway over the wire (`Subscribe`). Polling
-//! drains the local buffer plus each remote buffer (`PollDeltas`) and
-//! merges the batches deterministically — by emit time, then origin
-//! label, then sequence number — so a two-site grid produces the same
-//! delta order on every run under virtual time.
+//! A [`GridSubscription`] splits a [`SubscribeSpec`]'s sources by
+//! owning gateway with the partition the query fan-out uses: the local
+//! share becomes an ordinary local subscription, and each remote share
+//! is registered on its owning gateway over the wire (`Subscribe`).
+//! Polling drains the local buffer plus each remote buffer
+//! (`PollDeltas`) and merges the batches deterministically — by emit
+//! time, then origin label, then sequence number — so a two-site grid
+//! produces the same delta order on every run under virtual time. Every
+//! wire message goes through the layer's one priced exchange, which
+//! charges it to the owning site as `subscription` intrusion.
 //!
 //! The model is pull-based on purpose: remote gateways evaluate standing
 //! queries on *their* pump cadence and buffer emissions under *their*
 //! backpressure policy, so a slow or disconnected consumer costs the
 //! producer a bounded buffer, never an unbounded queue.
 
-use crate::gma::ProducerEntry;
 use crate::layer::GlobalLayer;
-use crate::protocol::{GlobalRequest, GlobalResponse, WireFrame, WireIdentity};
+use crate::protocol::{GlobalRequest, GlobalResponse, WireDelta, WireIdentity};
 use gridrm_core::security::Identity;
 use gridrm_core::stream::{StreamDelta, SubscribeSpec, SubscriptionId};
-use gridrm_dbc::{DbcResult, JdbcUrl, SqlError};
-use gridrm_telemetry::{CostVector, IntrusionCause};
-use std::collections::BTreeMap;
+use gridrm_dbc::{DbcResult, SqlError};
+use gridrm_telemetry::{JournalSeverity, KIND_STREAM};
 
 /// One remote share of a grid subscription.
 #[derive(Debug, Clone)]
@@ -64,27 +64,7 @@ impl GlobalLayer {
     /// shares already registered before the error is returned.
     pub fn subscribe(&self, spec: &SubscribeSpec) -> DbcResult<GridSubscription> {
         let my_name = self.gateway.config().name.clone();
-
-        // ---- plan: partition sources by owning gateway (same idiom as
-        // the query fan-out) ----
-        let mut local: Vec<String> = Vec::new();
-        let mut remote: BTreeMap<String, (ProducerEntry, Vec<String>)> = BTreeMap::new();
-        for source in &spec.request.sources {
-            let owner = JdbcUrl::parse(source)
-                .ok()
-                .and_then(|u| self.directory.lookup(&u));
-            match owner {
-                Some(entry) if entry.gateway != my_name => {
-                    remote
-                        .entry(entry.gateway.clone())
-                        .or_insert_with(|| (entry, Vec::new()))
-                        .1
-                        .push(source.clone());
-                }
-                _ => local.push(source.clone()),
-            }
-        }
-
+        let (local, remote) = self.partition(&spec.request.sources);
         let identity = spec
             .request
             .identity
@@ -99,7 +79,7 @@ impl GlobalLayer {
             local_spec.request.sources = local;
             grid.local = Some(self.gateway.subscribe(&local_spec)?);
         }
-        for (name, (entry, sources)) in remote {
+        for (entry, sources) in remote {
             let wire = GlobalRequest::Subscribe {
                 from_gateway: my_name.clone(),
                 identity: WireIdentity::from(&identity),
@@ -110,48 +90,28 @@ impl GlobalLayer {
                 backpressure: spec.backpressure,
             };
             self.stats.remote_queries_out.inc();
-            let frame = WireFrame::encode(&wire);
-            let mut cost = CostVector {
-                msgs_out: 1,
-                bytes_out: frame.len(),
-                ..CostVector::default()
-            };
-            let answer = self
-                .transport
-                .send_frame(&self.gma_address, &entry.gma_address, &frame)
-                .map_err(|e| SqlError::Connection(format!("{name}: {e}")))
-                .and_then(|(bytes, _)| {
-                    cost.msgs_in = 1;
-                    cost.bytes_in = bytes.len() as u64;
-                    WireFrame::decode::<GlobalResponse>(&bytes).map(|(r, _)| r)
-                });
-            let costs = self.gateway.telemetry().costs();
-            costs.count(&cost);
-            costs.intrude(&entry.site, IntrusionCause::Subscription, &cost);
-            match answer {
+            let name = &entry.gateway;
+            let error = match self.exchange(&entry.site, &entry.gma_address, &wire).0 {
                 Ok(GlobalResponse::Subscribed { subscription }) => {
                     grid.remotes.push(RemoteSubscription {
-                        gateway: name,
+                        gateway: entry.gateway,
                         gma_address: entry.gma_address,
                         subscription,
                         site: entry.site,
                     });
+                    continue;
                 }
                 Ok(GlobalResponse::Error { message }) => {
-                    self.unsubscribe(&grid);
-                    return Err(SqlError::Driver(format!("{name}: {message}")));
+                    SqlError::Driver(format!("{name}: {message}"))
                 }
                 Ok(other) => {
-                    self.unsubscribe(&grid);
-                    return Err(SqlError::Driver(format!(
-                        "{name}: unexpected subscribe response: {other:?}"
-                    )));
+                    SqlError::Driver(format!("{name}: unexpected subscribe response: {other:?}"))
                 }
-                Err(e) => {
-                    self.unsubscribe(&grid);
-                    return Err(e);
-                }
-            }
+                Err(SqlError::Connection(e)) => SqlError::Connection(format!("{name}: {e}")),
+                Err(e) => e,
+            };
+            self.unsubscribe(&grid);
+            return Err(error);
         }
         Ok(grid)
     }
@@ -160,7 +120,10 @@ impl GlobalLayer {
     /// and merge them into one deterministic stream: emit time, then
     /// origin label, then sequence number. Unreachable remotes
     /// contribute nothing this round; their deltas stay buffered under
-    /// the producer's backpressure policy until the next poll.
+    /// the producer's backpressure policy until the next poll. A remote
+    /// batch that does not rebuild (a row as wide as no column list)
+    /// contributes nothing either, and is journalled as a `stream`
+    /// warning naming its gateway.
     pub fn poll_deltas(&self, sub: &GridSubscription, max: usize) -> DbcResult<Vec<StreamDelta>> {
         let mut out = Vec::new();
         if let Some(id) = sub.local {
@@ -172,28 +135,27 @@ impl GlobalLayer {
                 max,
             };
             self.stats.remote_queries_out.inc();
-            let frame = WireFrame::encode(&wire);
-            let mut cost = CostVector {
-                msgs_out: 1,
-                bytes_out: frame.len(),
-                ..CostVector::default()
-            };
-            let answer = self
-                .transport
-                .send_frame(&self.gma_address, &remote.gma_address, &frame);
-            if let Ok((bytes, _)) = &answer {
-                cost.msgs_in = 1;
-                cost.bytes_in = bytes.len() as u64;
-            }
-            let costs = self.gateway.telemetry().costs();
-            costs.count(&cost);
-            costs.intrude(&remote.site, IntrusionCause::Subscription, &cost);
-            let Ok((bytes, _)) = answer else {
+            let (answer, ..) = self.exchange(&remote.site, &remote.gma_address, &wire);
+            let Ok(GlobalResponse::Deltas { deltas }) = answer else {
                 continue;
             };
-            if let Ok((GlobalResponse::Deltas { deltas }, _)) = WireFrame::decode(&bytes) {
-                for delta in &deltas {
-                    out.push(delta.to_delta()?);
+            match deltas
+                .iter()
+                .map(WireDelta::to_delta)
+                .collect::<DbcResult<Vec<_>>>()
+            {
+                Ok(batch) => out.extend(batch),
+                Err(e) => {
+                    let telemetry = self.gateway.telemetry();
+                    telemetry.journal().record(
+                        telemetry.clock().now_millis(),
+                        JournalSeverity::Warning,
+                        KIND_STREAM,
+                        &remote.gateway,
+                        None,
+                        Some("deliver"),
+                        &format!("dropped a malformed delta batch: {e}"),
+                    );
                 }
             }
         }
@@ -215,28 +177,10 @@ impl GlobalLayer {
                 subscription: remote.subscription,
             };
             self.stats.remote_queries_out.inc();
-            let frame = WireFrame::encode(&wire);
-            let mut cost = CostVector {
-                msgs_out: 1,
-                bytes_out: frame.len(),
-                ..CostVector::default()
-            };
-            if let Ok((bytes, _)) =
-                self.transport
-                    .send_frame(&self.gma_address, &remote.gma_address, &frame)
-            {
-                cost.msgs_in = 1;
-                cost.bytes_in = bytes.len() as u64;
-                if matches!(
-                    WireFrame::decode::<GlobalResponse>(&bytes).map(|(r, _)| r),
-                    Ok(GlobalResponse::Unsubscribed { existed: true })
-                ) {
-                    cancelled += 1;
-                }
+            let (answer, ..) = self.exchange(&remote.site, &remote.gma_address, &wire);
+            if matches!(answer, Ok(GlobalResponse::Unsubscribed { existed: true })) {
+                cancelled += 1;
             }
-            let costs = self.gateway.telemetry().costs();
-            costs.count(&cost);
-            costs.intrude(&remote.site, IntrusionCause::Subscription, &cost);
         }
         cancelled
     }

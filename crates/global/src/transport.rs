@@ -85,8 +85,10 @@ impl std::error::Error for TransportError {}
 ///   `dst`, return the raw response payload plus the round-trip latency
 ///   in microseconds (virtual for simnet, wall-clock for TCP);
 /// * frames are opaque: a transport never inspects, re-encodes or
-///   re-frames the payload bytes, so [`WireFrame`] stays the single
-///   choke point where wire costs are priced.
+///   re-frames the payload bytes, so the sizes [`WireFrame`] measures
+///   are the bytes that travel. The Global layer's one exchange with a
+///   peer (`GlobalLayer::exchange`) prices every outbound frame from
+///   them, and its wire service prices every inbound one.
 pub trait Transport: Send + Sync {
     /// Serve `service` at `addr`, replacing any previous registration.
     fn serve(&self, addr: &str, service: Arc<dyn FrameService>);

@@ -8,11 +8,13 @@ use gridrm_core::{ClientRequest, Gateway, GatewayConfig, Identity, Severity};
 use gridrm_dbc::{RowSet, SqlError};
 use gridrm_drivers::install_into_gateway;
 use gridrm_global::{
-    GlobalLayer, GlobalRequest, GlobalResponse, GmaDirectory, WireFrame, WireIdentity,
+    GlobalLayer, GlobalRequest, GlobalResponse, GmaDirectory, ProducerEntry, Transport, WireDelta,
+    WireFrame, WireIdentity, WireRows,
 };
 use gridrm_resmodel::{SiteModel, SiteSpec};
 use gridrm_simnet::{Latency, Network, SimClock};
-use gridrm_sqlparse::SqlValue;
+use gridrm_sqlparse::{SqlType, SqlValue};
+use gridrm_telemetry::{JournalSeverity, KIND_STREAM};
 use std::sync::Arc;
 
 struct Site {
@@ -292,6 +294,67 @@ fn ping_and_directory() {
     assert!(g.sites[0].layer.ping("gw-beta"));
     assert!(!g.sites[0].layer.ping("gw-nowhere"));
     assert_eq!(g.directory.producers().len(), 2);
+}
+
+/// A remote delta batch that does not rebuild (a row wider than its
+/// columns) costs the poll that batch only: the local share's deltas,
+/// already drained from their buffer, still reach the caller, and the
+/// journal names the gateway that sent it.
+#[test]
+fn a_malformed_remote_delta_batch_loses_only_itself() {
+    let g = grid(&["alpha"]);
+    let liar = |_: &str, frame: &[u8]| {
+        let answer = match WireFrame::decode::<GlobalRequest>(frame).unwrap().0 {
+            GlobalRequest::Subscribe { .. } => GlobalResponse::Subscribed { subscription: 1 },
+            GlobalRequest::PollDeltas { .. } => GlobalResponse::Deltas {
+                deltas: vec![WireDelta {
+                    subscription: 1,
+                    seq: 1,
+                    emitted_ms: 0,
+                    origin: "local:gw-liar".into(),
+                    rows: WireRows {
+                        columns: vec![("Hostname".into(), SqlType::Str, None)],
+                        rows: vec![vec![SqlValue::Str("node00.liar".into()), SqlValue::Int(1)]],
+                    },
+                    removed: 0,
+                    coalesced: 0,
+                }],
+            },
+            _ => GlobalResponse::Unsubscribed { existed: true },
+        };
+        WireFrame::encode(&answer).into_bytes()
+    };
+    g.net.serve("gw.liar:gma", Arc::new(liar));
+    g.directory.register(ProducerEntry {
+        gateway: "gw-liar".into(),
+        site: "liar".into(),
+        gma_address: "gw.liar:gma".into(),
+        host_suffixes: vec![".liar".into()],
+    });
+
+    let layer = &g.sites[0].layer;
+    let spec = ClientRequest::builder("SELECT Hostname, Load1 FROM Processor EVERY 250")
+        .sources(&[
+            "jdbc:snmp://node00.alpha/public",
+            "jdbc:snmp://node00.liar/public",
+        ])
+        .subscribe();
+    let sub = layer.subscribe(&spec).expect("grid subscribe");
+    assert_eq!(sub.shares(), 2);
+    let deltas = layer.poll_deltas(&sub, 0).expect("poll");
+    let origins: Vec<&str> = deltas.iter().map(|d| d.origin.as_str()).collect();
+    assert_eq!(origins, ["local:gw-alpha"]);
+    let journal = g.sites[0]
+        .gateway
+        .telemetry()
+        .journal()
+        .recent_of_kind(KIND_STREAM);
+    assert!(
+        journal
+            .iter()
+            .any(|e| e.source == "gw-liar" && e.severity == JournalSeverity::Warning),
+        "{journal:#?}"
+    );
 }
 
 #[test]

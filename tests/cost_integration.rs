@@ -208,3 +208,48 @@ fn cost_tables_serve_fanout_charges_via_sql() {
     assert_eq!(resp.rows.rows()[0][2].as_i64().unwrap(), 2);
     assert!(resp.rows.rows()[0][3].as_i64().unwrap() > 0);
 }
+
+/// Every gateway-to-gateway message is priced once on each side, so
+/// both ledgers agree with the simnet's own link counters: the sender's
+/// rows against the peer's site and the peer's rows for its own site.
+#[test]
+fn gateway_to_gateway_ledger_equals_the_link_counters() {
+    let g = grid();
+    let (alpha, beta) = (&g.layers[0], &g.gateways[1]);
+    alpha.query(&fanout_request()).unwrap();
+    // A filter nothing matches: the remote share emits no delta, so the
+    // only traffic the poll imposes is its two frames.
+    let spec = ClientRequest::builder("SELECT Hostname FROM Processor WHERE Load1 < 0 EVERY 250")
+        .sources(&[BETA_URL])
+        .subscribe();
+    let sub = alpha.subscribe(&spec).unwrap();
+    alpha.poll_deltas(&sub, 0).unwrap();
+    assert_eq!(alpha.unsubscribe(&sub), 1);
+    let event = GridRMEvent {
+        id: 1,
+        at_ms: 0,
+        source: "node00.alpha:snmp".into(),
+        hostname: Some("node00.alpha".into()),
+        severity: Severity::Warning,
+        category: "cpu.load.high".into(),
+        message: "Load1 > 8".into(),
+        value: Some(9.0),
+    };
+    assert_eq!(alpha.forward_event(&event), 1);
+    assert!(alpha.ping("gw-beta"));
+
+    let link = beta
+        .network()
+        .stats_for("gw.alpha:gma", "gw.beta:gma")
+        .snapshot();
+    assert_eq!(link.requests, 6);
+    let charged_to_beta = |gateway: &Gateway| {
+        let rows = gateway.telemetry().costs().intrusion_snapshot();
+        rows.iter()
+            .filter(|r| r.site == "beta")
+            .fold((0, 0), |(m, b), r| (m + r.bucket.msgs, b + r.bucket.bytes))
+    };
+    let wire = (2 * link.requests, link.bytes_out + link.bytes_in);
+    assert_eq!(charged_to_beta(&g.gateways[0]), wire, "imposed by alpha");
+    assert_eq!(charged_to_beta(beta), wire, "endured by beta");
+}
