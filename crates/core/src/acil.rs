@@ -21,7 +21,7 @@
 use crate::security::Identity;
 use crate::session::SessionToken;
 use gridrm_dbc::{DbcResult, RowSet};
-use gridrm_sqlparse::{SqlValue, Statement};
+use gridrm_sqlparse::{ParseResult, SqlValue, Statement};
 use gridrm_telemetry::{GatewayTelemetry, SpanBuilder, TraceContext};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -167,7 +167,7 @@ impl SourceOutcome {
 #[derive(Debug)]
 struct Query {
     text: String,
-    statement: DbcResult<Statement>,
+    statement: DbcResult<Arc<Statement>>,
 }
 
 /// What a request asks for, read off its parsed statement. Every entry
@@ -205,7 +205,10 @@ fn is_continuous(statement: &Statement) -> bool {
 
 /// A client request as it crosses the ACIL.
 ///
-/// The SQL text is parsed once, when the request is built, and text and
+/// The SQL text becomes a statement when the request is built — once
+/// per distinct text per gateway when it is built by
+/// [`Gateway::builder`](crate::Gateway::builder), which parses through
+/// the gateway's [`ParseMemo`](gridrm_sqlparse::ParseMemo). Text and
 /// statement travel together as one cheaply-cloned immutable value —
 /// every layer above the drivers reads [`ClientRequest::statement`]
 /// instead of parsing again. A syntax error does not fail construction:
@@ -272,12 +275,12 @@ impl ClientRequest {
 
     /// The parsed statement, or the syntax error the text produced.
     pub fn statement(&self) -> DbcResult<&Statement> {
-        self.query.statement.as_ref().map_err(Clone::clone)
+        self.query.statement.as_deref().map_err(Clone::clone)
     }
 
     /// Classify the request by statement kind.
     pub fn kind(&self) -> RequestKind<'_> {
-        match &self.query.statement {
+        match self.query.statement.as_deref() {
             Ok(statement) if is_continuous(statement) => RequestKind::Subscribe,
             Ok(Statement::Explain { analyze, inner }) if is_continuous(inner) => {
                 RequestKind::ExplainSubscribe {
@@ -301,7 +304,7 @@ impl ClientRequest {
         ClientRequest {
             query: Arc::new(Query {
                 text: statement.to_string(),
-                statement: Ok(statement),
+                statement: Ok(Arc::new(statement)),
             }),
             ..self.clone()
         }
@@ -361,6 +364,12 @@ impl QueryBuilder {
     /// Start a builder for the given SQL text (defaults: no sources,
     /// real-time mode, anonymous, no deadline, best-effort policy).
     pub fn new(sql: &str) -> QueryBuilder {
+        QueryBuilder::parsed(sql, gridrm_sqlparse::parse(sql).map(Arc::new))
+    }
+
+    /// A builder for `sql` whose statement, or syntax error, is already
+    /// known (from a gateway's parse memo).
+    pub(crate) fn parsed(sql: &str, statement: ParseResult<Arc<Statement>>) -> QueryBuilder {
         QueryBuilder {
             request: ClientRequest {
                 token: None,
@@ -368,7 +377,7 @@ impl QueryBuilder {
                 sources: Vec::new(),
                 query: Arc::new(Query {
                     text: sql.to_owned(),
-                    statement: gridrm_sqlparse::parse(sql).map_err(Into::into),
+                    statement: statement.map_err(Into::into),
                 }),
                 mode: QueryMode::RealTime,
                 trace: None,

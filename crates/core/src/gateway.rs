@@ -14,7 +14,7 @@
     )
 )]
 
-use crate::acil::{ClientRequest, ClientResponse, QueryExecutor, RequestKind};
+use crate::acil::{ClientRequest, ClientResponse, QueryBuilder, QueryExecutor, RequestKind};
 use crate::admin::AdminInterface;
 use crate::alerts::AlertEngine;
 use crate::cache::CacheController;
@@ -33,7 +33,7 @@ use crossbeam::channel::Receiver;
 use gridrm_dbc::{ColumnMeta, DbcResult, JdbcUrl, ResultSetMetaData, RowSet};
 use gridrm_glue::SchemaManager;
 use gridrm_simnet::{Network, Push, SimClock};
-use gridrm_sqlparse::{SqlType, SqlValue};
+use gridrm_sqlparse::{ParseMemo, SqlType, SqlValue};
 use gridrm_store::Store;
 use gridrm_telemetry::{
     CostVector, GatewayTelemetry, IntrusionCause, Labels, Stage, TelemetryCapacities,
@@ -62,6 +62,8 @@ pub struct Gateway {
     telemetry: GatewayTelemetry,
     health: Arc<HealthMonitor>,
     streams: Arc<StreamManager>,
+    /// Statements of the SQL texts [`Gateway::builder`] has seen.
+    parses: ParseMemo,
     /// Native pushes (traps, streamed events) addressed to this gateway.
     push_rx: Receiver<Push>,
 }
@@ -191,6 +193,7 @@ impl Gateway {
             telemetry,
             health,
             streams,
+            parses: ParseMemo::default(),
             push_rx,
         })
     }
@@ -284,6 +287,13 @@ impl Gateway {
     /// The continuous-query subscription manager.
     pub fn streams(&self) -> &Arc<StreamManager> {
         &self.streams
+    }
+
+    /// [`ClientRequest::builder`] for text that arrives again and again
+    /// (the wire service): the text is parsed through this gateway's
+    /// memo, so each distinct text is parsed once.
+    pub fn builder(&self, sql: &str) -> QueryBuilder {
+        QueryBuilder::parsed(sql, self.parses.parse(sql))
     }
 
     /// Authenticate and open a session.

@@ -366,6 +366,33 @@ fn dml_rejected_at_the_acil() {
     assert!(matches!(err, gridrm_dbc::SqlError::Unsupported(_)));
 }
 
+/// `Gateway::builder` parses a repeated text once and builds the request
+/// `ClientRequest::builder` builds; a syntax error still reaches the
+/// client on every submission.
+#[test]
+fn the_gateway_parses_a_repeated_text_once() {
+    let w = world();
+    let url = "jdbc:snmp://node01.alpha/public";
+    let sql = "SELECT Hostname, NCpu, Load1 FROM Processor";
+    let first = w.gateway.builder(sql).source(url).build();
+    let again = w.gateway.builder(sql).source(url).build();
+    assert!(std::ptr::eq(
+        first.statement().unwrap(),
+        again.statement().unwrap()
+    ));
+    let plain = ClientRequest::realtime(url, sql);
+    assert_eq!(again.statement().unwrap(), plain.statement().unwrap());
+    assert_eq!(
+        w.gateway.query(&again).unwrap().rows,
+        w.gateway.query(&plain).unwrap().rows
+    );
+    for _ in 0..2 {
+        let bad = w.gateway.builder("SELEC Load1").source(url).build();
+        let err = w.gateway.query(&bad).err().unwrap();
+        assert!(matches!(err, gridrm_dbc::SqlError::Syntax(_)), "{err}");
+    }
+}
+
 #[test]
 fn glue_homogeneity_across_all_five_agents() {
     // The headline claim (§1): one SQL query, five heterogeneous agents,

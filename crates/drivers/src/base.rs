@@ -17,7 +17,7 @@ use gridrm_dbc::{
 use gridrm_glue::{DriverMapping, GroupDef, NativeRow, SchemaHandle, SchemaManager, Translator};
 use gridrm_simnet::{Network, SimClock};
 use gridrm_sqlparse::ast::{self, BinaryOp, ColumnDef, Expr, SelectStatement};
-use gridrm_sqlparse::SqlValue;
+use gridrm_sqlparse::{ParseMemo, SqlValue};
 use gridrm_store::{Store, Table};
 use gridrm_telemetry::Stage;
 use parking_lot::{Mutex, RwLock};
@@ -78,6 +78,8 @@ pub struct DriverEnv {
     pub source_addr: String,
     /// Locally mounted SQL stores by name (`jdbc:gridrm://local/<name>`).
     pub stores: RwLock<HashMap<String, Store>>,
+    /// Statements of the query texts the kit's drivers have been handed.
+    parses: ParseMemo,
 }
 
 impl DriverEnv {
@@ -94,6 +96,7 @@ impl DriverEnv {
             clock,
             source_addr: source_addr.to_owned(),
             stores: RwLock::new(HashMap::new()),
+            parses: ParseMemo::default(),
         })
     }
 
@@ -410,27 +413,31 @@ impl<S: Source> Statement for KitStatement<S> {
     fn execute_query(&mut self, sql: &str) -> DbcResult<Box<dyn ResultSet>> {
         let s = &self.shared;
         s.stats.query();
-        let sel = parse_select(sql)?;
-        let rs = s.source.query(&s.at(&self.url), &mut self.schema, &sel)?;
+        let rs = with_select(&s.env.parses, sql, |sel| {
+            s.source.query(&s.at(&self.url), &mut self.schema, sel)
+        })?;
         Ok(Box::new(rs))
     }
 
     fn execute_update(&mut self, sql: &str) -> DbcResult<usize> {
         let s = &self.shared;
         s.stats.query();
-        s.source.update(&s.at(&self.url), &parse(sql)?)
+        // Writes carry their values and rarely repeat: not worth a memo slot.
+        s.source
+            .update(&s.at(&self.url), &gridrm_sqlparse::parse(sql)?)
     }
 }
 
-/// The one place SQL text becomes a statement.
-fn parse(sql: &str) -> DbcResult<ast::Statement> {
-    Ok(gridrm_sqlparse::parse(sql)?)
-}
-
-/// Parse SQL and require a `SELECT` (`execute_query` is read-only).
-fn parse_select(sql: &str) -> DbcResult<SelectStatement> {
-    match parse(sql)? {
-        ast::Statement::Select(sel) => Ok(sel),
+/// Run `f` on the `SELECT` that `sql` parses to (`execute_query` is
+/// read-only). The text comes through `memo`, so a repeated query costs
+/// a lookup, not a parse.
+fn with_select<T>(
+    memo: &ParseMemo,
+    sql: &str,
+    f: impl FnOnce(&SelectStatement) -> DbcResult<T>,
+) -> DbcResult<T> {
+    match &*memo.parse(sql)? {
+        ast::Statement::Select(sel) => f(sel),
         other => Err(SqlError::Unsupported(format!(
             "data-source drivers only accept SELECT, got: {other}"
         ))),
@@ -598,12 +605,15 @@ mod tests {
 
     #[test]
     fn parse_select_rejects_dml() {
-        assert!(parse_select("SELECT * FROM Processor").is_ok());
+        let memo = ParseMemo::default();
+        let accept = |sql| with_select(&memo, sql, |_| Ok(()));
+        assert!(accept("SELECT * FROM Processor").is_ok());
         assert!(matches!(
-            parse_select("DELETE FROM Processor"),
-            Err(SqlError::Unsupported(_))
+            accept("DELETE FROM Processor"),
+            Err(SqlError::Unsupported(m))
+                if m == "data-source drivers only accept SELECT, got: DELETE FROM Processor"
         ));
-        assert!(matches!(parse_select("garbage"), Err(SqlError::Syntax(_))));
+        assert!(matches!(accept("garbage"), Err(SqlError::Syntax(_))));
     }
 
     #[test]
@@ -626,10 +636,12 @@ mod tests {
             row
         };
         let rows = vec![mk_row("a", 0.2), mk_row("b", 1.5), mk_row("c", 2.5)];
-        let sel =
-            parse_select("SELECT Hostname FROM Processor WHERE Load1 > 1.0 ORDER BY Load1 DESC")
-                .unwrap();
-        let rs = finish_select(group, rows, &sel, 0).unwrap();
+        let rs = with_select(
+            &ParseMemo::default(),
+            "SELECT Hostname FROM Processor WHERE Load1 > 1.0 ORDER BY Load1 DESC",
+            |sel| finish_select(group, rows, sel, 0),
+        )
+        .unwrap();
         assert_eq!(rs.len(), 2);
         assert_eq!(rs.rows()[0][0], SqlValue::Str("c".into()));
         assert_eq!(rs.meta().column_count(), 1);
@@ -639,8 +651,12 @@ mod tests {
     fn finish_select_carries_units() {
         let schema = builtin_schema();
         let group = schema.group("MainMemory").unwrap();
-        let sel = parse_select("SELECT RAMSizeMB FROM MainMemory").unwrap();
-        let rs = finish_select(group, Vec::new(), &sel, 0).unwrap();
+        let rs = with_select(
+            &ParseMemo::default(),
+            "SELECT RAMSizeMB FROM MainMemory",
+            |sel| finish_select(group, Vec::new(), sel, 0),
+        )
+        .unwrap();
         assert_eq!(rs.meta().column(0).unwrap().unit.as_deref(), Some("MB"));
         assert_eq!(rs.meta().column_type(0).unwrap(), SqlType::Int);
     }

@@ -376,7 +376,9 @@ impl GlobalLayer {
                     },
                     None => QueryMode::RealTime,
                 };
-                let mut builder = ClientRequest::builder(&sql)
+                let mut builder = self
+                    .gateway
+                    .builder(&sql)
                     .sources(&sources)
                     .identity(identity.to_identity())
                     .mode(mode);

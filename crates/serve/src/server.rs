@@ -39,8 +39,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long a started frame may stall before the wire port closes its
-/// connection. Idle time between frames is not bounded.
+/// How long a started frame, or a reply write, may stall before the wire
+/// port closes its connection. Idle time between frames is not bounded.
 const FRAME_STALL: Duration = Duration::from_secs(10);
 
 /// Longest admin request line, newline included; the longest route is
@@ -225,9 +225,12 @@ impl Drop for TcpServer {
 /// One wire connection: frames in, scheduler submissions out. Worker
 /// threads write the responses through a write lock (the scheduler
 /// already serialises them per source, the lock just keeps the byte
-/// stream intact).
+/// stream intact). A reply write is bounded like a frame read: one that
+/// makes no progress for [`FRAME_STALL`] fails and shuts the connection,
+/// so a client that stops reading cannot hold a worker forever.
 fn serve_frames(conn: &Arc<TcpStream>, scheduler: &Scheduler) {
     let _ = conn.set_read_timeout(Some(FRAME_STALL));
+    let _ = conn.set_write_timeout(Some(FRAME_STALL));
     let peer = conn
         .peer_addr()
         .map(|a| a.to_string())
@@ -243,9 +246,14 @@ fn serve_frames(conn: &Arc<TcpStream>, scheduler: &Scheduler) {
             &peer,
             payload,
             Box::new(move |response| {
-                // A response to a gone client is dropped; the reader
-                // notices the closed socket separately.
-                let _ = write_frame(&mut &**writer.lock(), &response);
+                // A reply that cannot be written (client gone, or not
+                // reading within FRAME_STALL) leaves the byte stream
+                // broken: shut the socket so the reader ends and the
+                // replies still queued fail at once.
+                let conn = writer.lock();
+                if write_frame(&mut &**conn, &response).is_err() {
+                    let _ = conn.shutdown(Shutdown::Both);
+                }
             }),
         );
         if admission == Admission::Closed {

@@ -219,6 +219,62 @@ fn pipelined_burst_sheds_in_order() {
     server.stop();
 }
 
+/// A client that pipelines large replies and never reads them fills its
+/// receive buffer and stalls the worker writing to it. The reply write
+/// is bounded by the wire port's 10 s stall bound, so the only worker
+/// comes free again and another client gets its `Pong`.
+#[test]
+fn a_client_that_never_reads_cannot_stall_the_worker() {
+    let world = ServeWorld::build(400);
+    let server = TcpServer::start(
+        "127.0.0.1:0",
+        world.service(),
+        SchedulerConfig {
+            workers: 1,
+            ..SchedulerConfig::default()
+        },
+    )
+    .unwrap();
+    let sources: Vec<String> = (0..400).map(|n| world.source_url(n)).collect();
+    let sql = "SELECT Hostname, NCpu, Load1, Load5, Load15 FROM Processor";
+    let mut silent = TcpStream::connect(server.local_addr()).unwrap();
+    match rpc(&mut silent, &query_frame(&sources, sql, None)) {
+        GlobalResponse::Rows { rows, .. } => assert_eq!(rows.rows.len(), 400),
+        other => panic!("expected rows, got {other:?}"),
+    }
+    // Every cached copy answers with the same ~68 KB of rows, far more
+    // than the loopback socket buffers hold.
+    let cached = query_frame(&sources, sql, Some(600_000));
+    for _ in 0..100 {
+        write_frame(&mut silent, &cached).unwrap();
+    }
+    std::thread::sleep(Duration::from_millis(500));
+
+    // `read_frame` waits out idle timeouts, so read the reply by hand
+    // under a bound: the stall bound plus 5 s of slack.
+    let mut other = TcpStream::connect(server.local_addr()).unwrap();
+    other
+        .set_read_timeout(Some(Duration::from_secs(15)))
+        .unwrap();
+    write_frame(
+        &mut other,
+        &WireFrame::encode(&GlobalRequest::Ping).into_bytes(),
+    )
+    .unwrap();
+    let mut len = [0u8; 4];
+    other
+        .read_exact(&mut len)
+        .unwrap_or_else(|e| panic!("no reply while the silent client held the worker: {e}"));
+    let mut body = vec![0u8; u32::from_be_bytes(len) as usize];
+    other.read_exact(&mut body).unwrap();
+    match WireFrame::decode::<GlobalResponse>(&body).unwrap().0 {
+        GlobalResponse::Pong { gateway } => assert_eq!(gateway, "gw-serve"),
+        other => panic!("expected pong, got {other:?}"),
+    }
+    drop(silent);
+    server.stop();
+}
+
 #[test]
 fn admin_port_serves_versioned_endpoints() {
     let world = ServeWorld::build(2);

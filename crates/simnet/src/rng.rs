@@ -2,8 +2,8 @@
 //!
 //! All simulated randomness (latency jitter, packet drops, metric noise)
 //! flows through this xorshift64* generator so that a seed fully determines
-//! an experiment. The `rand` crate is reserved for workload generation in
-//! benches where reproducibility is provided by criterion instead.
+//! an experiment. The `gridrm-benchmark` workloads draw their request mix
+//! from it too; the workspace vendors no `rand` crate.
 
 /// xorshift64* — tiny, fast, good enough for simulation noise.
 #[derive(Debug, Clone)]

@@ -2,7 +2,7 @@
 
 use gridrm_sqlparse::ast::{BinaryOp, Expr};
 use gridrm_sqlparse::eval::like_match;
-use gridrm_sqlparse::{parse, parse_expr, Evaluator, MapContext, SqlValue, Statement};
+use gridrm_sqlparse::{parse, parse_expr, Evaluator, MapContext, ParseMemo, SqlValue, Statement};
 use proptest::prelude::*;
 
 fn arb_value() -> impl Strategy<Value = SqlValue> {
@@ -93,6 +93,11 @@ proptest! {
         let stmt2 = parse(&printed).unwrap();
         prop_assert_eq!(stmt2.to_string(), printed);
         prop_assert!(matches!(stmt1, Statement::Select(_)));
+        // The memo agrees with the plain parse on a miss and on a hit.
+        let memo = ParseMemo::default();
+        for _ in 0..2 {
+            prop_assert_eq!(&*memo.parse(&sql).unwrap(), &stmt1);
+        }
     }
 
     /// LIKE agrees with a simple reference implementation on `%`-only patterns.
