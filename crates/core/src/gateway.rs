@@ -122,7 +122,7 @@ impl Gateway {
             clippy::expect_used,
             reason = "startup-only: runs once in new(), before any request is served"
         )]
-        let history = HistoryManager::new(store).expect("fresh store accepts schema");
+        let history = HistoryManager::new(store, &telemetry).expect("fresh store accepts schema");
         let events = EventManager::new(config.event_fast_capacity, &telemetry);
         let sessions = Arc::new(SessionManager::new(config.session_ttl_ms));
         let security = Arc::new(RwLock::new(SecurityPolicy::permissive()));
@@ -433,7 +433,8 @@ impl Gateway {
     /// Run the gateway's periodic work: ingest pending native pushes
     /// through the Event Manager's formatters, dispatch buffered events
     /// (recording them into history and the admin health model), sweep
-    /// expired cache entries and sessions, and apply history retention.
+    /// expired cache entries and sessions, write queued harvests into
+    /// history and apply history retention.
     /// Returns the number of events dispatched.
     pub fn pump(&self) -> usize {
         let now = self.clock.now_millis();
@@ -562,6 +563,9 @@ impl Gateway {
         self.sessions.sweep(now);
         self.cache
             .sweep(now, self.config.cache_ttl_ms.saturating_mul(10));
+        // Harvests queued since the last pump become narrow rows here at
+        // the latest, so the queue never outlives one pump interval.
+        self.history.flush();
         let cutoff = now.saturating_sub(self.config.history_retention_ms);
         if cutoff > 0 {
             let _ = self.history.retain_since(cutoff as i64);

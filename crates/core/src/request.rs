@@ -418,11 +418,11 @@ impl RequestManager {
                 // result — repeating any of it would double-count one
                 // physical fetch.
                 if !coalesced {
-                    self.cache.store(source, sql, Arc::new(rows.clone()), now);
+                    let shared = Arc::new(rows.clone());
+                    self.cache.store(source, sql, Arc::clone(&shared), now);
                     if self.record_history.load(Ordering::Relaxed) {
-                        if let Err(e) = self.history.record_rows(source, group, &rows, now as i64) {
-                            extra_warnings.push(format!("{source}: history write failed: {e}"));
-                        }
+                        // Queued, not written: see `history`'s module doc.
+                        self.history.record_rows(source, group, shared, now as i64);
                     }
                     // Threshold alerts over fresh data (Fig 9).
                     for event in self.alerts.scan(source, group, &rows, now as i64) {

@@ -5,11 +5,12 @@
 //!
 //! The first caller to arrive for a key becomes the **leader** and runs
 //! the closure; callers that arrive while the leader is in flight
-//! become **followers**, block on a condvar, and receive a clone of the
-//! leader's result. Once the leader publishes, the key is retired so
-//! the *next* identical query starts a fresh flight (coalescing is
-//! about concurrency, not caching — freshness is the cache
-//! controller's job).
+//! become **followers**, are counted, block on a condvar, and receive a
+//! clone of the leader's result. When the leader finishes it first
+//! retires the key, so the *next* identical query starts a fresh flight
+//! (coalescing is about concurrency, not caching — freshness is the
+//! cache controller's job), and then publishes a clone of its result
+//! only if a follower joined.
 //!
 //! In the single-threaded simulation harness every caller is a leader
 //! and this module is a no-op, which is exactly why it cannot disturb
@@ -31,33 +32,30 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-enum SlotState<V> {
-    Pending,
-    Done(V),
-}
-
+/// Where a flight's followers wait for its leader's value.
 struct Slot<V> {
-    state: Mutex<SlotState<V>>,
+    value: Mutex<Option<V>>,
     ready: Condvar,
-    waiters: Mutex<usize>,
 }
 
-impl<V> Slot<V> {
-    fn new() -> Slot<V> {
-        Slot {
-            state: Mutex::new(SlotState::Pending),
-            ready: Condvar::new(),
-            waiters: Mutex::new(0),
-        }
-    }
+/// One key's flight: its slot and the followers that joined it. The
+/// count lives under the map's lock, so once the leader has retired the
+/// key the count it took out with it is final.
+struct Flight<V> {
+    slot: Arc<Slot<V>>,
+    followers: usize,
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A map of in-flight computations keyed by `K`, deduplicating
 /// concurrent identical work.
 pub struct SingleFlight<K, V> {
-    inflight: Mutex<HashMap<K, Arc<Slot<V>>>>,
+    inflight: Mutex<HashMap<K, Flight<V>>>,
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
@@ -72,15 +70,26 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
     ///
     /// Returns `(value, coalesced)`: `coalesced` is `false` for the
     /// leader that actually executed `f` and `true` for followers that
-    /// shared the leader's published result.
+    /// shared the leader's published result. A leader nobody joined
+    /// publishes nothing, so it never clones its value.
     pub fn execute(&self, key: K, f: impl FnOnce() -> V) -> (V, bool) {
         let (slot, leader) = {
-            let mut map = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
-            match map.get(&key) {
-                Some(slot) => (Arc::clone(slot), false),
+            let mut map = lock(&self.inflight);
+            match map.get_mut(&key) {
+                Some(flight) => {
+                    flight.followers += 1;
+                    (Arc::clone(&flight.slot), false)
+                }
                 None => {
-                    let slot = Arc::new(Slot::new());
-                    map.insert(key.clone(), Arc::clone(&slot));
+                    let slot = Arc::new(Slot {
+                        value: Mutex::new(None),
+                        ready: Condvar::new(),
+                    });
+                    let flight = Flight {
+                        slot: Arc::clone(&slot),
+                        followers: 0,
+                    };
+                    map.insert(key.clone(), flight);
                     (slot, true)
                 }
             }
@@ -88,57 +97,45 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
 
         if leader {
             let value = f();
-            {
-                let mut state = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
-                *state = SlotState::Done(value.clone());
+            // Retire the key before publishing: queries arriving from
+            // here on start a fresh flight, and no follower can join
+            // this one any more.
+            let followers = lock(&self.inflight)
+                .remove(&key)
+                .map_or(0, |flight| flight.followers);
+            if followers > 0 {
+                *lock(&slot.value) = Some(value.clone());
+                slot.ready.notify_all();
             }
-            // Retire the key before waking followers: queries arriving
-            // from here on start a fresh flight.
-            self.inflight
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .remove(&key);
-            slot.ready.notify_all();
             (value, false)
         } else {
-            *slot.waiters.lock().unwrap_or_else(PoisonError::into_inner) += 1;
-            let mut state = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
-            let value = loop {
-                if let SlotState::Done(v) = &*state {
-                    break v.clone();
+            #[cfg(test)]
+            tests::between_join_and_wait();
+            let mut published = lock(&slot.value);
+            loop {
+                if let Some(v) = &*published {
+                    break (v.clone(), true);
                 }
-                state = slot
+                published = slot
                     .ready
-                    .wait(state)
+                    .wait(published)
                     .unwrap_or_else(PoisonError::into_inner);
-            };
-            drop(state);
-            *slot.waiters.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
-            (value, true)
+            }
         }
     }
 
-    /// Number of followers currently blocked on `key`'s flight
-    /// (0 when nothing is in flight). Lets tests synchronise on "the
-    /// follower has actually joined" without timing races.
+    /// Number of followers that joined `key`'s flight and wait for its
+    /// leader (0 when nothing is in flight). Lets tests synchronise on
+    /// "the follower has actually joined" without timing races.
     pub fn waiters(&self, key: &K) -> usize {
-        let slot = {
-            self.inflight
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .get(key)
-                .map(Arc::clone)
-        };
-        slot.map(|s| *s.waiters.lock().unwrap_or_else(PoisonError::into_inner))
-            .unwrap_or(0)
+        lock(&self.inflight)
+            .get(key)
+            .map_or(0, |flight| flight.followers)
     }
 
     /// True when a flight for `key` is currently executing.
     pub fn in_flight(&self, key: &K) -> bool {
-        self.inflight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .contains_key(key)
+        lock(&self.inflight).contains_key(key)
     }
 }
 
@@ -151,9 +148,87 @@ impl<K: Eq + Hash + Clone, V: Clone> Default for SingleFlight<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
     use std::thread;
+    use std::time::Duration;
+
+    thread_local! {
+        /// Run by a follower on this thread after it joined a flight and
+        /// released the map's lock, before it waits for the value.
+        static BETWEEN_JOIN_AND_WAIT: RefCell<Option<Box<dyn FnOnce()>>> =
+            const { RefCell::new(None) };
+    }
+
+    pub(super) fn between_join_and_wait() {
+        if let Some(hook) = BETWEEN_JOIN_AND_WAIT.with(|h| h.borrow_mut().take()) {
+            hook();
+        }
+    }
+
+    /// A value that counts its clones.
+    #[derive(Debug)]
+    struct Counted(Arc<AtomicUsize>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Counted {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            Counted(Arc::clone(&self.0))
+        }
+    }
+
+    #[test]
+    fn a_leader_nobody_joined_never_clones_its_value() {
+        let sf: SingleFlight<&'static str, Counted> = SingleFlight::new();
+        let clones = Arc::new(AtomicUsize::new(0));
+        for _ in 0..3 {
+            let (_, coalesced) = sf.execute("k", || Counted(Arc::clone(&clones)));
+            assert!(!coalesced);
+        }
+        assert_eq!(clones.load(Ordering::SeqCst), 0);
+    }
+
+    /// The follower joins while the leader is still in flight, but only
+    /// waits once the leader has retired the key and returned: it must
+    /// have been counted when it joined, or nobody publishes for it.
+    #[test]
+    fn a_follower_that_joined_before_the_key_retired_gets_the_value() {
+        let sf: Arc<SingleFlight<String, u32>> = Arc::new(SingleFlight::new());
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let leader = {
+            let sf = Arc::clone(&sf);
+            thread::spawn(move || {
+                sf.execute("q".to_owned(), move || {
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    42
+                })
+            })
+        };
+        entered_rx.recv().unwrap();
+
+        let (got_tx, got_rx) = mpsc::channel();
+        let follower = {
+            let sf = Arc::clone(&sf);
+            thread::spawn(move || {
+                BETWEEN_JOIN_AND_WAIT.with(|h| {
+                    *h.borrow_mut() = Some(Box::new(move || {
+                        release_tx.send(()).unwrap();
+                        assert_eq!(leader.join().unwrap(), (42, false));
+                    }));
+                });
+                got_tx.send(sf.execute("q".to_owned(), || 99)).unwrap();
+            })
+        };
+        let got = got_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the follower never received the leader's value");
+        follower.join().unwrap();
+        assert_eq!(got, (42, true));
+        assert!(!sf.in_flight(&"q".to_owned()));
+    }
 
     #[test]
     fn sequential_calls_each_execute() {

@@ -143,6 +143,122 @@ fn history_accumulates_and_is_queryable() {
     assert_eq!(series.len(), 5);
 }
 
+/// A harvest is queued, not written, but every read of the store sees
+/// it: through the jdbc-gridrm mount and as a historical query, with no
+/// pump in between.
+#[test]
+fn history_reads_see_the_harvest_just_made() {
+    let w = world();
+    let source = "jdbc:snmp://node01.alpha/public";
+    let sql = "SELECT Hostname, NCpu, Load1 FROM Processor";
+    let count = "SELECT COUNT(*) AS n FROM history WHERE hostname = 'node01.alpha'";
+    w.gateway
+        .query(&ClientRequest::realtime(source, sql))
+        .unwrap();
+    let via_mount = w
+        .gateway
+        .query(&ClientRequest::realtime(
+            "jdbc:gridrm://local/history",
+            count,
+        ))
+        .unwrap();
+    assert_eq!(via_mount.rows.rows()[0][0], SqlValue::Int(3));
+    w.gateway
+        .query(&ClientRequest::realtime(source, sql))
+        .unwrap();
+    let historical = w.gateway.query(&ClientRequest::historical(count)).unwrap();
+    assert_eq!(historical.rows.rows()[0][0], SqlValue::Int(6));
+}
+
+/// Run `sql` through the writable jdbc-gridrm mount of the history store.
+fn update_through_mount(w: &World, sql: &str) {
+    let url = gridrm_dbc::JdbcUrl::parse("jdbc:gridrm://local/history").unwrap();
+    let mut conn = w
+        .gateway
+        .driver_manager()
+        .base()
+        .connect(&url, &gridrm_dbc::Properties::new())
+        .unwrap();
+    conn.create_statement()
+        .unwrap()
+        .execute_update(sql)
+        .unwrap();
+}
+
+/// A client that drops `history` through the mount costs the next
+/// harvests their samples, never the query: the loss is journalled.
+#[test]
+fn a_harvest_into_a_dropped_history_table_is_journalled() {
+    let w = world();
+    update_through_mount(&w, "DROP TABLE history");
+    let source = "jdbc:snmp://node02.alpha/public";
+    let resp = w
+        .gateway
+        .query(&ClientRequest::realtime(
+            source,
+            "SELECT Hostname, NCpu, Load1 FROM Processor",
+        ))
+        .unwrap();
+    assert_eq!(resp.rows.len(), 1);
+    assert!(resp.warnings.is_empty(), "{:?}", resp.warnings);
+    w.gateway.pump();
+    let dropped = w
+        .gateway
+        .telemetry()
+        .journal()
+        .recent_of_kind(gridrm_telemetry::KIND_HISTORY_DROP);
+    assert_eq!(dropped.len(), 1, "{dropped:?}");
+    assert_eq!(
+        dropped[0].severity,
+        gridrm_telemetry::JournalSeverity::Warning
+    );
+    assert_eq!(dropped[0].source, source);
+    assert!(dropped[0].message.contains("3 samples"), "{dropped:?}");
+}
+
+/// A harvested NULL `Hostname` (an untranslatable attribute, §3.2.3) is
+/// stored as SQL NULL, not as a host named "NULL".
+#[test]
+fn a_null_hostname_is_harvested_as_null() {
+    let w = world();
+    update_through_mount(
+        &w,
+        "CREATE TABLE probe (Hostname TEXT, Load1 REAL, Model TEXT)",
+    );
+    update_through_mount(
+        &w,
+        "INSERT INTO probe VALUES (NULL, 0.5, 'Xeon'), (NULL, 1.5, NULL)",
+    );
+    w.gateway
+        .query(&ClientRequest::realtime(
+            "jdbc:gridrm://local/history",
+            "SELECT Hostname, Load1, Model FROM probe",
+        ))
+        .unwrap();
+    let count = |sql: &str| {
+        w.gateway
+            .query(&ClientRequest::historical(sql))
+            .unwrap()
+            .rows
+            .rows()[0][0]
+            .clone()
+    };
+    assert_eq!(
+        count("SELECT COUNT(*) FROM history WHERE hostname IS NULL"),
+        SqlValue::Int(3)
+    );
+    assert_eq!(
+        count("SELECT COUNT(*) FROM history WHERE hostname = 'NULL'"),
+        SqlValue::Int(0)
+    );
+    let series = w
+        .gateway
+        .history()
+        .series("jdbc:gridrm://local/history", "probe", "NULL", "Load1")
+        .unwrap();
+    assert!(series.is_empty(), "{series:?}");
+}
+
 #[test]
 fn trap_to_listener_pipeline() {
     let w = world();

@@ -1,17 +1,237 @@
 //! Property tests for gateway components: Event Manager ordering and
-//! loss-freedom, cache laws, session laws, alert-rule consistency.
+//! loss-freedom, cache laws, session laws, alert-rule consistency, and
+//! queued history against the eager writer it replaced.
 
 use gridrm_core::alerts::{AlertEngine, AlertRule, Comparison};
 use gridrm_core::cache::CacheController;
 use gridrm_core::events::{EventManager, GridRMEvent, ListenerFilter, Severity};
 use gridrm_core::security::Identity;
 use gridrm_core::session::SessionManager;
+use gridrm_core::HistoryManager;
 use gridrm_dbc::{ColumnMeta, ResultSetMetaData, RowSet};
 use gridrm_simnet::SimClock;
 use gridrm_sqlparse::{SqlType, SqlValue};
+use gridrm_store::Store;
 use gridrm_telemetry::{GatewayTelemetry, Registry};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// The history writer as it was before harvests were queued, kept as the
+/// oracle: at harvest time, one `Table::insert` per non-NULL cell (with
+/// a NULL key stored as NULL).
+fn record_rows_eagerly(store: &Store, source: &str, group: &str, rows: &RowSet, at_ms: i64) {
+    let meta = rows.meta();
+    let host_idx = meta
+        .column_index("Hostname")
+        .or_else(|_| meta.column_index("SourceHost"))
+        .ok();
+    store.with(|db| {
+        let table = db.table_mut("history").unwrap();
+        for row in rows.rows() {
+            let hostname = match host_idx.and_then(|i| row.get(i)) {
+                None => SqlValue::Str(String::new()),
+                Some(SqlValue::Null) => SqlValue::Null,
+                Some(v) => SqlValue::Str(v.to_string()),
+            };
+            for (i, value) in row.iter().enumerate() {
+                if value.is_null() {
+                    continue;
+                }
+                let (num, text) = match value.as_f64() {
+                    Some(x) => (SqlValue::Float(x), SqlValue::Null),
+                    None => (SqlValue::Null, SqlValue::Str(value.to_string())),
+                };
+                let attr = meta.column_name(i).unwrap().to_owned();
+                table
+                    .insert(
+                        &[],
+                        vec![
+                            SqlValue::Timestamp(at_ms),
+                            SqlValue::Str(source.to_owned()),
+                            SqlValue::Str(group.to_owned()),
+                            hostname.clone(),
+                            SqlValue::Str(attr),
+                            num,
+                            text,
+                        ],
+                    )
+                    .unwrap();
+            }
+        }
+    });
+}
+
+/// One harvested row: key, `Load1`, `NCpu`, `Model`, each possibly NULL.
+type Cells = (Option<u8>, Option<f64>, Option<i64>, Option<u8>);
+
+/// A source answer: which key column it carries (`Hostname`,
+/// `SourceHost` or none), its 1–16 rows, and how many ms before "now"
+/// it was harvested.
+#[derive(Debug, Clone)]
+struct Harvest {
+    source: u8,
+    key: usize,
+    rows: Vec<Cells>,
+    age: i64,
+}
+
+impl Harvest {
+    fn rows(&self) -> Arc<RowSet> {
+        let key = ["Hostname", "SourceHost", "Site"][self.key];
+        let text =
+            |n: Option<u8>, stem: &str| n.map_or(SqlValue::Null, |n| format!("{stem}{n}").into());
+        let rows = self
+            .rows
+            .iter()
+            .map(|&(host, load, ncpu, model)| {
+                vec![
+                    text(host, "node0"),
+                    SqlValue::from(load),
+                    ncpu.map_or(SqlValue::Null, SqlValue::Int),
+                    text(model, "Xeon "),
+                ]
+            })
+            .collect();
+        let meta = ResultSetMetaData::from_pairs(&[
+            (key, SqlType::Str),
+            ("Load1", SqlType::Float),
+            ("NCpu", SqlType::Int),
+            ("Model", SqlType::Str),
+        ]);
+        Arc::new(RowSet::new(meta, rows).unwrap())
+    }
+}
+
+fn arb_harvest() -> impl Strategy<Value = Harvest> {
+    let cells = (
+        prop::option::of(0u8..4),
+        prop::option::of(0.0f64..8.0),
+        prop::option::of(1i64..64),
+        prop::option::of(0u8..3),
+    );
+    (
+        (0u8..3, 0usize..3),
+        prop::collection::vec(cells, 1..17),
+        0i64..3_000,
+    )
+        .prop_map(|((source, key), rows, age)| Harvest {
+            source,
+            key,
+            rows,
+            age,
+        })
+}
+
+/// One step of a history workload.
+#[derive(Debug, Clone)]
+enum HistoryOp {
+    Harvest(Harvest),
+    /// The virtual clock moves on (possibly by 0 ms).
+    Advance(i64),
+    /// A pump whose retention keeps the last `keep` ms.
+    Pump {
+        keep: i64,
+    },
+    /// An event recorded now.
+    Event,
+    /// One of [`HISTORY_SELECTS`], now.
+    Select(usize),
+}
+
+const HISTORY_SELECTS: [&str; 5] = [
+    "SELECT * FROM history",
+    "SELECT COUNT(*) FROM history WHERE hostname IS NULL",
+    "SELECT hostname, attr, num, text FROM history WHERE at >= NOW() - 500 ORDER BY at DESC, attr",
+    "SELECT source, grp, COUNT(*) AS n FROM history GROUP BY source, grp ORDER BY source, grp",
+    "SELECT * FROM events",
+];
+
+fn arb_history_op() -> impl Strategy<Value = HistoryOp> {
+    prop_oneof![
+        arb_harvest().prop_map(HistoryOp::Harvest),
+        (0i64..1_500).prop_map(HistoryOp::Advance),
+        (0i64..4_000).prop_map(|keep| HistoryOp::Pump { keep }),
+        Just(HistoryOp::Event),
+        (0usize..HISTORY_SELECTS.len()).prop_map(HistoryOp::Select),
+    ]
+}
+
+/// The same workload against the queued writer and the eager oracle.
+struct HistoryPair {
+    queued: HistoryManager,
+    eager: HistoryManager,
+    now: i64,
+    events: u64,
+}
+
+impl HistoryPair {
+    fn new() -> HistoryPair {
+        let manager =
+            || HistoryManager::new(Store::new(), &GatewayTelemetry::new(SimClock::new())).unwrap();
+        HistoryPair {
+            queued: manager(),
+            eager: manager(),
+            now: 10_000,
+            events: 0,
+        }
+    }
+
+    fn apply(&mut self, op: &HistoryOp) {
+        match op {
+            HistoryOp::Harvest(h) => {
+                let source = format!("jdbc:snmp://node0{}/public", h.source);
+                let group = ["Processor", "MainMemory"][h.key % 2];
+                let rows = h.rows();
+                let at = self.now - h.age;
+                self.queued
+                    .record_rows(&source, group, Arc::clone(&rows), at);
+                record_rows_eagerly(self.eager.store(), &source, group, &rows, at);
+            }
+            HistoryOp::Advance(ms) => self.now += ms,
+            HistoryOp::Pump { keep } => {
+                self.queued.flush();
+                let cutoff = self.now - keep;
+                assert_eq!(
+                    self.queued.retain_since(cutoff).unwrap(),
+                    self.eager.retain_since(cutoff).unwrap(),
+                    "retention at {cutoff}"
+                );
+            }
+            HistoryOp::Event => {
+                self.events += 1;
+                let event = GridRMEvent {
+                    id: self.events,
+                    at_ms: self.now,
+                    source: "prop:snmp".into(),
+                    hostname: None,
+                    severity: Severity::Info,
+                    category: "cpu.load".into(),
+                    message: String::new(),
+                    value: Some(1.0),
+                };
+                self.queued.record_event(&event).unwrap();
+                self.eager.record_event(&event).unwrap();
+            }
+            HistoryOp::Select(i) => {
+                let sql = HISTORY_SELECTS[*i];
+                let statement = gridrm_sqlparse::parse(sql).unwrap();
+                assert_eq!(
+                    self.queued.query(&statement, self.now).unwrap(),
+                    self.eager.query(&statement, self.now).unwrap(),
+                    "{sql} at {}",
+                    self.now
+                );
+                // The jdbc-gridrm mount's path: a clone of the store.
+                let mount = self.queued.store().clone();
+                assert_eq!(
+                    mount.query(sql, self.now).unwrap(),
+                    self.eager.store().query(sql, self.now).unwrap(),
+                    "{sql} through the mount"
+                );
+            }
+        }
+    }
+}
 
 fn arb_severity() -> impl Strategy<Value = Severity> {
     prop::sample::select(vec![Severity::Info, Severity::Warning, Severity::Critical])
@@ -152,5 +372,29 @@ proptest! {
             })
             .count();
         prop_assert_eq!(fired, expected);
+    }
+
+    /// Queued history answers every read exactly as the eager writer
+    /// did, whatever the interleaving of harvests (NULL cells and keys
+    /// included), pumps, retention cutoffs, events and SELECTs. The
+    /// fixed tail reads in the same virtual millisecond as a harvest,
+    /// then pumps a harvest older than the retention cutoff away.
+    #[test]
+    fn queued_history_matches_the_eager_writer(
+        ops in prop::collection::vec(arb_history_op(), 0..40),
+        fresh in arb_harvest(),
+        stale in arb_harvest(),
+    ) {
+        let mut pair = HistoryPair::new();
+        let tail = [
+            HistoryOp::Harvest(Harvest { age: 0, ..fresh }),
+            HistoryOp::Select(0),
+            HistoryOp::Harvest(Harvest { age: 5_000, ..stale }),
+            HistoryOp::Pump { keep: 1_000 },
+            HistoryOp::Select(0),
+        ];
+        for op in ops.iter().chain(&tail) {
+            pair.apply(op);
+        }
     }
 }

@@ -103,10 +103,20 @@ impl Database {
     }
 }
 
+/// A write queued by [`Store::defer`].
+type Deferred = Box<dyn FnOnce(&mut Database) + Send>;
+
+#[derive(Default)]
+struct Shared {
+    db: Database,
+    /// Deferred writes, oldest first.
+    pending: Vec<Deferred>,
+}
+
 /// Thread-safe handle shared across gateway components.
 #[derive(Clone, Default)]
 pub struct Store {
-    inner: Arc<Mutex<Database>>,
+    inner: Arc<Mutex<Shared>>,
 }
 
 impl Store {
@@ -115,14 +125,27 @@ impl Store {
         Store::default()
     }
 
-    /// Run a closure with the locked database.
+    /// Run a closure with the locked database, after applying every
+    /// deferred write in the order it was queued. Every other access
+    /// goes through here, so no reader sees the database without them.
     pub fn with<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
-        f(&mut self.inner.lock())
+        let mut shared = self.inner.lock();
+        let Shared { db, pending } = &mut *shared;
+        for apply in pending.drain(..) {
+            apply(db);
+        }
+        f(db)
+    }
+
+    /// Queue a write for the next access: the caller pays one push, and
+    /// the write runs under the lock of whichever access comes first.
+    pub fn defer(&self, apply: impl FnOnce(&mut Database) + Send + 'static) {
+        self.inner.lock().pending.push(Box::new(apply));
     }
 
     /// Parse and execute SQL.
     pub fn execute_sql(&self, sql: &str, now: i64) -> Result<ExecOutcome, StoreError> {
-        self.inner.lock().execute_sql(sql, now)
+        self.with(|db| db.execute_sql(sql, now))
     }
 
     /// Convenience: run a SELECT and get the rows.
@@ -140,9 +163,7 @@ impl Store {
         time_column: &str,
         cutoff_ms: i64,
     ) -> Result<usize, StoreError> {
-        self.inner
-            .lock()
-            .retain_since(table, time_column, cutoff_ms)
+        self.with(|db| db.retain_since(table, time_column, cutoff_ms))
     }
 }
 
@@ -379,6 +400,27 @@ mod tests {
         });
         let rows = store.query("SELECT COUNT(*) FROM t", 0).unwrap();
         assert_eq!(rows.rows()[0][0], SqlValue::Int(200));
+    }
+
+    #[test]
+    fn deferred_writes_apply_in_order_before_any_access() {
+        let store = Store::new();
+        store.execute_sql("CREATE TABLE t (v INTEGER)", 0).unwrap();
+        let mount = store.clone();
+        for v in [1i64, 2] {
+            store.defer(move |db| {
+                db.table_mut("t")
+                    .unwrap()
+                    .insert(&[], vec![v.into()])
+                    .unwrap();
+            });
+        }
+        let rows = mount.query("SELECT v FROM t", 0).unwrap();
+        assert_eq!(
+            rows.rows(),
+            &[vec![SqlValue::Int(1)], vec![SqlValue::Int(2)]][..]
+        );
+        assert_eq!(store.with(|db| db.table("t").unwrap().len()), 2);
     }
 
     #[test]

@@ -99,6 +99,8 @@ pub const KIND_SLO: &str = "slo_alert";
 pub const KIND_STREAM: &str = "stream";
 /// Kind: a query's inclusive cost exceeded the configured budget.
 pub const KIND_COST_BUDGET: &str = "cost_budget";
+/// Kind: a queued harvest could not be written to the history table.
+pub const KIND_HISTORY_DROP: &str = "history_drop";
 
 /// Per-severity journal counters, registered as
 /// `gridrm_journal_entries_total{severity=…}`.

@@ -17,8 +17,8 @@ pub use cost::{
 pub use journal::{
     Journal, JournalEntry, JournalSeverity, JournalStats, DEFAULT_JOURNAL_CAPACITY,
     KIND_CACHE_SERVE, KIND_COST_BUDGET, KIND_DRIVER_FALLBACK, KIND_EVENT, KIND_EVENT_OVERFLOW,
-    KIND_EVENT_UNFORMATTED, KIND_POLICY_DECISION, KIND_PROBE, KIND_SLO, KIND_STATE_TRANSITION,
-    KIND_STREAM,
+    KIND_EVENT_UNFORMATTED, KIND_HISTORY_DROP, KIND_POLICY_DECISION, KIND_PROBE, KIND_SLO,
+    KIND_STATE_TRANSITION, KIND_STREAM,
 };
 pub use metrics::{
     Counter, Gauge, Histogram, Labels, MetricSnapshot, PointKind, Registry, Sample, SeriesPoint,
