@@ -3,7 +3,6 @@
 //! modify data sources, prioritised driver registration per source,
 //! network discovery, and the cached tree view with status icons.
 
-use crate::acil::{ClientRequest, ClientResponse, OutcomeStatus, QueryExecutor, SourceOutcome};
 use crate::cache::CacheController;
 use crate::driver_manager::{FailurePolicy, GridRMDriverManager};
 use crate::health::{HealthMonitor, SourceHealthSnapshot};
@@ -56,6 +55,41 @@ pub enum SourceStatus {
     Unknown,
 }
 
+impl SourceStatus {
+    /// The icon of a source whose health record is `health` (`None`
+    /// when untracked): `PollFailed` while the last real contact (driver
+    /// attempt or probe) failed, else `RecentEvent` when an event arrived
+    /// within `window_ms` of `now_ms`, else `Ok` once any contact
+    /// succeeded, else `Unknown`.
+    pub fn of(health: Option<&SourceHealthSnapshot>, now_ms: u64, window_ms: u64) -> SourceStatus {
+        let Some(h) = health else {
+            return SourceStatus::Unknown;
+        };
+        if h.consecutive_failures > 0 {
+            SourceStatus::PollFailed
+        } else if h
+            .last_event_ms
+            .is_some_and(|t| now_ms.saturating_sub(t) <= window_ms)
+        {
+            SourceStatus::RecentEvent
+        } else if h.last_ok_ms.is_some() {
+            SourceStatus::Ok
+        } else {
+            SourceStatus::Unknown
+        }
+    }
+
+    /// Terminal icon used by the text tree view (Fig 9's legend).
+    pub fn icon(&self) -> &'static str {
+        match self {
+            SourceStatus::Ok => "[ok]",
+            SourceStatus::RecentEvent => "[ev]",
+            SourceStatus::PollFailed => "[!!]",
+            SourceStatus::Unknown => "[??]",
+        }
+    }
+}
+
 /// One node of the Fig 9 tree view.
 #[derive(Debug, Clone)]
 pub struct TreeNode {
@@ -71,13 +105,6 @@ pub struct TreeNode {
     pub last_ok_ms: Option<u64>,
     /// Last error, if any.
     pub last_error: Option<String>,
-}
-
-#[derive(Debug, Default, Clone)]
-struct SourceHealth {
-    last_ok_ms: Option<u64>,
-    last_error: Option<(u64, String)>,
-    last_event_ms: Option<u64>,
 }
 
 /// Serialised administrative state ("registration details are cached
@@ -131,7 +158,6 @@ impl AdminResponse {
 /// The administration interface.
 pub struct AdminInterface {
     sources: RwLock<BTreeMap<String, DataSourceConfig>>,
-    health: RwLock<BTreeMap<String, SourceHealth>>,
     driver_manager: Arc<GridRMDriverManager>,
     cache: Arc<CacheController>,
     telemetry: GatewayTelemetry,
@@ -151,7 +177,6 @@ impl AdminInterface {
     ) -> AdminInterface {
         AdminInterface {
             sources: RwLock::new(BTreeMap::new()),
-            health: RwLock::new(BTreeMap::new()),
             driver_manager,
             cache,
             telemetry: telemetry.clone(),
@@ -231,9 +256,12 @@ impl AdminInterface {
     }
 
     /// Add (or modify) a data source; applies its driver preferences and
-    /// failure policy to the GridRMDriverManager.
-    pub fn add_source(&self, config: DataSourceConfig) -> DbcResult<()> {
+    /// failure policy to the GridRMDriverManager. The source is kept
+    /// under its canonical URL, the key the request path records health
+    /// under.
+    pub fn add_source(&self, mut config: DataSourceConfig) -> DbcResult<()> {
         let url = JdbcUrl::parse(&config.url)?;
+        config.url = url.to_string();
         if config.preferred_drivers.is_empty() {
             self.driver_manager.clear_preferences(&url);
         } else {
@@ -250,14 +278,15 @@ impl AdminInterface {
 
     /// Remove a data source: clears its preferences and cached results.
     pub fn remove_source(&self, url: &str) -> bool {
-        let existed = self.sources.write().remove(url).is_some();
+        let Ok(parsed) = JdbcUrl::parse(url) else {
+            return false;
+        };
+        let key = parsed.to_string();
+        let existed = self.sources.write().remove(&key).is_some();
         if existed {
-            if let Ok(parsed) = JdbcUrl::parse(url) {
-                self.driver_manager.clear_preferences(&parsed);
-            }
-            self.cache.invalidate_source(url);
-            self.health.write().remove(url);
-            self.health_monitor.untrack(url);
+            self.driver_manager.clear_preferences(&parsed);
+            self.cache.invalidate_source(&key);
+            self.health_monitor.untrack(&key);
         }
         existed
     }
@@ -269,7 +298,8 @@ impl AdminInterface {
 
     /// Look up one source.
     pub fn source(&self, url: &str) -> Option<DataSourceConfig> {
-        self.sources.read().get(url).cloned()
+        let key = JdbcUrl::parse(url).ok()?.to_string();
+        self.sources.read().get(&key).cloned()
     }
 
     /// Discover data sources "by scanning a network" (§4): every endpoint
@@ -315,115 +345,33 @@ impl AdminInterface {
         found
     }
 
-    /// Explicitly poll one administered source ("explicitly poll",
-    /// Fig 9) through *any* query surface — a local [`crate::Gateway`]
-    /// or the grid-wide `GlobalLayer` — and feed the tree-view health
-    /// model from the structured per-source outcomes. Being generic
-    /// over [`QueryExecutor`] is the point: the admin console refreshes
-    /// its tree the same way whether it manages one site or the Grid.
-    pub fn poll_now(
-        &self,
-        executor: &dyn QueryExecutor,
-        url: &str,
-        sql: &str,
-        now_ms: u64,
-    ) -> DbcResult<ClientResponse> {
-        let request = ClientRequest::builder(sql).source(url).build();
-        let result = executor.execute(&request);
-        match &result {
-            Ok(resp) => self.record_outcomes(&resp.outcomes, now_ms),
-            Err(e) => self.record_poll_error(url, now_ms, &e.to_string()),
-        }
-        result
-    }
-
-    /// Feed the tree-view health model from one answer's per-source
-    /// outcomes. Only a source that was contacted (`Ok`, or `Coalesced`
-    /// onto a live fetch) counts as polled; a cache hit leaves its state
-    /// as it was.
-    pub(crate) fn record_outcomes(&self, outcomes: &[SourceOutcome], now_ms: u64) {
-        for o in outcomes {
-            match (o.status, o.warning()) {
-                (OutcomeStatus::Ok | OutcomeStatus::Coalesced, _) => {
-                    self.record_poll_ok(&o.source, now_ms)
-                }
-                (_, Some(w)) => self.record_poll_error(&o.source, now_ms, &w),
-                (_, None) => {}
-            }
-        }
-    }
-
-    /// Record a successful poll of `url` at `now_ms` (gateway hook).
-    pub fn record_poll_ok(&self, url: &str, now_ms: u64) {
-        self.health
-            .write()
-            .entry(url.to_owned())
-            .or_default()
-            .last_ok_ms = Some(now_ms);
-    }
-
-    /// Record a failed poll.
-    pub fn record_poll_error(&self, url: &str, now_ms: u64, error: &str) {
-        self.health
-            .write()
-            .entry(url.to_owned())
-            .or_default()
-            .last_error = Some((now_ms, error.to_owned()));
-    }
-
-    /// Record an event received from `url`.
-    pub fn record_event(&self, url: &str, now_ms: u64) {
-        self.health
-            .write()
-            .entry(url.to_owned())
-            .or_default()
-            .last_event_ms = Some(now_ms);
-    }
-
     /// Build the Fig 9 tree view: one node per configured source, with a
-    /// status icon and its cached queries. `recent_window_ms` is the
-    /// "received in last n minutes" window for the event icon.
+    /// status icon and its cached queries. Each icon is
+    /// [`SourceStatus::of`] the source's health-monitor record, the row
+    /// `gridrm_health` serves. `recent_window_ms` is the "received in
+    /// last n minutes" window for the event icon.
     pub fn tree_view(&self, now_ms: u64, recent_window_ms: u64) -> Vec<TreeNode> {
-        let sources = self.sources.read();
-        let health = self.health.read();
+        let health = self.health_monitor.snapshot();
         let inventory = self.cache.inventory(now_ms);
+        let sources = self.sources.read();
         sources
             .values()
             .map(|cfg| {
-                let h = health.get(&cfg.url).cloned().unwrap_or_default();
-                let recent_event = h
-                    .last_event_ms
-                    .is_some_and(|t| now_ms.saturating_sub(t) <= recent_window_ms);
-                // Ties (same virtual ms) count as failed: the error is
-                // the more recent news.
-                let failed = match (h.last_error, h.last_ok_ms) {
-                    (Some((terr, _)), Some(tok)) => terr >= tok,
-                    (Some(_), None) => true,
-                    _ => false,
-                };
-                let status = if failed {
-                    SourceStatus::PollFailed
-                } else if recent_event {
-                    SourceStatus::RecentEvent
-                } else if h.last_ok_ms.is_some() {
-                    SourceStatus::Ok
-                } else {
-                    SourceStatus::Unknown
-                };
-                let last_error = health
-                    .get(&cfg.url)
-                    .and_then(|h| h.last_error.as_ref().map(|(_, e)| e.clone()));
+                let h = health
+                    .binary_search_by(|s| s.source.as_str().cmp(&cfg.url))
+                    .ok()
+                    .and_then(|i| health.get(i));
                 TreeNode {
                     source: cfg.url.clone(),
                     label: cfg.label.clone(),
-                    status,
+                    status: SourceStatus::of(h, now_ms, recent_window_ms),
                     cached: inventory
                         .iter()
                         .filter(|(s, _, _)| s == &cfg.url)
                         .map(|(_, sql, age)| (sql.clone(), *age))
                         .collect(),
-                    last_ok_ms: h.last_ok_ms,
-                    last_error,
+                    last_ok_ms: h.and_then(|h| h.last_ok_ms),
+                    last_error: h.and_then(|h| h.last_error.clone()),
                 }
             })
             .collect()
@@ -486,6 +434,21 @@ impl AdminInterface {
             body: index_text(),
         }
     }
+}
+
+/// Does an event or push from `origin` concern the source at `url`?
+/// Equal text does, and so does an agent address `host:proto` whose host
+/// is the URL's host and whose proto is its sub-protocol (any proto, for
+/// a wildcard URL): the inverse of [`AdminInterface::discover`]'s
+/// mapping.
+pub(crate) fn concerns(url: &str, origin: &str) -> bool {
+    if url == origin {
+        return true;
+    }
+    let Some((host, proto)) = origin.rsplit_once(':') else {
+        return false;
+    };
+    JdbcUrl::parse(url).is_ok_and(|u| u.host == host && (u.is_wildcard() || u.subprotocol == proto))
 }
 
 fn pretty_json<T: Serialize>(value: &T) -> String {
@@ -641,11 +604,12 @@ mod tests {
         ] {
             a.add_source(DataSourceConfig::dynamic(url, url)).unwrap();
         }
-        a.record_poll_ok("jdbc:snmp://ok/public", 1_000);
-        a.record_poll_ok("jdbc:snmp://failed/public", 1_000);
-        a.record_poll_error("jdbc:snmp://failed/public", 2_000, "boom");
-        a.record_poll_ok("jdbc:snmp://eventful/public", 1_000);
-        a.record_event("jdbc:snmp://eventful/public", 9_000);
+        let h = &a.health_monitor;
+        h.record_success("jdbc:snmp://ok/public", "d", 1_000);
+        h.record_success("jdbc:snmp://failed/public", "d", 1_000);
+        h.record_failure("jdbc:snmp://failed/public", Some("d"), "boom", 2_000);
+        h.record_success("jdbc:snmp://eventful/public", "d", 1_000);
+        h.record_event("eventful:snmp", 9_000);
 
         let tree = a.tree_view(10_000, 60_000);
         let status_of = |url: &str| {
@@ -680,9 +644,47 @@ mod tests {
         let a = admin();
         a.add_source(DataSourceConfig::dynamic("jdbc:snmp://n/p", "n"))
             .unwrap();
-        a.record_poll_error("jdbc:snmp://n/p", 1_000, "down");
-        a.record_poll_ok("jdbc:snmp://n/p", 2_000);
+        a.health_monitor
+            .record_failure("jdbc:snmp://n/p", None, "down", 1_000);
+        a.health_monitor
+            .record_success("jdbc:snmp://n/p", "d", 2_000);
         assert_eq!(a.tree_view(3_000, 60_000)[0].status, SourceStatus::Ok);
+    }
+
+    #[test]
+    fn an_origin_concerns_the_sources_discovery_maps_it_to() {
+        let url = "jdbc:snmp://node03.alpha/public";
+        assert!(concerns(url, url));
+        assert!(concerns(url, "node03.alpha:snmp"));
+        assert!(concerns(
+            "jdbc:://node03.alpha/public",
+            "node03.alpha:ganglia"
+        ));
+        assert!(concerns(
+            "jdbc:snmp://node03.alpha:161/public",
+            "node03.alpha:snmp"
+        ));
+        for other in [
+            "node03.alpha:ganglia",
+            "node13.alpha:snmp",
+            "node03.alpha",
+            "",
+        ] {
+            assert!(!concerns(url, other), "{other}");
+        }
+    }
+
+    #[test]
+    fn a_source_is_kept_under_its_canonical_url() {
+        let a = admin();
+        a.add_source(DataSourceConfig::dynamic("jdbc:snmp://n", "n"))
+            .unwrap();
+        assert_eq!(a.list_sources()[0].url, "jdbc:snmp://n/");
+        let tracked: Vec<String> = a.health_snapshot().into_iter().map(|s| s.source).collect();
+        assert_eq!(tracked, ["jdbc:snmp://n/"]);
+        assert!(a.source("jdbc:snmp://n").is_some());
+        assert!(a.remove_source("jdbc:snmp://n"));
+        assert!(a.health_snapshot().is_empty());
     }
 
     #[test]
@@ -767,18 +769,6 @@ mod tests {
         let b = admin();
         assert_eq!(b.load(&path).unwrap(), 1);
         std::fs::remove_file(&path).ok();
-    }
-}
-
-impl SourceStatus {
-    /// Terminal icon used by the text tree view (Fig 9's legend).
-    pub fn icon(&self) -> &'static str {
-        match self {
-            SourceStatus::Ok => "[ok]",
-            SourceStatus::RecentEvent => "[ev]",
-            SourceStatus::PollFailed => "[!!]",
-            SourceStatus::Unknown => "[??]",
-        }
     }
 }
 

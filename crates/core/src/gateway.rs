@@ -389,50 +389,36 @@ impl Gateway {
     /// n` that is one temporary subscription's register / initial delta
     /// / delivery lifecycle, cancelled afterwards.
     pub fn query(&self, request: &ClientRequest) -> DbcResult<ClientResponse> {
-        let result = match request.kind() {
+        match request.kind() {
             RequestKind::Subscribe => {
                 let id = self.subscribe(&SubscribeSpec::new(request.clone()))?;
-                return self.subscription_ack(id);
+                self.subscription_ack(id)
             }
-            RequestKind::ExplainSubscribe { analyze, inner } => {
-                return explain_subscription(
-                    &self.telemetry,
-                    request,
-                    analyze,
-                    inner,
-                    |spec| self.subscribe(spec),
-                    |id| {
-                        let now = self.clock.now_millis();
-                        let delivered = self.streams.poll(id, 0, now).map_or(0, |d| d.len());
-                        self.streams.cancel(id, now);
-                        delivered
-                    },
-                );
-            }
+            RequestKind::ExplainSubscribe { analyze, inner } => explain_subscription(
+                &self.telemetry,
+                request,
+                analyze,
+                inner,
+                |spec| self.subscribe(spec),
+                |id| {
+                    let now = self.clock.now_millis();
+                    let delivered = self.streams.poll(id, 0, now).map_or(0, |d| d.len());
+                    self.streams.cancel(id, now);
+                    delivered
+                },
+            ),
             RequestKind::Explain { analyze, inner } => {
                 explain(&self.telemetry, request, analyze, inner, |traced, _| {
                     self.request.handle(traced)
                 })
             }
             RequestKind::OneShot => self.request.handle(request),
-        };
-        // Feed the admin tree-view health model (Fig 9 icons) from the
-        // structured per-source outcomes.
-        let now = self.clock.now_millis();
-        match &result {
-            Ok(resp) => self.admin.record_outcomes(&resp.outcomes, now),
-            Err(e) => {
-                for s in &request.sources {
-                    self.admin.record_poll_error(s, now, &e.to_string());
-                }
-            }
         }
-        result
     }
 
     /// Run the gateway's periodic work: ingest pending native pushes
     /// through the Event Manager's formatters, dispatch buffered events
-    /// (recording them into history and the admin health model), sweep
+    /// (recording them into history and the health monitor), sweep
     /// expired cache entries and sessions, write queued harvests into
     /// history and apply history retention.
     /// Returns the number of events dispatched.
@@ -516,7 +502,7 @@ impl Gateway {
         let dispatched = self.events.dispatch();
         for event in &dispatched {
             let _ = self.history.record_event(event);
-            self.admin.record_event(&event.source, now);
+            self.health.record_event(&event.source, now);
             self.streams.mark_dirty(&event.source);
         }
         // 3. Housekeeping.

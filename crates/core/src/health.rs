@@ -2,7 +2,8 @@
 //! query outcomes (Connection/Driver managers) and actively by the probe
 //! scheduler in [`crate::gateway::Gateway::pump`]. Every transition is
 //! journalled and queued for the alert engine; snapshots feed the Admin
-//! JSON exposition and the `gridrm_health` virtual SQL table.
+//! JSON exposition, the `gridrm_health` virtual SQL table and Fig 9's
+//! tree view.
 //!
 //! The state machine (see `docs/observability.md` for the diagram):
 //!
@@ -13,6 +14,7 @@
 //!          (-> Degraded)      successes
 //! ```
 
+use crate::admin::concerns;
 use gridrm_telemetry::{
     Counter, GatewayTelemetry, Journal, JournalSeverity, Registry, KIND_PROBE,
     KIND_STATE_TRANSITION,
@@ -110,6 +112,8 @@ pub struct SourceHealthSnapshot {
     pub transitions: u64,
     /// When the state last changed.
     pub last_transition_ms: Option<u64>,
+    /// Last event (trap, alert) received from the source.
+    pub last_event_ms: Option<u64>,
 }
 
 /// Health counters, registered as
@@ -164,6 +168,7 @@ struct SourceRecord {
     last_failed_driver: Option<String>,
     transitions: u64,
     last_transition_ms: Option<u64>,
+    last_event_ms: Option<u64>,
 }
 
 /// The per-gateway health monitor.
@@ -297,6 +302,17 @@ impl HealthMonitor {
         self.apply_failure(source, driver, error, now_ms, true);
     }
 
+    /// An event (native push, alert) from `origin` arrived at `now_ms`:
+    /// stamp every tracked source it concerns (`admin::concerns`). An
+    /// event never starts tracking a source.
+    pub fn record_event(&self, origin: &str, now_ms: u64) {
+        for (source, rec) in self.records.write().iter_mut() {
+            if concerns(source, origin) {
+                rec.last_event_ms = Some(now_ms);
+            }
+        }
+    }
+
     /// Transitions recorded since the last drain (oldest first). The
     /// gateway pump turns these into alert events.
     pub fn take_transitions(&self) -> Vec<HealthTransition> {
@@ -324,6 +340,7 @@ impl HealthMonitor {
                 last_failed_driver: r.last_failed_driver.clone(),
                 transitions: r.transitions,
                 last_transition_ms: r.last_transition_ms,
+                last_event_ms: r.last_event_ms,
             })
             .collect();
         out.sort_by(|a, b| a.source.cmp(&b.source));
@@ -568,6 +585,16 @@ mod tests {
         assert!(m.untrack(SRC));
         assert!(m.state_of(SRC).is_none());
         assert!(!m.untrack(SRC));
+    }
+
+    #[test]
+    fn events_stamp_tracked_sources_only() {
+        let m = monitor(3, 2);
+        m.track(SRC);
+        m.record_event("node00:snmp", 5);
+        m.record_event("node09:snmp", 6);
+        assert_eq!(m.snapshot_of(SRC).unwrap().last_event_ms, Some(5));
+        assert_eq!(m.snapshot().len(), 1, "an event adds no row");
     }
 
     #[test]

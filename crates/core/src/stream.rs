@@ -16,6 +16,7 @@
 //! tick, not 10 000 re-polls.
 
 use crate::acil::ClientRequest;
+use crate::admin::concerns;
 use gridrm_dbc::{DbcResult, RowSet, SqlError};
 use gridrm_sqlparse::Statement;
 use gridrm_store::DeltaTracker;
@@ -476,22 +477,15 @@ impl StreamManager {
         existed
     }
 
-    /// An agent update (native push, event) touched `source`: standing
-    /// queries watching it are evaluated on the next pump even if their
-    /// cadence has not elapsed. Matching is by substring in either
-    /// direction — agent addresses (`node00.alpha`) appear inside
-    /// source URLs (`jdbc:snmp://node00.alpha/public`).
-    pub fn mark_dirty(&self, source: &str) {
-        if source.is_empty() {
-            return;
-        }
+    /// An agent update (native push, event) came from `origin`: standing
+    /// queries over a source it concerns are evaluated on the next pump
+    /// even if their cadence has not elapsed. The origin is a source URL
+    /// or an agent address (`node00.alpha:snmp`, which concerns
+    /// `jdbc:snmp://node00.alpha/public`); see `admin::concerns`.
+    pub fn mark_dirty(&self, origin: &str) {
         let mut inner = self.inner.lock();
         for q in inner.queries.values_mut() {
-            if q.request
-                .sources
-                .iter()
-                .any(|s| s.contains(source) || source.contains(s.as_str()))
-            {
+            if q.request.sources.iter().any(|s| concerns(s, origin)) {
                 q.dirty = true;
             }
         }

@@ -468,6 +468,171 @@ fn a_cache_hit_does_not_clear_a_failed_poll() {
     assert_eq!(node.status, SourceStatus::PollFailed, "{node:?}");
 }
 
+/// Administer `url` in `w`'s gateway.
+fn administer(w: &World, url: &str) {
+    w.gateway
+        .admin()
+        .add_source(DataSourceConfig::dynamic(url, url))
+        .unwrap();
+}
+
+/// `url`'s Fig 9 icon, checked against the rule applied to its health
+/// record.
+fn icon(w: &World, url: &str) -> SourceStatus {
+    let now = w.gateway.clock().now_millis();
+    let tree = w.gateway.admin().tree_view(now, 60_000);
+    let node = tree.iter().find(|n| n.source == url).unwrap();
+    let record = w.gateway.health().snapshot_of(url);
+    assert_eq!(
+        node.status,
+        SourceStatus::of(record.as_ref(), now, 60_000),
+        "{record:?}"
+    );
+    node.status
+}
+
+/// A request that never reaches the source says nothing about its
+/// health: bad SQL, a fine-grained denial and an exhausted deadline all
+/// leave a healthy source `Ok`.
+#[test]
+fn a_request_that_never_reaches_the_source_leaves_it_ok() {
+    let w = world();
+    let url = "jdbc:snmp://node00.alpha/public";
+    let sql = "SELECT Hostname FROM Processor";
+    administer(&w, url);
+    w.gateway
+        .set_security_policy(gridrm_core::SecurityPolicy::strict().with_rule(
+            gridrm_core::security::AclRule {
+                role: "monitor".into(),
+                url_prefix: "jdbc:snmp://".into(),
+                group: "Processor".into(),
+                allow: true,
+            },
+        ));
+    let token = w.gateway.login(Identity::new("alice", &["monitor"]));
+    let unreached = [
+        ClientRequest::realtime(url, "SELEC nonsense").with_token(token),
+        ClientRequest::realtime(url, "SELECT Hostname FROM MainMemory").with_token(token),
+        ClientRequest::builder(sql)
+            .source(url)
+            .token(token)
+            .deadline_ms(0)
+            .build(),
+    ];
+    for request in &unreached {
+        w.gateway
+            .query(&ClientRequest::realtime(url, sql).with_token(token))
+            .unwrap();
+        assert_eq!(icon(&w, url), SourceStatus::Ok);
+        let answer = w.gateway.query(request);
+        assert!(
+            answer.as_ref().map_or(true, |r| r.sources_ok == 0),
+            "{answer:?}"
+        );
+        assert_eq!(icon(&w, url), SourceStatus::Ok, "{request:?}");
+        assert_eq!(
+            w.gateway.health().state_of(url),
+            Some(gridrm_core::HealthState::Up)
+        );
+    }
+}
+
+/// Probes reach the tree: a source whose agent died after a good query
+/// is `Down` after a few probe intervals, and its icon says so.
+#[test]
+fn failing_probes_show_poll_failed() {
+    let w = world();
+    let url = "jdbc:snmp://node01.alpha/public";
+    administer(&w, url);
+    w.gateway
+        .query(&ClientRequest::realtime(
+            url,
+            "SELECT Hostname FROM Processor",
+        ))
+        .unwrap();
+    w.net.set_down("node01.alpha:snmp", true);
+    for _ in 0..4 {
+        w.gateway
+            .clock()
+            .advance(w.gateway.config().probe_interval_ms);
+        w.gateway.pump();
+    }
+    assert_eq!(
+        w.gateway.health().state_of(url),
+        Some(gridrm_core::HealthState::Down)
+    );
+    assert_eq!(icon(&w, url), SourceStatus::PollFailed);
+}
+
+/// A trap from `node03.alpha:snmp` concerns `jdbc:snmp://node03.alpha/…`:
+/// it lights the source's event icon and re-evaluates a standing query
+/// over it at the next pump, ahead of its cadence.
+#[test]
+fn a_trap_reaches_the_source_it_came_from() {
+    let w = world();
+    let url = "jdbc:snmp://node03.alpha/public";
+    let agent = "node03.alpha:snmp";
+    let sql = "SELECT Hostname, Load1 FROM Processor";
+    administer(&w, url);
+    w.gateway.query(&ClientRequest::realtime(url, sql)).unwrap();
+    w.gateway
+        .query(&ClientRequest::realtime(
+            url,
+            &format!("{sql} EVERY 600000"),
+        ))
+        .unwrap();
+    // The first pump runs the source's first probe.
+    w.gateway.pump();
+    assert_eq!(icon(&w, url), SourceStatus::Ok);
+    let served = || {
+        w.net
+            .endpoint_stats(agent)
+            .unwrap()
+            .snapshot()
+            .requests_served
+    };
+    let before = served();
+
+    for a in &w.agents.snmp {
+        a.set_trap_sink(w.net.clone(), "gw.alpha", 3.0);
+    }
+    w.site.inject_load_spike("node03.alpha", 12.0);
+    w.site.advance_to(121_000);
+    assert_eq!(w.agents.pump().0, 1);
+    w.gateway.pump();
+
+    assert_eq!(icon(&w, url), SourceStatus::RecentEvent);
+    assert!(served() > before, "the standing query was not re-evaluated");
+    let subscription = &w.gateway.streams().snapshot()[0];
+    assert_eq!(subscription.emitted, 2, "{subscription:?}");
+}
+
+/// A source administered as `jdbc:snmp://node02.alpha` is the source the
+/// request path records as `jdbc:snmp://node02.alpha/`: one health row.
+#[test]
+fn a_non_canonical_url_is_one_health_row() {
+    let w = world();
+    administer(&w, "jdbc:snmp://node02.alpha");
+    w.net.set_down("node02.alpha:snmp", true);
+    let _ = w.gateway.query(&ClientRequest::realtime(
+        "jdbc:snmp://node02.alpha",
+        "SELECT Hostname FROM Processor",
+    ));
+    let rows: Vec<String> = w
+        .gateway
+        .health()
+        .snapshot()
+        .into_iter()
+        .map(|s| s.source)
+        .filter(|s| s.contains("node02.alpha"))
+        .collect();
+    assert_eq!(rows, ["jdbc:snmp://node02.alpha/"]);
+    assert_eq!(
+        icon(&w, "jdbc:snmp://node02.alpha/"),
+        SourceStatus::PollFailed
+    );
+}
+
 #[test]
 fn dml_rejected_at_the_acil() {
     let w = world();

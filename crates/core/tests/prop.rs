@@ -1,15 +1,22 @@
 //! Property tests for gateway components: Event Manager ordering and
-//! loss-freedom, cache laws, session laws, alert-rule consistency, and
-//! queued history against the eager writer it replaced.
+//! loss-freedom, cache laws, session laws, alert-rule consistency,
+//! queued history against the eager writer it replaced, and Fig 9's
+//! tree against a model of the last real contact with each source.
 
+use gridrm_agents::{deploy_site, SiteAgents};
 use gridrm_core::alerts::{AlertEngine, AlertRule, Comparison};
 use gridrm_core::cache::CacheController;
 use gridrm_core::events::{EventManager, GridRMEvent, ListenerFilter, Severity};
 use gridrm_core::security::Identity;
 use gridrm_core::session::SessionManager;
-use gridrm_core::HistoryManager;
+use gridrm_core::{
+    ClientRequest, DataSourceConfig, FailurePolicy, Gateway, GatewayConfig, HistoryManager,
+    SourceStatus,
+};
 use gridrm_dbc::{ColumnMeta, ResultSetMetaData, RowSet};
-use gridrm_simnet::SimClock;
+use gridrm_drivers::install_into_gateway;
+use gridrm_resmodel::{SiteModel, SiteSpec};
+use gridrm_simnet::{Network, SimClock};
 use gridrm_sqlparse::{SqlType, SqlValue};
 use gridrm_store::Store;
 use gridrm_telemetry::{GatewayTelemetry, Registry};
@@ -233,6 +240,142 @@ impl HistoryPair {
     }
 }
 
+/// The two administered sources of the tree model, with their agents.
+const TREE_SOURCES: [(&str, &str); 2] = [
+    ("jdbc:snmp://node00.alpha/public", "node00.alpha:snmp"),
+    ("jdbc:snmp://node01.alpha/public", "node01.alpha:snmp"),
+];
+const TREE_SQL: &str = "SELECT Hostname, Load1 FROM Processor";
+
+/// One step of the tree model, on source `i` where it names one.
+#[derive(Debug, Clone)]
+enum TreeOp {
+    /// A real-time query.
+    Query(usize),
+    /// The agent goes down (or comes back), then a real-time query.
+    SetDown(usize, bool),
+    /// SQL that never parses.
+    BadSql(usize),
+    /// A cached query: a hit never reaches the source.
+    Cached(usize),
+    /// A probe interval passes, then a pump probes both sources.
+    Pump,
+    /// The virtual clock moves on.
+    Advance(u64),
+}
+
+fn arb_tree_op() -> impl Strategy<Value = TreeOp> {
+    prop_oneof![
+        (0usize..2).prop_map(TreeOp::Query),
+        (0usize..2, any::<bool>()).prop_map(|(i, down)| TreeOp::SetDown(i, down)),
+        (0usize..2).prop_map(TreeOp::BadSql),
+        (0usize..2).prop_map(TreeOp::Cached),
+        Just(TreeOp::Pump),
+        (0u64..60_000).prop_map(TreeOp::Advance),
+    ]
+}
+
+/// A gateway administering [`TREE_SOURCES`] under the `Report` policy,
+/// and the oracle: per source, whether its agent is down, whether the
+/// cache holds an answer, and whether the last real contact failed.
+struct TreeModel {
+    net: Arc<Network>,
+    gateway: Arc<Gateway>,
+    _agents: SiteAgents,
+    down: [bool; 2],
+    cached: [bool; 2],
+    failed: [bool; 2],
+}
+
+impl TreeModel {
+    fn new() -> TreeModel {
+        let net = Network::new(SimClock::new(), 5);
+        let site = SiteModel::generate(5, &SiteSpec::new("alpha", 2, 2));
+        site.advance_to(60_000);
+        let agents = deploy_site(&net, site);
+        let mut config = GatewayConfig::new("gw-tree", "alpha");
+        // Nothing ages out of the cache, so a cached query hits exactly
+        // when a fetch of the same text has succeeded.
+        config.cache_ttl_ms = 1 << 40;
+        let gateway = Gateway::new(config, net.clone());
+        install_into_gateway(&gateway);
+        for (url, _) in TREE_SOURCES {
+            let config = DataSourceConfig {
+                policy: Some(FailurePolicy::Report),
+                ..DataSourceConfig::dynamic(url, url)
+            };
+            gateway.admin().add_source(config).unwrap();
+        }
+        TreeModel {
+            net,
+            gateway,
+            _agents: agents,
+            down: [false; 2],
+            cached: [false; 2],
+            failed: [false; 2],
+        }
+    }
+
+    /// A driver attempt on source `i`; a good one fills the cache.
+    fn fetch(&mut self, i: usize) {
+        let _ = self
+            .gateway
+            .query(&ClientRequest::realtime(TREE_SOURCES[i].0, TREE_SQL));
+        self.failed[i] = self.down[i];
+        self.cached[i] |= !self.down[i];
+    }
+
+    fn apply(&mut self, op: &TreeOp) {
+        match *op {
+            TreeOp::Query(i) => self.fetch(i),
+            TreeOp::SetDown(i, down) => {
+                self.net.set_down(TREE_SOURCES[i].1, down);
+                self.down[i] = down;
+                self.fetch(i);
+            }
+            TreeOp::BadSql(i) => {
+                let request = ClientRequest::realtime(TREE_SOURCES[i].0, "SELEC nonsense");
+                assert!(self.gateway.query(&request).is_err());
+            }
+            TreeOp::Cached(i) => {
+                if self.cached[i] {
+                    let request = ClientRequest::cached(TREE_SOURCES[i].0, TREE_SQL, None);
+                    let resp = self.gateway.query(&request).unwrap();
+                    assert_eq!(resp.served_from_cache, 1);
+                } else {
+                    self.fetch(i);
+                }
+            }
+            TreeOp::Pump => {
+                let interval = self.gateway.config().probe_interval_ms;
+                self.gateway.clock().advance(interval);
+                self.gateway.pump();
+                self.failed = self.down;
+            }
+            TreeOp::Advance(ms) => {
+                self.gateway.clock().advance(ms);
+            }
+        }
+    }
+
+    /// The tree shows `PollFailed` exactly where the last real contact
+    /// failed.
+    fn check(&self, op: &TreeOp) {
+        let tree = self
+            .gateway
+            .admin()
+            .tree_view(self.gateway.clock().now_millis(), 60_000);
+        for (i, (url, _)) in TREE_SOURCES.iter().enumerate() {
+            let node = tree.iter().find(|n| n.source == *url).unwrap();
+            assert_eq!(
+                node.status == SourceStatus::PollFailed,
+                self.failed[i],
+                "after {op:?}: {node:?}"
+            );
+        }
+    }
+}
+
 fn arb_severity() -> impl Strategy<Value = Severity> {
     prop::sample::select(vec![Severity::Info, Severity::Warning, Severity::Critical])
 }
@@ -395,6 +538,20 @@ proptest! {
         ];
         for op in ops.iter().chain(&tail) {
             pair.apply(op);
+        }
+    }
+
+    /// Fig 9's tree shows `PollFailed` for a source exactly when the
+    /// last real contact with it (a driver attempt or a probe) failed,
+    /// whatever bad SQL, cache hits and clock moves come in between.
+    #[test]
+    fn the_tree_shows_poll_failed_exactly_after_a_failed_contact(
+        ops in prop::collection::vec(arb_tree_op(), 1..24),
+    ) {
+        let mut model = TreeModel::new();
+        for op in &ops {
+            model.apply(op);
+            model.check(op);
         }
     }
 }

@@ -145,6 +145,7 @@ pub static TABLES: &[VirtualTable] = &[
             last_failed_driver: Str = s.last_failed_driver,
             transitions: Int = s.transitions,
             last_transition_ms: Int = s.last_transition_ms,
+            last_event_ms: Int = s.last_event_ms,
         }
     ),
     // One row per structured journal entry, oldest first; `trace_id` is

@@ -195,31 +195,6 @@ impl SiteSloRollup {
     }
 }
 
-/// Site-level intrusion rollup: the monitoring traffic this gateway has
-/// accounted against one Grid site, aggregated across causes and
-/// presented next to [`SiteHealthRollup`] / [`SiteSloRollup`]. A rollup
-/// for the local site is traffic the site *endured*; one for a remote
-/// site is traffic this gateway *imposed* on it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SiteIntrusionRollup {
-    /// The Grid site the traffic was accounted against.
-    pub site: String,
-    /// The reporting gateway (whose ledger this view comes from).
-    pub gateway: String,
-    /// Messages, both directions, all causes.
-    pub msgs: u64,
-    /// Bytes, both directions, all causes.
-    pub bytes: u64,
-    /// Observation window in virtual ms (floored at one second).
-    pub window_ms: u64,
-    /// Messages per virtual second over the window.
-    pub msgs_per_vsec: f64,
-    /// Bytes per virtual second over the window.
-    pub bytes_per_vsec: f64,
-    /// Causes observed for this site, sorted.
-    pub causes: Vec<String>,
-}
-
 /// A gateway's Global-layer attachment.
 pub struct GlobalLayer {
     pub(crate) gateway: Arc<Gateway>,
@@ -682,53 +657,6 @@ impl GlobalLayer {
             worst_burn_slow,
             min_error_budget,
         }
-    }
-
-    /// Roll this gateway's intrusion ledger up to per-site totals for
-    /// Grid-wide presentation, next to [`GlobalLayer::site_slo`]. Pure
-    /// local-ledger arithmetic — no extra wire traffic (the profiler
-    /// must not itself intrude).
-    pub fn site_intrusion(&self) -> Vec<SiteIntrusionRollup> {
-        let config = self.gateway.config();
-        struct Agg {
-            msgs: u64,
-            bytes: u64,
-            first_ms: u64,
-            last_ms: u64,
-            causes: Vec<String>,
-        }
-        let mut by_site: BTreeMap<String, Agg> = BTreeMap::new();
-        for row in self.gateway.telemetry().costs().intrusion_snapshot() {
-            let agg = by_site.entry(row.site).or_insert(Agg {
-                msgs: 0,
-                bytes: 0,
-                first_ms: row.bucket.first_ms,
-                last_ms: row.bucket.last_ms,
-                causes: Vec::new(),
-            });
-            agg.msgs = agg.msgs.saturating_add(row.bucket.msgs);
-            agg.bytes = agg.bytes.saturating_add(row.bucket.bytes);
-            agg.first_ms = agg.first_ms.min(row.bucket.first_ms);
-            agg.last_ms = agg.last_ms.max(row.bucket.last_ms);
-            agg.causes.push(row.cause);
-        }
-        by_site
-            .into_iter()
-            .map(|(site, mut agg)| {
-                agg.causes.sort();
-                let window_ms = agg.last_ms.saturating_sub(agg.first_ms).max(1_000);
-                SiteIntrusionRollup {
-                    site,
-                    gateway: config.name.clone(),
-                    msgs: agg.msgs,
-                    bytes: agg.bytes,
-                    window_ms,
-                    msgs_per_vsec: agg.msgs as f64 * 1_000.0 / window_ms as f64,
-                    bytes_per_vsec: agg.bytes as f64 * 1_000.0 / window_ms as f64,
-                    causes: agg.causes,
-                }
-            })
-            .collect()
     }
 
     /// Liveness check of a peer gateway.

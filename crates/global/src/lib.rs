@@ -27,7 +27,7 @@ pub mod stream;
 pub mod transport;
 
 pub use gma::{GmaDirectory, ProducerEntry};
-pub use layer::{GlobalLayer, SiteHealthRollup, SiteIntrusionRollup, SiteSloRollup};
+pub use layer::{GlobalLayer, SiteHealthRollup, SiteSloRollup};
 pub use protocol::{GlobalRequest, GlobalResponse, WireDelta, WireFrame, WireIdentity, WireRows};
 pub use stream::{GridSubscription, RemoteSubscription};
 pub use transport::{

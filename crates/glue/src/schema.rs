@@ -79,11 +79,6 @@ impl Schema {
             .find(|g| g.name.eq_ignore_ascii_case(name))
     }
 
-    /// Names of all groups.
-    pub fn group_names(&self) -> Vec<&str> {
-        self.groups.iter().map(|g| g.name.as_str()).collect()
-    }
-
     /// Add (or replace) a group definition. Used when extending the schema
     /// at runtime; the `SchemaManager` bumps its version on every change.
     pub fn upsert_group(&mut self, group: GroupDef) {

@@ -392,14 +392,6 @@ impl TcpTransport {
         self.routes.lock().get(logical).copied()
     }
 
-    /// Stop every server this transport started.
-    pub fn stop_all(&self) {
-        for (_, server) in self.servers.lock().drain() {
-            server.stop();
-        }
-        self.pool.lock().clear();
-    }
-
     fn exchange(stream: &mut TcpStream, payload: &[u8]) -> io::Result<Vec<u8>> {
         write_frame(stream, payload)?;
         match read_frame(stream)? {

@@ -63,13 +63,6 @@ impl Database {
         }
     }
 
-    /// Table names, sorted.
-    pub fn table_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.tables.keys().cloned().collect();
-        v.sort();
-        v
-    }
-
     /// Execute a parsed statement. `now` feeds `NOW()`.
     pub fn execute(&mut self, stmt: &Statement, now: i64) -> Result<ExecOutcome, StoreError> {
         exec::execute(self, stmt, now)

@@ -52,8 +52,8 @@ fn main() {
     }
 
     // 3. Poll everything once so the tree view has health + cache data.
-    //    `poll_now` drives any QueryExecutor and feeds each structured
-    //    outcome straight into the admin health ledger.
+    //    Every driver attempt lands in the gateway's health monitor, and
+    //    each tree icon is read from that source's record.
     let sources = gateway.admin().list_sources();
     for cfg in &sources {
         let sql = if cfg.url.contains(":nws") {
@@ -63,10 +63,7 @@ fn main() {
         } else {
             "SELECT Hostname, Load1 FROM Processor"
         };
-        let now = gateway.clock().now_millis();
-        let _ = gateway
-            .admin()
-            .poll_now(gateway.as_ref(), &cfg.url, sql, now);
+        let _ = gateway.query(&ClientRequest::builder(sql).source(&cfg.url).build());
     }
     render_tree(&gateway, "tree view after first poll (Fig 9)");
 
@@ -81,7 +78,8 @@ fn main() {
     println!();
 
     // 5. Failover demo: kill an SNMP agent; the TryNext policy reroutes
-    //    the next poll through Ganglia, and the tree records the episode.
+    //    the next poll through Ganglia, and the health monitor records
+    //    the failed SNMP attempt.
     println!("== taking node00.ops:snmp down, re-polling");
     net.set_down("node00.ops:snmp", true);
     let url = "jdbc:snmp://node00.ops/public";
@@ -126,6 +124,10 @@ fn main() {
         ))
         .is_ok();
     println!("  unrelated SNMP source still fine: {ok}\n");
+    // A query that resolves no driver never reaches the source, so it
+    // records no health; the pump's probes find the SCMS source
+    // unreachable, and the final tree marks it `[!!]`.
+    gateway.pump();
 
     // 7. Persist the registration state ("registration details are cached
     //    persistently within the Gateway", §3.2.2).

@@ -62,8 +62,7 @@ pub mod prelude {
     pub use gridrm_dbc::{JdbcUrl, ResultSet, RowSet, SqlError};
     pub use gridrm_drivers::install_into_gateway;
     pub use gridrm_global::{
-        GlobalLayer, GmaDirectory, GridSubscription, SiteHealthRollup, SiteIntrusionRollup,
-        SiteSloRollup,
+        GlobalLayer, GmaDirectory, GridSubscription, SiteHealthRollup, SiteSloRollup,
     };
     pub use gridrm_resmodel::{SiteModel, SiteSpec};
     pub use gridrm_simnet::{Latency, Network, SimClock};

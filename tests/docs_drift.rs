@@ -234,6 +234,28 @@ fn virtual_tables_match_the_declared_list_both_ways() {
     }
 }
 
+/// `/v1/health` and `gridrm_health` serve the same record: each JSON
+/// object's keys are the table's column names, in column order.
+#[test]
+fn health_json_keys_match_the_health_table_columns() {
+    use gridrm::drivers::telemetry::TABLES;
+    let table = TABLES.iter().find(|t| t.name == "gridrm_health").unwrap();
+    let columns: Vec<&str> = table.columns.iter().map(|(name, _)| *name).collect();
+    let body = exercised_gateway().admin().handle("/v1/health").body;
+    let json: serde_json::Value = serde_json::from_str(&body).expect("/v1/health is JSON");
+    let rows = json.as_array().expect("/v1/health is an array");
+    assert!(!rows.is_empty(), "no tracked source in {body}");
+    for row in rows {
+        let keys: Vec<&str> = row
+            .as_object()
+            .expect("each /v1/health row is an object")
+            .keys()
+            .map(String::as_str)
+            .collect();
+        assert_eq!(keys, columns, "{row:?}");
+    }
+}
+
 #[test]
 fn admin_routes_match_the_index_and_the_docs_both_ways() {
     let gateway = exercised_gateway();
