@@ -590,10 +590,13 @@ pub fn guess_value(text: &str) -> SqlValue {
     if let Ok(f) = t.parse::<f64>() {
         return SqlValue::Float(f);
     }
-    match t.to_ascii_lowercase().as_str() {
-        "true" | "yes" | "up" => SqlValue::Bool(true),
-        "false" | "no" | "down" => SqlValue::Bool(false),
-        _ => SqlValue::Str(t.to_owned()),
+    let is_any = |words: [&str; 3]| words.iter().any(|w| t.eq_ignore_ascii_case(w));
+    if is_any(["true", "yes", "up"]) {
+        SqlValue::Bool(true)
+    } else if is_any(["false", "no", "down"]) {
+        SqlValue::Bool(false)
+    } else {
+        SqlValue::Str(t.to_owned())
     }
 }
 
@@ -622,6 +625,10 @@ mod tests {
         assert_eq!(guess_value("4.5"), SqlValue::Float(4.5));
         assert_eq!(guess_value("up"), SqlValue::Bool(true));
         assert_eq!(guess_value("hello"), SqlValue::Str("hello".into()));
+        assert_eq!(guess_value("UP"), SqlValue::Bool(true));
+        assert_eq!(guess_value(" No "), SqlValue::Bool(false));
+        assert_eq!(guess_value("TRUE"), SqlValue::Bool(true));
+        assert_eq!(guess_value("upx"), SqlValue::Str("upx".into()));
     }
 
     #[test]

@@ -63,32 +63,45 @@ impl Ganglia {
 /// its attributes (`host.*`), metrics and `derived.uptime_sec` that
 /// `keep` names — all of them when `keep` is `None`. Every tag and
 /// attribute of the dump is checked whatever `keep` says, so damage
-/// inside a metric nobody asked for is still an error.
+/// inside a metric nobody asked for is still an error, and so is a
+/// `<HOST>` opened inside another or a `</HOST>` with none open.
 pub fn parse_dump(xml: &str, keep: Option<&[String]>) -> DbcResult<Vec<NativeRow>> {
-    let bad = |e: XmlError| SqlError::Driver(format!("bad gmond XML: {e}"));
+    let broken = |what: &str| SqlError::Driver(format!("bad gmond XML: {what}"));
+    let bad = |e: XmlError| broken(&e.to_string());
     let want = |key: &str| keep.is_none_or(|keep| keep.iter().any(|k| k == key));
+    let [want_name, want_ip, want_reported, want_uptime] = [
+        "host.name",
+        "host.ip",
+        "host.reported",
+        "derived.uptime_sec",
+    ]
+    .map(want);
     let mut rows = Vec::new();
     // The open <HOST>: its row so far, then REPORTED and boottime, which
-    // derived.uptime_sec is made of whether or not they are kept.
+    // derived.uptime_sec is made of, read only when it is kept.
     let mut host: Option<(NativeRow, Option<i64>, Option<i64>)> = None;
     for tag in Tags::new(xml) {
         match tag.map_err(bad)? {
             Tag::Open("HOST", attrs) => {
+                if host.is_some() {
+                    return Err(broken("<HOST> opened inside another <HOST>"));
+                }
                 let (mut row, mut reported) = (NativeRow::new(), None);
                 for attr in attrs {
                     let (key, val) = match attr.map_err(bad)? {
-                        ("NAME", v) => ("host.name", SqlValue::Str(v.into_owned())),
-                        ("IP", v) => ("host.ip", SqlValue::Str(v.into_owned())),
-                        ("REPORTED", v) => {
+                        ("NAME", v) if want_name => ("host.name", SqlValue::Str(v.into_owned())),
+                        ("IP", v) if want_ip => ("host.ip", SqlValue::Str(v.into_owned())),
+                        ("REPORTED", v) if want_reported || want_uptime => {
                             let val = guess_value(&v);
                             reported = val.as_i64();
+                            if !want_reported {
+                                continue;
+                            }
                             ("host.reported", val)
                         }
                         _ => continue,
                     };
-                    if want(key) {
-                        row.insert(key.to_owned(), val);
-                    }
+                    row.insert(key.to_owned(), val);
                 }
                 host = Some((row, reported, None));
             }
@@ -102,7 +115,7 @@ pub fn parse_dump(xml: &str, keep: Option<&[String]>) -> DbcResult<Vec<NativeRow
                     }
                 }
                 if let (Some((row, _, boot)), Some(name), Some(val)) = (host.as_mut(), name, val) {
-                    if name == "boottime" {
+                    if want_uptime && name == "boottime" {
                         *boot = guess_value(&val).as_i64();
                     }
                     if want(&name) {
@@ -112,10 +125,10 @@ pub fn parse_dump(xml: &str, keep: Option<&[String]>) -> DbcResult<Vec<NativeRow
             }
             Tag::Close("HOST") => {
                 let Some((mut row, reported, boot)) = host.take() else {
-                    continue;
+                    return Err(broken("</HOST> with no <HOST> open"));
                 };
                 let uptime = reported.zip(boot).and_then(|(r, b)| r.checked_sub(b));
-                if let Some(up) = uptime.filter(|_| want("derived.uptime_sec")) {
+                if let Some(up) = uptime.filter(|_| want_uptime) {
                     row.insert("derived.uptime_sec".into(), SqlValue::Int(up));
                 }
                 rows.push(row);
@@ -554,8 +567,9 @@ mod parse_props {
         }
 
         /// A dump cut short at any byte, or missing any one `"`, `=` or
-        /// `>`, is either refused or still says, host for host from the
-        /// first, exactly what the whole dump said — wide and narrow.
+        /// `>`, or one whole `<HOST …>` or `</HOST>` tag, is either
+        /// refused or still says, host for host from the first, exactly
+        /// what the whole dump said — wide and narrow.
         #[test]
         fn damage_is_refused_or_harmless(
             model in model(),
@@ -563,9 +577,18 @@ mod parse_props {
             keys in keys(),
             at in any::<usize>(),
             truncate in any::<bool>(),
+            host_tag in any::<bool>(),
         ) {
             let xml = render(&model, spacing);
-            let damaged = if truncate {
+            let host_tags: Vec<(usize, usize)> = xml
+                .match_indices("<HOST")
+                .chain(xml.match_indices("</HOST>"))
+                .map(|(i, _)| (i, i + xml[i..].find('>').unwrap() + 1))
+                .collect();
+            let damaged = if host_tag && !host_tags.is_empty() {
+                let (from, to) = host_tags[at % host_tags.len()];
+                format!("{}{}", &xml[..from], &xml[to..])
+            } else if truncate {
                 xml[..at % xml.len()].to_owned()
             } else {
                 let marks: Vec<usize> = xml.match_indices(['"', '=', '>']).map(|(i, _)| i).collect();

@@ -1,15 +1,21 @@
-//! Allocation guard for the JDBC-SNMP driver: one warm `Processor` point
-//! query over a connection that is already open — the benchmark's
-//! `realtime_snmp` statement as the pool runs it — through the real
-//! driver kit, the SNMP codec, the simulated network and the agent. The
-//! count does not depend on the host, so an OID parsed from or printed to
-//! text on this path, a cloned field mapping or an agent that builds
-//! more than the request names fails here, where a timing would not.
+//! Allocation guards for the drivers. The JDBC-SNMP one runs one warm
+//! `Processor` point query over a connection that is already open — the
+//! benchmark's `realtime_snmp` statement as the pool runs it — through
+//! the real driver kit, the SNMP codec, the simulated network and the
+//! agent. The gmond ones scan and parse the benchmark's 32-host
+//! `coarse_scan` dump. The counts do not depend on the host, so an OID
+//! parsed from or printed to text on the request path, a cloned field
+//! mapping, an agent that builds more than the request names, or a
+//! scanner that copies what it could borrow fails here, where a timing
+//! would not.
 
 use gridrm_agents::deploy_site;
+use gridrm_agents::ganglia::GangliaAgent;
 use gridrm_dbc::{Driver, JdbcUrl, Properties, RowSet};
 use gridrm_drivers::base::DriverEnv;
+use gridrm_drivers::ganglia::parse_dump;
 use gridrm_drivers::snmp::SnmpDriver;
+use gridrm_drivers::xml::{Tag, Tags};
 use gridrm_glue::SchemaManager;
 use gridrm_resmodel::{SiteModel, SiteSpec};
 use gridrm_simnet::{Network, SimClock};
@@ -82,4 +88,45 @@ fn a_warm_point_query_allocates_for_one_fine_grained_exchange() {
     // Measured 142 (328 at the parent commit, with this file), of which
     // the agent's answer is 40 (`crates/agents/tests/alloc_guard.rs`).
     assert!(allocations <= 150, "query: {allocations}");
+}
+
+/// The gmond dump of a 32-host site, as `coarse_scan` fetches it.
+fn gmond_dump() -> String {
+    let site = SiteModel::generate(1, &SiteSpec::new("serve", 32, 4));
+    site.advance_to(600_000);
+    GangliaAgent::new(site).dump()
+}
+
+#[test]
+fn draining_an_entity_free_dump_allocates_nothing() {
+    let xml = gmond_dump();
+    assert!(!xml.contains('&'));
+    let ((tags, attrs), allocations) = allocations_of(|| {
+        let (mut tags, mut attrs) = (0, 0);
+        for tag in Tags::new(&xml) {
+            tags += 1;
+            if let Tag::Open(_, all) | Tag::SelfClose(_, all) = tag.unwrap() {
+                for attr in all {
+                    attr.unwrap();
+                    attrs += 1;
+                }
+            }
+        }
+        (tags, attrs)
+    });
+    assert_eq!((tags, attrs), (708, 2662));
+    assert_eq!(allocations, 0);
+}
+
+#[test]
+fn a_narrow_gmond_parse_allocates_only_the_rows_it_keeps() {
+    let xml = gmond_dump();
+    let keep = ["host.name".to_owned(), "load_one".to_owned()];
+    let (rows, allocations) = allocations_of(|| parse_dump(&xml, Some(&keep)).unwrap());
+    assert_eq!(rows.len(), 32);
+    assert!(rows.iter().all(|row| row.len() == 2));
+    // Measured 132: per host its map, two key strings and the name,
+    // plus four growths of the row vector (164 at the parent commit,
+    // which also copied out every host's unkept IP).
+    assert!(allocations <= 132, "parse: {allocations}");
 }
