@@ -22,7 +22,7 @@ use crate::security::Identity;
 use crate::session::SessionToken;
 use gridrm_dbc::{DbcResult, RowSet};
 use gridrm_sqlparse::{ParseResult, SqlValue, Statement};
-use gridrm_telemetry::{GatewayTelemetry, SpanBuilder, TraceContext};
+use gridrm_telemetry::{GatewayTelemetry, SpanBuilder, SpanText, TraceContext};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -166,7 +166,7 @@ impl SourceOutcome {
 /// holds the text holds the statement, so the two cannot disagree.
 #[derive(Debug)]
 struct Query {
-    text: String,
+    text: Arc<str>,
     statement: DbcResult<Arc<Statement>>,
 }
 
@@ -273,6 +273,11 @@ impl ClientRequest {
         &self.query.text
     }
 
+    /// The SQL text, shared rather than copied.
+    pub(crate) fn sql_shared(&self) -> &Arc<str> {
+        &self.query.text
+    }
+
     /// The parsed statement, or the syntax error the text produced.
     pub fn statement(&self) -> DbcResult<&Statement> {
         self.query.statement.as_deref().map_err(Clone::clone)
@@ -303,7 +308,7 @@ impl ClientRequest {
     pub(crate) fn with_statement(&self, statement: Statement) -> ClientRequest {
         ClientRequest {
             query: Arc::new(Query {
-                text: statement.to_string(),
+                text: Arc::from(statement.to_string()),
                 statement: Ok(Arc::new(statement)),
             }),
             ..self.clone()
@@ -313,9 +318,10 @@ impl ClientRequest {
     /// Open this request's span, named after its SQL: a child when the
     /// request carries a trace context, a fresh root otherwise.
     pub fn open_span(&self, telemetry: &GatewayTelemetry) -> SpanBuilder {
+        let label = SpanText::from(&self.query.text);
         match &self.trace {
-            Some(ctx) => telemetry.span_in(ctx, self.sql()),
-            None => telemetry.span(self.sql()),
+            Some(ctx) => telemetry.span_in(ctx, label),
+            None => telemetry.span(label),
         }
     }
 
@@ -364,19 +370,19 @@ impl QueryBuilder {
     /// Start a builder for the given SQL text (defaults: no sources,
     /// real-time mode, anonymous, no deadline, best-effort policy).
     pub fn new(sql: &str) -> QueryBuilder {
-        QueryBuilder::parsed(sql, gridrm_sqlparse::parse(sql).map(Arc::new))
+        QueryBuilder::parsed(Arc::from(sql), gridrm_sqlparse::parse(sql).map(Arc::new))
     }
 
     /// A builder for `sql` whose statement, or syntax error, is already
-    /// known (from a gateway's parse memo).
-    pub(crate) fn parsed(sql: &str, statement: ParseResult<Arc<Statement>>) -> QueryBuilder {
+    /// known (from a gateway's parse memo, which shares its text).
+    pub(crate) fn parsed(sql: Arc<str>, statement: ParseResult<Arc<Statement>>) -> QueryBuilder {
         QueryBuilder {
             request: ClientRequest {
                 token: None,
                 identity: None,
                 sources: Vec::new(),
                 query: Arc::new(Query {
-                    text: sql.to_owned(),
+                    text: sql,
                     statement: statement.map_err(Into::into),
                 }),
                 mode: QueryMode::RealTime,
@@ -396,6 +402,13 @@ impl QueryBuilder {
     /// Replace the source list (consolidated query, §3.1.1).
     pub fn sources<S: AsRef<str>>(mut self, sources: &[S]) -> QueryBuilder {
         self.request.sources = sources.iter().map(|s| s.as_ref().to_owned()).collect();
+        self
+    }
+
+    /// Replace the source list with one the caller owns (a decoded wire
+    /// request's), moving it in rather than copying it.
+    pub fn source_list(mut self, sources: Vec<String>) -> QueryBuilder {
+        self.request.sources = sources;
         self
     }
 

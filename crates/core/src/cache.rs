@@ -81,11 +81,11 @@ impl CacheStats {
     }
 }
 
-type Key = (String, String); // (source url, sql)
-
 /// The gateway query-result cache.
 pub struct CacheController {
-    entries: RwLock<BTreeMap<Key, CachedResult>>,
+    /// Entries by source URL, then SQL text: both levels are looked up
+    /// by `&str`, so a lookup copies no key. No inner map is empty.
+    entries: RwLock<BTreeMap<String, BTreeMap<String, CachedResult>>>,
     /// Default maximum age served, ms (clients may ask for fresher).
     default_ttl_ms: u64,
     stats: CacheStats,
@@ -116,8 +116,12 @@ impl CacheController {
         max_age_ms: Option<u64>,
     ) -> Option<CachedResult> {
         let limit = max_age_ms.unwrap_or(self.default_ttl_ms);
-        let key: Key = (source.to_owned(), sql.to_owned());
-        let found = self.entries.read().get(&key).cloned();
+        let found = self
+            .entries
+            .read()
+            .get(source)
+            .and_then(|by_sql| by_sql.get(sql))
+            .cloned();
         match found {
             Some(entry) if entry.age_ms(now_ms) <= limit => {
                 self.stats.hits.inc();
@@ -133,22 +137,33 @@ impl CacheController {
     /// Store a fresh result.
     pub fn store(&self, source: &str, sql: &str, rows: Arc<RowSet>, now_ms: u64) {
         self.stats.stores.inc();
-        self.entries.write().insert(
-            (source.to_owned(), sql.to_owned()),
-            CachedResult {
-                rows,
-                cached_at_ms: now_ms,
-            },
-        );
+        let fresh = CachedResult {
+            rows,
+            cached_at_ms: now_ms,
+        };
+        let mut entries = self.entries.write();
+        // Replacing an entry copies no key.
+        if let Some(entry) = entries
+            .get_mut(source)
+            .and_then(|by_sql| by_sql.get_mut(sql))
+        {
+            *entry = fresh;
+            return;
+        }
+        entries
+            .entry(source.to_owned())
+            .or_default()
+            .insert(sql.to_owned(), fresh);
     }
 
     /// Invalidate all entries for one source (e.g. after a failure or an
     /// explicit poll). Returns how many entries were dropped.
     pub fn invalidate_source(&self, source: &str) -> usize {
-        let mut entries = self.entries.write();
-        let before = entries.len();
-        entries.retain(|(s, _), _| s != source);
-        let dropped = before - entries.len();
+        let dropped = self
+            .entries
+            .write()
+            .remove(source)
+            .map_or(0, |by_sql| by_sql.len());
         self.stats.invalidations.add(dropped as u64);
         dropped
     }
@@ -156,9 +171,13 @@ impl CacheController {
     /// Drop entries older than `max_age_ms` (housekeeping sweep).
     pub fn sweep(&self, now_ms: u64, max_age_ms: u64) -> usize {
         let mut entries = self.entries.write();
-        let before = entries.len();
-        entries.retain(|_, e| e.age_ms(now_ms) <= max_age_ms);
-        let dropped = before - entries.len();
+        let mut dropped = 0;
+        entries.retain(|_, by_sql| {
+            let before = by_sql.len();
+            by_sql.retain(|_, e| e.age_ms(now_ms) <= max_age_ms);
+            dropped += before - by_sql.len();
+            !by_sql.is_empty()
+        });
         self.stats.invalidations.add(dropped as u64);
         dropped
     }
@@ -171,7 +190,11 @@ impl CacheController {
             .entries
             .read()
             .iter()
-            .map(|((s, q), e)| (s.clone(), q.clone(), e.age_ms(now_ms)))
+            .flat_map(|(s, by_sql)| {
+                by_sql
+                    .iter()
+                    .map(move |(q, e)| (s.clone(), q.clone(), e.age_ms(now_ms)))
+            })
             .collect();
         v.sort();
         v
@@ -179,7 +202,7 @@ impl CacheController {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.entries.read().len()
+        self.entries.read().values().map(BTreeMap::len).sum()
     }
 
     /// True when the cache is empty.

@@ -29,10 +29,11 @@ use crate::driver_manager::{FailurePolicy, GridRMDriverManager};
 use crate::health::HealthMonitor;
 use gridrm_dbc::{Connection, DbcResult, JdbcUrl, Properties, RowSet, SqlError};
 use gridrm_telemetry::{
-    CostVector, Counter, GatewayTelemetry, JournalSeverity, Labels, Registry, SpanBuilder, Stage,
-    DEFAULT_LATENCY_BUCKETS_MS, KIND_DRIVER_FALLBACK, KIND_POLICY_DECISION,
+    CostVector, Counter, GatewayTelemetry, Histogram, JournalSeverity, Labels, Registry,
+    SpanBuilder, SpanText, Stage, DEFAULT_LATENCY_BUCKETS_MS, KIND_DRIVER_FALLBACK,
+    KIND_POLICY_DECISION,
 };
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -98,12 +99,14 @@ impl PoolStats {
     }
 }
 
-type PoolKey = (String, String); // (url, driver name)
+/// Idle connections by canonical source URL, then driver name: both
+/// levels are looked up by `&str`, so a checkout copies no key.
+type Pool = HashMap<String, HashMap<String, Vec<Box<dyn Connection>>>>;
 
 /// The Connection Manager.
 pub struct ConnectionManager {
     driver_manager: Arc<GridRMDriverManager>,
-    pool: Mutex<HashMap<PoolKey, Vec<Box<dyn Connection>>>>,
+    pool: Mutex<Pool>,
     max_idle_per_key: usize,
     /// Pooling can be disabled to measure its benefit (E9).
     pooling_enabled: std::sync::atomic::AtomicBool,
@@ -113,6 +116,9 @@ pub struct ConnectionManager {
     telemetry: GatewayTelemetry,
     /// Fed by every query outcome (the passive health signal).
     health: Arc<HealthMonitor>,
+    /// `gridrm_driver_latency_ms` series by driver name, each
+    /// registered on the driver's first attempt.
+    driver_latency: RwLock<HashMap<String, Histogram>>,
 }
 
 impl ConnectionManager {
@@ -133,6 +139,7 @@ impl ConnectionManager {
             stats: PoolStats::new(telemetry.registry()),
             telemetry: telemetry.clone(),
             health,
+            driver_latency: RwLock::new(HashMap::new()),
         }
     }
 
@@ -149,15 +156,24 @@ impl ConnectionManager {
         &self.driver_manager
     }
 
-    /// Check a connection out; the boolean is true when it came from
-    /// the pool (vs. freshly created), so callers can trace the
-    /// decision.
-    fn checkout(&self, url: &JdbcUrl, driver_name: &str) -> DbcResult<(Box<dyn Connection>, bool)> {
+    /// Check a connection to `url` (canonical text `key`) out; the
+    /// boolean is true when it came from the pool (vs. freshly
+    /// created), so callers can trace the decision.
+    fn checkout(
+        &self,
+        url: &JdbcUrl,
+        key: &str,
+        driver_name: &str,
+    ) -> DbcResult<(Box<dyn Connection>, bool)> {
         self.stats.checkouts.inc();
-        let key: PoolKey = (url.to_string(), driver_name.to_owned());
         if self.pooling_enabled.load(Ordering::Relaxed) {
             // Handed out as it is: the caller's first request is the test.
-            let pooled = self.pool.lock().get_mut(&key).and_then(Vec::pop);
+            let pooled = self
+                .pool
+                .lock()
+                .get_mut(key)
+                .and_then(|drivers| drivers.get_mut(driver_name))
+                .and_then(Vec::pop);
             if let Some(conn) = pooled {
                 self.stats.pool_hits.inc();
                 return Ok((conn, true));
@@ -174,14 +190,24 @@ impl ConnectionManager {
         Ok((driver.connect(url, &Properties::new())?, false))
     }
 
-    fn checkin(&self, url: &JdbcUrl, driver_name: &str, mut conn: Box<dyn Connection>) {
+    fn checkin(&self, key: &str, driver_name: &str, mut conn: Box<dyn Connection>) {
         if !self.pooling_enabled.load(Ordering::Relaxed) || conn.is_closed() {
             let _ = conn.close();
             return;
         }
-        let key: PoolKey = (url.to_string(), driver_name.to_owned());
         let mut pool = self.pool.lock();
-        let slot = pool.entry(key).or_default();
+        let idle = pool
+            .get_mut(key)
+            .and_then(|drivers| drivers.get_mut(driver_name));
+        // A key seen before is not copied again.
+        let slot = match idle {
+            Some(slot) => slot,
+            None => pool
+                .entry(key.to_owned())
+                .or_default()
+                .entry(driver_name.to_owned())
+                .or_default(),
+        };
         if slot.len() >= self.max_idle_per_key {
             self.stats.discards.inc();
             let _ = conn.close();
@@ -192,7 +218,12 @@ impl ConnectionManager {
 
     /// Number of idle pooled connections (across all keys).
     pub fn idle_connections(&self) -> usize {
-        self.pool.lock().values().map(Vec::len).sum()
+        self.pool
+            .lock()
+            .values()
+            .flat_map(HashMap::values)
+            .map(Vec::len)
+            .sum()
     }
 
     /// Drop every pooled connection (e.g. on shutdown).
@@ -206,11 +237,12 @@ impl ConnectionManager {
     fn attempt(
         &self,
         url: &JdbcUrl,
-        driver_name: &str,
+        key: &str,
+        driver_name: &Arc<str>,
         sql: &str,
         mut span: Option<&mut SpanBuilder>,
     ) -> DbcResult<RowSet> {
-        let (mut conn, pooled) = self.checkout(url, driver_name)?;
+        let (mut conn, pooled) = self.checkout(url, key, driver_name)?;
         if let Some(s) = span.as_deref_mut() {
             s.stage_with(Stage::Checkout, if pooled { "pool_hit" } else { "create" });
             s.stage_with(Stage::Connect, driver_name);
@@ -230,7 +262,7 @@ impl ConnectionManager {
             rows
         })();
         match &result {
-            Ok(_) => self.checkin(url, driver_name, conn),
+            Ok(_) => self.checkin(key, driver_name, conn),
             Err(_) => {
                 // A failed connection is not returned to the pool.
                 self.stats.discards.inc();
@@ -262,17 +294,20 @@ impl ConnectionManager {
     ) -> DbcResult<RowSet> {
         let clock = self.telemetry.clock();
         let journal = self.telemetry.journal();
-        let policy = self.driver_manager.policy_for(url);
-        let key = url.to_string();
-        let trace_id = span.as_deref().map(|s| s.trace_id().to_owned());
+        // The source's canonical text, rendered once: every key, span and
+        // health record below shares it.
+        let key: Arc<str> = Arc::from(url.to_string());
+        let policy = self.driver_manager.policy_for_key(&key);
         let mut excluded: Vec<String> = Vec::new();
         let mut retries_used = 0u32;
         let mut last_err: Option<SqlError> = None;
         loop {
-            let mut resolve_span = span.as_deref().map(|s| s.child(&format!("resolve {key}")));
+            let mut resolve_span = span
+                .as_deref()
+                .map(|s| s.child(SpanText::around(&["resolve ", ""], &key)));
             let resolved =
                 self.driver_manager
-                    .resolve_excluding_traced(url, &excluded, resolve_span.as_mut());
+                    .resolve_keyed(url, &key, &excluded, resolve_span.as_mut());
             let driver = match resolved {
                 Ok(d) => {
                     if let Some(rs) = resolve_span {
@@ -287,22 +322,20 @@ impl ConnectionManager {
                     return Err(last_err.unwrap_or(e));
                 }
             };
-            let name = driver.name();
+            let name: Arc<str> = Arc::from(driver.name());
             if let Some(s) = span.as_deref_mut() {
                 s.stage_with(Stage::Resolve, &name);
             }
             let mut exec_span = span.as_deref().map(|s| {
-                let mut c = s.child(&format!("driver_execute {name}"));
+                let mut c = s.child(SpanText::around(&["driver_execute ", ""], &name));
                 c.stage_with(Stage::DriverExecute, &name);
                 c.source(&key);
                 c
             });
             let started_ms = clock.now_millis();
             let outcome = {
-                let _active = exec_span
-                    .as_ref()
-                    .map(|es| gridrm_telemetry::active::enter(&self.telemetry, es.context()));
-                self.attempt(url, &name, sql, exec_span.as_mut())
+                let _active = exec_span.as_ref().map(gridrm_telemetry::active::enter);
+                self.attempt(url, &key, &name, sql, exec_span.as_mut())
             };
             if let Some(mut es) = exec_span {
                 // Every attempt is one native driver fetch; a successful
@@ -314,18 +347,11 @@ impl ConnectionManager {
                 });
                 es.finish(if outcome.is_ok() { "ok" } else { "error" });
             }
-            self.telemetry
-                .registry()
-                .histogram(
-                    "gridrm_driver_latency_ms",
-                    "Per-driver query execution latency in virtual milliseconds",
-                    Labels::from_pairs(&[("driver", &name)]),
-                    DEFAULT_LATENCY_BUCKETS_MS,
-                )
+            self.driver_latency(&name)
                 .observe(clock.now_millis().saturating_sub(started_ms) as f64);
             match outcome {
                 Ok(rs) => {
-                    self.driver_manager.record_success(url, &name);
+                    self.driver_manager.record_success_key(&key, &name);
                     self.health.record_success(&key, &name, clock.now_millis());
                     return Ok(rs);
                 }
@@ -333,7 +359,7 @@ impl ConnectionManager {
                     self.stats.failures.inc();
                     // The *failed* driver is recorded against the source's
                     // health, even when the policy falls back to another.
-                    self.driver_manager.record_failure(url, &name);
+                    self.driver_manager.record_failure_key(&key, &name);
                     self.health.record_failure(
                         &key,
                         Some(&name),
@@ -345,6 +371,7 @@ impl ConnectionManager {
                     if !err.is_retryable() && !matches!(err, SqlError::Driver(_)) {
                         return Err(err);
                     }
+                    let trace_id = span.as_deref().map(SpanBuilder::trace_id);
                     let decision = |severity, kind, message: &str| {
                         journal.record_traced(
                             clock.now_millis(),
@@ -354,7 +381,7 @@ impl ConnectionManager {
                             Some(&name),
                             None,
                             message,
-                            trace_id.as_deref(),
+                            trace_id,
                         );
                     };
                     match policy {
@@ -389,7 +416,7 @@ impl ConnectionManager {
                                 KIND_DRIVER_FALLBACK,
                                 &format!("falling back from {name}: {err}"),
                             );
-                            excluded.push(name);
+                            excluded.push(name.to_string());
                             last_err = Some(err);
                         }
                     }
@@ -406,11 +433,12 @@ impl ConnectionManager {
     pub fn probe(&self, url: &JdbcUrl) -> DbcResult<String> {
         let driver = self.driver_manager.resolve(url)?;
         let name = driver.name();
+        let key = url.to_string();
         let result = (|| {
-            let (mut conn, _pooled) = self.checkout(url, &name)?;
+            let (mut conn, _pooled) = self.checkout(url, &key, &name)?;
             match conn.ping() {
                 Ok(()) => {
-                    self.checkin(url, &name, conn);
+                    self.checkin(&key, &name, conn);
                     Ok(())
                 }
                 Err(e) => {
@@ -433,6 +461,23 @@ impl ConnectionManager {
                 Err(e)
             }
         }
+    }
+
+    /// The latency histogram of `driver`, registered on first use.
+    fn driver_latency(&self, driver: &str) -> Histogram {
+        if let Some(histogram) = self.driver_latency.read().get(driver) {
+            return histogram.clone();
+        }
+        let histogram = self.telemetry.registry().histogram(
+            "gridrm_driver_latency_ms",
+            "Per-driver query execution latency in virtual milliseconds",
+            Labels::from_pairs(&[("driver", driver)]),
+            DEFAULT_LATENCY_BUCKETS_MS,
+        );
+        self.driver_latency
+            .write()
+            .insert(driver.to_owned(), histogram.clone());
+        histogram
     }
 
     /// Pool counters.
@@ -871,11 +916,12 @@ mod tests {
         let cm = manager(dm, 2);
         // Checkout 4 connections simultaneously, then return them all.
         let u = url();
+        let key = u.to_string();
         let conns: Vec<_> = (0..4)
-            .map(|_| cm.checkout(&u, "drv-a").unwrap().0)
+            .map(|_| cm.checkout(&u, &key, "drv-a").unwrap().0)
             .collect();
         for c in conns {
-            cm.checkin(&u, "drv-a", c);
+            cm.checkin(&key, "drv-a", c);
         }
         assert_eq!(cm.idle_connections(), 2);
         cm.drain();

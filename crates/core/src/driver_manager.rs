@@ -20,7 +20,7 @@
 )]
 
 use gridrm_dbc::{DbcResult, Driver, DriverManager, JdbcUrl, SqlError};
-use gridrm_telemetry::{Counter, Registry, SpanBuilder, Stage};
+use gridrm_telemetry::{Counter, Registry, SpanBuilder, SpanText, Stage};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -38,6 +38,18 @@ pub enum FailurePolicy {
     /// drivers", excluding those that already failed.
     #[default]
     TryNext,
+}
+
+impl FailurePolicy {
+    /// The policy as `Debug` prints it; the unit variants need no
+    /// formatting.
+    fn describe(self) -> SpanText {
+        match self {
+            FailurePolicy::Report => SpanText::from("Report"),
+            FailurePolicy::TryNext => SpanText::from("TryNext"),
+            FailurePolicy::Retry(_) => SpanText::from(format!("{self:?}")),
+        }
+    }
 }
 
 /// Selection-path counters (experiment E5), registered as
@@ -114,7 +126,7 @@ pub struct GridRMDriverManager {
     /// number of drivers to be used in prioritised order").
     preferences: RwLock<HashMap<String, Vec<String>>>,
     /// Per-source last successfully used driver.
-    last_success: RwLock<HashMap<String, String>>,
+    last_success: RwLock<HashMap<String, Arc<str>>>,
     /// Per-source failure policy, with a gateway-wide default.
     policies: RwLock<HashMap<String, FailurePolicy>>,
     default_policy: RwLock<FailurePolicy>,
@@ -150,7 +162,7 @@ impl GridRMDriverManager {
     pub fn unregister(&self, name: &str) -> bool {
         let removed = self.base.unregister(name);
         if removed {
-            self.last_success.write().retain(|_, d| d != name);
+            self.last_success.write().retain(|_, d| **d != *name);
         }
         removed
     }
@@ -177,9 +189,15 @@ impl GridRMDriverManager {
 
     /// The failure policy in force for a source.
     pub fn policy_for(&self, url: &JdbcUrl) -> FailurePolicy {
+        self.policy_for_key(&url.to_string())
+    }
+
+    /// [`GridRMDriverManager::policy_for`] by the source's canonical
+    /// URL text.
+    pub(crate) fn policy_for_key(&self, key: &str) -> FailurePolicy {
         self.policies
             .read()
-            .get(&url.to_string())
+            .get(key)
             .copied()
             .unwrap_or(*self.default_policy.read())
     }
@@ -205,66 +223,92 @@ impl GridRMDriverManager {
         &self,
         url: &JdbcUrl,
         exclude: &[String],
+        span: Option<&mut SpanBuilder>,
+    ) -> DbcResult<Arc<dyn Driver>> {
+        self.resolve_keyed(url, &url.to_string(), exclude, span)
+    }
+
+    /// [`GridRMDriverManager::resolve_excluding_traced`] for a source
+    /// whose canonical URL text `key` the caller already holds.
+    pub(crate) fn resolve_keyed(
+        &self,
+        url: &JdbcUrl,
+        key: &str,
+        exclude: &[String],
         mut span: Option<&mut SpanBuilder>,
     ) -> DbcResult<Arc<dyn Driver>> {
         self.stats.resolutions.inc();
-        let key = url.to_string();
         let traced = span.is_some();
-        let mut note = |stage: Stage, detail: &str| {
+        let mut note = |stage: Stage, detail: SpanText| {
             if let Some(s) = span.as_deref_mut() {
                 s.stage_with(stage, detail);
             }
         };
         if traced {
-            note(Stage::ResolvePolicy, &format!("{:?}", self.policy_for(url)));
+            note(Stage::ResolvePolicy, self.policy_for_key(key).describe());
         }
 
         // 1. Last-success cache ("for performance, the GridRMDriverManager
         //    maintains a cache containing details of the driver last
         //    successfully used for a data source").
-        let cached = self.last_success.read().get(&key).cloned();
+        let cached = self.last_success.read().get(key).cloned();
         match cached {
-            Some(name) if exclude.contains(&name) => {
-                note(Stage::ResolveCache, &format!("{name} excluded"));
+            Some(name) if exclude.iter().any(|e| **e == *name) => {
+                note(
+                    Stage::ResolveCache,
+                    SpanText::around(&["", " excluded"], &name),
+                );
             }
             Some(name) => {
                 if let Some(d) = self.base.get_by_name(&name) {
                     self.stats.cache_hits.inc();
-                    note(Stage::ResolveCache, &format!("hit {name}"));
-                    note(Stage::ResolveChosen, &format!("{name} via cache"));
+                    note(Stage::ResolveCache, SpanText::around(&["hit ", ""], &name));
+                    note(
+                        Stage::ResolveChosen,
+                        SpanText::around(&["", " via cache"], &name),
+                    );
                     return Ok(d);
                 }
-                note(Stage::ResolveCache, &format!("stale {name}"));
+                note(
+                    Stage::ResolveCache,
+                    SpanText::around(&["stale ", ""], &name),
+                );
             }
-            None => note(Stage::ResolveCache, "miss"),
+            None => note(Stage::ResolveCache, SpanText::from("miss")),
         }
 
         // 2. Static preferences, in priority order.
-        let prefs = self.preferences.read().get(&key).cloned();
+        let prefs = self.preferences.read().get(key).cloned();
         if let Some(prefs) = prefs {
             for name in &prefs {
                 if exclude.contains(name) {
-                    note(Stage::ResolveCandidate, &format!("{name} static excluded"));
+                    note(
+                        Stage::ResolveCandidate,
+                        format!("{name} static excluded").into(),
+                    );
                     continue;
                 }
                 if let Some(d) = self.base.get_by_name(name) {
                     self.stats.static_hits.inc();
-                    note(Stage::ResolveCandidate, &format!("{name} static accepted"));
+                    note(
+                        Stage::ResolveCandidate,
+                        format!("{name} static accepted").into(),
+                    );
                     note(
                         Stage::ResolveChosen,
-                        &format!("{name} via static preference"),
+                        format!("{name} via static preference").into(),
                     );
                     return Ok(d);
                 }
                 note(
                     Stage::ResolveCandidate,
-                    &format!("{name} static unregistered"),
+                    format!("{name} static unregistered").into(),
                 );
             }
             // Explicit preferences exist but none are usable: that is a
             // configuration-level failure the user asked to control; fall
             // through to dynamic selection only under TryNext.
-            if self.policy_for(url) != FailurePolicy::TryNext {
+            if self.policy_for_key(key) != FailurePolicy::TryNext {
                 return Err(SqlError::NoSuitableDriver(format!(
                     "{key} (preferred drivers unavailable)"
                 )));
@@ -286,7 +330,7 @@ impl GridRMDriverManager {
             if exclude.contains(&name) {
                 note(
                     Stage::ResolveCandidate,
-                    &format!("{name} accepts_url excluded"),
+                    format!("{name} accepts_url excluded").into(),
                 );
                 continue;
             }
@@ -294,20 +338,20 @@ impl GridRMDriverManager {
             if d.accepts_url(url) {
                 note(
                     Stage::ResolveCandidate,
-                    &format!("{name} accepts_url accepted"),
+                    format!("{name} accepts_url accepted").into(),
                 );
                 note(
                     Stage::ResolveChosen,
-                    &format!("{name} via accepts_url scan"),
+                    format!("{name} via accepts_url scan").into(),
                 );
                 return Ok(d);
             }
             note(
                 Stage::ResolveCandidate,
-                &format!("{name} accepts_url rejected"),
+                format!("{name} accepts_url rejected").into(),
             );
         }
-        Err(SqlError::NoSuitableDriver(key))
+        Err(SqlError::NoSuitableDriver(key.to_owned()))
     }
 
     /// Resolve with no exclusions.
@@ -317,18 +361,38 @@ impl GridRMDriverManager {
 
     /// Record a successful use of `driver` for `url` (feeds the cache).
     pub fn record_success(&self, url: &JdbcUrl, driver: &str) {
+        self.record_success_key(&url.to_string(), &Arc::from(driver));
+    }
+
+    /// [`GridRMDriverManager::record_success`] by the source's canonical
+    /// URL text. The cache is written only when its answer changes.
+    pub(crate) fn record_success_key(&self, key: &str, driver: &Arc<str>) {
+        if self
+            .last_success
+            .read()
+            .get(key)
+            .is_some_and(|cached| cached == driver)
+        {
+            return;
+        }
         self.last_success
             .write()
-            .insert(url.to_string(), driver.to_owned());
+            .insert(key.to_owned(), Arc::clone(driver));
     }
 
     /// Record a failed use: "configuration rules determine the actions that
     /// should occur if a cached driver reference is no longer valid" — at
     /// minimum the stale cache entry is dropped.
     pub fn record_failure(&self, url: &JdbcUrl, driver: &str) {
+        self.record_failure_key(&url.to_string(), driver);
+    }
+
+    /// [`GridRMDriverManager::record_failure`] by the source's canonical
+    /// URL text.
+    pub(crate) fn record_failure_key(&self, key: &str, driver: &str) {
         let mut cache = self.last_success.write();
-        if cache.get(&url.to_string()).map(String::as_str) == Some(driver) {
-            cache.remove(&url.to_string());
+        if cache.get(key).is_some_and(|cached| **cached == *driver) {
+            cache.remove(key);
             self.stats.invalidations.inc();
         }
     }
@@ -348,7 +412,10 @@ impl GridRMDriverManager {
 
     /// The cached last-success driver for a source, if any.
     pub fn cached_driver(&self, url: &JdbcUrl) -> Option<String> {
-        self.last_success.read().get(&url.to_string()).cloned()
+        self.last_success
+            .read()
+            .get(&url.to_string())
+            .map(|name| name.to_string())
     }
 
     /// Selection counters.
@@ -381,6 +448,17 @@ mod tests {
         }
         fn connect(&self, _url: &JdbcUrl, _props: &Properties) -> DbcResult<Box<dyn Connection>> {
             Err(SqlError::Connection("fake".into()))
+        }
+    }
+
+    #[test]
+    fn policy_descriptions_read_as_debug_prints_them() {
+        for policy in [
+            FailurePolicy::Report,
+            FailurePolicy::Retry(3),
+            FailurePolicy::TryNext,
+        ] {
+            assert_eq!(policy.describe().to_string(), format!("{policy:?}"));
         }
     }
 

@@ -73,7 +73,7 @@ pub fn explain_subscription<S>(
         let subscription = subscribe(&SubscribeSpec::new(traced.clone()))?;
         let mut deliver = span.child("deliver");
         let delivered = deliver_and_cancel(subscription);
-        deliver.stage_with(Stage::Deliver, &format!("{delivered} deltas"));
+        deliver.stage_with(Stage::Deliver, format!("{delivered} deltas"));
         deliver.finish("ok");
         let no_rows = RowSet::empty(ResultSetMetaData::new(Vec::new()));
         Ok(ClientResponse::from_outcomes(

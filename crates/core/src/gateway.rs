@@ -293,7 +293,8 @@ impl Gateway {
     /// (the wire service): the text is parsed through this gateway's
     /// memo, so each distinct text is parsed once.
     pub fn builder(&self, sql: &str) -> QueryBuilder {
-        QueryBuilder::parsed(sql, self.parses.parse(sql))
+        let (text, statement) = self.parses.parse_text(sql);
+        QueryBuilder::parsed(text, statement)
     }
 
     /// Authenticate and open a session.

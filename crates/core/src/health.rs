@@ -374,7 +374,11 @@ impl HealthMonitor {
 
     fn apply_success(&self, source: &str, driver: &str, now_ms: u64, via_probe: bool) {
         let mut records = self.records.write();
-        let rec = records.entry(source.to_owned()).or_default();
+        // A source seen before is not copied again.
+        let rec = match records.get_mut(source) {
+            Some(rec) => rec,
+            None => records.entry(source.to_owned()).or_default(),
+        };
         rec.consecutive_failures = 0;
         rec.consecutive_successes = rec.consecutive_successes.saturating_add(1);
         rec.last_ok_ms = Some(now_ms);

@@ -33,13 +33,13 @@ use gridrm_dbc::{DbcResult, JdbcUrl, RowSet, SqlError};
 use gridrm_simnet::SimClock;
 use gridrm_sqlparse::Statement;
 use gridrm_telemetry::{
-    CostVector, Counter, GatewayTelemetry, JournalSeverity, Labels, Registry, SpanBuilder, Stage,
-    KIND_CACHE_SERVE,
+    CostVector, Counter, GatewayTelemetry, Histogram, JournalSeverity, Labels, Registry,
+    SpanBuilder, Stage, KIND_CACHE_SERVE,
 };
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Request-path counters, registered as `gridrm_requests_total` and
 /// `gridrm_request_paths_total{path=…}`.
@@ -141,12 +141,14 @@ pub struct RequestManager {
     clock: Arc<SimClock>,
     record_history: AtomicBool,
     stats: RequestStats,
-    /// Request latency histogram, per-request trace spans and the
-    /// cache-serve journal entries.
+    /// Per-request trace spans and the cache-serve journal entries.
     telemetry: GatewayTelemetry,
+    /// `gridrm_request_latency_ms`, registered by the first request so
+    /// a gateway that has served none does not expose it.
+    latency: OnceLock<Histogram>,
     /// Deduplicates identical concurrent realtime fetches (keyed by
     /// source URL + SQL text).
-    singleflight: SingleFlight<(String, String), DbcResult<RowSet>>,
+    singleflight: SingleFlight<(Arc<str>, Arc<str>), DbcResult<RowSet>>,
     /// Deadline budget applied to requests that set none
     /// (config `default_deadline_ms`; 0 = no deadline).
     default_deadline_ms: AtomicU64,
@@ -179,6 +181,7 @@ impl RequestManager {
             record_history: AtomicBool::new(record_history),
             stats: RequestStats::new(telemetry.registry()),
             telemetry: telemetry.clone(),
+            latency: OnceLock::new(),
             singleflight: SingleFlight::new(),
             default_deadline_ms: AtomicU64::new(0),
         }
@@ -201,7 +204,7 @@ impl RequestManager {
     /// second request has actually joined the flight".
     pub fn inflight_waiters(&self, source: &str, sql: &str) -> usize {
         self.singleflight
-            .waiters(&(source.to_owned(), sql.to_owned()))
+            .waiters(&(Arc::from(source), Arc::from(sql)))
     }
 
     fn resolve_identity(&self, request: &ClientRequest) -> DbcResult<Identity> {
@@ -224,14 +227,15 @@ impl RequestManager {
         span.stage(Stage::Acil);
         let started_ms = self.clock.now_millis();
         let result = self.handle_inner(request, &mut span);
-        self.telemetry
-            .registry()
-            .histogram(
-                "gridrm_request_latency_ms",
-                "End-to-end client request latency in virtual milliseconds",
-                Labels::none(),
-                gridrm_telemetry::DEFAULT_LATENCY_BUCKETS_MS,
-            )
+        self.latency
+            .get_or_init(|| {
+                self.telemetry.registry().histogram(
+                    "gridrm_request_latency_ms",
+                    "End-to-end client request latency in virtual milliseconds",
+                    Labels::none(),
+                    gridrm_telemetry::DEFAULT_LATENCY_BUCKETS_MS,
+                )
+            })
             .observe(self.clock.now_millis().saturating_sub(started_ms) as f64);
         // The rows this request ships back to its caller — cache hits and
         // coalesced shares included — are a direct charge on the request
@@ -393,17 +397,19 @@ impl RequestManager {
                     Ok(u) => u,
                     Err(e) => return failure(OutcomeStatus::Error, 0, &e.to_string(), e),
                 };
-                span.source(source);
+                // One copy of the source text serves the span and the
+                // flight key; the SQL text is the request's own.
+                let source_text: Arc<str> = Arc::from(source.as_str());
+                span.source(&source_text);
                 // Single-flight: identical concurrent fetches share one
                 // driver execution and one cache fill. The first caller in
                 // (the leader) runs the closure; overlapping identical
                 // callers block and share its result.
-                let (result, coalesced) =
-                    self.singleflight
-                        .execute((source.clone(), sql.to_owned()), || {
-                            self.stats.realtime_fetches.inc();
-                            self.connections.execute_traced(&url, sql, Some(&mut *span))
-                        });
+                let flight = (source_text, Arc::clone(request.sql_shared()));
+                let (result, coalesced) = self.singleflight.execute(flight, || {
+                    self.stats.realtime_fetches.inc();
+                    self.connections.execute_traced(&url, sql, Some(&mut *span))
+                });
                 if coalesced {
                     self.stats.coalesced_hits.inc();
                     span.stage_with(Stage::Coalesce, "shared");

@@ -334,6 +334,10 @@ impl<S: Source> Driver for KitDriver<S> {
         self.shared.meta.clone()
     }
 
+    fn name(&self) -> String {
+        self.shared.meta.name.clone()
+    }
+
     fn accepts_url(&self, url: &JdbcUrl) -> bool {
         let s = &self.shared;
         url.subprotocol == s.meta.subprotocol
@@ -347,7 +351,7 @@ impl<S: Source> Driver for KitDriver<S> {
         let schema = s.env.schema.handle_for(&s.meta.name);
         Ok(Box::new(KitConnection {
             shared: s.clone(),
-            url: url.clone(),
+            url: Arc::new(url.clone()),
             schema,
             closed: false,
         }))
@@ -356,7 +360,8 @@ impl<S: Source> Driver for KitDriver<S> {
 
 struct KitConnection<S> {
     shared: Arc<Shared<S>>,
-    url: JdbcUrl,
+    /// Shared with every statement the connection creates.
+    url: Arc<JdbcUrl>,
     schema: SchemaHandle,
     closed: bool,
 }
@@ -368,7 +373,7 @@ impl<S: Source> Connection for KitConnection<S> {
         }
         Ok(Box::new(KitStatement {
             shared: self.shared.clone(),
-            url: self.url.clone(),
+            url: Arc::clone(&self.url),
             schema: self.schema.clone(),
         }))
     }
@@ -405,7 +410,7 @@ impl<S: Source> Connection for KitConnection<S> {
 
 struct KitStatement<S> {
     shared: Arc<Shared<S>>,
-    url: JdbcUrl,
+    url: Arc<JdbcUrl>,
     schema: SchemaHandle,
 }
 
@@ -506,7 +511,7 @@ pub fn glue_translate(
     group: &str,
     native_rows: &[NativeRow],
 ) -> DbcResult<Vec<Vec<SqlValue>>> {
-    let span = gridrm_telemetry::active::child_span(&format!("glue {group}"));
+    let span = gridrm_telemetry::active::child_span(|| format!("glue {group}"));
     let result = translator
         .translate_all(group, native_rows)
         .ok_or_else(|| SqlError::Driver("group vanished from schema".into()));
@@ -523,7 +528,7 @@ pub fn glue_translate(
                         rows.len()
                     )
                 };
-                s.stage_with(Stage::GlueTranslate, &detail);
+                s.stage_with(Stage::GlueTranslate, detail);
                 s.finish("ok");
             }
             Err(_) => {

@@ -142,7 +142,7 @@ impl GlobalLayer {
         let mut span = request.open_span(&telemetry);
         span.stage_with(
             Stage::GlobalQuery,
-            &format!(
+            format!(
                 "{n_local} local, {n_remote} remote gateways, {} dispatch",
                 if parallel { "parallel" } else { "sequential" }
             ),
@@ -216,7 +216,7 @@ impl GlobalLayer {
                 continue;
             }
 
-            let mut seg_span = telemetry.span_in(&ctx, &format!("segment:{label}"));
+            let mut seg_span = telemetry.span_in(&ctx, format!("segment:{label}"));
             let seg_start = clock.now_millis();
             // `external` is the segment's modelled cost not yet applied
             // to the clock (RTT + remote compute); local work moves the

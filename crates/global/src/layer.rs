@@ -354,13 +354,13 @@ impl GlobalLayer {
                 let mut builder = self
                     .gateway
                     .builder(&sql)
-                    .sources(&sources)
-                    .identity(identity.to_identity())
+                    .source_list(sources)
+                    .identity(identity.into_identity())
                     .mode(mode);
                 if let Some(deadline) = deadline_ms {
                     builder = builder.deadline_ms(deadline);
                 }
-                if let Some(ctx) = trace.clone() {
+                if let Some(ctx) = trace {
                     builder = builder.trace(ctx);
                 }
                 let request = builder.build();
@@ -370,7 +370,7 @@ impl GlobalLayer {
                         // Ship the spans this gateway recorded for the
                         // caller's trace back with the rows, so the
                         // caller can reassemble the cross-site tree.
-                        let spans = match &trace {
+                        let spans = match &request.trace {
                             Some(ctx) => self.gateway.telemetry().traces().for_trace(&ctx.trace_id),
                             None => Vec::new(),
                         };
@@ -406,8 +406,8 @@ impl GlobalLayer {
                 self.stats.remote_queries_in.inc();
                 let spec = SubscribeSpec {
                     request: ClientRequest::builder(&sql)
-                        .sources(&sources)
-                        .identity(identity.to_identity())
+                        .source_list(sources)
+                        .identity(identity.into_identity())
                         .build(),
                     every_ms,
                     buffer,

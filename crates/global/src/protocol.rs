@@ -32,8 +32,15 @@ impl From<&Identity> for WireIdentity {
 impl WireIdentity {
     /// Back to a core identity.
     pub fn to_identity(&self) -> Identity {
-        let roles: Vec<&str> = self.roles.iter().map(String::as_str).collect();
-        Identity::new(&self.name, &roles)
+        self.clone().into_identity()
+    }
+
+    /// Back to a core identity, its strings moved rather than copied.
+    pub fn into_identity(self) -> Identity {
+        Identity {
+            name: self.name,
+            roles: self.roles.into_iter().collect(),
+        }
     }
 }
 

@@ -72,7 +72,7 @@ pub fn parse(sql: &str) -> ParseResult<Statement> {
 /// ```
 #[derive(Debug, Default)]
 pub struct ParseMemo {
-    parsed: Mutex<BTreeMap<String, Arc<Statement>>>,
+    parsed: Mutex<BTreeMap<Arc<str>, Arc<Statement>>>,
 }
 
 impl ParseMemo {
@@ -81,20 +81,33 @@ impl ParseMemo {
 
     /// [`parse`], once per distinct text.
     pub fn parse(&self, sql: &str) -> ParseResult<Arc<Statement>> {
-        let hit = self.parsed().get(sql).cloned();
-        if let Some(statement) = hit {
-            return Ok(statement);
+        self.parse_text(sql).1
+    }
+
+    /// [`ParseMemo::parse`], returning the text as well, shared with
+    /// the memo when it holds the text already.
+    pub fn parse_text(&self, sql: &str) -> (Arc<str>, ParseResult<Arc<Statement>>) {
+        let hit = self
+            .parsed()
+            .get_key_value(sql)
+            .map(|(text, statement)| (Arc::clone(text), Arc::clone(statement)));
+        if let Some((text, statement)) = hit {
+            return (text, Ok(statement));
         }
-        let statement = Arc::new(parse(sql)?);
+        let text: Arc<str> = Arc::from(sql);
+        let statement = match parse(sql) {
+            Ok(statement) => Arc::new(statement),
+            Err(e) => return (text, Err(e)),
+        };
         let mut parsed = self.parsed();
         if parsed.len() >= ParseMemo::CAPACITY {
             parsed.clear();
         }
-        parsed.insert(sql.to_owned(), statement.clone());
-        Ok(statement)
+        parsed.insert(Arc::clone(&text), Arc::clone(&statement));
+        (text, Ok(statement))
     }
 
-    fn parsed(&self) -> MutexGuard<'_, BTreeMap<String, Arc<Statement>>> {
+    fn parsed(&self) -> MutexGuard<'_, BTreeMap<Arc<str>, Arc<Statement>>> {
         // A panic elsewhere while the lock was held leaves a map whose
         // every entry is still a complete, correct parse.
         self.parsed.lock().unwrap_or_else(PoisonError::into_inner)
@@ -117,6 +130,13 @@ mod tests {
         let a = memo.parse(first).unwrap();
         let b = memo.parse(first).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "the second call is a hit");
+        let (text, c) = memo.parse_text(first);
+        assert!(Arc::ptr_eq(&a, &c.unwrap()));
+        assert_eq!(&*text, first);
+        assert!(
+            Arc::ptr_eq(&text, &memo.parse_text(first).0),
+            "the text is shared"
+        );
         assert_eq!(*a, parse(first).unwrap());
         // Twice the capacity of other texts clears the memo at least once;
         // the first text then parses afresh, to the same statement.

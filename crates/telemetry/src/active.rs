@@ -11,11 +11,11 @@
 //! pops, so nested attempts (a driver re-entering the gateway) nest
 //! correctly.
 
-use crate::trace::{GatewayTelemetry, SpanBuilder, TraceContext};
+use crate::trace::{GatewayTelemetry, Parent, SpanBuilder, SpanLabel};
 use std::cell::RefCell;
 
 thread_local! {
-    static ACTIVE: RefCell<Vec<(GatewayTelemetry, TraceContext)>> = const { RefCell::new(Vec::new()) };
+    static ACTIVE: RefCell<Vec<(GatewayTelemetry, Parent)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Guard returned by [`enter`]; leaving the scope pops the active span.
@@ -31,28 +31,38 @@ impl Drop for ActiveSpanGuard {
     }
 }
 
-/// Make `ctx` (a span on `hub`) the ambient active span for the current
-/// thread until the returned guard drops.
-pub fn enter(hub: &GatewayTelemetry, ctx: TraceContext) -> ActiveSpanGuard {
-    ACTIVE.with(|stack| stack.borrow_mut().push((hub.clone(), ctx)));
+/// Make `span` the ambient active span for the current thread until
+/// the returned guard drops.
+pub fn enter(span: &SpanBuilder) -> ActiveSpanGuard {
+    ACTIVE.with(|stack| {
+        stack
+            .borrow_mut()
+            .push((span.hub().clone(), span.as_parent()))
+    });
     ActiveSpanGuard { _private: () }
 }
 
-/// Start a child of the ambient active span, if one is entered. Code
-/// running outside any traced request gets `None` and skips recording.
-pub fn child_span(request: &str) -> Option<SpanBuilder> {
+/// Start a child of the ambient active span, if one is entered, named
+/// by `request`. Code running outside any traced request gets `None`,
+/// skips recording and never builds the name.
+pub fn child_span<L: SpanLabel>(request: impl FnOnce() -> L) -> Option<SpanBuilder> {
     ACTIVE.with(|stack| {
         stack
             .borrow()
             .last()
-            .map(|(hub, ctx)| hub.span_in(ctx, request))
+            .map(|(hub, parent)| hub.span_under(parent.clone(), request()))
     })
 }
 
 /// The ambient trace id, if a span is entered. Lets journal call sites
 /// stamp entries without holding a span of their own.
 pub fn current_trace_id() -> Option<String> {
-    ACTIVE.with(|stack| stack.borrow().last().map(|(_, ctx)| ctx.trace_id.clone()))
+    ACTIVE.with(|stack| {
+        stack
+            .borrow()
+            .last()
+            .map(|(_, parent)| parent.trace_id.to_string())
+    })
 }
 
 #[cfg(test)]
@@ -62,20 +72,20 @@ mod tests {
 
     #[test]
     fn child_span_requires_an_entered_scope() {
-        assert!(child_span("orphan").is_none());
+        assert!(child_span(|| "orphan").is_none());
         assert!(current_trace_id().is_none());
 
         let hub = GatewayTelemetry::new(SimClock::new());
         hub.set_identity("alpha", "gw-a");
         let root = hub.span("SELECT 1");
         {
-            let _guard = enter(&hub, root.context());
+            let _guard = enter(&root);
             assert_eq!(current_trace_id().as_deref(), Some(root.trace_id()));
-            let child = child_span("glue Processor").expect("active scope");
+            let child = child_span(|| "glue Processor").expect("active scope");
             assert_eq!(child.trace_id(), root.trace_id());
             child.finish("ok");
         }
-        assert!(child_span("after-drop").is_none());
+        assert!(child_span(|| "after-drop").is_none());
         root.finish("ok");
 
         let spans = hub.traces().recent();
@@ -92,10 +102,10 @@ mod tests {
         let hub = GatewayTelemetry::new(SimClock::new());
         let outer = hub.span("outer");
         let inner = outer.child("inner");
-        let _g1 = enter(&hub, outer.context());
+        let _g1 = enter(&outer);
         {
-            let _g2 = enter(&hub, inner.context());
-            let c = child_span("deep").unwrap();
+            let _g2 = enter(&inner);
+            let c = child_span(|| "deep").unwrap();
             assert_eq!(
                 c.context().trace_id,
                 outer.context().trace_id,
@@ -104,7 +114,7 @@ mod tests {
             c.finish("ok");
         }
         // Back to the outer scope after the inner guard dropped.
-        let c = child_span("shallow").unwrap();
+        let c = child_span(|| "shallow").unwrap();
         c.finish("ok");
         inner.finish("ok");
         outer.finish("ok");

@@ -23,6 +23,7 @@
 
 use crate::journal::{Journal, JournalSeverity, KIND_COST_BUDGET};
 use crate::metrics::{Counter, Labels, Registry};
+use crate::trace::SpanText;
 use gridrm_simnet::SimClock;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -146,6 +147,41 @@ pub struct QueryCostEntry {
     pub over_budget: bool,
 }
 
+/// A root span's bill as the ledger keeps it; [`RootBill::render`]
+/// makes the [`QueryCostEntry`] readers see.
+#[derive(Debug, Clone)]
+pub(crate) struct RootBill {
+    pub(crate) trace_id: SpanText,
+    pub(crate) site: SpanText,
+    pub(crate) request: SpanText,
+    pub(crate) started_ms: u64,
+    pub(crate) finished_ms: u64,
+    pub(crate) cost: CostVector,
+}
+
+impl RootBill {
+    fn render(&self, over_budget: bool) -> QueryCostEntry {
+        QueryCostEntry {
+            trace_id: self.trace_id.to_string(),
+            site: self.site.to_string(),
+            request: self.request.to_string(),
+            started_ms: self.started_ms,
+            finished_ms: self.finished_ms,
+            cost: self.cost,
+            over_budget,
+        }
+    }
+}
+
+/// Costs parked under parent spans that have not finished yet.
+#[derive(Default)]
+struct Pending {
+    /// Parent span's numeric id → (entry number, cost so far).
+    bills: BTreeMap<u64, (u64, CostVector)>,
+    /// Entries ever opened; numbers them oldest first.
+    opened: u64,
+}
+
 /// Accumulated intrusion for one `(site, cause)` pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IntrusionBucket {
@@ -206,14 +242,15 @@ pub struct CostLedger {
     clock: Arc<SimClock>,
     journal: Arc<Journal>,
     /// Costs rolled up from finished children, keyed by the parent
-    /// span id, awaiting the parent's own finish.
-    pending: Mutex<BTreeMap<String, CostVector>>,
+    /// span's numeric id, awaiting the parent's own finish.
+    pending: Mutex<Pending>,
     pending_cap: usize,
-    /// Completed root entries, oldest evicted first.
-    entries: Mutex<VecDeque<QueryCostEntry>>,
+    /// Completed root entries with their budget verdicts, oldest
+    /// evicted first.
+    entries: Mutex<VecDeque<(RootBill, bool)>>,
     entries_cap: usize,
-    /// Per-(site, cause) intrusion buckets.
-    intrusion: Mutex<BTreeMap<(String, String), IntrusionBucket>>,
+    /// Intrusion buckets by site, then cause name.
+    intrusion: Mutex<BTreeMap<String, BTreeMap<&'static str, IntrusionBucket>>>,
     /// Budget knobs (0 = disabled).
     budget_bytes: AtomicU64,
     budget_rows: AtomicU64,
@@ -278,7 +315,7 @@ impl CostLedger {
         CostLedger {
             clock,
             journal,
-            pending: Mutex::new(BTreeMap::new()),
+            pending: Mutex::new(Pending::default()),
             pending_cap: DEFAULT_COST_PENDING,
             entries: Mutex::new(VecDeque::new()),
             entries_cap: DEFAULT_COST_ENTRIES,
@@ -344,50 +381,72 @@ impl CostLedger {
         cells.bytes.add(bytes);
         let now = self.clock.now_millis();
         let mut intrusion = self.intrusion.lock();
-        let bucket = intrusion
-            .entry((site.to_owned(), cause.name().to_owned()))
-            .or_insert(IntrusionBucket {
-                msgs: 0,
-                bytes: 0,
-                first_ms: now,
-                last_ms: now,
-            });
+        let fresh = IntrusionBucket {
+            msgs: 0,
+            bytes: 0,
+            first_ms: now,
+            last_ms: now,
+        };
+        // Look the site up before inserting: a site seen before costs
+        // no key copy.
+        let bucket = match intrusion.get_mut(site) {
+            Some(causes) => causes.entry(cause.name()).or_insert(fresh),
+            None => intrusion
+                .entry(site.to_owned())
+                .or_default()
+                .entry(cause.name())
+                .or_insert(fresh),
+        };
         bucket.msgs = bucket.msgs.saturating_add(msgs);
         bucket.bytes = bucket.bytes.saturating_add(bytes);
         bucket.last_ms = bucket.last_ms.max(now);
     }
 
-    /// Credit a finished child's inclusive cost to its parent span. The
-    /// pending table is bounded: overflow evicts the (lexically) first
-    /// entry and counts a drop — a parent that never finishes (a remote
-    /// caller's span, a leaked builder) must not grow the table forever.
-    pub fn roll_up(&self, parent_span_id: &str, v: &CostVector) {
+    /// Credit a finished child's inclusive cost to its parent span, by
+    /// the parent's numeric id. Only a parent that finishes on this
+    /// gateway is ever credited here. The pending table is still
+    /// bounded, against a parent that never finishes (a leaked
+    /// builder): overflow evicts the oldest entry and counts a drop.
+    pub fn roll_up(&self, parent: u64, v: &CostVector) {
         if v.is_zero() {
             return;
         }
         let mut pending = self.pending.lock();
-        if !pending.contains_key(parent_span_id) && pending.len() >= self.pending_cap {
-            let first = pending.keys().next().cloned();
-            if let Some(k) = first {
-                pending.remove(&k);
+        if let Some((_, cost)) = pending.bills.get_mut(&parent) {
+            cost.add(v);
+            return;
+        }
+        if pending.bills.len() >= self.pending_cap {
+            let oldest = pending
+                .bills
+                .iter()
+                .min_by_key(|(_, (opened, _))| *opened)
+                .map(|(k, _)| *k);
+            if let Some(k) = oldest {
+                pending.bills.remove(&k);
                 self.drops.inc();
             }
         }
-        pending.entry(parent_span_id.to_owned()).or_default().add(v);
+        let opened = pending.opened;
+        pending.opened += 1;
+        pending.bills.insert(parent, (opened, *v));
     }
 
-    /// Take (and clear) the cost rolled up under a span id.
-    pub fn take_pending(&self, span_id: &str) -> CostVector {
-        self.pending.lock().remove(span_id).unwrap_or_default()
+    /// Take (and clear) the cost rolled up under a span's numeric id.
+    pub fn take_pending(&self, span: u64) -> CostVector {
+        self.pending
+            .lock()
+            .bills
+            .remove(&span)
+            .map(|(_, cost)| cost)
+            .unwrap_or_default()
     }
 
     /// Record a completed root's bill: append the ring entry (evictions
-    /// counted as drops) and journal a budget breach. The caller builds
-    /// the entry from its span; `entry.over_budget` is overwritten with
-    /// the verdict, which is also returned so the caller can stamp the
-    /// span. `source` only labels the journal entry (falls back to the
-    /// request text).
-    pub fn note_root(&self, mut entry: QueryCostEntry, source: Option<&str>) -> bool {
+    /// counted as drops) and journal a budget breach. The verdict is
+    /// returned so the caller can stamp the span. `source` only labels
+    /// the journal entry (falls back to the request text).
+    pub(crate) fn note_root(&self, entry: RootBill, source: Option<&SpanText>) -> bool {
         let cost = &entry.cost;
         let (budget_bytes, budget_rows) = self.budget();
         let over_bytes = budget_bytes > 0 && cost.total_bytes() > budget_bytes;
@@ -407,26 +466,29 @@ impl CostLedger {
                 self.clock.now_millis(),
                 JournalSeverity::Warning,
                 KIND_COST_BUDGET,
-                source.unwrap_or(&entry.request),
+                &source.unwrap_or(&entry.request).to_string(),
                 None,
                 Some("cost"),
                 &format!("query cost over budget: {what}"),
-                Some(&entry.trace_id),
+                Some(&entry.trace_id.to_string()),
             );
         }
-        entry.over_budget = over_budget;
         let mut entries = self.entries.lock();
         if entries.len() == self.entries_cap {
             entries.pop_front();
             self.drops.inc();
         }
-        entries.push_back(entry);
+        entries.push_back((entry, over_budget));
         over_budget
     }
 
     /// Completed root entries, oldest first.
     pub fn entries(&self) -> Vec<QueryCostEntry> {
-        self.entries.lock().iter().cloned().collect()
+        self.entries
+            .lock()
+            .iter()
+            .map(|(bill, over_budget)| bill.render(*over_budget))
+            .collect()
     }
 
     /// The intrusion buckets, ordered by `(site, cause)`.
@@ -434,25 +496,27 @@ impl CostLedger {
         self.intrusion
             .lock()
             .iter()
-            .map(|((site, cause), bucket)| IntrusionRow {
-                site: site.clone(),
-                cause: cause.clone(),
-                bucket: *bucket,
+            .flat_map(|(site, causes)| {
+                causes.iter().map(move |(cause, bucket)| IntrusionRow {
+                    site: site.clone(),
+                    cause: (*cause).to_owned(),
+                    bucket: *bucket,
+                })
             })
             .collect()
     }
 
     /// Flush the pending roll-up table: any cost still parked under a
     /// span id is dropped (and counted) — these belong to parents that
-    /// will never finish locally, e.g. remote callers' spans. Returns
+    /// will never finish, e.g. leaked builders. Returns
     /// the number of entries dropped. Ring evictions racing a flush are
     /// still counted: both paths share the same `drops` cell.
     pub fn flush(&self) -> usize {
         let mut pending = self.pending.lock();
-        let dropped = pending.len();
+        let dropped = pending.bills.len();
         if dropped > 0 {
             self.drops.add(dropped as u64);
-            pending.clear();
+            pending.bills.clear();
         }
         dropped
     }
@@ -499,15 +563,14 @@ mod tests {
         }
     }
 
-    fn entry(trace_id: &str, request: &str, cost: CostVector) -> QueryCostEntry {
-        QueryCostEntry {
-            trace_id: trace_id.to_owned(),
-            site: "s".to_owned(),
-            request: request.to_owned(),
+    fn entry(trace_id: &str, request: &str, cost: CostVector) -> RootBill {
+        RootBill {
+            trace_id: SpanText::from(trace_id.to_owned()),
+            site: SpanText::from("s"),
+            request: SpanText::from(request.to_owned()),
             started_ms: 0,
             finished_ms: 1,
             cost,
-            over_budget: false,
         }
     }
 
@@ -532,12 +595,12 @@ mod tests {
     #[test]
     fn roll_up_accumulates_until_taken() {
         let l = ledger();
-        l.roll_up("gw:1", &v(100, 1));
-        l.roll_up("gw:1", &v(50, 2));
-        let got = l.take_pending("gw:1");
+        l.roll_up(1, &v(100, 1));
+        l.roll_up(1, &v(50, 2));
+        let got = l.take_pending(1);
         assert_eq!(got.bytes_out, 150);
         assert_eq!(got.rows_returned, 3);
-        assert!(l.take_pending("gw:1").is_zero());
+        assert!(l.take_pending(1).is_zero());
     }
 
     #[test]
@@ -576,12 +639,13 @@ mod tests {
     fn pending_table_is_bounded_and_flush_counts_drops() {
         let mut l = ledger();
         l.pending_cap = 2;
-        l.roll_up("a:1", &v(1, 0));
-        l.roll_up("b:1", &v(1, 0));
-        l.roll_up("c:1", &v(1, 0)); // evicts a:1
+        l.roll_up(3, &v(1, 0));
+        l.roll_up(1, &v(1, 0));
+        l.roll_up(3, &v(1, 0)); // an entry already open: no eviction
+        l.roll_up(2, &v(1, 0)); // evicts 3, the oldest entry
         assert_eq!(l.drops().get(), 1);
-        assert!(l.take_pending("a:1").is_zero());
-        assert_eq!(l.flush(), 2); // b:1 and c:1 still parked
+        assert!(l.take_pending(3).is_zero());
+        assert_eq!(l.flush(), 2); // 1 and 2 still parked
         assert_eq!(l.drops().get(), 3);
         assert_eq!(l.flush(), 0);
     }
@@ -598,7 +662,7 @@ mod tests {
             let flusher = l.clone();
             s.spawn(move || {
                 for i in 0..200 {
-                    flusher.roll_up(&format!("never:{i}"), &v(1, 0));
+                    flusher.roll_up(i, &v(1, 0));
                     flusher.flush();
                 }
             });
@@ -619,7 +683,7 @@ mod tests {
     fn counters_track_direct_charges_only() {
         let l = ledger();
         l.count(&v(100, 5));
-        l.roll_up("p:1", &v(999, 9)); // roll-ups are not recounted
+        l.roll_up(1, &v(999, 9)); // roll-ups are not recounted
         let t = l.totals();
         assert_eq!(t.bytes_out, 100);
         assert_eq!(t.rows_returned, 5);

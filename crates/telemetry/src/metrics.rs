@@ -135,9 +135,11 @@ impl Counter {
         self.add(1);
     }
 
-    /// Add `n` (saturating).
+    /// Add `n` (saturating). Adding zero touches nothing.
     pub fn add(&self, n: u64) {
-        saturating_add(&self.cell, n);
+        if n != 0 {
+            saturating_add(&self.cell, n);
+        }
     }
 
     /// Current value.

@@ -53,8 +53,19 @@ impl SlowQueryLog {
 
     /// Offer a finished trace. Returns true when it was retained.
     pub fn offer(&self, record: &TraceRecord) -> bool {
+        self.offer_with(record.id, record.duration_ms(), || record.clone())
+    }
+
+    /// Offer trace `id`, `duration_ms` long; `record` is called only
+    /// when the trace is retained.
+    pub(crate) fn offer_with(
+        &self,
+        id: u64,
+        duration_ms: u64,
+        record: impl FnOnce() -> TraceRecord,
+    ) -> bool {
         let threshold = self.threshold_ms();
-        if threshold == 0 || record.duration_ms() < threshold {
+        if threshold == 0 || duration_ms < threshold {
             return false;
         }
         self.recorded.inc();
@@ -62,15 +73,15 @@ impl SlowQueryLog {
         let pos = entries
             .iter()
             .position(|e| {
-                let (d, n) = (e.duration_ms(), record.duration_ms());
-                d < n || (d == n && e.id > record.id)
+                let d = e.duration_ms();
+                d < duration_ms || (d == duration_ms && e.id > id)
             })
             .unwrap_or(entries.len());
         if pos >= self.capacity {
             // Slower (or equally slow, earlier) than nothing retained.
             return false;
         }
-        entries.insert(pos, record.clone());
+        entries.insert(pos, record());
         entries.truncate(self.capacity);
         true
     }

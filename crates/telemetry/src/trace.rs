@@ -12,10 +12,11 @@ use gridrm_simnet::SimClock;
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::cost::{CostLedger, CostVector, QueryCostEntry};
+use crate::cost::{CostLedger, CostVector, RootBill};
 use crate::journal::{Journal, DEFAULT_JOURNAL_CAPACITY};
 use crate::metrics::{Counter, Labels, Registry};
 use crate::slo::SloEngine;
@@ -101,11 +102,25 @@ stages! {
 pub trait StageName {
     /// The name to record.
     fn stage_name(&self) -> &str;
+
+    /// The name as a span keeps it: the [`Stage`]'s own static name
+    /// when there is one, so recording a stage copies nothing.
+    fn span_text(&self) -> SpanText {
+        let name = self.stage_name();
+        match Stage::ALL.iter().find(|s| s.as_str() == name) {
+            Some(stage) => SpanText::from(stage.as_str()),
+            None => SpanText::from(name.to_owned()),
+        }
+    }
 }
 
 impl StageName for Stage {
     fn stage_name(&self) -> &str {
         self.as_str()
+    }
+
+    fn span_text(&self) -> SpanText {
+        SpanText::from(self.as_str())
     }
 }
 
@@ -117,6 +132,123 @@ impl StageName for &str {
         );
         self
     }
+}
+
+/// Text a span records, held in the cheapest form that renders it: a
+/// static name, text shared with the rest of its request (the site,
+/// the trace id, the SQL, a source URL, a driver name), shared text
+/// between static words, the id of a span minted on this gateway, or
+/// text of its own. It becomes a `String` only when a reader asks for
+/// the span as a [`TraceRecord`].
+#[derive(Debug, Clone)]
+pub struct SpanText(Text);
+
+#[derive(Debug, Clone)]
+enum Text {
+    Static(&'static str),
+    Shared(Arc<str>),
+    /// `{0[0]}{1}{0[1]}`; the words sit behind one pointer to keep
+    /// every span text at 32 bytes.
+    Around(&'static [&'static str; 2], Arc<str>),
+    /// `{0}:{1}`: span `{1}` of gateway `{0}`.
+    Id(Arc<str>, u64),
+    Owned(String),
+}
+
+impl SpanText {
+    /// `{words[0]}{shared}{words[1]}`, put together only when read.
+    pub fn around(words: &'static [&'static str; 2], shared: &Arc<str>) -> SpanText {
+        SpanText(Text::Around(words, Arc::clone(shared)))
+    }
+
+    /// True when the text reads `s`; nothing is rendered.
+    fn is(&self, s: &str) -> bool {
+        match &self.0 {
+            Text::Static(t) => *t == s,
+            Text::Shared(t) => **t == *s,
+            Text::Owned(t) => t == s,
+            Text::Around([before, after], shared) => s
+                .strip_prefix(before)
+                .and_then(|rest| rest.strip_suffix(after))
+                .is_some_and(|middle| middle == &**shared),
+            Text::Id(gateway, n) => minted_id(gateway, s) == Some(*n),
+        }
+    }
+}
+
+impl fmt::Display for SpanText {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Text::Static(t) => f.write_str(t),
+            Text::Shared(t) => f.write_str(t),
+            Text::Owned(t) => f.write_str(t),
+            Text::Around([before, after], shared) => {
+                f.write_str(before)?;
+                f.write_str(shared)?;
+                f.write_str(after)
+            }
+            Text::Id(gateway, n) => write!(f, "{gateway}:{n}"),
+        }
+    }
+}
+
+impl From<&'static str> for SpanText {
+    fn from(s: &'static str) -> SpanText {
+        SpanText(Text::Static(s))
+    }
+}
+
+impl From<String> for SpanText {
+    fn from(s: String) -> SpanText {
+        SpanText(Text::Owned(s))
+    }
+}
+
+impl From<Arc<str>> for SpanText {
+    fn from(s: Arc<str>) -> SpanText {
+        SpanText(Text::Shared(s))
+    }
+}
+
+impl From<&Arc<str>> for SpanText {
+    fn from(s: &Arc<str>) -> SpanText {
+        SpanText(Text::Shared(Arc::clone(s)))
+    }
+}
+
+/// What a span is called ([`TraceRecord::request`]): any text, copied,
+/// or a [`SpanText`] that shares it.
+pub trait SpanLabel {
+    /// The label as the span keeps it.
+    fn into_label(self) -> SpanText;
+}
+
+impl SpanLabel for &str {
+    fn into_label(self) -> SpanText {
+        SpanText(Text::Owned(self.to_owned()))
+    }
+}
+
+impl SpanLabel for String {
+    fn into_label(self) -> SpanText {
+        SpanText(Text::Owned(self))
+    }
+}
+
+impl SpanLabel for SpanText {
+    fn into_label(self) -> SpanText {
+        self
+    }
+}
+
+/// `n` when `span_id` is `{gateway}:{n}` with `n` in canonical decimal:
+/// the form [`GatewayTelemetry`] mints span ids in.
+fn minted_id(gateway: &str, span_id: &str) -> Option<u64> {
+    let digits = span_id.strip_prefix(gateway)?.strip_prefix(':')?;
+    let canonical = !digits.is_empty()
+        && digits.bytes().all(|b| b.is_ascii_digit())
+        && (digits == "0" || !digits.starts_with('0'));
+    canonical.then(|| digits.parse().ok()).flatten()
 }
 
 /// One timestamped stage inside a trace (`resolve`, `connect`, …).
@@ -189,35 +321,135 @@ pub struct TraceContext {
     pub parent_span_id: String,
 }
 
+/// A stage as a span keeps it.
+#[derive(Debug)]
+struct StageMark {
+    stage: SpanText,
+    at_ms: u64,
+    detail: Option<SpanText>,
+}
+
+/// A span as the hub keeps it: [`TraceRecord`]'s fields, with each
+/// text in the form [`SpanText`] holds it. Readers get the record
+/// [`Span::render`] builds. Never cloned: it moves from its builder
+/// into the ring.
+#[derive(Debug)]
+struct Span {
+    id: u64,
+    trace_id: SpanText,
+    span_id: SpanText,
+    parent_span_id: Option<SpanText>,
+    site: SpanText,
+    request: SpanText,
+    source: Option<SpanText>,
+    started_ms: u64,
+    finished_ms: u64,
+    outcome: SpanText,
+    stages: Vec<StageMark>,
+    cost: CostVector,
+}
+
+impl Span {
+    fn duration_ms(&self) -> u64 {
+        self.finished_ms.saturating_sub(self.started_ms)
+    }
+
+    fn render(&self) -> TraceRecord {
+        TraceRecord {
+            id: self.id,
+            trace_id: self.trace_id.to_string(),
+            span_id: self.span_id.to_string(),
+            parent_span_id: self.parent_span_id.as_ref().map(ToString::to_string),
+            site: self.site.to_string(),
+            request: self.request.to_string(),
+            source: self.source.as_ref().map(ToString::to_string),
+            started_ms: self.started_ms,
+            finished_ms: self.finished_ms,
+            outcome: self.outcome.to_string(),
+            stages: self
+                .stages
+                .iter()
+                .map(|m| SpanStage {
+                    stage: m.stage.to_string(),
+                    at_ms: m.at_ms,
+                    detail: m.detail.as_ref().map(ToString::to_string),
+                })
+                .collect(),
+            cost: self.cost,
+        }
+    }
+
+    /// A record made elsewhere, its strings kept as they are.
+    fn from_record(record: TraceRecord) -> Span {
+        let own = |s: String| SpanText(Text::Owned(s));
+        Span {
+            id: record.id,
+            trace_id: own(record.trace_id),
+            span_id: own(record.span_id),
+            parent_span_id: record.parent_span_id.map(own),
+            site: own(record.site),
+            request: own(record.request),
+            source: record.source.map(own),
+            started_ms: record.started_ms,
+            finished_ms: record.finished_ms,
+            outcome: own(record.outcome),
+            stages: record
+                .stages
+                .into_iter()
+                .map(|s| StageMark {
+                    stage: own(s.stage),
+                    at_ms: s.at_ms,
+                    detail: s.detail.map(own),
+                })
+                .collect(),
+            cost: record.cost,
+        }
+    }
+}
+
+/// Where a new span hangs.
+#[derive(Clone)]
+pub(crate) struct Parent {
+    pub(crate) trace_id: Arc<str>,
+    span_id: SpanText,
+    /// The parent's numeric id when it was minted on this hub: only
+    /// such a parent finishes here and takes the cost its children park.
+    local: Option<u64>,
+}
+
 /// An in-flight span; records stages against the shared clock and
 /// commits into the ring buffer when finished.
 pub struct SpanBuilder {
-    record: TraceRecord,
+    span: Span,
+    /// The trace id, shared by every span of the tree built here.
+    trace_id: Arc<str>,
+    /// See [`Parent::local`].
+    local_parent: Option<u64>,
     hub: GatewayTelemetry,
 }
 
 impl SpanBuilder {
     /// Record a stage now.
     pub fn stage(&mut self, stage: impl StageName) {
-        self.record.stages.push(SpanStage {
-            stage: stage.stage_name().to_string(),
-            at_ms: self.hub.clock.now_millis(),
-            detail: None,
-        });
+        self.mark(stage, None);
     }
 
-    /// Record a stage now, with a low-cardinality detail string.
-    pub fn stage_with(&mut self, stage: impl StageName, detail: &str) {
-        self.record.stages.push(SpanStage {
-            stage: stage.stage_name().to_string(),
+    /// Record a stage now, with a low-cardinality detail.
+    pub fn stage_with(&mut self, stage: impl StageName, detail: impl Into<SpanText>) {
+        self.mark(stage, Some(detail.into()));
+    }
+
+    fn mark(&mut self, stage: impl StageName, detail: Option<SpanText>) {
+        self.span.stages.push(StageMark {
+            stage: stage.span_text(),
             at_ms: self.hub.clock.now_millis(),
-            detail: Some(detail.to_string()),
+            detail,
         });
     }
 
     /// Note which source the request resolved to.
-    pub fn source(&mut self, url: &str) {
-        self.record.source = Some(url.to_string());
+    pub fn source(&mut self, url: impl Into<SpanText>) {
+        self.span.source = Some(url.into());
     }
 
     /// Charge a *direct* cost against this span: accumulated into the
@@ -225,7 +457,7 @@ impl SpanBuilder {
     /// `gridrm_cost_*` counters.
     pub fn add_cost(&mut self, v: &CostVector) {
         self.hub.costs.count(v);
-        self.record.cost.add(v);
+        self.span.cost.add(v);
     }
 
     /// Absorb an already-counted cost into this span's vector without
@@ -233,41 +465,56 @@ impl SpanBuilder {
     /// spans (counted on the remote gateway) so nothing is double
     /// counted while the span tree still sums correctly.
     pub fn absorb_cost(&mut self, v: &CostVector) {
-        self.record.cost.add(v);
+        self.span.cost.add(v);
     }
 
     /// The cost accumulated on this span so far (children not yet
     /// merged — that happens at finish).
     pub fn cost(&self) -> &CostVector {
-        &self.record.cost
+        &self.span.cost
     }
 
     /// The numeric id assigned to this span.
     pub fn id(&self) -> u64 {
-        self.record.id
+        self.span.id
     }
 
     /// The trace tree this span belongs to.
     pub fn trace_id(&self) -> &str {
-        &self.record.trace_id
+        &self.trace_id
     }
 
-    /// The context under which children of this span are created.
+    /// The context under which children of this span are created, in
+    /// the portable form that crosses to other gateways.
     pub fn context(&self) -> TraceContext {
         TraceContext {
-            trace_id: self.record.trace_id.clone(),
-            parent_span_id: self.record.span_id.clone(),
+            trace_id: self.trace_id.to_string(),
+            parent_span_id: self.span.span_id.to_string(),
+        }
+    }
+
+    /// The hub this span commits to.
+    pub(crate) fn hub(&self) -> &GatewayTelemetry {
+        &self.hub
+    }
+
+    /// This span as the parent of spans started under it.
+    pub(crate) fn as_parent(&self) -> Parent {
+        Parent {
+            trace_id: Arc::clone(&self.trace_id),
+            span_id: self.span.span_id.clone(),
+            local: Some(self.span.id),
         }
     }
 
     /// Start a child span of this one (on the same telemetry hub).
-    pub fn child(&self, request: &str) -> SpanBuilder {
-        self.hub.span_in(&self.context(), request)
+    pub fn child(&self, request: impl SpanLabel) -> SpanBuilder {
+        self.hub.span_under(self.as_parent(), request)
     }
 
     /// Finish with an outcome, commit to the ring buffer, and offer the
     /// completed trace to the slow-query log.
-    pub fn finish(self, outcome: &str) {
+    pub fn finish(self, outcome: impl Into<SpanText>) {
         let now = self.hub.clock.now_millis();
         self.finish_at(outcome, now);
     }
@@ -281,49 +528,67 @@ impl SpanBuilder {
     /// ANALYZE` even though the clock only advances once, by the
     /// slowest segment's cost. `finished_ms` is clamped to be no
     /// earlier than `started_ms`.
-    pub fn finish_at(mut self, outcome: &str, finished_ms: u64) {
-        self.record.finished_ms = finished_ms.max(self.record.started_ms);
-        self.record.outcome = outcome.to_string();
+    pub fn finish_at(self, outcome: impl Into<SpanText>, finished_ms: u64) {
+        let SpanBuilder {
+            mut span,
+            local_parent,
+            hub,
+            ..
+        } = self;
+        span.finished_ms = finished_ms.max(span.started_ms);
+        span.outcome = outcome.into();
         // Merge whatever finished children parked under this span, then
-        // either credit the inclusive total to the parent or — at a
-        // root — commit the whole bill to the ledger.
-        let rolled = self.hub.costs.take_pending(&self.record.span_id);
-        self.record.cost.add(&rolled);
-        match &self.record.parent_span_id {
-            Some(parent) => self.hub.costs.roll_up(parent, &self.record.cost),
-            None => {
-                let over_budget = self.hub.costs.note_root(
-                    QueryCostEntry {
-                        trace_id: self.record.trace_id.clone(),
-                        site: self.record.site.clone(),
-                        request: self.record.request.clone(),
-                        started_ms: self.record.started_ms,
-                        finished_ms: self.record.finished_ms,
-                        cost: self.record.cost,
-                        over_budget: false,
+        // credit the inclusive total to a parent that finishes here, or
+        // — at a root — commit the whole bill to the ledger. A parent on
+        // another gateway is credited there, from the span shipped back
+        // with the reply, so nothing is parked for it.
+        let rolled = hub.costs.take_pending(span.id);
+        span.cost.add(&rolled);
+        match (&span.parent_span_id, local_parent) {
+            (Some(_), Some(parent)) => hub.costs.roll_up(parent, &span.cost),
+            (Some(_), None) => {}
+            (None, _) => {
+                let over_budget = hub.costs.note_root(
+                    RootBill {
+                        trace_id: span.trace_id.clone(),
+                        site: span.site.clone(),
+                        request: span.request.clone(),
+                        started_ms: span.started_ms,
+                        finished_ms: span.finished_ms,
+                        cost: span.cost,
                     },
-                    self.record.source.as_deref(),
+                    span.source.as_ref(),
                 );
                 if over_budget {
-                    self.record.stages.push(SpanStage {
-                        stage: Stage::Cost.as_str().to_string(),
-                        at_ms: self.record.finished_ms,
-                        detail: Some("over_budget".to_string()),
+                    span.stages.push(StageMark {
+                        stage: SpanText::from(Stage::Cost.as_str()),
+                        at_ms: span.finished_ms,
+                        detail: Some(SpanText::from("over_budget")),
                     });
                 }
             }
         }
-        self.hub.slow_queries.offer(&self.record);
-        self.hub.traces.push(self.record);
+        hub.slow_queries
+            .offer_with(span.id, span.duration_ms(), || span.render());
+        hub.traces.push_span(span);
     }
 }
 
 struct RingState {
-    ring: VecDeque<TraceRecord>,
-    /// Cached slowest retained record, so `slowest()` is O(1) instead of
-    /// a full scan under the lock on every admin poll. Re-derived only
-    /// when the cached maximum itself is evicted.
-    slowest: Option<TraceRecord>,
+    ring: VecDeque<Span>,
+    /// Spans ever pushed: the front of the ring is push number
+    /// `pushed - ring.len()`.
+    pushed: u64,
+    /// `(push number, duration)` of the slowest retained span, newest
+    /// on a tie, so `slowest()` renders one span instead of scanning.
+    /// Re-derived only when that span itself is evicted.
+    slowest: Option<(u64, u64)>,
+}
+
+impl RingState {
+    fn front_push(&self) -> u64 {
+        self.pushed - self.ring.len() as u64
+    }
 }
 
 /// Bounded ring buffer of recent traces: oldest evicted first.
@@ -344,6 +609,7 @@ impl TraceBuffer {
             capacity,
             state: Mutex::new(RingState {
                 ring: VecDeque::with_capacity(capacity),
+                pushed: 0,
                 slowest: None,
             }),
             drops: registry.counter(
@@ -356,29 +622,38 @@ impl TraceBuffer {
 
     /// Append, evicting the oldest trace on overflow.
     pub fn push(&self, record: TraceRecord) {
+        self.push_span(Span::from_record(record));
+    }
+
+    fn push_span(&self, span: Span) {
         let mut state = self.state.lock();
         if state.ring.len() == self.capacity {
-            let evicted = state.ring.pop_front();
+            let evicted = state.front_push();
+            state.ring.pop_front();
             self.drops.inc();
-            if state.slowest == evicted {
-                // The cached maximum left the ring: rescan what remains.
+            if state.slowest.is_some_and(|(at, _)| at == evicted) {
+                // The slowest span left the ring: rescan what remains.
                 // Ties resolve to the newest, matching the old full scan.
-                state.slowest = state.ring.iter().max_by_key(|t| t.duration_ms()).cloned();
+                let front = state.front_push();
+                state.slowest = state
+                    .ring
+                    .iter()
+                    .zip(front..)
+                    .max_by_key(|(s, _)| s.duration_ms())
+                    .map(|(s, at)| (at, s.duration_ms()));
             }
         }
-        let beats_cached = state
-            .slowest
-            .as_ref()
-            .is_none_or(|s| record.duration_ms() >= s.duration_ms());
-        if beats_cached {
-            state.slowest = Some(record.clone());
+        let duration = span.duration_ms();
+        if state.slowest.is_none_or(|(_, slowest)| duration >= slowest) {
+            state.slowest = Some((state.pushed, duration));
         }
-        state.ring.push_back(record);
+        state.ring.push_back(span);
+        state.pushed += 1;
     }
 
     /// Retained traces, oldest first.
     pub fn recent(&self) -> Vec<TraceRecord> {
-        self.state.lock().ring.iter().cloned().collect()
+        self.state.lock().ring.iter().map(Span::render).collect()
     }
 
     /// Retained spans belonging to one trace tree, oldest first.
@@ -387,14 +662,18 @@ impl TraceBuffer {
             .lock()
             .ring
             .iter()
-            .filter(|t| t.trace_id == trace_id)
-            .cloned()
+            .filter(|s| s.trace_id.is(trace_id))
+            .map(Span::render)
             .collect()
     }
 
-    /// The slowest retained trace by virtual duration (cached: O(1)).
+    /// The slowest retained trace by virtual duration, the newest of
+    /// equals. Found when pushed; rendered here.
     pub fn slowest(&self) -> Option<TraceRecord> {
-        self.state.lock().slowest.clone()
+        let state = self.state.lock();
+        let (at, _) = state.slowest?;
+        let index = usize::try_from(at - state.front_push()).ok()?;
+        state.ring.get(index).map(Span::render)
     }
 
     /// Number of retained traces.
@@ -445,10 +724,9 @@ impl Default for TelemetryCapacities {
     }
 }
 
-#[derive(Clone)]
 struct TelemetryIdentity {
-    site: String,
-    gateway: String,
+    site: Arc<str>,
+    gateway: Arc<str>,
 }
 
 /// The per-gateway telemetry hub: one registry, one trace ring, one
@@ -506,8 +784,8 @@ impl GatewayTelemetry {
             clock,
             next_trace_id: Arc::new(AtomicU64::new(1)),
             identity: Arc::new(RwLock::new(TelemetryIdentity {
-                site: "local".to_owned(),
-                gateway: "local".to_owned(),
+                site: Arc::from("local"),
+                gateway: Arc::from("local"),
             })),
         }
     }
@@ -517,14 +795,14 @@ impl GatewayTelemetry {
     /// unique across a multi-gateway trace).
     pub fn set_identity(&self, site: &str, gateway: &str) {
         *self.identity.write() = TelemetryIdentity {
-            site: site.to_owned(),
-            gateway: gateway.to_owned(),
+            site: Arc::from(site),
+            gateway: Arc::from(gateway),
         };
     }
 
     /// The site name spans are stamped with.
     pub fn site(&self) -> String {
-        self.identity.read().site.clone()
+        self.identity.read().site.to_string()
     }
 
     /// The shared metric registry.
@@ -567,43 +845,75 @@ impl GatewayTelemetry {
         &self.clock
     }
 
-    fn build_span(&self, parent: Option<&TraceContext>, request: &str) -> SpanBuilder {
+    fn build_span(&self, parent: Option<Parent>, request: SpanText) -> SpanBuilder {
         let now = self.clock.now_millis();
-        let identity = self.identity.read().clone();
+        let (site, gateway) = {
+            let identity = self.identity.read();
+            (Arc::clone(&identity.site), Arc::clone(&identity.gateway))
+        };
         let id = self.next_trace_id.fetch_add(1, Ordering::Relaxed);
-        let span_id = format!("{}:{id}", identity.gateway);
-        let (trace_id, parent_span_id) = match parent {
-            Some(ctx) => (ctx.trace_id.clone(), Some(ctx.parent_span_id.clone())),
-            None => (span_id.clone(), None),
+        let (trace_id, span_id, parent_span_id, local_parent) = match parent {
+            Some(p) => (
+                p.trace_id,
+                SpanText(Text::Id(gateway, id)),
+                Some(p.span_id),
+                p.local,
+            ),
+            None => {
+                let root: Arc<str> = Arc::from(format!("{gateway}:{id}"));
+                (Arc::clone(&root), SpanText::from(root), None, None)
+            }
         };
         SpanBuilder {
-            record: TraceRecord {
+            span: Span {
                 id,
-                trace_id,
+                trace_id: SpanText::from(&trace_id),
                 span_id,
                 parent_span_id,
-                site: identity.site,
-                request: request.to_string(),
+                site: SpanText::from(site),
+                request,
                 source: None,
                 started_ms: now,
                 finished_ms: now,
-                outcome: "pending".to_string(),
+                outcome: SpanText::from("pending"),
                 stages: Vec::new(),
                 cost: CostVector::default(),
             },
+            trace_id,
+            local_parent,
             hub: self.clone(),
         }
     }
 
     /// Start a root span for one request.
-    pub fn span(&self, request: &str) -> SpanBuilder {
-        self.build_span(None, request)
+    pub fn span(&self, request: impl SpanLabel) -> SpanBuilder {
+        self.build_span(None, request.into_label())
     }
 
     /// Start a span as a child of an existing context (possibly one
     /// that originated on another gateway).
-    pub fn span_in(&self, ctx: &TraceContext, request: &str) -> SpanBuilder {
-        self.build_span(Some(ctx), request)
+    pub fn span_in(&self, ctx: &TraceContext, request: impl SpanLabel) -> SpanBuilder {
+        let gateway = Arc::clone(&self.identity.read().gateway);
+        let local = self.minted_here(&gateway, &ctx.parent_span_id);
+        let parent = Parent {
+            trace_id: Arc::from(ctx.trace_id.as_str()),
+            span_id: match local {
+                Some(n) => SpanText(Text::Id(gateway, n)),
+                None => SpanText::from(ctx.parent_span_id.clone()),
+            },
+            local,
+        };
+        self.build_span(Some(parent), request.into_label())
+    }
+
+    /// Start a span under `parent`.
+    pub(crate) fn span_under(&self, parent: Parent, request: impl SpanLabel) -> SpanBuilder {
+        self.build_span(Some(parent), request.into_label())
+    }
+
+    /// The numeric id of `span_id` when this hub minted it.
+    fn minted_here(&self, gateway: &str, span_id: &str) -> Option<u64> {
+        minted_id(gateway, span_id).filter(|n| *n < self.next_trace_id.load(Ordering::Relaxed))
     }
 
     /// Import a finished span produced elsewhere (a remote gateway's
@@ -628,6 +938,50 @@ mod tests {
             finished_ms: finished,
             outcome: "ok".into(),
             ..TraceRecord::default()
+        }
+    }
+
+    #[test]
+    fn span_text_reads_as_what_it_renders() {
+        let driver: Arc<str> = Arc::from("jdbc-snmp");
+        let gateway: Arc<str> = Arc::from("gw-a");
+        let texts = [
+            SpanText::from("ok"),
+            SpanText::from("owned".to_owned()),
+            SpanText::from(&driver),
+            SpanText::around(&["hit ", ""], &driver),
+            SpanText::around(&["", " via cache"], &driver),
+            SpanText(Text::Id(Arc::clone(&gateway), 0)),
+            SpanText(Text::Id(gateway, 42)),
+        ];
+        let near_misses = [
+            "",
+            "ok ",
+            "hit jdbc-snm",
+            "jdbc-snmp via cach",
+            "gw-a:042",
+            "gw-a:+42",
+            "gw-a:4",
+            "gw-a42",
+            "gw-a:00",
+        ];
+        for text in &texts {
+            let rendered = text.to_string();
+            assert!(text.is(&rendered), "{text:?} is not `{rendered}`");
+            for other in near_misses.iter().filter(|o| **o != rendered) {
+                assert!(!text.is(other), "{text:?} claims to be `{other}`");
+            }
+        }
+    }
+
+    #[test]
+    fn only_canonical_ids_of_this_gateway_count_as_minted_here() {
+        assert_eq!(minted_id("gw-a", "gw-a:7"), Some(7));
+        assert_eq!(minted_id("gw-a", "gw-a:0"), Some(0));
+        for other in [
+            "gw-a:07", "gw-a:+7", "gw-a:", "gw-ab:7", "gw-b:7", "gw-a7", "gw-a:7x",
+        ] {
+            assert_eq!(minted_id("gw-a", other), None, "{other}");
         }
     }
 

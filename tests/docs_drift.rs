@@ -7,8 +7,9 @@
 //! here instead of rotting silently. The same holds for the other
 //! declared lists: the telemetry driver's virtual tables, the admin
 //! `/v1` routes, the span-stage vocabulary, the DESIGN.md crate
-//! inventory and the EXPERIMENTS.md section per experiment; and no
-//! top-level doc points at the removed criterion benches.
+//! inventory, the EXPERIMENTS.md section per experiment, and the
+//! DESIGN.md guarantees table against the mutation checklist and the
+//! tree; and no top-level doc points at the removed criterion benches.
 
 use gridrm::core::AdminStatus;
 use gridrm::prelude::*;
@@ -21,6 +22,7 @@ const SERVING_MD: &str = include_str!("../docs/serving.md");
 const DESIGN_MD: &str = include_str!("../DESIGN.md");
 const EXPERIMENTS_MD: &str = include_str!("../EXPERIMENTS.md");
 const EXPERIMENTS_RS: &str = include_str!("../crates/bench/src/bin/experiments.rs");
+const MUTANTS_TSV: &str = include_str!("mutants.tsv");
 
 /// One metric family as the docs describe it or the registry holds it:
 /// its kind and, per label key, the label values (the docs list values
@@ -383,5 +385,53 @@ fn docs_name_no_removed_bench_harness() {
         stale.is_empty(),
         "stale bench references:\n{}",
         stale.join("\n")
+    );
+}
+
+/// DESIGN.md's guarantees table and `tests/mutants.tsv` name the same
+/// `(refuting test, mutant)` pairs; every row's line still holds the
+/// text its mutant replaces, and every refuting test exists.
+#[test]
+fn guarantees_table_matches_the_mutation_checklist_and_the_tree() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let table: BTreeSet<(String, String)> = DESIGN_MD
+        .lines()
+        .skip_while(|line| *line != "### Guarantees")
+        .skip_while(|line| !line.starts_with("|---"))
+        .skip(1)
+        .take_while(|line| line.starts_with('|'))
+        .map(|line| {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            let cell = |i: usize| cells[i].trim_matches('`').to_owned();
+            (cell(cells.len() - 3), cell(cells.len() - 2))
+        })
+        .collect();
+    assert!(!table.is_empty(), "DESIGN.md has no guarantees table");
+    let mut checklist = BTreeSet::new();
+    for row in MUTANTS_TSV.lines().filter(|l| !l.starts_with('#')) {
+        let fields: Vec<&str> = row.split('\t').collect();
+        let [id, file, line, original, _replacement, test] = fields[..] else {
+            panic!("a checklist row has six tab-separated fields: {row}");
+        };
+        let source = std::fs::read_to_string(root.join(file)).expect("the mutated file");
+        let at: usize = line.parse().expect("line number");
+        assert!(
+            source
+                .lines()
+                .nth(at - 1)
+                .is_some_and(|l| l.contains(original)),
+            "{id}: {file}:{line} no longer holds `{original}`"
+        );
+        let (test_file, name) = test.split_once("::").expect("file::test");
+        let tests = std::fs::read_to_string(root.join(test_file)).expect("the test file");
+        assert!(
+            tests.contains(&format!("fn {name}(")),
+            "{id}: no test {test}"
+        );
+        checklist.insert((test.to_owned(), id.to_owned()));
+    }
+    assert_eq!(
+        table, checklist,
+        "DESIGN.md guarantees vs tests/mutants.tsv"
     );
 }
