@@ -134,6 +134,17 @@ impl CacheController {
         }
     }
 
+    /// Whether [`CacheController::lookup`] would find an entry no older
+    /// than `max_age_ms`, without counting a hit or a miss. The entry
+    /// may still expire before a lookup.
+    pub fn is_fresh(&self, source: &str, sql: &str, now_ms: u64, max_age_ms: u64) -> bool {
+        self.entries
+            .read()
+            .get(source)
+            .and_then(|by_sql| by_sql.get(sql))
+            .is_some_and(|entry| entry.age_ms(now_ms) <= max_age_ms)
+    }
+
     /// Store a fresh result.
     pub fn store(&self, source: &str, sql: &str, rows: Arc<RowSet>, now_ms: u64) {
         self.stats.stores.inc();
@@ -252,6 +263,30 @@ mod tests {
         // Zero max-age only accepts a same-instant entry.
         assert!(c.lookup("src", "q", 1_000, Some(0)).is_some());
         assert!(c.lookup("src", "q", 1_001, Some(0)).is_none());
+    }
+
+    #[test]
+    fn is_fresh_agrees_with_lookup_and_counts_nothing() {
+        let c = CacheController::new(5_000, &Registry::new());
+        c.store("src", "q", rows(), 1_000);
+        let probes = [
+            ("src", "q", 6_000, 5_000),
+            ("src", "q", 6_001, 5_000),
+            ("src", "q", 2_000, 1_000),
+            ("src", "q", 2_001, 1_000),
+            ("src", "other", 1_000, 5_000),
+            ("other", "q", 1_000, 5_000),
+        ];
+        let fresh: Vec<bool> = (probes.iter())
+            .map(|&(s, q, now, max)| c.is_fresh(s, q, now, max))
+            .collect();
+        assert_eq!(fresh, [true, false, true, false, false, false]);
+        let snap = c.stats().snapshot();
+        assert_eq!((snap.hits, snap.misses), (0, 0), "a peek counts nothing");
+        let found: Vec<bool> = (probes.iter())
+            .map(|&(s, q, now, max)| c.lookup(s, q, now, Some(max)).is_some())
+            .collect();
+        assert_eq!(found, fresh);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::gma::{GmaDirectory, ProducerEntry};
 use crate::protocol::{GlobalRequest, GlobalResponse, WireDelta, WireFrame, WireRows};
-use crate::transport::{FrameService, Transport};
+use crate::transport::{Answered, FrameService, Pending, Transport};
 use gridrm_core::acil::{ClientRequest, ClientResponse, QueryExecutor, QueryMode, RequestKind};
 use gridrm_core::events::{EventTransmitter, GridRMEvent, Severity};
 use gridrm_core::explain::{explain, explain_subscription};
@@ -263,14 +263,14 @@ impl GlobalLayer {
     /// decode → execute → encode → cost-charge path; the service holds
     /// the layer weakly, so a shut-down gateway answers with a wire
     /// error instead of keeping the world alive.
+    ///
+    /// Through [`FrameService::answer_now`] it answers on the caller's
+    /// thread, by the same path, a frame whose answer waits on no other
+    /// endpoint: a `Ping`, or a cached `Query` every source of which has
+    /// a fresh entry.
     pub fn wire_service(&self) -> Arc<dyn FrameService> {
-        let weak = self.this.clone();
-        Arc::new(move |from: &str, req: &[u8]| match weak.upgrade() {
-            Some(layer) => layer.handle_wire(from, req),
-            None => WireFrame::encode(&GlobalResponse::Error {
-                message: "gateway shut down".into(),
-            })
-            .into_bytes(),
+        Arc::new(WireService {
+            layer: self.this.clone(),
         })
     }
 
@@ -306,8 +306,34 @@ impl GlobalLayer {
         self.parallel.store(parallel, Ordering::Relaxed);
     }
 
-    fn handle_wire(&self, _from: &str, req: &[u8]) -> Vec<u8> {
-        let (request, inbound_bytes) = match WireFrame::decode::<GlobalRequest>(req) {
+    /// Whether `request` is answered without waiting on another
+    /// endpoint: a `Ping`, or a `Query` carrying `max_cache_age_ms` every
+    /// source of which has a fresh cache entry for its SQL text (only a
+    /// one-shot `SELECT` is ever stored under its text). The cache peek
+    /// counts no hit or miss; an entry that expires before the query runs
+    /// is fetched by the full path, which decides as always.
+    fn answers_now(&self, request: &GlobalRequest) -> bool {
+        match request {
+            GlobalRequest::Ping => true,
+            GlobalRequest::Query {
+                sources,
+                sql,
+                max_cache_age_ms: Some(max_age_ms),
+                ..
+            } => {
+                let now = self.gateway.clock().now_millis();
+                let cache = self.gateway.cache();
+                (sources.iter()).all(|source| cache.is_fresh(source, sql, now, *max_age_ms))
+            }
+            _ => false,
+        }
+    }
+
+    /// The one serve path for a wire frame, whichever thread runs it:
+    /// execute the decoded request, encode the reply and charge its
+    /// cost; a frame that did not decode is answered with the error.
+    fn serve_wire(&self, decoded: DbcResult<(GlobalRequest, u64)>) -> Vec<u8> {
+        let (request, inbound_bytes) = match decoded {
             Ok(r) => r,
             Err(e) => {
                 return WireFrame::encode(&GlobalResponse::Error {
@@ -669,6 +695,58 @@ impl GlobalLayer {
     }
 }
 
+/// A layer's wire endpoint; see [`GlobalLayer::wire_service`].
+struct WireService {
+    layer: Weak<GlobalLayer>,
+}
+
+impl FrameService for WireService {
+    fn handle_frame(&self, _from: &str, frame: &[u8]) -> Vec<u8> {
+        match self.layer.upgrade() {
+            Some(layer) => layer.serve_wire(WireFrame::decode(frame)),
+            None => WireFrame::encode(&GlobalResponse::Error {
+                message: "gateway shut down".into(),
+            })
+            .into_bytes(),
+        }
+    }
+
+    /// A frame [`may_answer_now`] passes is decoded here: answered here
+    /// if [`GlobalLayer::answers_now`] says so, else handed to a worker
+    /// decoded. Any other frame goes to a worker as it was read.
+    fn answer_now(&self, _from: &str, frame: Vec<u8>) -> Answered {
+        let layer = match self.layer.upgrade() {
+            Some(layer) if may_answer_now(&frame) => layer,
+            _ => return Answered::Later(Pending::Frame(frame)),
+        };
+        match WireFrame::decode::<GlobalRequest>(&frame) {
+            Ok(decoded) if !layer.answers_now(&decoded.0) => {
+                Answered::Later(Pending::Begun(Box::new(move || {
+                    layer.serve_wire(Ok(decoded))
+                })))
+            }
+            decoded => Answered::Now(layer.serve_wire(decoded)),
+        }
+    }
+}
+
+/// Whether `frame` may hold a request [`GlobalLayer::answers_now`]
+/// accepts: a `Ping`, or a query naming a cache age. A hint read off the
+/// bytes that decides nothing, so that a frame that must wait on an
+/// endpoint (a query that bypasses the cache) is not decoded on the
+/// reader at all: a frame that passes is decoded and decided properly,
+/// one that fails goes to a worker as it was read.
+fn may_answer_now(frame: &[u8]) -> bool {
+    const AGE: &str = "\"max_cache_age_ms\":";
+    let Ok(text) = std::str::from_utf8(frame) else {
+        return false;
+    };
+    text == "\"Ping\""
+        || (text.rfind(AGE))
+            .and_then(|at| text.as_bytes().get(at + AGE.len()))
+            .is_some_and(u8::is_ascii_digit)
+}
+
 impl QueryExecutor for GlobalLayer {
     fn execute(&self, request: &ClientRequest) -> DbcResult<ClientResponse> {
         self.query(request)
@@ -695,6 +773,45 @@ mod tests {
             (HealthState::Down, down),
             (HealthState::Unknown, unknown),
         ]
+    }
+
+    #[test]
+    fn only_pings_and_cached_queries_may_be_answered_now() {
+        let query = |max_cache_age_ms| {
+            WireFrame::encode(&GlobalRequest::Query {
+                from_gateway: "gw".into(),
+                identity: crate::WireIdentity {
+                    name: "bob".into(),
+                    roles: Vec::new(),
+                },
+                sources: vec!["jdbc:snmp://node00.s/public".into()],
+                sql: r#"SELECT "max_cache_age_ms": FROM Processor"#.into(),
+                max_cache_age_ms,
+                trace: None,
+                deadline_ms: None,
+            })
+        };
+        let poll = WireFrame::encode(&GlobalRequest::PollDeltas {
+            subscription: 1,
+            max: 0,
+        });
+        let ping = WireFrame::encode(&GlobalRequest::Ping);
+        for (frame, may) in [
+            (ping.bytes(), true),
+            (query(Some(0)).bytes(), true),
+            (query(Some(60_000)).bytes(), true),
+            (query(None).bytes(), false),
+            (poll.bytes(), false),
+            (b"not json", false),
+            (&[0xff, 0xfe], false),
+        ] {
+            assert_eq!(
+                may_answer_now(frame),
+                may,
+                "{}",
+                String::from_utf8_lossy(frame)
+            );
+        }
     }
 
     #[test]

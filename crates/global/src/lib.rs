@@ -31,5 +31,6 @@ pub use layer::{GlobalLayer, SiteHealthRollup, SiteSloRollup};
 pub use protocol::{GlobalRequest, GlobalResponse, WireDelta, WireFrame, WireIdentity, WireRows};
 pub use stream::{GridSubscription, RemoteSubscription};
 pub use transport::{
-    FrameService, RecordingTransport, Transport, TransportError, TransportExchange,
+    Answered, FrameService, Pending, RecordingTransport, Transport, TransportError,
+    TransportExchange,
 };

@@ -44,6 +44,44 @@ use std::sync::Arc;
 pub trait FrameService: Send + Sync {
     /// Handle one request frame, producing the response frame's payload.
     fn handle_frame(&self, from: &str, frame: &[u8]) -> Vec<u8>;
+
+    /// Begin answering `frame` on the calling thread. A frame whose
+    /// answer waits on no other endpoint is answered here
+    /// ([`Answered::Now`]); any other is handed back to be queued, with
+    /// whatever was already made of it ([`Answered::Later`]), so the
+    /// worker that finishes it does not start over. Either way the reply
+    /// is exactly the bytes [`FrameService::handle_frame`] returns. The
+    /// default hands every frame back untouched.
+    fn answer_now(&self, _from: &str, frame: Vec<u8>) -> Answered {
+        Answered::Later(Pending::Frame(frame))
+    }
+}
+
+/// What [`FrameService::answer_now`] made of a frame.
+pub enum Answered {
+    /// The reply, produced on the calling thread.
+    Now(Vec<u8>),
+    /// The reply is still to be produced, by a worker.
+    Later(Pending),
+}
+
+/// A frame whose reply a worker still has to produce.
+pub enum Pending {
+    /// The frame as it was read: the worker hands it to
+    /// [`FrameService::handle_frame`].
+    Frame(Vec<u8>),
+    /// The rest of a reply already begun (its frame decoded).
+    Begun(Box<dyn FnOnce() -> Vec<u8> + Send>),
+}
+
+impl Pending {
+    /// Produce the reply, on the calling (worker) thread.
+    pub fn reply(self, service: &dyn FrameService, from: &str) -> Vec<u8> {
+        match self {
+            Pending::Frame(frame) => service.handle_frame(from, &frame),
+            Pending::Begun(rest) => rest(),
+        }
+    }
 }
 
 impl<F> FrameService for F

@@ -31,19 +31,24 @@ const PAYLOAD_CHUNK: usize = 64 * 1024;
 
 /// Write one frame: 4-byte big-endian length, then the payload.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    w.write_all(&encode_frame(payload)?)?;
+    w.flush()
+}
+
+/// One frame as one buffer: the 4-byte big-endian length, then the
+/// payload. One buffer, one write: a prefix written separately from its
+/// payload tickles Nagle/delayed-ACK stalls on real sockets.
+pub(crate) fn encode_frame(payload: &[u8]) -> io::Result<Vec<u8>> {
     if payload.len() > MAX_FRAME_BYTES {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             format!("frame of {} bytes exceeds {MAX_FRAME_BYTES}", payload.len()),
         ));
     }
-    // One buffer, one write: a prefix written separately from its
-    // payload tickles Nagle/delayed-ACK stalls on real sockets.
     let mut buf = Vec::with_capacity(4 + payload.len());
     buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     buf.extend_from_slice(payload);
-    w.write_all(&buf)?;
-    w.flush()
+    Ok(buf)
 }
 
 /// Read one frame. Returns `Ok(None)` on a clean close (EOF exactly at
@@ -54,6 +59,17 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// long as they like. Once a frame has started, it is a stall and an
 /// error.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+    read_frame_waiting(r, true)
+}
+
+/// Read one reply frame: [`read_frame`], except that a read timeout
+/// before the first prefix byte is an error too. A client awaiting its
+/// reply is not an idle connection.
+pub(crate) fn read_reply(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+    read_frame_waiting(r, false)
+}
+
+fn read_frame_waiting(r: &mut impl Read, wait_idle: bool) -> io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
     while let Some(rest) = len_buf.get_mut(filled..).filter(|rest| !rest.is_empty()) {
@@ -68,7 +84,8 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e)
-                if filled == 0
+                if wait_idle
+                    && filled == 0
                     && matches!(
                         e.kind(),
                         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
@@ -225,5 +242,17 @@ mod tests {
             let mut r = Scripted::new(vec![Ok(frame[..sent].to_vec()), Err(kind)]);
             assert_eq!(read_frame(&mut r).unwrap_err().kind(), kind);
         }
+    }
+
+    #[test]
+    fn a_reply_that_has_not_started_within_the_bound_is_an_error() {
+        let frame = framed(b"ping");
+        let mut r = Scripted::new(vec![Err(io::ErrorKind::WouldBlock), Ok(frame.clone())]);
+        assert_eq!(
+            read_reply(&mut r).unwrap_err().kind(),
+            io::ErrorKind::WouldBlock
+        );
+        let mut r = Scripted::new(vec![Ok(frame)]);
+        assert_eq!(read_reply(&mut r).unwrap().as_deref(), Some(&b"ping"[..]));
     }
 }

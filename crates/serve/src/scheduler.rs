@@ -15,6 +15,12 @@
 //! re-enqueues the token only while work remains. That guarantees
 //! responses leave in request order without tagging frames, and gives
 //! round-robin fairness between connections under load.
+//!
+//! A frame that waits on no other endpoint (a ping, a fresh cache hit)
+//! skips the queue when its source is idle: the reader thread asks the
+//! service to answer it there and then ([`FrameService::answer_now`]).
+//! With nothing queued and no worker holding the source, no earlier
+//! reply is pending, so order holds without further bookkeeping.
 
 #![cfg_attr(
     not(test),
@@ -30,7 +36,7 @@
 )]
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use gridrm_global::transport::FrameService;
+use gridrm_global::transport::{Answered, FrameService, Pending};
 use gridrm_global::{GlobalResponse, WireFrame};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -103,12 +109,12 @@ pub enum Admission {
 }
 
 enum JobKind {
-    Execute(Vec<u8>),
+    Execute(Pending),
     Shed { queue_depth: u64 },
 }
 
 struct Job {
-    from: String,
+    from: Arc<str>,
     kind: JobKind,
     respond: Box<dyn FnOnce(Vec<u8>) + Send>,
 }
@@ -194,16 +200,43 @@ impl Scheduler {
     /// relative to every other submission from the same source — unless
     /// the return value is [`Admission::Closed`], in which case it is
     /// never invoked and the connection must be dropped.
+    ///
+    /// One thread submits a source's frames: its connection's reader.
+    /// While the source is idle (nothing queued, no worker holding its
+    /// token) no earlier reply is pending, so the service may answer
+    /// the frame on that thread ([`FrameService::answer_now`]); `respond`
+    /// then runs before `submit` returns and the answer counts as
+    /// accepted and executed. Every other frame, as read or as the
+    /// service handed it back, is admitted, queued or shed.
     pub fn submit(
         &self,
         source: &Arc<SourceQueue>,
-        from: &str,
+        from: impl Into<Arc<str>>,
         payload: Vec<u8>,
         respond: Box<dyn FnOnce(Vec<u8>) + Send>,
     ) -> Admission {
         if self.stopping.load(Ordering::Acquire) {
             return Admission::Closed;
         }
+        let from = from.into();
+        let idle = {
+            let inner = source.inner.lock();
+            inner.queue.is_empty() && !inner.active
+        };
+        // No scheduler lock is held while the service answers.
+        let pending = if idle {
+            match self.service.answer_now(&from, payload) {
+                Answered::Now(response) => {
+                    self.stats.accepted.fetch_add(1, Ordering::Relaxed);
+                    self.stats.executed.fetch_add(1, Ordering::Relaxed);
+                    respond(response);
+                    return Admission::Accepted;
+                }
+                Answered::Later(pending) => pending,
+            }
+        } else {
+            Pending::Frame(payload)
+        };
         let mut inner = source.inner.lock();
         let depth = inner.executable;
         let over_source = depth >= self.config.queue_bound;
@@ -216,7 +249,7 @@ impl Scheduler {
                 return Admission::Closed;
             }
             inner.queue.push_back(Job {
-                from: from.to_owned(),
+                from,
                 kind: JobKind::Shed {
                     queue_depth: depth as u64,
                 },
@@ -227,8 +260,8 @@ impl Scheduler {
             Admission::Shed
         } else {
             inner.queue.push_back(Job {
-                from: from.to_owned(),
-                kind: JobKind::Execute(payload),
+                from,
+                kind: JobKind::Execute(pending),
                 respond,
             });
             inner.executable += 1;
@@ -247,69 +280,67 @@ impl Scheduler {
         admission
     }
 
-    fn enqueue_token(&self, source: &Arc<SourceQueue>) {
+    /// Hand `source`'s token to the pool. False once [`Scheduler::stop`]
+    /// has closed the channel.
+    fn enqueue_token(&self, source: &Arc<SourceQueue>) -> bool {
         let tx = self.tx.lock();
-        if let Some(tx) = tx.as_ref() {
-            // A send can only fail once every worker is gone, i.e.
-            // during shutdown; pending responses are dropped with the
-            // connections then.
-            let _ = tx.send(source.clone());
-        }
+        tx.as_ref()
+            .is_some_and(|tx| tx.send(source.clone()).is_ok())
     }
 
     fn worker_loop(&self, rx: &Receiver<Arc<SourceQueue>>) {
         while let Ok(source) = rx.recv() {
-            // Holding the token makes this worker the only executor for
-            // this source until the token is released: per-source FIFO.
-            let job = {
-                let mut inner = source.inner.lock();
-                match inner.queue.pop_front() {
-                    Some(job) => {
-                        match &job.kind {
-                            JobKind::Execute(_) => {
-                                inner.executable = inner.executable.saturating_sub(1);
-                                self.pending.fetch_sub(1, Ordering::Relaxed);
-                            }
-                            JobKind::Shed { .. } => {
-                                inner.shed_pending = inner.shed_pending.saturating_sub(1);
-                            }
-                        }
-                        job
-                    }
-                    None => {
-                        inner.active = false;
-                        continue;
-                    }
-                }
-            };
-            let response = match job.kind {
-                JobKind::Execute(payload) => {
-                    let resp = self.service.handle_frame(&job.from, &payload);
-                    self.stats.executed.fetch_add(1, Ordering::Relaxed);
-                    resp
-                }
-                JobKind::Shed { queue_depth } => WireFrame::encode(&GlobalResponse::Overloaded {
-                    queue_depth,
-                    retry_after_ms: self.config.retry_after_ms,
-                })
-                .into_bytes(),
-            };
-            (job.respond)(response);
-            // Release or re-arm the token under the lock, so a submit
-            // racing with this check cannot strand queued work.
-            let rearm = {
-                let mut inner = source.inner.lock();
-                if inner.queue.is_empty() {
-                    inner.active = false;
-                    false
-                } else {
-                    true
-                }
-            };
-            if rearm {
-                self.enqueue_token(&source);
-            }
+            // A token that can no longer be re-armed (the scheduler is
+            // stopping) stays with this worker, which drains the source
+            // itself: every accepted request is executed.
+            while self.run_next(&source) && !self.enqueue_token(&source) {}
         }
+    }
+
+    /// Run the next job of `source`, whose token this worker holds.
+    /// Returns whether work remains; if none does, the token is released.
+    fn run_next(&self, source: &SourceQueue) -> bool {
+        // Holding the token makes this worker the only executor for
+        // this source until the token is released: per-source FIFO.
+        let job = {
+            let mut inner = source.inner.lock();
+            match inner.queue.pop_front() {
+                Some(job) => {
+                    match &job.kind {
+                        JobKind::Execute(_) => {
+                            inner.executable = inner.executable.saturating_sub(1);
+                            self.pending.fetch_sub(1, Ordering::Relaxed);
+                        }
+                        JobKind::Shed { .. } => {
+                            inner.shed_pending = inner.shed_pending.saturating_sub(1);
+                        }
+                    }
+                    job
+                }
+                None => {
+                    inner.active = false;
+                    return false;
+                }
+            }
+        };
+        let response = match job.kind {
+            JobKind::Execute(pending) => {
+                let resp = pending.reply(&*self.service, &job.from);
+                self.stats.executed.fetch_add(1, Ordering::Relaxed);
+                resp
+            }
+            JobKind::Shed { queue_depth } => WireFrame::encode(&GlobalResponse::Overloaded {
+                queue_depth,
+                retry_after_ms: self.config.retry_after_ms,
+            })
+            .into_bytes(),
+        };
+        (job.respond)(response);
+        // Release or re-arm the token under the lock, so a submit
+        // racing with this check cannot strand queued work.
+        let mut inner = source.inner.lock();
+        inner.active = !inner.queue.is_empty();
+        inner.active
     }
 
     /// Stop accepting work, drain what is queued, and join the workers.
@@ -372,6 +403,105 @@ mod tests {
         assert_eq!(got, expect, "per-source FIFO violated");
         sched.stop();
         assert_eq!(sched.stats().snapshot().2, 50);
+    }
+
+    /// Answers frames that start with `i` on the submitting thread;
+    /// everything it executes waits on `gate` first.
+    struct AnswersNow {
+        gate: Arc<Mutex<()>>,
+    }
+
+    impl FrameService for AnswersNow {
+        fn handle_frame(&self, _: &str, frame: &[u8]) -> Vec<u8> {
+            drop(self.gate.lock());
+            frame.to_vec()
+        }
+
+        fn answer_now(&self, _: &str, frame: Vec<u8>) -> Answered {
+            if frame.starts_with(b"i") {
+                Answered::Now(frame)
+            } else {
+                Answered::Later(Pending::Frame(frame))
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_is_answered_on_the_submitting_thread_only_while_its_source_is_idle() {
+        let gate = Arc::new(Mutex::new(()));
+        let sched = Scheduler::start(
+            SchedulerConfig {
+                workers: 1,
+                ..SchedulerConfig::default()
+            },
+            Arc::new(AnswersNow { gate: gate.clone() }),
+        );
+        let source = sched.source();
+        let (respond, rx) = collect_responses();
+        let idle = || {
+            let inner = source.inner.lock();
+            inner.queue.is_empty() && !inner.active
+        };
+        // Idle: answered before `submit` returns.
+        assert_eq!(
+            sched.submit(&source, "t", b"i1".to_vec(), respond()),
+            Admission::Accepted
+        );
+        assert_eq!(rx.try_recv().unwrap(), b"i1".to_vec());
+        // A worker holds the source: what it could answer now waits its
+        // turn behind the running request.
+        let held = gate.lock();
+        sched.submit(&source, "t", b"q1".to_vec(), respond());
+        while source.inner.lock().executable > 0 {
+            std::thread::yield_now();
+        }
+        sched.submit(&source, "t", b"i2".to_vec(), respond());
+        sched.submit(&source, "t", b"i3".to_vec(), respond());
+        assert!(
+            rx.try_recv().is_err(),
+            "answered ahead of a running request"
+        );
+        drop(held);
+        let got: Vec<Vec<u8>> = (0..3).map(|_| rx.recv().unwrap()).collect();
+        assert_eq!(got, [b"q1".to_vec(), b"i2".to_vec(), b"i3".to_vec()]);
+        while !idle() {
+            std::thread::yield_now();
+        }
+        sched.submit(&source, "t", b"i4".to_vec(), respond());
+        assert_eq!(rx.try_recv().unwrap(), b"i4".to_vec());
+        sched.stop();
+        assert_eq!(sched.stats().snapshot(), (5, 0, 5, 0));
+    }
+
+    #[test]
+    fn stop_runs_every_accepted_request() {
+        let gate = Arc::new(Mutex::new(()));
+        let held = gate.lock();
+        let sched = Scheduler::start(
+            SchedulerConfig {
+                workers: 1,
+                ..SchedulerConfig::default()
+            },
+            Arc::new(AnswersNow { gate: gate.clone() }),
+        );
+        let (respond, rx) = collect_responses();
+        let source = sched.source();
+        for i in 0..8u8 {
+            sched.submit(&source, "t", vec![b'q', i], respond());
+        }
+        // The worker is blocked in the first request when `stop` closes
+        // the channel; the seven behind it still run.
+        let stopping = {
+            let sched = sched.clone();
+            std::thread::spawn(move || sched.stop())
+        };
+        while sched.tx.lock().is_some() {
+            std::thread::yield_now();
+        }
+        drop(held);
+        stopping.join().unwrap();
+        assert_eq!(rx.try_iter().count(), 8);
+        assert_eq!(sched.stats().snapshot(), (8, 0, 8, 0));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! one handler thread per connection, reap the connection when its
 //! handler returns, and shut everything down on stop. The wire port's
 //! handler sends every frame straight into the [`Scheduler`], which
-//! owns ordering, fairness, and load shedding; every response payload
-//! comes back through a write lock so pipelined replies stay in
+//! owns ordering, fairness, and load shedding, and answers a frame that
+//! waits on no endpoint on the handler's own thread; every response
+//! payload goes out through a write lock so pipelined replies stay in
 //! request order. The payload bytes on the socket are exactly the
 //! bytes the simnet would have carried — the length prefix added by
 //! [`crate::frame`] carries no semantics — so cost accounting agrees
@@ -26,7 +27,7 @@
     )
 )]
 
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{encode_frame, read_frame, read_reply, write_frame};
 use crate::scheduler::{Admission, Scheduler, SchedulerConfig, SchedulerStats};
 use gridrm_core::{AdminInterface, AdminStatus};
 use gridrm_global::transport::{FrameService, Transport, TransportError};
@@ -39,8 +40,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long a started frame, or a reply write, may stall before the wire
-/// port closes its connection. Idle time between frames is not bounded.
+/// How long a started frame may stall, or a reply take to be written,
+/// before the wire port closes its connection. Idle time between frames
+/// is not bounded.
+/// A [`TcpTransport`] client waits no longer than this to connect, to
+/// send, or for its reply to start.
 const FRAME_STALL: Duration = Duration::from_secs(10);
 
 /// Longest admin request line, newline included; the longest route is
@@ -222,19 +226,20 @@ impl Drop for TcpServer {
     }
 }
 
-/// One wire connection: frames in, scheduler submissions out. Worker
-/// threads write the responses through a write lock (the scheduler
-/// already serialises them per source, the lock just keeps the byte
-/// stream intact). A reply write is bounded like a frame read: one that
-/// makes no progress for [`FRAME_STALL`] fails and shuts the connection,
-/// so a client that stops reading cannot hold a worker forever.
+/// One wire connection: frames in, scheduler submissions out. Replies
+/// are written through a write lock by whichever thread answers: a
+/// worker, or this reader when the scheduler lets the service answer a
+/// frame at once (the scheduler already serialises replies per source,
+/// the lock just keeps the byte stream intact). A reply not taken whole
+/// within [`FRAME_STALL`] fails and shuts the connection, so a client
+/// that stops reading cannot hold a worker, or its own reader, longer.
 fn serve_frames(conn: &Arc<TcpStream>, scheduler: &Scheduler) {
     let _ = conn.set_read_timeout(Some(FRAME_STALL));
     let _ = conn.set_write_timeout(Some(FRAME_STALL));
-    let peer = conn
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "unknown".to_owned());
+    let peer: Arc<str> = match conn.peer_addr() {
+        Ok(addr) => addr.to_string().into(),
+        Err(_) => "unknown".into(),
+    };
     let writer = Arc::new(Mutex::new(conn.clone()));
     let source = scheduler.source();
     // A clean close (`Ok(None)`), a stall or a read error all end the
@@ -243,7 +248,7 @@ fn serve_frames(conn: &Arc<TcpStream>, scheduler: &Scheduler) {
         let writer = writer.clone();
         let admission = scheduler.submit(
             &source,
-            &peer,
+            peer.clone(),
             payload,
             Box::new(move |response| {
                 // A reply that cannot be written (client gone, or not
@@ -251,7 +256,7 @@ fn serve_frames(conn: &Arc<TcpStream>, scheduler: &Scheduler) {
                 // broken: shut the socket so the reader ends and the
                 // replies still queued fail at once.
                 let conn = writer.lock();
-                if write_frame(&mut &**conn, &response).is_err() {
+                if write_reply(&conn, &response).is_err() {
                     let _ = conn.shutdown(Shutdown::Both);
                 }
             }),
@@ -260,6 +265,40 @@ fn serve_frames(conn: &Arc<TcpStream>, scheduler: &Scheduler) {
             break;
         }
     }
+}
+
+/// Write one reply frame, all of it within [`FRAME_STALL`]. The socket's
+/// write timeout bounds one `write` call, and a peer that never reads
+/// still takes a few bytes now and then (the kernel probes its closed
+/// window), so each call after the first gets only what is left of the
+/// bound. A reply taken by the first call costs no extra syscall.
+fn write_reply(mut conn: &TcpStream, payload: &[u8]) -> io::Result<()> {
+    let framed = encode_frame(payload)?;
+    let deadline = Instant::now() + FRAME_STALL;
+    let (mut sent, mut shortened) = (0, false);
+    while let Some(rest) = framed.get(sent..).filter(|rest| !rest.is_empty()) {
+        if sent > 0 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "reply not taken within the stall bound",
+                ));
+            }
+            conn.set_write_timeout(Some(left))?;
+            shortened = true;
+        }
+        match conn.write(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    if shortened {
+        conn.set_write_timeout(Some(FRAME_STALL))?;
+    }
+    Ok(())
 }
 
 /// The versioned admin API on a TCP port, one request per line.
@@ -392,14 +431,29 @@ impl TcpTransport {
         self.routes.lock().get(logical).copied()
     }
 
+    /// A client connection: every wait on it is bounded by
+    /// [`FRAME_STALL`].
+    fn connect(target: SocketAddr) -> io::Result<TcpStream> {
+        let stream = TcpStream::connect_timeout(&target, FRAME_STALL)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(FRAME_STALL))?;
+        stream.set_write_timeout(Some(FRAME_STALL))?;
+        Ok(stream)
+    }
+
     fn exchange(stream: &mut TcpStream, payload: &[u8]) -> io::Result<Vec<u8>> {
         write_frame(stream, payload)?;
-        match read_frame(stream)? {
-            Some(bytes) => Ok(bytes),
-            None => Err(io::Error::new(
+        match read_reply(stream) {
+            Ok(Some(bytes)) => Ok(bytes),
+            Ok(None) => Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "peer closed before replying",
             )),
+            Err(e) if is_timeout(&e) => Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("no reply within {FRAME_STALL:?}"),
+            )),
+            Err(e) => Err(e),
         }
     }
 }
@@ -449,20 +503,22 @@ impl Transport for TcpTransport {
         // Reuse the pooled connection when one is idle; a stale pooled
         // connection (server restarted, idle timeout) falls through to
         // one fresh-connection retry.
+        // A peer that took the frame and stayed silent past the bound is
+        // not stale: a retry would only wait the bound again.
+        let failed = |e: io::Error| TransportError(format!("tcp {dst}: {e}"));
         let mut reply = None;
         if let Some(mut stream) = self.pool.lock().remove(dst) {
-            if let Ok(bytes) = TcpTransport::exchange(&mut stream, frame.bytes()) {
-                reply = Some((stream, bytes));
+            match TcpTransport::exchange(&mut stream, frame.bytes()) {
+                Ok(bytes) => reply = Some((stream, bytes)),
+                Err(e) if is_timeout(&e) => return Err(failed(e)),
+                Err(_) => {}
             }
         }
         let (stream, bytes) = match reply {
             Some(got) => got,
             None => {
-                let mut stream = TcpStream::connect(target)
-                    .map_err(|e| TransportError(format!("tcp {dst}: {e}")))?;
-                let _ = stream.set_nodelay(true);
-                let bytes = TcpTransport::exchange(&mut stream, frame.bytes())
-                    .map_err(|e| TransportError(format!("tcp {dst}: {e}")))?;
+                let mut stream = TcpTransport::connect(target).map_err(failed)?;
+                let bytes = TcpTransport::exchange(&mut stream, frame.bytes()).map_err(failed)?;
                 (stream, bytes)
             }
         };
@@ -473,6 +529,14 @@ impl Transport for TcpTransport {
     fn kind(&self) -> &'static str {
         "tcp"
     }
+}
+
+/// A socket read or write that gave up at its timeout.
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
 #[cfg(test)]
@@ -543,6 +607,33 @@ mod tests {
         assert!(transport
             .send_frame("client", "gw.alpha:gma", &frame)
             .is_err());
+    }
+
+    /// A peer that accepts and never answers: the exchange fails within
+    /// the stall bound instead of waiting forever.
+    #[test]
+    fn send_frame_gives_up_on_a_peer_that_never_answers() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // The accepted socket is held open, unread, until the join.
+        let holder = std::thread::spawn(move || listener.accept().map(|(conn, _)| conn));
+        let transport = TcpTransport::new(SchedulerConfig::default());
+        transport.register_route("gw.silent:gma", addr);
+        let started = Instant::now();
+        let err = transport
+            .send_frame(
+                "client",
+                "gw.silent:gma",
+                &WireFrame::encode(&GlobalRequest::Ping),
+            )
+            .unwrap_err();
+        let waited = started.elapsed();
+        assert!(
+            waited < FRAME_STALL + Duration::from_secs(5),
+            "gave up after {waited:?}"
+        );
+        assert!(err.to_string().contains("no reply within"), "{err}");
+        drop(holder.join().unwrap());
     }
 
     #[test]

@@ -275,6 +275,89 @@ fn a_client_that_never_reads_cannot_stall_the_worker() {
     server.stop();
 }
 
+/// The same bound on the worker's side. The silent client's queries
+/// bypass the cache, so a worker, not the connection's reader, writes
+/// the replies nobody reads, until the socket buffers fill and the
+/// worker stalls. A fetch sent by another client during the stall is
+/// answered within the stall bound plus slack, and by then the silent
+/// client's socket has been shut.
+#[test]
+fn a_client_that_never_reads_its_fetches_cannot_stall_the_worker() {
+    let world = ServeWorld::build(400);
+    let server = TcpServer::start(
+        "127.0.0.1:0",
+        world.service(),
+        SchedulerConfig {
+            workers: 1,
+            ..SchedulerConfig::default()
+        },
+    )
+    .unwrap();
+    let sources: Vec<String> = (0..400).map(|n| world.source_url(n)).collect();
+    // Every column: ~150 KB a reply, so the 65 the queue admits hold
+    // several times what the socket buffers do.
+    let fetch = query_frame(&sources, "SELECT * FROM Processor", None);
+    let mut silent = TcpStream::connect(server.local_addr()).unwrap();
+    let started = std::time::Instant::now();
+    match rpc(&mut silent, &fetch) {
+        GlobalResponse::Rows { rows, .. } => assert_eq!(rows.rows.len(), 400),
+        other => panic!("expected rows, got {other:?}"),
+    }
+    // Work takes at most this long between two finished fetches.
+    let busy = (3 * started.elapsed()).max(Duration::from_secs(1));
+    assert!(busy < Duration::from_secs(8), "one fetch took {busy:?}");
+    for _ in 0..100 {
+        write_frame(&mut silent, &fetch).unwrap();
+    }
+    // Stalled: queued work, and none of it finishing for `busy`.
+    let mut last = server.stats().snapshot();
+    let mut still_since = std::time::Instant::now();
+    while still_since.elapsed() < busy {
+        std::thread::sleep(Duration::from_millis(50));
+        let now = server.stats().snapshot();
+        let (accepted, _, executed, _) = now;
+        assert!(executed < accepted, "every fetch was written: no stall");
+        if now != last {
+            (last, still_since) = (now, std::time::Instant::now());
+        }
+    }
+
+    let mut other = TcpStream::connect(server.local_addr()).unwrap();
+    other
+        .set_read_timeout(Some(Duration::from_secs(15)))
+        .unwrap();
+    write_frame(
+        &mut other,
+        &query_frame(
+            &[world.source_url(0)],
+            "SELECT Hostname FROM Processor",
+            None,
+        ),
+    )
+    .unwrap();
+    let mut len = [0u8; 4];
+    other
+        .read_exact(&mut len)
+        .unwrap_or_else(|e| panic!("no reply while the silent client held the worker: {e}"));
+    let mut body = vec![0u8; u32::from_be_bytes(len) as usize];
+    other.read_exact(&mut body).unwrap();
+    match WireFrame::decode::<GlobalResponse>(&body).unwrap().0 {
+        GlobalResponse::Rows { rows, .. } => assert_eq!(rows.rows.len(), 1),
+        other => panic!("expected rows, got {other:?}"),
+    }
+
+    // Shut, not merely slow: what is buffered drains, then the stream ends.
+    silent
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let ended = silent.read_to_end(&mut Vec::new());
+    assert!(
+        !matches!(&ended, Err(e) if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)),
+        "the silent client's socket is still open: {ended:?}"
+    );
+    server.stop();
+}
+
 #[test]
 fn admin_port_serves_versioned_endpoints() {
     let world = ServeWorld::build(2);

@@ -3,6 +3,7 @@
 //! each row's planted mutation must make it fail
 //! (`cargo test --test mutants -- --ignored` checks that they do).
 
+use gridrm::global::{Answered, GlobalRequest, GlobalResponse, WireFrame, WireIdentity};
 use gridrm::prelude::*;
 use gridrm::telemetry::{SpanBuilder, TraceContext, DEFAULT_COST_PENDING};
 use proptest::prelude::*;
@@ -155,6 +156,92 @@ fn g9_standing_queries_replay_byte_identically_across_worlds() {
         "the transcript has deltas:\n{first}"
     );
     assert_eq!(first, streaming_transcript(7));
+}
+
+/// G(iv): no reply served from cache is older than its bound, whichever
+/// thread answers. Cached queries over random sources with random bounds,
+/// across random clock advances, go through the wire service the way the
+/// serving layer sends them: answered at once where the service takes
+/// the frame, else through the full path. Every source a reply serves
+/// from cache was filled no longer ago than the bound, and a frame
+/// answered at once is served wholly from cache.
+#[test]
+fn g4_no_reply_served_from_cache_is_older_than_its_bound() {
+    let net = Network::new(SimClock::new(), 11);
+    let site = SiteModel::generate(11, &SiteSpec::new(SITE, 3, 2));
+    site.advance_to(60_000);
+    deploy_site(&net, site.clone());
+    let gateway = Gateway::new(GatewayConfig::new("gw-g4", SITE), net);
+    install_into_gateway(&gateway);
+    let layer = GlobalLayer::attach(gateway.clone(), GmaDirectory::new());
+    let service = layer.wire_service();
+    let clock = gateway.clock().clone();
+    let sources: Vec<String> = (0..3)
+        .map(|n| format!("jdbc:snmp://node0{n}.{SITE}/public"))
+        .collect();
+
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut draw = |n: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % n
+    };
+    let mut filled: std::collections::BTreeMap<String, u64> = Default::default();
+    let (mut at_once, mut fetched) = (0, 0);
+    for step in 0..300 {
+        clock.advance([0, 200, 700, 1_500, 4_000][draw(5) as usize]);
+        let bound = [0, 500, 1_000, 3_000, 10_000][draw(5) as usize];
+        let mask = 1 + draw(7);
+        let picked: Vec<String> = (sources.iter().enumerate())
+            .filter(|(i, _)| mask & (1 << i) != 0)
+            .map(|(_, s)| s.clone())
+            .collect();
+        let frame = WireFrame::encode(&GlobalRequest::Query {
+            from_gateway: "g4".to_owned(),
+            identity: WireIdentity {
+                name: "g4".to_owned(),
+                roles: vec!["admin".to_owned()],
+            },
+            sources: picked,
+            sql: "SELECT Hostname, Load1 FROM Processor".to_owned(),
+            max_cache_age_ms: Some(bound),
+            trace: None,
+            deadline_ms: None,
+        })
+        .into_bytes();
+        let now = clock.now_millis();
+        let (reply, answered_now) = match service.answer_now("g4", frame) {
+            Answered::Now(reply) => (reply, true),
+            Answered::Later(pending) => (pending.reply(&*service, "g4"), false),
+        };
+        at_once += u32::from(answered_now);
+        let Ok((GlobalResponse::Rows { outcomes, .. }, _)) = WireFrame::decode(&reply) else {
+            panic!("step {step}: {}", String::from_utf8_lossy(&reply));
+        };
+        for outcome in outcomes {
+            match outcome.status {
+                OutcomeStatus::Cached => {
+                    let age = now - filled[&outcome.source];
+                    assert!(
+                        age <= bound,
+                        "step {step}: {} served {age} ms old, bound {bound}",
+                        outcome.source
+                    );
+                }
+                OutcomeStatus::Ok => {
+                    fetched += 1;
+                    assert!(!answered_now, "step {step}: a fetch answered at once");
+                    filled.insert(outcome.source, now);
+                }
+                other => panic!("step {step}: {other:?}"),
+            }
+        }
+    }
+    assert!(
+        at_once > 0 && fetched > 0,
+        "{at_once} answered at once, {fetched} sources fetched"
+    );
 }
 
 proptest! {

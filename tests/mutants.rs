@@ -24,7 +24,8 @@ struct Mutant<'a> {
     line: usize,
     original: &'a str,
     replacement: &'a str,
-    /// `tests/<target>.rs::<test fn>`.
+    /// `tests/<target>.rs::<test fn>` for a root test, or
+    /// `crates/<crate>/tests/<target>.rs::<test fn>` for a crate's.
     test: &'a str,
 }
 
@@ -64,12 +65,15 @@ fn copy_tree(from: &Path, to: &Path) {
     }
 }
 
-/// `cargo test --test <target>` in `tree`, running only the test
-/// `name`, or building without running when `name` is `None`; true when
-/// cargo succeeds.
-fn cargo_test(tree: &Path, target: &str, name: Option<&str>) -> bool {
+/// `cargo test` of `target` in `tree`, running only the test `name`,
+/// or building without running when `name` is `None`; true when cargo
+/// succeeds.
+fn cargo_test(tree: &Path, target: &Target, name: Option<&str>) -> bool {
     let mut cargo = Command::new(env!("CARGO"));
-    cargo.args(["test", "--offline", "-q", "--test", target]);
+    cargo.args(["test", "--offline", "-q", "--test", target.name]);
+    if let Some(manifest) = &target.manifest {
+        cargo.args(["--manifest-path", manifest]);
+    }
     match name {
         Some(name) => cargo.args(["--", "--exact", name]),
         None => cargo.arg("--no-run"),
@@ -82,13 +86,25 @@ fn cargo_test(tree: &Path, target: &str, name: Option<&str>) -> bool {
         .success()
 }
 
-/// The root test target and test name of `tests/<target>.rs::<name>`.
-fn refuting_test<'a>(m: &Mutant<'a>) -> (&'a str, &'a str) {
+/// An integration test target: its name, and the manifest of the crate
+/// it belongs to when that is not the root package.
+struct Target<'a> {
+    name: &'a str,
+    manifest: Option<String>,
+}
+
+/// The test target and test name of `[crates/<crate>/]tests/<target>.rs::<name>`.
+fn refuting_test<'a>(m: &Mutant<'a>) -> (Target<'a>, &'a str) {
     let (file, name) = m.test.split_once("::").expect("file::test");
-    let target = file
-        .strip_prefix("tests/")
-        .and_then(|f| f.strip_suffix(".rs"))
-        .expect("a root integration test");
+    let (dir, target) = file
+        .strip_suffix(".rs")
+        .and_then(|f| f.rsplit_once("tests/"))
+        .expect("an integration test");
+    let manifest = (!dir.is_empty()).then(|| format!("{dir}Cargo.toml"));
+    let target = Target {
+        name: target,
+        manifest,
+    };
     (target, name)
 }
 
@@ -103,7 +119,7 @@ fn every_planted_mutant_is_killed() {
     for m in checklist() {
         let (target, name) = refuting_test(&m);
         assert!(
-            cargo_test(&tree, target, Some(name)),
+            cargo_test(&tree, &target, Some(name)),
             "{}: {} fails before any mutant is planted",
             m.id,
             m.test
@@ -127,8 +143,8 @@ fn every_planted_mutant_is_killed() {
         fs::write(&path, lines.join("\n") + "\n").expect("plant the mutant");
 
         let (target, name) = refuting_test(&m);
-        let built = cargo_test(&tree, target, None);
-        let killed = built && !cargo_test(&tree, target, Some(name));
+        let built = cargo_test(&tree, &target, None);
+        let killed = built && !cargo_test(&tree, &target, Some(name));
         fs::write(&path, &pristine).expect("revert the mutant");
         assert!(built, "{}: the mutant does not build", m.id);
         println!(
