@@ -1,11 +1,16 @@
 //! Golden wire corpus: one canonical message per wire shape, pinned
-//! byte for byte in `wire_golden.jsonl`. The file was written by the
-//! codec of PR 21 (the last one that went through a `Value` tree), so
-//! it stands for every peer built before the direct codec. Line `i` of
-//! the file is corpus value `i`; the last line is the pretty-printed
-//! persisted admin state, itself JSON-encoded as one string so the file
-//! stays one message per line. A codec change that moves a byte fails
-//! here before it reaches such a peer.
+//! byte for byte in `wire_golden.jsonl`. Its first 21 lines were written
+//! by the last codec that went through a `Value` tree, so they stand for
+//! every peer built before the direct codec; the lines after them carry
+//! the enum variants those left out. Line `i` of the file is corpus
+//! value `i`; the last line is the pretty-printed persisted admin state,
+//! itself JSON-encoded as one string so the file stays one message per
+//! line. A codec change that moves a byte fails here before it reaches
+//! such a peer.
+//!
+//! This corpus and `wire_peers.jsonl`, the frames earlier peers sent,
+//! are the workspace's wire-compatibility check: every such frame must
+//! decode with today's types and keep every key when re-encoded.
 
 use gridrm_core::acil::{OutcomeStatus, SourceOutcome};
 use gridrm_core::admin::{AdminInterface, DataSourceConfig};
@@ -17,10 +22,18 @@ use gridrm_simnet::{Network, SimClock};
 use gridrm_sqlparse::{SqlType, SqlValue};
 use gridrm_telemetry::{CostVector, SloObjective, SloSpec, SpanStage, TraceContext, TraceRecord};
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 use std::sync::Arc;
 
 const GOLDEN: &str = include_str!("wire_golden.jsonl");
+
+/// Frames that peers built from earlier commits sent, one per line as
+/// `<type> <json>`: every line of the golden corpus, and its minimal
+/// form, with every key of a `serde(default)` field left out.
+/// Append only: a line this build cannot read is a peer it has dropped.
+const PEERS: &str = include_str!("wire_peers.jsonl");
 
 /// A corpus value of any wire type.
 trait Golden {
@@ -294,6 +307,82 @@ fn corpus() -> Vec<Box<dyn Golden>> {
         Box::new(cost()),
         Box::new(outcome()),
         Box::new(config()),
+        Box::new(GlobalResponse::Rows {
+            rows: WireRows {
+                columns: Vec::new(),
+                rows: Vec::new(),
+            },
+            warnings: Vec::new(),
+            served_from_cache: 0,
+            spans: Vec::new(),
+            elapsed_ms: 3,
+            outcomes: vec![
+                SourceOutcome::success(SOURCE, OutcomeStatus::Ok, 3),
+                SourceOutcome::success(SOURCE, OutcomeStatus::Coalesced, 3),
+                SourceOutcome::failure(
+                    "jdbc:nws://node05.serve/serve",
+                    OutcomeStatus::Error,
+                    1,
+                    "connection refused",
+                ),
+                SourceOutcome::failure(
+                    "jdbc:scms://node06.serve/serve",
+                    OutcomeStatus::Denied,
+                    0,
+                    "role admin required",
+                ),
+                SourceOutcome::failure(
+                    "jdbc:snmp://node07.remote/public",
+                    OutcomeStatus::Deferred,
+                    0,
+                    "route via the Global layer",
+                ),
+            ],
+        }),
+        Box::new(GlobalRequest::Event {
+            from_gateway: "gw-b".to_owned(),
+            event: GridRMEvent {
+                id: 42,
+                at_ms: 1_057_000_000_200,
+                source: "node04.serve:netlogger".to_owned(),
+                hostname: None,
+                severity: Severity::Info,
+                category: "host.boot".to_owned(),
+                message: "node04 up".to_owned(),
+                value: None,
+            },
+        }),
+        Box::new(GlobalRequest::Event {
+            from_gateway: "gw-b".to_owned(),
+            event: GridRMEvent {
+                id: 43,
+                at_ms: 1_057_000_000_300,
+                source: "node04.serve:snmp".to_owned(),
+                hostname: Some("node04".to_owned()),
+                severity: Severity::Warning,
+                category: "memory.free".to_owned(),
+                message: "RAMAvailableMB < 64".to_owned(),
+                value: Some(48.0),
+            },
+        }),
+        Box::new(GlobalRequest::Subscribe {
+            from_gateway: "gw-a".to_owned(),
+            identity: identity(),
+            sources: vec![SOURCE.to_owned()],
+            sql: "SELECT Hostname, Load1 FROM Processor EVERY 1000".to_owned(),
+            every_ms: None,
+            buffer: Some(8),
+            backpressure: Some(BackpressurePolicy::DropOldest),
+        }),
+        Box::new(GlobalRequest::Subscribe {
+            from_gateway: "gw-a".to_owned(),
+            identity: identity(),
+            sources: vec![SOURCE.to_owned()],
+            sql: "SELECT Hostname, Load1 FROM Processor EVERY 1000".to_owned(),
+            every_ms: Some(250),
+            buffer: None,
+            backpressure: Some(BackpressurePolicy::Coalesce),
+        }),
     ]
 }
 
@@ -463,6 +552,133 @@ fn older_and_newer_peer_forms_decode() {
         assert!(
             WireFrame::decode::<GlobalRequest>(unknown.as_bytes()).is_err(),
             "{unknown}"
+        );
+    }
+}
+
+/// Every node of `json` by its path from the root (object members by
+/// key, array items by index), with the node's text when it is a string.
+fn nodes(json: &str) -> BTreeMap<String, Option<String>> {
+    fn walk(v: &Value, at: String, out: &mut BTreeMap<String, Option<String>>) {
+        match v {
+            Value::Object(members) => {
+                for (key, v) in members.iter() {
+                    walk(v, format!("{at}/{key}"), out);
+                }
+            }
+            Value::Array(items) => {
+                for (i, v) in items.iter().enumerate() {
+                    walk(v, format!("{at}/{i}"), out);
+                }
+            }
+            _ => {}
+        }
+        out.insert(at, v.as_str().map(str::to_owned));
+    }
+    let value: Value = serde_json::from_str(json).unwrap_or_else(|e| panic!("{e}\n{json}"));
+    let mut out = BTreeMap::new();
+    walk(&value, String::new(), &mut out);
+    out
+}
+
+/// `json` decoded as `T` with today's types, then encoded again.
+fn reencode<T: Golden + for<'de> Deserialize<'de>>(json: &str) -> Result<String, String> {
+    let (value, _) = WireFrame::decode::<T>(json.as_bytes()).map_err(|e| e.to_string())?;
+    Ok(value.encoded())
+}
+
+/// Every frame an earlier peer sent still decodes, so a field added
+/// without a default, a default removed, a field retyped or a variant
+/// removed fails here; and today's re-encoding keeps every key the
+/// frame had, so a field removed (which decoding skips) fails too.
+#[test]
+fn every_frame_an_earlier_peer_sent_decodes_and_keeps_its_keys() {
+    for (n, line) in PEERS.lines().enumerate() {
+        let (ty, json) = line.split_once(' ').expect("`<type> <json>`");
+        let (sent, again) = match ty {
+            "GlobalRequest" => (json.to_owned(), reencode::<GlobalRequest>(json)),
+            "GlobalResponse" => (json.to_owned(), reencode::<GlobalResponse>(json)),
+            "WireDelta" => (json.to_owned(), reencode::<WireDelta>(json)),
+            "TraceRecord" => (json.to_owned(), reencode::<TraceRecord>(json)),
+            "CostVector" => (json.to_owned(), reencode::<CostVector>(json)),
+            "SourceOutcome" => (json.to_owned(), reencode::<SourceOutcome>(json)),
+            "GatewayConfig" => (json.to_owned(), reencode::<GatewayConfig>(json)),
+            "AdminState" => {
+                let text: String = serde_json::from_str(json).expect("a JSON string");
+                let restored = admin();
+                let again = restored.from_json(&text).map(|_| restored.to_json());
+                (text, again.map_err(|e| e.to_string()))
+            }
+            other => panic!("peer line {}: unknown type `{other}`", n + 1),
+        };
+        let again =
+            again.unwrap_or_else(|e| panic!("peer line {} no longer decodes: {e}\n{line}", n + 1));
+        let kept = nodes(&again);
+        let lost: Vec<String> = nodes(&sent)
+            .into_keys()
+            .filter(|path| !kept.contains_key(path))
+            .collect();
+        assert!(
+            lost.is_empty(),
+            "peer line {}: re-encoding drops {lost:?}\n{line}",
+            n + 1
+        );
+    }
+    let sent: BTreeSet<&str> = PEERS
+        .lines()
+        .filter_map(|line| Some(line.split_once(' ')?.1))
+        .collect();
+    for (i, line) in GOLDEN.lines().enumerate() {
+        assert!(
+            sent.contains(line),
+            "golden line {} is missing from wire_peers.jsonl",
+            i + 1
+        );
+    }
+}
+
+/// The names of every variant of `$enum`. The match has no wildcard, so
+/// a variant added to the enum does not compile until it is listed
+/// here, and then the corpus must carry it.
+macro_rules! variants {
+    ($enum:ident: $($variant:ident),+ $(,)?) => {{
+        let _every_variant_is_listed = |e: &$enum| match e {
+            $($enum::$variant { .. } => ()),+
+        };
+        [$(stringify!($variant)),+]
+    }};
+}
+
+#[test]
+fn every_variant_of_every_wire_enum_is_in_the_corpus() {
+    let (mut keys, mut strings) = (BTreeSet::new(), BTreeSet::new());
+    for line in GOLDEN.lines() {
+        for (path, text) in nodes(line) {
+            keys.insert(path.rsplit('/').next().unwrap_or_default().to_owned());
+            strings.extend(text);
+        }
+    }
+    // A unit-only enum encodes each variant as a string...
+    for name in variants!(OutcomeStatus: Ok, Cached, Coalesced, Timeout, Error, Denied, Deferred)
+        .into_iter()
+        .chain(variants!(Severity: Info, Warning, Critical))
+        .chain(variants!(BackpressurePolicy: DropOldest, DropNewest, Coalesce))
+        .chain(variants!(SqlType: Int, Float, Str, Bool, Timestamp, Null))
+    {
+        assert!(strings.contains(name), "no corpus line carries `{name}`");
+    }
+    // ...the others as the key over its payload, or as a string without one.
+    let requests = variants!(GlobalRequest: Query, Event, Ping, Subscribe, PollDeltas, Unsubscribe);
+    let responses = variants!(GlobalResponse: Rows, EventAccepted, Pong, Subscribed, Deltas,
+        Unsubscribed, Error, Overloaded);
+    for name in requests
+        .into_iter()
+        .chain(responses)
+        .chain(variants!(SqlValue: Null, Bool, Int, Float, Str, Timestamp))
+    {
+        assert!(
+            keys.contains(name) || strings.contains(name),
+            "no corpus line carries `{name}`"
         );
     }
 }

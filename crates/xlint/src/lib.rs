@@ -1,6 +1,6 @@
 //! `gridrm-lint` — the house rules no compiler lint, type or test can
-//! check: the wire-schema evolution ratchet, virtual-time determinism
-//! and the workspace lock-acquisition order.
+//! check: virtual-time determinism and the workspace lock-acquisition
+//! order.
 //!
 //! Real parsing (via the vendored `proc-macro2`/`syn` stand-ins)
 //! instead of grep: rules resolve call expressions, impl blocks and
@@ -8,11 +8,10 @@
 //! `docs/static-analysis.md` for the rule catalog and the waiver syntax.
 
 pub mod rules;
-pub mod schema;
 pub mod tokens;
 
 use proc_macro2::TokenStream;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
@@ -20,7 +19,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// One lint finding.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub struct Finding {
     /// Rule identifier (see [`rules::RULES`]).
     pub rule: String,
@@ -60,8 +59,8 @@ pub struct Waiver {
     pub own_line: bool,
 }
 
-/// Analyzer configuration: the simnet-deterministic source set, the
-/// calls no lock guard may be held across, and the wire-schema roots.
+/// Analyzer configuration: the simnet-deterministic source set and the
+/// calls no lock guard may be held across.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Path prefixes of the simnet-deterministic source set audited by
@@ -73,8 +72,6 @@ pub struct Config {
     /// across a layer. Holding a guard across one is flagged even
     /// without a cycle (the single-flight deadlock shape).
     pub boundary_methods: BTreeSet<String>,
-    /// Root type names the wire-schema closure starts from.
-    pub wire_roots: Vec<String>,
 }
 
 impl Config {
@@ -106,7 +103,6 @@ impl Config {
             .into_iter()
             .map(str::to_owned)
             .collect(),
-            wire_roots: vec!["GlobalRequest".to_owned(), "GlobalResponse".to_owned()],
         }
     }
 }
@@ -326,52 +322,57 @@ const SCAN_DIRS: &[&str] = &["crates", "src", "examples", "tests"];
 /// Path fragments never scanned.
 const EXCLUDES: &[&str] = &["/target/", "/third_party/", "/tests/fixtures/"];
 
-/// Enumerate the workspace `.rs` files the analyzer covers.
-pub fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
+/// The workspace `.rs` files the analyzer covers, each with its
+/// repo-relative path (forward slashes).
+fn workspace_files(root: &Path) -> io::Result<Vec<(PathBuf, String)>> {
     let mut files = Vec::new();
     for dir in SCAN_DIRS {
         let path = root.join(dir);
         if path.is_dir() {
-            visit(&path, &mut files)?;
+            visit(root, &path, &mut files)?;
         }
     }
     files.sort();
     Ok(files)
 }
 
-fn visit(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+fn visit(root: &Path, dir: &Path, out: &mut Vec<(PathBuf, String)>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        let as_str = path.to_string_lossy().replace('\\', "/");
-        if EXCLUDES.iter().any(|e| format!("{as_str}/").contains(e)) {
-            continue;
-        }
-        if path.is_dir() {
-            visit(&path, out)?;
-        } else if path.extension().map(|e| e == "rs").unwrap_or(false)
-            && !EXCLUDES.iter().any(|e| as_str.contains(e))
-        {
-            out.push(path);
-        }
-    }
-    Ok(())
-}
-
-/// Parse every workspace file. Files that fail to lex come back as
-/// `parse` findings instead of aborting the scan.
-pub fn parse_workspace(root: &Path) -> io::Result<(Vec<SourceFile>, Vec<Finding>)> {
-    let mut files = Vec::new();
-    let mut findings = Vec::new();
-    for path in workspace_files(root)? {
+        let path = entry?.path();
+        // Excludes match below the root, so a tree that itself sits
+        // under a `target/` (the mutation runner's copy) is scanned.
         let rel = path
             .strip_prefix(root)
             .unwrap_or(&path)
             .to_string_lossy()
             .replace('\\', "/");
+        if EXCLUDES.iter().any(|e| format!("/{rel}/").contains(e)) {
+            continue;
+        }
+        if path.is_dir() {
+            visit(root, &path, out)?;
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push((path, rel));
+        }
+    }
+    Ok(())
+}
+
+/// Scan the whole workspace: parse every file (one that fails to lex is
+/// a `parse` finding, not an abort), run the per-file rules, then the
+/// lock-order pass, which needs the whole tree for its inter-procedural
+/// summaries. Waivers apply to both. Returns findings sorted by (file,
+/// line, rule).
+pub fn scan_workspace(root: &Path, config: &Config) -> io::Result<Vec<Finding>> {
+    let mut files = Vec::new();
+    let mut findings = Vec::new();
+    for (path, rel) in workspace_files(root)? {
         let text = fs::read_to_string(&path)?;
         match SourceFile::parse(&rel, &text) {
-            Ok(sf) => files.push(sf),
+            Ok(sf) => {
+                findings.extend(check_file(&sf, config));
+                files.push(sf);
+            }
             Err(e) => findings.push(Finding {
                 rule: "parse".to_owned(),
                 file: rel,
@@ -381,48 +382,14 @@ pub fn parse_workspace(root: &Path) -> io::Result<(Vec<SourceFile>, Vec<Finding>
             }),
         }
     }
-    Ok((files, findings))
-}
-
-/// Scan the whole workspace: parse every file, run every per-file rule
-/// plus the workspace-level passes, apply waivers. Returns findings
-/// sorted by (file, line, rule).
-pub fn scan_workspace(root: &Path, config: &Config) -> io::Result<Vec<Finding>> {
-    let (files, mut findings) = parse_workspace(root)?;
-    findings.extend(scan_files(&files, config));
+    let waived = |f: &Finding| files.iter().any(|sf| sf.rel_path == f.file && sf.waived(f));
+    findings.extend(
+        rules::lockorder::check_workspace(&files, config)
+            .into_iter()
+            .filter(|f| !waived(f)),
+    );
     findings.sort();
     Ok(findings)
-}
-
-/// Run every rule over already-parsed files: per-file rules first, then
-/// the workspace-level lock-order pass (which needs the whole tree for
-/// its inter-procedural summaries). Waivers apply to both.
-pub fn scan_files(files: &[SourceFile], config: &Config) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for sf in files {
-        out.extend(check_file(sf, config));
-    }
-    out.extend(apply_file_waivers(
-        files,
-        rules::lockorder::check_workspace(files, config),
-    ));
-    out.sort();
-    out
-}
-
-/// Filter workspace-level findings through the waivers of the file each
-/// finding lands in.
-pub fn apply_file_waivers(files: &[SourceFile], findings: Vec<Finding>) -> Vec<Finding> {
-    findings
-        .into_iter()
-        .filter(|f| {
-            files
-                .iter()
-                .find(|sf| sf.rel_path == f.file)
-                .map(|sf| !sf.waived(f))
-                .unwrap_or(true)
-        })
-        .collect()
 }
 
 /// Run every rule against one parsed file and apply its waivers.

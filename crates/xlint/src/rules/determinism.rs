@@ -12,9 +12,11 @@
 //! * entropy — `rand::..` / `thread_rng()` (seeds are explicit);
 //! * iteration over `HashMap`/`HashSet`, whose `RandomState` ordering
 //!   differs per process and leaks straight into rows, frames and
-//!   snapshots. Order-insensitive folds (`count`, `sum`, `any`, ...) and
-//!   chains that immediately re-sort (`collect` into a `BTree*`,
-//!   `sort*()` later in the same statement) are tolerated.
+//!   snapshots. A local alias (`use ..::HashMap as BTreeMap`,
+//!   `type Bills = HashMap<..>`) is a hash type too. Order-insensitive
+//!   folds (`count`, `sum`, `any`, ...) and chains that immediately
+//!   re-sort (`collect` into a `BTree*`, `sort*()` later in the same
+//!   statement) are tolerated.
 //!
 //! Wall-clock crates (`serve`, `bench`, `resmodel/host.rs`) are simply
 //! outside `deterministic_dirs`; individual exemptions inside the
@@ -28,6 +30,13 @@ use std::collections::BTreeSet;
 
 /// Hash-ordered collection type names.
 const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
+
+/// A file's hash-ordered types (with its aliases) and the names declared
+/// with one.
+struct Hashed {
+    types: BTreeSet<String>,
+    names: BTreeSet<String>,
+}
 
 /// Iterator-producing methods whose order is the hash order.
 const ITER_METHODS: &[&str] = &[
@@ -82,32 +91,31 @@ pub fn check(sf: &SourceFile, config: &Config) -> Vec<Finding> {
     {
         return Vec::new();
     }
-    let hash_names = hash_typed_names(sf);
+    let seqs = token_seqs(sf);
+    let types = hash_types(&seqs);
+    let hash = Hashed {
+        names: hash_typed_names(&seqs, &types),
+        types,
+    };
     let mut out = Vec::new();
     for f in collect_fns(&sf.ast) {
         if f.in_test {
             continue;
         }
         let body: Vec<TokenTree> = f.body.clone().into_iter().collect();
-        walk(&body, sf, &f.name, &hash_names, &mut out);
+        walk(&body, sf, &f.name, &hash, &mut out);
     }
     out.sort();
     out.dedup();
     out
 }
 
-fn walk(
-    seq: &[TokenTree],
-    sf: &SourceFile,
-    fn_name: &str,
-    hash_names: &BTreeSet<String>,
-    out: &mut Vec<Finding>,
-) {
-    check_seq(seq, sf, fn_name, hash_names, out);
+fn walk(seq: &[TokenTree], sf: &SourceFile, fn_name: &str, hash: &Hashed, out: &mut Vec<Finding>) {
+    check_seq(seq, sf, fn_name, hash, out);
     for t in seq {
         if let TokenTree::Group(g) = t {
             let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-            walk(&inner, sf, fn_name, hash_names, out);
+            walk(&inner, sf, fn_name, hash, out);
         }
     }
 }
@@ -116,7 +124,7 @@ fn check_seq(
     seq: &[TokenTree],
     sf: &SourceFile,
     fn_name: &str,
-    hash_names: &BTreeSet<String>,
+    hash: &Hashed,
     out: &mut Vec<Finding>,
 ) {
     let finding = |line: usize, column: usize, message: String| Finding {
@@ -176,7 +184,7 @@ fn check_seq(
         let Some(name) = ident_text(&seq[i]) else {
             continue;
         };
-        if !hash_names.contains(&name) {
+        if !hash.names.contains(&name) {
             continue;
         }
         // Skip declaration sites (`name: HashMap<..>`) — only uses count.
@@ -184,7 +192,7 @@ fn check_seq(
             continue;
         }
         if let Some((method, line, column)) = hash_iteration(seq, i) {
-            if !suppressed(seq, i) {
+            if !suppressed(seq, i, &hash.types) {
                 out.push(finding(
                     line,
                     column,
@@ -330,8 +338,9 @@ fn chain_is_orderless(seq: &[TokenTree], mut k: usize) -> bool {
 }
 
 /// Does a later part of the same statement re-establish an order
-/// (an explicit `sort*` call, or a `let .. : BTree..` destination)?
-fn suppressed(seq: &[TokenTree], i: usize) -> bool {
+/// (an explicit `sort*` call, or a `let .. : BTree..` destination that
+/// is not a hash alias)?
+fn suppressed(seq: &[TokenTree], i: usize, hash_types: &BTreeSet<String>) -> bool {
     // Statement start: walk back to the previous `;` (or seq start).
     let start = (0..i)
         .rev()
@@ -342,7 +351,7 @@ fn suppressed(seq: &[TokenTree], i: usize) -> bool {
         .unwrap_or(seq.len());
     for t in &seq[start..end] {
         if let Some(id) = ident_text(t) {
-            if id.starts_with("sort") || id.starts_with("BTree") {
+            if id.starts_with("sort") || (id.starts_with("BTree") && !hash_types.contains(&id)) {
                 return true;
             }
         }
@@ -374,20 +383,66 @@ fn for_loop_over(seq: &[TokenTree], i: usize) -> bool {
     k > 0 && is_ident(&seq[k - 1], "in")
 }
 
-/// Names declared with a hash-ordered collection type anywhere in the
-/// file: struct fields and `let` bindings with `Hash*` in the annotated
-/// type or initializer (`HashMap::new()`, `HashMap::default()`, ...).
-fn hash_typed_names(sf: &SourceFile) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
+/// Every token sequence of the file: the top level and each group's
+/// contents, nested groups included.
+fn token_seqs(sf: &SourceFile) -> Vec<Vec<TokenTree>> {
     let mut seqs: Vec<Vec<TokenTree>> = vec![sf.tokens.clone().into_iter().collect()];
     let mut idx = 0;
     while idx < seqs.len() {
-        let seq = std::mem::take(&mut seqs[idx]);
-        for t in &seq {
-            if let TokenTree::Group(g) = t {
-                seqs.push(g.stream().into_iter().collect());
+        let inner: Vec<Vec<TokenTree>> = seqs[idx]
+            .iter()
+            .filter_map(|t| match t {
+                TokenTree::Group(g) => Some(g.stream().into_iter().collect()),
+                _ => None,
+            })
+            .collect();
+        seqs.extend(inner);
+        idx += 1;
+    }
+    seqs
+}
+
+/// `HashMap`, `HashSet` and the file's aliases of them: `Hash* as X` in
+/// a `use`, and `type X = ..;` naming a hash type, followed to a
+/// fixpoint so an alias of an alias counts too.
+fn hash_types(seqs: &[Vec<TokenTree>]) -> BTreeSet<String> {
+    let mut types: BTreeSet<String> = HASH_TYPES.iter().map(|t| (*t).to_owned()).collect();
+    loop {
+        let known = types.len();
+        for seq in seqs {
+            for i in 0..seq.len() {
+                let alias = if is_ident(&seq[i], "as") {
+                    let aliased = i
+                        .checked_sub(1)
+                        .and_then(|k| ident_text(&seq[k]))
+                        .is_some_and(|ty| types.contains(&ty));
+                    seq.get(i + 1).and_then(ident_text).filter(|_| aliased)
+                } else if is_ident(&seq[i], "type") {
+                    let rhs = seq[i..]
+                        .iter()
+                        .take_while(|t| !is_punct(t, ';'))
+                        .skip_while(|t| !is_punct(t, '='));
+                    let aliased = rhs.filter_map(ident_text).any(|id| types.contains(&id));
+                    seq.get(i + 1).and_then(ident_text).filter(|_| aliased)
+                } else {
+                    None
+                };
+                types.extend(alias);
             }
         }
+        if types.len() == known {
+            return types;
+        }
+    }
+}
+
+/// Names declared with a hash-ordered collection type anywhere in the
+/// file: struct fields and `let` bindings with a hash type in the
+/// annotated type or initializer (`HashMap::new()`, `HashMap::default()`,
+/// ...).
+fn hash_typed_names(seqs: &[Vec<TokenTree>], types: &BTreeSet<String>) -> BTreeSet<String> {
+    let mut names = BTreeSet::new();
+    for seq in seqs {
         for i in 0..seq.len() {
             let Some(name) = ident_text(&seq[i]) else {
                 continue;
@@ -396,7 +451,7 @@ fn hash_typed_names(sf: &SourceFile) -> BTreeSet<String> {
             let single_colon = matches!(seq.get(i + 1), Some(t) if is_punct(t, ':'))
                 && !matches!(seq.get(i + 2), Some(t) if is_punct(t, ':'))
                 && !matches!(i.checked_sub(1).and_then(|k| seq.get(k)), Some(t) if is_punct(t, ':'));
-            if single_colon && type_tail_is_hash(&seq[i + 2..]) {
+            if single_colon && type_tail_is_hash(&seq[i + 2..], types) {
                 names.insert(name);
                 continue;
             }
@@ -410,20 +465,19 @@ fn hash_typed_names(sf: &SourceFile) -> BTreeSet<String> {
                     continue;
                 };
                 if matches!(seq.get(k + 1), Some(t) if is_punct(t, '='))
-                    && init_tail_is_hash(&seq[k + 2..])
+                    && init_tail_is_hash(&seq[k + 2..], types)
                 {
                     names.insert(bound);
                 }
             }
         }
-        idx += 1;
     }
     names
 }
 
 /// Does the type text starting here (up to `,`/`;`/`=`/`)` at angle
 /// depth 0) mention a hash collection?
-fn type_tail_is_hash(tail: &[TokenTree]) -> bool {
+fn type_tail_is_hash(tail: &[TokenTree], types: &BTreeSet<String>) -> bool {
     let mut angle = 0i32;
     for t in tail {
         if is_punct(t, '<') {
@@ -437,7 +491,7 @@ fn type_tail_is_hash(tail: &[TokenTree]) -> bool {
             return false;
         }
         if let Some(id) = ident_text(t) {
-            if HASH_TYPES.contains(&id.as_str()) {
+            if types.contains(&id) {
                 return true;
             }
         }
@@ -446,13 +500,13 @@ fn type_tail_is_hash(tail: &[TokenTree]) -> bool {
 }
 
 /// Does the initializer (up to `;`) build a hash collection directly?
-fn init_tail_is_hash(tail: &[TokenTree]) -> bool {
+fn init_tail_is_hash(tail: &[TokenTree], types: &BTreeSet<String>) -> bool {
     for w in tail.windows(2) {
         if is_punct(&w[1], ';') {
             break;
         }
         if let Some(id) = ident_text(&w[0]) {
-            if HASH_TYPES.contains(&id.as_str()) && is_punct(&w[1], ':') {
+            if types.contains(&id) && is_punct(&w[1], ':') {
                 return true;
             }
         }

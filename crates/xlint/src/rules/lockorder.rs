@@ -452,11 +452,18 @@ fn analyze_block(
     live.truncate(base);
 }
 
-/// Split a block's top-level tokens into statements at `;`.
+/// Split a block's top-level tokens into statements at `;`, and before
+/// a `let` that follows a block (`for .. { .. } let g = ..`), which ends
+/// its statement without one.
 fn split_statements(seq: &[TokenTree]) -> Vec<Vec<TokenTree>> {
     let mut stmts = Vec::new();
-    let mut cur = Vec::new();
+    let mut cur: Vec<TokenTree> = Vec::new();
     for t in seq {
+        let after_block =
+            matches!(cur.last(), Some(b) if group_with(b, Delimiter::Brace).is_some());
+        if after_block && is_ident(t, "let") {
+            stmts.push(std::mem::take(&mut cur));
+        }
         cur.push(t.clone());
         if is_punct(t, ';') {
             stmts.push(std::mem::take(&mut cur));

@@ -6,10 +6,4 @@ pub mod determinism;
 pub mod lockorder;
 
 /// Every rule id the analyzer can emit (used to validate waivers).
-pub const RULES: &[&str] = &[
-    "wire-schema",
-    "determinism",
-    "lock-order",
-    "waiver-syntax",
-    "parse",
-];
+pub const RULES: &[&str] = &["determinism", "lock-order", "waiver-syntax", "parse"];

@@ -11,3 +11,11 @@ pub fn poll_holding_read_guard(gw: &Gateway) {
     let snapshot = gw.table.read().unwrap();
     gw.scheduler.poll_now(&snapshot);
 }
+
+pub fn guard_bound_after_a_loop(gw: &Gateway) -> usize {
+    for event in gw.inbox() {
+        gw.ingest(event);
+    }
+    let _policy = gw.security.read();
+    gw.events.dispatch().len()
+}

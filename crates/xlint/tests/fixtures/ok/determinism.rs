@@ -1,11 +1,14 @@
-//! Fixture: deterministic counterparts — ordered collections, orderless
-//! folds over hash maps, an order-restoring collect, and the waiver
-//! shape for a genuinely wall-clock helper. Parsed, never compiled.
+//! Fixture: deterministic counterparts — ordered collections (one
+//! behind a type alias), orderless folds over hash maps, an
+//! order-restoring collect, and the waiver shape for a genuinely
+//! wall-clock helper. Parsed, never compiled.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
+type Seen = BTreeMap<String, u64>;
+
 pub struct Snapshotter {
-    seen: BTreeMap<String, u64>,
+    seen: Seen,
     hot: HashMap<String, u64>,
 }
 

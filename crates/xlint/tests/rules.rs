@@ -2,7 +2,8 @@
 //! and a fixture it stays silent on. Fixtures live under
 //! `tests/fixtures/{ok,bad}/` and are parsed, never compiled.
 
-use gridrm_xlint::{check_file, scan_files, Config, Finding, SourceFile};
+use gridrm_xlint::rules::lockorder;
+use gridrm_xlint::{check_file, Config, Finding, SourceFile};
 
 fn fixture(rel: &str) -> String {
     let path = format!("{}/tests/fixtures/{rel}", env!("CARGO_MANIFEST_DIR"));
@@ -16,12 +17,11 @@ fn scan(fixture_rel: &str, as_path: &str) -> Vec<Finding> {
     check_file(&sf, &Config::workspace())
 }
 
-/// Parse `fixture_rel` as the whole workspace, run every rule
-/// (`lock-order` included).
+/// Parse `fixture_rel` as the whole workspace, run the lock-order pass.
 fn scan_alone(fixture_rel: &str) -> Vec<Finding> {
     let sf = SourceFile::parse("crates/core/src/lock_fixture.rs", &fixture(fixture_rel))
         .expect("fixture parses");
-    scan_files(std::slice::from_ref(&sf), &Config::workspace())
+    lockorder::check_workspace(std::slice::from_ref(&sf), &Config::workspace())
 }
 
 fn count(findings: &[Finding], rule: &str) -> usize {
@@ -73,6 +73,16 @@ fn determinism_passes_ordered_orderless_and_waived_code() {
 }
 
 #[test]
+fn determinism_sees_through_hash_aliases() {
+    // `use HashMap as BTreeMap`: one `.iter()`. `type` aliases: the
+    // `for` over a field and `.keys()` on an alias of the alias.
+    for (fixture, expected) in [("bad/hash_alias_use.rs", 1), ("bad/hash_alias_type.rs", 2)] {
+        let f = scan(fixture, "crates/telemetry/src/alias_fixture.rs");
+        assert_eq!(count(&f, "determinism"), expected, "{fixture}: {f:#?}");
+    }
+}
+
+#[test]
 fn determinism_ignores_wall_clock_crates() {
     let f = scan(
         "bad/determinism.rs",
@@ -103,13 +113,19 @@ fn lock_order_passes_consistent_order_and_dropped_guards() {
 #[test]
 fn lock_order_fires_on_guard_held_across_dispatch() {
     let f = scan_alone("bad/locks.rs");
-    assert_eq!(count(&f, "lock-order"), 2, "{f:#?}");
+    // The third guard is bound right after a loop's block, which ends
+    // its statement without a `;`.
+    assert_eq!(count(&f, "lock-order"), 3, "{f:#?}");
     assert!(
         f.iter().any(|x| x.message.contains("`execute_query(..)`")),
         "{f:#?}"
     );
     assert!(
         f.iter().any(|x| x.message.contains("`poll_now(..)`")),
+        "{f:#?}"
+    );
+    assert!(
+        f.iter().any(|x| x.message.contains("`dispatch(..)`")),
         "{f:#?}"
     );
 }
