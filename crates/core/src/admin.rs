@@ -3,13 +3,16 @@
 //! modify data sources, prioritised driver registration per source,
 //! network discovery, and the cached tree view with status icons.
 
+use crate::acil::render_json;
 use crate::cache::CacheController;
 use crate::driver_manager::{FailurePolicy, GridRMDriverManager};
 use crate::health::{HealthMonitor, SourceHealthSnapshot};
 use crate::stream::StreamManager;
+use crate::tables::{SPANS, TABLES};
 use gridrm_dbc::{DbcResult, JdbcUrl, SqlError};
 use gridrm_simnet::Network;
-use gridrm_telemetry::{GatewayTelemetry, MetricSnapshot, TraceRecord};
+use gridrm_sqlparse::ast::{BinaryOp, Expr, SelectStatement};
+use gridrm_telemetry::GatewayTelemetry;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -160,9 +163,9 @@ pub struct AdminInterface {
     sources: RwLock<BTreeMap<String, DataSourceConfig>>,
     driver_manager: Arc<GridRMDriverManager>,
     cache: Arc<CacheController>,
-    telemetry: GatewayTelemetry,
-    health_monitor: Arc<HealthMonitor>,
-    streams: Arc<StreamManager>,
+    pub(crate) telemetry: GatewayTelemetry,
+    pub(crate) health_monitor: Arc<HealthMonitor>,
+    pub(crate) streams: Arc<StreamManager>,
 }
 
 impl AdminInterface {
@@ -189,70 +192,6 @@ impl AdminInterface {
     /// scrape endpoint).
     pub fn metrics_prometheus(&self) -> String {
         self.telemetry.registry().render_prometheus()
-    }
-
-    /// Structured snapshot of every metric family (JSON exposition).
-    pub fn metrics_snapshot(&self) -> Vec<MetricSnapshot> {
-        self.telemetry.registry().snapshot()
-    }
-
-    /// JSON text of [`AdminInterface::metrics_snapshot`].
-    pub fn metrics_json(&self) -> String {
-        pretty_json(&self.metrics_snapshot())
-    }
-
-    /// Recent query traces, oldest first.
-    pub fn traces(&self) -> Vec<TraceRecord> {
-        self.telemetry.traces().recent()
-    }
-
-    /// The slowest retained trace by virtual duration.
-    pub fn slowest_trace(&self) -> Option<TraceRecord> {
-        self.telemetry.traces().slowest()
-    }
-
-    /// Every retained span of one trace tree, oldest first.
-    pub fn trace_spans(&self, trace_id: &str) -> Vec<TraceRecord> {
-        self.telemetry.traces().for_trace(trace_id)
-    }
-
-    /// JSON text of [`AdminInterface::trace_spans`] (the span tree of
-    /// one trace, with full span-identity fields).
-    pub fn trace_spans_json(&self, trace_id: &str) -> String {
-        pretty_json(&self.trace_spans(trace_id))
-    }
-
-    /// Per-source health snapshot (JSON exposition source of truth —
-    /// the `gridrm_health` SQL table serves the same rows).
-    pub fn health_snapshot(&self) -> Vec<SourceHealthSnapshot> {
-        self.health_monitor.snapshot()
-    }
-
-    /// JSON text of [`AdminInterface::health_snapshot`].
-    pub fn health_json(&self) -> String {
-        pretty_json(&self.health_snapshot())
-    }
-
-    /// The slow-query log, slowest first (full per-stage breakdown).
-    pub fn slow_queries(&self) -> Vec<TraceRecord> {
-        self.telemetry.slow_queries().top()
-    }
-
-    /// JSON text of [`AdminInterface::slow_queries`].
-    pub fn slow_queries_json(&self) -> String {
-        pretty_json(&self.slow_queries())
-    }
-
-    /// Point-in-time SLO statuses as JSON: burn rates, remaining error
-    /// budget, and firing state per declared SLO, sorted by name.
-    pub fn slo_json(&self) -> String {
-        pretty_json(&self.telemetry.slo().snapshot())
-    }
-
-    /// Live continuous-query subscriptions as JSON, ordered by id (the
-    /// `gridrm_subscriptions` SQL table serves the same rows).
-    pub fn subscriptions_json(&self) -> String {
-        pretty_json(&self.streams.snapshot())
     }
 
     /// Add (or modify) a data source; applies its driver preferences and
@@ -410,28 +349,33 @@ impl AdminInterface {
 
     /// The versioned admin dispatch: one entry point for every
     /// exposition, so transports expose a single surface instead of
-    /// growing a method per endpoint. Paths are the [`ROUTES`];
-    /// unknown paths answer `NotFound` with the endpoint index as the
-    /// body, and `/` or `/v1` serve the index directly. Trailing
-    /// slashes are tolerated.
+    /// growing a method per endpoint. `/v1/<name>` renders the `SELECT *`
+    /// rows of the table `gridrm_<name>` of [`TABLES`] as JSON, and
+    /// `/v1/spans/<trace_id>` the spans of one trace; three fixed routes
+    /// serve the Prometheus text, the metric families and the configured
+    /// sources. Unknown paths answer `NotFound` with the endpoint index
+    /// as the body, and `/` or `/v1` serve the index directly. Trailing
+    /// slashes are tolerated. Nothing here records anything: a scrape
+    /// leaves every table as it found it.
     pub fn handle(&self, path: &str) -> AdminResponse {
         let trimmed = path.trim().trim_end_matches('/');
         if matches!(trimmed, "" | "/" | "/v1") {
             return AdminResponse::ok_text(index_text());
         }
-        for (pattern, _, render) in ROUTES {
-            let arg = match pattern.strip_suffix("<id>") {
-                Some(prefix) => trimmed.strip_prefix(prefix).filter(|id| !id.is_empty()),
-                None => (trimmed == *pattern).then_some(""),
-            };
-            if let Some(arg) = arg {
-                return render(self, arg);
-            }
+        if let Some((_, _, render)) = FIXED_ROUTES.iter().find(|(p, _, _)| *p == trimmed) {
+            return render(self);
         }
-        AdminResponse {
-            status: AdminStatus::NotFound,
-            content_type: "text/plain",
-            body: index_text(),
+        let rows = trimmed
+            .strip_prefix("/v1/")
+            .and_then(table_select)
+            .and_then(|sel| self.select(&sel).ok());
+        match rows {
+            Some(rows) => AdminResponse::ok_json(render_json(&rows)),
+            None => AdminResponse {
+                status: AdminStatus::NotFound,
+                content_type: "text/plain",
+                body: index_text(),
+            },
         }
     }
 }
@@ -451,75 +395,72 @@ pub(crate) fn concerns(url: &str, origin: &str) -> bool {
     JdbcUrl::parse(url).is_ok_and(|u| u.host == host && (u.is_wildcard() || u.subprotocol == proto))
 }
 
-fn pretty_json<T: Serialize>(value: &T) -> String {
-    serde_json::to_string_pretty(value).expect("admin snapshots are serialisable")
-}
+/// Renders one route that serves no table.
+type Render = fn(&AdminInterface) -> AdminResponse;
 
-/// Renders one endpoint; the argument is what matched `<id>` in the
-/// route's path (empty for fixed paths).
-type Render = fn(&AdminInterface, &str) -> AdminResponse;
-
-/// Every `/v1` endpoint: path, index description, renderer. Both
-/// [`AdminInterface::handle`] and the index it serves are driven from
-/// this table.
-pub const ROUTES: &[(&str, &str, Render)] = &[
-    ("/v1/metrics", "Prometheus text exposition", |a, _| {
+/// The routes that serve no table: path, index description, renderer.
+const FIXED_ROUTES: &[(&str, &str, Render)] = &[
+    ("/v1/metrics", "Prometheus text exposition", |a| {
         AdminResponse::ok_text(a.metrics_prometheus())
     }),
-    ("/v1/metrics.json", "metric families as JSON", |a, _| {
-        AdminResponse::ok_json(a.metrics_json())
+    ("/v1/metrics.json", "metric families as JSON", |a| {
+        let families = a.telemetry.registry().snapshot();
+        AdminResponse::ok_json(
+            serde_json::to_string_pretty(&families).expect("metric families are serialisable"),
+        )
     }),
-    ("/v1/health", "per-source health snapshot", |a, _| {
-        AdminResponse::ok_json(a.health_json())
-    }),
-    ("/v1/journal", "structured journal entries", |a, _| {
-        AdminResponse::ok_json(pretty_json(&a.telemetry.journal().recent()))
-    }),
-    (
-        "/v1/slow-queries",
-        "slow-query log, slowest first",
-        |a, _| AdminResponse::ok_json(a.slow_queries_json()),
-    ),
-    ("/v1/slo", "SLO burn rates and error budgets", |a, _| {
-        AdminResponse::ok_json(a.slo_json())
-    }),
-    (
-        "/v1/subscriptions",
-        "live continuous-query subscriptions",
-        |a, _| AdminResponse::ok_json(a.subscriptions_json()),
-    ),
-    ("/v1/costs", "per-query inclusive cost entries", |a, _| {
-        AdminResponse::ok_json(pretty_json(&a.telemetry.costs().entries()))
-    }),
-    (
-        "/v1/intrusion",
-        "per-(site, cause) intrusion buckets",
-        |a, _| AdminResponse::ok_json(pretty_json(&a.telemetry.costs().intrusion_snapshot())),
-    ),
-    (
-        "/v1/timeseries",
-        "recorded metric time-series rows",
-        |a, _| AdminResponse::ok_json(pretty_json(&a.telemetry.timeseries().history())),
-    ),
-    ("/v1/traces", "recent query traces", |a, _| {
-        AdminResponse::ok_json(pretty_json(&a.traces()))
-    }),
-    (
-        "/v1/traces/<id>",
-        "span tree of one trace",
-        |a, trace_id| AdminResponse::ok_json(a.trace_spans_json(trace_id)),
-    ),
-    ("/v1/sources", "configured data sources", |a, _| {
+    ("/v1/sources", "configured data sources", |a| {
         AdminResponse::ok_json(a.to_json())
     }),
 ];
 
-/// The endpoint index `/` and `/v1` serve (and `NotFound` bodies).
+/// A table's route below `/v1/`: its name without `gridrm_`.
+fn route(table: &str) -> &str {
+    table.trim_start_matches("gridrm_")
+}
+
+/// The statement a table route answers: `SELECT *` of the table whose
+/// route is `rest`, or of the spans of one trace for
+/// `spans/<trace_id>`. The id is a literal in the AST, never SQL text,
+/// so no id can widen the filter.
+fn table_select(rest: &str) -> Option<SelectStatement> {
+    match rest.split_once('/') {
+        None => TABLES
+            .iter()
+            .find(|t| route(t.name) == rest)
+            .map(|t| SelectStatement::star(t.name)),
+        Some((table, trace_id)) if table == route(SPANS) => Some(SelectStatement {
+            where_clause: Some(Expr::bin(
+                Expr::col("trace_id"),
+                BinaryOp::Eq,
+                Expr::lit(trace_id),
+            )),
+            ..SelectStatement::star(SPANS)
+        }),
+        Some(_) => None,
+    }
+}
+
+/// The endpoint index `/` and `/v1` serve (and `NotFound` bodies): the
+/// fixed routes, one route per table, then the spans of one trace.
 fn index_text() -> String {
     let mut out = "gridrm admin v1\n".to_owned();
-    for (path, description, _) in ROUTES {
-        out.push_str(&format!("{path:<19}{description}\n"));
+    let mut line = |path: &str, description: &str| {
+        out.push_str(&format!("{path:<24}{description}\n"));
+    };
+    for (path, description, _) in FIXED_ROUTES {
+        line(path, description);
     }
+    for table in TABLES {
+        line(
+            &format!("/v1/{}", route(table.name)),
+            &format!("rows of `{}`", table.name),
+        );
+    }
+    line(
+        &format!("/v1/{}/<trace_id>", route(SPANS)),
+        &format!("rows of `{SPANS}` for one trace"),
+    );
     out
 }
 
@@ -680,11 +621,16 @@ mod tests {
         a.add_source(DataSourceConfig::dynamic("jdbc:snmp://n", "n"))
             .unwrap();
         assert_eq!(a.list_sources()[0].url, "jdbc:snmp://n/");
-        let tracked: Vec<String> = a.health_snapshot().into_iter().map(|s| s.source).collect();
+        let tracked: Vec<String> = a
+            .health_monitor
+            .snapshot()
+            .into_iter()
+            .map(|s| s.source)
+            .collect();
         assert_eq!(tracked, ["jdbc:snmp://n/"]);
         assert!(a.source("jdbc:snmp://n").is_some());
         assert!(a.remove_source("jdbc:snmp://n"));
-        assert!(a.health_snapshot().is_empty());
+        assert!(a.health_monitor.snapshot().is_empty());
     }
 
     #[test]
@@ -713,21 +659,11 @@ mod tests {
         a.add_source(DataSourceConfig::dynamic("jdbc:snmp://n/p", "n"))
             .unwrap();
         // JSON endpoints answer Ok with parseable JSON bodies, even on an
-        // idle gateway (they expose empty snapshots).
-        for path in [
-            "/v1/metrics.json",
-            "/v1/health",
-            "/v1/journal",
-            "/v1/slow-queries",
-            "/v1/slo",
-            "/v1/subscriptions",
-            "/v1/costs",
-            "/v1/intrusion",
-            "/v1/timeseries",
-            "/v1/traces",
-            "/v1/traces/some-trace",
-            "/v1/sources",
-        ] {
+        // idle gateway (they expose empty tables).
+        let mut paths = vec!["/v1/metrics.json".to_owned(), "/v1/sources".to_owned()];
+        paths.extend(TABLES.iter().map(|t| format!("/v1/{}", route(t.name))));
+        paths.push("/v1/spans/some-trace".to_owned());
+        for path in &paths {
             let resp = a.handle(path);
             assert_eq!(resp.status, AdminStatus::Ok, "{path}");
             assert_eq!(resp.content_type, "application/json", "{path}");
@@ -737,9 +673,7 @@ mod tests {
                 resp.body
             );
         }
-        // The consolidated dispatch answers exactly what the accessors do.
         assert_eq!(a.handle("/v1/sources").body, a.to_json());
-        assert_eq!(a.handle("/v1/slo").body, a.slo_json());
         assert_eq!(a.handle("/v1/metrics").body, a.metrics_prometheus());
         // Index + tolerated trailing slash.
         for path in ["/", "/v1", "/v1/", ""] {
@@ -747,14 +681,53 @@ mod tests {
             assert_eq!(resp.status, AdminStatus::Ok, "{path:?}");
             assert!(resp.body.contains("/v1/metrics"), "{path:?}");
         }
-        // Unknown paths: NotFound, body is the index.
-        let resp = a.handle("/v2/nope");
-        assert_eq!(resp.status, AdminStatus::NotFound);
-        assert!(resp.body.contains("gridrm admin v1"));
-        // Trailing-slash tolerance folds `/v1/traces/` into the list
+        // Unknown paths, and the table's own name: NotFound, body is the
+        // index.
+        for path in ["/v2/nope", "/v1/nope", "/v1/gridrm_health", "/v1/health/x"] {
+            let resp = a.handle(path);
+            assert_eq!(resp.status, AdminStatus::NotFound, "{path}");
+            assert!(resp.body.contains("gridrm admin v1"), "{path}");
+        }
+        // Trailing-slash tolerance folds `/v1/spans/` into the list
         // endpoint rather than an empty trace id.
-        assert_eq!(a.handle("/v1/traces/").status, AdminStatus::Ok);
-        assert_eq!(a.handle("/v1/nope").status, AdminStatus::NotFound);
+        assert_eq!(a.handle("/v1/spans/").body, a.handle("/v1/spans").body);
+    }
+
+    #[test]
+    fn a_trace_id_is_a_literal_never_sql() {
+        let a = admin();
+        let span_ids = |body: &str| -> Vec<String> {
+            let rows: Vec<serde_json::Value> = serde_json::from_str(body).unwrap();
+            rows.iter()
+                .map(|r| r["span_id"].as_str().unwrap().to_owned())
+                .collect()
+        };
+        // Two traces, the first with a child, so a widened filter shows.
+        let mut traces = Vec::new();
+        for request in ["SELECT 1 FROM a", "SELECT 2 FROM b"] {
+            let root = a.telemetry.span(request);
+            root.child("leg").finish("ok");
+            traces.push(root.trace_id().to_owned());
+            root.finish("ok");
+        }
+        for id in &traces {
+            let body = a.handle(&format!("/v1/spans/{id}")).body;
+            let expected: Vec<String> = a
+                .telemetry
+                .traces()
+                .for_trace(id)
+                .into_iter()
+                .map(|r| r.span_id)
+                .collect();
+            assert_eq!(expected.len(), 2);
+            assert_eq!(span_ids(&body), expected, "{id}");
+        }
+        let long = "x".repeat(4096);
+        for id in ["x' OR '1'='1", "'", "%", "a trace id with spaces", &long] {
+            let resp = a.handle(&format!("/v1/spans/{id}"));
+            assert_eq!(resp.status, AdminStatus::Ok, "{id}");
+            assert_eq!(resp.body, "[]", "{id}");
+        }
     }
 
     #[test]

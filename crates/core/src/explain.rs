@@ -11,7 +11,7 @@ use crate::acil::{ClientRequest, ClientResponse};
 use crate::stream::SubscribeSpec;
 use gridrm_dbc::{ColumnMeta, DbcResult, ResultSetMetaData, RowSet};
 use gridrm_sqlparse::{SqlType, SqlValue, Statement};
-use gridrm_telemetry::{GatewayTelemetry, SpanBuilder, Stage, TraceRecord};
+use gridrm_telemetry::{GatewayTelemetry, SpanBuilder, SpanStage, Stage, TraceRecord};
 
 /// `EXPLAIN [ANALYZE] <inner>`, for every layer that answers it: run
 /// `inner` through `run` as a child of an `explain` span, then answer
@@ -91,12 +91,14 @@ fn opt_str(v: &Option<String>) -> SqlValue {
     }
 }
 
-fn render_stages(span: &TraceRecord, analyze: bool) -> String {
-    span.stages
+/// A span's stage marks as `stage[@offset_ms][=detail]` segments joined
+/// with `;`, the offset from `started_ms` shown only when `analyze`.
+pub(crate) fn render_stages(stages: &[SpanStage], started_ms: u64, analyze: bool) -> String {
+    stages
         .iter()
         .map(|s| {
             let mut out = if analyze {
-                format!("{}@{}", s.stage, s.at_ms.saturating_sub(span.started_ms))
+                format!("{}@{}", s.stage, s.at_ms.saturating_sub(started_ms))
             } else {
                 s.stage.clone()
             };
@@ -191,7 +193,7 @@ pub fn explain_rowset(spans: &[TraceRecord], analyze: bool) -> DbcResult<RowSet>
                 timing(s.finished_ms),
                 timing(s.duration_ms()),
                 SqlValue::Str(s.outcome.clone()),
-                SqlValue::Str(render_stages(s, analyze)),
+                SqlValue::Str(render_stages(&s.stages, s.started_ms, analyze)),
                 // Cost columns are measurements, so like the timings
                 // they are NULL under plain EXPLAIN.
                 timing(s.cost.rows_returned),

@@ -89,8 +89,8 @@ pub struct HealthTransition {
     pub via_probe: bool,
 }
 
-/// Point-in-time health of one source (JSON + SQL exposition row).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Point-in-time health of one source: a `gridrm_health` row.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SourceHealthSnapshot {
     /// The data-source URL.
     pub source: String,
@@ -599,16 +599,5 @@ mod tests {
         m.record_event("node09:snmp", 6);
         assert_eq!(m.snapshot_of(SRC).unwrap().last_event_ms, Some(5));
         assert_eq!(m.snapshot().len(), 1, "an event adds no row");
-    }
-
-    #[test]
-    fn snapshot_serializes_to_json() {
-        let m = monitor(3, 2);
-        m.record_failure(SRC, Some("jdbc-snmp"), "boom", 7);
-        let snap = m.snapshot();
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: Vec<SourceHealthSnapshot> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
-        assert_eq!(back[0].state, HealthState::Degraded);
     }
 }

@@ -23,6 +23,7 @@
 //! | Gateway policy | [`config`] |
 //! | Data-source health state machine + probes | [`health`] |
 //! | Continuous queries & streaming subscriptions | [`stream`] |
+//! | The gateway's own state as `gridrm_*` tables | [`tables`] |
 //!
 //! The [`gateway::Gateway`] facade wires everything together; the Global
 //! layer (`gridrm-global`) stacks GMA routing on top of it.
@@ -44,6 +45,7 @@ pub mod security;
 pub mod session;
 pub mod singleflight;
 pub mod stream;
+pub mod tables;
 
 pub use acil::{
     ClientInterface, ClientRequest, ClientResponse, OutcomeStatus, QueryBuilder, QueryExecutor,

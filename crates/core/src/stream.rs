@@ -125,9 +125,9 @@ pub struct StreamDelta {
     pub coalesced: u32,
 }
 
-/// Point-in-time view of one subscriber, for `subscriptions_json` and
-/// the `gridrm_subscriptions` virtual table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Point-in-time view of one subscriber: a row of the
+/// `gridrm_subscriptions` virtual table.
+#[derive(Debug, Clone)]
 pub struct SubscriptionSnapshot {
     /// Subscription id.
     pub id: SubscriptionId,

@@ -16,7 +16,7 @@ use gridrm_dbc::{
 };
 use gridrm_glue::{DriverMapping, GroupDef, NativeRow, SchemaHandle, SchemaManager, Translator};
 use gridrm_simnet::{Network, SimClock};
-use gridrm_sqlparse::ast::{self, BinaryOp, ColumnDef, Expr, SelectStatement};
+use gridrm_sqlparse::ast::{self, ColumnDef, SelectStatement};
 use gridrm_sqlparse::{ParseMemo, SqlValue};
 use gridrm_store::{Store, Table};
 use gridrm_telemetry::Stage;
@@ -468,38 +468,6 @@ pub fn needed_keys(
     mapping.native_keys_for(&group.name, &needed)
 }
 
-/// Find an equality constraint `column = 'literal'` anywhere in the
-/// top-level AND-chain of a predicate — the push-down opportunity.
-fn find_eq_literal<'e>(expr: &'e Expr, column: &str) -> Option<&'e SqlValue> {
-    match expr {
-        Expr::Binary {
-            left,
-            op: BinaryOp::Eq,
-            right,
-        } => match (left.as_ref(), right.as_ref()) {
-            (Expr::Column { name, .. }, Expr::Literal(v))
-            | (Expr::Literal(v), Expr::Column { name, .. })
-                if name.eq_ignore_ascii_case(column) =>
-            {
-                Some(v)
-            }
-            _ => None,
-        },
-        Expr::Binary {
-            left,
-            op: BinaryOp::And,
-            right,
-        } => find_eq_literal(left, column).or_else(|| find_eq_literal(right, column)),
-        _ => None,
-    }
-}
-
-/// The string literal a top-level `column = '…'` conjunct of the WHERE
-/// clause pins `column` to, if any.
-pub fn pushed_down<'s>(sel: &'s SelectStatement, column: &str) -> Option<&'s str> {
-    find_eq_literal(sel.where_clause.as_ref()?, column)?.as_str()
-}
-
 /// GLUE-translate a batch of native rows for `group`, reporting the
 /// translation into the ambient trace (when the query is traced): a
 /// `glue {group}` child span whose `glue_translate` stage lists the
@@ -671,22 +639,6 @@ mod tests {
         .unwrap();
         assert_eq!(rs.meta().column(0).unwrap().unit.as_deref(), Some("MB"));
         assert_eq!(rs.meta().column_type(0).unwrap(), SqlType::Int);
-    }
-
-    #[test]
-    fn eq_literal_finder() {
-        let w = gridrm_sqlparse::parse_expr("Category = 'cpu.load' AND Value > 1").unwrap();
-        assert_eq!(
-            find_eq_literal(&w, "Category"),
-            Some(&SqlValue::Str("cpu.load".into()))
-        );
-        assert_eq!(find_eq_literal(&w, "Hostname"), None);
-        // OR-chains must NOT push down (the other branch could match more).
-        let w = gridrm_sqlparse::parse_expr("Category = 'a' OR Hostname = 'b'").unwrap();
-        assert_eq!(find_eq_literal(&w, "Category"), None);
-        // Reversed operand order still found.
-        let w = gridrm_sqlparse::parse_expr("'x' = Category").unwrap();
-        assert!(find_eq_literal(&w, "Category").is_some());
     }
 
     #[test]

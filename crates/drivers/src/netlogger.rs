@@ -5,7 +5,7 @@
 //!
 //! URL form: `jdbc:netlogger://<head-host>/<log>[?limit=n]`.
 
-use crate::base::{pushed_down, KitDriver, Source, Target};
+use crate::base::{KitDriver, Source, Target};
 use gridrm_agents::netlogger::UlmEvent;
 use gridrm_dbc::{DbcResult, DriverMetaData, SqlError};
 use gridrm_glue::{DriverMapping, GroupDef, NativeRow};
@@ -56,9 +56,9 @@ impl Source for NetLogger {
 
         // Predicate push-down: Category = 'x' → native QUERY; otherwise a
         // HOSTQ for Hostname = 'x'; otherwise a plain TAIL.
-        let cmd = if let Some(category) = pushed_down(sel, "Category") {
+        let cmd = if let Some(category) = sel.where_eq("Category") {
             format!("QUERY {category} {limit}")
-        } else if let Some(host) = pushed_down(sel, "Hostname") {
+        } else if let Some(host) = sel.where_eq("Hostname") {
             format!("HOSTQ {host} {limit}")
         } else {
             format!("TAIL {limit}")

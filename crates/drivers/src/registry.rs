@@ -51,15 +51,10 @@ pub fn install_into_gateway(gateway: &gridrm_core::Gateway) -> Arc<DriverEnv> {
     env.mount_store("history", gateway.history().store().clone());
     register_standard_drivers(gateway.driver_manager().base(), &env);
     // The gateway's own state as the `gridrm_*` virtual tables
-    // (`telemetry::TABLES`), via `jdbc:telemetry://local/metrics`.
+    // (`gridrm_core::tables::TABLES`), via `jdbc:telemetry://local/metrics`.
     gateway
         .driver_manager()
-        .register(crate::TelemetryDriver::new(
-            env.clone(),
-            gateway.telemetry().clone(),
-            gateway.health().clone(),
-            gateway.streams().clone(),
-        ));
+        .register(crate::TelemetryDriver::new(env.clone(), gateway.admin()));
     install_standard_formatters(gateway.events());
     env
 }
@@ -190,12 +185,7 @@ mod tests {
             .execute_sql("CREATE TABLE t (a INTEGER)", 0)
             .unwrap();
         let gateway = Gateway::new(GatewayConfig::new("gw-kit", "r"), env.network.clone());
-        dm.register(TelemetryDriver::new(
-            env.clone(),
-            gateway.telemetry().clone(),
-            gateway.health().clone(),
-            gateway.streams().clone(),
-        ));
+        dm.register(TelemetryDriver::new(env.clone(), gateway.admin()));
         // (url, a SELECT the driver answers, a table of its own it can lose)
         let cases = [
             ("jdbc:snmp://node01.r/public", "SELECT Load1 FROM Processor"),

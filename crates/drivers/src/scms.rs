@@ -3,7 +3,7 @@
 //!
 //! URL form: `jdbc:scms://<head-host>/<anything>`.
 
-use crate::base::{guess_value, pushed_down, KitDriver, Source, Target};
+use crate::base::{guess_value, KitDriver, Source, Target};
 use gridrm_agents::scms::parse_blocks;
 use gridrm_dbc::{DbcResult, DriverMetaData, SqlError};
 use gridrm_glue::{DriverMapping, GroupDef, NativeRow};
@@ -68,7 +68,8 @@ impl Source for Scms {
         }
         // Host-level groups: push a `Hostname = 'x'` equality down to
         // a native STATUS request, otherwise dump everything.
-        let cmd = pushed_down(sel, "Hostname")
+        let cmd = sel
+            .where_eq("Hostname")
             .map(|h| format!("STATUS {h}"))
             .unwrap_or_else(|| "ALL".to_owned());
         let text = match text_request(at, &cmd) {

@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 const FRAME_STALL: Duration = Duration::from_secs(10);
 
 /// Longest admin request line, newline included; the longest route is
-/// `/v1/traces/<id>`. A longer line closes the connection unanswered.
+/// `/v1/spans/<trace_id>`. A longer line closes the connection unanswered.
 const MAX_ADMIN_LINE: u64 = 4 * 1024;
 
 /// The connection lifecycle both ports share: bind, one accept loop,

@@ -367,7 +367,7 @@ fn admin_port_serves_versioned_endpoints() {
         "/v1/metrics",
         "/v1/metrics.json",
         "/v1/sources",
-        "/v1/costs",
+        "/v1/query_costs",
     ] {
         let (ok, content_type, body) = admin_request(admin.local_addr(), path).unwrap();
         assert!(ok, "{path}");

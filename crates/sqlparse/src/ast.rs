@@ -283,6 +283,40 @@ impl SelectStatement {
         owned.dedup();
         Some(owned)
     }
+
+    /// The string literal a top-level `column = '…'` conjunct of the
+    /// WHERE clause pins `column` to, if any: the push-down opportunity
+    /// a source turns into a narrower native request. A conjunct under
+    /// `OR` pins nothing, since the other branch could match more.
+    pub fn where_eq(&self, column: &str) -> Option<&str> {
+        find_eq_literal(self.where_clause.as_ref()?, column)?.as_str()
+    }
+}
+
+/// Find an equality constraint `column = literal` anywhere in the
+/// top-level AND-chain of a predicate.
+fn find_eq_literal<'e>(expr: &'e Expr, column: &str) -> Option<&'e SqlValue> {
+    match expr {
+        Expr::Binary {
+            left,
+            op: BinaryOp::Eq,
+            right,
+        } => match (left.as_ref(), right.as_ref()) {
+            (Expr::Column { name, .. }, Expr::Literal(v))
+            | (Expr::Literal(v), Expr::Column { name, .. })
+                if name.eq_ignore_ascii_case(column) =>
+            {
+                Some(v)
+            }
+            _ => None,
+        },
+        Expr::Binary {
+            left,
+            op: BinaryOp::And,
+            right,
+        } => find_eq_literal(left, column).or_else(|| find_eq_literal(right, column)),
+        _ => None,
+    }
 }
 
 /// A column definition inside `CREATE TABLE`.
@@ -571,6 +605,35 @@ impl fmt::Display for Statement {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn select(sql: &str) -> SelectStatement {
+        match crate::parse(sql).unwrap() {
+            Statement::Select(sel) => sel,
+            other => panic!("not a SELECT: {other}"),
+        }
+    }
+
+    #[test]
+    fn where_eq_finds_top_level_conjuncts_only() {
+        let s = select("SELECT * FROM Event WHERE Category = 'cpu.load' AND Value > 1");
+        assert_eq!(s.where_eq("Category"), Some("cpu.load"));
+        assert_eq!(s.where_eq("category"), Some("cpu.load"));
+        assert_eq!(s.where_eq("Hostname"), None);
+        // OR-chains must NOT push down (the other branch could match more).
+        let s = select("SELECT * FROM Event WHERE Category = 'a' OR Hostname = 'b'");
+        assert_eq!(s.where_eq("Category"), None);
+        // Reversed operand order still found; a non-string literal pins
+        // no string, and no WHERE pins nothing.
+        assert_eq!(
+            select("SELECT * FROM Event WHERE 'x' = Category").where_eq("Category"),
+            Some("x")
+        );
+        assert_eq!(
+            select("SELECT * FROM Event WHERE Value = 1").where_eq("Value"),
+            None
+        );
+        assert_eq!(SelectStatement::star("Event").where_eq("Category"), None);
+    }
 
     #[test]
     fn select_star_builder() {

@@ -129,7 +129,7 @@ impl IntrusionCause {
 
 /// One completed root request's bill, retained in a bounded ring and
 /// served as the `gridrm_query_costs` virtual table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryCostEntry {
     /// The trace whose root this entry bills.
     pub trace_id: String,
@@ -183,7 +183,7 @@ struct Pending {
 }
 
 /// Accumulated intrusion for one `(site, cause)` pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntrusionBucket {
     /// Messages imposed (both directions).
     pub msgs: u64,
@@ -214,7 +214,7 @@ impl IntrusionBucket {
 }
 
 /// One row of the intrusion snapshot: a `(site, cause)` bucket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntrusionRow {
     /// The Grid site the traffic was imposed on.
     pub site: String,

@@ -10,15 +10,12 @@
 
 use crate::metrics::{Counter, Labels, Registry};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Journal severity, ordered. Mirrors the gateway's event severities but
 /// lives here so every crate below `core` can record entries.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum JournalSeverity {
     /// Routine operational fact.
     #[default]
@@ -52,7 +49,7 @@ impl JournalSeverity {
 /// One journal entry. `kind` comes from a closed set (see the constants
 /// in this module); `source`/`driver`/`stage` carry the high-cardinality
 /// detail that must stay out of metric labels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JournalEntry {
     /// Monotonic sequence number, unique per journal.
     pub seq: u64,
@@ -73,7 +70,6 @@ pub struct JournalEntry {
     /// The trace tree active when the entry was recorded, so journal
     /// rows join against `gridrm_spans`. Defaults empty for entries
     /// recorded outside any request.
-    #[serde(default)]
     pub trace_id: Option<String>,
 }
 
@@ -355,24 +351,6 @@ mod tests {
         let probes = journal.recent_of_kind(KIND_PROBE);
         assert_eq!(probes.len(), 2);
         assert!(probes.iter().all(|e| e.kind == KIND_PROBE));
-    }
-
-    #[test]
-    fn entries_serialize_to_json() {
-        let journal = j(2);
-        journal.record(
-            7,
-            JournalSeverity::Warning,
-            KIND_CACHE_SERVE,
-            "jdbc:snmp://n/p",
-            Some("jdbc-snmp"),
-            Some("cache_lookup"),
-            "served last known state",
-        );
-        let entries = journal.recent();
-        let json = serde_json::to_string(&entries).unwrap();
-        let back: Vec<JournalEntry> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, entries);
     }
 
     #[test]

@@ -271,7 +271,7 @@ pub struct SloTransition {
 }
 
 /// Point-in-time status of one SLO, for JSON/SQL exposition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SloStatus {
     /// The SLO.
     pub name: String,

@@ -120,7 +120,7 @@ impl ColumnRing {
 
 /// One materialised history row: a recorded point plus, for counter
 /// series, the delta and per-second rate against the previous sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistoryRow {
     /// Virtual sample time.
     pub ts_ms: u64,
@@ -281,14 +281,9 @@ impl TimeSeriesRecorder {
         self.state.lock().series.keys().cloned().collect()
     }
 
-    /// Materialise history rows for every series (see [`HistoryRow`]),
-    /// ordered by series then time.
-    pub fn history(&self) -> Vec<HistoryRow> {
-        self.history_for(None, None)
-    }
-
-    /// Materialise history rows, optionally restricted to one series
-    /// name and/or one rendered label set — the pushdown path for
+    /// Materialise history rows (see [`HistoryRow`]), ordered by series
+    /// then time, optionally restricted to one series name and/or one
+    /// rendered label set — the pushdown path for
     /// `WHERE name = '…' [AND labels = '…']` over the virtual table.
     pub fn history_for(&self, name: Option<&str>, labels: Option<&str>) -> Vec<HistoryRow> {
         let state = self.state.lock();
@@ -448,7 +443,7 @@ mod tests {
         let rec = TimeSeriesRecorder::new(&Registry::new());
         rec.record_point("gridrm_x_total", "", PointKind::Counter, 0, 100.0);
         rec.record_point("gridrm_x_total", "", PointKind::Counter, 1_000, 3.0);
-        let rows = rec.history();
+        let rows = rec.history_for(None, None);
         assert_eq!(rows[1].delta, Some(3.0));
     }
 

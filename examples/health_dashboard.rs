@@ -109,7 +109,10 @@ fn main() {
     }
 
     // 5. The Admin JSON exposition (what the management UI consumes).
-    println!("\n== Admin health JSON\n{}", gateway.admin().health_json());
+    println!(
+        "\n== Admin health JSON\n{}",
+        gateway.admin().handle("/v1/health").body
+    );
 
     // 6. Site-level rollup through the Global layer: worst state wins.
     let rollup = layer.site_health();

@@ -94,9 +94,9 @@ fn main() {
             println!("  {line}");
         }
     }
-    let json = gateway.admin().subscriptions_json();
+    let json = gateway.admin().handle("/v1/subscriptions").body;
     println!(
-        "\nadmin subscriptions_json: {} bytes covering {} subscription(s)",
+        "\nadmin /v1/subscriptions: {} bytes covering {} subscription(s)",
         json.len(),
         gateway.streams().subscriber_count()
     );

@@ -136,7 +136,10 @@ fn main() {
     }
 
     // 5. The Admin JSON exposition (what the management UI consumes).
-    println!("\n== Admin SLO JSON\n{}", east.admin().slo_json());
+    println!(
+        "\n== Admin SLO JSON\n{}",
+        east.admin().handle("/v1/slo").body
+    );
 
     // 6. Site-level rollup through the Global layer.
     let rollup = layer.site_slo();

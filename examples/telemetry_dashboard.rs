@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --example telemetry_dashboard`
 
+use gridrm::core::explain::render_span_tree;
 use gridrm::prelude::*;
 
 fn main() {
@@ -61,32 +62,11 @@ fn main() {
     println!("== Prometheus exposition (/metrics)\n");
     print!("{}", gateway.admin().metrics_prometheus());
 
-    // 2. The slowest query trace, stage by stage.
+    // 2. The slowest captured span, in the trace tree it belongs to.
     println!("\n== slowest query trace");
-    let trace = gateway
-        .admin()
-        .slowest_trace()
-        .expect("workload left traces");
-    println!(
-        "#{} {:?} via {} — {} ms, outcome {}",
-        trace.id,
-        trace.request,
-        trace.source.as_deref().unwrap_or("?"),
-        trace.duration_ms(),
-        trace.outcome
-    );
-    for stage in &trace.stages {
-        println!(
-            "  t+{:>4} ms  {}{}",
-            stage.at_ms - trace.started_ms,
-            stage.stage,
-            stage
-                .detail
-                .as_deref()
-                .map(|d| format!(" ({d})"))
-                .unwrap_or_default()
-        );
-    }
+    let traces = gateway.telemetry().traces();
+    let slowest = traces.slowest().expect("workload left traces");
+    print!("{}", render_span_tree(&traces.for_trace(&slowest.trace_id)));
 
     // 3. The same registry via SQL — the gateway monitoring itself
     //    through its own driver path.

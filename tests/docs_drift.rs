@@ -11,6 +11,7 @@
 //! DESIGN.md guarantees table against the mutation checklist and the
 //! tree; and no top-level doc points at the removed criterion benches.
 
+use gridrm::core::tables::TABLES;
 use gridrm::core::AdminStatus;
 use gridrm::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -192,11 +193,10 @@ fn backticked(text: &str, keep: impl Fn(&str) -> bool) -> BTreeSet<String> {
 
 #[test]
 fn virtual_tables_match_the_declared_list_both_ways() {
-    use gridrm::drivers::telemetry::TABLES;
     let declared: BTreeSet<String> = TABLES.iter().map(|t| t.name.to_owned()).collect();
     assert_eq!(declared.len(), TABLES.len(), "duplicate table name");
 
-    // The bullet list under "The three exposition surfaces".
+    // The bullet list under "One declaration, two transports".
     let documented: BTreeSet<String> = OBSERVABILITY_MD
         .lines()
         .filter_map(|line| line.strip_prefix("* `gridrm_")?.split('`').next())
@@ -236,28 +236,6 @@ fn virtual_tables_match_the_declared_list_both_ways() {
     }
 }
 
-/// `/v1/health` and `gridrm_health` serve the same record: each JSON
-/// object's keys are the table's column names, in column order.
-#[test]
-fn health_json_keys_match_the_health_table_columns() {
-    use gridrm::drivers::telemetry::TABLES;
-    let table = TABLES.iter().find(|t| t.name == "gridrm_health").unwrap();
-    let columns: Vec<&str> = table.columns.iter().map(|(name, _)| *name).collect();
-    let body = exercised_gateway().admin().handle("/v1/health").body;
-    let json: serde_json::Value = serde_json::from_str(&body).expect("/v1/health is JSON");
-    let rows = json.as_array().expect("/v1/health is an array");
-    assert!(!rows.is_empty(), "no tracked source in {body}");
-    for row in rows {
-        let keys: Vec<&str> = row
-            .as_object()
-            .expect("each /v1/health row is an object")
-            .keys()
-            .map(String::as_str)
-            .collect();
-        assert_eq!(keys, columns, "{row:?}");
-    }
-}
-
 #[test]
 fn admin_routes_match_the_index_and_the_docs_both_ways() {
     let gateway = exercised_gateway();
@@ -268,7 +246,22 @@ fn admin_routes_match_the_index_and_the_docs_both_ways() {
         .filter(|path| path.starts_with("/v1/"))
         .map(str::to_owned)
         .collect();
-    assert!(served.len() >= 13, "index parse found {served:?}");
+    // One route per table, the spans of one trace, and the three routes
+    // that serve no table.
+    let mut derived: BTreeSet<String> = TABLES
+        .iter()
+        .map(|t| format!("/v1/{}", t.name.trim_start_matches("gridrm_")))
+        .collect();
+    derived.extend(
+        [
+            "/v1/spans/<trace_id>",
+            "/v1/metrics",
+            "/v1/metrics.json",
+            "/v1/sources",
+        ]
+        .map(String::from),
+    );
+    assert_eq!(served, derived, "the /v1 index");
     for (doc, text) in [
         ("docs/observability.md", OBSERVABILITY_MD),
         ("docs/serving.md", SERVING_MD),
@@ -277,7 +270,9 @@ fn admin_routes_match_the_index_and_the_docs_both_ways() {
     }
     // Every indexed route resolves; nothing else does.
     for path in &served {
-        let resp = gateway.admin().handle(&path.replace("<id>", "some-trace"));
+        let resp = gateway
+            .admin()
+            .handle(&path.replace("<trace_id>", "some-trace"));
         assert_eq!(resp.status, AdminStatus::Ok, "{path}");
     }
     assert_eq!(

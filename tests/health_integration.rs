@@ -100,14 +100,14 @@ fn outage_reaches_down_within_a_probe_interval_and_recovers() {
     // ...and agrees field-for-field with the Admin snapshot behind the
     // JSON exposition.
     let snap = gateway
-        .admin()
-        .health_snapshot()
+        .health()
+        .snapshot()
         .into_iter()
         .find(|s| s.source == SNMP_URL)
         .expect("admin tracks the source");
     assert_eq!(snap.state, HealthState::Down);
     assert_eq!(snap.consecutive_failures, failures);
-    assert!(gateway.admin().health_json().contains("down"));
+    assert!(gateway.admin().handle("/v1/health").body.contains("down"));
 
     // Down and Degraded transitions raised alert events.
     let mut categories = Vec::new();
@@ -197,8 +197,9 @@ fn transition_counts_identical_across_journal_sql_prometheus_and_json() {
 
     // Surface 3: the JSON metrics snapshot.
     let via_json: u64 = gateway
-        .admin()
-        .metrics_snapshot()
+        .telemetry()
+        .registry()
+        .snapshot()
         .into_iter()
         .filter(|f| f.name == "gridrm_health_transitions_total")
         .flat_map(|f| f.samples)
@@ -293,7 +294,8 @@ fn slow_query_log_captures_per_stage_breakdown() {
         .contains("driver_execute"));
     assert!(gateway
         .admin()
-        .slow_queries_json()
+        .handle("/v1/slow_queries")
+        .body
         .contains("driver_execute"));
 }
 

@@ -170,8 +170,9 @@ fn sql_every_clause_registers_a_subscription_and_explain_shows_stages() {
     );
     assert!(g.gateways[0]
         .admin()
-        .subscriptions_json()
-        .contains("\"id\": 1"));
+        .handle("/v1/subscriptions")
+        .body
+        .contains("\"id\":1"));
     // EXPLAIN ANALYZE of a continuous query runs the full lifecycle and
     // renders the subscribe/delta/deliver stages.
     let resp = g.gateways[0]

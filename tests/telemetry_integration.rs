@@ -1,9 +1,14 @@
 //! Gateway-wide telemetry integration: a simulated multi-source workload
 //! must leave exactly-accountable marks in the metrics registry, produce
-//! ordered query-path traces, and expose the same numbers through all
-//! three exposition surfaces (JSON snapshot, Prometheus text, and the
-//! `gridrm_telemetry` virtual SQL table).
+//! ordered query-path traces, and expose the same numbers through every
+//! exposition surface (JSON snapshot, Prometheus text, and the
+//! `gridrm_*` virtual SQL tables). Each table is one declaration served
+//! by two transports, SQL and the admin's `/v1/<name>` JSON, and the two
+//! agree row for row; an admin scrape records nothing.
 
+use gridrm::core::acil::render_json;
+use gridrm::core::tables::TABLES;
+use gridrm::dbc::Properties;
 use gridrm::prelude::*;
 use gridrm::telemetry::Sample;
 use std::sync::Arc;
@@ -210,9 +215,9 @@ fn sql_virtual_table_agrees_with_json_snapshot() {
     run_workload(&gateway);
 
     // JSON exposition through the admin interface.
-    let json = gateway.admin().metrics_json();
+    let json = gateway.admin().handle("/v1/metrics.json").body;
     assert!(json.contains("gridrm_requests_total"));
-    let snapshot = gateway.admin().metrics_snapshot();
+    let snapshot = gateway.telemetry().registry().snapshot();
     let json_samples: Vec<Sample> = snapshot.into_iter().flat_map(|f| f.samples).collect();
 
     // The same counters via SQL over the virtual table — through the
@@ -275,4 +280,122 @@ fn like_filter_over_virtual_table() {
         .rows()
         .iter()
         .all(|r| r[0].to_string().starts_with("gridrm_cache")));
+}
+
+/// A gateway where every `gridrm_*` table has at least one row: the
+/// reference workload plus a tracked source, an SLO, a standing query,
+/// one pump (probes, the time-series recorder, SLO evaluation,
+/// standing-query evaluation) and one query above the 1 ms slow-query
+/// threshold.
+fn exercised() -> Arc<Gateway> {
+    let net = Network::new(SimClock::new(), 777);
+    let site = SiteModel::generate(21, &SiteSpec::new("tm", 4, 2));
+    site.advance_to(120_000);
+    deploy_site(&net, site);
+    let mut config = GatewayConfig::new("gw-tm", "tm");
+    config.slow_query_threshold_ms = 1;
+    config.slos = vec![SloSpec::new(
+        "availability",
+        SloObjective::Availability {
+            bad_paths: vec!["denied".into()],
+        },
+        0.99,
+    )];
+    let gateway = Gateway::new(config, net);
+    install_into_gateway(&gateway);
+    gateway
+        .admin()
+        .add_source(DataSourceConfig::dynamic(SNMP_URL, "node01"))
+        .expect("source registers");
+    run_workload(&gateway);
+    gateway
+        .subscribe(&SubscribeSpec {
+            request: ClientRequest::builder("SELECT Hostname, Load1 FROM Processor EVERY 1000")
+                .sources(&[SNMP_URL])
+                .build(),
+            every_ms: None,
+            buffer: None,
+            backpressure: None,
+        })
+        .expect("standing query");
+    gateway.clock().advance(1_000);
+    gateway.pump();
+    // Simnet requests do not advance the virtual clock: a slow query is
+    // one whose stages straddle an advance.
+    let mut slow = gateway.telemetry().span("SELECT Hostname FROM Processor");
+    slow.stage(Stage::Acil);
+    gateway.clock().advance(25);
+    slow.finish("ok");
+    gateway
+}
+
+/// The route of a table: `/v1/` and its name without `gridrm_`.
+fn route(table: &str) -> String {
+    format!("/v1/{}", table.trim_start_matches("gridrm_"))
+}
+
+/// One declaration, two transports: for every table, `/v1/<name>` is the
+/// JSON rendering of the telemetry driver's own answer to `SELECT *`.
+/// The SQL is asked of the driver's `Connection`, not `Gateway::query`,
+/// which would record itself into the very rings under test.
+#[test]
+fn every_table_route_renders_the_drivers_select_star() {
+    let gateway = exercised();
+    let driver = gateway
+        .driver_manager()
+        .base()
+        .get_by_name("jdbc-telemetry")
+        .expect("telemetry driver installed");
+    let url = JdbcUrl::parse("jdbc:telemetry://local/metrics").unwrap();
+    let mut conn = driver.connect(&url, &Properties::new()).unwrap();
+    for table in TABLES {
+        let body = gateway.admin().handle(&route(table.name)).body;
+        let mut rs = conn
+            .create_statement()
+            .unwrap()
+            .execute_query(&format!("SELECT * FROM {}", table.name))
+            .unwrap();
+        let rows = RowSet::materialize(rs.as_mut()).unwrap();
+        assert!(!rows.is_empty(), "{} has no row", table.name);
+        assert_eq!(body, render_json(&rows), "{}", table.name);
+        // Flat rows whose keys are the table's columns, in column order.
+        let json: Vec<serde_json::Value> = serde_json::from_str(&body).unwrap();
+        let columns: Vec<&str> = table.columns.iter().map(|(name, _)| *name).collect();
+        for row in &json {
+            let keys: Vec<&str> = row
+                .as_object()
+                .unwrap()
+                .keys()
+                .map(String::as_str)
+                .collect();
+            assert_eq!(keys, columns, "{}", table.name);
+        }
+    }
+}
+
+/// An admin scrape records nothing: every indexed route scraped twice
+/// answers the same bodies, and the Prometheus text is unchanged by the
+/// first pass.
+#[test]
+fn an_admin_scrape_records_nothing() {
+    let gateway = exercised();
+    let admin = gateway.admin();
+    let trace_id = gateway.telemetry().traces().recent()[0].trace_id.clone();
+    let paths: Vec<String> = admin
+        .handle("/v1")
+        .body
+        .lines()
+        .filter_map(|line| line.split_whitespace().next())
+        .filter(|path| path.starts_with("/v1/"))
+        .map(|path| path.replace("<trace_id>", &trace_id))
+        .collect();
+    assert_eq!(paths.len(), TABLES.len() + 4, "{paths:?}");
+    let prometheus = admin.handle("/v1/metrics").body;
+    let scrape = || -> Vec<String> { paths.iter().map(|p| admin.handle(p).body).collect() };
+    let first = scrape();
+    let second = scrape();
+    for ((path, a), b) in paths.iter().zip(&first).zip(&second) {
+        assert_eq!(a, b, "{path} changed between scrapes");
+    }
+    assert_eq!(admin.handle("/v1/metrics").body, prometheus);
 }

@@ -152,9 +152,12 @@ fn explain_analyze_reconstructs_the_span_tree() {
     // the trace buffer, the Admin JSON, and the gridrm_spans table.
     let buffered = gateway.telemetry().traces().for_trace(&trace_id);
     assert_eq!(rows.len(), buffered.len());
-    let admin_spans = gateway.admin().trace_spans(&trace_id);
+    let json = gateway
+        .admin()
+        .handle(&format!("/v1/spans/{trace_id}"))
+        .body;
+    let admin_spans: Vec<serde_json::Value> = serde_json::from_str(&json).unwrap();
     assert_eq!(rows.len(), admin_spans.len());
-    let json = gateway.admin().trace_spans_json(&trace_id);
     assert!(json.contains(&trace_id));
     let via_sql = gateway
         .query(&ClientRequest::realtime(
