@@ -11,7 +11,8 @@ use crate::acil::{ClientRequest, ClientResponse};
 use crate::stream::SubscribeSpec;
 use gridrm_dbc::{ColumnMeta, DbcResult, ResultSetMetaData, RowSet};
 use gridrm_sqlparse::{SqlType, SqlValue, Statement};
-use gridrm_telemetry::{GatewayTelemetry, SpanBuilder, SpanStage, Stage, TraceRecord};
+use gridrm_telemetry::{GatewayTelemetry, SpanBuilder, Stage, TraceRecord};
+use std::fmt::{self, Write};
 
 /// `EXPLAIN [ANALYZE] <inner>`, for every layer that answers it: run
 /// `inner` through `run` as a child of an `explain` span, then answer
@@ -91,25 +92,28 @@ fn opt_str(v: &Option<String>) -> SqlValue {
     }
 }
 
-/// A span's stage marks as `stage[@offset_ms][=detail]` segments joined
-/// with `;`, the offset from `started_ms` shown only when `analyze`.
-pub(crate) fn render_stages(stages: &[SpanStage], started_ms: u64, analyze: bool) -> String {
-    stages
-        .iter()
-        .map(|s| {
-            let mut out = if analyze {
-                format!("{}@{}", s.stage, s.at_ms.saturating_sub(started_ms))
-            } else {
-                s.stage.clone()
-            };
-            if let Some(d) = &s.detail {
-                out.push('=');
-                out.push_str(d);
-            }
-            out
-        })
-        .collect::<Vec<_>>()
-        .join(";")
+/// A span's stage marks, each `(stage, at_ms, detail)`, as
+/// `stage[@offset_ms][=detail]` segments joined with `;`, the offset
+/// from `started_ms` shown only when `analyze`.
+pub(crate) fn render_stages<T: fmt::Display>(
+    stages: impl IntoIterator<Item = (T, u64, Option<T>)>,
+    started_ms: u64,
+    analyze: bool,
+) -> String {
+    let mut out = String::new();
+    for (i, (stage, at_ms, detail)) in stages.into_iter().enumerate() {
+        if i > 0 {
+            out.push(';');
+        }
+        let _ = write!(out, "{stage}");
+        if analyze {
+            let _ = write!(out, "@{}", at_ms.saturating_sub(started_ms));
+        }
+        if let Some(detail) = detail {
+            let _ = write!(out, "={detail}");
+        }
+    }
+    out
 }
 
 /// The spans of one trace ordered depth-first: roots (spans whose
@@ -193,7 +197,13 @@ pub fn explain_rowset(spans: &[TraceRecord], analyze: bool) -> DbcResult<RowSet>
                 timing(s.finished_ms),
                 timing(s.duration_ms()),
                 SqlValue::Str(s.outcome.clone()),
-                SqlValue::Str(render_stages(&s.stages, s.started_ms, analyze)),
+                SqlValue::Str(render_stages(
+                    s.stages
+                        .iter()
+                        .map(|m| (m.stage.as_str(), m.at_ms, m.detail.as_deref())),
+                    s.started_ms,
+                    analyze,
+                )),
                 // Cost columns are measurements, so like the timings
                 // they are NULL under plain EXPLAIN.
                 timing(s.cost.rows_returned),

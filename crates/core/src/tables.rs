@@ -35,10 +35,23 @@
 
 use crate::admin::AdminInterface;
 use crate::explain::render_stages;
+use crate::health::SourceHealthSnapshot;
+use crate::stream::SubscriptionSnapshot;
 use gridrm_dbc::{DbcResult, RowSet, SqlError};
-use gridrm_sqlparse::ast::{ColumnDef, SelectStatement};
-use gridrm_sqlparse::{SqlType, SqlValue};
+use gridrm_sqlparse::ast::{ColumnDef, Expr, OrderBy, Projection, SelectStatement};
+use gridrm_sqlparse::{EvalContext, Evaluator, SqlType, SqlValue};
 use gridrm_store::Table;
+use gridrm_telemetry::{
+    HistoryRow, IntrusionRow, JournalEntry, RootBill, Sample, SloStatus, Span, TraceRecord,
+};
+use std::cmp::Ordering;
+
+/// One item of a table as its cells, each computed only when asked
+/// for: `cell(i)` is column `i`'s value.
+type Cells<'a> = &'a dyn Fn(usize) -> SqlValue;
+
+/// What a table lends its items to, one at a time.
+type Visitor<'v> = dyn FnMut(Cells<'_>) + 'v;
 
 /// One virtual table over the gateway's own state.
 pub struct VirtualTable {
@@ -46,28 +59,36 @@ pub struct VirtualTable {
     pub name: &'static str,
     /// Column names and types, in `SELECT *` order.
     pub columns: &'static [(&'static str, SqlType)],
-    rows: fn(&AdminInterface, &SelectStatement) -> Vec<Vec<SqlValue>>,
+    /// Lend every item, in table order, to the visitor. A ring lends its
+    /// items under its own lock, so the visitor takes no other lock.
+    scan: fn(&AdminInterface, &SelectStatement, &mut Visitor<'_>),
 }
 
 /// The span ring's table: the one table the admin also serves filtered,
 /// at `/v1/spans/<trace_id>`.
 pub const SPANS: &str = "gridrm_spans";
 
-/// Declare a [`VirtualTable`]: the items one row is made from, then
-/// `column: Type = cell` for each column, the cell being anything
-/// `Into<SqlValue>` (an `Option` becomes NULL when empty).
+/// Declare a [`VirtualTable`]: the item type `each` takes and how to
+/// hand it each borrowed item, then `column: Type = cell` for each
+/// column, the cell being anything `Into<SqlValue>` (an `Option` becomes
+/// NULL when empty). Each cell becomes one function over a borrowed
+/// item, called only for the columns a query reads.
 macro_rules! virtual_table {
-    ($name:expr, |$src:pat_param, $sel:pat_param| $items:expr, |$item:pat_param| {
-        $($col:ident: $ty:ident = $cell:expr),* $(,)?
+    ($name:expr, |$src:pat_param, $sel:pat_param, $each:ident: &$ty:ty| $visit:expr,
+     |$item:pat_param| {
+        $($col:ident: $sqlty:ident = $cell:expr),* $(,)?
     }) => {
         VirtualTable {
             name: $name,
-            columns: &[$((stringify!($col), SqlType::$ty)),*],
-            rows: |$src, $sel| {
-                $items
-                    .into_iter()
-                    .map(|$item| vec![$(SqlValue::from($cell)),*])
-                    .collect()
+            columns: &[$((stringify!($col), SqlType::$sqlty)),*],
+            scan: |$src, $sel, visit| {
+                // A cell reads only some of the names the item pattern binds.
+                #[allow(unused_variables)]
+                const CELLS: &[fn(&$ty) -> SqlValue] = &[$(|$item: &$ty| SqlValue::from($cell)),*];
+                let mut $each = |item: &$ty| {
+                    visit(&|i| CELLS.get(i).map_or(SqlValue::Null, |cell| cell(item)))
+                };
+                $visit
             },
         }
     };
@@ -78,14 +99,15 @@ pub static TABLES: &[VirtualTable] = &[
     // One row per flattened registry sample, histogram buckets included.
     virtual_table!(
         "gridrm_telemetry",
-        |a, _| a.telemetry.registry().snapshot().into_iter().flat_map(|family| {
-            let kind = family.kind;
-            family.samples.into_iter().map(move |s| (kind.clone(), s))
-        }),
+        |a, _, each: &(&str, &Sample)| for family in &a.telemetry.registry().snapshot() {
+            for sample in &family.samples {
+                each(&(family.kind.as_str(), sample));
+            }
+        },
         |(kind, s)| {
-            name: Str = s.name,
-            kind: Str = kind,
-            labels: Str = s.labels,
+            name: Str = s.name.as_str(),
+            kind: Str = *kind,
+            labels: Str = s.labels.as_str(),
             value: Float = s.value,
         }
     ),
@@ -93,16 +115,18 @@ pub static TABLES: &[VirtualTable] = &[
     // state machine.
     virtual_table!(
         "gridrm_health",
-        |a, _| a.health_monitor.snapshot(),
+        |a, _, each: &SourceHealthSnapshot| for s in &a.health_monitor.snapshot() {
+            each(s);
+        },
         |s| {
-            source: Str = s.source,
+            source: Str = s.source.as_str(),
             state: Str = s.state.name(),
             consecutive_failures: Int = s.consecutive_failures as u64,
             consecutive_successes: Int = s.consecutive_successes as u64,
             last_ok_ms: Int = s.last_ok_ms,
-            last_error: Str = s.last_error,
+            last_error: Str = s.last_error.as_deref(),
             last_probe_ms: Int = s.last_probe_ms,
-            last_failed_driver: Str = s.last_failed_driver,
+            last_failed_driver: Str = s.last_failed_driver.as_deref(),
             transitions: Int = s.transitions,
             last_transition_ms: Int = s.last_transition_ms,
             last_event_ms: Int = s.last_event_ms,
@@ -112,37 +136,41 @@ pub static TABLES: &[VirtualTable] = &[
     // NULL for untraced events.
     virtual_table!(
         "gridrm_journal",
-        |a, _| a.telemetry.journal().recent(),
+        |a, _, each: &JournalEntry| a.telemetry.journal().visit(&mut each),
         |e| {
             seq: Int = e.seq,
             at_ms: Int = e.at_ms,
             severity: Str = e.severity.name(),
-            kind: Str = e.kind,
-            source: Str = e.source,
-            driver: Str = e.driver,
-            stage: Str = e.stage,
-            message: Str = e.message,
-            trace_id: Str = e.trace_id,
+            kind: Str = e.kind.as_str(),
+            source: Str = e.source.as_str(),
+            driver: Str = e.driver.as_deref(),
+            stage: Str = e.stage.as_deref(),
+            message: Str = e.message.as_str(),
+            trace_id: Str = e.trace_id.as_deref(),
         }
     ),
     // One row per slow-query log entry, slowest first, with the
     // per-stage breakdown as `stage@offset_ms[=detail]` segments.
     virtual_table!(
         "gridrm_slow_queries",
-        |a, _| a.telemetry.slow_queries().top(),
+        |a, _, each: &TraceRecord| a.telemetry.slow_queries().visit(&mut each),
         |r| {
             id: Int = r.id,
-            trace_id: Str = r.trace_id,
-            request: Str = r.request,
-            source: Str = r.source,
+            trace_id: Str = r.trace_id.as_str(),
+            request: Str = r.request.as_str(),
+            source: Str = r.source.as_deref(),
             started_ms: Int = r.started_ms,
             finished_ms: Int = r.finished_ms,
-            duration_ms: Int = r.finished_ms.saturating_sub(r.started_ms),
-            outcome: Str = r.outcome,
-            stages: Str = render_stages(&r.stages, r.started_ms, true),
-            span_id: Str = r.span_id,
-            parent_span_id: Str = r.parent_span_id,
-            site: Str = r.site,
+            duration_ms: Int = r.duration_ms(),
+            outcome: Str = r.outcome.as_str(),
+            stages: Str = render_stages(
+                r.stages.iter().map(|m| (m.stage.as_str(), m.at_ms, m.detail.as_deref())),
+                r.started_ms,
+                true,
+            ),
+            span_id: Str = r.span_id.as_str(),
+            parent_span_id: Str = r.parent_span_id.as_deref(),
+            site: Str = r.site.as_str(),
             msgs_out: Int = r.cost.msgs_out,
             msgs_in: Int = r.cost.msgs_in,
             bytes_out: Int = r.cost.bytes_out,
@@ -155,30 +183,31 @@ pub static TABLES: &[VirtualTable] = &[
     // One row per span in the trace ring buffer, oldest first. Rows for
     // one `trace_id` reconstruct the tree `EXPLAIN ANALYZE` renders:
     // every non-NULL `parent_span_id` names another `span_id` in the
-    // trace. The cost columns are the span's inclusive cost.
+    // trace. The cost columns are the span's inclusive cost. A span's
+    // texts become strings only for the columns a query reads.
     virtual_table!(
         SPANS,
-        |a, _| a.telemetry.traces().recent(),
+        |a, _, each: &Span| a.telemetry.traces().visit(&mut each),
         |r| {
-            trace_id: Str = r.trace_id,
-            span_id: Str = r.span_id,
-            parent_span_id: Str = r.parent_span_id,
-            site: Str = r.site,
-            id: Int = r.id,
-            request: Str = r.request,
-            source: Str = r.source,
-            started_ms: Int = r.started_ms,
-            finished_ms: Int = r.finished_ms,
-            duration_ms: Int = r.finished_ms.saturating_sub(r.started_ms),
-            outcome: Str = r.outcome,
-            stages: Str = render_stages(&r.stages, r.started_ms, true),
-            msgs_out: Int = r.cost.msgs_out,
-            msgs_in: Int = r.cost.msgs_in,
-            bytes_out: Int = r.cost.bytes_out,
-            bytes_in: Int = r.cost.bytes_in,
-            rows_scanned: Int = r.cost.rows_scanned,
-            rows_returned: Int = r.cost.rows_returned,
-            fetch_units: Int = r.cost.fetch_units,
+            trace_id: Str = r.trace_id().to_string(),
+            span_id: Str = r.span_id().to_string(),
+            parent_span_id: Str = r.parent_span_id().map(ToString::to_string),
+            site: Str = r.site().to_string(),
+            id: Int = r.id(),
+            request: Str = r.request().to_string(),
+            source: Str = r.source().map(ToString::to_string),
+            started_ms: Int = r.started_ms(),
+            finished_ms: Int = r.finished_ms(),
+            duration_ms: Int = r.duration_ms(),
+            outcome: Str = r.outcome().to_string(),
+            stages: Str = render_stages(r.stages(), r.started_ms(), true),
+            msgs_out: Int = r.cost().msgs_out,
+            msgs_in: Int = r.cost().msgs_in,
+            bytes_out: Int = r.cost().bytes_out,
+            bytes_in: Int = r.cost().bytes_in,
+            rows_scanned: Int = r.cost().rows_scanned,
+            rows_returned: Int = r.cost().rows_returned,
+            fetch_units: Int = r.cost().fetch_units,
         }
     ),
     // One row per recorded time-series sample, ordered by series then
@@ -186,15 +215,18 @@ pub static TABLES: &[VirtualTable] = &[
     // series, `delta`/`rate_per_s` are NULL for gauges and first samples.
     virtual_table!(
         "gridrm_metrics_history",
-        |a, sel| a
+        |a, sel, each: &HistoryRow| for r in &a
             .telemetry
             .timeseries()
-            .history_for(sel.where_eq("name"), sel.where_eq("labels")),
+            .history_for(sel.where_eq("name"), sel.where_eq("labels"))
+        {
+            each(r);
+        },
         |r| {
             ts_ms: Timestamp = SqlValue::Timestamp(r.ts_ms as i64),
-            name: Str = r.name,
-            labels: Str = r.labels,
-            kind: Str = r.kind,
+            name: Str = r.name.as_str(),
+            labels: Str = r.labels.as_str(),
+            kind: Str = r.kind.as_str(),
             value: Float = r.value,
             delta: Float = r.delta,
             rate_per_s: Float = r.rate_per_s,
@@ -203,10 +235,12 @@ pub static TABLES: &[VirtualTable] = &[
     // One row per declared SLO, straight from the burn-rate engine.
     virtual_table!(
         "gridrm_slo",
-        |a, _| a.telemetry.slo().snapshot(),
+        |a, _, each: &SloStatus| for s in &a.telemetry.slo().snapshot() {
+            each(s);
+        },
         |s| {
-            name: Str = s.name,
-            objective: Str = s.objective,
+            name: Str = s.name.as_str(),
+            objective: Str = s.objective.as_str(),
             target: Float = s.target,
             good: Float = s.good,
             total: Float = s.total,
@@ -221,14 +255,16 @@ pub static TABLES: &[VirtualTable] = &[
     // One row per live continuous-query subscription, ordered by id.
     virtual_table!(
         "gridrm_subscriptions",
-        |a, _| a.streams.snapshot(),
+        |a, _, each: &SubscriptionSnapshot| for s in &a.streams.snapshot() {
+            each(s);
+        },
         |s| {
             id: Int = s.id,
-            origin: Str = s.origin,
-            sql: Str = s.sql,
+            origin: Str = s.origin.as_str(),
+            sql: Str = s.sql.as_str(),
             sources: Int = s.sources as u64,
             every_ms: Int = s.every_ms,
-            policy: Str = s.policy,
+            policy: Str = s.policy.as_str(),
             buffer_capacity: Int = s.buffer_capacity as u64,
             pending: Int = s.pending as u64,
             emitted: Int = s.emitted,
@@ -242,32 +278,37 @@ pub static TABLES: &[VirtualTable] = &[
     // from the cost ledger's entry ring.
     virtual_table!(
         "gridrm_query_costs",
-        |a, _| a.telemetry.costs().entries(),
-        |e| {
-            trace_id: Str = e.trace_id,
-            site: Str = e.site,
-            request: Str = e.request,
-            started_ms: Int = e.started_ms,
-            finished_ms: Int = e.finished_ms,
-            duration_ms: Int = e.finished_ms.saturating_sub(e.started_ms),
-            msgs_out: Int = e.cost.msgs_out,
-            msgs_in: Int = e.cost.msgs_in,
-            bytes_out: Int = e.cost.bytes_out,
-            bytes_in: Int = e.cost.bytes_in,
-            rows_scanned: Int = e.cost.rows_scanned,
-            rows_returned: Int = e.cost.rows_returned,
-            fetch_units: Int = e.cost.fetch_units,
-            over_budget: Bool = e.over_budget,
+        |a, _, each: &(&RootBill, bool)| a
+            .telemetry
+            .costs()
+            .visit_entries(|bill, over_budget| each(&(bill, over_budget))),
+        |(e, over_budget)| {
+            trace_id: Str = e.trace_id().to_string(),
+            site: Str = e.site().to_string(),
+            request: Str = e.request().to_string(),
+            started_ms: Int = e.started_ms(),
+            finished_ms: Int = e.finished_ms(),
+            duration_ms: Int = e.finished_ms().saturating_sub(e.started_ms()),
+            msgs_out: Int = e.cost().msgs_out,
+            msgs_in: Int = e.cost().msgs_in,
+            bytes_out: Int = e.cost().bytes_out,
+            bytes_in: Int = e.cost().bytes_in,
+            rows_scanned: Int = e.cost().rows_scanned,
+            rows_returned: Int = e.cost().rows_returned,
+            fetch_units: Int = e.cost().fetch_units,
+            over_budget: Bool = *over_budget,
         }
     ),
     // One row per (site, cause) intrusion bucket, ordered by site then
     // cause, with rates over each bucket's virtual observation window.
     virtual_table!(
         "gridrm_intrusion",
-        |a, _| a.telemetry.costs().intrusion_snapshot(),
+        |a, _, each: &IntrusionRow| for r in &a.telemetry.costs().intrusion_snapshot() {
+            each(r);
+        },
         |r| {
-            site: Str = r.site,
-            cause: Str = r.cause,
+            site: Str = r.site.as_str(),
+            cause: Str = r.cause.as_str(),
             msgs: Int = r.bucket.msgs,
             bytes: Int = r.bucket.bytes,
             window_ms: Int = r.bucket.window_ms(),
@@ -289,10 +330,17 @@ pub fn served_tables() -> String {
 }
 
 impl AdminInterface {
-    /// Answer `sel` over [`TABLES`]: build the named table's rows, then
-    /// apply the whole statement in memory. Both transports call this —
-    /// the `jdbc-telemetry` driver and [`AdminInterface::handle`] — and it
+    /// Answer `sel` over [`TABLES`]. Both transports call this — the
+    /// `jdbc-telemetry` driver and [`AdminInterface::handle`] — and it
     /// only reads: it records no span, cost, journal entry or metric.
+    ///
+    /// It builds only what the statement names: the columns it reads,
+    /// the WHERE and ORDER BY cells of each item, which decide whether
+    /// the item is kept, and the rest of a row only once it is. Under
+    /// `ORDER BY … LIMIT` it keeps just the top `offset + limit` rows.
+    /// The survivors go to [`gridrm_store::select_in_memory`], which
+    /// decides every output byte and every error, as if it had been
+    /// handed the whole table.
     pub fn select(&self, sel: &SelectStatement) -> DbcResult<RowSet> {
         let decl = TABLES
             .iter()
@@ -304,22 +352,238 @@ impl AdminInterface {
                     sel.table
                 ))
             })?;
-        let table = Table {
-            name: decl.name.to_owned(),
-            columns: decl
-                .columns
-                .iter()
-                .map(|(name, ty)| ColumnDef {
+        let now = self.telemetry.clock().now_ts();
+        let mut scan = Scan::new(decl, sel, now);
+        (decl.scan)(self, sel, &mut |cells| scan.offer(cells));
+        let table = scan.finish();
+        gridrm_store::select_in_memory(&table, sel, now)
+            .map_err(|e| SqlError::Driver(e.to_string()))
+    }
+}
+
+/// Where a [`Scan`] stands. Evaluating an item can fail; the scan then
+/// keeps the item, so that the store meets the same failure first.
+#[derive(PartialEq)]
+enum Progress {
+    /// Every item is filtered, and ranked when the scan keeps a top set.
+    Open,
+    /// An ORDER BY key failed: later items are only filtered, since a
+    /// WHERE failure still comes first in the store.
+    KeysFailed,
+    /// A WHERE failed: nothing later can change the answer.
+    Done,
+}
+
+/// One pass of [`AdminInterface::select`] over a table's items.
+struct Scan<'s> {
+    sel: &'s SelectStatement,
+    now: i64,
+    /// The columns the statement reads, in declaration order, with no
+    /// rows: [`Scan::finish`] fills them.
+    table: Table,
+    /// Each column of `table`'s index in the declaration.
+    cells: Vec<usize>,
+    /// The positions in `table` that WHERE and ORDER BY read.
+    keys: Vec<usize>,
+    /// `Some(offset + limit)` when only that many top rows are kept.
+    top: Option<usize>,
+    /// The current item's cells: the key cells first, the rest once the
+    /// item is kept.
+    row: Vec<SqlValue>,
+    /// The current item's ORDER BY values.
+    order: Vec<SqlValue>,
+    /// Kept rows with their ORDER BY values: in table order, or under a
+    /// top cut, best first with the earlier item first among equals.
+    kept: Vec<(Vec<SqlValue>, Vec<SqlValue>)>,
+    /// Items whose evaluation failed, in table order.
+    failed: Vec<Vec<SqlValue>>,
+    progress: Progress,
+}
+
+impl<'s> Scan<'s> {
+    fn new(decl: &VirtualTable, sel: &'s SelectStatement, now: i64) -> Scan<'s> {
+        let needed = sel.required_columns();
+        let (cells, columns): (Vec<usize>, Vec<ColumnDef>) = decl
+            .columns
+            .iter()
+            .enumerate()
+            .filter(|(_, (name, _))| {
+                needed
+                    .as_ref()
+                    .is_none_or(|n| n.iter().any(|c| c.eq_ignore_ascii_case(name)))
+            })
+            .map(|(i, (name, ty))| {
+                let def = ColumnDef {
                     name: (*name).to_owned(),
                     ty: *ty,
                     primary_key: false,
-                })
-                .collect(),
-            rows: (decl.rows)(self, sel),
+                };
+                (i, def)
+            })
+            .unzip();
+        let table = Table {
+            name: decl.name.to_owned(),
+            columns,
+            rows: Vec::new(),
         };
-        let now = self.telemetry.clock().now_ts();
-        gridrm_store::select_in_memory(&table, sel, now)
-            .map_err(|e| SqlError::Driver(e.to_string()))
+        let mut read = Vec::new();
+        if let Some(w) = &sel.where_clause {
+            w.collect_columns(&mut read);
+        }
+        for ob in &sel.order_by {
+            ob.expr.collect_columns(&mut read);
+        }
+        let mut keys: Vec<usize> = read.iter().filter_map(|c| table.column_index(c)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        // Keeping only the top rows gives the store's answer where it
+        // would sort every row and then keep the first `offset + limit`,
+        // and where projecting a dropped row could not have failed: a
+        // projection of `*` or known columns, so no aggregate either.
+        let plain = match &sel.projection {
+            Projection::Star => true,
+            Projection::Items(items) => items.iter().all(|item| {
+                matches!(&item.expr, Expr::Column { name, .. } if table.column_index(name).is_some())
+            }),
+        };
+        let top = sel
+            .limit
+            .filter(|_| plain && sel.group_by.is_empty() && !sel.distinct)
+            .map(|limit| {
+                let k = limit.saturating_add(sel.offset.unwrap_or(0));
+                usize::try_from(k).unwrap_or(usize::MAX)
+            });
+        Scan {
+            sel,
+            now,
+            row: vec![SqlValue::Null; cells.len()],
+            table,
+            cells,
+            keys,
+            top,
+            order: Vec::with_capacity(sel.order_by.len()),
+            kept: Vec::new(),
+            failed: Vec::new(),
+            progress: Progress::Open,
+        }
+    }
+
+    /// Filter one item, rank it under a top cut, and keep it if it
+    /// passes both.
+    fn offer(&mut self, cells: Cells<'_>) {
+        let sel = self.sel;
+        if self.progress == Progress::Done {
+            return;
+        }
+        for &at in &self.keys {
+            if let (Some(slot), Some(&i)) = (self.row.get_mut(at), self.cells.get(at)) {
+                *slot = cells(i);
+            }
+        }
+        let ev = Evaluator;
+        let item = Item {
+            table: &self.table,
+            row: &self.row,
+            now: self.now,
+        };
+        match sel.where_clause.as_ref().map(|w| ev.matches(w, &item)) {
+            Some(Ok(false)) => return,
+            Some(Ok(true)) | None => {}
+            Some(Err(_)) => {
+                let row = self.take_row(cells);
+                self.failed.push(row);
+                self.progress = Progress::Done;
+                return;
+            }
+        }
+        if self.progress == Progress::KeysFailed {
+            return;
+        }
+        let Some(k) = self.top else {
+            let row = self.take_row(cells);
+            self.kept.push((Vec::new(), row));
+            return;
+        };
+        self.order.clear();
+        for ob in &sel.order_by {
+            match ev.eval(&ob.expr, &item) {
+                Ok(v) => self.order.push(v),
+                Err(_) => {
+                    let row = self.take_row(cells);
+                    self.failed.push(row);
+                    self.progress = Progress::KeysFailed;
+                    return;
+                }
+            }
+        }
+        let order = &self.order;
+        let at = self
+            .kept
+            .partition_point(|(kept, _)| compare(&sel.order_by, kept, order) != Ordering::Greater);
+        if at >= k {
+            return;
+        }
+        let order = order.clone();
+        let row = self.take_row(cells);
+        self.kept.insert(at, (order, row));
+        self.kept.truncate(k);
+    }
+
+    /// The current item's whole row: the cells not yet computed are
+    /// computed now.
+    fn take_row(&mut self, cells: Cells<'_>) -> Vec<SqlValue> {
+        for (at, (slot, &i)) in self.row.iter_mut().zip(&self.cells).enumerate() {
+            if self.keys.binary_search(&at).is_err() {
+                *slot = cells(i);
+            }
+        }
+        std::mem::replace(&mut self.row, vec![SqlValue::Null; self.cells.len()])
+    }
+
+    /// The table the store answers from: the kept rows, then the rows
+    /// whose evaluation failed.
+    fn finish(self) -> Table {
+        let mut table = self.table;
+        table.rows = self.kept.into_iter().map(|(_, row)| row).collect();
+        table.rows.extend(self.failed);
+        table
+    }
+}
+
+/// The store's ORDER BY comparison over two items' ORDER BY values.
+fn compare(order_by: &[OrderBy], a: &[SqlValue], b: &[SqlValue]) -> Ordering {
+    order_by
+        .iter()
+        .zip(a.iter().zip(b))
+        .map(|(ob, (x, y))| {
+            let ord = x.total_cmp(y);
+            if ob.desc {
+                ord.reverse()
+            } else {
+                ord
+            }
+        })
+        .find(|ord| ord.is_ne())
+        .unwrap_or(Ordering::Equal)
+}
+
+/// One item's computed cells, as the evaluator reads them.
+struct Item<'a> {
+    table: &'a Table,
+    row: &'a [SqlValue],
+    now: i64,
+}
+
+impl EvalContext for Item<'_> {
+    fn get(&self, column: &str) -> Option<SqlValue> {
+        self.table
+            .column_index(column)
+            .and_then(|i| self.row.get(i))
+            .cloned()
+    }
+
+    fn now_millis(&self) -> i64 {
+        self.now
     }
 }
 

@@ -3,23 +3,28 @@
 //! benchmark's `realtime_snmp` statement as the pool runs it — through
 //! the real driver kit, the SNMP codec, the simulated network and the
 //! agent. The gmond ones scan and parse the benchmark's 32-host
-//! `coarse_scan` dump. The counts do not depend on the host, so an OID
-//! parsed from or printed to text on the request path, a cloned field
-//! mapping, an agent that builds more than the request names, or a
-//! scanner that copies what it could borrow fails here, where a timing
-//! would not.
+//! `coarse_scan` dump. The telemetry one runs the benchmark's
+//! `mixed_churn` cost query over a short and a full cost ledger. The
+//! counts do not depend on the host, so an OID parsed from or printed
+//! to text on the request path, a cloned field mapping, an agent that
+//! builds more than the request names, a scanner that copies what it
+//! could borrow, or an introspection query that renders every ledger
+//! entry fails here, where a timing would not.
 
 use gridrm_agents::deploy_site;
 use gridrm_agents::ganglia::GangliaAgent;
+use gridrm_core::{Gateway, GatewayConfig};
 use gridrm_dbc::{Driver, JdbcUrl, Properties, RowSet};
 use gridrm_drivers::base::DriverEnv;
 use gridrm_drivers::ganglia::parse_dump;
 use gridrm_drivers::snmp::SnmpDriver;
+use gridrm_drivers::telemetry::TelemetryDriver;
 use gridrm_drivers::xml::{Tag, Tags};
 use gridrm_glue::SchemaManager;
 use gridrm_resmodel::{SiteModel, SiteSpec};
 use gridrm_simnet::{Network, SimClock};
 use gridrm_sqlparse::SqlValue;
+use gridrm_telemetry::CostVector;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -129,4 +134,55 @@ fn a_narrow_gmond_parse_allocates_only_the_rows_it_keeps() {
     // plus four growths of the row vector (164 at the parent commit,
     // which also copied out every host's unkept IP).
     assert!(allocations <= 132, "parse: {allocations}");
+}
+
+/// The allocations of one warm `mixed_churn` cost query through the
+/// telemetry driver, over a ledger of `entries` root queries whose
+/// `bytes_in` mostly tie, as a busy gateway's do.
+fn cost_query_allocations(entries: u64) -> u64 {
+    let net = Network::new(SimClock::new(), 3);
+    let gateway = Gateway::new(GatewayConfig::new("gw", "site"), net.clone());
+    let t = gateway.telemetry();
+    for i in 0..entries {
+        let mut root = t.span(format!("SELECT Load1 FROM Processor -- {i}"));
+        root.add_cost(&CostVector {
+            msgs_out: 2,
+            bytes_in: if i % 5 == 0 { (i * 37) % 1024 } else { 512 },
+            rows_returned: i % 4,
+            ..CostVector::default()
+        });
+        root.finish("ok");
+    }
+    let env = DriverEnv::new(net, gateway.schema().clone(), "gw");
+    let driver = TelemetryDriver::new(env, gateway.admin());
+    let url = JdbcUrl::parse("jdbc:telemetry://local/metrics").unwrap();
+    let mut conn = driver.connect(&url, &Properties::new()).unwrap();
+    let mut stmt = conn.create_statement().unwrap();
+    let mut run = || {
+        let mut rs = stmt
+            .execute_query(
+                "SELECT request, msgs_out, bytes_in, rows_returned \
+                 FROM gridrm_query_costs ORDER BY bytes_in DESC LIMIT 8",
+            )
+            .unwrap();
+        RowSet::materialize(rs.as_mut()).unwrap()
+    };
+    let warm = run();
+    let (rows, allocations) = allocations_of(run);
+    assert_eq!(rows.rows(), warm.rows());
+    assert_eq!(rows.len(), 8);
+    allocations
+}
+
+#[test]
+fn a_cost_query_allocates_less_than_once_per_extra_ledger_entry() {
+    let short = cost_query_allocations(32);
+    let full = cost_query_allocations(256);
+    // Rendering every entry costs several allocations each; reading
+    // only the sort key of an entry that stays out of the top 8 costs
+    // none.
+    assert!(
+        full < short + 224,
+        "32 entries: {short} allocations, 256 entries: {full}"
+    );
 }

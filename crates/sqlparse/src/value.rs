@@ -187,17 +187,24 @@ impl SqlValue {
     }
 
     /// Total ordering used for `ORDER BY`: NULLs sort first, then by
-    /// [`SqlValue::compare`], with incomparable pairs ordered by type tag so
-    /// the sort is stable and total.
+    /// [`SqlValue::compare`], with incomparable pairs ordered by type tag
+    /// and a NaN after every number and equal to NaN, so the sort is
+    /// stable and total.
     pub fn total_cmp(&self, other: &SqlValue) -> Ordering {
         match (self.is_null(), other.is_null()) {
             (true, true) => Ordering::Equal,
             (true, false) => Ordering::Less,
             (false, true) => Ordering::Greater,
-            (false, false) => self
-                .compare(other)
-                .unwrap_or_else(|| type_rank(self).cmp(&type_rank(other))),
+            (false, false) => self.compare(other).unwrap_or_else(|| {
+                type_rank(self)
+                    .cmp(&type_rank(other))
+                    .then_with(|| self.is_nan().cmp(&other.is_nan()))
+            }),
         }
+    }
+
+    fn is_nan(&self) -> bool {
+        matches!(self, SqlValue::Float(f) if f.is_nan())
     }
 
     /// SQL equality: `None` (unknown) if either side is NULL.
@@ -342,6 +349,20 @@ mod tests {
         vals.sort_by(|a, b| a.total_cmp(b));
         assert!(vals[0].is_null());
         assert_eq!(vals[1], SqlValue::Int(1));
+    }
+
+    #[test]
+    fn nan_sorts_after_every_number_and_equals_nan() {
+        let nan = SqlValue::Float(f64::NAN);
+        assert_eq!(nan.total_cmp(&SqlValue::Int(i64::MAX)), Ordering::Greater);
+        assert_eq!(
+            SqlValue::Float(f64::INFINITY).total_cmp(&nan),
+            Ordering::Less
+        );
+        assert_eq!(nan.total_cmp(&SqlValue::Float(f64::NAN)), Ordering::Equal);
+        assert_eq!(SqlValue::Null.total_cmp(&nan), Ordering::Less);
+        // SQL comparison is unchanged: NaN compares with nothing.
+        assert_eq!(nan.compare(&SqlValue::Int(1)), None);
     }
 
     #[test]

@@ -15,6 +15,18 @@ fn arb_value() -> impl Strategy<Value = SqlValue> {
     ]
 }
 
+/// A numeric column's cell: about a third NaN, the rest numbers or NULL.
+fn arb_number_or_nan() -> impl Strategy<Value = SqlValue> {
+    prop_oneof![
+        Just(SqlValue::Float(f64::NAN)),
+        Just(SqlValue::Float(f64::NAN)),
+        Just(SqlValue::Null),
+        (-1_000i64..1_000).prop_map(SqlValue::Int),
+        (-1e3f64..1e3).prop_map(SqlValue::Float),
+        (-1e3f64..1e3).prop_map(SqlValue::Float),
+    ]
+}
+
 fn arb_ident() -> impl Strategy<Value = String> {
     "[a-zA-Z][a-zA-Z0-9_]{0,10}".prop_filter("not a keyword", |s| {
         gridrm_sqlparse::Keyword::lookup(s).is_none()
@@ -158,6 +170,20 @@ proptest! {
         prop_assert_eq!(a.total_cmp(&b), b.total_cmp(&a).reverse());
         if a.total_cmp(&b) != Ordering::Greater && b.total_cmp(&c) != Ordering::Greater {
             prop_assert_ne!(a.total_cmp(&c), Ordering::Greater);
+        }
+    }
+
+    /// An `ORDER BY` column holding NaN, numbers and NULL sorts without
+    /// panicking, and comes out ordered: NULL first, NaN last.
+    #[test]
+    fn sorting_nan_numbers_and_null_is_total(column in prop::collection::vec(arb_number_or_nan(), 0..64)) {
+        use std::cmp::Ordering;
+        let mut column = column;
+        column.sort_by(SqlValue::total_cmp);
+        for (i, a) in column.iter().enumerate() {
+            for b in &column[i..] {
+                prop_assert_ne!(a.total_cmp(b), Ordering::Greater);
+            }
         }
     }
 

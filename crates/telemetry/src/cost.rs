@@ -147,10 +147,11 @@ pub struct QueryCostEntry {
     pub over_budget: bool,
 }
 
-/// A root span's bill as the ledger keeps it; [`RootBill::render`]
-/// makes the [`QueryCostEntry`] readers see.
+/// A root span's bill as the ledger keeps it, its texts unrendered:
+/// [`CostLedger::visit_entries`] lends it, and [`CostLedger::entries`]
+/// renders it as a [`QueryCostEntry`].
 #[derive(Debug, Clone)]
-pub(crate) struct RootBill {
+pub struct RootBill {
     pub(crate) trace_id: SpanText,
     pub(crate) site: SpanText,
     pub(crate) request: SpanText,
@@ -160,6 +161,36 @@ pub(crate) struct RootBill {
 }
 
 impl RootBill {
+    /// See [`QueryCostEntry::trace_id`].
+    pub fn trace_id(&self) -> &SpanText {
+        &self.trace_id
+    }
+
+    /// See [`QueryCostEntry::site`].
+    pub fn site(&self) -> &SpanText {
+        &self.site
+    }
+
+    /// See [`QueryCostEntry::request`].
+    pub fn request(&self) -> &SpanText {
+        &self.request
+    }
+
+    /// See [`QueryCostEntry::started_ms`].
+    pub fn started_ms(&self) -> u64 {
+        self.started_ms
+    }
+
+    /// See [`QueryCostEntry::finished_ms`].
+    pub fn finished_ms(&self) -> u64 {
+        self.finished_ms
+    }
+
+    /// See [`QueryCostEntry::cost`].
+    pub fn cost(&self) -> &CostVector {
+        &self.cost
+    }
+
     fn render(&self, over_budget: bool) -> QueryCostEntry {
         QueryCostEntry {
             trace_id: self.trace_id.to_string(),
@@ -489,6 +520,15 @@ impl CostLedger {
             .iter()
             .map(|(bill, over_budget)| bill.render(*over_budget))
             .collect()
+    }
+
+    /// Lend each completed root entry, oldest first, with its budget
+    /// verdict, rendering nothing. `f` runs under the entry ring's lock,
+    /// so it must take no other lock.
+    pub fn visit_entries(&self, mut f: impl FnMut(&RootBill, bool)) {
+        for (bill, over_budget) in self.entries.lock().iter() {
+            f(bill, *over_budget);
+        }
     }
 
     /// The intrusion buckets, ordered by `(site, cause)`.

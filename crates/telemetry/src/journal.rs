@@ -224,6 +224,12 @@ impl Journal {
         self.ring.lock().iter().cloned().collect()
     }
 
+    /// Lend each retained entry, oldest first, copying nothing. `f`
+    /// runs under the ring's lock, so it must take no other lock.
+    pub fn visit(&self, f: impl FnMut(&JournalEntry)) {
+        self.ring.lock().iter().for_each(f);
+    }
+
     /// Retained entries of one kind, oldest first.
     pub fn recent_of_kind(&self, kind: &str) -> Vec<JournalEntry> {
         self.ring

@@ -12,7 +12,7 @@ pub mod trace;
 
 pub use cost::{
     CostLedger, CostVector, IntrusionBucket, IntrusionCause, IntrusionRow, QueryCostEntry,
-    DEFAULT_COST_ENTRIES, DEFAULT_COST_PENDING,
+    RootBill, DEFAULT_COST_ENTRIES, DEFAULT_COST_PENDING,
 };
 pub use journal::{
     Journal, JournalEntry, JournalSeverity, JournalStats, DEFAULT_JOURNAL_CAPACITY,
@@ -35,6 +35,6 @@ pub use timeseries::{
     DEFAULT_TIMESERIES_INTERVAL_MS,
 };
 pub use trace::{
-    GatewayTelemetry, SpanBuilder, SpanLabel, SpanStage, SpanText, Stage, StageName,
+    GatewayTelemetry, Span, SpanBuilder, SpanLabel, SpanStage, SpanText, Stage, StageName,
     TelemetryCapacities, TraceBuffer, TraceContext, TraceRecord, DEFAULT_TRACE_CAPACITY,
 };

@@ -91,6 +91,12 @@ impl SlowQueryLog {
         self.entries.lock().clone()
     }
 
+    /// Lend each retained slow query, slowest first, copying nothing.
+    /// `f` runs under the log's lock, so it must take no other lock.
+    pub fn visit(&self, f: impl FnMut(&TraceRecord)) {
+        self.entries.lock().iter().for_each(f);
+    }
+
     /// Number of retained slow queries.
     pub fn len(&self) -> usize {
         self.entries.lock().len()

@@ -330,11 +330,11 @@ struct StageMark {
 }
 
 /// A span as the hub keeps it: [`TraceRecord`]'s fields, with each
-/// text in the form [`SpanText`] holds it. Readers get the record
-/// [`Span::render`] builds. Never cloned: it moves from its builder
-/// into the ring.
+/// text in the form [`SpanText`] holds it. Readers get the record it
+/// renders, or borrow the span itself through [`TraceBuffer::visit`].
+/// Never cloned: it moves from its builder into the ring.
 #[derive(Debug)]
-struct Span {
+pub struct Span {
     id: u64,
     trace_id: SpanText,
     span_id: SpanText,
@@ -350,7 +350,70 @@ struct Span {
 }
 
 impl Span {
-    fn duration_ms(&self) -> u64 {
+    /// See [`TraceRecord::id`].
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// See [`TraceRecord::trace_id`].
+    pub fn trace_id(&self) -> &SpanText {
+        &self.trace_id
+    }
+
+    /// See [`TraceRecord::span_id`].
+    pub fn span_id(&self) -> &SpanText {
+        &self.span_id
+    }
+
+    /// See [`TraceRecord::parent_span_id`].
+    pub fn parent_span_id(&self) -> Option<&SpanText> {
+        self.parent_span_id.as_ref()
+    }
+
+    /// See [`TraceRecord::site`].
+    pub fn site(&self) -> &SpanText {
+        &self.site
+    }
+
+    /// See [`TraceRecord::request`].
+    pub fn request(&self) -> &SpanText {
+        &self.request
+    }
+
+    /// See [`TraceRecord::source`].
+    pub fn source(&self) -> Option<&SpanText> {
+        self.source.as_ref()
+    }
+
+    /// See [`TraceRecord::started_ms`].
+    pub fn started_ms(&self) -> u64 {
+        self.started_ms
+    }
+
+    /// See [`TraceRecord::finished_ms`].
+    pub fn finished_ms(&self) -> u64 {
+        self.finished_ms
+    }
+
+    /// See [`TraceRecord::outcome`].
+    pub fn outcome(&self) -> &SpanText {
+        &self.outcome
+    }
+
+    /// See [`TraceRecord::cost`].
+    pub fn cost(&self) -> &CostVector {
+        &self.cost
+    }
+
+    /// [`TraceRecord::stages`] as `(stage, at_ms, detail)`.
+    pub fn stages(&self) -> impl Iterator<Item = (&SpanText, u64, Option<&SpanText>)> {
+        self.stages
+            .iter()
+            .map(|m| (&m.stage, m.at_ms, m.detail.as_ref()))
+    }
+
+    /// Total virtual duration.
+    pub fn duration_ms(&self) -> u64 {
         self.finished_ms.saturating_sub(self.started_ms)
     }
 
@@ -654,6 +717,12 @@ impl TraceBuffer {
     /// Retained traces, oldest first.
     pub fn recent(&self) -> Vec<TraceRecord> {
         self.state.lock().ring.iter().map(Span::render).collect()
+    }
+
+    /// Lend each retained span, oldest first, rendering nothing. `f`
+    /// runs under the ring's lock, so it must take no other lock.
+    pub fn visit(&self, f: impl FnMut(&Span)) {
+        self.state.lock().ring.iter().for_each(f);
     }
 
     /// Retained spans belonging to one trace tree, oldest first.

@@ -3,10 +3,17 @@
 //! each row's planted mutation must make it fail
 //! (`cargo test --test mutants -- --ignored` checks that they do).
 
+use gridrm::core::tables::{VirtualTable, TABLES};
 use gridrm::global::{Answered, GlobalRequest, GlobalResponse, WireFrame, WireIdentity};
 use gridrm::prelude::*;
+use gridrm::simnet::XorShift;
+use gridrm::sqlparse::ast::{ColumnDef, SelectStatement};
+use gridrm::sqlparse::{SqlType, Statement};
+use gridrm::store::{select_in_memory, Table};
+use gridrm::telemetry::{Labels, PointKind, KIND_PROBE};
 use gridrm::telemetry::{SpanBuilder, TraceContext, DEFAULT_COST_PENDING};
 use proptest::prelude::*;
+use std::sync::{Arc, OnceLock};
 
 fn fetch() -> CostVector {
     CostVector {
@@ -281,6 +288,258 @@ proptest! {
                 .into_iter()
                 .max_by_key(TraceRecord::duration_ms);
             prop_assert_eq!(hub.traces().slowest(), scanned);
+        }
+    }
+}
+
+/// A gateway whose rings are full and whose sort keys tie heavily:
+/// 300 root queries (and a child each) into a 256-entry span ring and
+/// cost ledger, most of them costing the same `bytes_in`, a slow log
+/// and a journal filled past capacity, entries with NULL cells, and
+/// NaN among the gauges and recorded points.
+fn introspected_gateway() -> Arc<Gateway> {
+    let net = Network::new(SimClock::new(), 5);
+    let site = SiteModel::generate(5, &SiteSpec::new("intro", 2, 2));
+    site.advance_to(60_000);
+    deploy_site(&net, site);
+    let gateway = Gateway::new(GatewayConfig::new("gw-intro", "intro"), net);
+    install_into_gateway(&gateway);
+    for host in ["node00", "node01", "gone"] {
+        let _ = gateway.query(&ClientRequest::realtime(
+            &format!("jdbc:snmp://{host}.intro/public"),
+            "SELECT Hostname, Load1 FROM Processor",
+        ));
+    }
+    let spec = ClientRequest::builder("SELECT Load1 FROM Processor EVERY 500")
+        .source("jdbc:snmp://node00.intro/public")
+        .subscribe();
+    gateway.subscribe(&spec).expect("subscribe");
+
+    let t = gateway.telemetry();
+    let clock = gateway.clock().clone();
+    let mut rng = XorShift::new(41);
+    t.slow_queries().set_threshold_ms(2);
+    let requests = ["SELECT a", "SELECT b", "SELECT c", "SELECT d"];
+    for i in 0..300u64 {
+        clock.advance(rng.next_below(3));
+        let root = t.span(requests[rng.next_below(4) as usize]);
+        let mut child = root.child("driver_execute jdbc-snmp");
+        child.stage_with(Stage::DriverExecute, "jdbc-snmp");
+        child.add_cost(&CostVector {
+            msgs_out: 1 + rng.next_below(2),
+            bytes_in: if rng.chance(0.8) {
+                512
+            } else {
+                rng.next_below(4) * 256
+            },
+            rows_returned: rng.next_below(3),
+            ..CostVector::default()
+        });
+        child.finish("ok");
+        let started = clock.now_millis();
+        root.finish_at(
+            if i % 7 == 0 { "error" } else { "ok" },
+            started + rng.next_below(5),
+        );
+    }
+    for i in 0..600u64 {
+        let severity =
+            [JournalSeverity::Info, JournalSeverity::Warning][rng.next_below(2) as usize];
+        let driver = (i % 3 == 0).then_some("jdbc-snmp");
+        let trace = format!("gw-intro:{}", i % 9);
+        t.journal().record_traced(
+            i,
+            severity,
+            KIND_PROBE,
+            "jdbc:snmp://node00.intro/public",
+            driver,
+            None,
+            "probe",
+            (i % 2 == 0).then_some(trace.as_str()),
+        );
+    }
+    for (i, value) in [1.5, f64::NAN, -2.0, f64::NAN, 0.0].into_iter().enumerate() {
+        t.registry()
+            .gauge(
+                "gridrm_test_level",
+                "A test gauge",
+                Labels::from_pairs(&[("tier", ["a", "b", "c", "d", "e"][i])]),
+            )
+            .set(value);
+        for at in 0..20u64 {
+            let v = if at % 5 == 0 { value } else { at as f64 };
+            t.timeseries()
+                .record_point("gridrm_test_level", "", PointKind::Gauge, at * 250, v);
+        }
+    }
+    for cause in [IntrusionCause::Query, IntrusionCause::Probe] {
+        t.costs().intrude(
+            "intro",
+            cause,
+            &CostVector {
+                msgs_out: 2,
+                ..CostVector::default()
+            },
+        );
+    }
+    gateway
+}
+
+/// One of `names`, in upper case one time in five.
+fn pick(names: &[&str], rng: &mut XorShift) -> String {
+    let name = names[rng.next_below(names.len() as u64) as usize];
+    if rng.chance(0.2) {
+        name.to_ascii_uppercase()
+    } else {
+        name.to_owned()
+    }
+}
+
+/// One random statement over `table`: a projection of `*`, plain
+/// columns in mixed case, an aggregate or a failing expression; a WHERE
+/// that may meet NULL or fail on some rows only; ORDER BY keys, some of
+/// which fail; LIMIT (0 included), OFFSET (past the end included),
+/// DISTINCT and GROUP BY.
+fn random_select(table: &VirtualTable, rng: &mut XorShift) -> String {
+    let cols: Vec<&str> = table.columns.iter().map(|(name, _)| *name).collect();
+    let mut numeric: Vec<&str> = table
+        .columns
+        .iter()
+        .filter(|(_, ty)| matches!(ty, SqlType::Int | SqlType::Float | SqlType::Timestamp))
+        .map(|(name, _)| *name)
+        .collect();
+    if numeric.is_empty() {
+        numeric.push("1");
+    }
+    let grouped = rng.chance(0.12);
+    let (distinct, projection, group_by) = if grouped {
+        let key = pick(&cols, rng);
+        let agg = match rng.next_below(3) {
+            0 => "COUNT(*)".to_owned(),
+            1 => format!("MAX({})", pick(&numeric, rng)),
+            _ => format!("MIN({})", pick(&cols, rng)),
+        };
+        (
+            false,
+            format!("{key}, {agg} AS n"),
+            format!(" GROUP BY {key}"),
+        )
+    } else {
+        let projection = match rng.next_below(8) {
+            0 | 1 => "*".to_owned(),
+            2 => "COUNT(*)".to_owned(),
+            3 => format!("{}, 1 / {}", pick(&cols, rng), pick(&numeric, rng)),
+            4 => format!("{}, nope", pick(&cols, rng)),
+            _ => (0..1 + rng.next_below(4))
+                .map(|_| pick(&cols, rng))
+                .collect::<Vec<_>>()
+                .join(", "),
+        };
+        (rng.chance(0.25), projection, String::new())
+    };
+    let mut sql = format!(
+        "SELECT {}{projection} FROM {}",
+        if distinct { "DISTINCT " } else { "" },
+        table.name
+    );
+    let predicate = |rng: &mut XorShift| match rng.next_below(6) {
+        0 => format!("{} IS NULL", pick(&cols, rng)),
+        1 => format!("{} IS NOT NULL", pick(&cols, rng)),
+        2 => format!("{} > {}", pick(&numeric, rng), rng.next_below(600)),
+        3 => format!("1 / {} > 0", pick(&numeric, rng)),
+        4 => format!("{} LIKE '%a%'", pick(&cols, rng)),
+        _ => format!("{} <> 'x'", pick(&cols, rng)),
+    };
+    if rng.chance(0.5) {
+        sql.push_str(&format!(" WHERE {}", predicate(rng)));
+        if rng.chance(0.3) {
+            let op = if rng.chance(0.5) { "AND" } else { "OR" };
+            sql.push_str(&format!(" {op} {}", predicate(rng)));
+        }
+    }
+    sql.push_str(&group_by);
+    let keys = rng.next_below(3);
+    if keys > 0 {
+        let keys: Vec<String> = (0..keys)
+            .map(|_| {
+                let key = if grouped && rng.chance(0.7) {
+                    "n".to_owned()
+                } else {
+                    match rng.next_below(10) {
+                        0 => format!("1 / {}", pick(&numeric, rng)),
+                        1 => "nope".to_owned(),
+                        _ => pick(&cols, rng),
+                    }
+                };
+                format!("{key}{}", if rng.chance(0.5) { " DESC" } else { "" })
+            })
+            .collect();
+        sql.push_str(&format!(" ORDER BY {}", keys.join(", ")));
+    }
+    if rng.chance(0.8) {
+        sql.push_str(&format!(" LIMIT {}", rng.next_below(10)));
+        if rng.chance(0.3) {
+            sql.push_str(&format!(" OFFSET {}", rng.next_below(300)));
+        }
+    }
+    sql
+}
+
+/// The answer the store gives over the whole table, every item and every
+/// column materialised: what `AdminInterface::select` must equal.
+fn materialised_answer(gateway: &Gateway, table: &VirtualTable, sel: &SelectStatement) -> String {
+    let all = gateway
+        .admin()
+        .select(&SelectStatement::star(table.name))
+        .expect("SELECT *");
+    let whole = Table {
+        name: table.name.to_owned(),
+        columns: table
+            .columns
+            .iter()
+            .map(|(name, ty)| ColumnDef {
+                name: (*name).to_owned(),
+                ty: *ty,
+                primary_key: false,
+            })
+            .collect(),
+        rows: all.rows().to_vec(),
+    };
+    let now = gateway.telemetry().clock().now_ts();
+    answer(select_in_memory(&whole, sel, now).map_err(|e| SqlError::Driver(e.to_string())))
+}
+
+fn answer(result: Result<RowSet, SqlError>) -> String {
+    match result {
+        Ok(rows) => format!("{:?}\n{:?}", rows.metadata(), rows.rows()),
+        Err(e) => format!("error: {e}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A `gridrm_*` SELECT answers exactly as the store does over the
+    /// whole table: the same rows and metadata, or the same error, for
+    /// random statements over every table. Only the columns a statement
+    /// reads are built, WHERE is decided per item, and an
+    /// `ORDER BY … LIMIT` keeps only its top rows, the earlier item
+    /// first among equal keys.
+    #[test]
+    fn introspection_select_answers_as_the_whole_table_would(seed in any::<u64>()) {
+        static GATEWAY: OnceLock<Arc<Gateway>> = OnceLock::new();
+        let gateway = GATEWAY.get_or_init(introspected_gateway);
+        let mut rng = XorShift::new(seed);
+        for table in TABLES {
+            for _ in 0..4 {
+                let sql = random_select(table, &mut rng);
+                let Ok(Statement::Select(sel)) = gridrm::sqlparse::parse(&sql) else {
+                    panic!("not a SELECT: {sql}");
+                };
+                let lazy = answer(gateway.admin().select(&sel));
+                let whole = materialised_answer(gateway, table, &sel);
+                prop_assert!(lazy == whole, "{sql}\nselect: {lazy}\nstore:  {whole}");
+            }
         }
     }
 }
