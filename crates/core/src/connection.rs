@@ -249,11 +249,13 @@ impl ConnectionManager {
         }
         let result = (|| {
             let mut stmt = conn.create_statement()?;
-            let mut rs = stmt.execute_query(sql)?;
+            let rs = stmt.execute_query(sql)?;
             if let Some(s) = span.as_deref_mut() {
                 s.stage(Stage::Execute);
             }
-            let rows = RowSet::materialize(rs.as_mut());
+            // The driver's own rows when it built a `RowSet`; a cursor
+            // of any other kind is drained.
+            let rows = rs.into_rowset();
             if rows.is_ok() {
                 if let Some(s) = span.as_deref_mut() {
                     s.stage_with(Stage::Translate, "glue rowset");
@@ -275,7 +277,7 @@ impl ConnectionManager {
     /// Execute a real-time query against a data source, applying the
     /// source's failure policy. This is the Fig 3/Fig 5 query path.
     pub fn execute(&self, url: &JdbcUrl, sql: &str) -> DbcResult<RowSet> {
-        self.execute_traced(url, sql, None)
+        self.execute_traced(url, &Arc::from(url.to_string()), sql, None)
     }
 
     /// [`ConnectionManager::execute`] with an optional in-flight trace
@@ -286,34 +288,36 @@ impl ConnectionManager {
     /// entered as the thread's ambient active span, so GLUE translation
     /// inside the driver hangs its own child off it. Every attempt feeds
     /// the per-driver latency histogram.
+    ///
+    /// `key` is `url`'s canonical text, which the caller already holds:
+    /// every pool key, span and health record below shares it.
     pub fn execute_traced(
         &self,
         url: &JdbcUrl,
+        key: &Arc<str>,
         sql: &str,
         mut span: Option<&mut SpanBuilder>,
     ) -> DbcResult<RowSet> {
+        debug_assert_eq!(**key, url.to_string(), "key is the canonical URL");
         let clock = self.telemetry.clock();
         let journal = self.telemetry.journal();
-        // The source's canonical text, rendered once: every key, span and
-        // health record below shares it.
-        let key: Arc<str> = Arc::from(url.to_string());
-        let policy = self.driver_manager.policy_for_key(&key);
+        let policy = self.driver_manager.policy_for_key(key);
         let mut excluded: Vec<String> = Vec::new();
         let mut retries_used = 0u32;
         let mut last_err: Option<SqlError> = None;
         loop {
             let mut resolve_span = span
                 .as_deref()
-                .map(|s| s.child(SpanText::around(&["resolve ", ""], &key)));
+                .map(|s| s.child(SpanText::around(&["resolve ", ""], key)));
             let resolved =
                 self.driver_manager
-                    .resolve_keyed(url, &key, &excluded, resolve_span.as_mut());
-            let driver = match resolved {
-                Ok(d) => {
+                    .resolve_keyed(url, key, &excluded, resolve_span.as_mut());
+            let name = match resolved {
+                Ok((_, name)) => {
                     if let Some(rs) = resolve_span {
                         rs.finish("ok");
                     }
-                    d
+                    name
                 }
                 Err(e) => {
                     if let Some(rs) = resolve_span {
@@ -322,20 +326,19 @@ impl ConnectionManager {
                     return Err(last_err.unwrap_or(e));
                 }
             };
-            let name: Arc<str> = Arc::from(driver.name());
             if let Some(s) = span.as_deref_mut() {
                 s.stage_with(Stage::Resolve, &name);
             }
             let mut exec_span = span.as_deref().map(|s| {
                 let mut c = s.child(SpanText::around(&["driver_execute ", ""], &name));
                 c.stage_with(Stage::DriverExecute, &name);
-                c.source(&key);
+                c.source(key);
                 c
             });
             let started_ms = clock.now_millis();
             let outcome = {
                 let _active = exec_span.as_ref().map(gridrm_telemetry::active::enter);
-                self.attempt(url, &key, &name, sql, exec_span.as_mut())
+                self.attempt(url, key, &name, sql, exec_span.as_mut())
             };
             if let Some(mut es) = exec_span {
                 // Every attempt is one native driver fetch; a successful
@@ -351,17 +354,17 @@ impl ConnectionManager {
                 .observe(clock.now_millis().saturating_sub(started_ms) as f64);
             match outcome {
                 Ok(rs) => {
-                    self.driver_manager.record_success_key(&key, &name);
-                    self.health.record_success(&key, &name, clock.now_millis());
+                    self.driver_manager.record_success_key(key, &name);
+                    self.health.record_success(key, &name, clock.now_millis());
                     return Ok(rs);
                 }
                 Err(err) => {
                     self.stats.failures.inc();
                     // The *failed* driver is recorded against the source's
                     // health, even when the policy falls back to another.
-                    self.driver_manager.record_failure_key(&key, &name);
+                    self.driver_manager.record_failure_key(key, &name);
                     self.health.record_failure(
-                        &key,
+                        key,
                         Some(&name),
                         &err.to_string(),
                         clock.now_millis(),
@@ -377,7 +380,7 @@ impl ConnectionManager {
                             clock.now_millis(),
                             severity,
                             kind,
-                            &key,
+                            key,
                             Some(&name),
                             None,
                             message,

@@ -226,17 +226,20 @@ impl GridRMDriverManager {
         span: Option<&mut SpanBuilder>,
     ) -> DbcResult<Arc<dyn Driver>> {
         self.resolve_keyed(url, &url.to_string(), exclude, span)
+            .map(|(driver, _)| driver)
     }
 
     /// [`GridRMDriverManager::resolve_excluding_traced`] for a source
-    /// whose canonical URL text `key` the caller already holds.
+    /// whose canonical URL text `key` the caller already holds; the
+    /// driver comes with its registered name, shared with the
+    /// last-success cache when that is where it came from.
     pub(crate) fn resolve_keyed(
         &self,
         url: &JdbcUrl,
         key: &str,
         exclude: &[String],
         mut span: Option<&mut SpanBuilder>,
-    ) -> DbcResult<Arc<dyn Driver>> {
+    ) -> DbcResult<(Arc<dyn Driver>, Arc<str>)> {
         self.stats.resolutions.inc();
         let traced = span.is_some();
         let mut note = |stage: Stage, detail: SpanText| {
@@ -267,7 +270,7 @@ impl GridRMDriverManager {
                         Stage::ResolveChosen,
                         SpanText::around(&["", " via cache"], &name),
                     );
-                    return Ok(d);
+                    return Ok((d, name));
                 }
                 note(
                     Stage::ResolveCache,
@@ -298,7 +301,7 @@ impl GridRMDriverManager {
                         Stage::ResolveChosen,
                         format!("{name} via static preference").into(),
                     );
-                    return Ok(d);
+                    return Ok((d, Arc::from(name.as_str())));
                 }
                 note(
                     Stage::ResolveCandidate,
@@ -319,7 +322,10 @@ impl GridRMDriverManager {
         self.stats.dynamic_scans.inc();
         if !traced && exclude.is_empty() {
             // Untraced fast path through the base registry's own scan.
-            return self.base.locate(url);
+            return self.base.locate(url).map(|d| {
+                let name = Arc::from(d.name());
+                (d, name)
+            });
         }
         // The traced scan below counts like `DriverManager::locate` does.
         let scan = self.base.stats();
@@ -344,7 +350,7 @@ impl GridRMDriverManager {
                     Stage::ResolveChosen,
                     format!("{name} via accepts_url scan").into(),
                 );
-                return Ok(d);
+                return Ok((d, Arc::from(name)));
             }
             note(
                 Stage::ResolveCandidate,

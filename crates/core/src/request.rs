@@ -38,6 +38,7 @@ use gridrm_telemetry::{
 };
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -129,6 +130,9 @@ impl RequestStats {
     }
 }
 
+/// One realtime fetch's rows, shared by everything that keeps them.
+type Fetched = DbcResult<Arc<RowSet>>;
+
 /// The Request Manager.
 pub struct RequestManager {
     connections: Arc<ConnectionManager>,
@@ -147,8 +151,8 @@ pub struct RequestManager {
     /// a gateway that has served none does not expose it.
     latency: OnceLock<Histogram>,
     /// Deduplicates identical concurrent realtime fetches (keyed by
-    /// source URL + SQL text).
-    singleflight: SingleFlight<(Arc<str>, Arc<str>), DbcResult<RowSet>>,
+    /// source URL + SQL text); leader and followers share one result.
+    singleflight: SingleFlight<(Arc<str>, Arc<str>), Fetched>,
     /// Deadline budget applied to requests that set none
     /// (config `default_deadline_ms`; 0 = no deadline).
     default_deadline_ms: AtomicU64,
@@ -207,14 +211,19 @@ impl RequestManager {
             .waiters(&(Arc::from(source), Arc::from(sql)))
     }
 
-    fn resolve_identity(&self, request: &ClientRequest) -> DbcResult<Identity> {
+    /// The identity the request runs as, borrowed when it carries one.
+    fn resolve_identity<'r>(&self, request: &'r ClientRequest) -> DbcResult<Cow<'r, Identity>> {
         if let Some(token) = request.token {
             return self
                 .sessions
                 .resolve(token, self.clock.now_millis())
+                .map(Cow::Owned)
                 .ok_or_else(|| SqlError::Security("invalid or expired session".into()));
         }
-        Ok(request.identity.clone().unwrap_or_else(Identity::anonymous))
+        Ok(match &request.identity {
+            Some(identity) => Cow::Borrowed(identity),
+            None => Cow::Owned(Identity::anonymous()),
+        })
     }
 
     /// Handle one client request (the Fig 3 entry point). The whole
@@ -378,12 +387,7 @@ impl RequestManager {
                             Some(span.trace_id()),
                         );
                         let elapsed = self.clock.now_millis().saturating_sub(src_started);
-                        append(
-                            &mut consolidated,
-                            (*hit.rows).clone(),
-                            &mut extra_warnings,
-                            source,
-                        );
+                        append(&mut consolidated, &hit.rows, &mut extra_warnings, source);
                         return Ok(SourceOutcome::success(
                             source,
                             OutcomeStatus::Cached,
@@ -398,9 +402,16 @@ impl RequestManager {
                     Err(e) => return failure(OutcomeStatus::Error, 0, &e.to_string(), e),
                 };
                 // One copy of the source text serves the span and the
-                // flight key; the SQL text is the request's own.
+                // flight key, and the connection manager's key when the
+                // source is spelled canonically; the SQL text is the
+                // request's own.
                 let source_text: Arc<str> = Arc::from(source.as_str());
                 span.source(&source_text);
+                let key = if url.is_canonical_text(source) {
+                    Arc::clone(&source_text)
+                } else {
+                    Arc::from(url.to_string())
+                };
                 // Single-flight: identical concurrent fetches share one
                 // driver execution and one cache fill. The first caller in
                 // (the leader) runs the closure; overlapping identical
@@ -408,7 +419,9 @@ impl RequestManager {
                 let flight = (source_text, Arc::clone(request.sql_shared()));
                 let (result, coalesced) = self.singleflight.execute(flight, || {
                     self.stats.realtime_fetches.inc();
-                    self.connections.execute_traced(&url, sql, Some(&mut *span))
+                    (self.connections)
+                        .execute_traced(&url, &key, sql, Some(&mut *span))
+                        .map(Arc::new)
                 });
                 if coalesced {
                     self.stats.coalesced_hits.inc();
@@ -422,20 +435,20 @@ impl RequestManager {
                 // A coalesced follower skips this: the leader already filled
                 // the cache, recorded history and scanned alerts for this
                 // result — repeating any of it would double-count one
-                // physical fetch.
+                // physical fetch. All three share the fetch's rows; only
+                // the reply copies them.
                 if !coalesced {
-                    let shared = Arc::new(rows.clone());
-                    self.cache.store(source, sql, Arc::clone(&shared), now);
+                    self.cache.store(source, sql, Arc::clone(&rows), now);
                     if self.record_history.load(Ordering::Relaxed) {
                         // Queued, not written: see `history`'s module doc.
-                        self.history.record_rows(source, group, shared, now as i64);
+                        (self.history).record_rows(source, group, Arc::clone(&rows), now as i64);
                     }
                     // Threshold alerts over fresh data (Fig 9).
                     for event in self.alerts.scan(source, group, &rows, now as i64) {
                         self.events.ingest(event);
                     }
                 }
-                append(&mut consolidated, rows, &mut extra_warnings, source);
+                append(&mut consolidated, &rows, &mut extra_warnings, source);
                 let status = if coalesced {
                     OutcomeStatus::Coalesced
                 } else {
@@ -493,19 +506,20 @@ impl RequestManager {
     }
 }
 
-/// Consolidate result sets from multiple sources (§3.1.1). Shape
-/// mismatches (a driver translating differently) become warnings rather
-/// than hard failures.
+/// Consolidate result sets from multiple sources (§3.1.1) into the
+/// reply's own copy: the rows stay shared with the cache and history.
+/// Shape mismatches (a driver translating differently) become warnings
+/// rather than hard failures.
 fn append(
     consolidated: &mut Option<RowSet>,
-    rows: RowSet,
+    rows: &RowSet,
     warnings: &mut Vec<String>,
     source: &str,
 ) {
     match consolidated {
-        None => *consolidated = Some(rows),
+        None => *consolidated = Some(rows.clone()),
         Some(acc) => {
-            if let Err(e) = acc.append(rows) {
+            if let Err(e) = acc.append_from(rows) {
                 warnings.push(format!("{source}: result shape mismatch: {e}"));
             }
         }

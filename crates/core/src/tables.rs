@@ -402,7 +402,7 @@ struct Scan<'s> {
 
 impl<'s> Scan<'s> {
     fn new(decl: &VirtualTable, sel: &'s SelectStatement, now: i64) -> Scan<'s> {
-        let needed = sel.required_columns();
+        let needed = sel.required_column_names();
         let (cells, columns): (Vec<usize>, Vec<ColumnDef>) = decl
             .columns
             .iter()

@@ -40,7 +40,8 @@ impl SelectionStats {
 /// while query-path lookups take read locks and clone `Arc`s out.
 #[derive(Default)]
 pub struct DriverManager {
-    drivers: RwLock<Vec<Arc<dyn Driver>>>,
+    /// Each driver under the name it registered with, read once.
+    drivers: RwLock<Vec<(String, Arc<dyn Driver>)>>,
     stats: SelectionStats,
 }
 
@@ -58,10 +59,10 @@ impl DriverManager {
     pub fn register(&self, driver: Arc<dyn Driver>) {
         let name = driver.name();
         let mut drivers = self.drivers.write();
-        if let Some(existing) = drivers.iter_mut().find(|d| d.name() == name) {
-            *existing = driver;
+        if let Some(existing) = drivers.iter_mut().find(|(n, _)| *n == name) {
+            existing.1 = driver;
         } else {
-            drivers.push(driver);
+            drivers.push((name, driver));
         }
     }
 
@@ -69,18 +70,18 @@ impl DriverManager {
     pub fn unregister(&self, name: &str) -> bool {
         let mut drivers = self.drivers.write();
         let before = drivers.len();
-        drivers.retain(|d| d.name() != name);
+        drivers.retain(|(n, _)| n != name);
         drivers.len() != before
     }
 
     /// All registered drivers, in registration (priority) order.
     pub fn drivers(&self) -> Vec<Arc<dyn Driver>> {
-        self.drivers.read().clone()
+        self.drivers.read().iter().map(|(_, d)| d.clone()).collect()
     }
 
     /// Metadata of all registered drivers.
     pub fn driver_metas(&self) -> Vec<DriverMetaData> {
-        self.drivers.read().iter().map(|d| d.meta()).collect()
+        self.drivers.read().iter().map(|(_, d)| d.meta()).collect()
     }
 
     /// Look up a driver by registered name.
@@ -88,8 +89,8 @@ impl DriverManager {
         self.drivers
             .read()
             .iter()
-            .find(|d| d.name() == name)
-            .cloned()
+            .find(|(n, _)| n == name)
+            .map(|(_, d)| d.clone())
     }
 
     /// Number of registered drivers.
@@ -106,7 +107,7 @@ impl DriverManager {
     /// iterate registered drivers, return the first whose `accepts_url`
     /// says it "supports the URL AND can connect to the data source".
     pub fn locate(&self, url: &JdbcUrl) -> DbcResult<Arc<dyn Driver>> {
-        let drivers = self.drivers.read().clone();
+        let drivers = self.drivers();
         self.stats.scans.fetch_add(1, Ordering::Relaxed);
         for d in &drivers {
             self.stats.probes.fetch_add(1, Ordering::Relaxed);

@@ -97,6 +97,11 @@ impl ResultSetMetaData {
     pub fn columns(&self) -> &[ColumnMeta] {
         &self.columns
     }
+
+    /// All columns, moved out.
+    pub fn into_columns(self) -> Vec<ColumnMeta> {
+        self.columns
+    }
 }
 
 /// Cursor-style access to a query result (the `java.sql.ResultSet` role).
@@ -237,6 +242,13 @@ pub trait ResultSet: Send {
         Ok(())
     }
 
+    /// The rows from the cursor on, as a [`RowSet`]. The default drains
+    /// the cursor as [`RowSet::materialize`] does; a `RowSet` whose
+    /// cursor has not moved hands itself over without a copy.
+    fn into_rowset(mut self: Box<Self>) -> DbcResult<RowSet> {
+        drain(&mut *self)
+    }
+
     // ---- helpers --------------------------------------------------------
 
     /// Human-readable label for error messages.
@@ -279,13 +291,6 @@ impl RowSet {
         })
     }
 
-    /// The same rows under new column metadata (a driver decorating an
-    /// engine's answer with units), without copying them. `meta` must
-    /// describe as many columns as the rows have.
-    pub fn with_meta(self, meta: ResultSetMetaData) -> DbcResult<RowSet> {
-        RowSet::new(meta, self.rows)
-    }
-
     /// Empty result with the given columns.
     pub fn empty(meta: ResultSetMetaData) -> RowSet {
         RowSet {
@@ -296,14 +301,15 @@ impl RowSet {
         }
     }
 
-    /// Drain any [`ResultSet`] into a materialised `RowSet`.
+    /// Drain any [`ResultSet`] into a materialised `RowSet`, copying
+    /// every row from the cursor on.
     pub fn materialize(rs: &mut dyn ResultSet) -> DbcResult<RowSet> {
-        let meta = rs.metadata().clone();
-        let mut rows = Vec::new();
-        while rs.advance()? {
-            rows.push(rs.row_values()?);
-        }
-        RowSet::new(meta, rows)
+        drain(rs)
+    }
+
+    /// The metadata and the rows, moved out.
+    pub fn into_parts(self) -> (ResultSetMetaData, Vec<Vec<SqlValue>>) {
+        (self.meta, self.rows)
     }
 
     /// Direct access to the rows (no cursor).
@@ -329,14 +335,16 @@ impl RowSet {
     /// Append another result set with identical column names; used by the
     /// RequestManager to consolidate multi-source queries (§3.1.1).
     pub fn append(&mut self, other: RowSet) -> DbcResult<()> {
-        if other.meta.column_count() != self.meta.column_count() {
-            return Err(SqlError::Driver(format!(
-                "cannot consolidate: {} vs {} columns",
-                other.meta.column_count(),
-                self.meta.column_count()
-            )));
-        }
+        check_consolidable(&self.meta, &other.meta)?;
         self.rows.extend(other.rows);
+        Ok(())
+    }
+
+    /// [`RowSet::append`] of a copy of `other`'s rows, leaving `other`
+    /// as it is.
+    pub fn append_from(&mut self, other: &RowSet) -> DbcResult<()> {
+        check_consolidable(&self.meta, &other.meta)?;
+        self.rows.extend_from_slice(&other.rows);
         Ok(())
     }
 
@@ -375,6 +383,28 @@ impl RowSet {
         }
         out
     }
+}
+
+/// Rows under `other` may join rows under `meta`: as many columns.
+fn check_consolidable(meta: &ResultSetMetaData, other: &ResultSetMetaData) -> DbcResult<()> {
+    if other.column_count() != meta.column_count() {
+        return Err(SqlError::Driver(format!(
+            "cannot consolidate: {} vs {} columns",
+            other.column_count(),
+            meta.column_count()
+        )));
+    }
+    Ok(())
+}
+
+/// Copy the rows of `rs` from its cursor on, with its metadata.
+fn drain<R: ResultSet + ?Sized>(rs: &mut R) -> DbcResult<RowSet> {
+    let meta = rs.metadata().clone();
+    let mut rows = Vec::new();
+    while rs.advance()? {
+        rows.push(rs.row_values()?);
+    }
+    RowSet::new(meta, rows)
 }
 
 impl ResultSet for RowSet {
@@ -431,6 +461,13 @@ impl ResultSet for RowSet {
             .ok_or(SqlError::CursorOutOfRange)?;
         *cell = value;
         Ok(())
+    }
+
+    fn into_rowset(mut self: Box<Self>) -> DbcResult<RowSet> {
+        if self.cursor.is_none() && !self.exhausted {
+            return Ok(*self);
+        }
+        drain(&mut *self)
     }
 }
 
@@ -509,17 +546,9 @@ mod tests {
             vec![vec![SqlValue::Int(1), SqlValue::Int(2)]],
         );
         assert!(bad.is_err());
-        // ... and when rows move under new metadata.
-        let narrower = ResultSetMetaData::from_pairs(&[("a", SqlType::Int)]);
-        assert!(sample().with_meta(narrower).is_err());
-        let renamed = ResultSetMetaData::from_pairs(&[
-            ("h", SqlType::Str),
-            ("l", SqlType::Float),
-            ("n", SqlType::Int),
-        ]);
-        let moved = sample().with_meta(renamed).unwrap();
-        assert_eq!(moved.rows(), sample().rows());
-        assert_eq!(moved.meta().column_name(0), Ok("h"));
+        // ... and the parts moved out build the same set again.
+        let (meta, rows) = sample().into_parts();
+        assert_eq!(RowSet::new(meta, rows).unwrap(), sample());
     }
 
     #[test]
@@ -528,6 +557,12 @@ mod tests {
         let copy = RowSet::materialize(&mut src).unwrap();
         assert_eq!(copy.len(), 2);
         assert_eq!(copy.rows()[1][2], SqlValue::Int(8));
+    }
+
+    #[test]
+    fn an_unread_rowset_hands_itself_over() {
+        let boxed: Box<dyn ResultSet> = Box::new(sample());
+        assert_eq!(boxed.into_rowset().unwrap(), sample());
     }
 
     #[test]
@@ -542,7 +577,19 @@ mod tests {
     fn append_rejects_mismatched_shapes() {
         let mut a = sample();
         let b = RowSet::empty(ResultSetMetaData::from_pairs(&[("x", SqlType::Int)]));
+        assert!(a.append_from(&b).is_err());
         assert!(a.append(b).is_err());
+        assert_eq!(a, sample());
+    }
+
+    #[test]
+    fn append_from_copies_the_rows_and_keeps_the_source() {
+        let mut a = sample();
+        let b = sample();
+        a.append_from(&b).unwrap();
+        assert_eq!(a.len(), 4);
+        assert_eq!(&a.rows()[2..], b.rows());
+        assert_eq!(b, sample());
     }
 
     #[test]

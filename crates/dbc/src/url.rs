@@ -119,6 +119,21 @@ impl JdbcUrl {
         self.to_string()
     }
 
+    /// True when `text` is exactly [`JdbcUrl::canonical`], checked
+    /// without rendering it.
+    pub fn is_canonical_text(&self, text: &str) -> bool {
+        /// What is left of `text` after each piece written matched it.
+        struct Rest<'a>(&'a str);
+        impl fmt::Write for Rest<'_> {
+            fn write_str(&mut self, piece: &str) -> fmt::Result {
+                self.0 = self.0.strip_prefix(piece).ok_or(fmt::Error)?;
+                Ok(())
+            }
+        }
+        let mut rest = Rest(text);
+        fmt::write(&mut rest, format_args!("{self}")).is_ok() && rest.0.is_empty()
+    }
+
     /// Fetch a query parameter.
     pub fn param(&self, key: &str) -> Option<&str> {
         self.params.get(key).map(String::as_str)
@@ -203,6 +218,18 @@ mod tests {
         assert!(JdbcUrl::parse("jdbc:snmp:///x").is_err()); // empty host
         assert!(JdbcUrl::parse("jdbc:snmp://h:99999/x").is_err()); // bad port
         assert!(JdbcUrl::parse("jdbc:s p://h/x").is_err()); // bad proto
+    }
+
+    #[test]
+    fn canonical_text_is_checked_without_rendering() {
+        let u = JdbcUrl::parse("jdbc:snmp://node01/public?b=2&a=1").unwrap();
+        assert!(u.is_canonical_text("jdbc:snmp://node01/public?a=1&b=2"));
+        // The text it was parsed from orders its parameters differently.
+        assert!(!u.is_canonical_text("jdbc:snmp://node01/public?b=2&a=1"));
+        let bare = JdbcUrl::parse("jdbc:scms://head-node").unwrap();
+        assert!(!bare.is_canonical_text("jdbc:scms://head-node"));
+        assert!(bare.is_canonical_text("jdbc:scms://head-node/"));
+        assert!(!bare.is_canonical_text("jdbc:scms://head-node/x"));
     }
 
     #[test]

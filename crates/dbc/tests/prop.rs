@@ -1,5 +1,5 @@
-//! Property tests for the connectivity layer: URL round-trips and the
-//! RowSet cursor laws.
+//! Property tests for the connectivity layer: URL round-trips, the
+//! RowSet cursor laws and the result hand-off.
 
 use gridrm_dbc::{ColumnMeta, JdbcUrl, ResultSet, ResultSetMetaData, RowSet};
 use gridrm_sqlparse::{SqlType, SqlValue};
@@ -41,6 +41,9 @@ proptest! {
             url = url.with_param(k, v);
         }
         let printed = url.to_string();
+        prop_assert!(url.is_canonical_text(&printed));
+        prop_assert!(!url.is_canonical_text(&printed[..printed.len() - 1]));
+        prop_assert!(!url.is_canonical_text(&format!("{printed}&")));
         let back = JdbcUrl::parse(&printed).unwrap();
         prop_assert_eq!(back, url);
     }
@@ -102,4 +105,41 @@ proptest! {
         original.before_first().unwrap();
         prop_assert_eq!(copy.rows(), original.rows());
     }
+
+    /// Handing a RowSet over, wherever its cursor stands, gives what
+    /// materialising it there would: itself when the cursor has not
+    /// moved, the rows after the cursor when it has.
+    #[test]
+    fn into_rowset_hands_over_what_materialize_would(
+        rows in prop::collection::vec(prop::collection::vec(arb_value(), 2..=2), 0..10),
+        advanced in 0usize..12,
+    ) {
+        let meta = ResultSetMetaData::from_pairs(&[("x", SqlType::Null), ("y", SqlType::Null)]);
+        let mut rs = RowSet::new(meta, rows).unwrap();
+        for _ in 0..advanced {
+            rs.advance().unwrap();
+        }
+        let expected = RowSet::materialize(&mut rs.clone()).unwrap();
+        let handed = (Box::new(rs) as Box<dyn ResultSet>).into_rowset().unwrap();
+        prop_assert_eq!(handed.meta(), expected.meta());
+        prop_assert_eq!(handed.rows(), expected.rows());
+    }
+}
+
+/// A set advanced past its first row hands over only the rows after
+/// the cursor, exactly as `materialize` copies them.
+#[test]
+fn a_rowset_advanced_past_row_one_hands_over_what_materialize_would() {
+    let rows: Vec<Vec<SqlValue>> = (0..3)
+        .map(|i| vec![SqlValue::Int(i), SqlValue::Str(format!("r{i}"))])
+        .collect();
+    let meta = ResultSetMetaData::from_pairs(&[("i", SqlType::Int), ("s", SqlType::Str)]);
+    let mut rs = RowSet::new(meta, rows).unwrap();
+    rs.advance().unwrap();
+    rs.advance().unwrap();
+    let expected = RowSet::materialize(&mut rs.clone()).unwrap();
+    assert_eq!(expected.rows(), &[vec![SqlValue::Int(2), "r2".into()]]);
+    let handed = (Box::new(rs) as Box<dyn ResultSet>).into_rowset().unwrap();
+    assert_eq!(handed.rows(), expected.rows());
+    assert_eq!(handed.meta(), expected.meta());
 }

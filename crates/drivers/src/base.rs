@@ -11,14 +11,14 @@
 //! optional JDBC methods.
 
 use gridrm_dbc::{
-    ColumnMeta, Connection, ConnectionMetadata, DbcResult, Driver, DriverMetaData, JdbcUrl,
-    Properties, ResultSet, ResultSetMetaData, RowSet, SqlError, Statement,
+    Connection, ConnectionMetadata, DbcResult, Driver, DriverMetaData, JdbcUrl, Properties,
+    ResultSet, RowSet, SqlError, Statement,
 };
 use gridrm_glue::{DriverMapping, GroupDef, NativeRow, SchemaHandle, SchemaManager, Translator};
 use gridrm_simnet::{Network, SimClock};
-use gridrm_sqlparse::ast::{self, ColumnDef, SelectStatement};
-use gridrm_sqlparse::{ParseMemo, SqlValue};
-use gridrm_store::{Store, Table};
+use gridrm_sqlparse::ast::{self, SelectStatement};
+use gridrm_sqlparse::{ParseMemo, SqlType, SqlValue};
+use gridrm_store::{Relation, Store};
 use gridrm_telemetry::Stage;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -113,8 +113,11 @@ impl DriverEnv {
     /// Send a native request to `"{host}:{proto}"` over the network,
     /// mapping network failures to [`SqlError::Connection`].
     pub fn native_request(&self, host: &str, proto: &str, payload: &[u8]) -> DbcResult<Vec<u8>> {
+        // Spelled at its exact length: one allocation, where `format!`
+        // grows its buffer twice.
+        let agent = [host, ":", proto].concat();
         self.network
-            .request(&self.source_addr, &format!("{host}:{proto}"), payload)
+            .request(&self.source_addr, &agent, payload)
             .map_err(|e| SqlError::Connection(e.to_string()))
     }
 }
@@ -270,7 +273,7 @@ pub trait Source: Send + Sync + 'static {
             })?;
         let native_rows = self.fetch(at, group, mapping, sel)?;
         let rows = glue_translate(&Translator::new(schema), &group.name, &native_rows)?;
-        finish_select(group, rows, sel, at.env.clock.now_ts())
+        finish_select(group, &rows, sel, at.env.clock.now_ts())
     }
 
     /// Execute DDL/DML. Agent data sources are read-only.
@@ -456,7 +459,7 @@ pub fn needed_keys(
     mapping: &DriverMapping,
     sel: &SelectStatement,
 ) -> Vec<String> {
-    let needed: Vec<&str> = match sel.required_columns() {
+    let needed: Vec<&str> = match sel.required_column_names() {
         Some(cols) => group
             .attributes
             .iter()
@@ -479,7 +482,7 @@ pub fn glue_translate(
     group: &str,
     native_rows: &[NativeRow],
 ) -> DbcResult<Vec<Vec<SqlValue>>> {
-    let span = gridrm_telemetry::active::child_span(|| format!("glue {group}"));
+    let span = gridrm_telemetry::active::child_span(|| ["glue ", group].concat());
     let result = translator
         .translate_all(group, native_rows)
         .ok_or_else(|| SqlError::Driver("group vanished from schema".into()));
@@ -508,49 +511,48 @@ pub fn glue_translate(
     result.map(|(rows, _nulls)| rows)
 }
 
-/// Assemble the final result set from GLUE-translated rows: builds a
-/// transient table over the group's attributes and runs the full SELECT
-/// semantics (`WHERE`, projection, `ORDER BY`, `LIMIT`, aggregates) via the
-/// store's query engine. Column metadata carries the GLUE units.
+/// A GLUE group's attributes over rows translated for it, read in place
+/// by the store's query engine.
+struct GroupRows<'a> {
+    group: &'a GroupDef,
+    rows: &'a [Vec<SqlValue>],
+}
+
+impl Relation for GroupRows<'_> {
+    fn name(&self) -> &str {
+        &self.group.name
+    }
+    fn column_count(&self) -> usize {
+        self.group.attributes.len()
+    }
+    fn column_name(&self, i: usize) -> &str {
+        self.group.attributes.get(i).map_or("", |a| &a.name)
+    }
+    fn column_type(&self, i: usize) -> SqlType {
+        self.group.attributes.get(i).map_or(SqlType::Null, |a| a.ty)
+    }
+    fn column_unit(&self, i: usize) -> Option<&str> {
+        self.group.attributes.get(i)?.unit.as_deref()
+    }
+    fn rows(&self) -> &[Vec<SqlValue>] {
+        self.rows
+    }
+}
+
+/// Assemble the final result set from GLUE-translated rows: runs the
+/// full SELECT semantics (`WHERE`, projection, `ORDER BY`, `LIMIT`,
+/// aggregates) over the group's attributes via the store's query
+/// engine. A result column that is a plain attribute reference, under
+/// any alias, carries that attribute's GLUE unit; any other expression
+/// carries none.
 pub fn finish_select(
     group: &GroupDef,
-    rows: Vec<Vec<SqlValue>>,
+    rows: &[Vec<SqlValue>],
     sel: &SelectStatement,
     now: i64,
 ) -> DbcResult<RowSet> {
-    let columns: Vec<ColumnDef> = group
-        .attributes
-        .iter()
-        .map(|a| ColumnDef {
-            name: a.name.clone(),
-            ty: a.ty,
-            primary_key: false,
-        })
-        .collect();
-    let table = Table {
-        name: group.name.clone(),
-        columns,
-        rows,
-    };
-    let rs = gridrm_store::select_in_memory(&table, sel, now)
-        .map_err(|e| SqlError::Driver(e.to_string()))?;
-    // Re-decorate metadata with GLUE units where columns are plain attrs.
-    let meta = ResultSetMetaData::new(
-        rs.meta()
-            .columns()
-            .iter()
-            .map(|c| {
-                let mut cm = ColumnMeta::new(c.name.clone(), c.ty).with_table(group.name.clone());
-                if let Some(attr) = group.attribute(&c.name) {
-                    if let Some(u) = &attr.unit {
-                        cm = cm.with_unit(u.clone());
-                    }
-                }
-                cm
-            })
-            .collect(),
-    );
-    rs.with_meta(meta)
+    gridrm_store::select_in_memory(&GroupRows { group, rows }, sel, now)
+        .map_err(|e| SqlError::Driver(e.to_string()))
 }
 
 /// Convert an SNMP-style text number into an [`SqlValue`] guess (used by
@@ -619,7 +621,7 @@ mod tests {
         let rs = with_select(
             &ParseMemo::default(),
             "SELECT Hostname FROM Processor WHERE Load1 > 1.0 ORDER BY Load1 DESC",
-            |sel| finish_select(group, rows, sel, 0),
+            |sel| finish_select(group, &rows, sel, 0),
         )
         .unwrap();
         assert_eq!(rs.len(), 2);
@@ -634,7 +636,7 @@ mod tests {
         let rs = with_select(
             &ParseMemo::default(),
             "SELECT RAMSizeMB FROM MainMemory",
-            |sel| finish_select(group, Vec::new(), sel, 0),
+            |sel| finish_select(group, &[], sel, 0),
         )
         .unwrap();
         assert_eq!(rs.meta().column(0).unwrap().unit.as_deref(), Some("MB"));

@@ -82,7 +82,7 @@ impl Source for Nws {
     ) -> DbcResult<Vec<NativeRow>> {
         // Does the query need forecasts at all? (Avoid the expensive
         // FORECAST call when only raw measurements are selected.)
-        let needs_forecast = match sel.required_columns() {
+        let needs_forecast = match sel.required_column_names() {
             Some(cols) => cols
                 .iter()
                 .any(|c| c.to_ascii_lowercase().contains("forecast")),

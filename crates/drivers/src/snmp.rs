@@ -413,6 +413,26 @@ mod tests {
     }
 
     #[test]
+    fn units_follow_the_column_not_the_output_name() {
+        let (_env, driver) = setup();
+        let rs = query(
+            &driver,
+            "jdbc:snmp://node00.s/public",
+            "SELECT RAMSizeMB / 1024 AS RAMSizeMB, RAMSizeMB AS ram, RAMSizeMB FROM MainMemory",
+        );
+        let unit = |i| rs.meta().column(i).unwrap().unit.as_deref();
+        // An expression carries no unit, even under an attribute's name;
+        // a plain attribute reference carries its unit under any alias.
+        assert_eq!(unit(0), None);
+        assert_eq!(unit(1), Some("MB"));
+        assert_eq!(unit(2), Some("MB"));
+        let row = &rs.rows()[0];
+        let mb = row[2].as_i64().unwrap();
+        assert_eq!(row[0], SqlValue::Int(mb / 1024));
+        assert_eq!(row[1], SqlValue::Int(mb));
+    }
+
+    #[test]
     fn where_clause_pushapplied() {
         let (_env, driver) = setup();
         let rs = query(

@@ -1,8 +1,10 @@
 //! Allocation guards for the drivers. The JDBC-SNMP one runs one warm
 //! `Processor` point query over a connection that is already open — the
-//! benchmark's `realtime_snmp` statement as the pool runs it — through
-//! the real driver kit, the SNMP codec, the simulated network and the
-//! agent. The gmond ones scan and parse the benchmark's 32-host
+//! benchmark's `realtime_snmp` statement as the pool runs it, its result
+//! handed over rather than copied — through the real driver kit, the
+//! SNMP codec, the simulated network and the agent. The hand-off one
+//! checks that handing over a driver's `RowSet` copies nothing. The
+//! gmond ones scan and parse the benchmark's 32-host
 //! `coarse_scan` dump. The telemetry one runs the benchmark's
 //! `mixed_churn` cost query over a short and a full cost ledger. The
 //! counts do not depend on the host, so an OID parsed from or printed
@@ -14,7 +16,7 @@
 use gridrm_agents::deploy_site;
 use gridrm_agents::ganglia::GangliaAgent;
 use gridrm_core::{Gateway, GatewayConfig};
-use gridrm_dbc::{Driver, JdbcUrl, Properties, RowSet};
+use gridrm_dbc::{Driver, JdbcUrl, Properties, ResultSet, ResultSetMetaData, RowSet};
 use gridrm_drivers::base::DriverEnv;
 use gridrm_drivers::ganglia::parse_dump;
 use gridrm_drivers::snmp::SnmpDriver;
@@ -23,7 +25,7 @@ use gridrm_drivers::xml::{Tag, Tags};
 use gridrm_glue::SchemaManager;
 use gridrm_resmodel::{SiteModel, SiteSpec};
 use gridrm_simnet::{Network, SimClock};
-use gridrm_sqlparse::SqlValue;
+use gridrm_sqlparse::{SqlType, SqlValue};
 use gridrm_telemetry::CostVector;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -77,10 +79,10 @@ fn a_warm_point_query_allocates_for_one_fine_grained_exchange() {
     let mut conn = driver.connect(&url, &Properties::new()).unwrap();
     let mut stmt = conn.create_statement().unwrap();
     let mut run = || {
-        let mut rs = stmt
+        let rs = stmt
             .execute_query("SELECT Hostname, NCpu, Load1 FROM Processor")
             .unwrap();
-        RowSet::materialize(rs.as_mut()).unwrap()
+        rs.into_rowset().unwrap()
     };
     // The first query parses the three native keys' OIDs and builds the
     // agent's object table; every later one finds both in place.
@@ -90,9 +92,23 @@ fn a_warm_point_query_allocates_for_one_fine_grained_exchange() {
     assert_eq!(rows.rows(), warm.rows());
     assert_eq!(rows.rows()[0][0], SqlValue::Str("node03.serve".into()));
     assert_eq!(driver.stats().snapshot().1, 3, "connect probe + 2 GETs");
-    // Measured 142 (328 at the parent commit, with this file), of which
-    // the agent's answer is 40 (`crates/agents/tests/alloc_guard.rs`).
-    assert!(allocations <= 150, "query: {allocations}");
+    // Measured 85 (142 at the parent commit, which copied the result
+    // and rebuilt its column metadata), of which the agent's answer is
+    // 40 (`crates/agents/tests/alloc_guard.rs`).
+    assert!(allocations <= 85, "query: {allocations}");
+}
+
+#[test]
+fn handing_over_a_driver_rowset_allocates_nothing() {
+    let meta =
+        ResultSetMetaData::from_pairs(&[("Hostname", SqlType::Str), ("Load1", SqlType::Float)]);
+    let rows = (0..32)
+        .map(|i| vec![SqlValue::Str(format!("node{i:02}")), SqlValue::Float(0.5)])
+        .collect();
+    let rs: Box<dyn ResultSet> = Box::new(RowSet::new(meta, rows).unwrap());
+    let (rows, allocations) = allocations_of(|| rs.into_rowset().unwrap());
+    assert_eq!(rows.len(), 32);
+    assert_eq!(allocations, 0);
 }
 
 /// The gmond dump of a 32-host site, as `coarse_scan` fetches it.

@@ -407,7 +407,7 @@ impl GlobalLayer {
                             .now_millis()
                             .saturating_sub(started_ms);
                         GlobalResponse::Rows {
-                            rows: WireRows::from_rowset(&resp.rows),
+                            rows: WireRows::from_owned(resp.rows),
                             warnings: resp.warnings,
                             served_from_cache: resp.served_from_cache,
                             spans,

@@ -67,6 +67,18 @@ impl WireRows {
         }
     }
 
+    /// Capture a [`RowSet`] the caller is done with: its names, units
+    /// and cells move rather than copy.
+    pub fn from_owned(rs: RowSet) -> WireRows {
+        let (meta, rows) = rs.into_parts();
+        WireRows {
+            columns: (meta.into_columns().into_iter())
+                .map(|c| (c.name, c.ty, c.unit))
+                .collect(),
+            rows,
+        }
+    }
+
     /// Rebuild a [`RowSet`].
     pub fn to_rowset(&self) -> DbcResult<RowSet> {
         let meta = ResultSetMetaData::new(

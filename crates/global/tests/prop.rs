@@ -200,6 +200,8 @@ proptest! {
         let rs = RowSet::new(meta, rows).unwrap();
         let wire = WireRows::from_rowset(&rs);
         let bytes = encode(&wire);
+        // Moving a result into wire form writes what copying it does.
+        prop_assert_eq!(&encode(&WireRows::from_owned(rs.clone())), &bytes);
         let back: WireRows = decode(&bytes).unwrap();
         let restored = back.to_rowset().unwrap();
         prop_assert_eq!(restored.rows(), rs.rows());

@@ -2,6 +2,7 @@
 //! SQL printer (`Display`) used when forwarding queries to remote gateways.
 
 use crate::value::{SqlType, SqlValue};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Binary operators.
@@ -179,13 +180,12 @@ pub struct SelectItem {
 impl SelectItem {
     /// The output column name: the alias if given, otherwise the column
     /// name for plain column references, otherwise the printed expression.
-    pub fn output_name(&self) -> String {
-        if let Some(a) = &self.alias {
-            return a.clone();
-        }
-        match &self.expr {
-            Expr::Column { name, .. } => name.clone(),
-            other => other.to_string(),
+    /// Borrowed from the item unless it is a printed expression.
+    pub fn output_name(&self) -> Cow<'_, str> {
+        match (&self.alias, &self.expr) {
+            (Some(alias), _) => Cow::Borrowed(alias),
+            (None, Expr::Column { name, .. }) => Cow::Borrowed(name),
+            (None, other) => Cow::Owned(other.to_string()),
         }
     }
 }
@@ -261,6 +261,13 @@ impl SelectStatement {
     /// Column names needed to answer this query: projection plus predicate
     /// plus sort keys. Returns `None` when the projection is `*` (all).
     pub fn required_columns(&self) -> Option<Vec<String>> {
+        let cols = self.required_column_names()?;
+        Some(cols.into_iter().map(str::to_owned).collect())
+    }
+
+    /// [`SelectStatement::required_columns`], borrowed from the
+    /// statement: sorted, without duplicates.
+    pub fn required_column_names(&self) -> Option<Vec<&str>> {
         let items = match &self.projection {
             Projection::Star => return None,
             Projection::Items(items) => items,
@@ -278,10 +285,9 @@ impl SelectStatement {
         for ob in &self.order_by {
             ob.expr.collect_columns(&mut cols);
         }
-        let mut owned: Vec<String> = cols.into_iter().map(str::to_owned).collect();
-        owned.sort();
-        owned.dedup();
-        Some(owned)
+        cols.sort_unstable();
+        cols.dedup();
+        Some(cols)
     }
 
     /// The string literal a top-level `column = '…'` conjunct of the

@@ -1,10 +1,15 @@
 //! Statement execution against a [`crate::Database`].
 
-use crate::table::{StoreError, Table};
+use crate::table::{Relation, StoreError, Table};
 use gridrm_dbc::{ColumnMeta, ResultSetMetaData, RowSet};
 use gridrm_sqlparse::ast::{Expr, Projection, SelectStatement, Statement};
 use gridrm_sqlparse::eval::is_aggregate;
 use gridrm_sqlparse::{EvalContext, Evaluator, SqlType, SqlValue};
+use std::borrow::Cow;
+
+/// One output column: the expression it evaluates and its name, both
+/// borrowed from the statement where it spells them.
+type Item<'a> = (Cow<'a, Expr>, Cow<'a, str>);
 
 /// The result of executing a statement.
 #[derive(Debug)]
@@ -38,12 +43,14 @@ impl ExecOutcome {
 /// Run a `SELECT` over an ad-hoc in-memory table.
 ///
 /// This is the query-execution engine the data-source drivers reuse: after
-/// translating native agent data into GLUE rows, a driver builds a
-/// transient [`Table`] (columns = the GLUE group's attributes) and lets
-/// this function apply `WHERE`/projection/`ORDER BY`/`LIMIT`/aggregates —
-/// so every driver supports full SELECT semantics for free.
+/// translating native agent data into GLUE rows, a driver reads them as a
+/// [`Relation`] over the GLUE group's attributes and lets this function
+/// apply `WHERE`/projection/`ORDER BY`/`LIMIT`/aggregates — so every
+/// driver supports full SELECT semantics for free. A result column that
+/// is a plain column reference, under any alias, carries that column's
+/// type and unit; any other expression carries no unit.
 pub fn select_in_memory(
-    table: &Table,
+    table: &dyn Relation,
     sel: &SelectStatement,
     now: i64,
 ) -> Result<RowSet, StoreError> {
@@ -52,7 +59,7 @@ pub fn select_in_memory(
 
 /// Row context over a table's columns.
 struct RowCtx<'a> {
-    table: &'a Table,
+    table: &'a dyn Relation,
     row: &'a [SqlValue],
     now: i64,
 }
@@ -68,7 +75,7 @@ impl EvalContext for RowCtx<'_> {
 
 /// Execute a SELECT against one table.
 pub(crate) fn execute_select(
-    table: &Table,
+    table: &dyn Relation,
     sel: &SelectStatement,
     now: i64,
 ) -> Result<RowSet, StoreError> {
@@ -76,7 +83,7 @@ pub(crate) fn execute_select(
 
     // 1. filter
     let mut matching: Vec<&Vec<SqlValue>> = Vec::new();
-    for row in &table.rows {
+    for row in table.rows() {
         let ctx = RowCtx { table, row, now };
         let keep = match &sel.where_clause {
             Some(w) => ev
@@ -90,15 +97,16 @@ pub(crate) fn execute_select(
     }
 
     // 2. aggregate or project
-    let items: Vec<(Expr, String)> = match &sel.projection {
-        Projection::Star => table
-            .columns
-            .iter()
-            .map(|c| (Expr::col(c.name.clone()), c.name.clone()))
+    let items: Vec<Item<'_>> = match &sel.projection {
+        Projection::Star => (0..table.column_count())
+            .map(|i| {
+                let name = table.column_name(i);
+                (Cow::Owned(Expr::col(name)), Cow::Borrowed(name))
+            })
             .collect(),
         Projection::Items(items) => items
             .iter()
-            .map(|i| (i.expr.clone(), i.output_name()))
+            .map(|i| (Cow::Borrowed(&i.expr), i.output_name()))
             .collect(),
     };
 
@@ -116,7 +124,7 @@ pub(crate) fn execute_select(
             items
                 .iter()
                 .zip(&row)
-                .map(|((_, name), v)| ColumnMeta::new(name.clone(), v.sql_type()))
+                .map(|((_, name), v)| ColumnMeta::new(name.as_ref(), v.sql_type()))
                 .collect(),
         );
         return RowSet::new(meta, vec![row]).map_err(|e| StoreError::Query(e.to_string()));
@@ -168,12 +176,12 @@ pub(crate) fn execute_select(
 }
 
 /// Shared SELECT tail: DISTINCT, OFFSET/LIMIT, and result metadata
-/// (declared column types where the projection is a plain column,
-/// inferred from the first row otherwise).
+/// (declared column type and unit where the projection is a plain
+/// column, the type inferred from the first row and no unit otherwise).
 fn finalize_select(
-    table: &Table,
+    table: &dyn Relation,
     sel: &SelectStatement,
-    items: &[(Expr, String)],
+    items: &[Item<'_>],
     mut out_rows: Vec<Vec<SqlValue>>,
 ) -> Result<RowSet, StoreError> {
     if sel.distinct {
@@ -201,17 +209,24 @@ fn finalize_select(
             .iter()
             .enumerate()
             .map(|(i, (e, name))| {
-                let ty = match e {
-                    Expr::Column { name: c, .. } => table
-                        .column_index(c)
-                        .map(|idx| table.columns[idx].ty)
-                        .unwrap_or(SqlType::Null),
-                    _ => out_rows
-                        .first()
-                        .map(|r| r[i].sql_type())
-                        .unwrap_or(SqlType::Null),
+                let (ty, unit) = match e.as_ref() {
+                    Expr::Column { name: c, .. } => match table.column_index(c) {
+                        Some(idx) => (table.column_type(idx), table.column_unit(idx)),
+                        None => (SqlType::Null, None),
+                    },
+                    _ => (
+                        out_rows
+                            .first()
+                            .map(|r| r[i].sql_type())
+                            .unwrap_or(SqlType::Null),
+                        None,
+                    ),
                 };
-                ColumnMeta::new(name.clone(), ty).with_table(table.name.clone())
+                let column = ColumnMeta::new(name.as_ref(), ty).with_table(table.name());
+                match unit {
+                    Some(unit) => column.with_unit(unit),
+                    None => column,
+                }
             })
             .collect(),
     );
@@ -227,9 +242,9 @@ fn finalize_select(
 /// alias or by structural expression match) since the pre-aggregation
 /// rows no longer exist when sorting happens.
 fn execute_grouped(
-    table: &Table,
+    table: &dyn Relation,
     sel: &SelectStatement,
-    items: &[(Expr, String)],
+    items: &[Item<'_>],
     matching: &[&Vec<SqlValue>],
     now: i64,
 ) -> Result<RowSet, StoreError> {
@@ -313,13 +328,13 @@ fn execute_grouped(
 
 /// Match an `ORDER BY` expression to an output column of a grouped
 /// query: by alias name first, then by structural expression equality.
-fn output_sort_index(items: &[(Expr, String)], ob: &Expr) -> Option<usize> {
+fn output_sort_index(items: &[Item<'_>], ob: &Expr) -> Option<usize> {
     if let Expr::Column { name, .. } = ob {
         if let Some(i) = items.iter().position(|(_, n)| n == name) {
             return Some(i);
         }
     }
-    items.iter().position(|(e, _)| e == ob)
+    items.iter().position(|(e, _)| e.as_ref() == ob)
 }
 
 /// What a projection item computes in the TIME_BUCKET fast path.
@@ -345,9 +360,9 @@ enum FastItem {
 /// whenever the query shape (or the data: a null/mistyped timestamp)
 /// doesn't fit, falling back to the generic grouped path.
 fn time_bucket_fast_path(
-    table: &Table,
+    table: &dyn Relation,
     sel: &SelectStatement,
-    items: &[(Expr, String)],
+    items: &[Item<'_>],
     matching: &[&Vec<SqlValue>],
 ) -> Option<Vec<Vec<SqlValue>>> {
     let [group] = sel.group_by.as_slice() else {
@@ -370,15 +385,15 @@ fn time_bucket_fast_path(
         return None;
     };
     let ts_idx = table.column_index(ts_col)?;
-    let bucket_is_timestamp = table.columns[ts_idx].ty == SqlType::Timestamp;
+    let bucket_is_timestamp = table.column_type(ts_idx) == SqlType::Timestamp;
 
     let plan: Vec<FastItem> = items
         .iter()
         .map(|(e, _)| {
-            if e == group {
+            if e.as_ref() == group {
                 return Some(FastItem::Bucket);
             }
-            let Expr::Function { name, args, star } = e else {
+            let Expr::Function { name, args, star } = e.as_ref() else {
                 return None;
             };
             if *star {
@@ -555,7 +570,7 @@ fn contains_aggregate(e: &Expr) -> bool {
 }
 
 fn eval_aggregate(
-    table: &Table,
+    table: &dyn Relation,
     rows: &[&Vec<SqlValue>],
     e: &Expr,
     now: i64,

@@ -27,6 +27,6 @@ pub mod table;
 pub use database::{Database, Store};
 pub use delta::{row_fingerprint, DeltaTracker, RowDelta};
 pub use exec::{select_in_memory, ExecOutcome};
-pub use table::{StoreError, Table};
+pub use table::{Relation, StoreError, Table};
 
 pub use gridrm_dbc::RowSet;

@@ -56,6 +56,53 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+/// What the SELECT evaluator reads of a table: its name, its typed
+/// columns (with a unit where the schema names one) and its rows.
+/// [`Table`] is one; a driver's GLUE group over the rows it has just
+/// translated is another, read in place rather than copied into a
+/// `Table`.
+pub trait Relation {
+    /// Table name, reported as each result column's table.
+    fn name(&self) -> &str;
+    /// Number of columns.
+    fn column_count(&self) -> usize;
+    /// Name of column `i` (`i < column_count()`).
+    fn column_name(&self, i: usize) -> &str;
+    /// Declared type of column `i`.
+    fn column_type(&self, i: usize) -> SqlType;
+    /// Unit of column `i`, when the schema names one.
+    fn column_unit(&self, _i: usize) -> Option<&str> {
+        None
+    }
+    /// The rows, each `column_count()` cells long.
+    fn rows(&self) -> &[Vec<SqlValue>];
+    /// Index of a column by name (case-insensitive).
+    fn column_index(&self, name: &str) -> Option<usize> {
+        (0..self.column_count()).find(|&i| self.column_name(i).eq_ignore_ascii_case(name))
+    }
+}
+
+impl Relation for Table {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn column_count(&self) -> usize {
+        self.columns.len()
+    }
+    fn column_name(&self, i: usize) -> &str {
+        &self.columns[i].name
+    }
+    fn column_type(&self, i: usize) -> SqlType {
+        self.columns[i].ty
+    }
+    fn rows(&self) -> &[Vec<SqlValue>] {
+        &self.rows
+    }
+    fn column_index(&self, name: &str) -> Option<usize> {
+        Table::column_index(self, name)
+    }
+}
+
 /// One table: ordered typed columns plus row storage.
 #[derive(Debug, Clone)]
 pub struct Table {

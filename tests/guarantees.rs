@@ -292,6 +292,45 @@ proptest! {
     }
 }
 
+/// G(iv): one fetch's rows are shared by the cache, history and alert
+/// scan, and copied once into the reply. After a realtime query of two
+/// sources, each source's cached read returns only that source's row,
+/// and a cached query of both answers what the realtime one did.
+#[test]
+fn g4_each_source_caches_only_its_own_rows() {
+    let net = Network::new(SimClock::new(), 12);
+    let site = SiteModel::generate(12, &SiteSpec::new(SITE, 2, 2));
+    site.advance_to(60_000);
+    deploy_site(&net, site);
+    let gateway = Gateway::new(GatewayConfig::new("gw-g4-shared", SITE), net);
+    install_into_gateway(&gateway);
+    let sql = "SELECT Hostname, Load1 FROM Processor";
+    let sources: Vec<String> = (0..2)
+        .map(|n| format!("jdbc:snmp://node0{n}.{SITE}/public"))
+        .collect();
+    let request = ClientRequest::builder(sql)
+        .source_list(sources.clone())
+        .build();
+    let fresh = gateway.query(&request).unwrap();
+    assert_eq!(fresh.rows.len(), 2);
+    let now = gateway.clock().now_millis();
+    for (n, source) in sources.iter().enumerate() {
+        let hit = gateway.cache().lookup(source, sql, now, None).unwrap();
+        assert_eq!(hit.rows.rows(), &fresh.rows.rows()[n..=n], "{source}");
+        assert_eq!(
+            hit.rows.rows()[0][0],
+            SqlValue::Str(format!("node0{n}.{SITE}"))
+        );
+    }
+    let cached = ClientRequest::builder(sql)
+        .source_list(sources)
+        .mode(QueryMode::Cached { max_age_ms: None })
+        .build();
+    let served = gateway.query(&cached).unwrap();
+    assert_eq!(served.served_from_cache, 2);
+    assert_eq!(served.rows, fresh.rows);
+}
+
 /// A gateway whose rings are full and whose sort keys tie heavily:
 /// 300 root queries (and a child each) into a 256-entry span ring and
 /// cost ledger, most of them costing the same `bytes_in`, a slow log
