@@ -3,26 +3,29 @@
 //! surface — one [`Driver`]/[`Connection`]/[`Statement`] triple,
 //! written here and nowhere else — over a small [`Source`] trait, so a
 //! driver is metadata plus two hooks: a one-request `probe` and a
-//! `fetch` that returns native rows. Everything around the fetch (SQL
-//! parsing, Fig 5's schema consistency check, group and mapping
-//! lookup, GLUE translation, `WHERE`/projection/`ORDER BY`, unit
-//! metadata) is the kit's; the remaining hooks have defaults a minimal
-//! driver inherits, exactly as the paper's base classes stub the
-//! optional JDBC methods.
+//! `fetch` that returns native rows, built for the query or shared from
+//! the driver's own cache. Everything around the fetch (SQL parsing,
+//! Fig 5's schema consistency check, group and plan lookup, the native
+//! keys the statement needs, GLUE translation of those keys alone,
+//! `WHERE`/projection/`ORDER BY`, unit metadata) is the kit's; the
+//! remaining hooks have defaults a minimal driver inherits, exactly as
+//! the paper's base classes stub the optional JDBC methods.
 
 use gridrm_dbc::{
     Connection, ConnectionMetadata, DbcResult, Driver, DriverMetaData, JdbcUrl, Properties,
     ResultSet, RowSet, SqlError, Statement,
 };
-use gridrm_glue::{DriverMapping, GroupDef, NativeRow, SchemaHandle, SchemaManager, Translator};
+use gridrm_glue::{GroupDef, GroupPlan, NativeRow, NeededKeys, SchemaHandle, SchemaManager};
 use gridrm_simnet::{Network, SimClock};
 use gridrm_sqlparse::ast::{self, SelectStatement};
 use gridrm_sqlparse::{ParseMemo, SqlType, SqlValue};
 use gridrm_store::{Relation, Store};
 use gridrm_telemetry::Stage;
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -174,27 +177,71 @@ impl<K: Hash + Eq, V: Clone> TtlCache<K, V> {
     /// The response under `key` if one younger than `ttl_ms` is held
     /// (counted in [`DriverStats::cache_hits`]), else `fetch()`, kept for
     /// next time. With a TTL of 0 nothing can be served twice, so
-    /// nothing is looked up or kept.
-    pub fn get_or_fetch(
+    /// nothing is looked up or kept. The key is borrowed: only a key
+    /// seen for the first time is copied, to be kept.
+    pub fn get_or_fetch<Q>(
         &self,
         at: &Target<'_>,
         ttl_ms: u64,
-        key: K,
+        key: &Q,
         fetch: impl FnOnce() -> DbcResult<V>,
-    ) -> DbcResult<V> {
+    ) -> DbcResult<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
+    {
         if ttl_ms == 0 {
             return fetch();
         }
         let now = at.env.clock.now_millis();
-        if let Some((fetched_ms, value)) = self.entries.lock().get(&key) {
+        if let Some((fetched_ms, value)) = self.entries.lock().get(key) {
             if now.saturating_sub(*fetched_ms) < ttl_ms {
                 at.stats.hit();
                 return Ok(value.clone());
             }
         }
         let value = fetch()?;
-        self.entries.lock().insert(key, (now, value.clone()));
+        let mut entries = self.entries.lock();
+        match entries.get_mut(key) {
+            Some(slot) => *slot = (now, value.clone()),
+            None => {
+                entries.insert(key.to_owned(), (now, value.clone()));
+            }
+        }
         Ok(value)
+    }
+}
+
+/// The native rows a [`Source::fetch`] hands the kit: built for this
+/// query, or shared from the driver's own cache (§3.2.4) and read in
+/// place, never copied.
+pub enum NativeRows {
+    /// Rows built for this query.
+    Owned(Vec<NativeRow>),
+    /// Rows the driver keeps and serves to many queries.
+    Shared(Arc<[NativeRow]>),
+}
+
+impl Deref for NativeRows {
+    type Target = [NativeRow];
+
+    fn deref(&self) -> &[NativeRow] {
+        match self {
+            NativeRows::Owned(rows) => rows,
+            NativeRows::Shared(rows) => rows,
+        }
+    }
+}
+
+impl From<Vec<NativeRow>> for NativeRows {
+    fn from(rows: Vec<NativeRow>) -> Self {
+        NativeRows::Owned(rows)
+    }
+}
+
+impl FromIterator<NativeRow> for NativeRows {
+    fn from_iter<I: IntoIterator<Item = NativeRow>>(rows: I) -> Self {
+        NativeRows::Owned(rows.into_iter().collect())
     }
 }
 
@@ -224,27 +271,31 @@ pub trait Source: Send + Sync + 'static {
         self.probe(at)
     }
 
-    /// Native rows for `group`, keyed by the native names `mapping`
-    /// translates from. `sel` is there for push-down (fetch only the
-    /// needed keys, turn an equality into a narrower native request);
-    /// the kit re-applies the whole statement afterwards, so a fetch
-    /// may always return more than was asked for.
+    /// Native rows for `group`, keyed by the native names the driver's
+    /// mapping translates from. `needed` is the native keys the
+    /// statement names and `sel` the statement, there for push-down
+    /// (fetch only the needed keys, turn an equality into a narrower
+    /// native request). The kit translates only the needed keys and
+    /// re-applies the whole statement afterwards, so a fetch may always
+    /// return more than was asked for — including rows it keeps for
+    /// other queries, handed over as [`NativeRows::Shared`].
     fn fetch(
         &self,
         _at: &Target<'_>,
         _group: &GroupDef,
-        _mapping: &DriverMapping,
+        _needed: &NeededKeys<'_>,
         _sel: &SelectStatement,
-    ) -> DbcResult<Vec<NativeRow>> {
+    ) -> DbcResult<NativeRows> {
         Err(SqlError::NotImplemented("fetch"))
     }
 
     /// Answer a `SELECT`. The default is the GLUE path: re-validate the
     /// connection's cached schema (Fig 5: "Statement checks cache
     /// consistency before using schema instance"), resolve the group
-    /// and this driver's mapping for it, [`fetch`](Source::fetch),
-    /// normalise through [`glue_translate`] and apply the statement
-    /// with [`finish_select`].
+    /// and this driver's plan for it, work out the native keys the
+    /// statement needs, [`fetch`](Source::fetch), normalise those keys
+    /// through [`glue_translate`] and apply the statement with
+    /// [`finish_select`].
     fn query(
         &self,
         at: &Target<'_>,
@@ -255,10 +306,11 @@ pub trait Source: Send + Sync + 'static {
         let group = schema
             .group(&sel.table)
             .ok_or_else(|| SqlError::Unsupported(format!("unknown GLUE group '{}'", sel.table)))?;
-        let mapping = schema
-            .mapping
+        let plan = schema
+            .plan
             .as_deref()
-            .filter(|m| m.supports_group(&group.name))
+            .and_then(|plan| plan.group(&group.name))
+            .filter(|plan| plan.is_mapped())
             .ok_or_else(|| {
                 // A single-group driver names the one group it serves.
                 let mapped: Vec<&String> = schema
@@ -271,8 +323,9 @@ pub trait Source: Send + Sync + 'static {
                     _ => format!("{} does not implement group '{}'", at.driver, group.name),
                 })
             })?;
-        let native_rows = self.fetch(at, group, mapping, sel)?;
-        let rows = glue_translate(&Translator::new(schema), &group.name, &native_rows)?;
+        let needed = plan.needed(sel.required_column_names().as_deref());
+        let native_rows = self.fetch(at, group, &needed, sel)?;
+        let rows = glue_translate(plan, &group.name, &native_rows, &needed);
         finish_select(group, &rows, sel, at.env.clock.now_ts())
     }
 
@@ -452,63 +505,31 @@ fn with_select<T>(
     }
 }
 
-/// The native keys behind the GLUE attributes `sel` references — what a
-/// fine-grained driver actually has to fetch.
-pub fn needed_keys(
-    group: &GroupDef,
-    mapping: &DriverMapping,
-    sel: &SelectStatement,
-) -> Vec<String> {
-    let needed: Vec<&str> = match sel.required_column_names() {
-        Some(cols) => group
-            .attributes
-            .iter()
-            .filter(|a| cols.iter().any(|c| c.eq_ignore_ascii_case(&a.name)))
-            .map(|a| a.name.as_str())
-            .collect(),
-        None => group.attributes.iter().map(|a| a.name.as_str()).collect(),
-    };
-    mapping.native_keys_for(&group.name, &needed)
-}
-
-/// GLUE-translate a batch of native rows for `group`, reporting the
-/// translation into the ambient trace (when the query is traced): a
-/// `glue {group}` child span whose `glue_translate` stage lists the
-/// group attributes this driver's mapping cannot translate at all —
-/// the §3.2.3 "not possible to translate" drops — plus the NULL count
-/// across the batch.
+/// GLUE-translate a batch of native rows for `group` through its
+/// `plan`, reading only the `needed` keys, and report the translation
+/// into the ambient trace (when the query is traced): a `glue {group}`
+/// child span whose `glue_translate` stage lists the group attributes
+/// this driver's mapping cannot translate at all — the §3.2.3 "not
+/// possible to translate" drops — plus the NULL count across the batch,
+/// over the group's full width.
 pub fn glue_translate(
-    translator: &Translator<'_>,
+    plan: &GroupPlan,
     group: &str,
     native_rows: &[NativeRow],
-) -> DbcResult<Vec<Vec<SqlValue>>> {
+    needed: &NeededKeys<'_>,
+) -> Vec<Vec<SqlValue>> {
     let span = gridrm_telemetry::active::child_span(|| ["glue ", group].concat());
-    let result = translator
-        .translate_all(group, native_rows)
-        .ok_or_else(|| SqlError::Driver("group vanished from schema".into()));
+    let (rows, nulls) = plan.translate_all(native_rows, needed);
     if let Some(mut s) = span {
-        match &result {
-            Ok((rows, nulls)) => {
-                let dropped = translator.unmapped_attributes(group);
-                let detail = if dropped.is_empty() {
-                    format!("dropped none; {} rows, {nulls} nulls", rows.len())
-                } else {
-                    format!(
-                        "dropped {}; {} rows, {nulls} nulls",
-                        dropped.join(","),
-                        rows.len()
-                    )
-                };
-                s.stage_with(Stage::GlueTranslate, detail);
-                s.finish("ok");
-            }
-            Err(_) => {
-                s.stage_with(Stage::GlueTranslate, "group vanished from schema");
-                s.finish("error");
-            }
-        }
+        let detail = format!(
+            "dropped {}; {} rows, {nulls} nulls",
+            plan.dropped(),
+            rows.len()
+        );
+        s.stage_with(Stage::GlueTranslate, detail);
+        s.finish("ok");
     }
-    result.map(|(rows, _nulls)| rows)
+    rows
 }
 
 /// A GLUE group's attributes over rows translated for it, read in place

@@ -11,15 +11,16 @@
 //! There is one parser, [`parse_dump`]. It checks every tag of the dump
 //! and builds only the native keys it is asked to keep. A dump that will
 //! be served again is parsed once for every key, the rows kept beside the
-//! text, and each query copies out the keys it names; a dump that cannot
-//! be (`ttl=0`) is parsed for the query's keys alone and dropped.
+//! text, and each query is handed those rows as they are, for the kit to
+//! read the keys it names; a dump that cannot be (`ttl=0`) is parsed for
+//! the query's keys alone and dropped.
 //!
 //! URL form: `jdbc:ganglia://<head-host>/<cluster>[?ttl=ms]`.
 
-use crate::base::{guess_value, needed_keys, KitDriver, Source, Target, TtlCache};
+use crate::base::{guess_value, KitDriver, NativeRows, Source, Target, TtlCache};
 use crate::xml::{Tag, Tags, XmlError};
 use gridrm_dbc::{DbcResult, DriverMetaData, SqlError};
-use gridrm_glue::{DriverMapping, GroupDef, NativeRow};
+use gridrm_glue::{GroupDef, NativeRow, NeededKeys};
 use gridrm_sqlparse::ast::SelectStatement;
 use gridrm_sqlparse::SqlValue;
 use std::sync::{Arc, OnceLock};
@@ -34,7 +35,7 @@ const DEFAULT_TTL_MS: u64 = 5000;
 /// the outcome of parsing it in full.
 struct Dump {
     raw: String,
-    rows: OnceLock<DbcResult<Vec<NativeRow>>>,
+    rows: OnceLock<DbcResult<Arc<[NativeRow]>>>,
 }
 
 /// The JDBC-Ganglia driver.
@@ -50,7 +51,7 @@ impl Ganglia {
     /// The head node's dump, honouring the TTL cache.
     fn dump(&self, at: &Target<'_>, ttl_ms: u64) -> DbcResult<Arc<Dump>> {
         self.cache
-            .get_or_fetch(at, ttl_ms, at.url.host.clone(), || {
+            .get_or_fetch(at, ttl_ms, at.url.host.as_str(), || {
                 let raw = String::from_utf8(at.request("ganglia", b"")?)
                     .map_err(|_| SqlError::Driver("gmond returned non-UTF-8 XML".into()))?;
                 let rows = OnceLock::new();
@@ -65,10 +66,10 @@ impl Ganglia {
 /// attribute of the dump is checked whatever `keep` says, so damage
 /// inside a metric nobody asked for is still an error, and so is a
 /// `<HOST>` opened inside another or a `</HOST>` with none open.
-pub fn parse_dump(xml: &str, keep: Option<&[String]>) -> DbcResult<Vec<NativeRow>> {
+pub fn parse_dump(xml: &str, keep: Option<&[&str]>) -> DbcResult<Vec<NativeRow>> {
     let broken = |what: &str| SqlError::Driver(format!("bad gmond XML: {what}"));
     let bad = |e: XmlError| broken(&e.to_string());
-    let want = |key: &str| keep.is_none_or(|keep| keep.iter().any(|k| k == key));
+    let want = |key: &str| keep.is_none_or(|keep| keep.contains(&key));
     let [want_name, want_ip, want_reported, want_uptime] = [
         "host.name",
         "host.ip",
@@ -175,28 +176,23 @@ impl Source for Ganglia {
     fn fetch(
         &self,
         at: &Target<'_>,
-        group: &GroupDef,
-        mapping: &DriverMapping,
-        sel: &SelectStatement,
-    ) -> DbcResult<Vec<NativeRow>> {
-        let keep = needed_keys(group, mapping, sel);
+        _group: &GroupDef,
+        needed: &NeededKeys<'_>,
+        _sel: &SelectStatement,
+    ) -> DbcResult<NativeRows> {
         let ttl_ms = at.ttl_ms(DEFAULT_TTL_MS)?;
         let dump = self.dump(at, ttl_ms)?;
         if ttl_ms == 0 {
             // Never served again: build what this query names, no more.
             at.stats.parsed(dump.raw.len());
-            return parse_dump(&dump.raw, Some(&keep));
+            let keep: Vec<&str> = needed.keys().collect();
+            return parse_dump(&dump.raw, Some(&keep)).map(NativeRows::from);
         }
         let parsed = dump.rows.get_or_init(|| {
             at.stats.parsed(dump.raw.len());
-            parse_dump(&dump.raw, None)
+            parse_dump(&dump.raw, None).map(Arc::from)
         });
-        let rows = parsed.as_ref().map_err(Clone::clone)?;
-        let pick = |row: &NativeRow| {
-            let kept = keep.iter().filter_map(|k| row.get_key_value(k));
-            kept.map(|(k, v)| (k.clone(), v.clone())).collect()
-        };
-        Ok(rows.iter().map(pick).collect())
+        parsed.clone().map(NativeRows::Shared)
     }
 }
 
@@ -487,7 +483,7 @@ mod parse_props {
         )
     }
 
-    fn keys() -> impl Strategy<Value = Vec<String>> {
+    fn keys() -> impl Strategy<Value = Vec<&'static str>> {
         let mut all = vec![
             "host.name",
             "host.ip",
@@ -496,7 +492,6 @@ mod parse_props {
             "absent",
         ];
         all.extend(METRICS);
-        let all: Vec<String> = all.into_iter().map(str::to_owned).collect();
         let n = all.len();
         prop::sample::subsequence(all, 0..n + 1)
     }
@@ -522,7 +517,7 @@ mod parse_props {
     }
 
     /// What the dump says, read off the model.
-    fn reference(model: &Model, keep: Option<&[String]>) -> Vec<NativeRow> {
+    fn reference(model: &Model, keep: Option<&[&str]>) -> Vec<NativeRow> {
         let get = |attrs: &Attrs, key: &str| {
             let found = attrs.iter().find(|(k, _)| k == key);
             found.map(|(_, v)| v.clone())
@@ -546,7 +541,7 @@ mod parse_props {
                 }
                 row.insert("host.reported".into(), reported);
             }
-            row.retain(|k, _| keep.is_none_or(|keep| keep.iter().any(|n| n == k)));
+            row.retain(|k, _| keep.is_none_or(|keep| keep.contains(&k.as_str())));
             row
         });
         rows.collect()

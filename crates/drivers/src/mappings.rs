@@ -260,9 +260,9 @@ mod tests {
     #[test]
     fn snmp_supports_processor_not_networkelement() {
         let m = snmp_mapping();
-        assert!(m.supports_group("Processor"));
-        assert!(m.supports_group("FileSystem"));
-        assert!(!m.supports_group("NetworkElement"));
+        assert!(m.group("Processor").is_some());
+        assert!(m.group("FileSystem").is_some());
+        assert!(m.group("NetworkElement").is_none());
     }
 
     #[test]

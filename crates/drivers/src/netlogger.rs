@@ -5,10 +5,10 @@
 //!
 //! URL form: `jdbc:netlogger://<head-host>/<log>[?limit=n]`.
 
-use crate::base::{KitDriver, Source, Target};
+use crate::base::{KitDriver, NativeRows, Source, Target};
 use gridrm_agents::netlogger::UlmEvent;
 use gridrm_dbc::{DbcResult, DriverMetaData, SqlError};
-use gridrm_glue::{DriverMapping, GroupDef, NativeRow};
+use gridrm_glue::{GroupDef, NativeRow, NeededKeys};
 use gridrm_sqlparse::ast::SelectStatement;
 use gridrm_sqlparse::SqlValue;
 
@@ -45,9 +45,9 @@ impl Source for NetLogger {
         &self,
         at: &Target<'_>,
         _group: &GroupDef,
-        _mapping: &DriverMapping,
+        _needed: &NeededKeys<'_>,
         sel: &SelectStatement,
-    ) -> DbcResult<Vec<NativeRow>> {
+    ) -> DbcResult<NativeRows> {
         let limit: usize = at
             .url
             .param("limit")

@@ -10,11 +10,12 @@
 //! URL form: `jdbc:nws://<head-host>/<path>[?ttl=ms]` (the path is
 //! ignored, as with a real NWS nameserver registration namespace).
 
-use crate::base::{guess_value, KitDriver, Source, Target, TtlCache};
+use crate::base::{guess_value, KitDriver, NativeRows, Source, Target, TtlCache};
 use gridrm_dbc::{DbcResult, DriverMetaData, SqlError};
-use gridrm_glue::{DriverMapping, GroupDef, NativeRow};
+use gridrm_glue::{GroupDef, NativeRow, NeededKeys};
 use gridrm_sqlparse::ast::SelectStatement;
 use gridrm_sqlparse::SqlValue;
+use std::sync::Arc;
 
 /// Driver name as registered with the gateway.
 pub const DRIVER_NAME: &str = "jdbc-nws";
@@ -22,11 +23,13 @@ pub const DRIVER_NAME: &str = "jdbc-nws";
 /// The JDBC-NWS driver.
 pub type NwsDriver = KitDriver<Nws>;
 
-/// The NWS [`Source`]: a TTL cache of fetched pair rows, keyed by
-/// `(host, with_forecast)`.
+/// The NWS [`Source`]: TTL caches of fetched pair rows by host.
 #[derive(Default)]
 pub struct Nws {
-    cache: TtlCache<(String, bool), Vec<NativeRow>>,
+    /// Rows fetched without forecasts.
+    measured: TtlCache<String, Arc<[NativeRow]>>,
+    /// Rows fetched with forecasts.
+    forecast: TtlCache<String, Arc<[NativeRow]>>,
 }
 
 /// Send one NWS command; the reply text (which may be an `ERROR` line).
@@ -77,9 +80,9 @@ impl Source for Nws {
         &self,
         at: &Target<'_>,
         _group: &GroupDef,
-        _mapping: &DriverMapping,
+        _needed: &NeededKeys<'_>,
         sel: &SelectStatement,
-    ) -> DbcResult<Vec<NativeRow>> {
+    ) -> DbcResult<NativeRows> {
         // Does the query need forecasts at all? (Avoid the expensive
         // FORECAST call when only raw measurements are selected.)
         let needs_forecast = match sel.required_column_names() {
@@ -89,10 +92,21 @@ impl Source for Nws {
             None => true,
         };
 
+        // With no TTL nothing is kept: the rows are this query's alone.
+        let ttl_ms = at.ttl_ms(0)?;
+        if ttl_ms == 0 {
+            return pair_rows(at, needs_forecast).map(NativeRows::from);
+        }
         // Fresh enough pair rows are served without touching the sensor.
-        let key = (at.url.host.clone(), needs_forecast);
-        self.cache
-            .get_or_fetch(at, at.ttl_ms(0)?, key, || pair_rows(at, needs_forecast))
+        let cache = if needs_forecast {
+            &self.forecast
+        } else {
+            &self.measured
+        };
+        let rows = cache.get_or_fetch(at, ttl_ms, at.url.host.as_str(), || {
+            pair_rows(at, needs_forecast).map(Arc::from)
+        })?;
+        Ok(NativeRows::Shared(rows))
     }
 }
 

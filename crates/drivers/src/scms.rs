@@ -3,10 +3,10 @@
 //!
 //! URL form: `jdbc:scms://<head-host>/<anything>`.
 
-use crate::base::{guess_value, KitDriver, Source, Target};
+use crate::base::{guess_value, KitDriver, NativeRows, Source, Target};
 use gridrm_agents::scms::parse_blocks;
 use gridrm_dbc::{DbcResult, DriverMetaData, SqlError};
-use gridrm_glue::{DriverMapping, GroupDef, NativeRow};
+use gridrm_glue::{GroupDef, NativeRow, NeededKeys};
 use gridrm_sqlparse::ast::SelectStatement;
 use gridrm_sqlparse::SqlValue;
 
@@ -48,9 +48,9 @@ impl Source for Scms {
         &self,
         at: &Target<'_>,
         group: &GroupDef,
-        _mapping: &DriverMapping,
+        _needed: &NeededKeys<'_>,
         sel: &SelectStatement,
-    ) -> DbcResult<Vec<NativeRow>> {
+    ) -> DbcResult<NativeRows> {
         if group.name.eq_ignore_ascii_case("ComputeElement") {
             // Site summary: one row.
             let text = text_request(at, "SUMMARY")?;
@@ -64,7 +64,7 @@ impl Source for Scms {
                 row.insert("ce_id".into(), site);
             }
             row.insert("status".into(), SqlValue::Str("production".into()));
-            return Ok(vec![row]);
+            return Ok(vec![row].into());
         }
         // Host-level groups: push a `Hostname = 'x'` equality down to
         // a native STATUS request, otherwise dump everything.

@@ -8,11 +8,11 @@
 //! URL form: `jdbc:snmp://<host>[:port]/<community>`; the path is the SNMP
 //! community string (defaults to `public`).
 
-use crate::base::{needed_keys, KitDriver, Source, Target};
+use crate::base::{KitDriver, NativeRows, Source, Target};
 use gridrm_agents::snmp::codec::{self, error_status, Pdu, SnmpMessage, SnmpValue};
 use gridrm_agents::snmp::{oids, Oid};
 use gridrm_dbc::{DbcResult, DriverMetaData, SqlError};
-use gridrm_glue::{DriverMapping, GroupDef, NativeRow};
+use gridrm_glue::{GroupDef, NativeRow, NeededKeys};
 use gridrm_sqlparse::ast::SelectStatement;
 use gridrm_sqlparse::SqlValue;
 use parking_lot::Mutex;
@@ -26,13 +26,15 @@ pub const DRIVER_NAME: &str = "jdbc-snmp";
 /// GLUE groups whose rows are SNMP table walks rather than scalars.
 const INDEXED_GROUPS: [&str; 3] = ["NetworkAdapter", "FileSystem", "Disk"];
 
+/// An SNMP value as SQL; an unsigned one past `i64::MAX` is NULL, since
+/// no SQL integer here holds it (§3.2.3).
 fn snmp_to_sql(v: SnmpValue) -> SqlValue {
     match v {
         SnmpValue::Integer(i) => SqlValue::Int(i),
-        SnmpValue::Counter64(c) => SqlValue::Int(c as i64),
-        SnmpValue::Gauge(g) => SqlValue::Int(g as i64),
+        SnmpValue::Counter64(c) => SqlValue::from(c),
+        SnmpValue::Gauge(g) => SqlValue::from(g),
         SnmpValue::OctetString(s) => SqlValue::Str(s),
-        SnmpValue::TimeTicks(t) => SqlValue::Int(t as i64),
+        SnmpValue::TimeTicks(t) => SqlValue::from(t),
         SnmpValue::ObjectId(o) => SqlValue::Str(o.to_string()),
         SnmpValue::Null => SqlValue::Null,
     }
@@ -192,23 +194,26 @@ impl Source for Snmp {
         &self,
         at: &Target<'_>,
         group: &GroupDef,
-        mapping: &DriverMapping,
-        sel: &SelectStatement,
-    ) -> DbcResult<Vec<NativeRow>> {
-        // Which attributes do we actually need? (Fine-grained fetching.)
-        let mut keys = needed_keys(group, mapping, sel);
+        needed: &NeededKeys<'_>,
+        _sel: &SelectStatement,
+    ) -> DbcResult<NativeRows> {
+        // Only the attributes the statement names are fetched
+        // (fine-grained fetching).
+        let needed = needed.keys().map(str::to_owned);
         if !INDEXED_GROUPS
             .iter()
             .any(|g| g.eq_ignore_ascii_case(&group.name))
         {
             // Single-row group: one GET with every needed OID.
-            let keys = self.compile(keys);
+            let keys = self.compile(needed);
             return Ok(vec![if keys.is_empty() {
                 NativeRow::new()
             } else {
                 get(at, 0, keys)?.1
-            }]);
+            }]
+            .into());
         }
+        let mut keys: Vec<String> = needed.collect();
         // FileSystem.AvailableMB is size - used: if the query wants it,
         // make sure both inputs are walked (last), then synthesise.
         let wants_avail = keys.iter().any(|k| k == "derived.hrStorageAvail");
@@ -281,6 +286,17 @@ mod tests {
         let mut stmt = conn.create_statement().unwrap();
         let mut rs = stmt.execute_query(sql).unwrap();
         gridrm_dbc::RowSet::materialize(rs.as_mut()).unwrap()
+    }
+
+    #[test]
+    fn a_counter_past_i64_is_null_not_negative() {
+        let at = |c: u64| snmp_to_sql(SnmpValue::Counter64(c));
+        assert_eq!(at(1 << 63), SqlValue::Null);
+        assert_eq!(at(u64::MAX), SqlValue::Null);
+        assert_eq!(at((1 << 63) - 1), SqlValue::Int(i64::MAX));
+        assert_eq!(at(42), SqlValue::Int(42));
+        assert_eq!(snmp_to_sql(SnmpValue::Gauge(u64::MAX)), SqlValue::Null);
+        assert_eq!(snmp_to_sql(SnmpValue::TimeTicks(1 << 63)), SqlValue::Null);
     }
 
     #[test]

@@ -5,20 +5,22 @@
 //! SNMP codec, the simulated network and the agent. The hand-off one
 //! checks that handing over a driver's `RowSet` copies nothing. The
 //! gmond ones scan and parse the benchmark's 32-host
-//! `coarse_scan` dump. The telemetry one runs the benchmark's
+//! `coarse_scan` dump, and run `mixed_churn`'s Ganglia filter over a
+//! cached 16-host dump. The telemetry one runs the benchmark's
 //! `mixed_churn` cost query over a short and a full cost ledger. The
 //! counts do not depend on the host, so an OID parsed from or printed
 //! to text on the request path, a cloned field mapping, an agent that
 //! builds more than the request names, a scanner that copies what it
-//! could borrow, or an introspection query that renders every ledger
-//! entry fails here, where a timing would not.
+//! could borrow, a cached dump copied per query, or an introspection
+//! query that renders every ledger entry fails here, where a timing
+//! would not.
 
 use gridrm_agents::deploy_site;
 use gridrm_agents::ganglia::GangliaAgent;
 use gridrm_core::{Gateway, GatewayConfig};
 use gridrm_dbc::{Driver, JdbcUrl, Properties, ResultSet, ResultSetMetaData, RowSet};
 use gridrm_drivers::base::DriverEnv;
-use gridrm_drivers::ganglia::parse_dump;
+use gridrm_drivers::ganglia::{parse_dump, GangliaDriver};
 use gridrm_drivers::snmp::SnmpDriver;
 use gridrm_drivers::telemetry::TelemetryDriver;
 use gridrm_drivers::xml::{Tag, Tags};
@@ -92,10 +94,10 @@ fn a_warm_point_query_allocates_for_one_fine_grained_exchange() {
     assert_eq!(rows.rows(), warm.rows());
     assert_eq!(rows.rows()[0][0], SqlValue::Str("node03.serve".into()));
     assert_eq!(driver.stats().snapshot().1, 3, "connect probe + 2 GETs");
-    // Measured 85 (142 at the parent commit, which copied the result
-    // and rebuilt its column metadata), of which the agent's answer is
-    // 40 (`crates/agents/tests/alloc_guard.rs`).
-    assert!(allocations <= 85, "query: {allocations}");
+    // Measured 83 (85 before GLUE plans: the needed keys were listed
+    // twice, and a translated hostname copied twice), of which the
+    // agent's answer is 40 (`crates/agents/tests/alloc_guard.rs`).
+    assert!(allocations <= 83, "query: {allocations}");
 }
 
 #[test]
@@ -142,7 +144,7 @@ fn draining_an_entity_free_dump_allocates_nothing() {
 #[test]
 fn a_narrow_gmond_parse_allocates_only_the_rows_it_keeps() {
     let xml = gmond_dump();
-    let keep = ["host.name".to_owned(), "load_one".to_owned()];
+    let keep = ["host.name", "load_one"];
     let (rows, allocations) = allocations_of(|| parse_dump(&xml, Some(&keep)).unwrap());
     assert_eq!(rows.len(), 32);
     assert!(rows.iter().all(|row| row.len() == 2));
@@ -150,6 +152,41 @@ fn a_narrow_gmond_parse_allocates_only_the_rows_it_keeps() {
     // plus four growths of the row vector (164 at the parent commit,
     // which also copied out every host's unkept IP).
     assert!(allocations <= 132, "parse: {allocations}");
+}
+
+#[test]
+fn a_warm_ganglia_filter_reads_the_cached_dump_in_place() {
+    let net = Network::new(SimClock::new(), 2);
+    let site = SiteModel::generate(1, &SiteSpec::new("serve", 16, 4));
+    site.advance_to(60_000);
+    deploy_site(&net, site);
+    let schema = Arc::new(SchemaManager::new());
+    schema.register_mapping(gridrm_drivers::mappings::ganglia_mapping());
+    let driver = GangliaDriver::new(DriverEnv::new(net, schema, "gw"));
+    let url = JdbcUrl::parse("jdbc:ganglia://node00.serve/serve").unwrap();
+    let mut conn = driver.connect(&url, &Properties::new()).unwrap();
+    let mut stmt = conn.create_statement().unwrap();
+    let mut run = || {
+        let rs = stmt
+            .execute_query("SELECT Hostname, Load1 FROM Processor WHERE Hostname < 'node08'")
+            .unwrap();
+        rs.into_rowset().unwrap()
+    };
+    // The connect fetched the dump; the first query parses it in full.
+    let warm = run();
+
+    let (rows, allocations) = allocations_of(run);
+    assert_eq!(rows.rows(), warm.rows());
+    assert_eq!(rows.len(), 8);
+    assert_eq!(
+        driver.stats().snapshot().1,
+        1,
+        "one gmond fetch, at connect"
+    );
+    // Measured 93 (178 before GLUE plans, when the needed keys of all
+    // 16 parsed hosts were copied into new rows on every query and
+    // each translated hostname copied twice).
+    assert!(allocations <= 93, "query: {allocations}");
 }
 
 /// The allocations of one warm `mixed_churn` cost query through the

@@ -22,16 +22,20 @@
 //!   consult to learn "metadata describing that driver's GLUE
 //!   implementation" (§3.2.3), with the connection-time caching and
 //!   consistency check shown in Fig 5;
+//! * [`plan`] — each driver's mapping compiled once per schema version
+//!   into per-group plans that the manager keeps and its handles share;
 //! * [`translate`] — the normalisation step turning native key/value pairs
 //!   into homogeneous GLUE rows, with NULL for attributes that are "either
 //!   not possible or currently not implemented" to translate.
 
 pub mod manager;
 pub mod mapping;
+pub mod plan;
 pub mod schema;
 pub mod translate;
 
 pub use manager::{SchemaHandle, SchemaManager, SchemaStats};
 pub use mapping::{DriverMapping, FieldMapping, Transform};
+pub use plan::{GluePlan, GroupPlan, NeededKeys};
 pub use schema::{builtin_schema, AttributeDef, GroupDef, Schema};
 pub use translate::{NativeRow, Translator};

@@ -7,6 +7,7 @@
 //! before using schema instance to connect to data source").
 
 use crate::mapping::DriverMapping;
+use crate::plan::GluePlan;
 use crate::schema::{GroupDef, Schema};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -47,6 +48,9 @@ pub struct SchemaHandle {
     pub schema: Arc<Schema>,
     /// The mapping for the driver that requested the handle, if registered.
     pub mapping: Option<Arc<DriverMapping>>,
+    /// `mapping` compiled against `schema`, shared by every handle cut
+    /// from the same pair.
+    pub plan: Option<Arc<GluePlan>>,
 }
 
 impl SchemaHandle {
@@ -58,12 +62,15 @@ impl SchemaHandle {
 
 /// The gateway-wide schema registry.
 ///
-/// Holds the active naming schema (GLUE by default) and the per-driver GLUE
-/// implementation mappings. Any mutation bumps `version`, invalidating all
-/// outstanding [`SchemaHandle`]s.
+/// Holds the active naming schema (GLUE by default), the per-driver GLUE
+/// implementation mappings and each mapping's [`GluePlan`]. Any mutation
+/// bumps `version`, invalidating all outstanding [`SchemaHandle`]s.
 pub struct SchemaManager {
     schema: RwLock<Arc<Schema>>,
     mappings: RwLock<HashMap<String, Arc<DriverMapping>>>,
+    /// One plan per mapped driver, compiled when a handle first asks
+    /// for it and replaced when its schema or mapping is.
+    plans: RwLock<HashMap<String, Arc<GluePlan>>>,
     version: AtomicU64,
     stats: SchemaStats,
 }
@@ -79,6 +86,7 @@ impl SchemaManager {
         SchemaManager {
             schema: RwLock::new(Arc::new(schema)),
             mappings: RwLock::new(HashMap::new()),
+            plans: RwLock::new(HashMap::new()),
             version: AtomicU64::new(1),
             stats: SchemaStats::default(),
         }
@@ -101,6 +109,7 @@ impl SchemaManager {
     /// Remove a driver's mapping (driver unregistered).
     pub fn unregister_mapping(&self, driver: &str) -> bool {
         let removed = self.mappings.write().remove(driver).is_some();
+        self.plans.write().remove(driver);
         if removed {
             self.version.fetch_add(1, Ordering::AcqRel);
         }
@@ -131,11 +140,33 @@ impl SchemaManager {
         let version = self.version();
         let schema = self.schema.read().clone();
         let mapping = self.mappings.read().get(driver).cloned();
+        let plan = mapping.as_ref().map(|m| self.plan_for(driver, &schema, m));
         SchemaHandle {
             version,
             schema,
             mapping,
+            plan,
         }
+    }
+
+    /// `driver`'s plan for this schema and mapping: the kept one if it
+    /// was compiled from both, else a new one, kept in its place.
+    fn plan_for(
+        &self,
+        driver: &str,
+        schema: &Arc<Schema>,
+        mapping: &Arc<DriverMapping>,
+    ) -> Arc<GluePlan> {
+        if let Some(plan) = self.plans.read().get(driver) {
+            if plan.compiled_from(schema, mapping) {
+                return Arc::clone(plan);
+            }
+        }
+        let plan = Arc::new(GluePlan::compile(Arc::clone(schema), Arc::clone(mapping)));
+        self.plans
+            .write()
+            .insert(driver.to_owned(), Arc::clone(&plan));
+        plan
     }
 
     /// Fig 5's per-statement consistency check: is `handle` still current?
@@ -246,6 +277,7 @@ mod tests {
     #[test]
     fn concurrent_handles() {
         let m = Arc::new(SchemaManager::new());
+        m.register_mapping(DriverMapping::new("churn"));
         let mut threads = Vec::new();
         for i in 0..8 {
             let m = m.clone();
@@ -256,6 +288,10 @@ mod tests {
                     }
                     let mut h = m.handle_for("churn");
                     m.ensure_current(&mut h, "churn");
+                    // Whichever thread compiled it, a handle's plan is
+                    // the plan of the handle's own schema and mapping.
+                    let (plan, mapping) = (h.plan.unwrap(), h.mapping.unwrap());
+                    assert!(plan.compiled_from(&h.schema, &mapping));
                 }
             }));
         }

@@ -140,11 +140,6 @@ impl DriverMapping {
         self
     }
 
-    /// Does this driver implement the given group at all?
-    pub fn supports_group(&self, group: &str) -> bool {
-        self.groups.keys().any(|g| g.eq_ignore_ascii_case(group))
-    }
-
     /// The attribute mappings for a group (case-insensitive lookup).
     pub fn group(&self, group: &str) -> Option<&BTreeMap<String, FieldMapping>> {
         self.groups
@@ -229,8 +224,8 @@ mod tests {
                 ("NCpu", FieldMapping::direct("hrSystemNumCpu")),
             ],
         );
-        assert!(m.supports_group("processor"));
-        assert!(!m.supports_group("Disk"));
+        assert!(m.group("processor").is_some());
+        assert!(m.group("Disk").is_none());
         let keys = m.native_keys_for("Processor", &["Load1", "NCpu", "Missing"]);
         assert_eq!(keys.len(), 2);
         assert!(keys.contains(&"hrSystemNumCpu".to_owned()));

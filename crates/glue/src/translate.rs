@@ -1,10 +1,8 @@
 //! Native → GLUE row translation (the normalisation step, §3.2.3).
 
 use crate::manager::SchemaHandle;
-use crate::mapping::FieldMapping;
-use crate::schema::GroupDef;
 use gridrm_sqlparse::SqlValue;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// A bag of native key/value pairs fetched from a data source — one logical
 /// entity's worth (one host, one interface, one host pair, …).
@@ -15,7 +13,8 @@ pub type NativeRow = HashMap<String, SqlValue>;
 /// The translator is the seam that makes heterogeneous sources homogeneous:
 /// whatever shape the agent returned, the output row has exactly the
 /// attributes of the GLUE group, in definition order, with
-/// [`SqlValue::Null`] wherever the source has no translatable value.
+/// [`SqlValue::Null`] wherever the source has no translatable value. It
+/// reads through the handle's [`GluePlan`](crate::GluePlan).
 pub struct Translator<'a> {
     handle: &'a SchemaHandle,
 }
@@ -26,20 +25,8 @@ impl<'a> Translator<'a> {
         Translator { handle }
     }
 
-    /// The group definition for `group`, if the schema knows it.
-    pub fn group(&self, group: &str) -> Option<&GroupDef> {
-        self.handle.group(group)
-    }
-
-    /// The driver's field mappings for `group`, borrowed from the handle;
-    /// empty when no mapping is registered or it lacks the group.
-    fn fields(&self, group: &str) -> &'a BTreeMap<String, FieldMapping> {
-        static NONE: BTreeMap<String, FieldMapping> = BTreeMap::new();
-        let mapping = self.handle.mapping.as_deref();
-        mapping.and_then(|m| m.group(group)).unwrap_or(&NONE)
-    }
-
-    /// Translate one native row into a GLUE row for `group`.
+    /// Translate one native row into a GLUE row for `group`, reading
+    /// every attribute the driver's mapping can translate.
     ///
     /// Returns `None` when the schema has no such group. Attributes the
     /// driver has no mapping for — or whose native key is absent from the
@@ -47,63 +34,16 @@ impl<'a> Translator<'a> {
     /// the second tuple element so drivers can report translation coverage.
     pub fn translate(&self, group: &str, native: &NativeRow) -> Option<(Vec<SqlValue>, usize)> {
         let def = self.handle.group(group)?;
-        let fields = self.fields(group);
-        let mut nulls = 0usize;
-        let row = def
-            .attributes
-            .iter()
-            .map(|attr| {
-                let mapped = fields
-                    .iter()
-                    .find(|(name, _)| name.eq_ignore_ascii_case(&attr.name))
-                    .and_then(|(_, fm)| native.get(&fm.native_key).map(|v| fm.transform.apply(v)))
-                    .unwrap_or(SqlValue::Null);
-                // Coerce to the declared attribute type where possible; a
-                // failed coercion is an untranslatable value → NULL.
-                let coerced = mapped.coerce(attr.ty).unwrap_or(SqlValue::Null);
-                if coerced.is_null() {
-                    nulls += 1;
-                }
-                coerced
-            })
-            .collect();
-        Some((row, nulls))
-    }
-
-    /// The attributes of `group` this driver's mapping cannot translate
-    /// at all — "not possible to translate" drops (§3.2.3), as opposed
-    /// to values that merely happen to be absent from one native row.
-    /// Empty when the schema has no such group.
-    pub fn unmapped_attributes(&self, group: &str) -> Vec<String> {
-        let Some(def) = self.handle.group(group) else {
-            return Vec::new();
-        };
-        let fields = self.fields(group);
-        def.attributes
-            .iter()
-            .filter(|attr| {
-                !fields
-                    .iter()
-                    .any(|(name, _)| name.eq_ignore_ascii_case(&attr.name))
-            })
-            .map(|attr| attr.name.clone())
-            .collect()
-    }
-
-    /// Translate a batch of native rows.
-    pub fn translate_all(
-        &self,
-        group: &str,
-        rows: &[NativeRow],
-    ) -> Option<(Vec<Vec<SqlValue>>, usize)> {
-        let mut out = Vec::with_capacity(rows.len());
-        let mut total_nulls = 0;
-        for r in rows {
-            let (row, nulls) = self.translate(group, r)?;
-            total_nulls += nulls;
-            out.push(row);
+        match self.handle.plan.as_deref() {
+            Some(plan) => {
+                let plan = plan.group(group)?;
+                Some(plan.translate(native, &plan.needed(None)))
+            }
+            None => Some((
+                vec![SqlValue::Null; def.attributes.len()],
+                def.attributes.len(),
+            )),
         }
-        Some((out, total_nulls))
     }
 }
 
@@ -112,6 +52,7 @@ mod tests {
     use super::*;
     use crate::manager::SchemaManager;
     use crate::mapping::{DriverMapping, FieldMapping, Transform};
+    use std::sync::Arc;
 
     fn manager_with_snmp_mapping() -> SchemaManager {
         let m = SchemaManager::new();
@@ -224,33 +165,88 @@ mod tests {
     }
 
     #[test]
-    fn unmapped_attributes_lists_untranslatable_drops() {
+    fn the_plan_lists_untranslatable_drops() {
         let m = manager_with_snmp_mapping();
         let h = m.handle_for("jdbc-snmp");
-        let t = Translator::new(&h);
-        let dropped = t.unmapped_attributes("Processor");
-        // The mapped trio never appears; everything else does.
-        for mapped in ["Hostname", "NCpu", "Load1"] {
-            assert!(!dropped.iter().any(|d| d == mapped), "{mapped} is mapped");
-        }
+        let plan = h.plan.as_deref().unwrap();
+        let dropped = plan.group("processor").unwrap().dropped();
+        // The mapped trio never appears; everything else does, in
+        // definition order.
         let def = h.group("Processor").unwrap();
-        assert_eq!(dropped.len(), def.attributes.len() - 3);
-        assert!(t.unmapped_attributes("Bogus").is_empty());
+        let unmapped: Vec<&str> = def
+            .attributes
+            .iter()
+            .map(|a| a.name.as_str())
+            .filter(|a| !["Hostname", "NCpu", "Load1"].contains(a))
+            .collect();
+        assert_eq!(dropped, unmapped.join(","));
+        assert!(plan.group("Bogus").is_none());
+        assert!(!plan.group("Disk").unwrap().is_mapped());
+        let mut all_mapped = DriverMapping::new("d");
+        let event = m.schema().group("Event").unwrap().attributes.clone();
+        let fields = event
+            .iter()
+            .map(|a| (a.name.clone(), FieldMapping::direct(&a.name)));
+        all_mapped.groups.insert("Event".into(), fields.collect());
+        m.register_mapping(all_mapped);
+        let h = m.handle_for("d");
+        let event = h.plan.as_deref().unwrap().group("Event").unwrap();
+        assert_eq!(event.dropped(), "none");
     }
 
     #[test]
-    fn batch_translation() {
+    fn only_needed_keys_are_read() {
         let m = manager_with_snmp_mapping();
         let h = m.handle_for("jdbc-snmp");
-        let t = Translator::new(&h);
-        let rows: Vec<NativeRow> = (0..3)
-            .map(|i| {
-                let mut n = NativeRow::new();
-                n.insert("sysName".into(), SqlValue::Str(format!("node{i:02}")));
-                n
-            })
-            .collect();
-        let (out, _) = t.translate_all("Processor", &rows).unwrap();
-        assert_eq!(out.len(), 3);
+        let plan = h.plan.as_deref().unwrap().group("Processor").unwrap();
+        let def = h.group("Processor").unwrap();
+        let mut native = NativeRow::new();
+        native.insert("sysName".into(), SqlValue::Str("node01".into()));
+        native.insert("hrNumCpu".into(), SqlValue::Int(4));
+        native.insert("laLoadInt.1".into(), SqlValue::Int(75));
+
+        let needed = plan.needed(Some(&["LOAD1", "Nonsense"]));
+        assert_eq!(needed.keys().collect::<Vec<_>>(), ["laLoadInt.1"]);
+        let (row, nulls) = plan.translate(&native, &needed);
+        assert_eq!(nulls, def.attributes.len() - 1);
+        assert_eq!(
+            row[def.attribute_index("Load1").unwrap()],
+            SqlValue::Float(0.75)
+        );
+        assert_eq!(row[def.attribute_index("NCpu").unwrap()], SqlValue::Null);
+
+        let all = plan.needed(None);
+        assert_eq!(
+            all.keys().collect::<Vec<_>>(),
+            ["hrNumCpu", "laLoadInt.1", "sysName"]
+        );
+        let (rows, nulls) = plan.translate_all(&[native.clone(), native], &all);
+        assert_eq!(rows.len(), 2);
+        assert_eq!(nulls, 2 * (def.attributes.len() - 3));
+    }
+
+    #[test]
+    fn handles_share_the_plan_until_the_mapping_changes() {
+        let m = manager_with_snmp_mapping();
+        let a = m.handle_for("jdbc-snmp");
+        let b = m.handle_for("jdbc-snmp");
+        let plan = |h: &SchemaHandle| Arc::clone(h.plan.as_ref().unwrap());
+        assert!(Arc::ptr_eq(&plan(&a), &plan(&b)));
+        // Another driver's mapping bumps the version but not this plan.
+        m.register_mapping(DriverMapping::new("other"));
+        assert!(Arc::ptr_eq(&plan(&a), &plan(&m.handle_for("jdbc-snmp"))));
+        m.register_mapping(DriverMapping::new("jdbc-snmp"));
+        let mut c = a.clone();
+        m.ensure_current(&mut c, "jdbc-snmp");
+        assert!(!Arc::ptr_eq(&plan(&a), &plan(&c)));
+        assert!(!c
+            .plan
+            .as_deref()
+            .unwrap()
+            .group("Processor")
+            .unwrap()
+            .is_mapped());
+        assert!(m.unregister_mapping("jdbc-snmp"));
+        assert!(m.handle_for("jdbc-snmp").plan.is_none());
     }
 }

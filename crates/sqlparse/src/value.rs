@@ -132,7 +132,10 @@ impl SqlValue {
     }
 
     /// Attempt to coerce the value to a target column type. Returns `None`
-    /// when the coercion is lossy or nonsensical (e.g. `"abc"` → INTEGER).
+    /// when the coercion is lossy or nonsensical (e.g. `"abc"` → INTEGER),
+    /// or when the target cannot hold the number (`1e19` → INTEGER, a NaN
+    /// → TIMESTAMP): such a value is untranslatable, never a saturated
+    /// or wrapped one.
     pub fn coerce(&self, ty: SqlType) -> Option<SqlValue> {
         if self.is_null() {
             return Some(SqlValue::Null);
@@ -141,7 +144,7 @@ impl SqlValue {
             SqlType::Null => Some(self.clone()),
             SqlType::Int => match self {
                 SqlValue::Int(_) => Some(self.clone()),
-                SqlValue::Float(f) if f.fract() == 0.0 => Some(SqlValue::Int(*f as i64)),
+                SqlValue::Float(f) if f.fract() == 0.0 => f64_to_i64(*f).map(SqlValue::Int),
                 SqlValue::Bool(b) => Some(SqlValue::Int(i64::from(*b))),
                 SqlValue::Timestamp(t) => Some(SqlValue::Int(*t)),
                 SqlValue::Str(s) => s.trim().parse().ok().map(SqlValue::Int),
@@ -160,10 +163,30 @@ impl SqlValue {
             SqlType::Timestamp => match self {
                 SqlValue::Timestamp(_) => Some(self.clone()),
                 SqlValue::Int(i) => Some(SqlValue::Timestamp(*i)),
-                SqlValue::Float(f) => Some(SqlValue::Timestamp(*f as i64)),
+                SqlValue::Float(f) => f64_to_i64(*f).map(SqlValue::Timestamp),
                 SqlValue::Str(s) => s.trim().parse().ok().map(SqlValue::Timestamp),
                 _ => None,
             },
+        }
+    }
+
+    /// [`SqlValue::coerce`], consuming the value: one that already has
+    /// the target type is returned as it is, not copied.
+    pub fn into_type(self, ty: SqlType) -> Option<SqlValue> {
+        let same = matches!(
+            (&self, ty),
+            (SqlValue::Null, _)
+                | (_, SqlType::Null)
+                | (SqlValue::Bool(_), SqlType::Bool)
+                | (SqlValue::Int(_), SqlType::Int)
+                | (SqlValue::Float(_), SqlType::Float)
+                | (SqlValue::Str(_), SqlType::Str)
+                | (SqlValue::Timestamp(_), SqlType::Timestamp)
+        );
+        if same {
+            Some(self)
+        } else {
+            self.coerce(ty)
         }
     }
 
@@ -211,6 +234,15 @@ impl SqlValue {
     pub fn sql_eq(&self, other: &SqlValue) -> Option<bool> {
         self.compare(other).map(|o| o == Ordering::Equal)
     }
+}
+
+/// `f` truncated toward zero when an `i64` can hold it; `None` for a
+/// NaN, an infinity or a number beyond `i64`'s range, all of which `as`
+/// would saturate into a wrong number.
+fn f64_to_i64(f: f64) -> Option<i64> {
+    // −2⁶³ and 2⁶³ are exact in f64; i64::MAX is not.
+    const LIMIT: f64 = 9_223_372_036_854_775_808.0;
+    (-LIMIT..LIMIT).contains(&f).then_some(f as i64)
 }
 
 fn type_rank(v: &SqlValue) -> u8 {
@@ -276,9 +308,10 @@ impl From<u32> for SqlValue {
         SqlValue::Int(v as i64)
     }
 }
+/// A `u64` beyond `i64::MAX` is NULL: no SQL integer here holds it.
 impl From<u64> for SqlValue {
     fn from(v: u64) -> Self {
-        SqlValue::Int(v as i64)
+        i64::try_from(v).map_or(SqlValue::Null, SqlValue::Int)
     }
 }
 impl From<f64> for SqlValue {
@@ -381,6 +414,22 @@ mod tests {
             Some(SqlValue::Int(3))
         );
         assert_eq!(SqlValue::Float(3.5).coerce(SqlType::Int), None);
+        // A number the type cannot hold is untranslatable, not saturated.
+        assert_eq!(SqlValue::Float(1e19).coerce(SqlType::Int), None);
+        assert_eq!(SqlValue::Float(-1e19).coerce(SqlType::Int), None);
+        assert_eq!(SqlValue::Float(f64::INFINITY).coerce(SqlType::Int), None);
+        assert_eq!(SqlValue::Float(1e30).coerce(SqlType::Timestamp), None);
+        assert_eq!(SqlValue::Float(f64::NAN).coerce(SqlType::Timestamp), None);
+        assert_eq!(
+            SqlValue::Float(-9_223_372_036_854_775_808.0).coerce(SqlType::Int),
+            Some(SqlValue::Int(i64::MIN))
+        );
+        assert_eq!(
+            SqlValue::Float(1.5e3).coerce(SqlType::Timestamp),
+            Some(SqlValue::Timestamp(1500))
+        );
+        assert_eq!(SqlValue::from(1u64 << 63), SqlValue::Null);
+        assert_eq!(SqlValue::from(7u64), SqlValue::Int(7));
         assert_eq!(SqlValue::Null.coerce(SqlType::Str), Some(SqlValue::Null));
     }
 

@@ -2,7 +2,9 @@
 
 use gridrm_sqlparse::ast::{BinaryOp, Expr};
 use gridrm_sqlparse::eval::like_match;
-use gridrm_sqlparse::{parse, parse_expr, Evaluator, MapContext, ParseMemo, SqlValue, Statement};
+use gridrm_sqlparse::{
+    parse, parse_expr, Evaluator, MapContext, ParseMemo, SqlType, SqlValue, Statement,
+};
 use proptest::prelude::*;
 
 fn arb_value() -> impl Strategy<Value = SqlValue> {
@@ -24,6 +26,23 @@ fn arb_number_or_nan() -> impl Strategy<Value = SqlValue> {
         (-1_000i64..1_000).prop_map(SqlValue::Int),
         (-1e3f64..1e3).prop_map(SqlValue::Float),
         (-1e3f64..1e3).prop_map(SqlValue::Float),
+    ]
+}
+
+/// Floats on and around the edges of `i64`: the specials, ±2⁶³ and
+/// their neighbours, the integral and fractional numbers in between,
+/// and numbers far beyond.
+fn arb_wide_float() -> impl Strategy<Value = f64> {
+    const EDGE: f64 = 9_223_372_036_854_775_808.0;
+    prop_oneof![
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        prop::sample::select(vec![EDGE, -EDGE, EDGE.next_down(), (-EDGE).next_up()]),
+        (-1e6f64..1e6).prop_map(f64::trunc),
+        -1e6f64..1e6,
+        -2e19f64..2e19,
+        -1e300f64..1e300,
     ]
 }
 
@@ -185,6 +204,31 @@ proptest! {
                 prop_assert_ne!(a.total_cmp(b), Ordering::Greater);
             }
         }
+    }
+
+    /// A float coerces to INTEGER and TIMESTAMP exactly when `i64`
+    /// holds it (INTEGER also wants it integral), and then to its own
+    /// value truncated toward zero; anything else is untranslatable,
+    /// never a saturated number (§3.2.3's NULL).
+    #[test]
+    fn a_number_its_type_cannot_hold_coerces_to_null(f in arb_wide_float()) {
+        let truncated = f.trunc();
+        let held = f.is_finite()
+            && truncated >= i64::MIN as f64
+            && (truncated as i128) <= i128::from(i64::MAX);
+        let want = held.then_some(truncated as i128 as i64);
+        let int = SqlValue::Float(f).coerce(SqlType::Int);
+        prop_assert_eq!(int, want.filter(|_| f == truncated).map(SqlValue::Int));
+        let ts = SqlValue::Float(f).coerce(SqlType::Timestamp);
+        prop_assert_eq!(ts, want.map(SqlValue::Timestamp));
+    }
+
+    /// Consuming coercion answers as borrowing coercion does.
+    #[test]
+    fn into_type_is_coerce(v in arb_value(), ty in prop::sample::select(vec![
+        SqlType::Null, SqlType::Bool, SqlType::Int, SqlType::Float, SqlType::Str, SqlType::Timestamp,
+    ])) {
+        prop_assert_eq!(v.clone().into_type(ty), v.coerce(ty));
     }
 
     /// The lexer never panics on arbitrary input.

@@ -8,8 +8,8 @@
 
 use gridrm::core::events::ListenerFilter;
 use gridrm::dbc::{DbcResult, DriverMetaData, SqlError};
-use gridrm::drivers::base::{KitDriver, Source, Target};
-use gridrm::glue::{AttributeDef, DriverMapping, FieldMapping, GroupDef, NativeRow};
+use gridrm::drivers::base::{KitDriver, NativeRows, Source, Target};
+use gridrm::glue::{AttributeDef, DriverMapping, FieldMapping, GroupDef, NativeRow, NeededKeys};
 use gridrm::prelude::*;
 use gridrm::simnet::Service;
 use gridrm::sqlparse::ast::SelectStatement;
@@ -77,9 +77,9 @@ impl Source for Enviro {
         &self,
         at: &Target<'_>,
         _group: &GroupDef,
-        _mapping: &DriverMapping,
+        _needed: &NeededKeys<'_>,
         _sel: &SelectStatement,
-    ) -> DbcResult<Vec<NativeRow>> {
+    ) -> DbcResult<NativeRows> {
         Ok(readings(at)?
             .lines()
             .filter_map(|line| {

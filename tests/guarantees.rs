@@ -5,6 +5,7 @@
 
 use gridrm::core::tables::{VirtualTable, TABLES};
 use gridrm::global::{Answered, GlobalRequest, GlobalResponse, WireFrame, WireIdentity};
+use gridrm::glue::Transform;
 use gridrm::prelude::*;
 use gridrm::simnet::XorShift;
 use gridrm::sqlparse::ast::{ColumnDef, SelectStatement};
@@ -329,6 +330,50 @@ fn g4_each_source_caches_only_its_own_rows() {
     let served = gateway.query(&cached).unwrap();
     assert_eq!(served.served_from_cache, 2);
     assert_eq!(served.rows, fresh.rows);
+}
+
+/// Fig 5's per-statement schema check re-cuts the connection's GLUE
+/// plan: a mapping re-registered between two queries on one pooled
+/// connection translates the second query through the new mapping, so
+/// an attribute it no longer maps is NULL (§3.2.3) and a changed
+/// transform applies.
+#[test]
+fn a_remapped_driver_translates_through_its_new_mapping_on_a_pooled_connection() {
+    let net = Network::new(SimClock::new(), 13);
+    let site = SiteModel::generate(13, &SiteSpec::new(SITE, 1, 2));
+    site.advance_to(60_000);
+    deploy_site(&net, site);
+    let gateway = Gateway::new(GatewayConfig::new("gw-remap", SITE), net);
+    install_into_gateway(&gateway);
+    let url = JdbcUrl::parse(&format!("jdbc:snmp://node00.{SITE}/public")).unwrap();
+    let sql = "SELECT Hostname, NCpu, Load1 FROM Processor";
+    let before = gateway.connections().execute(&url, sql).unwrap();
+    assert_eq!(before.rows()[0][1], SqlValue::Int(2));
+
+    let schema = gateway.schema();
+    let mut mapping = schema.mapping_for("jdbc-snmp").unwrap().as_ref().clone();
+    let processor = mapping.groups.get_mut("Processor").unwrap();
+    processor.remove("NCpu");
+    processor.get_mut("Load1").unwrap().transform = Transform::Identity;
+    schema.register_mapping(mapping);
+
+    let after = gateway.connections().execute(&url, sql).unwrap();
+    let pool = gateway.connections().stats().snapshot();
+    assert_eq!(
+        (pool.creates, pool.pool_hits),
+        (1, 1),
+        "one pooled connection"
+    );
+    assert_eq!(after.rows()[0][0], before.rows()[0][0]);
+    assert_eq!(
+        after.rows()[0][1],
+        SqlValue::Null,
+        "NCpu is no longer mapped"
+    );
+    // laLoad is centi-load: the old mapping scaled it by 0.01.
+    let load = |rs: &RowSet| rs.rows()[0][2].as_f64().unwrap();
+    assert!(load(&before) > 0.0);
+    assert!((load(&after) * 0.01 - load(&before)).abs() < 1e-9);
 }
 
 /// A gateway whose rings are full and whose sort keys tie heavily:
