@@ -26,14 +26,14 @@ use crate::explain::{explain, explain_subscription};
 use crate::health::{HealthConfig, HealthMonitor, HealthState};
 use crate::history::HistoryManager;
 use crate::request::RequestManager;
-use crate::security::{Identity, SecurityPolicy};
+use crate::security::{Access, CoarseOperation, Decision, Identity, SecurityPolicy};
 use crate::session::{SessionManager, SessionToken};
 use crate::stream::{StreamDelta, StreamManager, StreamSettings, SubscribeSpec, SubscriptionId};
 use crossbeam::channel::Receiver;
-use gridrm_dbc::{ColumnMeta, DbcResult, JdbcUrl, ResultSetMetaData, RowSet};
+use gridrm_dbc::{ColumnMeta, DbcResult, JdbcUrl, ResultSetMetaData, RowSet, SqlError};
 use gridrm_glue::SchemaManager;
 use gridrm_simnet::{Network, Push, SimClock};
-use gridrm_sqlparse::{ParseMemo, SqlType, SqlValue};
+use gridrm_sqlparse::{ParseMemo, SqlType, SqlValue, Statement};
 use gridrm_store::Store;
 use gridrm_telemetry::{
     CostVector, GatewayTelemetry, IntrusionCause, Labels, Stage, TelemetryCapacities,
@@ -55,7 +55,8 @@ pub struct Gateway {
     history: HistoryManager,
     events: Arc<EventManager>,
     sessions: Arc<SessionManager>,
-    security: Arc<RwLock<SecurityPolicy>>,
+    /// The security policy, swapped whole by `set_security_policy`.
+    security: Arc<RwLock<Arc<SecurityPolicy>>>,
     alerts: Arc<AlertEngine>,
     admin: Arc<AdminInterface>,
     request: Arc<RequestManager>,
@@ -125,7 +126,7 @@ impl Gateway {
         let history = HistoryManager::new(store, &telemetry).expect("fresh store accepts schema");
         let events = EventManager::new(config.event_fast_capacity, &telemetry);
         let sessions = Arc::new(SessionManager::new(config.session_ttl_ms));
-        let security = Arc::new(RwLock::new(SecurityPolicy::permissive()));
+        let security = Arc::new(RwLock::new(Arc::new(SecurityPolicy::permissive())));
         let alerts = Arc::new(AlertEngine::new());
         let request = Arc::new(RequestManager::new(
             connections.clone(),
@@ -248,14 +249,16 @@ impl Gateway {
         &self.sessions
     }
 
-    /// The security policy (shared, hot-swappable).
-    pub fn security(&self) -> &Arc<RwLock<SecurityPolicy>> {
-        &self.security
+    /// The security policy now in force: a snapshot that a later
+    /// [`Gateway::set_security_policy`] does not change.
+    pub fn policy(&self) -> Arc<SecurityPolicy> {
+        Arc::clone(&self.security.read())
     }
 
-    /// Replace the security policy.
+    /// Replace the security policy. A request already running keeps
+    /// the snapshot it started with.
     pub fn set_security_policy(&self, policy: SecurityPolicy) {
-        *self.security.write() = policy;
+        *self.security.write() = Arc::new(policy);
     }
 
     /// Threshold alerting.
@@ -305,12 +308,14 @@ impl Gateway {
     /// Register a continuous-query subscription and run its initial
     /// evaluation, so the first [`Gateway::poll_deltas`] returns the
     /// current state as delta #1. Traced with `subscribe` and `delta`
-    /// stages.
+    /// stages. Every subscriber, one joining a standing query included,
+    /// is admitted first: see `admit`.
     pub fn subscribe(&self, spec: &SubscribeSpec) -> DbcResult<SubscriptionId> {
         let now = self.clock.now_millis();
         let mut span = spec.request.open_span(&self.telemetry);
         span.stage(Stage::Subscribe);
-        match self.streams.subscribe(spec, now) {
+        let admitted = self.admit(spec, now);
+        match admitted.and_then(|()| self.streams.subscribe(spec, now)) {
             Ok(id) => {
                 // A joiner on an already-materialized standing query got
                 // its snapshot synthesized at registration — evaluating
@@ -334,6 +339,35 @@ impl Gateway {
         }
     }
 
+    /// May `spec`'s principal subscribe? It needs `Subscribe` and
+    /// `Query`, and its sources pass the fine check as its own request
+    /// would: refused when none is allowed and one is denied. Standing
+    /// queries are shared only within one principal, so what a joiner
+    /// is handed was evaluated for the same principal.
+    fn admit(&self, spec: &SubscribeSpec, now: u64) -> DbcResult<()> {
+        let identity = self.sessions.principal(&spec.request, now)?;
+        let policy = self.policy();
+        for op in [CoarseOperation::Subscribe, CoarseOperation::Query] {
+            if let Decision::Deny(reason) = policy.authorize(&identity, Access::Operation(op)) {
+                return Err(SqlError::Security(reason));
+            }
+        }
+        let Statement::Select(sel) = spec.request.statement()? else {
+            return Ok(());
+        };
+        let (group, mut denial) = (sel.table.as_str(), None);
+        for url in &spec.request.sources {
+            match policy.authorize(&identity, Access::Resource { url, group }) {
+                Decision::Allow => return Ok(()),
+                Decision::Deny(reason) => {
+                    denial.get_or_insert(reason);
+                }
+                Decision::Defer => {}
+            }
+        }
+        denial.map_or(Ok(()), |reason| Err(SqlError::Security(reason)))
+    }
+
     /// Drain up to `max` pending deltas (0 = all) from one
     /// subscription's buffer. Untraced: this is the per-subscriber hot
     /// path, and 10k pollers must not flood the trace ring.
@@ -354,7 +388,7 @@ impl Gateway {
             .snapshot()
             .into_iter()
             .find(|s| s.id == id)
-            .ok_or_else(|| gridrm_dbc::SqlError::Internal("subscription vanished".into()))?;
+            .ok_or_else(|| SqlError::Internal("subscription vanished".into()))?;
         let meta = ResultSetMetaData::new(vec![
             ColumnMeta::new("Subscription", SqlType::Int),
             ColumnMeta::new("EveryMs", SqlType::Int),

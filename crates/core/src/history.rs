@@ -17,9 +17,9 @@
 use crate::events::GridRMEvent;
 use gridrm_dbc::{DbcResult, ResultSet, RowSet, SqlError};
 use gridrm_simnet::SimClock;
-use gridrm_sqlparse::ast::ColumnDef;
-use gridrm_sqlparse::{SqlType, SqlValue, Statement};
-use gridrm_store::{Database, ExecOutcome, Store, StoreError, Table};
+use gridrm_sqlparse::ast::{ColumnDef, SelectStatement};
+use gridrm_sqlparse::{SqlType, SqlValue};
+use gridrm_store::{Database, Store, StoreError, Table};
 use gridrm_telemetry::{GatewayTelemetry, Journal, JournalSeverity, KIND_HISTORY_DROP};
 use std::sync::Arc;
 
@@ -27,6 +27,8 @@ use std::sync::Arc;
 pub const HISTORY_TABLE: &str = "history";
 /// Table holding dispatched events.
 pub const EVENTS_TABLE: &str = "events";
+/// Where the jdbc-gridrm driver mounts this store.
+const HISTORY_URL: &str = "jdbc:gridrm://local/history";
 
 /// `history`'s columns: a harvest is only ever written into a table of
 /// exactly this shape.
@@ -142,14 +144,18 @@ impl HistoryManager {
         })
     }
 
-    /// Run a historical query (the §3.1.1 path) from the statement the
-    /// request already carries.
-    pub fn query(&self, statement: &Statement, now_ms: i64) -> DbcResult<RowSet> {
-        match self.store.with(|db| db.execute(statement, now_ms)) {
-            Ok(ExecOutcome::Rows(rows)) => Ok(rows),
-            Ok(_) => Err(SqlError::Driver("statement did not produce rows".into())),
-            Err(e) => Err(SqlError::Driver(e.to_string())),
-        }
+    /// Run a historical query (the §3.1.1 path) over only the rows
+    /// `allow(url, group)` admits; see `security`'s module doc for how
+    /// a row names its URL and group.
+    pub fn query(
+        &self,
+        sel: &SelectStatement,
+        now_ms: i64,
+        allow: impl Fn(&str, &str) -> bool,
+    ) -> DbcResult<RowSet> {
+        self.store
+            .with(|db| db.select_where(sel, now_ms, |table| readable(table, &sel.table, allow)))
+            .map_err(|e| SqlError::Driver(e.to_string()))
     }
 
     /// Apply retention: drop samples and events older than `cutoff_ms`.
@@ -187,6 +193,32 @@ impl HistoryManager {
             out.push((rs.get_timestamp(0)?, rs.get_f64(1)?));
         }
         Ok(out)
+    }
+}
+
+/// The rows of `table` (named `named` by the query) that `allow`
+/// admits: a `history` row as its `(source, grp)`, an `events` row as
+/// `(source, "events")`, any other table (or one reshaped without those
+/// columns) as a whole, as the mount at [`HISTORY_URL`] would check it.
+fn readable(
+    table: &Table,
+    named: &str,
+    allow: impl Fn(&str, &str) -> bool,
+) -> impl Fn(&[SqlValue]) -> bool {
+    let is = |name: &str| table.name.eq_ignore_ascii_case(name);
+    let source = table.column_index("source");
+    let columns = match (source, table.column_index("grp")) {
+        (Some(source), Some(grp)) if is(HISTORY_TABLE) => Some((source, Some(grp))),
+        (Some(source), _) if is(EVENTS_TABLE) => Some((source, None)),
+        _ => None,
+    };
+    let whole = columns.is_none() && allow(HISTORY_URL, named);
+    move |row: &[SqlValue]| {
+        let text = |i: usize| row.get(i).and_then(SqlValue::as_str).unwrap_or("");
+        match columns {
+            Some((source, grp)) => allow(text(source), grp.map_or(EVENTS_TABLE, text)),
+            None => whole,
+        }
     }
 }
 

@@ -67,7 +67,7 @@ pub use health::{
 };
 pub use history::HistoryManager;
 pub use request::{RequestManager, RequestSnapshot};
-pub use security::{CoarseOperation, Decision, Identity, SecurityPolicy};
+pub use security::{Access, CoarseOperation, Decision, Identity, SecurityPolicy};
 pub use session::{SessionManager, SessionToken};
 pub use singleflight::SingleFlight;
 pub use stream::{

@@ -26,11 +26,12 @@ use crate::cache::CacheController;
 use crate::connection::ConnectionManager;
 use crate::events::EventManager;
 use crate::history::HistoryManager;
-use crate::security::{CoarseOperation, Decision, Identity, SecurityPolicy};
+use crate::security::{Access, CoarseOperation, Decision, Identity, SecurityPolicy};
 use crate::session::SessionManager;
 use crate::singleflight::SingleFlight;
 use gridrm_dbc::{DbcResult, JdbcUrl, RowSet, SqlError};
 use gridrm_simnet::SimClock;
+use gridrm_sqlparse::ast::SelectStatement;
 use gridrm_sqlparse::Statement;
 use gridrm_telemetry::{
     CostVector, Counter, GatewayTelemetry, Histogram, JournalSeverity, Labels, Registry,
@@ -38,7 +39,6 @@ use gridrm_telemetry::{
 };
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -141,7 +141,8 @@ pub struct RequestManager {
     events: Arc<EventManager>,
     alerts: Arc<AlertEngine>,
     sessions: Arc<SessionManager>,
-    security: Arc<RwLock<SecurityPolicy>>,
+    /// The gateway's policy, swapped whole; a request reads one snapshot.
+    security: Arc<RwLock<Arc<SecurityPolicy>>>,
     clock: Arc<SimClock>,
     record_history: AtomicBool,
     stats: RequestStats,
@@ -169,7 +170,7 @@ impl RequestManager {
         events: Arc<EventManager>,
         alerts: Arc<AlertEngine>,
         sessions: Arc<SessionManager>,
-        security: Arc<RwLock<SecurityPolicy>>,
+        security: Arc<RwLock<Arc<SecurityPolicy>>>,
         record_history: bool,
         telemetry: &GatewayTelemetry,
     ) -> RequestManager {
@@ -209,21 +210,6 @@ impl RequestManager {
     pub fn inflight_waiters(&self, source: &str, sql: &str) -> usize {
         self.singleflight
             .waiters(&(Arc::from(source), Arc::from(sql)))
-    }
-
-    /// The identity the request runs as, borrowed when it carries one.
-    fn resolve_identity<'r>(&self, request: &'r ClientRequest) -> DbcResult<Cow<'r, Identity>> {
-        if let Some(token) = request.token {
-            return self
-                .sessions
-                .resolve(token, self.clock.now_millis())
-                .map(Cow::Owned)
-                .ok_or_else(|| SqlError::Security("invalid or expired session".into()));
-        }
-        Ok(match &request.identity {
-            Some(identity) => Cow::Borrowed(identity),
-            None => Cow::Owned(Identity::anonymous()),
-        })
     }
 
     /// Handle one client request (the Fig 3 entry point). The whole
@@ -271,7 +257,8 @@ impl RequestManager {
     ) -> DbcResult<ClientResponse> {
         self.stats.requests.inc();
         span.stage(Stage::Handle);
-        let identity = self.resolve_identity(request)?;
+        let now = self.clock.now_millis();
+        let identity = self.sessions.principal(request, now)?;
 
         // Clients may only SELECT; writes to the historical store go
         // through the admin/driver path.
@@ -282,35 +269,20 @@ impl RequestManager {
             ));
         };
         let sql = request.sql();
+        let policy = Arc::clone(&self.security.read());
 
-        let now = self.clock.now_millis();
-        let policy = self.security.read().clone();
-
-        if request.mode == QueryMode::Historical {
-            if let Decision::Deny(reason) =
-                policy.check_coarse(&identity, CoarseOperation::QueryHistory)
-            {
-                self.stats.denied.inc();
-                return Err(SqlError::Security(reason));
-            }
-            self.stats.historical.inc();
-            let rows = self.history.query(statement, now as i64)?;
-            let outcomes = if rows.is_empty() {
-                Vec::new()
-            } else {
-                let elapsed = self.clock.now_millis().saturating_sub(now);
-                vec![SourceOutcome::success(
-                    "historical",
-                    OutcomeStatus::Ok,
-                    elapsed,
-                )]
-            };
-            return Ok(ClientResponse::from_outcomes(rows, outcomes, Vec::new()));
-        }
-
-        if let Decision::Deny(reason) = policy.check_coarse(&identity, CoarseOperation::Query) {
+        let historical = request.mode == QueryMode::Historical;
+        let op = if historical {
+            CoarseOperation::QueryHistory
+        } else {
+            CoarseOperation::Query
+        };
+        if let Decision::Deny(reason) = policy.authorize(&identity, Access::Operation(op)) {
             self.stats.denied.inc();
             return Err(SqlError::Security(reason));
+        }
+        if historical {
+            return self.historical(sel, &identity, &policy, now);
         }
         if request.sources.is_empty() {
             return Err(SqlError::Unsupported(
@@ -350,7 +322,7 @@ impl RequestManager {
                 }
 
                 // Fine Grained Security Layer, per resource (§2).
-                match policy.check_fine(&identity, source, group) {
+                match policy.authorize(&identity, Access::Resource { url: source, group }) {
                     Decision::Allow => {}
                     Decision::Deny(reason) => {
                         self.stats.denied.inc();
@@ -498,6 +470,34 @@ impl RequestManager {
                     .unwrap_or_else(|| SqlError::Driver("no source produced a result".into())))
             }
         }
+    }
+
+    /// The historical path (§3.1.1): the store reads only the rows the
+    /// fine check allows this principal.
+    fn historical(
+        &self,
+        sel: &SelectStatement,
+        identity: &Identity,
+        policy: &SecurityPolicy,
+        now: u64,
+    ) -> DbcResult<ClientResponse> {
+        self.stats.historical.inc();
+        let rows = self.history.query(sel, now as i64, |url, group| {
+            policy
+                .authorize(identity, Access::Resource { url, group })
+                .is_allow()
+        })?;
+        let outcomes = if rows.is_empty() {
+            Vec::new()
+        } else {
+            let elapsed = self.clock.now_millis().saturating_sub(now);
+            vec![SourceOutcome::success(
+                "historical",
+                OutcomeStatus::Ok,
+                elapsed,
+            )]
+        };
+        Ok(ClientResponse::from_outcomes(rows, outcomes, Vec::new()))
     }
 
     /// Counters.

@@ -3,12 +3,26 @@
 //! "multi-level and granularity of security for data access" and the
 //! option, in a hierarchy, to *defer* decisions "to the local Gateway
 //! responsible for a given resource".
+//!
+//! Both layers are one call, [`SecurityPolicy::authorize`], made by the
+//! realtime/cached request path, the historical path, `Gateway::subscribe`
+//! and the Global layer's fan-out (DESIGN.md, "Who may see a row").
+//! A historical scan skips every row the fine check denies, aggregates
+//! included: a `history` row is checked as its `(source, grp)`, an
+//! `events` row as `(source, "events")`, and any other store table once,
+//! as the jdbc-gridrm mount would check it.
+//!
+//! Deferral: a URL under a `deferred_prefixes` entry is not this
+//! gateway's to decide. Its local layer answers it with a `Deferred`
+//! outcome and no rows; through the Global layer the query reaches the
+//! owner, which applies its own `Query` and fine rules to the identity
+//! the request carries (`crates/global/tests/deferral.rs`).
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// An authenticated principal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Identity {
     /// Principal name.
     pub name: String,
@@ -34,7 +48,7 @@ impl Identity {
     }
 
     /// Does the identity hold `role`?
-    pub fn has_role(&self, role: &str) -> bool {
+    fn has_role(&self, role: &str) -> bool {
         self.roles.contains(role)
     }
 }
@@ -42,16 +56,28 @@ impl Identity {
 /// Gateway-level operations guarded by the Coarse Grained Security Layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum CoarseOperation {
-    /// Query local resources.
+    /// Query resources (realtime or cached), here or through the
+    /// Global layer.
     Query,
-    /// Query resources owned by remote gateways (Global layer).
-    QueryRemote,
     /// Read historical data.
     QueryHistory,
-    /// Subscribe to events.
+    /// Register a continuous-query subscription.
     Subscribe,
-    /// Administer drivers and data sources (Figs 6–8).
-    Administer,
+}
+
+/// What a principal asks to see: the one argument of
+/// [`SecurityPolicy::authorize`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access<'a> {
+    /// A gateway-level operation (Coarse Grained Security Layer).
+    Operation(CoarseOperation),
+    /// One GLUE group of one resource URL (Fine Grained Security Layer).
+    Resource {
+        /// The resource URL.
+        url: &'a str,
+        /// The GLUE group (or, on the historical store, the table).
+        group: &'a str,
+    },
 }
 
 /// Outcome of a security check.
@@ -128,10 +154,8 @@ impl SecurityPolicy {
         SecurityPolicy {
             coarse: vec![
                 (CoarseOperation::Query, "monitor".to_owned()),
-                (CoarseOperation::QueryRemote, "monitor".to_owned()),
                 (CoarseOperation::QueryHistory, "monitor".to_owned()),
                 (CoarseOperation::Subscribe, "monitor".to_owned()),
-                (CoarseOperation::Administer, "admin".to_owned()),
             ],
             rules: Vec::new(),
             default_allow: false,
@@ -152,8 +176,17 @@ impl SecurityPolicy {
         self
     }
 
+    /// May `identity` have `access`? The one authorisation point: an
+    /// `Allow` allocates nothing.
+    pub fn authorize(&self, identity: &Identity, access: Access<'_>) -> Decision {
+        match access {
+            Access::Operation(op) => self.check_coarse(identity, op),
+            Access::Resource { url, group } => self.check_fine(identity, url, group),
+        }
+    }
+
     /// Coarse Grained Security Layer check.
-    pub fn check_coarse(&self, identity: &Identity, op: CoarseOperation) -> Decision {
+    fn check_coarse(&self, identity: &Identity, op: CoarseOperation) -> Decision {
         match self.coarse.iter().find(|(o, _)| *o == op) {
             Some((_, role)) if !identity.has_role(role) => {
                 Decision::Deny(format!("operation {op:?} requires role '{role}'",))
@@ -163,7 +196,7 @@ impl SecurityPolicy {
     }
 
     /// Fine Grained Security Layer check for `(resource URL, GLUE group)`.
-    pub fn check_fine(&self, identity: &Identity, url: &str, group: &str) -> Decision {
+    fn check_fine(&self, identity: &Identity, url: &str, group: &str) -> Decision {
         if self
             .deferred_prefixes
             .iter()
@@ -208,9 +241,7 @@ mod tests {
     fn permissive_allows_everything() {
         let p = SecurityPolicy::permissive();
         let anon = Identity::anonymous();
-        assert!(p
-            .check_coarse(&anon, CoarseOperation::Administer)
-            .is_allow());
+        assert!(p.check_coarse(&anon, CoarseOperation::Subscribe).is_allow());
         assert!(p
             .check_fine(&anon, "jdbc:snmp://n/p", "Processor")
             .is_allow());
@@ -226,10 +257,9 @@ mod tests {
         ));
         let monitor = Identity::new("alice", &["monitor"]);
         assert!(p.check_coarse(&monitor, CoarseOperation::Query).is_allow());
-        assert!(matches!(
-            p.check_coarse(&monitor, CoarseOperation::Administer),
-            Decision::Deny(_)
-        ));
+        assert!(p
+            .authorize(&monitor, Access::Operation(CoarseOperation::Subscribe))
+            .is_allow());
         // Fine default deny.
         assert!(matches!(
             p.check_fine(&monitor, "jdbc:snmp://n/p", "Processor"),

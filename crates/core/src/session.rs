@@ -1,8 +1,11 @@
 //! Session Management (Fig 2): clients authenticate once, receive a
 //! token, and present it on subsequent requests until it expires.
 
+use crate::acil::ClientRequest;
 use crate::security::Identity;
+use gridrm_dbc::{DbcResult, SqlError};
 use parking_lot::RwLock;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -56,6 +59,27 @@ impl SessionManager {
         }
         session.expires_ms = now_ms + self.ttl_ms;
         Some(session.identity.clone())
+    }
+
+    /// The principal `request` runs as: its session's identity when it
+    /// carries a token (an invalid or expired one is an error), else
+    /// the identity it names, else anonymous. The one place a request's
+    /// identity is resolved; borrowed when the request carries it.
+    pub fn principal<'r>(
+        &self,
+        request: &'r ClientRequest,
+        now_ms: u64,
+    ) -> DbcResult<Cow<'r, Identity>> {
+        if let Some(token) = request.token {
+            return self
+                .resolve(token, now_ms)
+                .map(Cow::Owned)
+                .ok_or_else(|| SqlError::Security("invalid or expired session".into()));
+        }
+        Ok(match &request.identity {
+            Some(identity) => Cow::Borrowed(identity),
+            None => Cow::Owned(Identity::anonymous()),
+        })
     }
 
     /// Close a session explicitly.

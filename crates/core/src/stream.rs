@@ -17,6 +17,7 @@
 
 use crate::acil::ClientRequest;
 use crate::admin::concerns;
+use crate::security::Identity;
 use gridrm_dbc::{DbcResult, RowSet, SqlError};
 use gridrm_sqlparse::Statement;
 use gridrm_store::DeltaTracker;
@@ -224,6 +225,24 @@ pub struct StreamSettings {
     pub max_subscribers: usize,
 }
 
+/// Who a standing query runs as: its session when the request carries a
+/// token, else the name and roles it names. Part of the key, so one
+/// evaluation is shared only within one principal.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+enum Principal {
+    Session(u64),
+    Named(Identity),
+}
+
+/// What makes two subscriptions one standing query.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+struct QueryKey {
+    sources: Vec<String>,
+    sql: String,
+    every_ms: u64,
+    principal: Principal,
+}
+
 /// One deduplicated standing query: many subscribers, one evaluation
 /// per tick.
 struct StandingQuery {
@@ -243,7 +262,7 @@ struct StandingQuery {
 
 struct Subscriber {
     id: SubscriptionId,
-    key: String,
+    key: QueryKey,
     sql: String,
     sources: usize,
     every_ms: u64,
@@ -259,7 +278,7 @@ struct Subscriber {
 
 #[derive(Default)]
 struct Inner {
-    queries: BTreeMap<String, StandingQuery>,
+    queries: BTreeMap<QueryKey, StandingQuery>,
     subs: BTreeMap<SubscriptionId, Subscriber>,
 }
 
@@ -329,7 +348,7 @@ impl StreamManager {
     }
 
     /// Register a subscription. The standing query becomes due on the
-    /// next pump; identical (sources, SQL, cadence, identity) queries
+    /// next pump; identical (sources, SQL, cadence, principal) queries
     /// share one evaluation.
     pub fn subscribe(&self, spec: &SubscribeSpec, now: u64) -> DbcResult<SubscriptionId> {
         let Statement::Select(sel) = spec.request.statement()? else {
@@ -357,19 +376,16 @@ impl StreamManager {
             .with_statement(Statement::Select(sel.without_every()));
         standing.trace = None;
         let exec_sql = standing.sql().to_owned();
-        let who = spec
-            .request
-            .identity
-            .as_ref()
-            .map(|i| i.name.as_str())
-            .unwrap_or("anonymous");
-        let key = format!(
-            "{}\u{1}{}\u{1}{}\u{1}{}",
-            spec.request.sources.join(","),
-            exec_sql,
-            every,
-            who
-        );
+        let principal = match (spec.request.token, &spec.request.identity) {
+            (Some(token), _) => Principal::Session(token.0),
+            (None, who) => Principal::Named(who.clone().unwrap_or_else(Identity::anonymous)),
+        };
+        let key = QueryKey {
+            sources: spec.request.sources.clone(),
+            sql: exec_sql.clone(),
+            every_ms: every,
+            principal,
+        };
         let capacity = spec.buffer.unwrap_or(self.settings.buffer_capacity).max(1);
         let policy = spec.backpressure.unwrap_or(self.settings.backpressure);
         let id = {
@@ -534,7 +550,7 @@ impl StreamManager {
     where
         F: Fn(&ClientRequest) -> DbcResult<RowSet>,
     {
-        let due: Vec<(String, ClientRequest)> = {
+        let due: Vec<(QueryKey, ClientRequest)> = {
             let inner = self.inner.lock();
             inner
                 .queries
@@ -543,7 +559,7 @@ impl StreamManager {
                 .map(|(k, q)| (k.clone(), q.request.clone()))
                 .collect()
         };
-        let mut results: Vec<(String, DbcResult<RowSet>)> = Vec::with_capacity(due.len());
+        let mut results: Vec<(QueryKey, DbcResult<RowSet>)> = Vec::with_capacity(due.len());
         for (key, request) in due {
             self.stats.evaluations.inc();
             results.push((key, exec(&request)));

@@ -221,10 +221,14 @@ impl HistoryPair {
             }
             HistoryOp::Select(i) => {
                 let sql = HISTORY_SELECTS[*i];
-                let statement = gridrm_sqlparse::parse(sql).unwrap();
+                let gridrm_sqlparse::Statement::Select(sel) = gridrm_sqlparse::parse(sql).unwrap()
+                else {
+                    panic!("{sql} is a SELECT");
+                };
+                let all = |_: &str, _: &str| true;
                 assert_eq!(
-                    self.queued.query(&statement, self.now).unwrap(),
-                    self.eager.query(&statement, self.now).unwrap(),
+                    self.queued.query(&sel, self.now, all).unwrap(),
+                    self.eager.query(&sel, self.now, all).unwrap(),
                     "{sql} at {}",
                     self.now
                 );

@@ -42,7 +42,7 @@ use crate::protocol::{GlobalRequest, GlobalResponse, WireIdentity};
 use gridrm_core::acil::{
     ClientRequest, ClientResponse, OutcomeStatus, QueryMode, ResultPolicy, SourceOutcome,
 };
-use gridrm_core::security::Identity;
+use gridrm_core::security::{Access, CoarseOperation, Decision};
 use gridrm_dbc::{DbcResult, RowSet, SqlError};
 use gridrm_telemetry::Stage;
 use std::collections::HashSet;
@@ -120,10 +120,27 @@ fn merge(acc: &mut Option<RowSet>, rows: RowSet, warnings: &mut Vec<String>, ori
 }
 
 impl GlobalLayer {
-    /// Plan, dispatch and consolidate one Global-layer query.
+    /// Plan, dispatch and consolidate one Global-layer query. The
+    /// caller's principal is resolved and its operation authorised here,
+    /// before anything is sent; each owner checks again on arrival.
     pub(crate) fn fan_out(&self, request: &ClientRequest) -> DbcResult<ClientResponse> {
         let telemetry = self.gateway.telemetry().clone();
         let clock = telemetry.clock().clone();
+        let identity = self
+            .gateway
+            .sessions()
+            .principal(request, clock.now_millis())?;
+        let op = match request.mode {
+            QueryMode::Historical => CoarseOperation::QueryHistory,
+            _ => CoarseOperation::Query,
+        };
+        if let Decision::Deny(reason) = self
+            .gateway
+            .policy()
+            .authorize(&identity, Access::Operation(op))
+        {
+            return Err(SqlError::Security(reason));
+        }
         let my_site = self.gateway.config().site.clone();
         let my_name = self.gateway.config().name.clone();
         let parallel = self.parallel_fanout();
@@ -149,7 +166,6 @@ impl GlobalLayer {
         );
         let ctx = span.context();
 
-        let identity = request.identity.clone().unwrap_or_else(Identity::anonymous);
         let deadline = request
             .deadline_ms
             .or(match self.gateway.config().default_deadline_ms {
@@ -274,7 +290,7 @@ impl GlobalLayer {
                     self.stats.remote_queries_out.inc();
                     let wire = GlobalRequest::Query {
                         from_gateway: my_name.clone(),
-                        identity: WireIdentity::from(&identity),
+                        identity: WireIdentity::from(identity.as_ref()),
                         sources: sources.clone(),
                         sql: request.sql().to_owned(),
                         max_cache_age_ms,

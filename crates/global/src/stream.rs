@@ -19,7 +19,6 @@
 
 use crate::layer::GlobalLayer;
 use crate::protocol::{GlobalRequest, GlobalResponse, WireDelta, WireIdentity};
-use gridrm_core::security::Identity;
 use gridrm_core::stream::{StreamDelta, SubscribeSpec, SubscriptionId};
 use gridrm_dbc::{DbcResult, SqlError};
 use gridrm_telemetry::{JournalSeverity, KIND_STREAM};
@@ -65,11 +64,8 @@ impl GlobalLayer {
     pub fn subscribe(&self, spec: &SubscribeSpec) -> DbcResult<GridSubscription> {
         let my_name = self.gateway.config().name.clone();
         let (local, remote) = self.partition(&spec.request.sources);
-        let identity = spec
-            .request
-            .identity
-            .clone()
-            .unwrap_or_else(Identity::anonymous);
+        let now = self.gateway.clock().now_millis();
+        let identity = self.gateway.sessions().principal(&spec.request, now)?;
         let mut grid = GridSubscription {
             local: None,
             remotes: Vec::new(),
@@ -82,7 +78,7 @@ impl GlobalLayer {
         for (entry, sources) in remote {
             let wire = GlobalRequest::Subscribe {
                 from_gateway: my_name.clone(),
-                identity: WireIdentity::from(&identity),
+                identity: WireIdentity::from(identity.as_ref()),
                 sources,
                 sql: spec.request.sql().to_owned(),
                 every_ms: spec.every_ms,

@@ -3,7 +3,8 @@
 use crate::exec::{self, ExecOutcome};
 use crate::table::{StoreError, Table};
 use gridrm_dbc::RowSet;
-use gridrm_sqlparse::{parse, Statement};
+use gridrm_sqlparse::ast::SelectStatement;
+use gridrm_sqlparse::{parse, SqlValue, Statement};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -66,6 +67,21 @@ impl Database {
     /// Execute a parsed statement. `now` feeds `NOW()`.
     pub fn execute(&mut self, stmt: &Statement, now: i64) -> Result<ExecOutcome, StoreError> {
         exec::execute(self, stmt, now)
+    }
+
+    /// Run a SELECT over only the rows a predicate admits, without
+    /// copying the table. `keep` is built once from the table the
+    /// statement names (so it can find its columns) and then asked per
+    /// row; a row it refuses is invisible to `WHERE`, aggregates and
+    /// groups alike.
+    pub fn select_where<K: Fn(&[SqlValue]) -> bool>(
+        &self,
+        sel: &SelectStatement,
+        now: i64,
+        keep: impl FnOnce(&Table) -> K,
+    ) -> Result<RowSet, StoreError> {
+        let table = self.table(&sel.table)?;
+        exec::execute_select(table, sel, now, keep(table))
     }
 
     /// Parse and execute SQL text.

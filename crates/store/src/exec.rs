@@ -54,7 +54,7 @@ pub fn select_in_memory(
     sel: &SelectStatement,
     now: i64,
 ) -> Result<RowSet, StoreError> {
-    execute_select(table, sel, now)
+    execute_select(table, sel, now, |_| true)
 }
 
 /// Row context over a table's columns.
@@ -73,17 +73,20 @@ impl EvalContext for RowCtx<'_> {
     }
 }
 
-/// Execute a SELECT against one table.
+/// Execute a SELECT against one table, reading only the rows `admits`
+/// accepts: a skipped row is never seen by `WHERE`, an aggregate or a
+/// group.
 pub(crate) fn execute_select(
     table: &dyn Relation,
     sel: &SelectStatement,
     now: i64,
+    admits: impl Fn(&[SqlValue]) -> bool,
 ) -> Result<RowSet, StoreError> {
     let ev = Evaluator;
 
     // 1. filter
     let mut matching: Vec<&Vec<SqlValue>> = Vec::new();
-    for row in table.rows() {
+    for row in table.rows().iter().filter(|row| admits(row)) {
         let ctx = RowCtx { table, row, now };
         let keep = match &sel.where_clause {
             Some(w) => ev
@@ -668,7 +671,9 @@ pub(crate) fn execute(
     match stmt {
         Statement::Select(sel) => {
             let table = db.table(&sel.table)?;
-            Ok(ExecOutcome::Rows(execute_select(table, sel, now)?))
+            Ok(ExecOutcome::Rows(execute_select(table, sel, now, |_| {
+                true
+            })?))
         }
         Statement::Insert {
             table,
